@@ -79,20 +79,21 @@
 //	          [-repl-window 4096] [-epoch-interval 5ms]
 //	          [-session-window 256] [-cluster-slots 0-31]
 //
-// Each shard batches queued requests — from any connection — into one
-// Atlas critical section per drained group (up to -batch-max ops),
-// amortizing the per-section persistence cost across the batch;
-// -batch-max 0 disables batching and serves every request on the
-// synchronous per-op path. -queue-depth bounds each shard's pending
-// queue; when it is full, requests degrade to the synchronous path
-// instead of waiting (the stats report the fallbacks).
+// Every mutation is one commit group run inside one Atlas critical
+// section under its shard's drain lock. A request arriving at an idle
+// shard runs in its own connection's goroutine; requests arriving
+// behind a busy shard — from any connection — queue and coalesce into
+// one section (up to -batch-max ops, minimum 1), amortizing the
+// per-section persistence cost across the batch. -queue-depth bounds
+// each shard's queue; when it is full, a request waits for the drain
+// lock itself instead (the stats report these as batch fallbacks).
 //
 // Pure reads (get, and mget when every key validates) are served by a
 // lock-free seqlock path that takes no Atlas mutex and never enters the
-// batch pipeline — the paper's recovery-observer argument applied to
-// the hot path. -optimistic-reads=false routes every read through the
-// locked machinery instead (the pre-optimistic behavior, useful for
-// benchmarking the difference).
+// write path — the paper's recovery-observer argument applied to the
+// hot path. -optimistic-reads=false routes every read through a commit
+// group instead (the pre-optimistic behavior, useful for benchmarking
+// the difference).
 //
 // Replication (the preventive tier for site-disaster failure classes —
 // see internal/repl): -repl-listen makes this process a primary that
@@ -134,8 +135,8 @@ func main() {
 	conns := flag.Int("conns", 16, "served connections; excess connections queue (backpressure)")
 	words := flag.Int("words", 1<<20, "simulated NVM words per shard")
 	metricsAddr := flag.String("metrics-addr", "", "HTTP metrics listen address (Prometheus text at /metrics); empty disables")
-	batchMax := flag.Int("batch-max", 64, "max ops per batched critical section; 0 disables batching")
-	queueDepth := flag.Int("queue-depth", 256, "per-shard pending-request queue bound")
+	batchMax := flag.Int("batch-max", 64, "max ops per batched critical section (>= 1)")
+	queueDepth := flag.Int("queue-depth", 256, "per-shard bound on commit groups queued behind a busy drain lock")
 	optimisticReads := flag.Bool("optimistic-reads", true, "serve pure reads on the lock-free seqlock path (no Atlas mutex, no batching)")
 	protoFlag := flag.String("proto", "auto", "wire protocol: auto (sniff per connection), native (text), resp (RESP2)")
 	maxRequestBytes := flag.Int("max-request-bytes", 1<<20, "single-request wire-size ceiling; oversized requests are answered with an error")

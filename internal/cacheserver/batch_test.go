@@ -58,46 +58,21 @@ func TestMsetIsOneBatchOneSection(t *testing.T) {
 	}
 }
 
-// TestBatchDisabledServesSynchronously: WithBatchMax(0) is the
-// pre-pipeline server — correct answers, no worker, nothing counted as
-// a batch.
-func TestBatchDisabledServesSynchronously(t *testing.T) {
-	s := startServer(t, WithShards(2), WithBatchMax(0))
-	for _, sh := range s.shards {
-		if sh.queue != nil {
-			t.Fatal("batch queue exists with batching disabled")
-		}
-	}
-	c := dial(t, s.Addr().String())
-	if got := c.cmd(t, "mset 1 10 2 20 3 30"); got != "STORED 3" {
-		t.Fatalf("mset: %q", got)
-	}
-	if got := c.cmd(t, "incr 1 5"); got != "15" {
-		t.Fatalf("incr: %q", got)
-	}
-	if got := c.cmd(t, "crash"); !strings.HasPrefix(got, "OK RECOVERED EPOCH ") {
-		t.Fatalf("crash: %q", got)
-	}
-	if got := c.cmd(t, "get 1"); got != "VALUE 1 15" {
-		t.Fatalf("get after crash: %q", got)
-	}
-	for _, sh := range s.shards {
-		if got := sh.tel.Server.Batches.Load(); got != 0 {
-			t.Fatalf("shard %d counted %d batches with batching disabled", sh.idx, got)
-		}
-		if got := sh.tel.Server.BatchFallbacks.Load(); got != 0 {
-			t.Fatalf("shard %d counted %d fallbacks with batching disabled", sh.idx, got)
-		}
+// TestBatchMaxZeroRejected: the unbatched mode is gone — there is one
+// write path, and its batch bound must admit at least one op.
+func TestBatchMaxZeroRejected(t *testing.T) {
+	if s, err := New(WithBatchMax(0)); err == nil {
+		s.Close()
+		t.Fatal("WithBatchMax(0) was accepted")
 	}
 }
 
 // TestOversizedGroupChunksThroughPipeline: a group larger than
 // batchMax is never executed in one section (that would overrun the
-// undo-log ring the bound sizes); it is split into batchMax-sized
-// chunks that each ride the pipeline — paying the per-batch
-// amortization instead of degrading to the per-op synchronous path,
-// which matters once pipelined clients present hundreds of ops in one
-// decoded group.
+// undo-log ring the bound sizes); submit splits it into batchMax-sized
+// sections — paying the per-batch amortization, which matters once
+// pipelined clients present hundreds of ops in one decoded group — and
+// the split is not a fallback.
 func TestOversizedGroupChunksThroughPipeline(t *testing.T) {
 	s := startServer(t, WithShards(1), WithBatchMax(4))
 	c := dial(t, s.Addr().String())
@@ -125,18 +100,17 @@ func TestOversizedGroupChunksThroughPipeline(t *testing.T) {
 }
 
 // TestQueueFullFallsBackToSyncPath stalls the shard (write lock held,
-// so the worker and every sync op block) while six clients submit
-// two-op msets through a depth-1 queue. Multi-op groups always route
-// to the pipeline, and the stalled worker can absorb at most one
-// drain's worth (batchMax=4 ops = two groups) plus the one queued
-// group, so at least three writers must take the counted synchronous
-// fallback instead of blocking on the queue — and every write must
-// still be acked and applied once the shard resumes.
+// so whoever holds the drain lock blocks inside runBatch) while six
+// clients submit two-op msets through a depth-1 queue. One submitter
+// wins the drain lock and stalls in its section, one fills the queue,
+// so at least three of the rest must take submit's counted
+// queue-full arm — waiting for the drain lock themselves — and every
+// write must still be acked and applied once the shard resumes.
 func TestQueueFullFallsBackToSyncPath(t *testing.T) {
 	s := startServer(t, WithShards(1), WithBatchMax(4), WithQueueDepth(1))
 	sh := s.shards[0]
 
-	sh.mu.Lock() // stall worker drains and sync ops alike
+	sh.mu.Lock() // stall every section on this shard
 	const n = 6
 	conns := make([]net.Conn, n)
 	readers := make([]*bufio.Reader, n)
@@ -151,13 +125,12 @@ func TestQueueFullFallsBackToSyncPath(t *testing.T) {
 		readers[i] = bufio.NewReader(conn)
 		fmt.Fprintf(conn, "mset %d %d %d %d\r\n", 2*i, 100+i, 2*i+1, 200+i)
 	}
-	// Every request reaches a routing decision while the shard is
-	// stalled: at most two groups drained by the blocked worker
-	// (batchMax=4), one filling the depth-1 queue, so at least three
-	// must have taken the counted fallback. Fallbacks are counted at the
-	// routing decision, before the op blocks on the shard lock, so the
-	// counter is pollable here.
-	waitFor(t, 10*time.Second, "three sync fallbacks", func() bool {
+	// Every request reaches a scheduling decision while the shard is
+	// stalled: one group inside the stalled section, one filling the
+	// depth-1 queue, so at least three must have taken the counted
+	// fallback. Fallbacks are counted at the decision, before the
+	// submitter blocks on the drain lock, so the counter is pollable here.
+	waitFor(t, 10*time.Second, "three queue-full fallbacks", func() bool {
 		return sh.tel.Server.BatchFallbacks.Load() >= 3
 	})
 	sh.mu.Unlock()
@@ -174,7 +147,7 @@ func TestQueueFullFallsBackToSyncPath(t *testing.T) {
 	if got := sh.tel.Server.BatchFallbacks.Load(); got < 1 {
 		t.Fatalf("fallbacks = %d, want >= 1 (queue depth 1, six concurrent two-op writers)", got)
 	}
-	// Latency histograms recorded on both paths.
+	// Latency histograms recorded on every arm.
 	if got := sh.tel.OpLatency.Snapshot().Count(); got < 1 {
 		t.Fatal("no op latency observations")
 	}
@@ -193,12 +166,10 @@ func TestQueueFullFallsBackToSyncPath(t *testing.T) {
 }
 
 // TestPipelinedCommandsOrdered writes a burst of dependent commands in
-// one TCP segment — mixing inline single ops with an mset whose
-// per-shard groups ride the pipeline or, when a group exceeds
-// batchMax, take the synchronous fallback — and requires the responses
-// in request order with the dependent values correct: the pipeline
-// must not reorder one connection's commands even when they take
-// different execution paths.
+// one TCP segment — single ops around an mset whose per-shard groups
+// may exceed batchMax and chunk — and requires the responses in
+// request order with the dependent values correct: scheduling must not
+// reorder one connection's commands.
 func TestPipelinedCommandsOrdered(t *testing.T) {
 	s := startServer(t, WithShards(2), WithBatchMax(4))
 	conn, err := net.Dial("tcp", s.Addr().String())
@@ -210,7 +181,7 @@ func TestPipelinedCommandsOrdered(t *testing.T) {
 	var req strings.Builder
 	req.WriteString("set 1 1\r\n")
 	req.WriteString("incr 1 1\r\n")
-	req.WriteString("mset 10 1 11 2 12 3 13 4 14 5 15 6\r\n") // 6 ops across 2 shards: pipeline or oversize fallback per group
+	req.WriteString("mset 10 1 11 2 12 3 13 4 14 5 15 6\r\n") // 6 ops across 2 shards: a group over batchMax chunks
 	req.WriteString("incr 1 1\r\n")
 	req.WriteString("get 1\r\n")
 	if _, err := conn.Write([]byte(req.String())); err != nil {
@@ -248,11 +219,11 @@ func TestCrashNeverTearsBatchGroup(t *testing.T) {
 		for i := range ops {
 			ops[i] = batchOp{kind: opSet, key: uint64(i), arg: r}
 		}
-		req := s.tryEnqueue(sh, ops)
-		if req == nil {
-			t.Fatalf("round %d: enqueue refused on an idle pipeline", r)
-		}
-		sh.ringDoorbell() // hand the group to the worker, not a combiner
+		// Hand the group to the worker, not to a submitter's own
+		// goroutine: queue it directly and ring.
+		req := &batchReq{ops: ops, done: make(chan struct{})}
+		sh.queue <- req
+		sh.ringDoorbell()
 
 		crashed := make(chan error, 1)
 		go func() { crashed <- sh.crashAndRecover() }()
@@ -292,9 +263,9 @@ func TestCrashNeverTearsBatchGroup(t *testing.T) {
 //     one applied twice (a half-rolled-back group). Afterwards the
 //     stored value must equal the writer's last ack — acked == applied,
 //     the Σc1/Σc2 sandwich with T = 0 in-flight at quiesce. Every
-//     fourth round each writer also rewrites a two-key side group, so
-//     batches keep forming mid-crash (lone increments on an idle shard
-//     run inline by design) and increments race real drains.
+//     fourth round each writer also rewrites a five-key side group, so
+//     multi-op batches keep forming mid-crash and increments race
+//     real drains.
 //   - mset workload: each writer rewrites its whole key group to the
 //     round number through the cross-shard fan-out, so crashes land
 //     between per-shard groups of the same command. Every ack covers
@@ -345,9 +316,8 @@ func TestCrashMidBatchCampaign(t *testing.T) {
 								// Stir the pipeline: a five-key side group
 								// every few rounds (more keys than shards, so
 								// at least one shard receives a multi-op
-								// group) keeps batches forming mid-crash even
-								// in the incr workload, whose lone increments
-								// run inline on an idle shard by design.
+								// group) keeps multi-op batches forming
+								// mid-crash even in the incr workload.
 								fmt.Fprintf(conn, "mset %d %d %d %d %d %d %d %d %d %d\r\n",
 									base+500, round, base+501, round, base+502, round,
 									base+503, round, base+504, round)
@@ -461,8 +431,6 @@ func TestStatsResetCommand(t *testing.T) {
 	s := startServer(t, WithShards(2), WithEpochInterval(0))
 	c := dial(t, s.Addr().String())
 	c.cmd(t, "set 1 1")
-	// Four keys over two shards: at least one shard receives a multi-op
-	// group, which rides the batch pipeline.
 	c.cmd(t, "mset 2 2 3 3 4 4 5 5")
 	c.cmd(t, "get 1")
 	c.cmd(t, "crash")

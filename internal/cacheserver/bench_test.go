@@ -26,7 +26,6 @@ func preloadResident(b *testing.B, s *Server) {
 		go func(l int) {
 			defer wg.Done()
 			cs := s.newConnState()
-			defer s.releaseConn(cs)
 			for k := l; k < resident; k += loaders {
 				if resp := s.dispatch(cs, fmt.Sprintf("set %d 1", k)); resp != "STORED" {
 					b.Errorf("preload: %s", resp)
@@ -70,7 +69,6 @@ func benchmarkShards(b *testing.B, nShards int) {
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
 		cs := s.newConnState()
-		defer s.releaseConn(cs)
 		rng := gid.Add(1) * 0x9e3779b97f4a7c15
 		for pb.Next() {
 			// splitmix64 step: key choice uncorrelated with shard hash.
@@ -105,17 +103,15 @@ func BenchmarkShards2(b *testing.B) { benchmarkShards(b, 2) }
 func BenchmarkShards4(b *testing.B) { benchmarkShards(b, 4) }
 func BenchmarkShards8(b *testing.B) { benchmarkShards(b, 8) }
 
-// benchmarkMutations measures a pure-mutation workload with the batch
-// pipeline on (the default BatchMax) or off (BatchMax 0 — the
-// pre-pipeline synchronous path), reporting the client-observed set
-// latency quantiles from the servers' own per-command histograms next
-// to the usual ns/op. Run with -cpu 8 or higher: batching pays off
-// when concurrent requests actually coalesce into shared critical
-// sections, which the reported ops/batch metric makes visible.
-func benchmarkMutations(b *testing.B, nShards, batchMax int) {
+// benchmarkMutations measures a pure-mutation workload, reporting the
+// client-observed set latency quantiles from the servers' own
+// per-command histograms next to the usual ns/op. Run with -cpu 8 or
+// higher: batching pays off when concurrent requests actually coalesce
+// into shared critical sections, which the reported ops/batch metric
+// makes visible.
+func benchmarkMutations(b *testing.B, nShards int) {
 	s, err := New(
 		WithShards(nShards),
-		WithBatchMax(batchMax),
 		WithMaxConns(64),
 		WithDeviceWords(1<<22),
 	)
@@ -128,7 +124,6 @@ func benchmarkMutations(b *testing.B, nShards, batchMax int) {
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
 		cs := s.newConnState()
-		defer s.releaseConn(cs)
 		rng := gid.Add(1) * 0x9e3779b97f4a7c15
 		for pb.Next() {
 			rng += 0x9e3779b97f4a7c15
@@ -154,15 +149,13 @@ func benchmarkMutations(b *testing.B, nShards, batchMax int) {
 }
 
 // benchmarkMsets measures the batched mutation workload: every request
-// rewrites an 8-key group. With the pipeline on, each per-shard group
-// runs inside ONE outermost critical section (plus whatever other
-// groups the worker's drain coalesces in); with BatchMax 0 every op
-// pays its own section on the synchronous path. This is where the
-// per-group amortization shows as throughput.
-func benchmarkMsets(b *testing.B, nShards, batchMax int) {
+// rewrites an 8-key group. Each per-shard group runs inside ONE
+// outermost critical section (plus whatever other groups the drain
+// coalesces in). This is where the per-group amortization shows as
+// throughput.
+func benchmarkMsets(b *testing.B, nShards int) {
 	s, err := New(
 		WithShards(nShards),
-		WithBatchMax(batchMax),
 		WithMaxConns(64),
 		WithDeviceWords(1<<22),
 	)
@@ -175,7 +168,6 @@ func benchmarkMsets(b *testing.B, nShards, batchMax int) {
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
 		cs := s.newConnState()
-		defer s.releaseConn(cs)
 		rng := gid.Add(1) * 0x9e3779b97f4a7c15
 		var sb strings.Builder
 		for pb.Next() {
@@ -208,7 +200,7 @@ func benchmarkMsets(b *testing.B, nShards, batchMax int) {
 
 // benchmarkMsetsPinned is benchmarkMsets with every request's 8 keys
 // pinned to ONE shard (rotating per request). A pinned group takes the
-// single-shard fast path — one pipeline enqueue, one drain to wait on —
+// single-shard fast path — one commit group, one drain lock —
 // where the spread group barriers on every touched shard's drain and
 // so inherits the slowest queue's convoy. The p95 gap between this
 // cell and MsetsBatched at the same shard count is that convoy,
@@ -216,7 +208,6 @@ func benchmarkMsets(b *testing.B, nShards, batchMax int) {
 func benchmarkMsetsPinned(b *testing.B, nShards int) {
 	s, err := New(
 		WithShards(nShards),
-		WithBatchMax(64),
 		WithMaxConns(64),
 		WithDeviceWords(1<<22),
 	)
@@ -237,7 +228,6 @@ func benchmarkMsetsPinned(b *testing.B, nShards int) {
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
 		cs := s.newConnState()
-		defer s.releaseConn(cs)
 		rng := gid.Add(1) * 0x9e3779b97f4a7c15
 		var sb strings.Builder
 		for pb.Next() {
@@ -269,29 +259,22 @@ func benchmarkMsetsPinned(b *testing.B, nShards int) {
 	}
 }
 
-func BenchmarkMsetsBatchedShards1(b *testing.B)   { benchmarkMsets(b, 1, 64) }
-func BenchmarkMsetsBatchedShards4(b *testing.B)   { benchmarkMsets(b, 4, 64) }
-func BenchmarkMsetsBatchedShards8(b *testing.B)   { benchmarkMsets(b, 8, 64) }
-func BenchmarkMsetsUnbatchedShards1(b *testing.B) { benchmarkMsets(b, 1, 0) }
-func BenchmarkMsetsUnbatchedShards4(b *testing.B) { benchmarkMsets(b, 4, 0) }
-func BenchmarkMsetsUnbatchedShards8(b *testing.B) { benchmarkMsets(b, 8, 0) }
+func BenchmarkMsetsBatchedShards1(b *testing.B) { benchmarkMsets(b, 1) }
+func BenchmarkMsetsBatchedShards4(b *testing.B) { benchmarkMsets(b, 4) }
+func BenchmarkMsetsBatchedShards8(b *testing.B) { benchmarkMsets(b, 8) }
 
 func BenchmarkMsetsPinnedShards4(b *testing.B) { benchmarkMsetsPinned(b, 4) }
 func BenchmarkMsetsPinnedShards8(b *testing.B) { benchmarkMsetsPinned(b, 8) }
 
-func BenchmarkSetsBatchedShards1(b *testing.B)   { benchmarkMutations(b, 1, 64) }
-func BenchmarkSetsBatchedShards4(b *testing.B)   { benchmarkMutations(b, 4, 64) }
-func BenchmarkSetsBatchedShards8(b *testing.B)   { benchmarkMutations(b, 8, 64) }
-func BenchmarkSetsUnbatchedShards1(b *testing.B) { benchmarkMutations(b, 1, 0) }
-func BenchmarkSetsUnbatchedShards4(b *testing.B) { benchmarkMutations(b, 4, 0) }
-func BenchmarkSetsUnbatchedShards8(b *testing.B) { benchmarkMutations(b, 8, 0) }
+func BenchmarkSetsBatchedShards1(b *testing.B) { benchmarkMutations(b, 1) }
+func BenchmarkSetsBatchedShards4(b *testing.B) { benchmarkMutations(b, 4) }
+func BenchmarkSetsBatchedShards8(b *testing.B) { benchmarkMutations(b, 8) }
 
 // benchmarkSetsRepl measures the pure-set workload with the preventive
 // replication tier on or off. With replication on, an in-process
 // follower applies every committed group, and the primary pays the
-// tier's commit-path tax: every mutating group is forced through the
-// shard drain lock (so log order matches commit order) and appended to
-// the replication log under the shard read lock. The streaming and the
+// tier's commit-path tax: every committed batch is appended to the
+// replication log under the shard read lock. The streaming and the
 // follower's own Atlas work happen off the measured path; the reported
 // lag quantiles show how far the copy trails.
 func benchmarkSetsRepl(b *testing.B, replicated bool) {
@@ -325,7 +308,6 @@ func benchmarkSetsRepl(b *testing.B, replicated bool) {
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
 		cs := s.newConnState()
-		defer s.releaseConn(cs)
 		rng := gid.Add(1) * 0x9e3779b97f4a7c15
 		for pb.Next() {
 			rng += 0x9e3779b97f4a7c15
@@ -359,8 +341,8 @@ func BenchmarkSetsReplOff(b *testing.B) { benchmarkSetsRepl(b, false) }
 
 // benchmarkGets measures the pure-read command path over the resident
 // set: with optimistic reads on, every get is a seqlock-validated walk
-// — no Atlas mutex, no pipeline entry, no connState thread; with them
-// off it is the pre-optimistic locked path (stripe mutex per get).
+// — no Atlas mutex, no commit group; with them off it is the
+// pre-optimistic locked path (stripe mutex per get).
 // The gap between the two is what the locked machinery charges a
 // workload that, by the recovery-observer argument, owes nothing
 // (run with -cpu 8: the lock-free path scales with readers, the
@@ -382,7 +364,6 @@ func benchmarkGets(b *testing.B, nShards int, optimistic bool) {
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
 		cs := s.newConnState()
-		defer s.releaseConn(cs)
 		rng := gid.Add(1) * 0x9e3779b97f4a7c15
 		for pb.Next() {
 			rng += 0x9e3779b97f4a7c15
@@ -434,7 +415,6 @@ func benchmarkReadMix(b *testing.B, nShards int, optimistic bool) {
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
 		cs := s.newConnState()
-		defer s.releaseConn(cs)
 		rng := gid.Add(1) * 0x9e3779b97f4a7c15
 		for pb.Next() {
 			rng += 0x9e3779b97f4a7c15
@@ -484,7 +464,6 @@ func BenchmarkMget8Keys(b *testing.B) {
 	}
 	defer s.Close()
 	cs := s.newConnState()
-	defer s.releaseConn(cs)
 	s.dispatch(cs, "mset 1 1 2 2 3 3 4 4 5 5 6 6 7 7 8 8")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

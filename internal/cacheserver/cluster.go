@@ -82,9 +82,8 @@ type clusterState struct {
 // startCluster initializes cluster mode when WithClusterSlots was
 // given. Called by New after replication starts: cluster nodes need a
 // replication log even without followers — the log is what a migration
-// streams its suffix from, and forcing mutating groups through the
-// drain locks (which exec does whenever replLog is set) is what makes
-// log order match commit order.
+// streams its suffix from, and every mutation committing under its
+// shard's drain lock is what makes log order match commit order.
 func (s *Server) startCluster() error {
 	if s.cfg.clusterSlots == "" {
 		return nil
@@ -465,15 +464,14 @@ func (s *Server) beginImport(req *proto.Request) (proto.Reply, bool) {
 // serveImport runs the receiving side of a migration after the OK
 // ACCEPT reply was flushed: the connection is spliced from the request
 // protocol to the follower wire format and every frame is applied
-// through the server's own exec path (the same stacks, Atlas critical
-// sections, and telemetry as client traffic). Ownership commits at
+// through the server's own write path (the same commit groups, Atlas
+// critical sections, and telemetry as client traffic). Ownership commits at
 // FrameSnapshotEnd; any earlier failure aborts — the slot reverts to
 // unowned and the partial copy is deleted, so a later retry (or a
 // different owner) starts clean.
 func (s *Server) serveImport(conn net.Conn, dec *proto.Decoder, slot int) {
 	st := s.clusterSt
 	ap := &replApplier{s: s, cs: s.newConnState()}
-	defer s.releaseConn(ap.cs)
 	mr := repl.NewMigrateReader(io.MultiReader(bytes.NewReader(dec.Leftover()), conn))
 	committed := false
 	defer func() {

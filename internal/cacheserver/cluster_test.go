@@ -259,14 +259,19 @@ func TestClusterMigrateUnderLoad(t *testing.T) {
 	}
 
 	// Let the writers build a log suffix, then migrate under them.
-	time.Sleep(50 * time.Millisecond)
+	waitFor(t, 10*time.Second, "acked writes before the migration", func() bool {
+		return acked.Load() >= 500
+	})
 	admin := dial(t, src.Addr().String())
 	got := admin.cmd(t, "migrate %d %s", slot, dst.Addr().String())
 	if !strings.HasPrefix(got, "OK MIGRATED") {
 		t.Fatalf("migrate under load: %q", got)
 	}
 	// Keep writing against the new owner for a while, then stop.
-	time.Sleep(50 * time.Millisecond)
+	migrated := acked.Load()
+	waitFor(t, 10*time.Second, "acked writes after the migration", func() bool {
+		return acked.Load() >= migrated+500
+	})
 	close(stop)
 	wg.Wait()
 	if t.Failed() {

@@ -19,9 +19,10 @@ import (
 // lands in a volatile per-shard overlay — plain Go memory, no Atlas
 // machinery, no device stores — and is acknowledged immediately,
 // stamped with the current epoch. A background clock closes an epoch
-// every epochInterval by draining every shard's overlay through the
-// normal batch pipeline (one Atlas critical section per drained chunk)
-// and then advancing a persistent frontier word on each shard's heap.
+// every epochInterval by submitting every shard's overlay as a commit
+// group on the one write path (one Atlas critical section per
+// BatchMax-sized chunk; see batch.go) and then advancing a persistent
+// frontier word on each shard's heap.
 // A crash therefore loses at most one epoch interval of relaxed writes
 // — a bounded, configured, and *purchasable* loss window, which is
 // exactly the paper's Figure-1 argument that the cost of persistence
@@ -42,7 +43,12 @@ import (
 // consults the overlay first, and a durable write to a key with a
 // pending relaxed entry folds that entry into its critical section
 // before applying (so a relaxed set followed by a durable incr
-// increments the relaxed value, then commits durably).
+// increments the relaxed value, then commits durably). The reverse
+// direction is serialized the same way: a relaxed read-modify-write
+// (incr, zincr, a delete that reports presence) reads and buffers under
+// the shard's drain lock (see shard.relaxedRMW), so it cannot
+// interleave with a durable group folding the same entry or with
+// another relaxed writer. Blind relaxed writes never touch that lock.
 
 // ovKey addresses one overlay entry: a key in either the hash-map or
 // the ordered (skip-list) keyspace.
@@ -52,9 +58,9 @@ type ovKey struct {
 }
 
 // ovEntry is one acked-but-unflushed relaxed write. seq orders entries
-// per overlay so an epoch drain applies an entry only if it is still
-// the newest write to its key (apply-if-still-pending); del marks a
-// buffered delete (a tombstone reads must honor). A sessioned relaxed
+// per overlay so an epoch drain clears an entry only if it is still
+// the one it flushed (a relaxed write landing mid-flush stays
+// pending); del marks a buffered delete (a tombstone reads must honor). A sessioned relaxed
 // write (sess != 0) additionally buffers its dedup record fields —
 // sseq and spay — beside the value, so the record persists in the same
 // section that makes the value durable (see session.go).
@@ -82,15 +88,10 @@ type overlay struct {
 }
 
 // put inserts or replaces the entry for (key, list) and returns its
-// sequence stamp.
-func (o *overlay) put(key uint64, list, del bool, val uint64) uint64 {
-	return o.putSess(key, list, del, val, 0, 0, 0)
-}
-
-// putSess is put carrying a sessioned write's dedup-record fields
-// (sess == 0 degrades to a plain put). The record rides the entry so
-// the epoch flush persists value and record in one section.
-func (o *overlay) putSess(key uint64, list, del bool, val, sess, sseq, spay uint64) uint64 {
+// sequence stamp. A sessioned write (sess != 0) carries its dedup
+// record fields: the record rides the entry so the epoch flush persists
+// value and record in one section.
+func (o *overlay) put(key uint64, list, del bool, val, sess, sseq, spay uint64) uint64 {
 	o.mu.Lock()
 	if o.m == nil {
 		o.m = make(map[ovKey]ovEntry)
@@ -116,16 +117,6 @@ func (o *overlay) get(key uint64, list bool) (ovEntry, bool) {
 	e, ok := o.m[ovKey{key: key, list: list}]
 	o.mu.Unlock()
 	return e, ok
-}
-
-// stillPending reports whether the entry at (key, list) still carries
-// seq — i.e. no newer relaxed write and no durable fold superseded it
-// since the epoch drain snapshotted it.
-func (o *overlay) stillPending(key uint64, list bool, seq uint64) bool {
-	o.mu.Lock()
-	e, ok := o.m[ovKey{key: key, list: list}]
-	o.mu.Unlock()
-	return ok && e.seq == seq
 }
 
 // clearIfSeq removes the entry at (key, list) if it still carries seq.
@@ -172,29 +163,36 @@ func (o *overlay) discard() {
 	o.mu.Unlock()
 }
 
-// pendingOps snapshots every pending entry as a flush op for the epoch
-// drain. Each op carries the entry's seq so execOp applies it only if
-// still pending (a newer relaxed write or a durable fold may land
-// between snapshot and apply).
+// flushOp is the epoch-drain op for one pending entry: the write the
+// entry buffered, carrying the entry's seq (so execOp clears exactly
+// the entry it flushed) and a sessioned write's record fields.
+func flushOp(k ovKey, e ovEntry) batchOp {
+	kind := opSet
+	switch {
+	case k.list && e.del:
+		kind = opZDelete
+	case k.list:
+		kind = opZSet
+	case e.del:
+		kind = opDelete
+	}
+	return batchOp{
+		kind: kind, key: k.key, arg: e.val, seq: e.seq,
+		sess: e.sess, sseq: e.sseq, spay: e.spay,
+	}
+}
+
+// pendingOps snapshots every pending entry as an epoch-drain op. A
+// durable fold or a newer relaxed write may land between snapshot and
+// apply; execOp re-reads the entry and flushes whatever is pending
+// then.
 func (o *overlay) pendingOps(out []batchOp) []batchOp {
 	if o.size.Load() == 0 {
 		return out
 	}
 	o.mu.Lock()
 	for k, e := range o.m {
-		kind := opFlushSet
-		switch {
-		case k.list && e.del:
-			kind = opFlushZDel
-		case k.list:
-			kind = opFlushZSet
-		case e.del:
-			kind = opFlushDel
-		}
-		out = append(out, batchOp{
-			kind: kind, key: k.key, arg: e.val, seq: e.seq,
-			sess: e.sess, sseq: e.sseq, spay: e.spay,
-		})
+		out = append(out, flushOp(k, e))
 	}
 	o.mu.Unlock()
 	return out
@@ -276,7 +274,7 @@ func (s *Server) epochLoop() {
 }
 
 // closeEpoch closes the current epoch e: open e+1, drain every shard's
-// overlay into fortified state through the batch pipeline, and — if no
+// overlay into fortified state through the write path, and — if no
 // shard crashed during the drain — persist e as every shard's durable
 // frontier and advance the volatile frontier waiters watch.
 //
@@ -329,7 +327,7 @@ func (s *Server) closeEpoch() {
 }
 
 // flushOverlay drains this shard's pending relaxed writes into
-// fortified state through the drain lock (one OCS and one replication
+// fortified state as one commit group (one OCS and one replication
 // group per batchMax-sized chunk), stamping the epoch being closed on
 // the replicated groups.
 func (sh *shard) flushOverlay(s *Server) {
@@ -338,7 +336,9 @@ func (sh *shard) flushOverlay(s *Server) {
 		return
 	}
 	start := time.Now()
-	s.runGroupDirect(sh, ops, s.curEpoch.Load()-1)
+	g := batchReq{ops: ops, epoch: s.curEpoch.Load() - 1}
+	sh.submit(&g)
+	g.wait()
 	sh.tel.EpochFlushLatency.Observe(time.Since(start))
 	applied := uint64(0)
 	for i := range ops {
@@ -484,78 +484,119 @@ func (s *Server) serveWait(cs *connState, req *proto.Request) proto.Reply {
 // current epoch stamp. Called from serveBatch as a sequence point (the
 // pending durable group flushed first), so tiers interleave in program
 // order on a connection.
+//
+// A seq-tagged request (routed here by serveSessioned, single-key by
+// then) buffers its dedup record beside the value — in the overlay
+// entry and the volatile mirror — and both persist in the same section
+// when the epoch closes (or a durable fold takes the entry). A crash
+// before that section loses value and record together — the relaxed
+// tier's loss contract extended to detectability: the retry re-applies
+// precisely because nothing of the first attempt survived.
 func (s *Server) serveRelaxed(cs *connState, req *proto.Request) proto.Reply {
 	start := time.Now()
 	fire := req.Dur == proto.DurFire
-	sh0 := s.shardOf(req.KV[0])
+	key := req.KV[0]
+	sh0 := s.shardOf(key)
 	if fire {
 		sh0.tel.Server.FireOps.Inc()
 	} else {
 		sh0.tel.Server.RelaxedOps.Inc()
 	}
+	var sess, seq, pay uint64
+	if req.HasSeq {
+		sess, seq = cs.sess, req.Seq
+	}
 	var rep proto.Reply
 	switch req.Cmd {
-	case proto.CmdSet:
-		sh := s.shardOf(req.KV[0])
-		sh.ovl.put(req.KV[0], false, false, req.KV[1])
-		rep = proto.Reply{Kind: proto.KStored, Epoch: s.curEpoch.Load()}
-	case proto.CmdZAdd:
-		sh := s.shardOf(req.KV[0])
-		sh.ovl.put(req.KV[0], true, false, req.KV[1])
-		rep = proto.Reply{Kind: proto.KStored, Epoch: s.curEpoch.Load()}
+	case proto.CmdSet, proto.CmdZAdd:
+		sh0.ovl.put(key, req.Cmd == proto.CmdZAdd, false, req.KV[1], sess, seq, 0)
+		rep = proto.Reply{Kind: proto.KStored}
 	case proto.CmdMSet:
-		n := 0
 		for i := 0; i+1 < len(req.KV); i += 2 {
-			s.shardOf(req.KV[i]).ovl.put(req.KV[i], false, false, req.KV[i+1])
-			n++
+			s.shardOf(req.KV[i]).ovl.put(req.KV[i], false, false, req.KV[i+1], 0, 0, 0)
 		}
-		rep = proto.Reply{Kind: proto.KStoredN, N: n, Epoch: s.curEpoch.Load()}
+		rep = proto.Reply{Kind: proto.KStoredN, N: len(req.KV) / 2}
 	case proto.CmdIncr, proto.CmdZIncr:
-		list := req.Cmd == proto.CmdZIncr
-		sh := s.shardOf(req.KV[0])
-		base, _, err := s.peekVal(cs, sh, req.KV[0], list)
+		nv, _, err := sh0.relaxedRMW(key, req.Cmd == proto.CmdZIncr, false, req.KV[1], sess, seq)
 		if err != nil {
 			return proto.Reply{Kind: proto.KErrServer, Msg: err.Error()}
 		}
-		nv := base + req.KV[1]
-		sh.ovl.put(req.KV[0], list, false, nv)
-		rep = proto.Reply{Kind: proto.KInt, Val: nv, Epoch: s.curEpoch.Load()}
+		pay = nv
+		rep = proto.Reply{Kind: proto.KInt, Val: nv}
 	default: // CmdDelete, CmdZDel
 		list := req.Cmd == proto.CmdZDel
 		items := cs.items[:0]
 		for _, k := range req.KV {
 			sh := s.shardOf(k)
 			found := true
-			if !fire {
+			if fire {
 				// The fire tier acks without consulting state; relaxed
 				// reports presence as of the ack.
+				sh.ovl.put(k, list, true, 0, sess, seq, 1)
+			} else {
 				var err error
-				_, found, err = s.peekVal(cs, sh, k, list)
-				if err != nil {
+				if _, found, err = sh.relaxedRMW(k, list, true, 0, sess, seq); err != nil {
 					return proto.Reply{Kind: proto.KErrServer, Msg: err.Error()}
 				}
 			}
-			sh.ovl.put(k, list, true, 0)
+			if found {
+				pay = 1
+			}
 			items = append(items, proto.Item{Key: k, Found: found})
 		}
 		cs.items = items
-		rep = proto.Reply{Kind: proto.KDelete, Items: items, Epoch: s.curEpoch.Load()}
+		rep = proto.Reply{Kind: proto.KDelete, Items: items}
+	}
+	// The stamp is read after the overlay insert (see closeEpoch).
+	rep.Epoch = s.curEpoch.Load()
+	if sess != 0 {
+		sh0.sessBuffer(sess, seq, pay, key)
+		return rep // serveSessioned observes the command's latency
 	}
 	sh0.tel.CmdLatency.ObserveProto(cs.ptel, cmdTelemetry(req.Cmd), time.Since(start))
 	return rep
 }
 
-// peekVal reads a key's current logical value for the relaxed paths:
-// the pending overlay entry if one exists, else the underlying engine
-// (optimistic first for the map, falling back to the locked path; the
-// skip list read is already lock-free). A missing key reads as (0,
-// false, nil) — the base an incr on an absent key starts from.
-func (s *Server) peekVal(cs *connState, sh *shard, key uint64, list bool) (uint64, bool, error) {
-	if e, ok := sh.ovl.get(key, list); ok {
-		if e.del {
-			return 0, false, nil
+// relaxedRMW is the relaxed tier's read-modify-write: read the key's
+// logical value and buffer the write derived from it — base+delta, or
+// a tombstone when del — as one step under the shard's drain lock.
+// Durable groups fold overlay entries inside sections that hold the
+// same lock, and every other relaxed read-modify-write brackets itself
+// the same way, so no acked increment can be computed from a value
+// another writer is concurrently replacing. Returns the buffered value
+// (incr) and whether the key was present (delete); a sessioned write's
+// record payload is that same result.
+func (sh *shard) relaxedRMW(key uint64, list, del bool, delta, sess, seq uint64) (uint64, bool, error) {
+	sh.combineMu.Lock()
+	defer sh.combineMu.Unlock()
+	base, found, err := sh.peekLocked(key, list)
+	if err != nil {
+		return 0, false, err
+	}
+	if del {
+		pay := uint64(0)
+		if found {
+			pay = 1
 		}
-		return e.val, true, nil
+		sh.ovl.put(key, list, true, 0, sess, seq, pay)
+		return 0, found, nil
+	}
+	nv := base + delta
+	sh.ovl.put(key, list, false, nv, sess, seq, nv)
+	return nv, found, nil
+}
+
+// peekLocked reads a key's current logical value for relaxedRMW: the
+// pending overlay entry if one exists, else the underlying engine —
+// lock-free for both (the skip list always; the map on its optimistic
+// path, which with the drain lock held has no writer to collide with
+// and fails only on an over-long chain), falling back to an opGet
+// group run through the executor. A missing key reads as (0, false,
+// nil) — the base an incr on an absent key starts from. Caller holds
+// combineMu.
+func (sh *shard) peekLocked(key uint64, list bool) (uint64, bool, error) {
+	if e, ok := sh.ovl.get(key, list); ok {
+		return e.val, !e.del, nil
 	}
 	if list {
 		sh.mu.RLock()
@@ -569,7 +610,7 @@ func (s *Server) peekVal(cs *connState, sh *shard, key uint64, list bool) (uint6
 	if valid {
 		return v, ok, nil
 	}
-	ops := []batchOp{{kind: opGet, key: key}}
-	s.execSync(cs, sh, ops)
-	return ops[0].val, ops[0].ok, ops[0].err
+	g := batchReq{ops: []batchOp{{kind: opGet, key: key}}}
+	sh.runOne(&g)
+	return g.ops[0].val, g.ops[0].ok, g.ops[0].err
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -163,6 +164,99 @@ func TestDurableWriteFoldsRelaxedOverlay(t *testing.T) {
 	}
 	if got := c.cmd(t, "get 3"); got != "VALUE 3 222" {
 		t.Fatalf("get 3 after crash: %q (durable set lost or overwritten)", got)
+	}
+}
+
+// TestMixedTierIncrAtomic: increments on one key from every tier at
+// once — two durable writers, two relaxed, one seq-tagged relaxed —
+// with no migration and no crash. Each ack is an increment the client
+// was told happened, so after a wait barrier the value must equal the
+// acked count, for the map key and the ordered key alike. A relaxed
+// incr is a read-modify-write of the overlay; before it was bracketed
+// by the shard's drain lock (and while lone durable ops folded outside
+// it) two writers on two cores lost acked increments.
+func TestMixedTierIncrAtomic(t *testing.T) {
+	s := startServer(t, WithShards(2))
+	const key, zkey, rounds = 77, 78, 400
+	writers := []struct {
+		tier string
+		sess bool
+	}{{"", false}, {"", false}, {" relaxed", false}, {" relaxed", false}, {" relaxed", true}}
+
+	var wg sync.WaitGroup
+	for w, wr := range writers {
+		wg.Add(1)
+		go func(w int, tier string, sess bool) {
+			defer wg.Done()
+			c := dial(t, s.Addr().String())
+			if sess {
+				c.cmd(t, "session %d", 100+w)
+			}
+			for r := 1; r <= rounds; r++ {
+				seq := ""
+				if sess {
+					seq = fmt.Sprintf(" seq=%d", 2*r-1)
+				}
+				if got := c.cmd(t, "incr %d 1%s%s", key, tier, seq); strings.Contains(got, "ERROR") {
+					t.Errorf("writer %d incr: %q", w, got)
+					return
+				}
+				if sess {
+					seq = fmt.Sprintf(" seq=%d", 2*r)
+				}
+				if got := c.cmd(t, "zincr %d 1%s%s", zkey, tier, seq); strings.Contains(got, "ERROR") {
+					t.Errorf("writer %d zincr: %q", w, got)
+					return
+				}
+			}
+		}(w, wr.tier, wr.sess)
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+	c := dial(t, s.Addr().String())
+	c.cmd(t, "wait")
+	want := len(writers) * rounds
+	if got := c.cmd(t, "get %d", key); got != fmt.Sprintf("VALUE %d %d", key, want) {
+		t.Fatalf("map counter: %q, want %d acked increments", got, want)
+	}
+	if got := c.cmd(t, "zget %d", zkey); got != fmt.Sprintf("VALUE %d %d", zkey, want) {
+		t.Fatalf("ordered counter: %q, want %d acked increments", got, want)
+	}
+}
+
+// TestEpochDrainFlushesSupersedingWrite: a relaxed write that replaces
+// an entry between the epoch drain's snapshot and its apply must not
+// cancel the flush. The snapshotted write was acked inside the closing
+// epoch, so the frontier is about to cover it; the drain owes the key a
+// value at least that new and flushes the replacement. (Skipping
+// instead lost frontier-covered writes in the durability campaign on
+// two cores.)
+func TestEpochDrainFlushesSupersedingWrite(t *testing.T) {
+	// A huge epoch interval: the only drain is the one staged by hand.
+	s := startServer(t, WithShards(1), WithDeviceWords(1<<16),
+		WithEpochInterval(time.Hour))
+	sh := s.shards[0]
+	c := dial(t, s.Addr().String())
+
+	epochStamp(t, c.cmd(t, "set 5 1 relaxed"), "STORED")
+	g := batchReq{ops: sh.ovl.pendingOps(nil)} // the drain's snapshot
+	epochStamp(t, c.cmd(t, "set 5 2 relaxed"), "STORED")
+	sh.submit(&g)
+	g.wait()
+	if !g.ops[0].ok {
+		t.Fatal("drain skipped a key whose snapshotted entry was superseded")
+	}
+	if n := sh.ovl.size.Load(); n != 0 {
+		t.Fatalf("overlay holds %d entries after the drain, want 0", n)
+	}
+	// The crash discards the overlay; only what the drain flushed remains.
+	if got := c.cmd(t, "crash"); !strings.HasPrefix(got, "OK RECOVERED") {
+		t.Fatalf("crash: %q", got)
+	}
+	if got := c.cmd(t, "get 5"); got != "VALUE 5 2" {
+		t.Fatalf("after drain + crash: %q, want VALUE 5 2", got)
 	}
 }
 

@@ -26,7 +26,7 @@ type config struct {
 	buckets     int // per-shard hash map shape
 	perMutex    int
 	metricsAddr string // optional HTTP metrics endpoint; "" = disabled
-	batchMax    int    // max ops per drained batch group; 0 disables the pipeline
+	batchMax    int    // max ops per batch, i.e. per Atlas critical section
 	queueDepth  int    // per-shard pending-request queue bound
 	replListen  string // replication listener (primary role); "" = disabled
 	replicaOf   string // primary's replication address (follower role); "" = disabled
@@ -87,10 +87,10 @@ func (c config) validate() error {
 	if c.writeBuf < 512 {
 		return fmt.Errorf("cacheserver: write buffer %d bytes too small", c.writeBuf)
 	}
-	if c.batchMax < 0 {
-		return fmt.Errorf("cacheserver: batch max must be >= 0, got %d", c.batchMax)
+	if c.batchMax < 1 {
+		return fmt.Errorf("cacheserver: batch max must be >= 1, got %d", c.batchMax)
 	}
-	if c.batchMax > 0 && c.queueDepth < 1 {
+	if c.queueDepth < 1 {
 		return fmt.Errorf("cacheserver: queue depth must be >= 1, got %d", c.queueDepth)
 	}
 	if c.replListen != "" && c.replicaOf != "" {
@@ -146,8 +146,7 @@ func WithShards(n int) Option {
 
 // WithMaxConns bounds concurrently served connections (default 16).
 // Connections beyond the bound are not rejected; they queue until a
-// slot frees (accept-side backpressure). Each shard's runtime is sized
-// so every admitted connection can register a thread on every shard.
+// slot frees (accept-side backpressure).
 func WithMaxConns(n int) Option {
 	return func(c *config) { c.maxConns = n }
 }
@@ -173,21 +172,21 @@ func WithMetricsAddr(addr string) Option {
 	return func(c *config) { c.metricsAddr = addr }
 }
 
-// WithBatchMax bounds how many operations one drained batch group may
-// execute inside a single Atlas critical section (default 64).
-// WithBatchMax(0) disables the batch pipeline entirely: every request
-// takes the synchronous per-op path, the pre-pipeline behavior. A
-// request group larger than the bound (a wide mset aimed at one shard)
-// also falls back to the synchronous path rather than being split —
-// the bound is what sizes the undo-log ring.
+// WithBatchMax bounds how many operations one batch may execute inside
+// a single Atlas critical section (default 64, minimum 1). The bound is
+// what sizes the undo-log ring. A commit group larger than the bound (a
+// wide mset aimed at one shard, a deeply pipelined burst) is split into
+// bound-sized sections run back to back under one hold of the shard's
+// drain lock.
 func WithBatchMax(n int) Option {
 	return func(c *config) { c.batchMax = n }
 }
 
-// WithQueueDepth bounds each shard's pending-request queue (default
-// 256 groups). A full queue does not block the handler: the request
-// degrades to the synchronous path and the fallback is counted, so
-// backpressure shows up in stats rather than as added latency.
+// WithQueueDepth bounds each shard's queue of commit groups waiting
+// behind a busy drain lock (default 256 groups). A submitter that
+// finds the queue full waits for the drain lock itself and runs its
+// group when it gets it; each such direct run is counted in
+// server_batch_fallbacks, so backpressure shows up in stats.
 func WithQueueDepth(n int) Option {
 	return func(c *config) { c.queueDepth = n }
 }
@@ -204,9 +203,9 @@ func WithBuckets(buckets, perMutex int) Option {
 // WithReplListen makes the server a replication primary: it accepts
 // follower connections on addr (e.g. "127.0.0.1:0") and streams every
 // committed batch group to them (see internal/repl). Mutually exclusive
-// with WithReplicaOf. On a replicating primary every mutating group is
-// serialized through the shard's drain lock so the replication log
-// order matches commit order exactly.
+// with WithReplicaOf. Every mutating group commits under its shard's
+// drain lock, so the replication log order matches commit order
+// exactly.
 func WithReplListen(addr string) Option {
 	return func(c *config) { c.replListen = addr }
 }
@@ -224,9 +223,9 @@ func WithReplicaOf(addr string) Option {
 // WithOptimisticReads toggles the lock-free read path (default true).
 // When enabled, get and the pure-read mget are served by seqlock-
 // validated optimistic reads that take no Atlas mutex and never enter
-// the batch pipeline — the paper's recovery-observer argument (readers
+// the write path — the paper's recovery-observer argument (readers
 // need zero persistence work) applied to the server's hot path. A read
-// that keeps colliding with writers falls back to the locked path, so
+// that keeps colliding with writers falls back to a commit group, so
 // disabling the option only removes the fast path, never behavior.
 func WithOptimisticReads(on bool) Option {
 	return func(c *config) { c.optimisticReads = on }

@@ -4,23 +4,22 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"time"
 
 	"tsp/internal/repl"
 	"tsp/internal/telemetry"
 )
 
 // Replication integration (see internal/repl for the protocol and the
-// paper's prevention argument). The replication unit is the batch
-// pipeline's drained group: runBatch appends each committed group's
-// resolved effects to the log while still holding the shard read lock,
-// so a crash (which needs the write lock) can never separate an OCS
-// commit from its log entry. Order is made unambiguous by routing —
-// on a replicating primary every mutating group goes through the
-// shard's drain lock (the pipeline, or runGroupDirect when the
-// pipeline can't take it), never the synchronous path, so per shard
-// the log order IS the commit order, and keys never span shards, so
-// per-key order is total. Reads keep the synchronous fast path: they
-// produce no log entries.
+// paper's prevention argument). The replication unit is the executor's
+// batch: runBatch appends each committed batch's resolved effects to
+// the log while still holding the shard read lock, so a crash (which
+// needs the write lock) can never separate an OCS commit from its log
+// entry. Order needs no special routing: every mutation commits under
+// its shard's drain lock (see batch.go), so per shard the log order IS
+// the commit order, and keys never span shards, so per-key order is
+// total. Optimistic reads stay off the lock: they produce no log
+// entries.
 
 // replRole names the server's replication role for stats: "primary",
 // "follower", "promoted" (a follower after promote), or "" when
@@ -111,9 +110,6 @@ func (s *Server) closeReplication() {
 	if s.replLog != nil {
 		s.replLog.Close()
 	}
-	if s.replCS != nil {
-		s.releaseConn(s.replCS)
-	}
 }
 
 // replSnapshot streams a full copy of every shard to a catching-up
@@ -173,38 +169,9 @@ func (s *Server) replSessions(emit func([]repl.SessRec, uint64) error) error {
 	return nil
 }
 
-// runGroupDirect executes a mutating group under the shard's drain
-// lock when the pipeline could not take it (disabled, oversized group,
-// or full queue). On a replicating primary this replaces the
-// synchronous fallback: commit order must match log append order, and
-// only the drain-lock holder has that guarantee. Oversized groups are
-// chunked to the batch bound (each chunk one OCS and one log group) —
-// the same atomicity the synchronous fallback offered, with the bound
-// keeping each section inside the undo-log ring. epoch is non-zero
-// only for epoch-drain groups (see shard.flushOverlay); it rides the
-// replication groups so followers track the relaxed frontier.
-func (s *Server) runGroupDirect(sh *shard, ops []batchOp, epoch uint64) {
-	chunk := sh.cfg.batchMax
-	if chunk < 1 {
-		chunk = 64
-	}
-	sh.combineMu.Lock()
-	sh.busy.Store(true)
-	for off := 0; off < len(ops); off += chunk {
-		end := off + chunk
-		if end > len(ops) {
-			end = len(ops)
-		}
-		req := &batchReq{ops: ops[off:end], epoch: epoch, done: make(chan struct{})}
-		sh.runBatch([]*batchReq{req}, end-off)
-	}
-	sh.busy.Store(false)
-	sh.combineMu.Unlock()
-}
-
-// appendRepl turns one drained batch's committed effects into a
-// replication log group: sets and resolved increments become absolute
-// sets, applied deletes become deletes, failed and read-only ops vanish.
+// appendRepl turns one batch's committed effects into a replication
+// log group: sets and resolved increments become absolute sets, applied
+// deletes become deletes, failed, skipped and read-only ops vanish.
 // Epoch-drain flushes replicate the same way — an applied flush is an
 // absolute write — and stamp the group with the epoch being closed.
 // Caller is runBatch, still under the shard read lock.
@@ -225,8 +192,10 @@ func (sh *shard) appendRepl(reqs []*batchReq) {
 			epoch = r.epoch
 		}
 		for i := range r.ops {
+			// ok is "took effect": a delete that found nothing and a flush
+			// whose entry was superseded changed no state to replicate.
 			op := &r.ops[i]
-			if op.err != nil {
+			if op.err != nil || !op.ok {
 				continue
 			}
 			switch op.kind {
@@ -235,34 +204,14 @@ func (sh *shard) appendRepl(reqs []*batchReq) {
 			case opIncr:
 				rops = append(rops, repl.Op{Key: op.key, Val: op.val})
 			case opDelete:
-				if op.ok {
-					rops = append(rops, repl.Op{Del: true, Key: op.key})
-				}
+				rops = append(rops, repl.Op{Del: true, Key: op.key})
 			case opZSet, opZIncr:
 				// Both replicate as the absolute value they produced, so
 				// suffix replay over a snapshot converges for the ordered
 				// keyspace exactly as for the map.
 				rops = append(rops, repl.Op{List: true, Key: op.key, Val: op.val})
 			case opZDelete:
-				if op.ok {
-					rops = append(rops, repl.Op{Del: true, List: true, Key: op.key})
-				}
-			case opFlushSet:
-				if op.ok {
-					rops = append(rops, repl.Op{Key: op.key, Val: op.arg})
-				}
-			case opFlushDel:
-				if op.ok {
-					rops = append(rops, repl.Op{Del: true, Key: op.key})
-				}
-			case opFlushZSet:
-				if op.ok {
-					rops = append(rops, repl.Op{List: true, Key: op.key, Val: op.val})
-				}
-			case opFlushZDel:
-				if op.ok {
-					rops = append(rops, repl.Op{Del: true, List: true, Key: op.key})
-				}
+				rops = append(rops, repl.Op{Del: true, List: true, Key: op.key})
 			}
 		}
 	}
@@ -271,52 +220,18 @@ func (sh *shard) appendRepl(reqs []*batchReq) {
 	}
 }
 
-// runGroupMarks executes a follower-apply group under the shard's
-// drain lock: the replicated ops plus the session records (and floor)
-// that must commit in the same section as the last chunk. Works with
-// zero ops — a marks-only group still opens one section, exactly like
-// a skip-list-only batch.
-func (s *Server) runGroupMarks(sh *shard, ops []batchOp, marks []repl.SessRec, floor uint64) {
-	chunk := sh.cfg.batchMax
-	if chunk < 1 {
-		chunk = 64
-	}
-	sh.combineMu.Lock()
-	sh.busy.Store(true)
-	off := 0
-	for {
-		end := off + chunk
-		if end > len(ops) {
-			end = len(ops)
-		}
-		req := &batchReq{ops: ops[off:end], done: make(chan struct{})}
-		if end == len(ops) {
-			req.marks, req.floor = marks, floor
-		}
-		sh.runBatch([]*batchReq{req}, end-off)
-		if end == len(ops) {
-			break
-		}
-		off = end
-	}
-	sh.busy.Store(false)
-	sh.combineMu.Unlock()
-}
-
 // replApplier applies the replication stream through the server's own
-// exec path — the same sharded stacks, Atlas critical sections and
+// write path — the same commit groups, Atlas critical sections and
 // telemetry clients use, labeled CmdRepl. All calls arrive from the
-// follower's single apply goroutine.
+// follower's single apply goroutine (or one migration's importer).
 type replApplier struct {
 	s  *Server
 	cs *connState
 }
 
-// applyOps converts replicated ops to batch ops and executes them.
-func (a *replApplier) applyOps(rops []repl.Op) error {
-	if len(rops) == 0 {
-		return nil
-	}
+// toBatchOps converts replicated ops — absolute sets and deletes in
+// either keyspace — to batch ops.
+func toBatchOps(rops []repl.Op) []batchOp {
 	ops := make([]batchOp, len(rops))
 	for i, r := range rops {
 		switch {
@@ -330,14 +245,19 @@ func (a *replApplier) applyOps(rops []repl.Op) error {
 			ops[i] = batchOp{kind: opSet, key: r.Key, arg: r.Val}
 		}
 	}
-	a.s.exec(a.cs, telemetry.CmdRepl, ops)
-	errs := make([]error, 0, 1)
-	for i := range ops {
-		if ops[i].err != nil {
-			errs = append(errs, ops[i].err)
-		}
+	return ops
+}
+
+// applyOps executes replicated ops that carry no session records.
+func (a *replApplier) applyOps(rops []repl.Op) error {
+	if len(rops) == 0 {
+		return nil
 	}
-	return errors.Join(errs...)
+	start := time.Now()
+	ops := toBatchOps(rops)
+	a.s.execGroup(a.cs, ops)
+	a.s.shardOf(ops[0].key).tel.CmdLatency.ObserveProto(a.cs.ptel, telemetry.CmdRepl, time.Since(start))
+	return spanErr(ops)
 }
 
 // Wipe deletes every local key so an incoming snapshot replaces the
@@ -375,74 +295,29 @@ func (a *replApplier) ApplyPairs(pairs []repl.Pair) error {
 // turns some replayable retries into "seq too old", never into a
 // duplicate application, which is the safe direction.
 func (a *replApplier) ApplySessions(recs []repl.SessRec, floor uint64) error {
-	byShard := make(map[*shard][]repl.SessRec)
-	for _, m := range recs {
-		sh := a.s.shardOf(m.Key)
-		byShard[sh] = append(byShard[sh], m)
+	legs := a.s.splitByShard(nil, recs)
+	for i := range legs {
+		legs[i].req.floor = floor
 	}
-	for _, sh := range a.s.shards {
-		ms := byShard[sh]
-		if len(ms) == 0 && floor == 0 {
-			continue
-		}
-		a.s.runGroupMarks(sh, nil, ms, floor)
-	}
+	a.s.submitLegs(legs)
 	return nil
 }
 
-// ApplyGroup applies one committed group in commit order. Groups that
-// carry session records route ops AND marks by shard so each shard
-// commits its ops and the records that witnessed them in one section —
-// a promoted follower then answers the primary's in-flight retries
-// exactly as the primary would have.
+// ApplyGroup applies one committed group in commit order. Ops AND
+// session records route by shard so each shard commits its ops and the
+// records that witnessed them in one section — a promoted follower then
+// answers the primary's in-flight retries exactly as the primary would
+// have.
 func (a *replApplier) ApplyGroup(rops []repl.Op, marks []repl.SessRec) error {
 	if len(marks) == 0 {
 		return a.applyOps(rops)
 	}
-	type part struct {
-		ops   []batchOp
-		marks []repl.SessRec
-	}
-	parts := make(map[*shard]*part)
-	at := func(key uint64) *part {
-		sh := a.s.shardOf(key)
-		p := parts[sh]
-		if p == nil {
-			p = &part{}
-			parts[sh] = p
-		}
-		return p
-	}
-	for _, r := range rops {
-		var op batchOp
-		switch {
-		case r.List && r.Del:
-			op = batchOp{kind: opZDelete, key: r.Key}
-		case r.List:
-			op = batchOp{kind: opZSet, key: r.Key, arg: r.Val}
-		case r.Del:
-			op = batchOp{kind: opDelete, key: r.Key}
-		default:
-			op = batchOp{kind: opSet, key: r.Key, arg: r.Val}
-		}
-		p := at(r.Key)
-		p.ops = append(p.ops, op)
-	}
-	for _, m := range marks {
-		p := at(m.Key)
-		p.marks = append(p.marks, m)
-	}
+	legs := a.s.splitByShard(toBatchOps(rops), marks)
+	a.s.submitLegs(legs)
 	var errs []error
-	for _, sh := range a.s.shards {
-		p := parts[sh]
-		if p == nil {
-			continue
-		}
-		a.s.runGroupMarks(sh, p.ops, p.marks, 0)
-		for i := range p.ops {
-			if p.ops[i].err != nil {
-				errs = append(errs, p.ops[i].err)
-			}
+	for i := range legs {
+		if err := spanErr(legs[i].req.ops); err != nil {
+			errs = append(errs, err)
 		}
 	}
 	return errors.Join(errs...)

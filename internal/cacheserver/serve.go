@@ -61,7 +61,6 @@ func (s *Server) handle(conn net.Conn) {
 
 	cs := s.newConnState()
 	cs.ptel = protoLabel(ad)
-	defer s.releaseConn(cs)
 
 	for {
 		batch, err := dec.Next()
@@ -326,9 +325,9 @@ func (s *Server) serveBatch(cs *connState, enc *proto.Encoder, batch []proto.Req
 
 // runDataGroup executes one coalesced op group and attributes latency
 // per command tag. A group of pure reads tries the lock-free seqlock
-// path first (key by key; the contended minority re-runs through the
-// pipeline); any mutation in the group forces the whole group through
-// exec in arrival order, which is what preserves read-your-writes
+// path first (key by key; the contended minority re-runs as a commit
+// group); any mutation in the group sends the whole group through
+// execGroup in arrival order, which is what preserves read-your-writes
 // inside a pipelined burst. Every tag observes the group's end-to-end
 // time: replies flush together, so the group completion IS each
 // command's service time.

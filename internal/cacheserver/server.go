@@ -99,13 +99,14 @@
 // (and the crash command, whose state shedding would silently diverge
 // the copy) until promoted.
 //
-// Execution is batched per shard (see batch.go): each shard's worker
-// drains every request group already queued — from any connection —
-// and runs them inside one Atlas critical section, so the persistence
-// cost of a critical section is paid per batch, not per op. Batch
-// commands additionally pipeline one request across shards: keys are
-// grouped by shard and the groups proceed concurrently, so a single
-// mget/mset drives every stack at once.
+// Execution has one write path (see batch.go): every mutation is a
+// commit group run inside one Atlas critical section under its shard's
+// drain lock, and groups queued behind a busy shard — from any
+// connection — coalesce into one section, so the persistence cost of a
+// critical section is paid per batch, not per op. Batch commands
+// additionally pipeline one request across shards: keys are grouped by
+// shard and every group is submitted before any is awaited, so a
+// single mget/mset drives every stack at once.
 package cacheserver
 
 import (
@@ -370,24 +371,24 @@ func (s *Server) Close() error {
 	return err
 }
 
-// connState is one connection's registration with the shards: one lazy
-// Atlas thread per shard, tagged with the shard generation it was
-// registered under so a crash-rebuilt shard triggers re-registration.
-// It also carries the connection's telemetry protocol label and the
-// per-connection scratch arenas the batch-serving path reuses.
+// connState is one connection's serving state: its telemetry protocol
+// label, its session binding, and the per-connection scratch the
+// batch-serving path reuses. Connections hold no Atlas thread — each
+// shard's drain thread runs every section (see batch.go).
 type connState struct {
-	shards []connShard
-
 	// ptel labels this connection's command latency by wire protocol;
 	// the zero value (ProtoInternal) covers non-wire callers such as
 	// the replication applier.
 	ptel telemetry.Protocol
 
 	// Scratch reused across serveBatch calls: the coalesced op group,
-	// the request→span tags, and the reply item arena.
+	// the request→span tags, the reply item arena, and the commit group
+	// a single-shard command submits (a connection has at most one in
+	// flight, so the own-goroutine arm of submit allocates nothing).
 	ops   []batchOp
 	tags  []cmdTag
 	items []proto.Item
+	req   batchReq
 
 	// sess is the session id the connection bound with the session
 	// handshake (0 = none); seq-tagged requests dedup against it. sops
@@ -402,243 +403,90 @@ type connState struct {
 	importSlot int
 }
 
-type connShard struct {
-	gen uint64
-	th  *atlas.Thread
-}
-
 func (s *Server) newConnState() *connState {
-	return &connState{shards: make([]connShard, len(s.shards)), importSlot: -1}
+	return &connState{importSlot: -1}
 }
 
-// releaseConn returns every registered thread slot at connection end.
-func (s *Server) releaseConn(cs *connState) {
-	for i, sl := range cs.shards {
-		if sl.th != nil {
-			s.shards[i].releaseThread(cs)
-		}
-	}
-}
-
-// tryEnqueue hands ops to sh's batch worker if the pipeline can take
-// them, returning the request to wait on. It returns nil — and counts
-// the fallback when the pipeline is enabled — if the caller must run
-// the group synchronously instead: pipeline disabled, group larger
-// than one batch may hold, or queue full (backpressure degrades to the
-// pre-pipeline path rather than blocking the handler).
-func (s *Server) tryEnqueue(sh *shard, ops []batchOp) *batchReq {
-	if s.cfg.batchMax <= 0 {
-		return nil
-	}
-	if len(ops) > s.cfg.batchMax {
-		sh.tel.Server.BatchFallbacks.Inc()
-		return nil
-	}
-	req := &batchReq{ops: ops, done: make(chan struct{})}
-	select {
-	case sh.queue <- req:
-		return req
-	default:
-		sh.tel.Server.BatchFallbacks.Inc()
-		return nil
-	}
-}
-
-// execSync executes ops on sh the pre-pipeline way: under the shard
-// read lock with the connection's own thread, one stripe acquisition
-// and one op-latency observation per op.
-func (s *Server) execSync(cs *connState, sh *shard, ops []batchOp) {
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	th, err := sh.threadFor(cs)
-	if err != nil {
-		for i := range ops {
-			ops[i].err = err
-		}
-		return
-	}
-	for i := range ops {
-		start := time.Now()
-		sh.execOp(th, &ops[i], false)
-		sh.tel.OpLatency.Observe(time.Since(start))
-	}
-}
-
-// exec runs one command's ops through execGroup and observes the
-// command's end-to-end service time (queueing included) into the first
-// touched shard's per-command histogram, labeled with the connection's
-// wire protocol. One observation per command: concurrent shard groups
-// finish together, so elapsed time after the barrier IS the service
-// time on the slowest shard; hosting it on one shard keeps aggregate
-// counts right (a merged view does not care which shard held it).
-func (s *Server) exec(cs *connState, cmd telemetry.Command, ops []batchOp) {
-	start := time.Now()
-	s.execGroup(cs, ops)
-	s.shardOf(ops[0].key).tel.CmdLatency.ObserveProto(cs.ptel, cmd, time.Since(start))
-}
-
-// execGroup routes ops to their shards and blocks until every result
-// is in: ops are grouped by shard, each group goes to its shard's
-// batch pipeline when it has something to amortize — more than one op,
-// or a drain already in flight to coalesce with — and otherwise runs
-// inline on the synchronous path (flush-on-idle: a lone op on an idle
-// shard pays no goroutine handoff). Groups on distinct shards proceed
-// concurrently — the pipelining the old per-command fan-out provided,
-// now through the shared worker queues. A group deeper than one batch
-// may hold (a deeply pipelined burst) is chunked through the pipeline
-// batchMax ops at a time rather than degrading to the per-op
-// synchronous path. Results land in ops in place.
+// execGroup routes ops to their shards as commit groups and blocks
+// until every result is in; results land in ops in place. One
+// connection's ops for one shard stay one group in arrival order, which
+// is what preserves read-your-writes inside a pipelined burst.
 func (s *Server) execGroup(cs *connState, ops []batchOp) {
-	// On a replicating primary every mutating group must be serialized
-	// through its shard's drain lock — the synchronous path would commit
-	// outside the replication log's order (and never append to it). The
-	// group is forced into the pipeline, or through runGroupDirect when
-	// the pipeline can't take it.
-	force := false
-	if s.replLog != nil {
-		for i := range ops {
-			if ops[i].kind != opGet {
-				force = true
-				break
-			}
-		}
-	}
-
 	// Fast path: everything on one shard (always true for single-key
-	// commands and single-shard servers) — no group copies needed.
-	oneShard := s.shardOf(ops[0].key)
-	multi := false
+	// commands and single-shard servers) — no copies, and the group
+	// value is the connection's own.
+	sh := s.shardOf(ops[0].key)
 	for i := 1; i < len(ops); i++ {
-		if s.shardOf(ops[i].key) != oneShard {
-			multi = true
-			break
-		}
-	}
-	if !multi {
-		s.execShardChunked(cs, oneShard, ops, force)
-		return
-	}
-
-	type group struct {
-		sh    *shard
-		idxs  []int
-		ops   []batchOp
-		req   *batchReq
-		chunk bool
-	}
-	byShard := make([][]int, len(s.shards))
-	for i := range ops {
-		sh := s.shardOf(ops[i].key)
-		byShard[sh.idx] = append(byShard[sh.idx], i)
-	}
-	var groups []*group
-	var syncGroups []*group
-	for si, idxs := range byShard {
-		if len(idxs) == 0 {
-			continue
-		}
-		g := &group{sh: s.shards[si], idxs: idxs, ops: make([]batchOp, len(idxs))}
-		for j, i := range idxs {
-			g.ops[j] = ops[i]
-		}
-		g.chunk = !force && s.cfg.batchMax > 0 && len(g.ops) > s.cfg.batchMax
-		if !g.chunk && (force || len(g.ops) > 1 || g.sh.pipelineActive()) {
-			g.req = s.tryEnqueue(g.sh, g.ops)
-		}
-		if g.req == nil {
-			syncGroups = append(syncGroups, g)
-		}
-		groups = append(groups, g)
-	}
-	// Groups the pipeline did not take in one piece run one goroutine
-	// per shard, like the old fan-out; distinct shards mean distinct
-	// connState slots, so the goroutines share nothing mutable. Forced
-	// groups the pipeline rejected keep the drain-lock ordering via
-	// runGroupDirect; oversized groups chunk through the pipeline.
-	var wg sync.WaitGroup
-	for _, g := range syncGroups {
-		wg.Add(1)
-		go func(g *group) {
-			defer wg.Done()
-			switch {
-			case force:
-				s.runGroupDirect(g.sh, g.ops, 0)
-			case g.chunk:
-				s.execShardChunked(cs, g.sh, g.ops, false)
-			default:
-				s.execSync(cs, g.sh, g.ops)
+		if s.shardOf(ops[i].key) != sh {
+			legs := s.splitByShard(ops, nil)
+			s.submitLegs(legs)
+			for li := range legs {
+				for j, i := range legs[li].idxs {
+					ops[i] = legs[li].req.ops[j]
+				}
 			}
-		}(g)
-	}
-	// Combine each enqueued group in turn: every drain this goroutine
-	// wins runs inline with no handoff, and a shard whose drain lock is
-	// already taken gets its doorbell rung so its worker (or the active
-	// combiner) finishes the group while we move to the next shard.
-	for _, g := range groups {
-		if g.req != nil && !g.sh.combine(g.req) {
-			g.sh.ringDoorbell()
+			return
 		}
 	}
-	for _, g := range groups {
-		if g.req != nil {
-			<-g.req.done
-		}
-	}
-	wg.Wait()
-	for _, g := range groups {
-		for j, i := range g.idxs {
-			ops[i] = g.ops[j]
-		}
-	}
+	cs.req = batchReq{ops: ops}
+	sh.submit(&cs.req)
+	cs.req.wait()
 }
 
-// execShardChunked runs one shard's op group, splitting a group deeper
-// than the pipeline's batch cap into batchMax-sized chunks that each
-// ride the pipeline — sequential per shard, so results resolve in op
-// order. The pre-pipeline fallback ran such groups op by op under the
-// shard lock; with pipelined clients routinely presenting hundreds of
-// ops at once, chunking keeps the per-batch persistence amortization.
-func (s *Server) execShardChunked(cs *connState, sh *shard, ops []batchOp, force bool) {
-	max := s.cfg.batchMax
-	if force || max <= 0 || len(ops) <= max {
-		s.execShardGroup(cs, sh, ops, force)
-		return
-	}
-	for off := 0; off < len(ops); off += max {
-		end := off + max
-		if end > len(ops) {
-			end = len(ops)
-		}
-		s.execShardGroup(cs, sh, ops[off:end], false)
-	}
+// leg is one shard's share of a multi-shard commit: its commit group
+// and, per op, the index in the caller's slice it was copied from.
+type leg struct {
+	req  batchReq
+	idxs []int
 }
 
-// execShardGroup runs one pipeline-sized op group on one shard.
-func (s *Server) execShardGroup(cs *connState, sh *shard, ops []batchOp, force bool) {
-	var req *batchReq
-	if force || len(ops) > 1 || sh.pipelineActive() {
-		req = s.tryEnqueue(sh, ops)
+// splitByShard partitions ops (stably) and session records by owner
+// shard; legs[i] belongs to s.shards[i].
+func (s *Server) splitByShard(ops []batchOp, marks []repl.SessRec) []leg {
+	legs := make([]leg, len(s.shards))
+	count := make([]int, len(s.shards))
+	for i := range ops {
+		count[s.shardOf(ops[i].key).idx]++
 	}
-	switch {
-	case req != nil:
-		// Combining first: if the drain lock is free this goroutine
-		// executes its own batch (plus anything queued alongside)
-		// with no handoff; only a contended drain wakes the worker.
-		if !sh.combine(req) {
-			sh.ringDoorbell()
-			<-req.done
+	// One backing array each, carved by the counts, so the fill below
+	// appends in place.
+	opsBack, idxBack := make([]batchOp, len(ops)), make([]int, len(ops))
+	off := 0
+	for li, n := range count {
+		legs[li].req.ops = opsBack[off : off : off+n]
+		legs[li].idxs = idxBack[off : off : off+n]
+		off += n
+	}
+	for i := range ops {
+		l := &legs[s.shardOf(ops[i].key).idx]
+		l.req.ops = append(l.req.ops, ops[i])
+		l.idxs = append(l.idxs, i)
+	}
+	for _, m := range marks {
+		l := &legs[s.shardOf(m.Key).idx]
+		l.req.marks = append(l.req.marks, m)
+	}
+	return legs
+}
+
+// submitLegs submits every leg that carries anything to its shard
+// before waiting on any of them, so the shards' sections overlap
+// instead of convoying on one another's drain locks.
+func (s *Server) submitLegs(legs []leg) {
+	for li := range legs {
+		if g := &legs[li].req; len(g.ops) > 0 || len(g.marks) > 0 || g.floor > 0 {
+			s.shards[li].submit(g)
 		}
-	case force:
-		s.runGroupDirect(sh, ops, 0)
-	default:
-		s.execSync(cs, sh, ops)
+	}
+	for li := range legs {
+		legs[li].req.wait()
 	}
 }
 
 // readOptimistic attempts to serve every (pure-get) op on the lock-free
 // path, filling results in place, and returns the indexes it could not
-// validate. Those must re-run through exec; nil means the whole command
-// was served without a lock.
+// validate. Those must re-run through execGroup; nil means the whole
+// command was served without a lock.
 //
 // A single-key command uses the per-key validated path. A multi-key
 // group additionally needs CROSS-key consistency — per-key validation

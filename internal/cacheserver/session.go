@@ -40,15 +40,17 @@ import (
 // per session suffices.
 //
 // Scope: seq is honored on set, incr, mset, zadd, zincr, zdel, and
-// single-key delete. A sessioned mset executes its non-witness shards
-// first (absolute sets — idempotent under replay) and its witness
-// shard (the shard of the first key) last, with the record committed
-// in that final section: the record's presence therefore implies every
-// other shard applied. Relaxed-tier sessioned writes keep their fast
-// ack — the record buffers beside the value in the volatile overlay
-// and both persist in the same section at epoch close, so a crash
-// loses value and record together (the relaxed tier's legal loss; the
-// retry simply re-applies). On a replicating primary every persisted
+// single-key delete. A sessioned request is one commit group whose
+// session mark the executor checks and commits in the group's own
+// section (see runSessReq). A sessioned mset executes its non-witness
+// shards first (absolute sets — idempotent under replay) and its
+// witness shard (the shard of the first key) last, with the record
+// committed in that final section: the record's presence therefore
+// implies every other shard applied. Relaxed-tier sessioned writes keep
+// their fast ack — the record buffers beside the value in the volatile
+// overlay and both persist in the same section at epoch close, so a
+// crash loses value and record together (the relaxed tier's legal loss;
+// the retry simply re-applies). On a replicating primary every persisted
 // record also rides the replication stream as a group mark, so a
 // promoted follower inherits the window and keeps suppressing the same
 // retries (DESIGN.md §12).
@@ -190,7 +192,7 @@ func sessAddr(p pheap.Ptr, off int) nvm.Addr {
 
 // sessPersist commits (sess, seq, pay, wkey) into the shard's
 // persistent session table. MUST be called inside an open Atlas
-// section on th (the batch drain's section), holding the shard read
+// section on th (the executor's section), holding the shard read
 // lock: the record's stores are undo-logged with the mutation they
 // witness, which is the whole point — record and effect commit or
 // roll back together. Persists are seq-guarded (a slot never moves
@@ -328,7 +330,7 @@ func sessPayload(cmd proto.Cmd, ops []batchOp) uint64 {
 	return 0
 }
 
-// runSessReq executes one sessioned request inside the drain's open
+// runSessReq executes one sessioned group inside the batch's open
 // section: re-check the window (authoritative under the drain lock),
 // apply the ops, and commit the dedup record — all in one OCS. An op
 // error skips the record so the client's retry re-runs rather than
@@ -344,7 +346,7 @@ func (sh *shard) runSessReq(th *atlas.Thread, r *batchReq) {
 		return
 	}
 	for i := range r.ops {
-		sh.execOp(th, &r.ops[i], true)
+		sh.execOp(th, &r.ops[i])
 	}
 	for i := range r.ops {
 		if r.ops[i].err != nil {
@@ -353,23 +355,6 @@ func (sh *shard) runSessReq(th *atlas.Thread, r *batchReq) {
 	}
 	r.sessPay = sessPayload(r.sessCmd, r.ops)
 	sh.sessPersist(th, r.sess, r.sseq, r.sessPay, r.wkey)
-}
-
-// runSessGroup runs one sessioned op group on sh under the drain lock
-// — check, effects and record in one OCS (chunking never splits a
-// sessioned group: serveSessioned keeps witness groups within the
-// batch bound). Returns the completed request carrying the verdict.
-func (s *Server) runSessGroup(sh *shard, ops []batchOp, cmd proto.Cmd, sess, seq, wkey uint64) *batchReq {
-	req := &batchReq{
-		ops: ops, sess: sess, sseq: seq, wkey: wkey, sessCmd: cmd,
-		done: make(chan struct{}),
-	}
-	sh.combineMu.Lock()
-	sh.busy.Store(true)
-	sh.runBatch([]*batchReq{req}, len(ops))
-	sh.busy.Store(false)
-	sh.combineMu.Unlock()
-	return req
 }
 
 // sessReplay shapes the reply a duplicate retry is answered with, from
@@ -441,139 +426,47 @@ func (s *Server) serveSessioned(cs *connState, req *proto.Request) proto.Reply {
 	// sessioned mset always escalates to durable (its multi-shard
 	// witness ordering needs the section).
 	if req.Dur != proto.DurDurable && s.epochEnabled() && req.Cmd != proto.CmdMSet {
-		return s.serveSessRelaxed(cs, req, wsh)
+		return s.serveRelaxed(cs, req)
 	}
 	tel.DurableOps.Inc()
 
 	ops := appendOps(cs.sops[:0], req)
 	cs.sops = ops[:0]
 
-	// A sessioned mset may span shards: execute every non-witness
-	// shard's ops first (absolute sets — replaying them after a crash
-	// that beat the record is idempotent), then the witness shard with
-	// the record in its section. Record present ⇒ everything applied.
-	var witness []batchOp
+	// The witness group carries the session mark. A sessioned mset may
+	// span shards: every non-witness shard's ops commit first (absolute
+	// sets — replaying them after a crash that beat the record is
+	// idempotent, and their results are not consulted), then the witness
+	// shard with the record in its section. Record present ⇒ everything
+	// applied. submit keeps a witness group wider than one batch sound
+	// the same way: its head runs as plain sets, the record rides the
+	// last chunk.
+	w := &cs.req
+	*w = batchReq{ops: ops}
 	if req.Cmd == proto.CmdMSet {
-		for i := range ops {
-			if s.shardOf(ops[i].key) == wsh {
-				witness = append(witness, ops[i])
-			}
-		}
-		if len(witness) < len(ops) {
-			s.runNonWitness(ops, wsh)
-		}
-	} else {
-		witness = ops
+		legs := s.splitByShard(ops, nil)
+		w.ops, legs[wsh.idx].req.ops = legs[wsh.idx].req.ops, nil
+		s.submitLegs(legs)
 	}
+	w.sess, w.sseq, w.wkey, w.sessCmd = cs.sess, req.Seq, wkey, req.Cmd
+	wsh.submit(w)
+	w.wait()
 
-	// Keep the witness group inside the batch bound (one OCS, one
-	// undo-log-ring's worth): a wide mset's surplus witness-shard sets
-	// run ahead as plain absolute sets — idempotent like the non-witness
-	// legs — with only the final chunk carrying the record.
-	if max := s.cfg.batchMax; max > 0 && len(witness) > max {
-		head := len(witness) - max
-		s.runGroupDirect(wsh, witness[:head], 0)
-		witness = witness[head:]
-	}
-
-	r := s.runSessGroup(wsh, witness, req.Cmd, cs.sess, req.Seq, wkey)
 	switch {
-	case r.sessDup:
+	case w.sessDup:
 		tel.SessionDups.Inc()
-		return s.sessReplay(cs, req, r.sessPay)
-	case r.sessOld:
+		return s.sessReplay(cs, req, w.sessPay)
+	case w.sessOld:
 		tel.SessionTooOld.Inc()
 		return sessTooOld()
 	}
-	if err := spanErr(r.ops); err != nil {
+	if err := spanErr(w.ops); err != nil {
 		return proto.Reply{Kind: proto.KErrServer, Msg: err.Error()}
 	}
-	switch req.Cmd {
-	case proto.CmdIncr, proto.CmdZIncr:
-		return proto.Reply{Kind: proto.KInt, Val: r.sessPay}
-	case proto.CmdDelete, proto.CmdZDel:
-		items := append(cs.items[:0], proto.Item{Key: wkey, Found: r.sessPay != 0})
-		cs.items = items
-		return proto.Reply{Kind: proto.KDelete, Items: items}
-	case proto.CmdMSet:
-		return proto.Reply{Kind: proto.KStoredN, N: len(req.KV) / 2}
-	default: // CmdSet, CmdZAdd
-		return proto.Reply{Kind: proto.KStored}
-	}
-}
-
-// runNonWitness runs the non-witness leg of a sessioned mset: each
-// non-witness shard's ops go through that shard's drain lock in turn.
-// Results are not consulted — they are absolute sets, and a retry
-// replays them idempotently when a crash beats the witness record.
-func (s *Server) runNonWitness(ops []batchOp, skip *shard) {
-	byShard := make(map[*shard][]batchOp)
-	for i := range ops {
-		sh := s.shardOf(ops[i].key)
-		if sh == skip {
-			continue
-		}
-		byShard[sh] = append(byShard[sh], ops[i])
-	}
-	for sh, group := range byShard {
-		s.runGroupDirect(sh, group, 0)
-	}
-}
-
-// serveSessRelaxed buffers one sessioned relaxed/fire write: value and
-// dedup record land side by side in the overlay and the volatile
-// mirror, ack immediately with the epoch stamp, and both persist in
-// the same section when the epoch closes (or a durable fold takes the
-// entry). A crash before that section loses value and record together
-// — the relaxed tier's loss contract extended to detectability: the
-// retry re-applies precisely because nothing of the first attempt
-// survived.
-func (s *Server) serveSessRelaxed(cs *connState, req *proto.Request, sh *shard) proto.Reply {
-	tel := sh.tel.Server
-	if req.Dur == proto.DurFire {
-		tel.FireOps.Inc()
-	} else {
-		tel.RelaxedOps.Inc()
-	}
-	key := req.KV[0]
-	sess, seq := cs.sess, req.Seq
-	var pay uint64
-	var rep proto.Reply
-	switch req.Cmd {
-	case proto.CmdSet:
-		sh.ovl.putSess(key, false, false, req.KV[1], sess, seq, 0)
-		rep = proto.Reply{Kind: proto.KStored, Epoch: s.curEpoch.Load()}
-	case proto.CmdZAdd:
-		sh.ovl.putSess(key, true, false, req.KV[1], sess, seq, 0)
-		rep = proto.Reply{Kind: proto.KStored, Epoch: s.curEpoch.Load()}
-	case proto.CmdIncr, proto.CmdZIncr:
-		list := req.Cmd == proto.CmdZIncr
-		base, _, err := s.peekVal(cs, sh, key, list)
-		if err != nil {
-			return proto.Reply{Kind: proto.KErrServer, Msg: err.Error()}
-		}
-		pay = base + req.KV[1]
-		sh.ovl.putSess(key, list, false, pay, sess, seq, pay)
-		rep = proto.Reply{Kind: proto.KInt, Val: pay, Epoch: s.curEpoch.Load()}
-	default: // CmdDelete (single-key), CmdZDel
-		list := req.Cmd == proto.CmdZDel
-		found := true
-		if req.Dur != proto.DurFire {
-			var err error
-			_, found, err = s.peekVal(cs, sh, key, list)
-			if err != nil {
-				return proto.Reply{Kind: proto.KErrServer, Msg: err.Error()}
-			}
-		}
-		if found {
-			pay = 1
-		}
-		sh.ovl.putSess(key, list, true, 0, sess, seq, pay)
-		items := append(cs.items[:0], proto.Item{Key: key, Found: found})
-		cs.items = items
-		rep = proto.Reply{Kind: proto.KDelete, Items: items, Epoch: s.curEpoch.Load()}
-	}
-	sh.sessBuffer(sess, seq, pay, key)
+	// The fresh ack is the reply its record would replay, minus the
+	// receipt: the effect is already durable.
+	rep := s.sessReplay(cs, req, w.sessPay)
+	rep.Epoch = 0
 	return rep
 }
 

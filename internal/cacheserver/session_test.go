@@ -189,6 +189,41 @@ func TestSessionRelaxedSuppressionAndLoss(t *testing.T) {
 	}
 }
 
+// TestSessionRecordSurvivesLoneDurableFold closes DESIGN.md §12's old
+// caveat (2): a sessioned relaxed write folded by a PLAIN durable
+// command on an otherwise idle server. That fold used to run on an
+// unlocked synchronous path with no section at its scope, so the value
+// became durable without its record and a crash let the retry apply a
+// second time. Every fold now runs inside the one executor's section.
+func TestSessionRecordSurvivesLoneDurableFold(t *testing.T) {
+	// A huge epoch interval pins the overlay: only the fold can make the
+	// relaxed value durable.
+	s := startServer(t, WithShards(1), WithDeviceWords(1<<16),
+		WithEpochInterval(time.Hour))
+	c := dial(t, s.Addr().String())
+
+	c.cmd(t, "session 3")
+	if got := c.cmd(t, "set 8 100 relaxed seq=1"); !strings.HasPrefix(got, "STORED @") {
+		t.Fatalf("relaxed set: %q", got)
+	}
+	if got := c.cmd(t, "incr 8 5"); got != "105" {
+		t.Fatalf("lone durable incr over the relaxed value: %q", got)
+	}
+	if got := c.cmd(t, "crash"); !strings.HasPrefix(got, "OK RECOVERED") {
+		t.Fatalf("crash: %q", got)
+	}
+	// The record persisted with the value it guarded: the retry replays.
+	if got := c.cmd(t, "set 8 100 relaxed seq=1"); !strings.HasPrefix(got, "STORED") {
+		t.Fatalf("retry after crash: %q", got)
+	}
+	if got := c.cmd(t, "get 8"); got != "VALUE 8 105" {
+		t.Fatalf("retry re-applied the folded set: %q, want VALUE 8 105", got)
+	}
+	if got := s.shards[0].tel.Server.SessionDups.Load(); got != 1 {
+		t.Fatalf("session dups = %d, want 1 (the post-crash retry)", got)
+	}
+}
+
 func TestSessionWindowEvictionFloor(t *testing.T) {
 	s := startServer(t, WithShards(1), WithDeviceWords(1<<16),
 		WithSessionWindow(1))

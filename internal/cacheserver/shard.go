@@ -37,23 +37,20 @@ type shard struct {
 	mu  sync.RWMutex
 	stk *stack.Stack
 
-	// gen counts stack rebuilds. A connection's per-shard Atlas thread
-	// is valid only for the generation it registered with; threadFor
-	// re-registers lazily after a crash.
+	// gen counts stack rebuilds. The drain's Atlas thread is valid only
+	// for the generation it registered with; workerThread re-registers
+	// lazily after a crash.
 	gen atomic.Uint64
 
-	// Batch pipeline state (see batch.go). queue is nil when batching
-	// is disabled. combineMu is the drain lock: its holder — the
-	// handler that won it without waiting, else the worker woken by the
-	// doorbell — is the one goroutine draining and executing batches,
-	// and owns carry, the scratch slices and the drain thread wth/wgen
-	// while it holds the lock. busy is true while a drain is in flight,
-	// the signal exec uses to route single ops into an active batch
-	// instead of the idle-shard inline path.
+	// Write-path state (see batch.go). combineMu is the drain lock: its
+	// holder — the submitter that won it without waiting, the worker
+	// woken by the doorbell, or a relaxed read-modify-write — is the one
+	// goroutine mutating this shard's engines, and owns carry, the
+	// scratch slices and the drain thread wth/wgen while it holds the
+	// lock.
 	queue          chan *batchReq
 	doorbell       chan struct{}
 	combineMu      sync.Mutex
-	busy           atomic.Bool
 	workerDone     chan struct{}
 	carry          *batchReq
 	wth            *atlas.Thread
@@ -87,8 +84,8 @@ type shard struct {
 }
 
 func newShard(idx int, c config) (*shard, error) {
-	// The worker drains at most batchMax ops into one outermost critical
-	// section; size the undo-log ring so the largest group (acquire and
+	// A batch holds at most batchMax ops in one outermost critical
+	// section; size the undo-log ring so the largest batch (acquire and
 	// release records per stripe plus first-store undo records per op)
 	// cannot lap it, without shrinking the atlas default.
 	logEntries := c.batchMax*32 + 1024
@@ -99,10 +96,9 @@ func newShard(idx int, c config) (*shard, error) {
 	stk, err := stack.New(
 		stack.WithDeviceWords(c.deviceWords),
 		stack.WithMode(c.mode),
-		// One thread slot per admitted connection, one for the shard's
-		// batch worker, and one for the replication applier a follower
-		// runs.
-		stack.WithMaxThreads(c.maxConns+2),
+		// The drain thread is the shard's only Atlas thread: every
+		// section runs under the drain lock (see workerThread).
+		stack.WithMaxThreads(1),
 		stack.WithLogEntries(logEntries),
 		stack.WithBuckets(c.buckets, c.perMutex),
 		stack.WithSessionSlots(c.sessSlots),
@@ -111,46 +107,15 @@ func newShard(idx int, c config) (*shard, error) {
 	if err != nil {
 		return nil, fmt.Errorf("cacheserver: shard %d: %w", idx, err)
 	}
-	sh := &shard{idx: idx, cfg: c, tel: tel, stk: stk}
+	sh := &shard{
+		idx: idx, cfg: c, tel: tel, stk: stk,
+		queue:      make(chan *batchReq, c.queueDepth),
+		doorbell:   make(chan struct{}, 1),
+		workerDone: make(chan struct{}),
+	}
 	sh.sessRebuild()
-	if c.batchMax > 0 {
-		sh.queue = make(chan *batchReq, c.queueDepth)
-		sh.doorbell = make(chan struct{}, 1)
-		sh.workerDone = make(chan struct{})
-		go sh.worker()
-	}
+	go sh.worker()
 	return sh, nil
-}
-
-// threadFor returns the connection's Atlas thread on this shard,
-// registering one (or re-registering after a crash replaced the
-// runtime) on first use. Caller holds the shard read lock, which keeps
-// gen stable: rebuilds happen only under the write lock.
-func (sh *shard) threadFor(cs *connState) (*atlas.Thread, error) {
-	slot := &cs.shards[sh.idx]
-	if slot.th != nil && slot.gen == sh.gen.Load() {
-		return slot.th, nil
-	}
-	th, err := sh.stk.RT.NewThread()
-	if err != nil {
-		return nil, err
-	}
-	slot.th = th
-	slot.gen = sh.gen.Load()
-	return th, nil
-}
-
-// releaseThread returns the connection's thread slot to this shard's
-// runtime at connection end. A thread whose runtime was replaced by a
-// crash is garbage along with that runtime and needs no release.
-func (sh *shard) releaseThread(cs *connState) {
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	slot := &cs.shards[sh.idx]
-	if slot.th != nil && slot.gen == sh.gen.Load() {
-		_ = sh.stk.RT.ReleaseThread(slot.th)
-	}
-	slot.th = nil
 }
 
 // crashAndRecover simulates a power failure with a TSP rescue on this
@@ -201,10 +166,10 @@ func (sh *shard) crashAndRecover() error {
 // getOptimistic serves one get on the map's lock-free seqlock path. The
 // shard read lock held here is a plain Go RWMutex guarding the stack
 // pointer against a concurrent crash rebuild — it is not an Atlas mutex
-// and not the batch pipeline's drain lock, so optimistic readers never
+// and not the write path's drain lock, so optimistic readers never
 // contend with writers (only with recovery, exactly like every other
 // request). valid=false means the retry budget was exhausted and the
-// caller must re-run the read through the locked machinery.
+// caller must re-run the read as a commit group.
 func (sh *shard) getOptimistic(key uint64) (val uint64, ok, valid bool) {
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()

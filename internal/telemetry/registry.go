@@ -255,9 +255,9 @@ type ServerStats struct {
 	ZSets    Counter // zadd/zincr writes applied
 	ZDeletes Counter // zdel writes applied
 
-	Batches        Counter // drained batch groups executed by the shard worker
-	BatchedOps     Counter // operations executed inside batch groups
-	BatchFallbacks Counter // operations that took the synchronous path (queue full/disabled)
+	Batches        Counter // batches (Atlas sections) the write path executed
+	BatchedOps     Counter // operations executed inside those batches
+	BatchFallbacks Counter // commit groups that found the queue full and ran directly on the drain lock
 
 	// The epoch-durability counters instrument the per-operation
 	// durability tiers: how many mutations deferred their persistence

@@ -27,8 +27,21 @@ go build ./...
 echo "== go test -race (server + proto + repl + cluster + harness + stack + hashmap)"
 go test -race ./internal/cacheserver ./internal/proto ./internal/repl ./internal/cluster ./internal/harness ./internal/stack ./internal/hashmap
 
+# The tier / migration / session contracts are races between real
+# cores: a lost-increment bug in the old synchronous write path never
+# fired on the one-core development host. Run those suites under the
+# race detector at several GOMAXPROCS so the schedule space is not
+# whatever this host happens to have.
+echo "== cacheserver tier/migrate/session tests (-race -cpu 1,2,4)"
+go test -race -cpu 1,2,4 -run 'Tier|Relaxed|Durable|Fire|Wait|Epoch|Migrate|Session' ./internal/cacheserver
+
 echo "== go test ./... (everything else, no race)"
 go test ./...
+
+# Line count is a tracked metric (ROADMAP aim 2): the served system's
+# non-test source, printed so a PR that grows it does so in plain sight.
+echo "== internal/cacheserver non-test lines"
+ls internal/cacheserver/*.go | grep -v '_test\.go$' | xargs cat | wc -l
 
 # The replication, wire-codec, and routing packages are the repo's
 # protocol surfaces and the ones other repos would import first: every
