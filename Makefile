@@ -3,7 +3,7 @@ GO ?= go
 .PHONY: build test check bench-shards bench-json bench-telemetry bench-batch bench-diff \
 	bench-repl bench-read bench-pipeline bench-ordered bench-epoch bench-session \
 	bench-cacheserver-baseline demo-repl campaign-durability campaign-exactly-once \
-	campaign-cluster bench-cluster check-docs
+	campaign-cluster bench-cluster check-docs bench-recover
 
 build:
 	$(GO) build ./...
@@ -124,6 +124,15 @@ bench-cacheserver-baseline:
 # and 2 on the promoted copy. See cmd/repldemo.
 demo-repl:
 	$(GO) run ./cmd/repldemo
+
+# The recovery-cost benchmarks, one step per line: Restart by how many
+# lines the crash left dirty, one served shard's whole CrashReattach,
+# and atlas.Recover by in-flight log volume. Fixed iteration counts, so
+# two runs measure the same work.
+bench-recover:
+	$(GO) test -run 'ZZZ' -bench 'Restart' -benchtime 100x ./internal/nvm
+	$(GO) test -run 'ZZZ' -bench 'CrashReattach' -benchtime 100x ./internal/stack
+	$(GO) test -run 'ZZZ' -bench 'BenchmarkRecovery$$' -benchtime 20x .
 
 # The telemetry overhead guard: counting on vs off at the device and map
 # layers must stay within a few percent.

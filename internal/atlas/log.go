@@ -107,10 +107,10 @@ func writeEntry(dev *nvm.Device, base nvm.Addr, e entry, thread, epoch uint64) {
 // the persisted one). ok is false for never-written, torn, wrong-ring,
 // or wrong-epoch records.
 func readEntry(dev *nvm.Device, base nvm.Addr, thread, epoch uint64) (entry, bool) {
-	m := dev.Load(base + 0)
-	a := dev.Load(base + 1)
-	v := dev.Load(base + 2)
-	if dev.Load(base+3) != checksum(m, a, v, thread, epoch) {
+	var rec [entryWords]uint64
+	dev.LoadBlock(base, rec[:])
+	m, a, v := rec[0], rec[1], rec[2]
+	if rec[3] != checksum(m, a, v, thread, epoch) {
 		return entry{}, false
 	}
 	e := entry{

@@ -158,3 +158,83 @@ func TestRecoveryRestartableUnderNoRescueNestedCrash(t *testing.T) {
 		t.Fatalf("value = %d, want committed 42", got)
 	}
 }
+
+// TestRestartAfterCrashInsideRecovery pins what a second crash leaves
+// for Restart. Recovery's own undo stores and flushes are cut short at
+// every offset, with all, some or none of its dirty lines rescued;
+// Restart reverts only the lines still dirty, and must leave the
+// volatile image equal to the persisted one word for word. The next
+// recovery then runs clean and lands on the committed state.
+func TestRestartAfterCrashInsideRecovery(t *testing.T) {
+	for _, frac := range []float64{0, 0.3, 1} {
+		for offset := uint64(0); offset < 12; offset++ {
+			dev := nvm.NewDevice(nvm.Config{Words: 1 << 14})
+			heap, err := pheap.Format(dev)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Non-TSP mode: commit flushes make recovery sound whatever
+			// the crash rescues.
+			rt, err := New(heap, ModeNonTSP, Options{MaxThreads: 1, LogEntries: 64})
+			if err != nil {
+				t.Fatal(err)
+			}
+			region, err := heap.Alloc(16)
+			if err != nil {
+				t.Fatal(err)
+			}
+			heap.SetRoot(region)
+			dev.FlushAll()
+			th, err := rt.NewThread()
+			if err != nil {
+				t.Fatal(err)
+			}
+			m := rt.NewMutex()
+			th.Lock(m)
+			for w := nvm.Addr(0); w < 16; w++ {
+				th.Store(region.Addr()+w, 42)
+			}
+			th.Unlock(m) // committed
+			th.Lock(m)
+			for w := nvm.Addr(0); w < 16; w++ {
+				th.Store(region.Addr()+w, 777) // in flight
+			}
+			dev.Crash(nvm.CrashOptions{RescueFraction: frac, Seed: int64(offset)})
+			dev.Restart()
+
+			heap1, err := pheap.Open(dev)
+			if err != nil {
+				t.Fatal(err)
+			}
+			dev.ArmCrashAfter(offset, nvm.CrashOptions{RescueFraction: frac, Seed: int64(offset) + 100})
+			if _, err := Recover(heap1); err != nil {
+				t.Fatal(err)
+			}
+			if !dev.Crashed() {
+				t.Fatalf("rescue %v offset %d: recovery finished before the armed crash", frac, offset)
+			}
+			dev.Restart()
+			for a := nvm.Addr(0); a < nvm.Addr(dev.Words()); a++ {
+				if v, p := dev.Load(a), dev.Persisted(a); v != p {
+					t.Fatalf("rescue %v offset %d: after the second Restart word %d is %d volatile, %d persisted", frac, offset, a, v, p)
+				}
+			}
+			if n := dev.DirtyLines(); n != 0 {
+				t.Fatalf("rescue %v offset %d: %d dirty lines after Restart", frac, offset, n)
+			}
+
+			heap2, err := pheap.Open(dev)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := Recover(heap2); err != nil {
+				t.Fatalf("rescue %v offset %d: re-recovery: %v", frac, offset, err)
+			}
+			for w := 0; w < 16; w++ {
+				if got := heap2.Load(heap2.Root(), w); got != 42 {
+					t.Fatalf("rescue %v offset %d: word %d = %d, want committed 42", frac, offset, w, got)
+				}
+			}
+		}
+	}
+}

@@ -495,6 +495,7 @@ func (r VerifyReport) String() string {
 func (m *Map) Verify() (VerifyReport, error) {
 	var rep VerifyReport
 	dev := m.heap.Device()
+	var node [nodeWords]uint64
 	for b := 0; b < m.nBuckets; b++ {
 		n := pheap.Ptr(dev.Load(m.bucketAddr(b)))
 		if !n.IsNil() {
@@ -506,17 +507,16 @@ func (m *Map) Verify() (VerifyReport, error) {
 			if steps > m.nBuckets*1024 {
 				return rep, fmt.Errorf("%w: cycle suspected in bucket %d", ErrCorrupt, b)
 			}
-			key := dev.Load(n.Addr() + nodeKey)
-			val := dev.Load(n.Addr() + nodeValue)
-			chk := dev.Load(n.Addr() + nodeCheck)
-			if chk != checkWord(key, val) {
+			dev.LoadBlock(n.Addr(), node[:])
+			key, val := node[nodeKey], node[nodeValue]
+			if node[nodeCheck] != checkWord(key, val) {
 				return rep, fmt.Errorf("%w: entry key=%d val=%d in bucket %d", ErrCorrupt, key, val, b)
 			}
 			if m.bucketOf(key) != b {
 				return rep, fmt.Errorf("%w: key %d misfiled in bucket %d", ErrCorrupt, key, b)
 			}
 			rep.Entries++
-			n = pheap.Ptr(dev.Load(n.Addr() + nodeNext))
+			n = pheap.Ptr(node[nodeNext])
 		}
 	}
 	return rep, nil

@@ -132,3 +132,32 @@ func BenchmarkCrashRescue(b *testing.B) {
 		d.CrashRescue()
 	}
 }
+
+// BenchmarkRestart times Restart on a shard-sized device (2^20 words)
+// by how many lines the crash left dirty: none (what a full TSP rescue
+// leaves), one in a hundred, or all of them. The first is the dirty-bit
+// scan alone; the last is what every Restart used to cost.
+func BenchmarkRestart(b *testing.B) {
+	const words = 1 << 20
+	for _, sub := range []struct {
+		name   string
+		stride Addr // one dirtied line every stride words; 0 = none
+	}{
+		{"dirty=0", 0},
+		{"dirty=1pct", 100 * DefaultLineWords},
+		{"dirty=all", DefaultLineWords},
+	} {
+		b.Run(sub.name, func(b *testing.B) {
+			d := NewDevice(Config{Words: words})
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				for a := Addr(0); sub.stride != 0 && a < words; a += sub.stride {
+					d.Store(a, uint64(i)+1)
+				}
+				d.CrashDrop()
+				b.StartTimer()
+				d.Restart()
+			}
+		})
+	}
+}

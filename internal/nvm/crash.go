@@ -133,18 +133,26 @@ func (d *Device) countdown() bool {
 // stores are accepted again. A fresh evictor is installed if one is
 // configured, ready for StartEvictor.
 //
+// Only dirty lines are re-read: by the clean-line invariant (see
+// flushLine) every other line already equals its persisted content. So a
+// restart costs what the crash left unrescued — nothing after a full
+// rescue — not the size of the device.
+//
 // Restart on a device that never crashed is permitted and simply
 // discards unflushed volatile state, which is occasionally useful in
 // tests; it still requires the evictor to be stopped.
 func (d *Device) Restart() {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	for w := range d.volatile {
-		v := d.persistedLoad(uint64(w))
-		d.volatileStore(uint64(w), v)
-	}
-	for line := range d.dirty {
-		d.dirtyClear(uint64(line))
+	for line := uint64(0); line < uint64(len(d.dirty)); line++ {
+		if !d.lineDirty(line) {
+			continue
+		}
+		lo, hi := d.lineSpan(line)
+		for w := lo; w < hi; w++ {
+			d.volatileStore(w, d.persistedLoad(w))
+		}
+		d.dirtyClear(line)
 	}
 	if d.cfg.Evictor.Enabled() {
 		d.evictor = newEvictor(d, d.cfg.Evictor)

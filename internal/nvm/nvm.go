@@ -55,7 +55,8 @@ type Device struct {
 	persisted []uint64
 
 	// dirty has one word per cache line: nonzero when the line's volatile
-	// content may differ from its persisted content.
+	// content may differ from its persisted content, zero when the two
+	// are identical (the clean-line invariant, see flushLine).
 	dirty []uint32
 
 	// tel is the device's counter section: injected via Config.Telemetry,
@@ -190,6 +191,31 @@ func (d *Device) TryLoad(a Addr) (uint64, bool) {
 	return atomic.LoadUint64(&d.volatile[a]), true
 }
 
+// LoadBlock reads len(dst) consecutive words starting at a into dst. It
+// is the load-side mirror of StoreBlock, for code that scans (the
+// recovery collector, the log scan, a structure verifier): every word is
+// still read atomically and counted as one load, but the range check and
+// the statistics update are paid once per call and the latency model
+// once per line. Unlike StoreBlock the range may span lines.
+func (d *Device) LoadBlock(a Addr, dst []uint64) {
+	if len(dst) == 0 {
+		return
+	}
+	last := a + Addr(len(dst)) - 1
+	d.check(a)
+	d.check(last)
+	d.tel.AddLoads(uint64(a), uint64(len(dst)))
+	if d.cacheTags != nil {
+		for line, end := d.LineOf(a), d.LineOf(last); line <= end; line++ {
+			d.touchLoad(Addr(line * uint64(d.cfg.LineWords)))
+		}
+	}
+	src := d.volatile[a : last+1]
+	for i := range dst {
+		dst[i] = atomic.LoadUint64(&src[i])
+	}
+}
+
 // Store atomically writes v to the word at a in the volatile image and
 // marks the containing line dirty. Stores issued after a crash are
 // dropped: the simulated threads have already been terminated.
@@ -305,10 +331,36 @@ func (d *Device) FlushAll() {
 	}
 }
 
+// The clean-line invariant. Once no store or flush is in flight, a line
+// whose dirty bit is clear is word-for-word identical in the volatile and
+// persisted images. Restart and RestorePersisted depend on it: Restart
+// reverts only dirty lines, so a clean line that differed would survive a
+// crash it should not have. Each writer does its part: Store, StoreBlock,
+// CAS and Add mark the line after writing it; flushLine clears the bit
+// before copying and copies again when a word changed under the copy;
+// RestorePersisted marks every line it changes.
+
+// lineSpan returns the word range [lo, hi) the line covers; the device's
+// last line may be short.
+func (d *Device) lineSpan(line uint64) (lo, hi uint64) {
+	lo = line * uint64(d.cfg.LineWords)
+	hi = lo + uint64(d.cfg.LineWords)
+	if hi > uint64(len(d.volatile)) {
+		hi = uint64(len(d.volatile))
+	}
+	return lo, hi
+}
+
 // flushLine writes the line's volatile words to the persisted image. The
 // dirty bit is cleared before the copy: a racing store that lands mid-copy
 // re-sets the bit, so its value is either captured now or flushed later —
-// never silently lost.
+// never silently lost. Two flushers can also race on one line (the
+// evictor against an explicit flush), and the slower one may then
+// overwrite a newer persisted word with the older value it loaded. So
+// every word is re-read after it is written back, and the line is copied
+// again if one moved: the flush returns with the line either persisted as
+// it stood at some instant after the clear or marked dirty by the store
+// that changed it, which is the clean-line invariant.
 func (d *Device) flushLine(line uint64, charge bool) {
 	if charge {
 		d.tel.IncFlush()
@@ -316,14 +368,17 @@ func (d *Device) flushLine(line uint64, charge bool) {
 	} else {
 		d.tel.IncWriteback()
 	}
-	atomic.StoreUint32(&d.dirty[line], 0)
-	lo := line * uint64(d.cfg.LineWords)
-	hi := lo + uint64(d.cfg.LineWords)
-	if hi > uint64(len(d.volatile)) {
-		hi = uint64(len(d.volatile))
-	}
-	for w := lo; w < hi; w++ {
-		atomic.StoreUint64(&d.persisted[w], atomic.LoadUint64(&d.volatile[w]))
+	lo, hi := d.lineSpan(line)
+	for moved := true; moved; {
+		moved = false
+		atomic.StoreUint32(&d.dirty[line], 0)
+		for w := lo; w < hi; w++ {
+			v := atomic.LoadUint64(&d.volatile[w])
+			atomic.StoreUint64(&d.persisted[w], v)
+			if atomic.LoadUint64(&d.volatile[w]) != v {
+				moved = true
+			}
+		}
 	}
 }
 

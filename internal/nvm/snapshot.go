@@ -22,7 +22,10 @@ func (d *Device) SnapshotPersisted() []uint64 {
 
 // RestorePersisted replaces the persisted image with img, which must have
 // exactly the device's word count. Callers normally follow it with
-// Restart so the volatile image re-reads the restored state.
+// Restart so the volatile image re-reads the restored state. Every line
+// the restore changes is marked dirty — its volatile content now differs
+// from its persisted content — which is what makes that Restart re-read
+// it (the clean-line invariant, see flushLine).
 func (d *Device) RestorePersisted(img []uint64) error {
 	if len(img) != len(d.persisted) {
 		return fmt.Errorf("nvm: snapshot has %d words, device has %d", len(img), len(d.persisted))
@@ -30,7 +33,10 @@ func (d *Device) RestorePersisted(img []uint64) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	for w, v := range img {
-		atomic.StoreUint64(&d.persisted[w], v)
+		if atomic.LoadUint64(&d.persisted[w]) != v {
+			atomic.StoreUint64(&d.persisted[w], v)
+			d.markDirty(Addr(w))
+		}
 	}
 	return nil
 }

@@ -166,3 +166,35 @@ func TestUnflushedStateNotSaved(t *testing.T) {
 		t.Fatal("unflushed store leaked into the snapshot")
 	}
 }
+
+// Loading an older snapshot into a device that has since moved on and
+// been flushed clean must roll every word back: Load's Restart re-reads
+// only dirty lines, so it relies on RestorePersisted marking what it
+// replaced.
+func TestLoadOlderSnapshotIntoFlushedDevice(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "old.tsp")
+	dev := nvm.NewDevice(nvm.Config{Words: 200})
+	for a := nvm.Addr(0); a < 200; a += 3 {
+		dev.Store(a, uint64(a)+1)
+	}
+	dev.FlushAll()
+	old := dev.SnapshotPersisted()
+	if err := Save(dev, path); err != nil {
+		t.Fatalf("Save: %v", err)
+	}
+	for a := nvm.Addr(0); a < 200; a += 2 {
+		dev.Store(a, uint64(a)+1000)
+	}
+	dev.FlushAll()
+	if err := Load(dev, path); err != nil {
+		t.Fatalf("Load: %v", err)
+	}
+	for a := nvm.Addr(0); a < 200; a++ {
+		if got := dev.Load(a); got != old[a] || dev.Persisted(a) != old[a] {
+			t.Fatalf("word %d = %d (persisted %d) after Load, want the snapshot's %d", a, got, dev.Persisted(a), old[a])
+		}
+	}
+	if n := dev.DirtyLines(); n != 0 {
+		t.Fatalf("%d dirty lines after Load", n)
+	}
+}

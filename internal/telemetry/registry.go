@@ -28,6 +28,13 @@ func (s *DeviceStats) IncLoad(hint uint64) {
 	}
 }
 
+// AddLoads counts n loads at once (a block read).
+func (s *DeviceStats) AddLoads(hint, n uint64) {
+	if s != nil {
+		s.Loads.Add(hint, n)
+	}
+}
+
 func (s *DeviceStats) IncStore(hint uint64) {
 	if s != nil {
 		s.Stores.Inc(hint)

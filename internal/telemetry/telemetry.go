@@ -87,6 +87,13 @@ func (c *ShardedCounter) Inc(hint uint64) {
 	}
 }
 
+// Add adds n to the shard selected by hint.
+func (c *ShardedCounter) Add(hint, n uint64) {
+	if c != nil {
+		c.shards[hint&(counterShards-1)].v.Add(n)
+	}
+}
+
 // Load sums all shards (0 on nil).
 func (c *ShardedCounter) Load() uint64 {
 	if c == nil {

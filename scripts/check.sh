@@ -1,11 +1,12 @@
 #!/bin/sh
 # check.sh — the pre-merge gate: vet everything, then run the
 # concurrency-heavy packages (the cache server and the Section 5
-# harness, plus the stack constructor they share, and the hashmap whose
-# seqlock read path races readers against writers by design) under the
-# race detector. The full suite already runs race-clean; this focuses
-# the expensive -race pass on the packages that exercise real
-# parallelism.
+# harness, plus the stack constructor they share, the hashmap whose
+# seqlock read path races readers against writers by design, and the
+# device and heap under them: Restart trusts dirty bits that stores,
+# flushes and the evictor all write at once) under the race detector.
+# The full suite already runs race-clean; this focuses the expensive
+# -race pass on the packages that exercise real parallelism.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -24,8 +25,8 @@ go vet ./...
 echo "== go build ./..."
 go build ./...
 
-echo "== go test -race (server + proto + repl + cluster + harness + stack + hashmap)"
-go test -race ./internal/cacheserver ./internal/proto ./internal/repl ./internal/cluster ./internal/harness ./internal/stack ./internal/hashmap
+echo "== go test -race (server + proto + repl + cluster + harness + stack + hashmap + nvm + pheap)"
+go test -race ./internal/cacheserver ./internal/proto ./internal/repl ./internal/cluster ./internal/harness ./internal/stack ./internal/hashmap ./internal/nvm ./internal/pheap
 
 # The tier / migration / session contracts are races between real
 # cores: a lost-increment bug in the old synchronous write path never
@@ -42,6 +43,14 @@ go test ./...
 # non-test source, printed so a PR that grows it does so in plain sight.
 echo "== internal/cacheserver non-test lines"
 ls internal/cacheserver/*.go | grep -v '_test\.go$' | xargs cat | wc -l
+
+# Recovery cost is tracked the same way: one served shard's crash →
+# serving again (Restart, heap open, Atlas recovery with its GC, runtime
+# rebuild), in time and in allocations. Printed, not gated — a single
+# run on a shared host is too noisy to fail a merge on.
+echo "== one shard's CrashReattach (ns/op, allocs/op)"
+go test -run 'ZZZ' -bench 'CrashReattach' -benchtime 50x ./internal/stack |
+	awk '/^BenchmarkCrashReattach/ { print $3, $4 ", " $7, $8 }'
 
 # The replication, wire-codec, and routing packages are the repo's
 # protocol surfaces and the ones other repos would import first: every
