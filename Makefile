@@ -3,7 +3,7 @@ GO ?= go
 .PHONY: build test check bench-shards bench-json bench-telemetry bench-batch bench-diff \
 	bench-repl bench-read bench-pipeline bench-ordered bench-epoch bench-session \
 	bench-cacheserver-baseline demo-repl campaign-durability campaign-exactly-once \
-	campaign-cluster bench-cluster check-docs bench-recover
+	campaign-cluster bench-cluster check-docs bench-recover bench-pairs
 
 build:
 	$(GO) build ./...
@@ -139,3 +139,9 @@ bench-recover:
 bench-telemetry:
 	$(GO) test -run 'ZZZ' -bench 'StoreTelemetry|LoadTelemetry' -benchtime 2000000x ./internal/nvm
 	$(GO) test -run 'ZZZ' -bench 'PutTelemetry' -benchtime 300000x ./internal/hashmap
+
+# Alternating parent/change pairs of one bench/ workload, with quartiles
+# and wins — the form a perf claim against BENCHMARK.json takes:
+#   make bench-pairs PARENT=HEAD~1 WORKLOAD=write_pipe [PAIRS=10] [SECONDS=15]
+bench-pairs:
+	bash scripts/bench_pairs.sh $(or $(PARENT),HEAD) $(or $(WORKLOAD),write_pipe) $(or $(PAIRS),10) $(or $(SECONDS),15)

@@ -131,3 +131,39 @@ func TestSectionCrashRollsBackWholeGroup(t *testing.T) {
 
 // uint64ToAddr converts a word offset for address arithmetic in tests.
 func uint64ToAddr(w int) nvm.Addr { return nvm.Addr(w) }
+
+// TestLargeSectionReusesFirstStoreFilter: a section with more distinct
+// stores than the filter's slice holds switches to the address map, and
+// the map is kept (cleared) for the next section instead of rebuilt —
+// the cache server's burst-sized batches make such sections the common
+// case. The second of two 100-store sections allocates nothing, and
+// the filter still logs each address once per OCS: one undo record per
+// distinct address in each section, none for the repeated stores.
+func TestLargeSectionReusesFirstStoreFilter(t *testing.T) {
+	const words = 100
+	tel := &telemetry.AtlasStats{}
+	e := newEnv(t, ModeTSP, Options{Telemetry: tel})
+	th := e.thread(t)
+	p := e.alloc(t, words)
+	mus := []*Mutex{e.rt.NewMutex()}
+	body := func() error {
+		for pass := 0; pass < 2; pass++ { // the second pass must hit the filter
+			for w := 0; w < words; w++ {
+				th.Store(p.Addr()+uint64ToAddr(w), uint64(pass+w))
+			}
+		}
+		return nil
+	}
+	section := func() { _ = th.Section(mus, body) }
+
+	section() // grows the filter once
+	// Per section: acquire + release + one undo record per address.
+	before := tel.LogAppends.Load()
+	if allocs := testing.AllocsPerRun(10, section); allocs != 0 {
+		t.Fatalf("a %d-store section after the first allocated %.1f times, want 0", words, allocs)
+	}
+	runs := tel.OCSCommits.Load() - 1
+	if got, want := tel.LogAppends.Load()-before, runs*(words+2); got != want {
+		t.Fatalf("log appends over %d sections = %d, want %d (each address logged once per OCS)", runs, got, want)
+	}
+}

@@ -26,10 +26,13 @@ type Thread struct {
 	clock      uint64 // Lamport clock: the thread's last log sequence number
 
 	// First-store-per-OCS filter and the line set for the commit-time
-	// data flush in ModeNonTSP. Small OCSes dominate, so a slice scan
-	// beats a map until the OCS grows unusually large.
+	// data flush in ModeNonTSP. A slice scan beats a map while the OCS is
+	// small; past dirtySliceMax addresses dirtySet indexes dirtyAddrs.
+	// The map outlives the OCS that first needed it (cleared, not
+	// dropped), so a thread whose sections are routinely that large —
+	// the cache server's burst-sized batches — allocates it once.
 	dirtyAddrs []nvm.Addr
-	dirtySet   map[nvm.Addr]struct{} // non-nil once dirtyAddrs overflows
+	dirtySet   map[nvm.Addr]struct{}
 
 	// deferredFrees holds blocks unlinked inside OCSes, freed only once
 	// rollback can no longer resurrect them (see FreeDeferred).
@@ -238,14 +241,16 @@ func (t *Thread) flushOCSData() {
 }
 
 func (t *Thread) resetDirty() {
+	if len(t.dirtyAddrs) > dirtySliceMax {
+		clear(t.dirtySet)
+	}
 	t.dirtyAddrs = t.dirtyAddrs[:0]
-	t.dirtySet = nil
 }
 
 // seenDirty reports (and records) whether a was already stored to in the
 // current OCS — Atlas's first-store filter.
 func (t *Thread) seenDirty(a nvm.Addr) bool {
-	if t.dirtySet != nil {
+	if len(t.dirtyAddrs) > dirtySliceMax {
 		if _, ok := t.dirtySet[a]; ok {
 			return true
 		}
@@ -260,7 +265,9 @@ func (t *Thread) seenDirty(a nvm.Addr) bool {
 	}
 	t.dirtyAddrs = append(t.dirtyAddrs, a)
 	if len(t.dirtyAddrs) > dirtySliceMax {
-		t.dirtySet = make(map[nvm.Addr]struct{}, 2*len(t.dirtyAddrs))
+		if t.dirtySet == nil {
+			t.dirtySet = make(map[nvm.Addr]struct{}, 4*dirtySliceMax)
+		}
 		for _, x := range t.dirtyAddrs {
 			t.dirtySet[x] = struct{}{}
 		}

@@ -16,28 +16,37 @@ type burstReader struct{ burst []byte }
 func (r *burstReader) Read(p []byte) (int, error) { return copy(p, r.burst), nil }
 
 // TestWritePathAllocBudget pins the heap allocations of one trip
-// through decoder → serveBatch → encoder for the two shapes the write
-// path is tuned for: a lone durable set on an idle shard (submit's
+// through decoder → serveBatch → encoder for the shapes the write path
+// is tuned for: a lone durable set on an idle shard (submit's
 // own-goroutine arm: no queue hop, no channel, no group value
-// allocated) and a depth-64 pipelined burst fanned across four shards.
-// The budgets are what the commit before the single write path
-// measured with this same test — the one executor may not cost more
-// than the paths it replaced (it measures 1 and 75: the section
-// closure for the lone set; for the burst, one staged reply per
-// command plus the four-way split). Epoch tiers are off so no
-// background clock allocates into the measurement.
+// allocated), a depth-64 pipelined burst fanned across four shards,
+// and the same burst with every 8th command seq-tagged (the write_pipe
+// shape; each trip resends the same seqs, so after the first they are
+// duplicates or stale, answered by the volatile pre-check or the
+// executor). The budgets are what this test measures: the commit plan
+// and the reply being staged are scratch on the connection, so a trip
+// allocates nothing but the text of the session handshake's reply.
+// Epoch tiers are off so no background clock allocates into the
+// measurement.
 func TestWritePathAllocBudget(t *testing.T) {
-	var burst strings.Builder
+	var burst, tagged strings.Builder
+	tagged.WriteString("session 1\r\n")
 	for k := 0; k < 64; k++ {
 		fmt.Fprintf(&burst, "set %d %d\r\n", k, k)
+		if k%8 == 7 {
+			fmt.Fprintf(&tagged, "incr %d 1 seq=%d\r\n", k, k)
+		} else {
+			fmt.Fprintf(&tagged, "set %d %d\r\n", k, k)
+		}
 	}
 	for _, tc := range []struct {
 		name   string
 		input  string
 		budget float64
 	}{
-		{"lone_durable_set", "set 1 2\r\n", 2},
-		{"depth64_burst", burst.String(), 114},
+		{"lone_durable_set", "set 1 2\r\n", 0},
+		{"depth64_burst", burst.String(), 0},
+		{"depth64_burst_seq_every_8th", tagged.String(), 1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			s, err := New(WithShards(4), WithEpochInterval(0))

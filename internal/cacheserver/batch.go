@@ -20,31 +20,35 @@ import (
 // lock, per shard the commit order, the replication-log order and the
 // order in which tiers observe each other are the same order.
 //
-// How a group reaches the executor is a scheduling choice made in one
-// place, shard.submit, with three arms:
+// A submitter hands a shard an ordered LIST of groups (chained through
+// batchReq.next): everything one pipelined burst — or one replicated
+// group, or one epoch drain — owes this shard, in program order (see
+// plan.go). How a list reaches the executor is a scheduling choice made
+// in one place, shard.submit, with three arms:
 //
 //   - Own goroutine: the submitter tries the drain lock without waiting
-//     and, if it wins, runs its group there and then — together with
-//     whatever other groups are already queued, up to BatchMax ops — with
-//     no queue hop, no channel and no goroutine handoff. A lone command
-//     on an idle shard costs one section and nothing else.
-//   - Queue: a submitter that loses the lock enqueues its group, rings
-//     the shard's doorbell and waits. Whoever holds the drain lock next
-//     (another submitter, or the worker goroutine the doorbell wakes)
-//     drains every queued group into one shared section: the paper's
-//     procrastination argument applied to the request path — the
-//     acquire/release log records, the undo logging and the OCS commit
-//     are paid once per DRAINED BATCH, so the per-op cost shrinks as
-//     load (and therefore batch size) grows.
+//     and, if it wins, runs its list there and then in as few sections
+//     as BatchMax allows, the last filled up with whatever others have
+//     queued — no queue hop, no channel, no goroutine handoff. A lone
+//     command on an idle shard costs one section and nothing else.
+//   - Queue: a submitter that loses the lock enqueues its list behind
+//     ONE completion channel, rings the shard's doorbell and moves on.
+//     Whoever holds the drain lock next (another submitter, or the
+//     worker goroutine the doorbell wakes) drains the queued lists into
+//     shared sections: the paper's procrastination argument applied to
+//     the request path — the acquire/release log records, the undo
+//     logging and the OCS commit are paid once per DRAINED BATCH, so
+//     the per-op cost shrinks as load (and batch size) grows.
 //   - Blocked: when the queue is full the submitter waits for the drain
-//     lock itself and runs its group when it gets it. Backpressure
+//     lock itself and runs its list when it gets it. Backpressure
 //     surfaces as the server_batch_fallbacks counter.
 //
-// A group deeper than BatchMax (a deeply pipelined burst, a wide mset,
-// an epoch drain) is chunked by submit into BatchMax-sized sections run
-// back to back under one hold of the drain lock; the bound is what
-// sizes the undo-log ring. A group's session record, follower marks and
-// floor ride its last chunk.
+// A section never splits a group, and the plan compiler cuts groups at
+// command boundaries. The one exception is a single group wider than
+// BatchMax (a wide mset, an epoch drain), which runs alone as
+// BatchMax-sized sections back to back — the bound is what sizes the
+// undo-log ring — its session record, follower marks and floor riding
+// the last chunk.
 //
 // Crash safety is inherited rather than re-proven: every batch executes
 // under the shard read lock, and the administrative crash command tears
@@ -99,22 +103,24 @@ type batchOp struct {
 	err error
 }
 
-// batchReq is one commit group: the ops one submitter contributes to
-// one shard, applied inside one section (see the chunking note above).
-// epoch is non-zero only on epoch-drain groups; it stamps the
+// batchReq is one commit group: ops one submitter contributes to one
+// shard that apply inside one section (but see the wide-group note
+// above). epoch is non-zero only on epoch-drain groups; it stamps the
 // replication log group so followers learn how far the relaxed
 // frontier has propagated.
 //
 // A request with sess != 0 is a sessioned group (see session.go): the
 // executor re-checks the dedup window, applies the ops, and commits the
-// session record inside the one section — sessDup/sessOld/sessPay
-// carry the verdict back. marks and floor ride only on follower-apply
+// session record inside the one section — verdict and sessPay carry
+// the outcome back. marks and floor ride only on follower-apply
 // groups: replicated session records (and the primary's eviction
 // floor) that must commit atomically with the group's ops.
 //
-// done is nil while the group runs in its submitter's goroutine; submit
-// allocates it only when the group is queued, and the drain closes it
-// after every op's result is filled in.
+// next chains the submitter's following group on this shard; the drain
+// commits a list in chain order. done is nil while the list runs in its
+// submitter's goroutine; submit allocates it — on the list's LAST group
+// only — when the list is queued, and the drain closes it after every
+// op's result in the whole list is filled in.
 type batchReq struct {
 	ops   []batchOp
 	epoch uint64
@@ -123,26 +129,31 @@ type batchReq struct {
 	sseq    uint64
 	wkey    uint64
 	sessCmd proto.Cmd
-	sessDup bool
-	sessOld bool
+	verdict sessVerdict
 	sessPay uint64
 
 	marks []repl.SessRec
 	floor uint64
 
+	next *batchReq
 	done chan struct{}
 }
 
-// submit schedules one commit group on the shard — the only way a
-// mutation reaches the engines. On return the group has either already
-// committed in this goroutine or is queued; g.wait() covers both, so a
-// multi-shard command submits to every owner shard before waiting on
-// any.
+// submit schedules one list of commit groups on the shard — the only
+// way a mutation reaches the engines. On return the list has either
+// already committed in this goroutine or is queued; wait() on its last
+// group covers both, so a multi-shard plan submits to every owner shard
+// before waiting on any. A list whose first group is wider than a
+// section (an epoch drain, a snapshot wipe) is never queued: its chunks
+// run on the goroutine that brought them, not on a client's.
 func (sh *shard) submit(g *batchReq) {
-	max := sh.cfg.batchMax
 	if !sh.combineMu.TryLock() {
-		if len(g.ops) <= max {
-			g.done = make(chan struct{})
+		if len(g.ops) <= sh.cfg.batchMax {
+			last := g
+			for last.next != nil {
+				last = last.next
+			}
+			last.done = make(chan struct{})
 			select {
 			case sh.queue <- g:
 				sh.ringDoorbell()
@@ -150,41 +161,29 @@ func (sh *shard) submit(g *batchReq) {
 			default:
 				// Counted before blocking, so backpressure is visible
 				// while it is happening.
-				g.done = nil
+				last.done = nil
 				sh.tel.Server.BatchFallbacks.Inc()
 			}
 		}
 		sh.combineMu.Lock()
 	}
-	defer sh.combineMu.Unlock()
-	if len(g.ops) <= max {
-		sh.runBatch(sh.drainLocked(g))
-		return
-	}
-	// Oversized: the head runs as plain chunks — for a sessioned mset
-	// they are absolute sets, idempotent under the retry a crash before
-	// the record would provoke — and g itself, narrowed to the tail,
-	// carries record, marks and floor into the last section.
-	all := g.ops
-	head := batchReq{epoch: g.epoch}
-	for len(g.ops) > max {
-		head.ops, g.ops = g.ops[:max], g.ops[max:]
-		sh.runOne(&head)
-	}
-	sh.runOne(g)
-	g.ops = all
+	sh.drain(g)
+	sh.combineMu.Unlock()
 }
 
-// runOne executes g alone as one batch. Caller holds combineMu.
-func (sh *shard) runOne(g *batchReq) {
-	sh.pendingScratch = append(sh.pendingScratch[:0], g)
-	sh.runBatch(sh.pendingScratch, len(g.ops))
-}
-
-// wait blocks until a submitted group has committed.
+// wait blocks until the list ending in g has committed.
 func (g *batchReq) wait() {
 	if g.done != nil {
 		<-g.done
+	}
+}
+
+// complete publishes a queued list's results to its waiting submitter
+// once its last group has committed. The channel is read once: after
+// the close the submitter owns the list again and may reuse it.
+func (g *batchReq) complete() {
+	if done := g.done; done != nil {
+		close(done)
 	}
 }
 
@@ -207,17 +206,19 @@ func (sh *shard) workerThread() (*atlas.Thread, error) {
 }
 
 // worker is the queue's liveness backstop. Nobody blocks receiving on
-// the queue: a submitter that wins the drain lock takes the queued
-// groups into its own batch (see submit). Only a submitter that lost
-// the lock rings the doorbell, and the worker wakes, waits its turn on
-// the drain lock, and flushes whatever is still queued. The doorbell
-// has capacity one: rings coalesce, and a wake that finds the queue
-// already drained costs one empty drainAll.
+// the queue: a submitter that wins the drain lock takes queued lists
+// into its own sections (see drain). Only a submitter that lost the
+// lock rings the doorbell, and the worker wakes, waits its turn on the
+// drain lock, and flushes whatever is still queued. The doorbell has
+// capacity one: rings coalesce, and a wake that finds the queue already
+// drained costs one empty drain.
 func (sh *shard) worker() {
 	defer close(sh.workerDone)
 	for {
 		_, ok := <-sh.doorbell
-		sh.drainAll()
+		sh.combineMu.Lock()
+		sh.drain(nil)
+		sh.combineMu.Unlock()
 		if !ok {
 			return
 		}
@@ -234,57 +235,78 @@ func (sh *shard) ringDoorbell() {
 	}
 }
 
-// drainLocked assembles the next batch — first (the caller's own
-// group, when it has one), then the carry slot and the queue — holding
-// at most batchMax ops and never splitting a group. Caller holds
-// combineMu. A queued group that would overflow this batch parks in
-// sh.carry for the next call, keeping its one-OCS atomicity and its
-// place in line intact.
-func (sh *shard) drainLocked(first *batchReq) ([]*batchReq, int) {
-	max := sh.cfg.batchMax
-	pending := sh.pendingScratch[:0]
-	nops := 0
-	if first != nil {
-		pending = append(pending, first)
-		nops = len(first.ops)
+// head returns the slot holding the next group in line without taking
+// it: the caller's own list first, then the list a previous drain left
+// half-taken (sh.carry), then the queue. Only the drain-lock holder
+// receives, so a non-empty queue cannot empty under it and the receive
+// never blocks.
+func (sh *shard) head(own **batchReq) **batchReq {
+	if *own != nil {
+		return own
 	}
-	if c := sh.carry; c != nil && nops+len(c.ops) <= max {
-		pending = append(pending, c)
-		nops += len(c.ops)
-		sh.carry = nil
+	if sh.carry == nil && len(sh.queue) > 0 {
+		sh.carry = <-sh.queue
 	}
-	// Only the drain-lock holder receives, so a non-empty queue cannot
-	// empty under this loop and the receive never blocks.
-	for sh.carry == nil && nops < max && len(sh.queue) > 0 {
-		r := <-sh.queue
-		if nops+len(r.ops) > max {
-			sh.carry = r
-			break
-		}
-		pending = append(pending, r)
-		nops += len(r.ops)
-	}
-	sh.pendingScratch = pending
-	return pending, nops
+	return &sh.carry
 }
 
-// drainAll flushes the queue to empty (in batchMax-bounded sections),
-// blocking for the drain lock. The worker's path.
-func (sh *shard) drainAll() {
-	sh.combineMu.Lock()
-	for {
-		reqs, nops := sh.drainLocked(nil)
-		if len(reqs) == 0 {
-			break
+// drain runs sections of at most batchMax ops, never splitting a group,
+// until the caller's own list has committed — its last section taking
+// along whatever is queued while there is room — or, for the worker
+// (own == nil), until nothing is queued. Caller holds combineMu. A
+// queued list cut off by a full section stays in sh.carry, keeping its
+// groups' one-OCS atomicity and its place in line; whoever queued it
+// rang the doorbell afterwards, so a worker drain is still to come.
+func (sh *shard) drain(own *batchReq) {
+	max, worker := sh.cfg.batchMax, own == nil
+	for worker || own != nil {
+		pending, nops := sh.pendingScratch[:0], 0
+		slot := sh.head(&own)
+		for g := *slot; g != nil && nops+len(g.ops) <= max; g = *slot {
+			pending = append(pending, g)
+			nops += len(g.ops)
+			*slot = g.next
+			slot = sh.head(&own)
 		}
-		sh.runBatch(reqs, nops)
+		sh.pendingScratch = pending
+		g := *slot
+		switch {
+		case len(pending) > 0:
+			sh.runBatch(pending, nops)
+			for _, r := range pending {
+				r.complete()
+			}
+		case g == nil:
+			return
+		default:
+			// Wider than a section on its own: the head runs as plain
+			// chunks — for a sessioned mset they are absolute sets,
+			// idempotent under the retry a crash before the record would
+			// provoke — and g itself, narrowed to the tail, carries record,
+			// marks and floor into the last section.
+			*slot = g.next
+			all := g.ops
+			chunk := batchReq{epoch: g.epoch}
+			for len(g.ops) > max {
+				chunk.ops, g.ops = g.ops[:max], g.ops[max:]
+				sh.runOne(&chunk)
+			}
+			sh.runOne(g)
+			g.ops = all
+			g.complete()
+		}
 	}
-	sh.combineMu.Unlock()
+}
+
+// runOne executes g alone as one batch. Caller holds combineMu.
+func (sh *shard) runOne(g *batchReq) {
+	sh.pendingScratch = append(sh.pendingScratch[:0], g)
+	sh.runBatch(sh.pendingScratch, len(g.ops))
 }
 
 // runBatch executes one batch of commit groups inside a single
-// outermost critical section over the union of their stripe mutexes,
-// then completes every queued group. The caller holds combineMu, so at
+// outermost critical section over the union of their stripe mutexes;
+// completing queued lists is the caller's job. The caller holds combineMu, so at
 // most one batch is in flight per shard and the scratch buffers and
 // drain thread are single-owner. Stripes are deduplicated and acquired
 // in ascending order; the drain-lock holder is the only stripe acquirer
@@ -298,7 +320,6 @@ func (sh *shard) runBatch(reqs []*batchReq, nops int) {
 			for i := range r.ops {
 				r.ops[i].err = err
 			}
-			r.complete()
 		}
 		return
 	}
@@ -386,18 +407,6 @@ func (sh *shard) runBatch(reqs []*batchReq, nops int) {
 	}
 	sh.stripeScratch, sh.mutexScratch = stripes[:0], mus[:0]
 	sh.mu.RUnlock()
-	for _, r := range reqs {
-		r.complete()
-	}
-}
-
-// complete publishes a queued group's results to its waiting
-// submitter. The channel is read once: after the close the submitter
-// owns the group again and may reuse it.
-func (g *batchReq) complete() {
-	if done := g.done; done != nil {
-		close(done)
-	}
 }
 
 // execOp runs one op against the shard's engines with th, inside the

@@ -296,10 +296,7 @@ func (s *Server) migrateSlot(st *clusterState, slot int, target string) (npairs,
 	// The slot's current pairs, shard by shard. Each shard is copied
 	// under its lock and filtered after, so the pause is the copy.
 	for _, sh := range s.shards {
-		all, err := sh.pairs()
-		if err != nil {
-			return 0, 0, err
-		}
+		all := sh.pairs()
 		kept := all[:0]
 		for _, p := range all {
 			if cluster.SlotOf(p.Key) == slot {
@@ -527,10 +524,7 @@ func (s *Server) serveImport(conn net.Conn, dec *proto.Decoder, slot int) {
 func (s *Server) abortImport(ap *replApplier, slot int) {
 	st := s.clusterSt
 	for _, sh := range s.shards {
-		all, err := sh.pairs()
-		if err != nil {
-			continue
-		}
+		all := sh.pairs()
 		var dels []repl.Op
 		for _, p := range all {
 			if cluster.SlotOf(p.Key) == slot {
@@ -538,7 +532,7 @@ func (s *Server) abortImport(ap *replApplier, slot int) {
 			}
 		}
 		if len(dels) > 0 {
-			ap.applyOps(dels)
+			ap.apply(dels, nil, 0)
 		}
 	}
 	st.state[slot].Store(slotUnowned)

@@ -357,10 +357,10 @@ func (sh *shard) setDurableEpoch(e uint64) {
 	sh.mu.RUnlock()
 }
 
-// waitEpoch blocks until the persistent frontier reaches target, the
-// timeout (0 = none) passes, or the server closes. Returns whether the
-// frontier got there.
-func (s *Server) waitEpoch(target uint64, timeout time.Duration) bool {
+// park blocks until met reports true, the timeout (0 = none) passes, or
+// the server closes; wake is the broadcast every event that can change
+// met's answer re-arms. Returns met's last answer.
+func (s *Server) park(wake *atomic.Pointer[chan struct{}], timeout time.Duration, met func() bool) bool {
 	var deadline <-chan time.Time
 	if timeout > 0 {
 		t := time.NewTimer(timeout)
@@ -368,54 +368,37 @@ func (s *Server) waitEpoch(target uint64, timeout time.Duration) bool {
 		deadline = t.C
 	}
 	for {
-		if s.perEpoch.Load() >= target {
+		if met() {
 			return true
 		}
 		if s.closing.Load() {
 			return false
 		}
-		ch := *s.epochWake.Load()
+		ch := *wake.Load()
 		// Re-check between arming and parking: the broadcast may have
 		// happened after the first check but before the channel load.
-		if s.perEpoch.Load() >= target {
+		if met() {
 			return true
 		}
 		select {
 		case <-ch:
 		case <-deadline:
-			return s.perEpoch.Load() >= target
+			return met()
 		}
 	}
 }
 
-// waitRepl blocks until need followers have acknowledged (gen, seq),
-// the timeout (0 = none) passes, or the server closes. Returns the
-// achieved count and whether the target was met.
+// waitEpoch parks until the persistent frontier reaches target; it
+// returns whether the frontier got there.
+func (s *Server) waitEpoch(target uint64, timeout time.Duration) bool {
+	return s.park(&s.epochWake, timeout, func() bool { return s.perEpoch.Load() >= target })
+}
+
+// waitRepl parks until need followers have acknowledged (gen, seq); it
+// returns the achieved count and whether the target was met.
 func (s *Server) waitRepl(gen, seq uint64, need int, timeout time.Duration) (int, bool) {
-	var deadline <-chan time.Time
-	if timeout > 0 {
-		t := time.NewTimer(timeout)
-		defer t.Stop()
-		deadline = t.C
-	}
-	for {
-		if got := s.replPrimary.AckedCount(gen, seq); got >= need {
-			return got, true
-		}
-		if s.closing.Load() {
-			return s.replPrimary.AckedCount(gen, seq), false
-		}
-		ch := *s.ackWake.Load()
-		if got := s.replPrimary.AckedCount(gen, seq); got >= need {
-			return got, true
-		}
-		select {
-		case <-ch:
-		case <-deadline:
-			got := s.replPrimary.AckedCount(gen, seq)
-			return got, got >= need
-		}
-	}
+	met := s.park(&s.ackWake, timeout, func() bool { return s.replPrimary.AckedCount(gen, seq) >= need })
+	return s.replPrimary.AckedCount(gen, seq), met
 }
 
 // serveWait answers one wait barrier. Called from serveBatch AFTER the
@@ -485,7 +468,7 @@ func (s *Server) serveWait(cs *connState, req *proto.Request) proto.Reply {
 // pending durable group flushed first), so tiers interleave in program
 // order on a connection.
 //
-// A seq-tagged request (routed here by serveSessioned, single-key by
+// A seq-tagged request (routed here by planSessioned, single-key by
 // then) buffers its dedup record beside the value — in the overlay
 // entry and the volatile mirror — and both persist in the same section
 // when the epoch closes (or a durable fold takes the entry). A crash
@@ -551,7 +534,6 @@ func (s *Server) serveRelaxed(cs *connState, req *proto.Request) proto.Reply {
 	rep.Epoch = s.curEpoch.Load()
 	if sess != 0 {
 		sh0.sessBuffer(sess, seq, pay, key)
-		return rep // serveSessioned observes the command's latency
 	}
 	sh0.tel.CmdLatency.ObserveProto(cs.ptel, cmdTelemetry(req.Cmd), time.Since(start))
 	return rep

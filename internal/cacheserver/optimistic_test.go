@@ -506,13 +506,16 @@ func TestMGetRejectsMidGroupCommit(t *testing.T) {
 	}
 	defer func() { s.optReadHook = nil }()
 
-	ops := []batchOp{{kind: opGet, key: k1}, {kind: opGet, key: k2}}
-	pending := s.readOptimistic(ops)
+	cs := s.newConnState()
+	for _, k := range []uint64{k1, k2} {
+		cs.refs = append(cs.refs, cs.plan.add(s.shardOf(k), batchOp{kind: opGet, key: k}, true))
+	}
+	served := s.readOptimistic(cs)
 	if !fired {
 		t.Fatal("interleaving hook never fired")
 	}
-	if len(pending) != len(ops) {
-		t.Fatalf("readOptimistic returned pending=%v: a mid-group commit must send the whole group to the locked fallback", pending)
+	if served {
+		t.Fatal("readOptimistic served the group: a mid-group commit must send the whole group to the locked fallback")
 	}
 }
 

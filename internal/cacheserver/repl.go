@@ -1,7 +1,6 @@
 package cacheserver
 
 import (
-	"errors"
 	"fmt"
 	"net"
 	"time"
@@ -122,10 +121,7 @@ func (s *Server) closeReplication() {
 // converges.
 func (s *Server) replSnapshot(emit func([]repl.Pair) error) error {
 	for _, sh := range s.shards {
-		pairs, err := sh.pairs()
-		if err != nil {
-			return err
-		}
+		pairs := sh.pairs()
 		if err := emit(pairs); err != nil {
 			return err
 		}
@@ -134,7 +130,7 @@ func (s *Server) replSnapshot(emit func([]repl.Pair) error) error {
 }
 
 // pairs copies the shard's live contents for a snapshot transfer.
-func (sh *shard) pairs() ([]repl.Pair, error) {
+func (sh *shard) pairs() []repl.Pair {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	out := make([]repl.Pair, 0, 1024)
@@ -148,7 +144,7 @@ func (sh *shard) pairs() ([]repl.Pair, error) {
 			return true
 		})
 	}
-	return out, nil
+	return out
 }
 
 // replSessions streams every shard's PERSISTENT session dedup records
@@ -229,50 +225,59 @@ type replApplier struct {
 	cs *connState
 }
 
-// toBatchOps converts replicated ops — absolute sets and deletes in
-// either keyspace — to batch ops.
-func toBatchOps(rops []repl.Op) []batchOp {
-	ops := make([]batchOp, len(rops))
-	for i, r := range rops {
-		switch {
-		case r.List && r.Del:
-			ops[i] = batchOp{kind: opZDelete, key: r.Key}
-		case r.List:
-			ops[i] = batchOp{kind: opZSet, key: r.Key, arg: r.Val}
-		case r.Del:
-			ops[i] = batchOp{kind: opDelete, key: r.Key}
-		default:
-			ops[i] = batchOp{kind: opSet, key: r.Key, arg: r.Val}
-		}
+// toBatchOp converts one replicated op — an absolute set or delete in
+// either keyspace — to a batch op.
+func toBatchOp(r repl.Op) batchOp {
+	switch {
+	case r.List && r.Del:
+		return batchOp{kind: opZDelete, key: r.Key}
+	case r.List:
+		return batchOp{kind: opZSet, key: r.Key, arg: r.Val}
+	case r.Del:
+		return batchOp{kind: opDelete, key: r.Key}
 	}
-	return ops
+	return batchOp{kind: opSet, key: r.Key, arg: r.Val}
 }
 
-// applyOps executes replicated ops that carry no session records.
-func (a *replApplier) applyOps(rops []repl.Op) error {
-	if len(rops) == 0 {
+// apply commits replicated ops, session records and an eviction floor
+// as one plan: ops AND records route by shard so each shard commits its
+// ops and the records that witnessed them in one section, and a
+// non-zero floor is raised on every shard.
+func (a *replApplier) apply(rops []repl.Op, marks []repl.SessRec, floor uint64) error {
+	if len(rops) == 0 && len(marks) == 0 && floor == 0 {
 		return nil
 	}
 	start := time.Now()
-	ops := toBatchOps(rops)
-	a.s.execGroup(a.cs, ops)
-	a.s.shardOf(ops[0].key).tel.CmdLatency.ObserveProto(a.cs.ptel, telemetry.CmdRepl, time.Since(start))
-	return spanErr(ops)
+	p := &a.cs.plan
+	for _, r := range rops {
+		p.add(a.s.shardOf(r.Key), toBatchOp(r), true)
+	}
+	for _, m := range marks {
+		l := p.leg(a.s.shardOf(m.Key))
+		l.marks = append(l.marks, m)
+	}
+	if floor > 0 {
+		for _, sh := range a.s.shards {
+			p.leg(sh).floor = floor
+		}
+	}
+	a.s.runPlan(p)
+	err := p.err()
+	a.s.shards[p.used[0]].tel.CmdLatency.ObserveProto(a.cs.ptel, telemetry.CmdRepl, time.Since(start))
+	p.reset()
+	return err
 }
 
 // Wipe deletes every local key so an incoming snapshot replaces the
 // follower's state rather than merging with it.
 func (a *replApplier) Wipe() error {
 	for _, sh := range a.s.shards {
-		pairs, err := sh.pairs()
-		if err != nil {
-			return err
-		}
+		pairs := sh.pairs()
 		dels := make([]repl.Op, len(pairs))
 		for i, p := range pairs {
 			dels[i] = repl.Op{Del: true, List: p.List, Key: p.Key}
 		}
-		if err := a.applyOps(dels); err != nil {
+		if err := a.apply(dels, nil, 0); err != nil {
 			return err
 		}
 	}
@@ -285,7 +290,7 @@ func (a *replApplier) ApplyPairs(pairs []repl.Pair) error {
 	for i, p := range pairs {
 		sets[i] = repl.Op{List: p.List, Key: p.Key, Val: p.Val}
 	}
-	return a.applyOps(sets)
+	return a.apply(sets, nil, 0)
 }
 
 // ApplySessions merges one snapshot session-window chunk: records
@@ -295,30 +300,12 @@ func (a *replApplier) ApplyPairs(pairs []repl.Pair) error {
 // turns some replayable retries into "seq too old", never into a
 // duplicate application, which is the safe direction.
 func (a *replApplier) ApplySessions(recs []repl.SessRec, floor uint64) error {
-	legs := a.s.splitByShard(nil, recs)
-	for i := range legs {
-		legs[i].req.floor = floor
-	}
-	a.s.submitLegs(legs)
-	return nil
+	return a.apply(nil, recs, floor)
 }
 
-// ApplyGroup applies one committed group in commit order. Ops AND
-// session records route by shard so each shard commits its ops and the
-// records that witnessed them in one section — a promoted follower then
-// answers the primary's in-flight retries exactly as the primary would
-// have.
+// ApplyGroup applies one committed group in commit order, its session
+// records with it — a promoted follower then answers the primary's
+// in-flight retries exactly as the primary would have.
 func (a *replApplier) ApplyGroup(rops []repl.Op, marks []repl.SessRec) error {
-	if len(marks) == 0 {
-		return a.applyOps(rops)
-	}
-	legs := a.s.splitByShard(toBatchOps(rops), marks)
-	a.s.submitLegs(legs)
-	var errs []error
-	for i := range legs {
-		if err := spanErr(legs[i].req.ops); err != nil {
-			errs = append(errs, err)
-		}
-	}
-	return errors.Join(errs...)
+	return a.apply(rops, marks, 0)
 }

@@ -12,12 +12,11 @@ import (
 
 // The pipelined serving path. A connection's bytes flow through a
 // proto.Decoder that surfaces every buffered request as ONE batch, the
-// batch's data commands coalesce into ONE combined op group fed to the
-// shard pipeline as a single enqueue, and the replies stage in a
-// proto.Encoder that answers the whole batch with ONE write. The
-// protocol itself — framing, spellings, error texts — lives entirely
-// behind the proto.Adapter seam, so this file never touches wire
-// bytes.
+// batch's data commands compile into ONE commit plan submitted once per
+// owner shard (plan.go), and the replies stage in a proto.Encoder that
+// answers the whole batch with ONE write. The protocol itself —
+// framing, spellings, error texts — lives entirely behind the
+// proto.Adapter seam, so this file never touches wire bytes.
 
 // readOnlyMsg is the mutation-rejection text a replicating follower
 // answers until promoted.
@@ -85,13 +84,21 @@ func (s *Server) handle(conn net.Conn) {
 	}
 }
 
-// cmdTag maps one request's slice of the combined op group back to the
-// reply that answers it: ops[start:start+n] belong to req.
+// cmdTag maps one request to the ops that answer it: refs[start:start+n]
+// locate them in the connection's plan. sh is the shard of the request's
+// first key, where its latency is recorded. A seq-tagged request also
+// has a session verdict: grp > 0 names (one-based) its sessioned group
+// in sh's leg, whose executor decides; grp == 0 means the volatile
+// pre-check settled it as verdict/pay and the tag holds no ops.
 type cmdTag struct {
-	cmd   telemetry.Command
 	req   *proto.Request
+	sh    *shard
 	start int
 	n     int
+
+	grp     int
+	verdict sessVerdict
+	pay     uint64
 }
 
 // cmdTelemetry maps a data command to its latency-histogram key.
@@ -133,54 +140,46 @@ func mutates(c proto.Cmd) bool {
 	return true
 }
 
-// appendOps translates one decoded request into batch pipeline ops.
+// appendOps translates one decoded request into batch pipeline ops: one
+// per key for reads and deletes, one per key/value pair for writes.
 func appendOps(ops []batchOp, req *proto.Request) []batchOp {
+	kind, stride := opSet, 2 // CmdSet, CmdMSet
 	switch req.Cmd {
-	case proto.CmdGet:
-		return append(ops, batchOp{kind: opGet, key: req.KV[0]})
-	case proto.CmdSet:
-		return append(ops, batchOp{kind: opSet, key: req.KV[0], arg: req.KV[1]})
-	case proto.CmdIncr:
-		return append(ops, batchOp{kind: opIncr, key: req.KV[0], arg: req.KV[1]})
+	case proto.CmdGet, proto.CmdMGet:
+		kind, stride = opGet, 1
 	case proto.CmdDelete:
-		for _, k := range req.KV {
-			ops = append(ops, batchOp{kind: opDelete, key: k})
-		}
-		return ops
-	case proto.CmdMGet:
-		for _, k := range req.KV {
-			ops = append(ops, batchOp{kind: opGet, key: k})
-		}
-		return ops
-	case proto.CmdZAdd:
-		return append(ops, batchOp{kind: opZSet, key: req.KV[0], arg: req.KV[1]})
-	case proto.CmdZIncr:
-		return append(ops, batchOp{kind: opZIncr, key: req.KV[0], arg: req.KV[1]})
+		kind, stride = opDelete, 1
 	case proto.CmdZDel:
-		return append(ops, batchOp{kind: opZDelete, key: req.KV[0]})
-	default: // CmdMSet
-		for i := 0; i+1 < len(req.KV); i += 2 {
-			ops = append(ops, batchOp{kind: opSet, key: req.KV[i], arg: req.KV[i+1]})
-		}
-		return ops
+		kind, stride = opZDelete, 1
+	case proto.CmdIncr:
+		kind = opIncr
+	case proto.CmdZAdd:
+		kind = opZSet
+	case proto.CmdZIncr:
+		kind = opZIncr
 	}
+	for i := 0; i+stride <= len(req.KV); i += stride {
+		op := batchOp{kind: kind, key: req.KV[i]}
+		if stride == 2 {
+			op.arg = req.KV[i+1]
+		}
+		ops = append(ops, op)
+	}
+	return ops
 }
 
 // serveBatch executes one decoded batch and stages every reply, in
-// request order. Consecutive data commands coalesce into one combined
-// op group — the decoded group becomes the batch pipeline's group, so
-// a pipelined burst pays one enqueue and one Atlas critical section
-// per shard rather than one per command. Admin commands (and malformed
-// requests) are sequence points: the pending group executes first,
-// because a crash or stats must observe every earlier command's
-// effects. Returns true when the client asked to quit; requests after
-// the quit are not executed (the old per-line handler stopped at quit
-// the same way).
+// request order. Consecutive data commands compile into one commit plan
+// (see plan.go) — the decoded burst becomes, per shard, one ordered
+// list of commit groups, so a pipelined burst pays one submission and
+// (the drain lock willing) one Atlas critical section per shard rather
+// than one per command, seq-tagged commands included. Admin commands
+// (and malformed requests) are sequence points: the pending plan
+// executes first, because a crash or stats must observe every earlier
+// command's effects. Returns true when the client asked to quit;
+// requests after the quit are not executed (the old per-line handler
+// stopped at quit the same way).
 func (s *Server) serveBatch(cs *connState, enc *proto.Encoder, batch []proto.Request) (quit bool) {
-	ops := cs.ops[:0]
-	tags := cs.tags[:0]
-	defer func() { cs.ops, cs.tags = ops, tags }()
-
 	// On a cluster node the whole batch runs under the slot gate's read
 	// lock, so an ownership check and the execution it admitted cannot
 	// straddle a migration flip (which takes the write lock). Parking
@@ -191,18 +190,7 @@ func (s *Server) serveBatch(cs *connState, enc *proto.Encoder, batch []proto.Req
 		cl.gate.RLock()
 		defer cl.gate.RUnlock()
 	}
-
-	flushData := func() {
-		if len(tags) == 0 {
-			return
-		}
-		s.runDataGroup(cs, ops, tags)
-		for ti := range tags {
-			rep := s.buildDataReply(cs, &tags[ti], ops)
-			enc.Stage(&rep)
-		}
-		ops, tags = ops[:0], tags[:0]
-	}
+	flushData := func() { s.flushPlan(cs, enc) }
 
 	for i := range batch {
 		req := &batch[i]
@@ -212,83 +200,66 @@ func (s *Server) serveBatch(cs *connState, enc *proto.Encoder, batch []proto.Req
 			proto.CmdZAdd, proto.CmdZIncr, proto.CmdZDel:
 			if s.readOnly.Load() && mutates(req.Cmd) {
 				flushData()
-				rep := proto.Reply{Kind: proto.KErrServer, Msg: readOnlyMsg}
-				enc.Stage(&rep)
+				cs.stage(enc, proto.Reply{Kind: proto.KErrServer, Msg: readOnlyMsg})
 				continue
 			}
 			if cl != nil {
 				if rep, moved := cl.checkReq(req); moved {
 					flushData()
-					enc.Stage(&rep)
+					cs.stage(enc, rep)
 					continue
 				}
 			}
 			if req.HasSeq {
-				// A seq-tagged request is a detectable operation: it must
-				// consult (and maybe replay from) the session window, so it
-				// never coalesces into the combined group. Sequence point —
-				// earlier pipelined writes land first, in program order.
-				flushData()
-				rep := s.serveSessioned(cs, req)
-				enc.Stage(&rep)
+				s.planSessioned(cs, enc, req)
 				continue
 			}
+			sh := s.shardOf(req.KV[0])
 			if mutates(req.Cmd) {
 				if req.Dur != proto.DurDurable && s.epochEnabled() {
 					// Relaxed/fire tier: a sequence point — the pending
-					// durable group lands first so tiers interleave in
+					// durable plan lands first so tiers interleave in
 					// program order on this connection — then the write is
 					// buffered and acked with its epoch receipt.
 					flushData()
-					rep := s.serveRelaxed(cs, req)
-					enc.Stage(&rep)
+					cs.stage(enc, s.serveRelaxed(cs, req))
 					continue
 				}
-				s.shardOf(req.KV[0]).tel.Server.DurableOps.Inc()
+				sh.tel.Server.DurableOps.Inc()
 			}
-			start := len(ops)
-			ops = appendOps(ops, req)
-			tags = append(tags, cmdTag{cmd: cmdTelemetry(req.Cmd), req: req, start: start, n: len(ops) - start})
+			tag := cmdTag{req: req, sh: sh, start: len(cs.refs)}
+			cs.ops = appendOps(cs.ops[:0], req)
+			for i := range cs.ops {
+				if i > 0 {
+					sh = s.shardOf(cs.ops[i].key)
+				}
+				cs.refs = append(cs.refs, cs.plan.add(sh, cs.ops[i], i == 0))
+			}
+			tag.n = len(cs.ops)
+			cs.tags = append(cs.tags, tag)
 		case proto.CmdZGet, proto.CmdZRange, proto.CmdZCount:
 			// Ordered reads run lock-free off the skip list — no Atlas
-			// section, no seqlock — but the pending write group must land
-			// first so a pipelined zadd→zrange sees its own write.
+			// section, no seqlock — but the pending plan must land first
+			// so a pipelined zadd→zrange sees its own write.
 			flushData()
 			if cl != nil {
 				// zget is keyed; range reads pass (they answer from local
 				// slots, the routing tier merges across nodes).
 				if rep, moved := cl.checkReq(req); moved {
-					enc.Stage(&rep)
+					cs.stage(enc, rep)
 					continue
 				}
 			}
-			rep := s.serveOrdered(cs, req)
-			enc.Stage(&rep)
+			cs.stage(enc, s.serveOrdered(cs, req))
 		case proto.CmdSession:
 			// The handshake binds this connection to a session id; it is a
 			// sequence point so a rebinding cannot race writes pipelined
 			// under the old id.
 			flushData()
-			rep := s.serveSession(cs, req)
-			enc.Stage(&rep)
-		case proto.CmdWait:
-			// The barrier must cover every write this connection
-			// pipelined before it, so the pending group flushes first.
-			// A parked barrier must not hold the slot gate shared — a
-			// migration flip would wait behind it.
-			flushData()
-			if cl != nil {
-				cl.gate.RUnlock()
-			}
-			rep := s.serveWait(cs, req)
-			if cl != nil {
-				cl.gate.RLock()
-			}
-			enc.Stage(&rep)
+			cs.stage(enc, s.serveSession(cs, req))
 		case proto.CmdQuit:
 			flushData()
-			rep := proto.Reply{Kind: proto.KQuit}
-			enc.Stage(&rep)
+			cs.stage(enc, proto.Reply{Kind: proto.KQuit})
 			return true
 		case proto.CmdAcceptSlot:
 			// Inbound migration handshake: on success the connection
@@ -298,167 +269,126 @@ func (s *Server) serveBatch(cs *connState, enc *proto.Encoder, batch []proto.Req
 			// none until it reads the OK).
 			flushData()
 			rep, ok := s.beginImport(req)
-			enc.Stage(&rep)
+			cs.stage(enc, rep)
 			if ok {
 				cs.importSlot = int(req.KV[0])
 				return true
 			}
 		default:
-			// Admin sequence points run without the slot gate: migrate
-			// takes its write side for the ownership flip, and crash can
-			// quiesce shards for long enough that holding the gate would
-			// stall a concurrent flip.
+			// Admin sequence points and the wait barrier (which must cover
+			// every write pipelined before it) run without the slot gate:
+			// migrate takes its write side for the ownership flip, and a
+			// flip would stall behind a long crash or a parked barrier.
 			flushData()
 			if cl != nil {
 				cl.gate.RUnlock()
 			}
-			rep := s.serveAdmin(req)
+			rep := s.serveAdmin(cs, req)
 			if cl != nil {
 				cl.gate.RLock()
 			}
-			enc.Stage(&rep)
+			cs.stage(enc, rep)
 		}
 	}
 	flushData()
 	return false
 }
 
-// runDataGroup executes one coalesced op group and attributes latency
-// per command tag. A group of pure reads tries the lock-free seqlock
-// path first (key by key; the contended minority re-runs as a commit
-// group); any mutation in the group sends the whole group through
-// execGroup in arrival order, which is what preserves read-your-writes
-// inside a pipelined burst. Every tag observes the group's end-to-end
-// time: replies flush together, so the group completion IS each
-// command's service time.
-func (s *Server) runDataGroup(cs *connState, ops []batchOp, tags []cmdTag) {
-	start := time.Now()
-	allGets := true
-	for i := range ops {
-		if ops[i].kind != opGet {
-			allGets = false
-			break
-		}
-	}
-	if s.cfg.optimisticReads && allGets {
-		pending := s.readOptimistic(ops)
-		if pending == nil {
-			el := time.Since(start)
-			for ti := range tags {
-				sh := s.shardOf(ops[tags[ti].start].key)
-				sh.tel.ReadLatency.Observe(el)
-				sh.tel.CmdLatency.ObserveProto(cs.ptel, tags[ti].cmd, el)
-			}
-			return
-		}
-		sub := make([]batchOp, len(pending))
-		for j, i := range pending {
-			sub[j] = ops[i]
-		}
-		s.execGroup(cs, sub)
-		for j, i := range pending {
-			ops[i] = sub[j]
-		}
-	} else {
-		s.execGroup(cs, ops)
-	}
-	el := time.Since(start)
-	for ti := range tags {
-		sh := s.shardOf(ops[tags[ti].start].key)
-		sh.tel.CmdLatency.ObserveProto(cs.ptel, tags[ti].cmd, el)
-	}
+// stage encodes rep from the connection's scratch: handed to the adapter
+// through its interface from a local, every reply would be one heap
+// allocation.
+func (cs *connState) stage(enc *proto.Encoder, rep proto.Reply) {
+	cs.rep = rep
+	enc.Stage(&cs.rep)
 }
 
-// buildDataReply shapes one command's reply from its resolved op span.
-// Item slices alias the connection's scratch arena, valid until the
-// next buildDataReply call — the caller stages (encodes) each reply
-// before building the next.
-func (s *Server) buildDataReply(cs *connState, tg *cmdTag, ops []batchOp) proto.Reply {
-	span := ops[tg.start : tg.start+tg.n]
+// flushPlan runs the connection's pending plan, stages one reply per
+// tagged command in request order, and empties the plan — what every
+// sequence point (and the end of the batch) does first. A plan of pure
+// reads tries the lock-free seqlock path; if a key fails to validate,
+// or the plan holds a mutation, the whole plan commits through the
+// shards in arrival order (read-your-writes inside a burst). Every tag
+// observes the plan's end-to-end time: replies flush together, so the
+// plan's completion IS each command's service time.
+func (s *Server) flushPlan(cs *connState, enc *proto.Encoder) {
+	if len(cs.tags) == 0 {
+		return
+	}
+	start := time.Now()
+	p := &cs.plan
+	optimistic := s.cfg.optimisticReads && p.muts == 0 && len(cs.refs) > 0 && s.readOptimistic(cs)
+	if !optimistic {
+		s.runPlan(p)
+	}
+	el := time.Since(start)
+	for ti := range cs.tags {
+		tg := &cs.tags[ti]
+		if optimistic {
+			tg.sh.tel.ReadLatency.Observe(el)
+		}
+		tg.sh.tel.CmdLatency.ObserveProto(cs.ptel, cmdTelemetry(tg.req.Cmd), el)
+		cs.stage(enc, s.buildDataReply(cs, tg))
+	}
+	cs.tags, cs.refs = cs.tags[:0], cs.refs[:0]
+	p.reset()
+}
+
+// buildDataReply shapes one command's reply from its resolved ops (or,
+// for a seq-tagged command settled as a duplicate or too old, from that
+// verdict). Item slices alias the connection's scratch arena, valid
+// until the next buildDataReply call — the caller stages (encodes) each
+// reply before building the next.
+func (s *Server) buildDataReply(cs *connState, tg *cmdTag) proto.Reply {
+	if tg.req.HasSeq {
+		if rep, settled := s.sessSettled(cs, tg); settled {
+			return rep
+		}
+	}
+	refs := cs.refs[tg.start : tg.start+tg.n]
+	var errs []error
+	for _, r := range refs {
+		if err := cs.plan.op(r).err; err != nil {
+			errs = append(errs, err)
+		}
+	}
+	if err := errors.Join(errs...); err != nil {
+		return proto.Reply{Kind: proto.KErrServer, Msg: err.Error()}
+	}
+	op := cs.plan.op(refs[0])
 	switch tg.req.Cmd {
 	case proto.CmdGet:
-		op := &span[0]
-		switch {
-		case op.err != nil:
-			return proto.Reply{Kind: proto.KErrServer, Msg: op.err.Error()}
-		case !op.ok:
+		if !op.ok {
 			return proto.Reply{Kind: proto.KNotFound}
 		}
 		return proto.Reply{Kind: proto.KValue, Key: op.key, Val: op.val}
-	case proto.CmdSet:
-		if err := span[0].err; err != nil {
-			return proto.Reply{Kind: proto.KErrServer, Msg: err.Error()}
-		}
+	case proto.CmdSet, proto.CmdZAdd:
 		return proto.Reply{Kind: proto.KStored}
-	case proto.CmdIncr:
-		op := &span[0]
-		if op.err != nil {
-			return proto.Reply{Kind: proto.KErrServer, Msg: op.err.Error()}
-		}
+	case proto.CmdIncr, proto.CmdZIncr:
 		return proto.Reply{Kind: proto.KInt, Val: op.val}
-	case proto.CmdDelete:
-		if err := spanErr(span); err != nil {
-			return proto.Reply{Kind: proto.KErrServer, Msg: err.Error()}
-		}
+	case proto.CmdDelete, proto.CmdZDel, proto.CmdMGet:
 		items := cs.items[:0]
-		for i := range span {
-			items = append(items, proto.Item{Key: span[i].key, Found: span[i].ok})
+		for _, r := range refs {
+			op := cs.plan.op(r)
+			items = append(items, proto.Item{Key: op.key, Val: op.val, Found: op.ok})
 		}
 		cs.items = items
+		if tg.req.Cmd == proto.CmdMGet {
+			return proto.Reply{Kind: proto.KMGet, Items: items}
+		}
 		return proto.Reply{Kind: proto.KDelete, Items: items}
-	case proto.CmdZAdd:
-		if err := span[0].err; err != nil {
-			return proto.Reply{Kind: proto.KErrServer, Msg: err.Error()}
-		}
-		return proto.Reply{Kind: proto.KStored}
-	case proto.CmdZIncr:
-		op := &span[0]
-		if op.err != nil {
-			return proto.Reply{Kind: proto.KErrServer, Msg: op.err.Error()}
-		}
-		return proto.Reply{Kind: proto.KInt, Val: op.val}
-	case proto.CmdZDel:
-		op := &span[0]
-		if op.err != nil {
-			return proto.Reply{Kind: proto.KErrServer, Msg: op.err.Error()}
-		}
-		items := append(cs.items[:0], proto.Item{Key: op.key, Found: op.ok})
-		cs.items = items
-		return proto.Reply{Kind: proto.KDelete, Items: items}
-	case proto.CmdMGet:
-		if err := spanErr(span); err != nil {
-			return proto.Reply{Kind: proto.KErrServer, Msg: err.Error()}
-		}
-		items := cs.items[:0]
-		for i := range span {
-			items = append(items, proto.Item{Key: span[i].key, Val: span[i].val, Found: span[i].ok})
-		}
-		cs.items = items
-		return proto.Reply{Kind: proto.KMGet, Items: items}
-	default: // CmdMSet
-		if err := spanErr(span); err != nil {
-			return proto.Reply{Kind: proto.KErrServer, Msg: err.Error()}
-		}
-		return proto.Reply{Kind: proto.KStoredN, N: tg.n}
+	default: // CmdMSet; a seq-tagged one's refs cover its witness shard only
+		return proto.Reply{Kind: proto.KStoredN, N: len(tg.req.KV) / 2}
 	}
-}
-
-// spanErr joins a span's per-op errors (nil when every op succeeded).
-func spanErr(span []batchOp) error {
-	var errs []error
-	for i := range span {
-		if span[i].err != nil {
-			errs = append(errs, span[i].err)
-		}
-	}
-	return errors.Join(errs...)
 }
 
 // serveAdmin executes one non-data request and returns its reply.
-func (s *Server) serveAdmin(req *proto.Request) proto.Reply {
+func (s *Server) serveAdmin(cs *connState, req *proto.Request) proto.Reply {
 	switch req.Cmd {
 	case proto.CmdBad:
 		return proto.Reply{Kind: req.Bad, Msg: req.BadMsg}
+
+	case proto.CmdWait:
+		return s.serveWait(cs, req)
 
 	case proto.CmdStats:
 		switch req.Stats {

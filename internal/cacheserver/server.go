@@ -85,12 +85,13 @@
 //
 // Requests decode in pipelined batches (see serve.go and
 // internal/proto): one socket read surfaces every buffered request as
-// one batch, the batch's data commands coalesce into one combined op
-// group handed to the shard pipeline as a single enqueue, and every
-// reply flushes in one write. A client that pipelines N commands pays
-// the protocol and persistence machinery once per burst, not once per
-// command — the paper's procrastinated-persistence shape applied to
-// the network layer.
+// one batch, the batch's data commands — seq-tagged ones included —
+// compile into one commit plan (plan.go) submitted once per owner
+// shard, every shard before any is awaited, and every reply flushes in
+// one write. A client that pipelines N commands pays the protocol and
+// persistence machinery once per burst, not once per command — the
+// paper's procrastinated-persistence shape applied to the network
+// layer.
 //
 // A server can additionally run as a replication primary (streaming
 // every committed batch group to followers) or as a read-only follower
@@ -103,10 +104,7 @@
 // commit group run inside one Atlas critical section under its shard's
 // drain lock, and groups queued behind a busy shard — from any
 // connection — coalesce into one section, so the persistence cost of a
-// critical section is paid per batch, not per op. Batch commands
-// additionally pipeline one request across shards: keys are grouped by
-// shard and every group is submitted before any is awaited, so a
-// single mget/mset drives every stack at once.
+// critical section is paid per batch, not per op.
 package cacheserver
 
 import (
@@ -381,21 +379,23 @@ type connState struct {
 	// the replication applier.
 	ptel telemetry.Protocol
 
-	// Scratch reused across serveBatch calls: the coalesced op group,
-	// the request→span tags, the reply item arena, and the commit group
-	// a single-shard command submits (a connection has at most one in
-	// flight, so the own-goroutine arm of submit allocates nothing).
-	ops   []batchOp
+	// Scratch reused across serveBatch calls: the commit plan under
+	// construction (a connection has at most one in flight, so building
+	// and running it allocates nothing), one tag per command in it, the
+	// tags' op references, the op translation of the command being
+	// compiled, the reply being staged and its item arena, and the
+	// optimistic read path's stripe-version captures.
+	plan  plan
 	tags  []cmdTag
+	refs  []opRef
+	ops   []batchOp
+	rep   proto.Reply
 	items []proto.Item
-	req   batchReq
+	vers  []uint64
 
 	// sess is the session id the connection bound with the session
-	// handshake (0 = none); seq-tagged requests dedup against it. sops
-	// is the sessioned path's own op scratch — sessioned groups never
-	// share cs.ops, which the surrounding batch still owns.
+	// handshake (0 = none); seq-tagged requests dedup against it.
 	sess uint64
-	sops []batchOp
 
 	// importSlot is set (>= 0) when an acceptslot command committed this
 	// connection to an inbound migration: serveBatch returns and handle
@@ -404,150 +404,67 @@ type connState struct {
 }
 
 func (s *Server) newConnState() *connState {
-	return &connState{importSlot: -1}
+	return &connState{importSlot: -1, plan: plan{max: s.cfg.batchMax, legs: make([]leg, len(s.shards))}}
 }
 
-// execGroup routes ops to their shards as commit groups and blocks
-// until every result is in; results land in ops in place. One
-// connection's ops for one shard stay one group in arrival order, which
-// is what preserves read-your-writes inside a pipelined burst.
-func (s *Server) execGroup(cs *connState, ops []batchOp) {
-	// Fast path: everything on one shard (always true for single-key
-	// commands and single-shard servers) — no copies, and the group
-	// value is the connection's own.
-	sh := s.shardOf(ops[0].key)
-	for i := 1; i < len(ops); i++ {
-		if s.shardOf(ops[i].key) != sh {
-			legs := s.splitByShard(ops, nil)
-			s.submitLegs(legs)
-			for li := range legs {
-				for j, i := range legs[li].idxs {
-					ops[i] = legs[li].req.ops[j]
-				}
-			}
-			return
-		}
-	}
-	cs.req = batchReq{ops: ops}
-	sh.submit(&cs.req)
-	cs.req.wait()
-}
-
-// leg is one shard's share of a multi-shard commit: its commit group
-// and, per op, the index in the caller's slice it was copied from.
-type leg struct {
-	req  batchReq
-	idxs []int
-}
-
-// splitByShard partitions ops (stably) and session records by owner
-// shard; legs[i] belongs to s.shards[i].
-func (s *Server) splitByShard(ops []batchOp, marks []repl.SessRec) []leg {
-	legs := make([]leg, len(s.shards))
-	count := make([]int, len(s.shards))
-	for i := range ops {
-		count[s.shardOf(ops[i].key).idx]++
-	}
-	// One backing array each, carved by the counts, so the fill below
-	// appends in place.
-	opsBack, idxBack := make([]batchOp, len(ops)), make([]int, len(ops))
-	off := 0
-	for li, n := range count {
-		legs[li].req.ops = opsBack[off : off : off+n]
-		legs[li].idxs = idxBack[off : off : off+n]
-		off += n
-	}
-	for i := range ops {
-		l := &legs[s.shardOf(ops[i].key).idx]
-		l.req.ops = append(l.req.ops, ops[i])
-		l.idxs = append(l.idxs, i)
-	}
-	for _, m := range marks {
-		l := &legs[s.shardOf(m.Key).idx]
-		l.req.marks = append(l.req.marks, m)
-	}
-	return legs
-}
-
-// submitLegs submits every leg that carries anything to its shard
-// before waiting on any of them, so the shards' sections overlap
-// instead of convoying on one another's drain locks.
-func (s *Server) submitLegs(legs []leg) {
-	for li := range legs {
-		if g := &legs[li].req; len(g.ops) > 0 || len(g.marks) > 0 || g.floor > 0 {
-			s.shards[li].submit(g)
-		}
-	}
-	for li := range legs {
-		legs[li].req.wait()
-	}
-}
-
-// readOptimistic attempts to serve every (pure-get) op on the lock-free
-// path, filling results in place, and returns the indexes it could not
-// validate. Those must re-run through execGroup; nil means the whole
-// command was served without a lock.
+// readOptimistic attempts to serve every op of the connection's
+// (pure-get) plan on the lock-free path, filling results in place. It
+// reports whether it could; if not, the whole plan must commit through
+// runPlan instead.
 //
-// A single-key command uses the per-key validated path. A multi-key
-// group additionally needs CROSS-key consistency — per-key validation
-// alone could read key A before a concurrent mset commits and key B
-// after, both individually valid, and return a mixture no locked reader
-// could ever observe. Multi-key groups therefore run a snapshot
-// protocol: capture every key's stripe version (and shard generation,
-// guarding crash rebuilds) before the first read, read each key on the
-// per-key path, and revalidate every capture after the last read. Each
-// key's stripe is then provably quiescent from its capture through its
+// A single-key plan uses the per-key validated path. A multi-key plan
+// additionally needs CROSS-key consistency — per-key validation alone
+// could read key A before a concurrent mset commits and key B after,
+// both individually valid, and return a mixture no locked reader could
+// ever observe. Multi-key plans therefore run a snapshot protocol:
+// capture every key's stripe version (and shard generation, guarding
+// crash rebuilds) before the first read, read each key on the per-key
+// path, and revalidate every capture after the last read. Each key's
+// stripe is then provably quiescent from its capture through its
 // revalidate, and since every capture precedes every read precedes
 // every revalidate, all values coexisted at the last capture point. Any
-// mismatch sends the WHOLE group to the locked fallback — and because
+// mismatch sends the WHOLE plan to the locked fallback — and because
 // runBatch holds all of a batch's stripes odd for its entire section
 // (see hashmap.BeginStripeWrites), a half-applied mset can never
 // revalidate here. Overlay-served relaxed state is exempt: the overlay
 // is per-key newest-state by design, and the snapshot guarantee targets
 // the durable map.
-func (s *Server) readOptimistic(ops []batchOp) (pending []int) {
-	if len(ops) == 1 {
-		sh := s.shardOf(ops[0].key)
-		val, ok, valid := sh.getOptimistic(ops[0].key)
-		if !valid {
-			return []int{0}
-		}
-		ops[0].val, ops[0].ok = val, ok
-		return nil
+func (s *Server) readOptimistic(cs *connState) bool {
+	refs := cs.refs
+	read := func(i int) bool {
+		op := cs.plan.op(refs[i])
+		val, ok, valid := s.shards[refs[i].leg].getOptimistic(op.key)
+		op.val, op.ok = val, ok
+		return valid
 	}
-	all := func() []int {
-		pending = make([]int, len(ops))
-		for i := range ops {
-			pending[i] = i
-		}
-		return pending
+	if len(refs) == 1 {
+		return read(0)
 	}
-	gens := make([]uint64, len(ops))
-	vers := make([]uint64, len(ops))
-	for i := range ops {
-		gen, ver, even := s.shardOf(ops[i].key).captureVersion(ops[i].key)
+	// Captures interleave as (generation, version) pairs.
+	caps := cs.vers[:0]
+	for _, r := range refs {
+		gen, ver, even := s.shards[r.leg].captureVersion(cs.plan.op(r).key)
 		if !even {
-			return all()
+			return false
 		}
-		gens[i], vers[i] = gen, ver
+		caps = append(caps, gen, ver)
 	}
-	for i := range ops {
-		val, ok, valid := s.shardOf(ops[i].key).getOptimistic(ops[i].key)
-		if !valid {
-			return all()
+	cs.vers = caps
+	for i := range refs {
+		if !read(i) {
+			return false
 		}
-		ops[i].val, ops[i].ok = val, ok
 		if s.optReadHook != nil {
 			s.optReadHook(i)
 		}
 	}
-	for i := range ops {
-		gen, ver, even := s.shardOf(ops[i].key).captureVersion(ops[i].key)
-		if !even || gen != gens[i] || ver != vers[i] {
-			return all()
+	for i, r := range refs {
+		gen, ver, even := s.shards[r.leg].captureVersion(cs.plan.op(r).key)
+		if !even || gen != caps[2*i] || ver != caps[2*i+1] {
+			return false
 		}
 	}
-	return nil
+	return true
 }
 
 // crashAll power-fails and recovers every shard concurrently — the

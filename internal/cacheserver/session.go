@@ -3,7 +3,6 @@ package cacheserver
 import (
 	"fmt"
 	"sync"
-	"time"
 
 	"tsp/internal/atlas"
 	"tsp/internal/nvm"
@@ -41,12 +40,13 @@ import (
 //
 // Scope: seq is honored on set, incr, mset, zadd, zincr, zdel, and
 // single-key delete. A sessioned request is one commit group whose
-// session mark the executor checks and commits in the group's own
-// section (see runSessReq). A sessioned mset executes its non-witness
-// shards first (absolute sets — idempotent under replay) and its
-// witness shard (the shard of the first key) last, with the record
-// committed in that final section: the record's presence therefore
-// implies every other shard applied. Relaxed-tier sessioned writes keep
+// session mark the executor checks and commits in whatever section
+// carries the group (see runSessReq), so seq-tagged writes batch with
+// the plain commands around them. A sessioned mset that spans shards
+// executes its non-witness shards first (absolute sets — idempotent
+// under replay) and its witness shard (the shard of the first key)
+// last, with the record committed in that final section: the record's
+// presence therefore implies every other shard applied. Relaxed-tier sessioned writes keep
 // their fast ack — the record buffers beside the value in the volatile
 // overlay and both persist in the same section at epoch close, so a
 // crash loses value and record together (the relaxed tier's legal loss;
@@ -114,32 +114,37 @@ func (sh *shard) sessRebuild() {
 	t := &sh.sess
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	p, slots := sh.stk.SessTable()
+	_, slots := sh.stk.SessTable()
 	t.m = make(map[uint64]sessRec)
 	t.slots = make([]uint64, slots)
 	t.cur = 0
-	t.floor = 0
+	t.floor = sh.sessSlots(func(i int, r repl.SessRec) {
+		t.m[r.Sess] = sessRec{seq: r.Seq, pay: r.Payload, wkey: r.Key, pseq: r.Seq, slot: i}
+		t.slots[i] = r.Sess
+	})
+}
+
+// sessSlots calls fn for every occupied slot of the shard's PERSISTENT
+// session table — the heap words, not the volatile mirror — and
+// returns the persistent eviction floor.
+func (sh *shard) sessSlots(fn func(slot int, r repl.SessRec)) (floor uint64) {
+	p, slots := sh.stk.SessTable()
 	if p.IsNil() || slots == 0 {
-		return
+		return 0
 	}
 	h := sh.stk.Heap
-	t.floor = h.Load(p, stack.SessFloorWord)
 	for i := 0; i < slots; i++ {
 		base := stack.SessHdrWords + stack.SessRecWords*i
-		sess := h.Load(p, base+stack.SessRecSess)
-		if sess == 0 {
-			continue
+		if sess := h.Load(p, base+stack.SessRecSess); sess != 0 {
+			fn(i, repl.SessRec{
+				Sess:    sess,
+				Seq:     h.Load(p, base+stack.SessRecSeq),
+				Payload: h.Load(p, base+stack.SessRecPayload),
+				Key:     h.Load(p, base+stack.SessRecKey),
+			})
 		}
-		seq := h.Load(p, base+stack.SessRecSeq)
-		t.m[sess] = sessRec{
-			seq:  seq,
-			pay:  h.Load(p, base+stack.SessRecPayload),
-			wkey: h.Load(p, base+stack.SessRecKey),
-			pseq: seq,
-			slot: i,
-		}
-		t.slots[i] = sess
 	}
+	return h.Load(p, stack.SessFloorWord)
 }
 
 // sessCheck classifies (sess, seq) against the window. The payload is
@@ -282,35 +287,16 @@ func (sh *shard) sessRaiseFloor(th *atlas.Thread, floor uint64) {
 	th.Store(sessAddr(p, stack.SessFloorWord), floor)
 }
 
-// sessSnapshot reads the shard's PERSISTENT session window — the slot
-// words, not the volatile mirror — for a replication state transfer.
+// sessSnapshot reads the shard's PERSISTENT session window for a
+// replication state transfer.
 // Volatile-only records are deliberately excluded: their values are
 // not in the snapshot's pairs, so shipping the record would suppress a
 // retry whose effect the follower never received. Takes the shard
 // write lock briefly, like pairs().
-func (sh *shard) sessSnapshot() ([]repl.SessRec, uint64) {
+func (sh *shard) sessSnapshot() (recs []repl.SessRec, floor uint64) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	p, slots := sh.stk.SessTable()
-	if p.IsNil() || slots == 0 {
-		return nil, 0
-	}
-	h := sh.stk.Heap
-	floor := h.Load(p, stack.SessFloorWord)
-	var recs []repl.SessRec
-	for i := 0; i < slots; i++ {
-		base := stack.SessHdrWords + stack.SessRecWords*i
-		sess := h.Load(p, base+stack.SessRecSess)
-		if sess == 0 {
-			continue
-		}
-		recs = append(recs, repl.SessRec{
-			Sess:    sess,
-			Seq:     h.Load(p, base+stack.SessRecSeq),
-			Payload: h.Load(p, base+stack.SessRecPayload),
-			Key:     h.Load(p, base+stack.SessRecKey),
-		})
-	}
+	floor = sh.sessSlots(func(_ int, r repl.SessRec) { recs = append(recs, r) })
 	return recs, floor
 }
 
@@ -336,13 +322,7 @@ func sessPayload(cmd proto.Cmd, ops []batchOp) uint64 {
 // error skips the record so the client's retry re-runs rather than
 // being suppressed with a failure it can't see.
 func (sh *shard) runSessReq(th *atlas.Thread, r *batchReq) {
-	v, pay := sh.sessCheck(r.sess, r.sseq)
-	switch v {
-	case sessDup:
-		r.sessDup, r.sessPay = true, pay
-		return
-	case sessOld:
-		r.sessOld = true
+	if r.verdict, r.sessPay = sh.sessCheck(r.sess, r.sseq); r.verdict != sessFresh {
 		return
 	}
 	for i := range r.ops {
@@ -380,94 +360,118 @@ func (s *Server) sessReplay(cs *connState, req *proto.Request, pay uint64) proto
 	}
 }
 
-// sessTooOld is the reply for a seq below the window: a client error
-// (native CLIENT_ERROR, RESP -ERR) — the request is well-formed but
-// undecidable, and only the client knows whether it was acked before.
-func sessTooOld() proto.Reply {
-	return proto.Reply{Kind: proto.KErrClient, Msg: seqTooOldMsg}
+// sessGuard refuses a seq-tagged request the exactly-once contract has
+// no answer for: no bound session, nothing to dedup (a read), or no
+// single witness key (a multi-key delete).
+func sessGuard(cs *connState, req *proto.Request) (proto.Reply, bool) {
+	switch {
+	case cs.sess == 0:
+		return proto.Reply{Kind: proto.KErrClient, Msg: noSessionMsg}, true
+	case !mutates(req.Cmd):
+		return proto.Reply{Kind: proto.KErrClient, Msg: seqScopeMsg}, true
+	case req.Cmd == proto.CmdDelete && len(req.KV) != 1:
+		return proto.Reply{Kind: proto.KErrClient, Msg: seqDeleteMsg}, true
+	}
+	return proto.Reply{}, false
 }
 
-// serveSessioned serves one seq-tagged mutation with the exactly-once
-// contract. Called from serveBatch as a sequence point (the pending
-// data group flushed first), so sessioned and plain commands interleave
-// in program order on the connection.
-func (s *Server) serveSessioned(cs *connState, req *proto.Request) proto.Reply {
-	start := time.Now()
-	if cs.sess == 0 {
-		return proto.Reply{Kind: proto.KErrClient, Msg: noSessionMsg}
-	}
-	if !mutates(req.Cmd) {
-		return proto.Reply{Kind: proto.KErrClient, Msg: seqScopeMsg}
-	}
-	if req.Cmd == proto.CmdDelete && len(req.KV) != 1 {
-		return proto.Reply{Kind: proto.KErrClient, Msg: seqDeleteMsg}
+// planSessioned compiles one seq-tagged mutation into the connection's
+// plan. A durable command whose keys live on one shard joins it as a
+// sessioned group, in program order with the plain commands around it.
+// Three shapes stay sequence points (the pending plan flushes first): a
+// relaxed/fire single-key write, which keeps its overlay fast path; an
+// mset spanning shards, whose witness shard must commit after every
+// other leg has; and an mset wider than one section, whose head chunks
+// run before its record's section (see shard.drain) and so must not run
+// behind an unsettled duplicate verdict.
+func (s *Server) planSessioned(cs *connState, enc *proto.Encoder, req *proto.Request) {
+	if rep, bad := sessGuard(cs, req); bad {
+		s.flushPlan(cs, enc)
+		cs.stage(enc, rep)
+		return
 	}
 	wkey := req.KV[0]
 	wsh := s.shardOf(wkey)
 	tel := wsh.tel.Server
 	tel.SessionOps.Inc()
-	defer func() {
-		wsh.tel.CmdLatency.ObserveProto(cs.ptel, cmdTelemetry(req.Cmd), time.Since(start))
-	}()
-
-	// Volatile pre-check: answers dups and stale seqs without touching
-	// a section, and keeps a duplicate mset from re-entering its
-	// non-witness shards at all.
-	switch v, pay := wsh.sessCheck(cs.sess, req.Seq); v {
-	case sessDup:
-		tel.SessionDups.Inc()
-		return s.sessReplay(cs, req, pay)
-	case sessOld:
-		tel.SessionTooOld.Inc()
-		return sessTooOld()
+	p := &cs.plan
+	relaxed := req.Dur != proto.DurDurable && s.epochEnabled() && req.Cmd != proto.CmdMSet
+	cs.ops = appendOps(cs.ops[:0], req)
+	spans := len(cs.ops) > s.cfg.batchMax
+	for i := 1; i < len(cs.ops) && !spans; i++ {
+		spans = s.shardOf(cs.ops[i].key) != wsh
 	}
+	if relaxed || spans {
+		s.flushPlan(cs, enc)
+	}
+	tag := cmdTag{req: req, sh: wsh, start: len(cs.refs)}
 
-	// Relaxed/fire single-key writes keep their overlay fast path; a
-	// sessioned mset always escalates to durable (its multi-shard
-	// witness ordering needs the section).
-	if req.Dur != proto.DurDurable && s.epochEnabled() && req.Cmd != proto.CmdMSet {
-		return s.serveRelaxed(cs, req)
+	// Volatile pre-check: answers dups and stale seqs without a section,
+	// and keeps a duplicate mset out of its non-witness shards. It reads
+	// the window as committed so far, so it may speak only when this plan
+	// holds no earlier seq-tagged group for the shard — one pending there
+	// moves the record before this command's turn (record 5, pending 6: a
+	// resent 5 is too old, not a replay), and then the executor decides.
+	if p.legs[wsh.idx].nsess == 0 {
+		if v, pay := wsh.sessCheck(cs.sess, req.Seq); v != sessFresh {
+			tag.verdict, tag.pay = v, pay
+			cs.tags = append(cs.tags, tag)
+			return
+		}
+	}
+	if relaxed {
+		cs.stage(enc, s.serveRelaxed(cs, req))
+		return
 	}
 	tel.DurableOps.Inc()
-
-	ops := appendOps(cs.sops[:0], req)
-	cs.sops = ops[:0]
-
-	// The witness group carries the session mark. A sessioned mset may
-	// span shards: every non-witness shard's ops commit first (absolute
-	// sets — replaying them after a crash that beat the record is
-	// idempotent, and their results are not consulted), then the witness
-	// shard with the record in its section. Record present ⇒ everything
-	// applied. submit keeps a witness group wider than one batch sound
-	// the same way: its head runs as plain sets, the record rides the
-	// last chunk.
-	w := &cs.req
-	*w = batchReq{ops: ops}
-	if req.Cmd == proto.CmdMSet {
-		legs := s.splitByShard(ops, nil)
-		w.ops, legs[wsh.idx].req.ops = legs[wsh.idx].req.ops, nil
-		s.submitLegs(legs)
+	if spans {
+		// Witness last: the other shards' sets commit first. Their
+		// results are not consulted.
+		n := 0
+		for i := range cs.ops {
+			if sh := s.shardOf(cs.ops[i].key); sh != wsh {
+				p.add(sh, cs.ops[i], false)
+			} else {
+				cs.ops[n] = cs.ops[i]
+				n++
+			}
+		}
+		cs.ops = cs.ops[:n]
+		s.runPlan(p)
+		p.reset()
 	}
-	w.sess, w.sseq, w.wkey, w.sessCmd = cs.sess, req.Seq, wkey, req.Cmd
-	wsh.submit(w)
-	w.wait()
+	at, grp := p.addSess(wsh, cs.ops, batchReq{sess: cs.sess, sseq: req.Seq, wkey: wkey, sessCmd: req.Cmd})
+	for i := range cs.ops {
+		cs.refs = append(cs.refs, opRef{at.leg, at.at + int32(i)})
+	}
+	tag.n, tag.grp = len(cs.ops), grp+1
+	cs.tags = append(cs.tags, tag)
+	if spans {
+		s.flushPlan(cs, enc)
+	}
+}
 
-	switch {
-	case w.sessDup:
-		tel.SessionDups.Inc()
-		return s.sessReplay(cs, req, w.sessPay)
-	case w.sessOld:
-		tel.SessionTooOld.Inc()
-		return sessTooOld()
+// sessSettled answers a seq-tagged command whose verdict — the
+// pre-check's, or the one its sessioned group's executor reached — is
+// duplicate or too old. A fresh command is answered from its ops like
+// any other: the ack its record would replay, minus the receipt.
+func (s *Server) sessSettled(cs *connState, tg *cmdTag) (proto.Reply, bool) {
+	v, pay := tg.verdict, tg.pay
+	if tg.grp > 0 {
+		g := &cs.plan.legs[tg.sh.idx].groups[tg.grp-1]
+		v, pay = g.verdict, g.sessPay
 	}
-	if err := spanErr(w.ops); err != nil {
-		return proto.Reply{Kind: proto.KErrServer, Msg: err.Error()}
+	switch v {
+	case sessDup:
+		tg.sh.tel.Server.SessionDups.Inc()
+		return s.sessReplay(cs, tg.req, pay), true
+	case sessOld:
+		// A client error: well-formed but undecidable, and only the client
+		// knows whether the request was acked before.
+		tg.sh.tel.Server.SessionTooOld.Inc()
+		return proto.Reply{Kind: proto.KErrClient, Msg: seqTooOldMsg}, true
 	}
-	// The fresh ack is the reply its record would replay, minus the
-	// receipt: the effect is already durable.
-	rep := s.sessReplay(cs, req, w.sessPay)
-	rep.Epoch = 0
-	return rep
+	return proto.Reply{}, false
 }
 
 // serveSession binds the connection to a client session for subsequent

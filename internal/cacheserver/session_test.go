@@ -30,12 +30,12 @@ func TestSessionHandshakeAndSeqErrors(t *testing.T) {
 	// these are exercised at the serve layer.)
 	cs := s.newConnState()
 	cs.sess = 1
-	if rep := s.serveSessioned(cs, &proto.Request{
+	if rep, _ := sessGuard(cs, &proto.Request{
 		Cmd: proto.CmdDelete, KV: []uint64{1, 2}, Seq: 1, HasSeq: true,
 	}); rep.Msg != seqDeleteMsg {
 		t.Fatalf("multi-key delete with seq: %q", rep.Msg)
 	}
-	if rep := s.serveSessioned(cs, &proto.Request{
+	if rep, _ := sessGuard(cs, &proto.Request{
 		Cmd: proto.CmdGet, KV: []uint64{1}, Seq: 1, HasSeq: true,
 	}); rep.Msg != seqScopeMsg {
 		t.Fatalf("read with seq: %q", rep.Msg)

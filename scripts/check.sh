@@ -32,9 +32,12 @@ go test -race ./internal/cacheserver ./internal/proto ./internal/repl ./internal
 # cores: a lost-increment bug in the old synchronous write path never
 # fired on the one-core development host. Run those suites under the
 # race detector at several GOMAXPROCS so the schedule space is not
-# whatever this host happens to have.
-echo "== cacheserver tier/migrate/session tests (-race -cpu 1,2,4)"
-go test -race -cpu 1,2,4 -run 'Tier|Relaxed|Durable|Fire|Wait|Epoch|Migrate|Session' ./internal/cacheserver
+# whatever this host happens to have. The commit-plan tests (a burst
+# must be indistinguishable from its commands served one at a time) and
+# the crash-vs-batch races ride along: they are the write path's
+# ordering and atomicity contracts.
+echo "== cacheserver tier/migrate/session/plan tests (-race -cpu 1,2,4)"
+go test -race -cpu 1,2,4 -run 'Tier|Relaxed|Durable|Fire|Wait|Epoch|Migrate|Session|Plan|CrashNeverTears|CrashMidBatch' ./internal/cacheserver
 
 echo "== go test ./... (everything else, no race)"
 go test ./...
