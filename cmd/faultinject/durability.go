@@ -17,9 +17,10 @@ import (
 // durable writers whose every ack is a commitment, relaxed writers whose
 // acks carry `@<epoch>` receipts redeemable against the crash reply's
 // persistent frontier, and barrier writers who close each relaxed burst
-// with `wait`. Each cycle crashes every shard mid-conversation, parses
-// the `OK RECOVERED EPOCH <p>` receipt, and holds each tier to its
-// contract:
+// with `wait`. Each cycle crashes every shard mid-conversation — one more
+// barrier parked across the crash, so it lands inside the close that
+// barrier demanded — parses the `OK RECOVERED EPOCH <p>` receipt, and
+// holds each tier to its contract:
 //
 //   - durable:   every acked write survives, exactly (last ack == read).
 //   - wait:      every barrier-covered relaxed write survives.
@@ -204,15 +205,36 @@ func runDurabilityOnce(addr string, cycle int, durable, relaxed, barrier [][]dur
 	}
 	*next += uint64(1000000)
 
-	// Crash every shard and redeem the receipt.
+	// Crash every shard and redeem the receipt — while a second
+	// connection parks in `wait`: its barrier demands a close of whatever
+	// the relaxed writers left pending, so every cycle races the crash
+	// against a demanded drain running on every shard at once. Whichever
+	// wins, the tier contracts below are the check; the barrier itself
+	// covers no write, so any well-formed answer to it is legal.
 	ctl, err := durDial(addr)
 	if err != nil {
 		return err
 	}
 	defer ctl.conn.Close()
+	parked, err := durDial(addr)
+	if err != nil {
+		return err
+	}
+	defer parked.conn.Close()
+	if _, err := fmt.Fprintf(parked.conn, "wait 0 2000\r\n"); err != nil {
+		return err
+	}
 	rep, err := ctl.cmd("crash")
 	if err != nil {
 		return err
+	}
+	waited, err := parked.r.ReadString('\n')
+	if err != nil {
+		return fmt.Errorf("wait parked across the crash: %w", err)
+	}
+	waited = strings.TrimRight(waited, "\r\n")
+	if _, err := strconv.ParseUint(waited, 10, 64); err != nil && waited != "SERVER_ERROR wait timeout" {
+		return fmt.Errorf("wait parked across the crash: %q", waited)
 	}
 	if !strings.HasPrefix(rep, "OK RECOVERED EPOCH ") {
 		return fmt.Errorf("crash reply: %q", rep)

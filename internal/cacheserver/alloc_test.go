@@ -5,6 +5,7 @@ import (
 	"io"
 	"strings"
 	"testing"
+	"time"
 
 	"tsp/internal/proto"
 )
@@ -72,5 +73,66 @@ func TestWritePathAllocBudget(t *testing.T) {
 				t.Fatalf("allocs per trip = %.1f, budget %.0f", got, tc.budget)
 			}
 		})
+	}
+}
+
+// TestEpochCloseAllocBudget pins what an epoch close allocates. Over
+// empty overlays — every close of an all-durable workload, 200 a second
+// — only the wake broadcast's fresh channel (the channel and the cell
+// the atomic pointer publishes). Over full ones, nothing that scales
+// with the entries drained: the ops snapshot reuses the loop's
+// per-shard buffer, so a second close of the same size adds only the
+// fan-out's goroutines and the commit groups' fixed parts. The epoch
+// loop is parked for an hour and nothing waits, so this goroutine can
+// stand in for it as closeEpoch's one caller.
+func TestEpochCloseAllocBudget(t *testing.T) {
+	const perShard = 512
+	s, err := New(WithShards(4), WithEpochInterval(time.Hour))
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	defer s.Close()
+	if got := testing.AllocsPerRun(100, s.closeEpoch); got > 2 {
+		t.Fatalf("close over empty overlays: %.1f allocs, want the broadcast channel's 2", got)
+	}
+
+	var keys []uint64
+	for k, n := uint64(1), make([]int, len(s.shards)); len(keys) < perShard*len(n); k++ {
+		if i := s.shardOf(k).idx; n[i] < perShard {
+			n[i]++
+			keys = append(keys, k)
+		}
+	}
+	fill := func() {
+		for _, k := range keys {
+			s.shardOf(k).ovl.put(k, false, false, k, 0, 0, 0)
+		}
+	}
+	fill()
+	s.closeEpoch() // grows the buffers once
+	first := make([]*batchOp, len(s.shards))
+	for i, sh := range s.shards {
+		if cap(sh.drainOps) < perShard {
+			t.Fatalf("shard %d: ops buffer cap %d after draining %d entries", i, cap(sh.drainOps), perShard)
+		}
+		first[i] = &sh.drainOps[:1][0]
+	}
+	refill := testing.AllocsPerRun(10, fill)
+	both := testing.AllocsPerRun(10, func() { fill(); s.closeEpoch() })
+	for i, sh := range s.shards {
+		if &sh.drainOps[:1][0] != first[i] {
+			t.Fatalf("shard %d: a later close of the same size reallocated its ops buffer", i)
+		}
+	}
+	// Growing one ops slice from nil to 512 entries is ten allocations;
+	// a close that allocated any would exceed this budget.
+	if got := both - refill; got > 4*float64(len(s.shards)) {
+		t.Fatalf("close over %d entries a shard: %.1f allocs (fill alone %.1f)", perShard, got, refill)
+	}
+	t.Logf("close over %d entries a shard: %.1f allocs", perShard, both-refill)
+	for _, sh := range s.shards {
+		if n := sh.ovl.size.Load(); n != 0 {
+			t.Fatalf("shard %d: %d entries left after the close", sh.idx, n)
+		}
 	}
 }

@@ -344,8 +344,9 @@ func (s *Server) migrateSlot(st *clusterState, slot int, target string) (npairs,
 	// the target acknowledges the complete stream, the source can still
 	// roll back to owned without having lost anything.
 	st.gate.Lock()
+	var flushBuf []batchOp
 	for _, sh := range s.shards {
-		sh.flushOverlay(s)
+		sh.flushOverlay(s, &flushBuf)
 	}
 	gen1, tip := s.replLog.Position()
 	if gen1 != gen0 {

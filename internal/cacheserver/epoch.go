@@ -18,11 +18,11 @@ import (
 // before the ack). The relaxed tier procrastinates harder: the write
 // lands in a volatile per-shard overlay — plain Go memory, no Atlas
 // machinery, no device stores — and is acknowledged immediately,
-// stamped with the current epoch. A background clock closes an epoch
-// every epochInterval by submitting every shard's overlay as a commit
-// group on the one write path (one Atlas critical section per
-// BatchMax-sized chunk; see batch.go) and then advancing a persistent
-// frontier word on each shard's heap.
+// stamped with the current epoch. One goroutine closes an epoch every
+// epochInterval — at once when a `wait` demands it — by submitting every
+// shard's overlay as a commit group on the one write path (one Atlas
+// critical section per BatchMax-sized chunk; see batch.go), all shards
+// at once, and then advancing a persistent frontier word on each heap.
 // A crash therefore loses at most one epoch interval of relaxed writes
 // — a bounded, configured, and *purchasable* loss window, which is
 // exactly the paper's Figure-1 argument that the cost of persistence
@@ -240,6 +240,7 @@ func (s *Server) startEpochClock() {
 	if !s.epochEnabled() {
 		return
 	}
+	s.epochKick = make(chan struct{}, 1)
 	s.epochStop = make(chan struct{})
 	s.epochDone = make(chan struct{})
 	go s.epochLoop()
@@ -256,8 +257,11 @@ func (s *Server) stopEpochClock() {
 	<-s.epochDone
 }
 
-// epochLoop is the clock: one closeEpoch per tick, one final close on
-// stop.
+// epochLoop is the one goroutine that closes epochs, so at most one
+// close is ever in flight — the whole guard against a wait storm. The
+// ticker bounds the loss of writes nobody waits on and restarts after a
+// demanded close. A kick (see epochReached) is honoured only while the
+// frontier is below what is wanted: a close already covered the rest.
 func (s *Server) epochLoop() {
 	defer close(s.epochDone)
 	t := time.NewTicker(s.cfg.epochInterval)
@@ -266,11 +270,34 @@ func (s *Server) epochLoop() {
 		select {
 		case <-t.C:
 			s.closeEpoch()
+		case <-s.epochKick:
+			if s.perEpoch.Load() < s.epochWant.Load() {
+				s.shards[0].tel.Server.EpochDemanded.Inc()
+				s.closeEpoch()
+				t.Reset(s.cfg.epochInterval)
+			}
 		case <-s.epochStop:
 			s.closeEpoch()
 			return
 		}
 	}
+}
+
+// epochReached reports whether the persistent frontier covers target
+// and, while it does not, demands the close that gets it there: raise
+// the wanted epoch (it only grows) and ring the one-slot kick.
+func (s *Server) epochReached(target uint64) bool {
+	if s.perEpoch.Load() >= target {
+		return true
+	}
+	for w := s.epochWant.Load(); w < target && !s.epochWant.CompareAndSwap(w, target); {
+		w = s.epochWant.Load()
+	}
+	select {
+	case s.epochKick <- struct{}{}:
+	default:
+	}
+	return false
 }
 
 // closeEpoch closes the current epoch e: open e+1, drain every shard's
@@ -284,31 +311,43 @@ func (s *Server) epochLoop() {
 // ordered by the overlay mutex). So any entry the snapshot misses was
 // inserted after the snapshot, and its writer must have read e+1 —
 // every write acked with stamp <= e is in this (or an earlier) drain.
+// The shards drain concurrently (one goroutine per non-empty overlay,
+// one of them this one), each through shard.submit under its own drain
+// lock: a barrier waits for the largest drain, not the sum.
 //
 // A shard generation changing across the drain means a crash landed
 // somewhere inside it: some flushed chunks may have committed, but the
 // crashed shard's overlay (and possibly its un-rescued commits) are
 // gone, so the frontier must NOT advance to e — the receipts for epoch
-// e would overpromise. The entries that did survive re-flush is not
-// needed (they committed); the lost ones were acked above the frontier
-// and are legal losses. The next tick simply tries the next epoch.
+// e would overpromise; the generations are read before any drain starts
+// and re-checked after all returned. Survivors need no re-flush (they
+// committed); the lost ones were acked above the frontier and are legal
+// losses. The next close (at once, if a waiter is unmet) tries epoch e+1.
 func (s *Server) closeEpoch() {
 	e := s.curEpoch.Load()
 	s.curEpoch.Store(e + 1)
 
-	gens := make([]uint64, len(s.shards))
-	for i, sh := range s.shards {
-		gens[i] = sh.gen.Load()
-	}
 	for _, sh := range s.shards {
-		sh.flushOverlay(s)
+		sh.drainGen = sh.gen.Load()
 	}
-	stable := true
-	for i, sh := range s.shards {
-		if sh.gen.Load() != gens[i] {
-			stable = false
-			break
+	var inline *shard // the last non-empty shard drains on this goroutine
+	for _, sh := range s.shards {
+		if sh.ovl.size.Load() == 0 {
+			continue
 		}
+		s.drainWG.Add(1)
+		if inline != nil {
+			go s.drainShard(inline)
+		}
+		inline = sh
+	}
+	if inline != nil {
+		s.drainShard(inline)
+	}
+	s.drainWG.Wait()
+	stable := true
+	for _, sh := range s.shards {
+		stable = stable && sh.gen.Load() == sh.drainGen
 	}
 	tel := s.shards[0].tel.Server
 	if stable {
@@ -321,18 +360,25 @@ func (s *Server) closeEpoch() {
 	}
 	tel.EpochCloses.Inc()
 	// Wake waiters unconditionally: on an advance they observe the new
-	// frontier; on a skip (or shutdown) they re-check closing state
-	// instead of parking forever.
+	// frontier; on a skip (or shutdown) they demand the next close or
+	// see the closing state instead of parking forever.
 	broadcastWake(&s.epochWake)
+}
+
+// drainShard is one shard's leg of closeEpoch's drain.
+func (s *Server) drainShard(sh *shard) {
+	defer s.drainWG.Done()
+	sh.flushOverlay(s, &sh.drainOps)
 }
 
 // flushOverlay drains this shard's pending relaxed writes into
 // fortified state as one commit group (one OCS and one replication
 // group per batchMax-sized chunk), stamping the epoch being closed on
-// the replicated groups.
-func (sh *shard) flushOverlay(s *Server) {
-	ops := sh.ovl.pendingOps(nil)
-	if len(ops) == 0 {
+// the replicated groups. buf is the caller's own ops scratch, kept for
+// its next call (the epoch loop and a migration flip can overlap).
+func (sh *shard) flushOverlay(s *Server, buf *[]batchOp) {
+	ops := sh.ovl.pendingOps((*buf)[:0])
+	if *buf = ops; len(ops) == 0 {
 		return
 	}
 	start := time.Now()
@@ -388,10 +434,10 @@ func (s *Server) park(wake *atomic.Pointer[chan struct{}], timeout time.Duration
 	}
 }
 
-// waitEpoch parks until the persistent frontier reaches target; it
-// returns whether the frontier got there.
+// waitEpoch parks until the persistent frontier reaches target, demanding
+// the close on every unmet check; it returns whether the frontier got there.
 func (s *Server) waitEpoch(target uint64, timeout time.Duration) bool {
-	return s.park(&s.epochWake, timeout, func() bool { return s.perEpoch.Load() >= target })
+	return s.park(&s.epochWake, timeout, func() bool { return s.epochReached(target) })
 }
 
 // waitRepl parks until need followers have acknowledged (gen, seq); it

@@ -133,7 +133,7 @@ func TestRelaxedOrderedKeyspace(t *testing.T) {
 func TestDurableWriteFoldsRelaxedOverlay(t *testing.T) {
 	// A long epoch interval keeps the clock out of the picture: nothing
 	// drains, so whatever the durable ops commit is exactly what must
-	// survive the crash.
+	// survive the crash. (No `wait` here: a barrier demands a close.)
 	s := startServer(t, WithEpochInterval(time.Minute))
 	c := dial(t, s.Addr().String())
 
@@ -234,7 +234,8 @@ func TestMixedTierIncrAtomic(t *testing.T) {
 // instead lost frontier-covered writes in the durability campaign on
 // two cores.)
 func TestEpochDrainFlushesSupersedingWrite(t *testing.T) {
-	// A huge epoch interval: the only drain is the one staged by hand.
+	// A huge epoch interval and no `wait` (a barrier would demand a
+	// close): the only drain is the one staged by hand.
 	s := startServer(t, WithShards(1), WithDeviceWords(1<<16),
 		WithEpochInterval(time.Hour))
 	sh := s.shards[0]
@@ -261,9 +262,10 @@ func TestEpochDrainFlushesSupersedingWrite(t *testing.T) {
 }
 
 func TestRelaxedLossBoundedByFrontier(t *testing.T) {
-	// No epoch ever closes (1-minute interval), so the crash receipt
-	// must report frontier 0 and the relaxed write — acked above it —
-	// is legally and actually lost, while the durable write survives.
+	// No epoch ever closes (1-minute interval, and no `wait` to demand
+	// a close sooner), so the crash receipt must report frontier 0 and
+	// the relaxed write — acked above it — is legally and actually lost,
+	// while the durable write survives.
 	s := startServer(t, WithEpochInterval(time.Minute))
 	c := dial(t, s.Addr().String())
 
@@ -310,13 +312,18 @@ func TestWaitBarrierMakesRelaxedCrashProof(t *testing.T) {
 }
 
 func TestWaitTimeoutAndErrors(t *testing.T) {
-	// 1-minute interval: the frontier will not reach a far-future epoch
-	// within the wait's timeout.
 	s := startServer(t, WithEpochInterval(time.Minute))
 	c := dial(t, s.Addr().String())
 
-	// Epoch 1 is current but a minute from persisting: the wait times out.
-	if got := c.cmd(t, "wait 1 30"); got != "SERVER_ERROR wait timeout" {
+	// A wait demands its epoch's close, so the clock cannot make it time
+	// out; a drain that cannot finish can. Hold one shard's drain lock
+	// with a relaxed entry pending on it: the demanded close blocks on
+	// that shard past the wait's 30 ms.
+	stamp := epochStamp(t, c.cmd(t, "set 1 100 relaxed"), "STORED")
+	release := holdDrainLock(t, s.shardOf(1))
+	got := c.cmd(t, "wait %d 30", stamp)
+	release()
+	if got != "SERVER_ERROR wait timeout" {
 		t.Fatalf("wait timeout: %q", got)
 	}
 	// A target the server never issued is a confused client, not a
@@ -489,6 +496,14 @@ func TestRelaxedReplicatesAtEpochClose(t *testing.T) {
 	pc := dial(t, p.Addr().String())
 	fc := dial(t, f.Addr().String())
 
+	// Only a streamed group carries its epoch: a drain that lands before
+	// the follower's initial snapshot reaches it as plain state. The
+	// demanded close below runs within microseconds of the ack, so let
+	// the follower get its position first.
+	waitFor(t, 5*time.Second, "the follower's initial sync", func() bool {
+		gen, _ := f.replFollower.Position()
+		return gen != 0
+	})
 	stamp := epochStamp(t, pc.cmd(t, "set 1 100 relaxed"), "STORED")
 	if got := pc.cmd(t, "wait"); got == "" {
 		t.Fatal("wait: empty reply")
@@ -508,5 +523,160 @@ func TestRelaxedReplicatesAtEpochClose(t *testing.T) {
 	n, err := strconv.ParseUint(got, 10, 64)
 	if err != nil || n < 1 {
 		t.Fatalf("wait repl: %q, want >= 1 follower", got)
+	}
+}
+
+// holdDrainLock takes sh's drain lock, which stalls any epoch close
+// with entries to drain there, and returns the release. The release
+// also runs at test end (before the server's Close, registered
+// earlier), so a failed assertion cannot wedge the final close.
+func holdDrainLock(t *testing.T, sh *shard) (release func()) {
+	sh.combineMu.Lock()
+	release = sync.OnceFunc(sh.combineMu.Unlock)
+	t.Cleanup(release)
+	return release
+}
+
+// shardKeys returns one key per shard of s, in shard order.
+func shardKeys(s *Server) []uint64 {
+	keys := make([]uint64, len(s.shards))
+	for k, found := uint64(1), 0; found < len(keys); k++ {
+		if i := s.shardOf(k).idx; keys[i] == 0 {
+			keys[i] = k
+			found++
+		}
+	}
+	return keys
+}
+
+// TestWaitDemandsEpochClose: the barrier closes the epoch itself. With
+// an hour between ticks the only way `wait` can return is the close it
+// demanded, which must drain every shard's overlay and advance the
+// persistent frontier over every stamp.
+func TestWaitDemandsEpochClose(t *testing.T) {
+	s := startServer(t, WithShards(4), WithEpochInterval(time.Hour))
+	c := dial(t, s.Addr().String())
+
+	keys := shardKeys(s)
+	var maxStamp uint64
+	for _, k := range keys {
+		if e := epochStamp(t, c.cmd(t, "set %d %d relaxed", k, k*10), "STORED"); e > maxStamp {
+			maxStamp = e
+		}
+	}
+	start := time.Now()
+	got := c.cmd(t, "wait")
+	if d := time.Since(start); d > time.Second {
+		t.Fatalf("wait took %v: it waited for something other than the drain", d)
+	}
+	frontier, err := strconv.ParseUint(got, 10, 64)
+	if err != nil || frontier < maxStamp {
+		t.Fatalf("wait reply %q, want a frontier >= %d", got, maxStamp)
+	}
+	if n := s.shards[0].tel.Server.EpochDemanded.Load(); n == 0 {
+		t.Fatal("server_epoch_demanded = 0 after a wait that had to close an epoch")
+	}
+	if p := crashFrontier(t, c.cmd(t, "crash")); p < maxStamp {
+		t.Fatalf("crash frontier %d < waited stamp %d", p, maxStamp)
+	}
+	for _, k := range keys {
+		if got, want := c.cmd(t, "get %d", k), fmt.Sprintf("VALUE %d %d", k, k*10); got != want {
+			t.Fatalf("after wait + crash: %q, want %q", got, want)
+		}
+	}
+}
+
+// TestWaitCoalescesCloses: however many barriers park on one epoch,
+// they share its close. The drain lock is held so all sixteen are
+// parked (and have kicked) before the one close in flight can finish.
+func TestWaitCoalescesCloses(t *testing.T) {
+	const waiters = 16
+	s := startServer(t, WithEpochInterval(time.Hour), WithMaxConns(waiters+1))
+	c := dial(t, s.Addr().String())
+	tel := s.shards[0].tel.Server
+
+	stamp := epochStamp(t, c.cmd(t, "set 1 100 relaxed"), "STORED")
+	release := holdDrainLock(t, s.shardOf(1))
+	conns := make([]*client, waiters)
+	for i := range conns {
+		conns[i] = dial(t, s.Addr().String())
+		conns[i].send(t, "wait %d", stamp)
+	}
+	waitFor(t, 5*time.Second, "every wait to arrive", func() bool {
+		return tel.Waits.Load() >= waiters
+	})
+	release()
+	for i, w := range conns {
+		line := w.line(t)
+		if f, err := strconv.ParseUint(line, 10, 64); err != nil || f < stamp {
+			t.Fatalf("waiter %d: reply %q, want a frontier >= %d", i, line, stamp)
+		}
+	}
+	if n := tel.EpochCloses.Load(); n > 2 {
+		t.Fatalf("%d waiters on one epoch cost %d closes, want <= 2", waiters, n)
+	}
+}
+
+// TestDemandedCloseSkippedByCrash: a shard crashes while the close a
+// barrier demanded is blocked on it. That close must withhold the
+// frontier; the waiter, woken by it, demands the next one and is
+// answered — if at all — by a frontier the skipped epoch never was,
+// while the crash receipt stays below the lost write's stamp.
+func TestDemandedCloseSkippedByCrash(t *testing.T) {
+	s := startServer(t, WithShards(2), WithEpochInterval(time.Hour))
+	c := dial(t, s.Addr().String())
+	w := dial(t, s.Addr().String())
+
+	stamp := epochStamp(t, c.cmd(t, "set 1 100 relaxed"), "STORED")
+	sh := s.shardOf(1)
+	release := holdDrainLock(t, sh)
+	w.send(t, "wait %d 2000", stamp)
+	// The demanded close has queued its flush behind the held lock.
+	waitFor(t, 5*time.Second, "the demanded close to reach the shard", func() bool {
+		return len(sh.queue) > 0
+	})
+	got := c.cmd(t, "crash %d", sh.idx)
+	rest, ok := strings.CutPrefix(got, fmt.Sprintf("OK RECOVERED SHARD %d EPOCH ", sh.idx))
+	if !ok {
+		t.Fatalf("crash reply: %q", got)
+	}
+	p, err := strconv.ParseUint(rest, 10, 64)
+	if err != nil || p >= stamp {
+		t.Fatalf("crash receipt %q covers stamp %d of a write the crash shed", got, stamp)
+	}
+	release()
+
+	if line := w.line(t); line != "SERVER_ERROR wait timeout" {
+		if f, err := strconv.ParseUint(line, 10, 64); err != nil || f <= stamp {
+			t.Fatalf("waiter reply %q: want a timeout or a frontier past the skipped epoch %d", line, stamp)
+		}
+	}
+	if n := s.shards[0].tel.Server.EpochSkipped.Load(); n == 0 {
+		t.Fatal("server_epoch_skipped = 0 after a crash inside a close")
+	}
+	if got := c.cmd(t, "get 1"); got != "NOT_FOUND" {
+		t.Fatalf("the overlay entry survived its shard's crash: %q", got)
+	}
+}
+
+// TestEpochClockStillBoundsLoss: with no barrier anywhere the ticker
+// alone must cover a relaxed write within a few intervals — the loss
+// bound -epoch-interval promises writes nobody waits on.
+func TestEpochClockStillBoundsLoss(t *testing.T) {
+	s := startServer(t, WithEpochInterval(2*time.Millisecond))
+	c := dial(t, s.Addr().String())
+
+	stamp := epochStamp(t, c.cmd(t, "set 1 100 relaxed"), "STORED")
+	waitFor(t, 2*time.Second, "the clock to cover the stamp", func() bool {
+		return s.perEpoch.Load() >= stamp
+	})
+	if n := s.shards[0].tel.Server.EpochDemanded.Load(); n != 0 {
+		t.Fatalf("server_epoch_demanded = %d with no wait issued", n)
+	}
+	if p := crashFrontier(t, c.cmd(t, "crash")); p < stamp {
+		t.Fatalf("crash frontier %d < clock-covered stamp %d", p, stamp)
+	}
+	if got := c.cmd(t, "get 1"); got != "VALUE 1 100" {
+		t.Fatalf("clock-covered relaxed write lost: %q", got)
 	}
 }

@@ -172,12 +172,17 @@ type Server struct {
 	// — the highest epoch whose relaxed writes are known durable.
 	// epochWake re-arms epoch-barrier waiters on every epoch close;
 	// ackWake re-arms replication-barrier waiters on every follower ack.
+	// epochWant is the highest epoch a parked `wait` needs, epochKick the
+	// one-slot doorbell to the epoch loop, drainWG that loop's drain join.
 	curEpoch  atomic.Uint64
 	perEpoch  atomic.Uint64
 	epochWake atomic.Pointer[chan struct{}]
 	ackWake   atomic.Pointer[chan struct{}]
+	epochWant atomic.Uint64
+	epochKick chan struct{}
 	epochStop chan struct{}
 	epochDone chan struct{}
+	drainWG   sync.WaitGroup
 
 	// optReadHook is a test-only interleaving hook, called after each
 	// validated read of a multi-key optimistic group with the op index

@@ -31,9 +31,21 @@ func dial(t *testing.T, addr string) *client {
 // cmd sends one command and returns the first response line.
 func (c *client) cmd(t *testing.T, format string, args ...interface{}) string {
 	t.Helper()
+	c.send(t, format, args...)
+	return c.line(t)
+}
+
+// send writes one command without reading its reply (for a command
+// that will block, or a hand-pipelined burst); line reads one reply.
+func (c *client) send(t *testing.T, format string, args ...interface{}) {
+	t.Helper()
 	if _, err := fmt.Fprintf(c.conn, format+"\r\n", args...); err != nil {
 		t.Fatalf("write: %v", err)
 	}
+}
+
+func (c *client) line(t *testing.T) string {
+	t.Helper()
 	line, err := c.r.ReadString('\n')
 	if err != nil {
 		t.Fatalf("read: %v", err)

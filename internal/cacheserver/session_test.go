@@ -141,8 +141,9 @@ func TestSessionedMSetExactlyOnce(t *testing.T) {
 
 func TestSessionRelaxedSuppressionAndLoss(t *testing.T) {
 	// A huge epoch interval pins the overlay: nothing flushes on its
-	// own, so the crash below is guaranteed to land before the record
-	// persists — the loss leg of the relaxed contract.
+	// own (and no `wait` demands a close), so the crash below is
+	// guaranteed to land before the record persists — the loss leg of
+	// the relaxed contract.
 	s := startServer(t, WithShards(1), WithDeviceWords(1<<16),
 		WithEpochInterval(time.Hour))
 	c := dial(t, s.Addr().String())
@@ -196,8 +197,8 @@ func TestSessionRelaxedSuppressionAndLoss(t *testing.T) {
 // became durable without its record and a crash let the retry apply a
 // second time. Every fold now runs inside the one executor's section.
 func TestSessionRecordSurvivesLoneDurableFold(t *testing.T) {
-	// A huge epoch interval pins the overlay: only the fold can make the
-	// relaxed value durable.
+	// A huge epoch interval and no `wait` pin the overlay: only the fold
+	// can make the relaxed value durable.
 	s := startServer(t, WithShards(1), WithDeviceWords(1<<16),
 		WithEpochInterval(time.Hour))
 	c := dial(t, s.Addr().String())

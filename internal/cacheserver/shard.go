@@ -71,6 +71,10 @@ type shard struct {
 	// that is the relaxed tier's bounded loss.
 	ovl overlay
 
+	// closeEpoch's scratch (see epoch.go), owned by the epoch loop.
+	drainGen uint64    // generation read before the drain, re-checked after
+	drainOps []batchOp // ops buffer the drain's snapshot reuses
+
 	// sess is the shard's session dedup window (see session.go): the
 	// volatile mirror of the persistent per-session records that make
 	// seq-tagged mutations exactly-once across crash and retry.

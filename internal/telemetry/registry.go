@@ -272,13 +272,14 @@ type ServerStats struct {
 	// epoch closes ran, how many overlay entries they flushed into
 	// Atlas sections, and how many closes skipped the frontier advance
 	// because a crash raced the drain.
-	DurableOps   Counter // mutations served at the durable tier
-	RelaxedOps   Counter // mutations acknowledged at the relaxed tier
-	FireOps      Counter // mutations acknowledged fire-and-forget
-	EpochCloses  Counter // epoch-close cycles completed
-	EpochFlushed Counter // overlay entries drained into Atlas at epoch close
-	EpochSkipped Counter // epoch closes that withheld the frontier (crash raced)
-	Waits        Counter // wait barrier requests served
+	DurableOps    Counter // mutations served at the durable tier
+	RelaxedOps    Counter // mutations acknowledged at the relaxed tier
+	FireOps       Counter // mutations acknowledged fire-and-forget
+	EpochCloses   Counter // epoch-close cycles completed
+	EpochDemanded Counter // of those, closes a wait barrier started (the rest are the clock's)
+	EpochFlushed  Counter // overlay entries drained into Atlas at epoch close
+	EpochSkipped  Counter // epoch closes that withheld the frontier (crash raced)
+	Waits         Counter // wait barrier requests served
 
 	// The session counters instrument the exactly-once dedup window:
 	// how many sessioned (seq-tagged) mutations arrived, how many were
@@ -311,6 +312,7 @@ func (s *ServerStats) Reset() {
 	s.RelaxedOps.Reset()
 	s.FireOps.Reset()
 	s.EpochCloses.Reset()
+	s.EpochDemanded.Reset()
 	s.EpochFlushed.Reset()
 	s.EpochSkipped.Reset()
 	s.Waits.Reset()
@@ -520,6 +522,7 @@ func (r *Registry) Walk(fn func(name string, value uint64)) {
 	fn("server_session_evicted", fieldLoad(sv, func(s *ServerStats) *Counter { return &s.SessionEvicted }))
 	fn("server_epoch_flushed", fieldLoad(sv, func(s *ServerStats) *Counter { return &s.EpochFlushed }))
 	fn("server_epoch_skipped", fieldLoad(sv, func(s *ServerStats) *Counter { return &s.EpochSkipped }))
+	fn("server_epoch_demanded", fieldLoad(sv, func(s *ServerStats) *Counter { return &s.EpochDemanded }))
 	fn("server_waits", fieldLoad(sv, func(s *ServerStats) *Counter { return &s.Waits }))
 	fn("recovery_count", fieldLoad(rec, func(r *RecoveryStats) *Counter { return &r.Recoveries }))
 	fn("recovery_entries_scanned", fieldLoad(rec, func(r *RecoveryStats) *Counter { return &r.EntriesScanned }))

@@ -37,7 +37,15 @@ go test -race ./internal/cacheserver ./internal/proto ./internal/repl ./internal
 # the crash-vs-batch races ride along: they are the write path's
 # ordering and atomicity contracts.
 echo "== cacheserver tier/migrate/session/plan tests (-race -cpu 1,2,4)"
-go test -race -cpu 1,2,4 -run 'Tier|Relaxed|Durable|Fire|Wait|Epoch|Migrate|Session|Plan|CrashNeverTears|CrashMidBatch' ./internal/cacheserver
+go test -race -cpu 1,2,4 -run 'Tier|Relaxed|Durable|Fire|Wait|Epoch|DemandedClose|Migrate|Session|Plan|CrashNeverTears|CrashMidBatch' ./internal/cacheserver
+
+# The demand-driven epoch close is a handful of schedule races (a kick
+# against a close in flight, sixteen waiters against one close, a crash
+# against a drain fanned out over the shards, the ticker against no
+# waiter at all): one pass proves little, so these four run twenty
+# times at each GOMAXPROCS.
+echo "== demanded epoch close tests (-race -cpu 1,2,4 -count=20)"
+go test -race -cpu 1,2,4 -count=20 -run 'TestWaitDemandsEpochClose|TestWaitCoalescesCloses|TestDemandedCloseSkippedByCrash|TestEpochClockStillBoundsLoss' ./internal/cacheserver
 
 echo "== go test ./... (everything else, no race)"
 go test ./...
@@ -113,6 +121,8 @@ fi
 # The durability-tier crash campaign, three seeds under the race
 # detector: durable and wait-covered writes must always survive a
 # crash, relaxed losses must stay above the receipt's epoch frontier.
+# Every cycle's crash is issued with a `wait` parked on a second
+# connection, so it races a demanded, parallel drain.
 echo "== durability-tier crash campaign (3x, -race)"
 for s in 1 2 3; do
 	go run -race ./cmd/faultinject -durability-only -durability-cycles 5 -seed "$s"
