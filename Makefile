@@ -107,8 +107,9 @@ bench-session:
 	$(GO) run ./cmd/tspbench -session -duration 500ms -json -out BENCH_tspbench.json
 
 # The doc-drift gate: the flag tables in README.md and docs/PROTOCOL.md
-# must list exactly the live `tspcached -help` flags, and the command
-# tables in docs/PROTOCOL.md must cover both adapters' command sets.
+# must list exactly the live `tspcached -help` flags. (That the command
+# tables in docs/PROTOCOL.md cover the command table is a go test:
+# TestSpecSpellingsDocumented in internal/proto.)
 check-docs:
 	sh scripts/check_docs.sh
 

@@ -113,18 +113,8 @@ func (s *Server) startCluster() error {
 // unchecked (they answer from local slots only; the routing tier
 // merges across nodes).
 func (st *clusterState) checkReq(req *proto.Request) (proto.Reply, bool) {
-	switch req.Cmd {
-	case proto.CmdGet, proto.CmdSet, proto.CmdIncr,
-		proto.CmdZAdd, proto.CmdZGet, proto.CmdZIncr, proto.CmdZDel:
-		return st.checkKey(req.KV[0])
-	case proto.CmdDelete, proto.CmdMGet:
-		for _, k := range req.KV {
-			if rep, moved := st.checkKey(k); moved {
-				return rep, true
-			}
-		}
-	case proto.CmdMSet:
-		for i := 0; i+1 < len(req.KV); i += 2 {
+	if stride := req.Cmd.Spec().Stride; stride > 0 {
+		for i := 0; i < len(req.KV); i += stride {
 			if rep, moved := st.checkKey(req.KV[i]); moved {
 				return rep, true
 			}

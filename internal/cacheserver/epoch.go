@@ -535,25 +535,27 @@ func (s *Server) serveRelaxed(cs *connState, req *proto.Request) proto.Reply {
 	if req.HasSeq {
 		sess, seq = cs.sess, req.Seq
 	}
-	var rep proto.Reply
-	switch req.Cmd {
-	case proto.CmdSet, proto.CmdZAdd:
-		sh0.ovl.put(key, req.Cmd == proto.CmdZAdd, false, req.KV[1], sess, seq, 0)
-		rep = proto.Reply{Kind: proto.KStored}
-	case proto.CmdMSet:
+	sp := req.Cmd.Spec()
+	list := sp.Space == proto.SpaceOrdered
+	rep := proto.Reply{Kind: sp.Reply}
+	switch sp.Verb {
+	case proto.VerbSet:
+		// One pair, or an mset's several (never seq-tagged here: a
+		// sessioned mset escalates to durable in planSessioned).
 		for i := 0; i+1 < len(req.KV); i += 2 {
-			s.shardOf(req.KV[i]).ovl.put(req.KV[i], false, false, req.KV[i+1], 0, 0, 0)
+			s.shardOf(req.KV[i]).ovl.put(req.KV[i], list, false, req.KV[i+1], sess, seq, 0)
 		}
-		rep = proto.Reply{Kind: proto.KStoredN, N: len(req.KV) / 2}
-	case proto.CmdIncr, proto.CmdZIncr:
-		nv, _, err := sh0.relaxedRMW(key, req.Cmd == proto.CmdZIncr, false, req.KV[1], sess, seq)
+		if rep.Kind == proto.KStoredN {
+			rep.N = len(req.KV) / 2
+		}
+	case proto.VerbIncr:
+		nv, _, err := sh0.relaxedRMW(key, list, false, req.KV[1], sess, seq)
 		if err != nil {
 			return proto.Reply{Kind: proto.KErrServer, Msg: err.Error()}
 		}
 		pay = nv
-		rep = proto.Reply{Kind: proto.KInt, Val: nv}
-	default: // CmdDelete, CmdZDel
-		list := req.Cmd == proto.CmdZDel
+		rep.Val = nv
+	default: // VerbDelete
 		items := cs.items[:0]
 		for _, k := range req.KV {
 			sh := s.shardOf(k)
@@ -574,14 +576,14 @@ func (s *Server) serveRelaxed(cs *connState, req *proto.Request) proto.Reply {
 			items = append(items, proto.Item{Key: k, Found: found})
 		}
 		cs.items = items
-		rep = proto.Reply{Kind: proto.KDelete, Items: items}
+		rep.Items = items
 	}
 	// The stamp is read after the overlay insert (see closeEpoch).
 	rep.Epoch = s.curEpoch.Load()
 	if sess != 0 {
 		sh0.sessBuffer(sess, seq, pay, key)
 	}
-	sh0.tel.CmdLatency.ObserveProto(cs.ptel, cmdTelemetry(req.Cmd), time.Since(start))
+	sh0.tel.CmdLatency.ObserveProto(cs.ptel, sp.Tel, time.Since(start))
 	return rep
 }
 

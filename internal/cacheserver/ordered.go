@@ -35,8 +35,9 @@ func (s *Server) serveOrdered(cs *connState, req *proto.Request) proto.Reply {
 	start := time.Now()
 	var rep proto.Reply
 	var telSh *shard
-	switch req.Cmd {
-	case proto.CmdZGet:
+	sp := req.Cmd.Spec()
+	switch sp.Verb {
+	case proto.VerbRead:
 		telSh = s.shardOf(req.KV[0])
 		v, ok := telSh.listGet(req.KV[0])
 		if ok {
@@ -44,7 +45,7 @@ func (s *Server) serveOrdered(cs *connState, req *proto.Request) proto.Reply {
 		} else {
 			rep = proto.Reply{Kind: proto.KNotFound}
 		}
-	case proto.CmdZRange:
+	case proto.VerbRange:
 		telSh = s.shards[0]
 		limit := defaultRangeLimit
 		if len(req.KV) == 3 && req.KV[2] < uint64(limit) {
@@ -53,7 +54,7 @@ func (s *Server) serveOrdered(cs *connState, req *proto.Request) proto.Reply {
 		items := s.rangeMerged(cs, req.KV[0], req.KV[1], limit)
 		telSh.tel.RangeLen.ObserveValue(uint64(len(items)))
 		rep = proto.Reply{Kind: proto.KRange, Items: items}
-	default: // CmdZCount
+	default: // VerbCount
 		telSh = s.shards[0]
 		n := 0
 		for _, sh := range s.shards {
@@ -63,7 +64,7 @@ func (s *Server) serveOrdered(cs *connState, req *proto.Request) proto.Reply {
 	}
 	el := time.Since(start)
 	telSh.tel.ReadLatency.Observe(el)
-	telSh.tel.CmdLatency.ObserveProto(cs.ptel, cmdTelemetry(req.Cmd), el)
+	telSh.tel.CmdLatency.ObserveProto(cs.ptel, sp.Tel, el)
 	return rep
 }
 

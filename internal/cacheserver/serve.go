@@ -101,63 +101,18 @@ type cmdTag struct {
 	pay     uint64
 }
 
-// cmdTelemetry maps a data command to its latency-histogram key.
-func cmdTelemetry(c proto.Cmd) telemetry.Command {
-	switch c {
-	case proto.CmdGet:
-		return telemetry.CmdGet
-	case proto.CmdSet:
-		return telemetry.CmdSet
-	case proto.CmdIncr:
-		return telemetry.CmdIncr
-	case proto.CmdDelete:
-		return telemetry.CmdDelete
-	case proto.CmdMGet:
-		return telemetry.CmdMGet
-	case proto.CmdZAdd:
-		return telemetry.CmdZAdd
-	case proto.CmdZGet:
-		return telemetry.CmdZGet
-	case proto.CmdZIncr:
-		return telemetry.CmdZIncr
-	case proto.CmdZDel:
-		return telemetry.CmdZDel
-	case proto.CmdZRange:
-		return telemetry.CmdZRange
-	case proto.CmdZCount:
-		return telemetry.CmdZCount
-	default:
-		return telemetry.CmdMSet
-	}
-}
-
-// mutates reports whether a data command writes.
-func mutates(c proto.Cmd) bool {
-	switch c {
-	case proto.CmdGet, proto.CmdMGet, proto.CmdZGet, proto.CmdZRange, proto.CmdZCount:
-		return false
-	}
-	return true
+// opKinds maps a data command's keyspace and verb to the batch op that
+// executes it, once per key.
+var opKinds = [2][proto.NumVerbs]opKind{
+	proto.SpaceHash:    {proto.VerbRead: opGet, proto.VerbSet: opSet, proto.VerbIncr: opIncr, proto.VerbDelete: opDelete},
+	proto.SpaceOrdered: {proto.VerbSet: opZSet, proto.VerbIncr: opZIncr, proto.VerbDelete: opZDelete},
 }
 
 // appendOps translates one decoded request into batch pipeline ops: one
 // per key for reads and deletes, one per key/value pair for writes.
 func appendOps(ops []batchOp, req *proto.Request) []batchOp {
-	kind, stride := opSet, 2 // CmdSet, CmdMSet
-	switch req.Cmd {
-	case proto.CmdGet, proto.CmdMGet:
-		kind, stride = opGet, 1
-	case proto.CmdDelete:
-		kind, stride = opDelete, 1
-	case proto.CmdZDel:
-		kind, stride = opZDelete, 1
-	case proto.CmdIncr:
-		kind = opIncr
-	case proto.CmdZAdd:
-		kind = opZSet
-	case proto.CmdZIncr:
-		kind = opZIncr
-	}
+	sp := req.Cmd.Spec()
+	kind, stride := opKinds[sp.Space][sp.Verb], sp.Stride
 	for i := 0; i+stride <= len(req.KV); i += stride {
 		op := batchOp{kind: kind, key: req.KV[i]}
 		if stride == 2 {
@@ -194,11 +149,10 @@ func (s *Server) serveBatch(cs *connState, enc *proto.Encoder, batch []proto.Req
 
 	for i := range batch {
 		req := &batch[i]
-		switch req.Cmd {
-		case proto.CmdGet, proto.CmdSet, proto.CmdIncr, proto.CmdDelete,
-			proto.CmdMGet, proto.CmdMSet,
-			proto.CmdZAdd, proto.CmdZIncr, proto.CmdZDel:
-			if s.readOnly.Load() && mutates(req.Cmd) {
+		sp := req.Cmd.Spec()
+		switch sp.Plan {
+		case proto.PlanJoin:
+			if s.readOnly.Load() && sp.Mutates() {
 				flushData()
 				cs.stage(enc, proto.Reply{Kind: proto.KErrServer, Msg: readOnlyMsg})
 				continue
@@ -215,7 +169,7 @@ func (s *Server) serveBatch(cs *connState, enc *proto.Encoder, batch []proto.Req
 				continue
 			}
 			sh := s.shardOf(req.KV[0])
-			if mutates(req.Cmd) {
+			if sp.Mutates() {
 				if req.Dur != proto.DurDurable && s.epochEnabled() {
 					// Relaxed/fire tier: a sequence point — the pending
 					// durable plan lands first so tiers interleave in
@@ -237,10 +191,7 @@ func (s *Server) serveBatch(cs *connState, enc *proto.Encoder, batch []proto.Req
 			}
 			tag.n = len(cs.ops)
 			cs.tags = append(cs.tags, tag)
-		case proto.CmdZGet, proto.CmdZRange, proto.CmdZCount:
-			// Ordered reads run lock-free off the skip list — no Atlas
-			// section, no seqlock — but the pending plan must land first
-			// so a pipelined zadd→zrange sees its own write.
+		case proto.PlanRead:
 			flushData()
 			if cl != nil {
 				// zget is keyed; range reads pass (they answer from local
@@ -251,43 +202,35 @@ func (s *Server) serveBatch(cs *connState, enc *proto.Encoder, batch []proto.Req
 				}
 			}
 			cs.stage(enc, s.serveOrdered(cs, req))
-		case proto.CmdSession:
-			// The handshake binds this connection to a session id; it is a
-			// sequence point so a rebinding cannot race writes pipelined
-			// under the old id.
+		case proto.PlanClose:
 			flushData()
-			cs.stage(enc, s.serveSession(cs, req))
-		case proto.CmdQuit:
-			flushData()
-			cs.stage(enc, proto.Reply{Kind: proto.KQuit})
+			cs.stage(enc, proto.Reply{Kind: sp.Reply})
 			return true
-		case proto.CmdAcceptSlot:
-			// Inbound migration handshake: on success the connection
-			// leaves the request protocol — serveBatch returns and handle
-			// splices the byte stream onto the frame reader. Requests
-			// pipelined after acceptslot are not served (the source sends
-			// none until it reads the OK).
-			flushData()
-			rep, ok := s.beginImport(req)
-			cs.stage(enc, rep)
-			if ok {
-				cs.importSlot = int(req.KV[0])
-				return true
-			}
 		default:
-			// Admin sequence points and the wait barrier (which must cover
-			// every write pipelined before it) run without the slot gate:
-			// migrate takes its write side for the ownership flip, and a
-			// flip would stall behind a long crash or a parked barrier.
+			// A sequence point served by serveAdmin. The session handshake
+			// (a rebinding must not race writes pipelined under the old id)
+			// and acceptslot keep the slot gate; the admin commands and the
+			// wait barrier (which must cover every write pipelined before
+			// it) release it: migrate takes its write side for the
+			// ownership flip, and a flip would stall behind a long crash
+			// or a parked barrier.
 			flushData()
-			if cl != nil {
+			release := cl != nil && sp.Plan == proto.PlanReleased
+			if release {
 				cl.gate.RUnlock()
 			}
 			rep := s.serveAdmin(cs, req)
-			if cl != nil {
+			if release {
 				cl.gate.RLock()
 			}
 			cs.stage(enc, rep)
+			if cs.importSlot >= 0 {
+				// acceptslot succeeded: the connection leaves the request
+				// protocol and handle splices the byte stream onto the
+				// frame reader. Requests pipelined after it are not served
+				// (the source sends none until it reads the OK).
+				return true
+			}
 		}
 	}
 	flushData()
@@ -326,7 +269,7 @@ func (s *Server) flushPlan(cs *connState, enc *proto.Encoder) {
 		if optimistic {
 			tg.sh.tel.ReadLatency.Observe(el)
 		}
-		tg.sh.tel.CmdLatency.ObserveProto(cs.ptel, cmdTelemetry(tg.req.Cmd), el)
+		tg.sh.tel.CmdLatency.ObserveProto(cs.ptel, tg.req.Cmd.Spec().Tel, el)
 		cs.stage(enc, s.buildDataReply(cs, tg))
 	}
 	cs.tags, cs.refs = cs.tags[:0], cs.refs[:0]
@@ -355,29 +298,26 @@ func (s *Server) buildDataReply(cs *connState, tg *cmdTag) proto.Reply {
 		return proto.Reply{Kind: proto.KErrServer, Msg: err.Error()}
 	}
 	op := cs.plan.op(refs[0])
-	switch tg.req.Cmd {
-	case proto.CmdGet:
+	switch kind := tg.req.Cmd.Spec().Reply; kind {
+	case proto.KValue:
 		if !op.ok {
 			return proto.Reply{Kind: proto.KNotFound}
 		}
-		return proto.Reply{Kind: proto.KValue, Key: op.key, Val: op.val}
-	case proto.CmdSet, proto.CmdZAdd:
-		return proto.Reply{Kind: proto.KStored}
-	case proto.CmdIncr, proto.CmdZIncr:
-		return proto.Reply{Kind: proto.KInt, Val: op.val}
-	case proto.CmdDelete, proto.CmdZDel, proto.CmdMGet:
+		return proto.Reply{Kind: kind, Key: op.key, Val: op.val}
+	case proto.KInt:
+		return proto.Reply{Kind: kind, Val: op.val}
+	case proto.KDelete, proto.KMGet:
 		items := cs.items[:0]
 		for _, r := range refs {
 			op := cs.plan.op(r)
 			items = append(items, proto.Item{Key: op.key, Val: op.val, Found: op.ok})
 		}
 		cs.items = items
-		if tg.req.Cmd == proto.CmdMGet {
-			return proto.Reply{Kind: proto.KMGet, Items: items}
-		}
-		return proto.Reply{Kind: proto.KDelete, Items: items}
-	default: // CmdMSet; a seq-tagged one's refs cover its witness shard only
-		return proto.Reply{Kind: proto.KStoredN, N: len(tg.req.KV) / 2}
+		return proto.Reply{Kind: kind, Items: items}
+	case proto.KStoredN: // a seq-tagged mset's refs cover its witness shard only
+		return proto.Reply{Kind: kind, N: len(tg.req.KV) / 2}
+	default:
+		return proto.Reply{Kind: kind}
 	}
 }
 
@@ -389,6 +329,16 @@ func (s *Server) serveAdmin(cs *connState, req *proto.Request) proto.Reply {
 
 	case proto.CmdWait:
 		return s.serveWait(cs, req)
+
+	case proto.CmdSession:
+		return s.serveSession(cs, req)
+
+	case proto.CmdAcceptSlot:
+		rep, ok := s.beginImport(req)
+		if ok {
+			cs.importSlot = int(req.KV[0])
+		}
+		return rep
 
 	case proto.CmdStats:
 		switch req.Stats {
@@ -450,14 +400,11 @@ func (s *Server) serveAdmin(cs *connState, req *proto.Request) proto.Reply {
 		}
 		return s.serveMigrate(req)
 
-	case proto.CmdPing:
-		return proto.Reply{Kind: proto.KPong}
-
 	case proto.CmdInfo:
 		return proto.Reply{Kind: proto.KRaw, Msg: s.infoText()}
 
-	case proto.CmdCommand:
-		return proto.Reply{Kind: proto.KEmpty}
+	case proto.CmdPing, proto.CmdCommand: // the reply kind is the whole answer
+		return proto.Reply{Kind: req.Cmd.Spec().Reply}
 
 	default:
 		return proto.Reply{Kind: proto.KErrProto, Msg: "unknown command"}

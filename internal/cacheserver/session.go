@@ -304,14 +304,13 @@ func (sh *shard) sessSnapshot() (recs []repl.SessRec, floor uint64) {
 // request's resolved ops: the new value for arithmetic commands, the
 // found bit for deletes, 0 for sets (whose replies need no state).
 func sessPayload(cmd proto.Cmd, ops []batchOp) uint64 {
-	switch cmd {
-	case proto.CmdIncr, proto.CmdZIncr:
+	switch cmd.Spec().Verb {
+	case proto.VerbIncr:
 		return ops[0].val
-	case proto.CmdDelete, proto.CmdZDel:
+	case proto.VerbDelete:
 		if ops[0].ok {
 			return 1
 		}
-		return 0
 	}
 	return 0
 }
@@ -346,18 +345,17 @@ func (s *Server) sessReplay(cs *connState, req *proto.Request, pay uint64) proto
 	if req.Dur != proto.DurDurable && s.epochEnabled() {
 		epoch = s.curEpoch.Load()
 	}
-	switch req.Cmd {
-	case proto.CmdIncr, proto.CmdZIncr:
-		return proto.Reply{Kind: proto.KInt, Val: pay, Epoch: epoch}
-	case proto.CmdDelete, proto.CmdZDel:
-		items := append(cs.items[:0], proto.Item{Key: req.KV[0], Found: pay != 0})
-		cs.items = items
-		return proto.Reply{Kind: proto.KDelete, Items: items, Epoch: epoch}
-	case proto.CmdMSet:
-		return proto.Reply{Kind: proto.KStoredN, N: len(req.KV) / 2, Epoch: epoch}
-	default: // CmdSet, CmdZAdd
-		return proto.Reply{Kind: proto.KStored, Epoch: epoch}
+	rep := proto.Reply{Kind: req.Cmd.Spec().Reply, Epoch: epoch}
+	switch rep.Kind {
+	case proto.KInt:
+		rep.Val = pay
+	case proto.KDelete:
+		rep.Items = append(cs.items[:0], proto.Item{Key: req.KV[0], Found: pay != 0})
+		cs.items = rep.Items
+	case proto.KStoredN:
+		rep.N = len(req.KV) / 2
 	}
+	return rep
 }
 
 // sessGuard refuses a seq-tagged request the exactly-once contract has
@@ -367,7 +365,7 @@ func sessGuard(cs *connState, req *proto.Request) (proto.Reply, bool) {
 	switch {
 	case cs.sess == 0:
 		return proto.Reply{Kind: proto.KErrClient, Msg: noSessionMsg}, true
-	case !mutates(req.Cmd):
+	case !req.Cmd.Spec().Mutates():
 		return proto.Reply{Kind: proto.KErrClient, Msg: seqScopeMsg}, true
 	case req.Cmd == proto.CmdDelete && len(req.KV) != 1:
 		return proto.Reply{Kind: proto.KErrClient, Msg: seqDeleteMsg}, true

@@ -210,21 +210,9 @@ func (p *Proxy) acceptLoop() {
 
 // entry routing classes.
 const (
-	eSkip = iota // nothing to stage (CmdNone)
-	eLocal
+	eLocal = iota
 	eForward
 	eFanout
-)
-
-// fanout merge modes.
-const (
-	mNone   = iota
-	mMGet   // ordered per-key items (mget)
-	mDelete // ordered per-key items (delete)
-	mMSet   // summed pair count
-	mRange  // k-way merge by key with limit
-	mCount  // summed integer
-	mWait   // minimum integer
 )
 
 // entry is one frontend request's routing state for the current batch.
@@ -233,10 +221,10 @@ type entry struct {
 	rep    proto.Reply // local reply, or the merge target
 	f      *fwd        // eForward
 	legs   []*fwd      // eFanout
-	merge  int
-	limit  int   // mRange result cap (-1 = none)
-	keyLeg []int // mMGet/mDelete: leg index per original key
-	moved  int   // migrate: slot to re-own on success (-1 = none)
+	sp     *proto.Spec // eFanout: the command's row (merge kind, reply kind)
+	limit  int         // MergeSorted result cap (-1 = none)
+	keyLeg []int       // MergeKeys: leg index per original key
+	moved  int         // migrate: slot to re-own on success (-1 = none)
 	start  time.Time
 }
 
@@ -332,7 +320,7 @@ func (p *Proxy) serveBatch(cs *feConn, enc *proto.Encoder, batch []proto.Request
 	entries := cs.entries[:0]
 	for i := range batch {
 		entries = append(entries, p.classify(cs, &batch[i]))
-		if entries[len(entries)-1].kind == eLocal && batch[i].Cmd == proto.CmdQuit {
+		if batch[i].Cmd.Spec().Plan == proto.PlanClose {
 			break
 		}
 	}
@@ -352,9 +340,10 @@ func (p *Proxy) serveBatch(cs *feConn, enc *proto.Encoder, batch []proto.Request
 	for i := range entries {
 		e := &entries[i]
 		switch e.kind {
-		case eSkip:
-			continue
 		case eLocal:
+			if p.tel != nil {
+				p.tel.LocalReplies.Inc()
+			}
 			enc.Stage(&e.rep)
 			if e.rep.Kind == proto.KQuit {
 				return true
@@ -400,55 +389,32 @@ func localReply(rep proto.Reply) entry {
 // notRoutableMsg answers admin verbs that only make sense on a node.
 const notRoutableMsg = "not routable through the proxy (connect to a node directly)"
 
-// classify routes one request: answer locally, forward whole to the
-// slot owner, or split into fan-out legs. Forwarded requests are
-// staged into the per-backend batch buffers; settle picks the replies
-// up afterwards.
+// classify routes one request by its command's routing class: answer
+// locally, forward whole to the slot owner, or split into fan-out legs.
+// Forwarded requests are staged into the per-backend batch buffers;
+// settle picks the replies up afterwards.
 func (p *Proxy) classify(cs *feConn, req *proto.Request) entry {
-	switch req.Cmd {
-	case proto.CmdNone:
-		return entry{kind: eSkip, moved: -1}
-
-	case proto.CmdGet, proto.CmdSet, proto.CmdIncr,
-		proto.CmdZAdd, proto.CmdZGet, proto.CmdZIncr, proto.CmdZDel:
+	sp := req.Cmd.Spec()
+	switch sp.Route {
+	case proto.RouteKeyed:
 		return p.forwardKeyed(cs, req)
 
-	case proto.CmdDelete:
-		if req.HasSeq || len(req.KV) == 1 {
+	case proto.RouteSplit:
+		// One key (or pair) has one owner, and a seq-tagged command has
+		// one witness: both forward whole.
+		if req.HasSeq || len(req.KV) == sp.Stride {
 			return p.forwardKeyed(cs, req)
 		}
-		return p.fanKeys(cs, req, req.KV, 1, mDelete)
+		return p.fanKeys(cs, req, sp)
 
-	case proto.CmdMGet:
-		if len(req.KV) == 1 {
-			return p.forwardKeyed(cs, req)
-		}
-		return p.fanKeys(cs, req, req.KV, 1, mMGet)
-
-	case proto.CmdMSet:
-		if req.HasSeq || len(req.KV) == 2 {
-			return p.forwardKeyed(cs, req)
-		}
-		return p.fanKeys(cs, req, req.KV, 2, mMSet)
-
-	case proto.CmdZRange:
+	case proto.RouteBroadcast:
 		limit := -1
-		if len(req.KV) == 3 {
+		if sp.Merge == proto.MergeSorted && len(req.KV) == 3 {
 			limit = int(req.KV[2])
 		}
-		return p.broadcast(cs, req, mRange, limit)
+		return p.broadcast(cs, req, sp, limit)
 
-	case proto.CmdZCount:
-		return p.broadcast(cs, req, mCount, -1)
-
-	case proto.CmdWait:
-		return p.broadcast(cs, req, mWait, -1)
-
-	case proto.CmdSession:
-		cs.sess = req.KV[0]
-		return localReply(proto.Reply{Kind: proto.KRaw, Msg: "OK SESSION " + fmt.Sprint(req.KV[0])})
-
-	case proto.CmdMigrate:
+	case proto.RouteSlot:
 		slot := int(req.KV[0])
 		if slot < 0 || slot >= NumSlots {
 			return localReply(proto.Reply{Kind: proto.KErrClient, Msg: "bad slot"})
@@ -462,47 +428,30 @@ func (p *Proxy) classify(cs *feConn, req *proto.Request) entry {
 		cs.stageForward(p.ring.Owner(slot), f)
 		return entry{kind: eForward, f: f, moved: slot, start: time.Now()}
 
-	case proto.CmdCluster:
-		if p.tel != nil {
-			p.tel.LocalReplies.Inc()
-		}
-		return localReply(proto.Reply{Kind: proto.KRaw, Msg: p.ring.Table()})
+	case proto.RouteLocal:
+		return localReply(p.serveLocal(cs, req))
 
-	case proto.CmdStats:
-		if p.tel != nil {
-			p.tel.LocalReplies.Inc()
-		}
-		return localReply(proto.Reply{Kind: proto.KRaw, Msg: p.statsText()})
-
-	case proto.CmdInfo:
-		if p.tel != nil {
-			p.tel.LocalReplies.Inc()
-		}
-		return localReply(proto.Reply{Kind: proto.KRaw, Msg: p.infoText()})
-
-	case proto.CmdPing:
-		if p.tel != nil {
-			p.tel.LocalReplies.Inc()
-		}
-		return localReply(proto.Reply{Kind: proto.KPong})
-
-	case proto.CmdCommand:
-		return localReply(proto.Reply{Kind: proto.KEmpty})
-
-	case proto.CmdQuit:
-		return localReply(proto.Reply{Kind: proto.KQuit})
-
-	case proto.CmdBad:
-		if p.tel != nil {
-			p.tel.LocalReplies.Inc()
-		}
-		return localReply(proto.Reply{Kind: req.Bad, Msg: req.BadMsg})
-
-	default: // CmdCrash, CmdPromote, CmdAcceptSlot
-		if p.tel != nil {
-			p.tel.LocalReplies.Inc()
-		}
+	default: // RouteRefused
 		return localReply(proto.Reply{Kind: proto.KErrClient, Msg: notRoutableMsg})
+	}
+}
+
+// serveLocal executes a command the proxy answers itself.
+func (p *Proxy) serveLocal(cs *feConn, req *proto.Request) proto.Reply {
+	switch req.Cmd {
+	case proto.CmdSession:
+		cs.sess = req.KV[0]
+		return proto.Reply{Kind: proto.KRaw, Msg: "OK SESSION " + fmt.Sprint(req.KV[0])}
+	case proto.CmdCluster:
+		return proto.Reply{Kind: proto.KRaw, Msg: p.ring.Table()}
+	case proto.CmdStats:
+		return proto.Reply{Kind: proto.KRaw, Msg: p.statsText()}
+	case proto.CmdInfo:
+		return proto.Reply{Kind: proto.KRaw, Msg: p.infoText()}
+	case proto.CmdBad:
+		return proto.Reply{Kind: req.Bad, Msg: req.BadMsg}
+	default: // ping, COMMAND, quit: the reply kind is the whole answer
+		return proto.Reply{Kind: req.Cmd.Spec().Reply}
 	}
 }
 
@@ -528,14 +477,15 @@ func (p *Proxy) forwardKeyed(cs *feConn, req *proto.Request) entry {
 	return entry{kind: eForward, f: f, moved: -1, start: time.Now()}
 }
 
-// fanKeys splits a multi-key request across slot owners: stride 1 for
-// key lists (mget/delete), 2 for pairs (mset). Keys for the same node
-// stay in one leg, in request order.
-func (p *Proxy) fanKeys(cs *feConn, req *proto.Request, kv []uint64, stride int, merge int) entry {
+// fanKeys splits a multi-key request across slot owners, the row's
+// stride at a time: 1 for key lists (mget/delete), 2 for pairs (mset).
+// Keys for the same node stay in one leg, in request order.
+func (p *Proxy) fanKeys(cs *feConn, req *proto.Request, sp *proto.Spec) entry {
 	for k := range cs.legs {
 		delete(cs.legs, k)
 	}
-	e := entry{kind: eFanout, merge: merge, limit: -1, moved: -1, start: time.Now()}
+	kv, stride := req.KV, sp.Stride
+	e := entry{kind: eFanout, sp: sp, limit: -1, moved: -1, start: time.Now()}
 	nkeys := len(kv) / stride
 	if cap(e.keyLeg) < nkeys {
 		e.keyLeg = make([]int, 0, nkeys)
@@ -585,9 +535,9 @@ func indexOf(order []*fwd, f *fwd) int {
 }
 
 // broadcast stages one copy of req to every node in the ring.
-func (p *Proxy) broadcast(cs *feConn, req *proto.Request, merge int, limit int) entry {
+func (p *Proxy) broadcast(cs *feConn, req *proto.Request, sp *proto.Spec, limit int) entry {
 	nodes := p.ring.Nodes()
-	e := entry{kind: eFanout, merge: merge, limit: limit, moved: -1, start: time.Now()}
+	e := entry{kind: eFanout, sp: sp, limit: limit, moved: -1, start: time.Now()}
 	for _, addr := range nodes {
 		f := cs.takeFwd()
 		f.set(req.Cmd, req.KV, req.Dur, 0, false, 0)
@@ -649,59 +599,36 @@ func (p *Proxy) settleLeg(cs *feConn, f *fwd) {
 	if p.tel != nil {
 		p.tel.Redirects.Inc()
 	}
-	stride := 1
-	if f.cmd == proto.CmdMSet {
-		stride = 2
-	}
-	if len(f.kv) == stride {
+	sp := f.cmd.Spec()
+	if len(f.kv) == sp.Stride {
 		// Single-key leg: plain redirect following. Put the reply back
 		// for settle's loop.
 		f.ch <- f.rep
 		p.settle(cs, f)
 		return
 	}
-	// Re-split per key and reassemble.
-	singles := make([]*fwd, 0, len(f.kv)/stride)
-	for i := 0; i < len(f.kv); i += stride {
+	if sp.Route != proto.RouteSplit {
+		f.rep = proto.Reply{Kind: proto.KErrServer, Msg: "unmergeable redirected leg"}
+		return
+	}
+	// Re-split per key and reassemble: items in key order, counts summed.
+	singles := make([]*fwd, 0, len(f.kv)/sp.Stride)
+	for i := 0; i < len(f.kv); i += sp.Stride {
 		s := newFwd()
-		s.set(f.cmd, f.kv[i:i+stride], f.dur, 0, false, 0)
+		s.set(f.cmd, f.kv[i:i+sp.Stride], f.dur, 0, false, 0)
 		addr, _ := p.ring.OwnerOfKey(f.kv[i])
 		cs.scratch = p.backendFor(addr).sendOne(s, cs.scratch)
 		p.settle(cs, s)
 		singles = append(singles, s)
 	}
-	out := proto.Reply{}
-	switch f.cmd {
-	case proto.CmdMGet:
-		out.Kind = proto.KMGet
-		for _, s := range singles {
-			if isErr(s.rep.Kind) {
-				f.rep = s.rep
-				return
-			}
-			out.Items = append(out.Items, s.rep.Items...)
+	out := proto.Reply{Kind: sp.Reply}
+	for _, s := range singles {
+		if isErr(s.rep.Kind) {
+			f.rep = s.rep
+			return
 		}
-	case proto.CmdDelete:
-		out.Kind = proto.KDelete
-		for _, s := range singles {
-			if isErr(s.rep.Kind) {
-				f.rep = s.rep
-				return
-			}
-			out.Items = append(out.Items, s.rep.Items...)
-		}
-	case proto.CmdMSet:
-		out.Kind = proto.KStoredN
-		for _, s := range singles {
-			if isErr(s.rep.Kind) {
-				f.rep = s.rep
-				return
-			}
-			out.N += s.rep.N
-		}
-	default:
-		f.rep = proto.Reply{Kind: proto.KErrServer, Msg: "unmergeable redirected leg"}
-		return
+		out.Items = append(out.Items, s.rep.Items...)
+		out.N += s.rep.N
 	}
 	f.rep = out
 }
@@ -721,13 +648,10 @@ func (p *Proxy) mergeFanout(cs *feConn, e *entry) proto.Reply {
 			return f.rep
 		}
 	}
-	switch e.merge {
-	case mMGet, mDelete:
+	out := proto.Reply{Kind: e.sp.Reply}
+	switch e.sp.Merge {
+	case proto.MergeKeys:
 		// Rebuild original key order from the per-key leg map.
-		out := proto.Reply{Kind: proto.KMGet}
-		if e.merge == mDelete {
-			out.Kind = proto.KDelete
-		}
 		cursors := make([]int, len(e.legs))
 		for _, li := range e.keyLeg {
 			items := e.legs[li].rep.Items
@@ -737,44 +661,34 @@ func (p *Proxy) mergeFanout(cs *feConn, e *entry) proto.Reply {
 				cursors[li] = ci + 1
 			}
 		}
-		return out
-	case mMSet:
-		out := proto.Reply{Kind: proto.KStoredN}
+	case proto.MergeSum:
+		// A pair count (mset) or a key count (zcount).
 		for _, f := range e.legs {
 			out.N += f.rep.N
-		}
-		if len(e.legs) == 1 {
-			out.Epoch = e.legs[0].rep.Epoch
-		}
-		return out
-	case mRange:
-		return mergeRange(e)
-	case mCount:
-		out := proto.Reply{Kind: proto.KInt}
-		for _, f := range e.legs {
 			out.Val += f.rep.Val
 		}
-		return out
-	case mWait:
+	case proto.MergeSorted:
+		out.Items = mergeRange(e)
+	case proto.MergeMin:
 		// Each node settles its own frontier; the barrier holds once
 		// every leg returned. The reported epoch is the minimum — the
 		// conservative cluster-wide receipt.
-		out := proto.Reply{Kind: proto.KInt}
 		for i, f := range e.legs {
 			if i == 0 || f.rep.Val < out.Val {
 				out.Val = f.rep.Val
 			}
 		}
-		return out
+	default:
+		return proto.Reply{Kind: proto.KErrServer, Msg: "unmergeable fan-out"}
 	}
-	return proto.Reply{Kind: proto.KErrServer, Msg: "unmergeable fan-out"}
+	return out
 }
 
 // mergeRange k-way merges the legs' ordered items by key, honoring the
 // request's limit. Node keyspaces are disjoint, so no deduplication is
 // needed.
-func mergeRange(e *entry) proto.Reply {
-	out := proto.Reply{Kind: proto.KRange}
+func mergeRange(e *entry) []proto.Item {
+	var out []proto.Item
 	cursors := make([]int, len(e.legs))
 	for {
 		best, bestLeg := uint64(0), -1
@@ -791,9 +705,9 @@ func mergeRange(e *entry) proto.Reply {
 		if bestLeg < 0 {
 			break
 		}
-		out.Items = append(out.Items, e.legs[bestLeg].rep.Items[cursors[bestLeg]])
+		out = append(out, e.legs[bestLeg].rep.Items[cursors[bestLeg]])
 		cursors[bestLeg]++
-		if e.limit >= 0 && len(out.Items) >= e.limit {
+		if e.limit >= 0 && len(out) >= e.limit {
 			break
 		}
 	}

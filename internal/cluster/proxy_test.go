@@ -441,3 +441,69 @@ func TestProxyPipelinedBatch(t *testing.T) {
 		}
 	}
 }
+
+// TestProxyCountsEveryLocalReply pins route_local_replies to its
+// documented meaning — every request the proxy answered itself, counted
+// as the reply is staged. The session handshake, COMMAND and quit used
+// to go uncounted.
+func TestProxyCountsEveryLocalReply(t *testing.T) {
+	_, _, p := twoNodeCluster(t)
+	localReplies := func(c *textClient) int {
+		t.Helper()
+		for _, line := range c.lines(t, "stats") {
+			if v, ok := strings.CutPrefix(line, "STAT route_local_replies "); ok {
+				n, err := strconv.Atoi(v)
+				if err != nil {
+					t.Fatalf("route_local_replies: %q", v)
+				}
+				return n
+			}
+		}
+		t.Fatal("proxy stats carry no route_local_replies")
+		return 0
+	}
+
+	c := dialText(t, p.Addr())
+	base := localReplies(c) // this stats reply is itself the next one counted
+	for _, tc := range []struct{ send, want string }{
+		{"session 7", "OK SESSION 7"},
+		{"ping", "PONG"},
+		{"crash", "CLIENT_ERROR not routable"},  // refused
+		{"frobnicate", "ERROR unknown command"}, // malformed
+		{"migrate 64 10.0.0.1:7", "CLIENT_ERROR bad slot"},
+		{"set 1 10", "STORED"},  // forwarded: not counted
+		{"get 1", "VALUE 1 10"}, // forwarded: not counted
+	} {
+		if got := c.cmd(t, "%s", tc.send); !strings.HasPrefix(got, tc.want) {
+			t.Fatalf("%s: %q, want %q...", tc.send, got, tc.want)
+		}
+	}
+	c.lines(t, "cluster")
+	// COMMAND exists only in RESP: the empty result set.
+	rc, err := net.Dial("tcp", p.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rc.Close()
+	if _, err := rc.Write([]byte("*1\r\n$7\r\nCOMMAND\r\n")); err != nil {
+		t.Fatal(err)
+	}
+	if line, err := bufio.NewReader(rc).ReadString('\n'); err != nil || line != "*0\r\n" {
+		t.Fatalf("COMMAND: %q, %v", line, err)
+	}
+	if got, want := localReplies(c), base+1+5+1+1; got != want {
+		t.Fatalf("route_local_replies = %d, want %d (stats + 5 local replies + cluster + COMMAND)", got, want)
+	}
+
+	// quit is answered locally too; a second connection reads the count.
+	if _, err := fmt.Fprintf(c.conn, "quit\r\n"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.r.ReadString('\n'); err != io.EOF {
+		t.Fatalf("after quit: %v, want EOF", err)
+	}
+	c2 := dialText(t, p.Addr())
+	if got, want := localReplies(c2), base+1+5+1+1+1+1; got != want {
+		t.Fatalf("route_local_replies after quit = %d, want %d", got, want)
+	}
+}

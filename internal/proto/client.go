@@ -116,8 +116,11 @@ func ReadNativeReply(r *bufio.Reader, cmd Cmd, nkeys int, rep *Reply) error {
 	line, stamp := splitStamp(line)
 	rep.Epoch = stamp
 
-	switch cmd {
-	case CmdGet, CmdZGet:
+	// A reply is framed by the kind its command answers with, not by the
+	// wire: that is the table's Reply column.
+	sp := cmd.Spec()
+	switch sp.Reply {
+	case KValue:
 		if bytes.HasPrefix(line, []byte("VALUE ")) {
 			if k, v, ok := parseValueLine(line); ok {
 				rep.Kind, rep.Key, rep.Val = KValue, k, v
@@ -129,13 +132,13 @@ func ReadNativeReply(r *bufio.Reader, cmd Cmd, nkeys int, rep *Reply) error {
 			return nil
 		}
 
-	case CmdSet, CmdZAdd:
+	case KStored:
 		if bytes.Equal(line, []byte("STORED")) {
 			rep.Kind = KStored
 			return nil
 		}
 
-	case CmdMSet:
+	case KStoredN:
 		if bytes.HasPrefix(line, []byte("STORED ")) {
 			if n, ok := parseUint64(line[7:]); ok {
 				rep.Kind, rep.N = KStoredN, int(n)
@@ -143,13 +146,13 @@ func ReadNativeReply(r *bufio.Reader, cmd Cmd, nkeys int, rep *Reply) error {
 			}
 		}
 
-	case CmdIncr, CmdZIncr, CmdZCount, CmdWait:
+	case KInt:
 		if v, ok := parseUint64(line); ok {
 			rep.Kind, rep.Val = KInt, v
 			return nil
 		}
 
-	case CmdDelete, CmdZDel:
+	case KDelete:
 		// One DELETED/NOT_FOUND line per requested key; the first is
 		// already in hand.
 		for i := 0; ; i++ {
@@ -170,16 +173,12 @@ func ReadNativeReply(r *bufio.Reader, cmd Cmd, nkeys int, rep *Reply) error {
 			}
 		}
 
-	case CmdMGet, CmdZRange:
+	case KMGet, KRange:
 		// VALUE / NOT_FOUND lines up to END; the first is in hand.
 		for {
 			switch {
 			case bytes.Equal(line, []byte("END")):
-				if cmd == CmdMGet {
-					rep.Kind = KMGet
-				} else {
-					rep.Kind = KRange
-				}
+				rep.Kind = sp.Reply
 				return nil
 			case bytes.HasPrefix(line, []byte("VALUE ")):
 				k, v, ok := parseValueLine(line)
@@ -201,15 +200,25 @@ func ReadNativeReply(r *bufio.Reader, cmd Cmd, nkeys int, rep *Reply) error {
 			}
 		}
 
-	case CmdPing:
+	case KPong:
 		if bytes.Equal(line, []byte("PONG")) {
 			rep.Kind = KPong
 			return nil
 		}
 
-	case CmdStats, CmdCluster:
-		// Lines up to END, returned verbatim as one KRaw text (stats'
-		// STAT lines; cluster's SLOTS table).
+	case KRaw:
+		if !sp.Block {
+			// Single pre-rendered text line.
+			rep.Kind, rep.Msg = KRaw, string(line)
+			if stamp != 0 {
+				// The stamp split was wrong for raw text; restore it.
+				rep.Msg = string(line) + " @" + string(appendUint(nil, stamp))
+				rep.Epoch = 0
+			}
+			return nil
+		}
+		// Lines up to END, returned verbatim as one text (stats' STAT
+		// lines; cluster's SLOTS table).
 		var acc []byte
 		for {
 			if bytes.Equal(line, []byte("END")) {
@@ -223,16 +232,6 @@ func ReadNativeReply(r *bufio.Reader, cmd Cmd, nkeys int, rep *Reply) error {
 				return err
 			}
 		}
-
-	case CmdSession, CmdCrash, CmdPromote, CmdMigrate, CmdAcceptSlot, CmdInfo:
-		// Single pre-rendered text line.
-		rep.Kind, rep.Msg = KRaw, string(line)
-		if stamp != 0 {
-			// The stamp split was wrong for raw text; restore it.
-			rep.Msg = string(line) + " @" + string(appendUint(nil, stamp))
-			rep.Epoch = 0
-		}
-		return nil
 	}
 	return fmt.Errorf("%w: %q answering %v", ErrReply, line, cmd)
 }

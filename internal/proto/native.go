@@ -179,349 +179,151 @@ func parseOptsFrom(t []byte, f *fields, req *Request) bool {
 	return true
 }
 
-// parseNativeCommand decodes one tokenized command line into req. It
-// is shared with the RESP adapter's inline-command form.
+// parseNativeCommand decodes one tokenized command line into req: look
+// the word up in the command table and parse the arguments the row
+// declares. It is the whole native grammar but for three hand-written
+// argument tails.
 func parseNativeCommand(cmd []byte, f *fields, req *Request) {
+	c := lookupNative(cmd)
+	sp := &Specs[c]
 	switch {
-	case eqFold(cmd, "get"):
-		k := f.next()
-		if k == nil || f.next() != nil {
-			req.bad(KErrClient, "usage: get <key>")
-			return
-		}
-		v, ok := parseUint64(k)
-		if !ok {
-			req.bad(KErrClient, "bad key")
-			return
-		}
-		req.Cmd = CmdGet
-		req.KV = append(req.KV, v)
-
-	case eqFold(cmd, "set"):
-		k, val := f.next(), f.next()
-		if k == nil || val == nil {
-			req.bad(KErrClient, "usage: set <key> <value>")
-			return
-		}
-		if !parseTrailingOpts(f, req) {
-			return
-		}
-		kn, ok1 := parseUint64(k)
-		vn, ok2 := parseUint64(val)
-		if !ok1 || !ok2 {
-			req.bad(KErrClient, "keys and values are unsigned integers")
-			return
-		}
-		req.Cmd = CmdSet
-		req.KV = append(req.KV, kn, vn)
-
-	case eqFold(cmd, "incr"):
-		k, d := f.next(), f.next()
-		if k == nil || d == nil {
-			req.bad(KErrClient, "usage: incr <key> <delta>")
-			return
-		}
-		if !parseTrailingOpts(f, req) {
-			return
-		}
-		kn, ok1 := parseUint64(k)
-		dn, ok2 := parseUint64(d)
-		if !ok1 || !ok2 {
-			req.bad(KErrClient, "bad arguments")
-			return
-		}
-		req.Cmd = CmdIncr
-		req.KV = append(req.KV, kn, dn)
-
-	case eqFold(cmd, "delete"):
-		for t := f.next(); t != nil; t = f.next() {
-			v, ok := parseUint64(t)
-			if !ok {
-				// Non-numeric tokens end the keys: they are the trailing
-				// options (tier and/or seq=<n>), as in mset.
-				if !parseOptsFrom(t, f, req) {
-					return
-				}
-				break
-			}
-			req.KV = append(req.KV, v)
-		}
-		if len(req.KV) == 0 {
-			req.bad(KErrClient, "usage: delete <key> ...")
-			return
-		}
-		req.Cmd = CmdDelete
-
-	case eqFold(cmd, "mget"):
-		for t := f.next(); t != nil; t = f.next() {
-			v, ok := parseUint64(t)
-			if !ok {
-				req.bad(KErrClient, "bad key")
-				return
-			}
-			req.KV = append(req.KV, v)
-		}
-		if len(req.KV) == 0 {
-			req.bad(KErrClient, "usage: mget <key> ...")
-			return
-		}
-		req.Cmd = CmdMGet
-
-	case eqFold(cmd, "mset"):
-		for t := f.next(); t != nil; t = f.next() {
-			v, ok := parseUint64(t)
-			if !ok {
-				// Non-numeric tokens end the pairs: they are the trailing
-				// options (tier and/or seq=<n>).
-				if !parseOptsFrom(t, f, req) {
-					return
-				}
-				break
-			}
-			req.KV = append(req.KV, v)
-		}
-		if len(req.KV) == 0 || len(req.KV)%2 != 0 {
-			req.bad(KErrClient, "usage: mset <key> <value> ...")
-			return
-		}
-		req.Cmd = CmdMSet
-
-	case eqFold(cmd, "zadd"):
-		k, val := f.next(), f.next()
-		if k == nil || val == nil {
-			req.bad(KErrClient, "usage: zadd <key> <value>")
-			return
-		}
-		if !parseTrailingOpts(f, req) {
-			return
-		}
-		kn, ok1 := parseUint64(k)
-		vn, ok2 := parseUint64(val)
-		if !ok1 || !ok2 {
-			req.bad(KErrClient, "keys and values are unsigned integers")
-			return
-		}
-		req.Cmd = CmdZAdd
-		req.KV = append(req.KV, kn, vn)
-
-	case eqFold(cmd, "zget"):
-		k := f.next()
-		if k == nil || f.next() != nil {
-			req.bad(KErrClient, "usage: zget <key>")
-			return
-		}
-		v, ok := parseUint64(k)
-		if !ok {
-			req.bad(KErrClient, "bad key")
-			return
-		}
-		req.Cmd = CmdZGet
-		req.KV = append(req.KV, v)
-
-	case eqFold(cmd, "zincr"):
-		k, d := f.next(), f.next()
-		if k == nil || d == nil {
-			req.bad(KErrClient, "usage: zincr <key> <delta>")
-			return
-		}
-		if !parseTrailingOpts(f, req) {
-			return
-		}
-		kn, ok1 := parseUint64(k)
-		dn, ok2 := parseUint64(d)
-		if !ok1 || !ok2 {
-			req.bad(KErrClient, "bad arguments")
-			return
-		}
-		req.Cmd = CmdZIncr
-		req.KV = append(req.KV, kn, dn)
-
-	case eqFold(cmd, "zdel"):
-		k := f.next()
-		if k == nil {
-			req.bad(KErrClient, "usage: zdel <key>")
-			return
-		}
-		if !parseTrailingOpts(f, req) {
-			return
-		}
-		v, ok := parseUint64(k)
-		if !ok {
-			req.bad(KErrClient, "bad key")
-			return
-		}
-		req.Cmd = CmdZDel
-		req.KV = append(req.KV, v)
-
-	case eqFold(cmd, "zrange"):
-		lo, hi, limit := f.next(), f.next(), f.next()
-		if lo == nil || hi == nil || f.next() != nil {
-			req.bad(KErrClient, "usage: zrange <lo> <hi> [limit]")
-			return
-		}
-		ln, ok1 := parseUint64(lo)
-		hn, ok2 := parseUint64(hi)
-		if !ok1 || !ok2 {
-			req.bad(KErrClient, "bad bounds")
-			return
-		}
-		req.KV = append(req.KV, ln, hn)
-		if limit != nil {
-			mn, ok := parseUint64(limit)
-			if !ok {
-				req.bad(KErrClient, "bad limit")
-				return
-			}
-			req.KV = append(req.KV, mn)
-		}
-		req.Cmd = CmdZRange
-
-	case eqFold(cmd, "zcount"):
-		lo, hi := f.next(), f.next()
-		if lo == nil || hi == nil || f.next() != nil {
-			req.bad(KErrClient, "usage: zcount <lo> <hi>")
-			return
-		}
-		ln, ok1 := parseUint64(lo)
-		hn, ok2 := parseUint64(hi)
-		if !ok1 || !ok2 {
-			req.bad(KErrClient, "bad bounds")
-			return
-		}
-		req.Cmd = CmdZCount
-		req.KV = append(req.KV, ln, hn)
-
-	case eqFold(cmd, "wait"):
-		// wait [epoch [timeout-ms]] blocks on the persistent epoch
-		// frontier (epoch 0 or none = the epoch current at execution);
-		// wait repl [timeout-ms] blocks on one follower ack instead.
-		const waitUsage = "usage: wait [epoch [timeout-ms]] | wait repl [timeout-ms]"
-		var target, timeout uint64
-		a := f.next()
-		switch {
-		case a == nil:
-		case eqFold(a, "repl"):
-			req.WaitRepl = true
-			target = 1
-			if t := f.next(); t != nil {
-				tn, ok := parseUint64(t)
-				if !ok || f.next() != nil {
-					req.bad(KErrClient, waitUsage)
-					return
-				}
-				timeout = tn
-			}
-		default:
-			en, ok := parseUint64(a)
-			if !ok {
-				req.bad(KErrClient, waitUsage)
-				return
-			}
-			target = en
-			if t := f.next(); t != nil {
-				tn, ok := parseUint64(t)
-				if !ok || f.next() != nil {
-					req.bad(KErrClient, waitUsage)
-					return
-				}
-				timeout = tn
-			}
-		}
-		req.Cmd = CmdWait
-		req.KV = append(req.KV, target, timeout)
-
-	case eqFold(cmd, "session"):
-		id := f.next()
-		if id == nil || f.next() != nil {
-			req.bad(KErrClient, "usage: session <id>")
-			return
-		}
-		v, ok := parseUint64(id)
-		if !ok || v == 0 {
-			req.bad(KErrClient, "bad session id (must be an integer >= 1)")
-			return
-		}
-		req.Cmd = CmdSession
-		req.KV = append(req.KV, v)
-
-	case eqFold(cmd, "stats"):
+	case c == CmdBad:
+		req.bad(KErrProto, "unknown command")
+	case c == CmdWait:
+		parseNativeWait(sp, f, req)
+	case c == CmdStats:
 		req.Cmd = CmdStats
-		arg := f.next()
-		if arg != nil && f.next() == nil {
-			switch {
-			case eqFold(arg, "shards"):
-				req.Stats = StatsShards
-			case eqFold(arg, "reset"):
-				req.Stats = StatsReset
-			}
+		if arg := f.next(); arg != nil && f.next() == nil {
+			req.Stats = parseStatsSub(arg)
 		}
-
-	case eqFold(cmd, "crash"):
+	case c == CmdCrash:
 		arg := f.next()
-		switch {
-		case arg == nil:
-			req.Cmd = CmdCrash
-		case f.next() == nil:
-			req.Cmd = CmdCrash
+		if arg != nil && f.next() != nil {
+			req.bad(KErrClient, sp.Usage)
+			return
+		}
+		req.Cmd = CmdCrash
+		if arg != nil {
 			req.HasShard = true
 			req.Shard = parseShard(arg)
-		default:
-			req.bad(KErrClient, "usage: crash [shard]")
 		}
-
-	case eqFold(cmd, "promote"):
-		req.Cmd = CmdPromote
-
-	case eqFold(cmd, "cluster"):
-		arg := f.next()
-		if arg != nil && (!eqFold(arg, "info") || f.next() != nil) {
-			req.bad(KErrClient, "usage: cluster [info]")
-			return
-		}
-		req.Cmd = CmdCluster
-
-	case eqFold(cmd, "migrate"):
-		slot, addr := f.next(), f.next()
-		if slot == nil || addr == nil || f.next() != nil {
-			req.bad(KErrClient, "usage: migrate <slot> <addr>")
-			return
-		}
-		sn, ok := parseUint64(slot)
-		if !ok {
-			req.bad(KErrClient, "bad slot")
-			return
-		}
-		req.Cmd = CmdMigrate
-		req.KV = append(req.KV, sn)
-		req.Addr = string(addr)
-
-	case eqFold(cmd, "acceptslot"):
-		slot := f.next()
-		if slot == nil || f.next() != nil {
-			req.bad(KErrClient, "usage: acceptslot <slot>")
-			return
-		}
-		sn, ok := parseUint64(slot)
-		if !ok {
-			req.bad(KErrClient, "bad slot")
-			return
-		}
-		req.Cmd = CmdAcceptSlot
-		req.KV = append(req.KV, sn)
-
-	case eqFold(cmd, "ping"):
-		req.Cmd = CmdPing
-
-	case eqFold(cmd, "quit"):
-		if f.next() != nil {
-			req.bad(KErrProto, "unknown command")
-			return
-		}
-		req.Cmd = CmdQuit
-
+	case sp.variadic():
+		parseNativeList(c, sp, f, req)
 	default:
-		req.bad(KErrProto, "unknown command")
+		parseNativeArgs(c, sp, f, req)
 	}
+}
+
+// parseNativeArgs decodes a fixed argument list. The error texts have
+// always been chosen in this order: the argument count, then the
+// trailing options of a mutating command or (unless the row is lax) the
+// end of the line, then the first malformed argument — so the numbers
+// are parsed as they are read, but a bad one is only reported last.
+func parseNativeArgs(c Cmd, sp *Spec, f *fields, req *Request) {
+	n, badAt := 0, -1
+	for ; n < len(sp.Args); n++ {
+		t := f.next()
+		if t == nil {
+			break
+		}
+		if sp.Args[n] == ArgAddr {
+			req.Addr = string(t)
+			continue
+		}
+		v, ok := parseUint64(t)
+		if (!ok || (v == 0 && sp.Args[n] == ArgID)) && badAt < 0 {
+			badAt = n
+		}
+		req.KV = append(req.KV, v)
+	}
+	required := len(sp.Args) - sp.Opt
+	ok := n >= required
+	if ok && sp.Mutates() {
+		if !parseTrailingOpts(f, req) {
+			return
+		}
+	} else if ok && !sp.Lax {
+		if t := f.next(); t != nil {
+			ok = eqFold(t, sp.Word) && f.next() == nil
+		}
+	}
+	switch {
+	case !ok && sp.Usage == "":
+		req.bad(KErrProto, "unknown command")
+	case !ok:
+		req.bad(KErrClient, sp.Usage)
+	case badAt >= required:
+		req.bad(KErrClient, sp.BadOpt)
+	case badAt >= 0:
+		req.bad(KErrClient, sp.BadArg)
+	default:
+		req.Cmd = c
+	}
+}
+
+// parseNativeList decodes a variadic key (or pair) list. On a mutating
+// command the first non-numeric token ends the list: it and the rest are
+// the trailing options.
+func parseNativeList(c Cmd, sp *Spec, f *fields, req *Request) {
+	for t := f.next(); t != nil; t = f.next() {
+		v, ok := parseUint64(t)
+		if !ok {
+			if !sp.Mutates() {
+				req.bad(KErrClient, sp.BadArg)
+				return
+			}
+			if !parseOptsFrom(t, f, req) {
+				return
+			}
+			break
+		}
+		req.KV = append(req.KV, v)
+	}
+	if len(req.KV) == 0 || len(req.KV)%sp.Stride != 0 {
+		req.bad(KErrClient, sp.Usage)
+		return
+	}
+	req.Cmd = c
+}
+
+// parseNativeWait decodes wait [epoch [timeout-ms]], which blocks on the
+// persistent epoch frontier (epoch 0 or none = the epoch current at
+// execution), and wait repl [timeout-ms], which blocks on one follower
+// ack instead.
+func parseNativeWait(sp *Spec, f *fields, req *Request) {
+	var target, timeout uint64
+	a := f.next()
+	ok := true
+	switch {
+	case a == nil:
+	case eqFold(a, "repl"):
+		req.WaitRepl = true
+		target = 1
+	default:
+		target, ok = parseUint64(a)
+	}
+	if t := f.next(); ok && t != nil {
+		timeout, ok = parseUint64(t)
+		ok = ok && f.next() == nil
+	}
+	if !ok {
+		req.bad(KErrClient, sp.Usage)
+		return
+	}
+	req.Cmd = CmdWait
+	req.KV = append(req.KV, target, timeout)
+}
+
+// parseStatsSub recognizes a stats variant word; anything else is the
+// aggregate view.
+func parseStatsSub(arg []byte) StatsSub {
+	switch {
+	case eqFold(arg, "shards"):
+		return StatsShards
+	case eqFold(arg, "reset"):
+		return StatsReset
+	}
+	return StatsAggregate
 }
 
 // parseShard parses a signed shard index; anything unparseable maps to
@@ -651,109 +453,65 @@ func (Native) Resync(buf []byte) (int, ResyncState) {
 
 // AppendRequest appends req's native wire form (one CRLF-terminated
 // line) to dst — the client side of the protocol, used by benchmarks,
-// examples and round-trip tests. Requests a client cannot express
-// (CmdNone, CmdBad) append nothing.
+// examples and round-trip tests. Requests the native grammar cannot
+// express (CmdNone, CmdBad, RESP-only commands) append nothing.
 func (Native) AppendRequest(dst []byte, req *Request) []byte {
-	var name string
-	switch req.Cmd {
-	case CmdGet:
-		name = "get"
-	case CmdSet:
-		name = "set"
-	case CmdIncr:
-		name = "incr"
-	case CmdDelete:
-		name = "delete"
-	case CmdMGet:
-		name = "mget"
-	case CmdMSet:
-		name = "mset"
-	case CmdZAdd:
-		name = "zadd"
-	case CmdZGet:
-		name = "zget"
-	case CmdZIncr:
-		name = "zincr"
-	case CmdZDel:
-		name = "zdel"
-	case CmdZRange:
-		name = "zrange"
-	case CmdZCount:
-		name = "zcount"
-	case CmdWait:
-		dst = append(dst, "wait"...)
-		if req.WaitRepl {
-			dst = append(dst, " repl"...)
-			if len(req.KV) > 1 && req.KV[1] != 0 {
-				dst = append(dst, ' ')
-				dst = appendUint(dst, req.KV[1])
-			}
-		} else if len(req.KV) > 0 {
-			dst = append(dst, ' ')
-			dst = appendUint(dst, req.KV[0])
-			if len(req.KV) > 1 && req.KV[1] != 0 {
-				dst = append(dst, ' ')
-				dst = appendUint(dst, req.KV[1])
-			}
-		}
-		return append(dst, '\r', '\n')
-	case CmdSession:
-		name = "session"
-	case CmdStats:
-		name = "stats"
-	case CmdCrash:
-		name = "crash"
-	case CmdPromote:
-		name = "promote"
-	case CmdCluster:
-		name = "cluster"
-	case CmdMigrate:
-		dst = append(dst, "migrate "...)
-		if len(req.KV) > 0 {
-			dst = appendUint(dst, req.KV[0])
-		}
-		dst = append(dst, ' ')
-		dst = append(dst, req.Addr...)
-		return append(dst, '\r', '\n')
-	case CmdAcceptSlot:
-		name = "acceptslot"
-	case CmdPing:
-		name = "ping"
-	case CmdQuit:
-		name = "quit"
-	default:
+	sp := req.Cmd.Spec()
+	if sp.Native == "" {
 		return dst
 	}
-	dst = append(dst, name...)
-	for _, v := range req.KV {
+	dst = append(dst, sp.Native...)
+	kv := req.KV
+	if req.Cmd == CmdWait {
+		// The barrier's count and a zero timeout are implied, not sent.
+		if req.WaitRepl {
+			dst = append(dst, " repl"...)
+			kv = kv[min(1, len(kv)):]
+		}
+		if len(req.KV) > 1 && req.KV[1] == 0 {
+			kv = kv[:len(kv)-1]
+		}
+	}
+	for _, v := range kv {
 		dst = append(dst, ' ')
 		dst = appendUint(dst, v)
 	}
-	if req.Dur != DurDurable {
-		switch req.Cmd {
-		case CmdSet, CmdIncr, CmdDelete, CmdMSet, CmdZAdd, CmdZIncr, CmdZDel:
+	if sp.Mutates() {
+		if req.Dur != DurDurable {
 			dst = append(dst, ' ')
 			dst = append(dst, req.Dur.String()...)
 		}
-	}
-	if req.HasSeq {
-		switch req.Cmd {
-		case CmdSet, CmdIncr, CmdDelete, CmdMSet, CmdZAdd, CmdZIncr, CmdZDel:
+		if req.HasSeq {
 			dst = append(dst, " seq="...)
 			dst = appendUint(dst, req.Seq)
 		}
 	}
-	if req.Cmd == CmdStats {
-		switch req.Stats {
-		case StatsShards:
-			dst = append(dst, " shards"...)
-		case StatsReset:
-			dst = append(dst, " reset"...)
-		}
-	}
-	if req.Cmd == CmdCrash && req.HasShard {
+	var buf [24]byte
+	if tail := appendTail(buf[:0], req); len(tail) > 0 {
 		dst = append(dst, ' ')
-		dst = appendUint(dst, uint64(req.Shard))
+		dst = append(dst, tail...)
 	}
 	return append(dst, '\r', '\n')
+}
+
+// appendTail appends the text of the one trailing argument Request.KV
+// does not carry — a stats view word, a crash shard index, a migrate
+// address — or nothing. Both adapters' AppendRequests frame it.
+func appendTail(dst []byte, req *Request) []byte {
+	switch req.Cmd {
+	case CmdStats:
+		switch req.Stats {
+		case StatsShards:
+			dst = append(dst, "shards"...)
+		case StatsReset:
+			dst = append(dst, "reset"...)
+		}
+	case CmdCrash:
+		if req.HasShard {
+			dst = appendUint(dst, uint64(req.Shard))
+		}
+	case CmdMigrate:
+		dst = append(dst, req.Addr...)
+	}
+	return dst
 }

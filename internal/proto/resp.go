@@ -273,121 +273,69 @@ func respVariadicTail(st *respArgs, req *Request) error {
 	return nil
 }
 
-// respSessionArgs decodes the single-argument tail of SESSION <id> /
-// CLIENT SESSION <id>. Non-numeric ids hash through FNV-1a like keys;
-// id 0 (which no hash realistically produces) is reserved as "no
-// session" and rejected.
-func respSessionArgs(st *respArgs, req *Request, name string) error {
-	id, err := st.next()
-	if err != nil {
-		return err
+// parseRESPCommand decodes one command and its streamed arguments: look
+// the word up in the command table (or among the alias spellings) and
+// parse the arguments the row declares. It is the whole RESP grammar but
+// for two hand-written argument tails.
+func parseRESPCommand(cmd []byte, st *respArgs, req *Request) error {
+	c, al := lookupRESP(cmd)
+	sp := &Specs[c]
+	if al != nil && al.sub != "" {
+		// CLIENT SESSION <id> is the redis-shaped spelling of the session
+		// handshake; other CLIENT subcommands are not served.
+		sub, err := st.next()
+		if err != nil {
+			return err
+		}
+		if sub == nil || !eqFold(sub, al.sub) {
+			if err := st.drain(); err != nil {
+				return err
+			}
+			req.bad(KErrClient, "unknown CLIENT subcommand (try CLIENT SESSION <id>)")
+			return nil
+		}
 	}
-	if id == nil {
-		return wrongArgs(st, req, name)
-	}
-	if extra, err := st.next(); err != nil {
-		return err
-	} else if extra != nil {
-		return wrongArgs(st, req, name)
-	}
-	v := numOrHash(id)
-	if v == 0 {
-		req.bad(KErrClient, "bad session id (must be >= 1)")
+	switch {
+	case c == CmdBad:
+		if err := st.drain(); err != nil {
+			return err
+		}
+		req.bad(KErrClient, "unknown command")
 		return nil
+	case c == CmdStats || c == CmdCrash:
+		// One optional argument — a view word, a signed shard index —
+		// and anything after it is ignored.
+		arg, err := st.next()
+		if err != nil {
+			return err
+		}
+		if err := st.drain(); err != nil {
+			return err
+		}
+		req.Cmd = c
+		switch {
+		case arg == nil:
+		case c == CmdStats:
+			req.Stats = parseStatsSub(arg)
+		default:
+			req.HasShard = true
+			req.Shard = parseShard(arg)
+		}
+		return nil
+	case sp.variadic():
+		return parseRESPList(c, sp, st, req)
 	}
-	req.Cmd = CmdSession
-	req.KV = append(req.KV, v)
-	return nil
+	return parseRESPArgs(c, sp, al, st, req)
 }
 
-// parseRESPCommand decodes one command and its streamed arguments.
-func parseRESPCommand(cmd []byte, st *respArgs, req *Request) error {
-	switch {
-	case eqFold(cmd, "get"):
-		k, err := st.next()
-		if err != nil {
+// parseRESPList decodes a variadic key (or pair) list; a mutating
+// command's may end in trailing options.
+func parseRESPList(c Cmd, sp *Spec, st *respArgs, req *Request) error {
+	if sp.Mutates() {
+		if err := respVariadicTail(st, req); err != nil || req.Cmd == CmdBad {
 			return err
 		}
-		if k == nil {
-			return wrongArgs(st, req, "get")
-		}
-		if extra, err := st.next(); err != nil {
-			return err
-		} else if extra != nil {
-			return wrongArgs(st, req, "get")
-		}
-		req.Cmd = CmdGet
-		req.KV = append(req.KV, numOrHash(k))
-
-	case eqFold(cmd, "set"):
-		k, err := st.next()
-		if err != nil {
-			return err
-		}
-		v, err := st.next()
-		if err != nil {
-			return err
-		}
-		if k == nil || v == nil {
-			return wrongArgs(st, req, "set")
-		}
-		if done, err := respTrailingOpts(st, req, "set"); !done {
-			return err
-		}
-		req.Cmd = CmdSet
-		req.KV = append(req.KV, numOrHash(k), numOrHash(v))
-
-	case eqFold(cmd, "incr"):
-		k, err := st.next()
-		if err != nil {
-			return err
-		}
-		if k == nil {
-			return wrongArgs(st, req, "incr")
-		}
-		if done, err := respTrailingOpts(st, req, "incr"); !done {
-			return err
-		}
-		req.Cmd = CmdIncr
-		req.KV = append(req.KV, numOrHash(k), 1)
-
-	case eqFold(cmd, "incrby"):
-		k, err := st.next()
-		if err != nil {
-			return err
-		}
-		d, err := st.next()
-		if err != nil {
-			return err
-		}
-		if k == nil || d == nil {
-			return wrongArgs(st, req, "incrby")
-		}
-		if done, err := respTrailingOpts(st, req, "incrby"); !done {
-			return err
-		}
-		dn, ok := parseUint64(d)
-		if !ok {
-			req.bad(KErrClient, "value is not an integer or out of range")
-			return nil
-		}
-		req.Cmd = CmdIncr
-		req.KV = append(req.KV, numOrHash(k), dn)
-
-	case eqFold(cmd, "del"):
-		if err := respVariadicTail(st, req); err != nil {
-			return err
-		}
-		if req.Cmd == CmdBad {
-			return nil
-		}
-		if len(req.KV) == 0 {
-			req.bad(KErrClient, "wrong number of arguments for 'del' command")
-			return nil
-		}
-		req.Cmd = CmdDelete
-
-	case eqFold(cmd, "mget"):
+	} else {
 		for {
 			k, err := st.next()
 			if err != nil {
@@ -398,320 +346,89 @@ func parseRESPCommand(cmd []byte, st *respArgs, req *Request) error {
 			}
 			req.KV = append(req.KV, numOrHash(k))
 		}
-		if len(req.KV) == 0 {
-			req.bad(KErrClient, "wrong number of arguments for 'mget' command")
-			return nil
-		}
-		req.Cmd = CmdMGet
-
-	case eqFold(cmd, "mset"):
-		if err := respVariadicTail(st, req); err != nil {
-			return err
-		}
-		if req.Cmd == CmdBad {
-			return nil
-		}
-		if len(req.KV) == 0 || len(req.KV)%2 != 0 {
-			req.bad(KErrClient, "wrong number of arguments for 'mset' command")
-			return nil
-		}
-		req.Cmd = CmdMSet
-
-	case eqFold(cmd, "zadd"):
-		k, err := st.next()
-		if err != nil {
-			return err
-		}
-		v, err := st.next()
-		if err != nil {
-			return err
-		}
-		if k == nil || v == nil {
-			return wrongArgs(st, req, "zadd")
-		}
-		if done, err := respTrailingOpts(st, req, "zadd"); !done {
-			return err
-		}
-		req.Cmd = CmdZAdd
-		req.KV = append(req.KV, numOrHash(k), numOrHash(v))
-
-	case eqFold(cmd, "zget"):
-		k, err := st.next()
-		if err != nil {
-			return err
-		}
-		if k == nil {
-			return wrongArgs(st, req, "zget")
-		}
-		if extra, err := st.next(); err != nil {
-			return err
-		} else if extra != nil {
-			return wrongArgs(st, req, "zget")
-		}
-		req.Cmd = CmdZGet
-		req.KV = append(req.KV, numOrHash(k))
-
-	case eqFold(cmd, "zincr"):
-		k, err := st.next()
-		if err != nil {
-			return err
-		}
-		d, err := st.next()
-		if err != nil {
-			return err
-		}
-		if k == nil || d == nil {
-			return wrongArgs(st, req, "zincr")
-		}
-		if done, err := respTrailingOpts(st, req, "zincr"); !done {
-			return err
-		}
-		dn, ok := parseUint64(d)
-		if !ok {
-			req.bad(KErrClient, "value is not an integer or out of range")
-			return nil
-		}
-		req.Cmd = CmdZIncr
-		req.KV = append(req.KV, numOrHash(k), dn)
-
-	case eqFold(cmd, "zdel"):
-		k, err := st.next()
-		if err != nil {
-			return err
-		}
-		if k == nil {
-			return wrongArgs(st, req, "zdel")
-		}
-		if done, err := respTrailingOpts(st, req, "zdel"); !done {
-			return err
-		}
-		req.Cmd = CmdZDel
-		req.KV = append(req.KV, numOrHash(k))
-
-	case eqFold(cmd, "zrange"):
-		lo, err := st.next()
-		if err != nil {
-			return err
-		}
-		hi, err := st.next()
-		if err != nil {
-			return err
-		}
-		if lo == nil || hi == nil {
-			return wrongArgs(st, req, "zrange")
-		}
-		limit, err := st.next()
-		if err != nil {
-			return err
-		}
-		if limit != nil {
-			if extra, err := st.next(); err != nil {
-				return err
-			} else if extra != nil {
-				return wrongArgs(st, req, "zrange")
-			}
-		}
-		// Bounds (and the limit) are positions in the ordered keyspace,
-		// not keys: they must be numeric, there is nothing sensible to
-		// hash.
-		ln, ok1 := parseUint64(lo)
-		hn, ok2 := parseUint64(hi)
-		if !ok1 || !ok2 {
-			req.bad(KErrClient, "value is not an integer or out of range")
-			return nil
-		}
-		req.KV = append(req.KV, ln, hn)
-		if limit != nil {
-			mn, ok := parseUint64(limit)
-			if !ok {
-				req.bad(KErrClient, "value is not an integer or out of range")
-				return nil
-			}
-			req.KV = append(req.KV, mn)
-		}
-		req.Cmd = CmdZRange
-
-	case eqFold(cmd, "zcount"):
-		lo, err := st.next()
-		if err != nil {
-			return err
-		}
-		hi, err := st.next()
-		if err != nil {
-			return err
-		}
-		if lo == nil || hi == nil {
-			return wrongArgs(st, req, "zcount")
-		}
-		if extra, err := st.next(); err != nil {
-			return err
-		} else if extra != nil {
-			return wrongArgs(st, req, "zcount")
-		}
-		ln, ok1 := parseUint64(lo)
-		hn, ok2 := parseUint64(hi)
-		if !ok1 || !ok2 {
-			req.bad(KErrClient, "value is not an integer or out of range")
-			return nil
-		}
-		req.Cmd = CmdZCount
-		req.KV = append(req.KV, ln, hn)
-
-	case eqFold(cmd, "wait"):
-		// Redis-shaped WAIT <numreplicas> <timeout-ms>: numreplicas 0
-		// waits on the local persistent epoch frontier (the epoch
-		// current when the wait executes), numreplicas > 0 waits for
-		// that many follower acks.
-		nrep, err := st.next()
-		if err != nil {
-			return err
-		}
-		tmo, err := st.next()
-		if err != nil {
-			return err
-		}
-		if nrep == nil || tmo == nil {
-			return wrongArgs(st, req, "wait")
-		}
-		if extra, err := st.next(); err != nil {
-			return err
-		} else if extra != nil {
-			return wrongArgs(st, req, "wait")
-		}
-		nn, ok1 := parseUint64(nrep)
-		tn, ok2 := parseUint64(tmo)
-		if !ok1 || !ok2 {
-			req.bad(KErrClient, "value is not an integer or out of range")
-			return nil
-		}
-		req.Cmd = CmdWait
-		req.WaitRepl = nn > 0
-		if req.WaitRepl {
-			req.KV = append(req.KV, nn, tn)
-		} else {
-			req.KV = append(req.KV, 0, tn)
-		}
-
-	case eqFold(cmd, "session"):
-		return respSessionArgs(st, req, "session")
-
-	case eqFold(cmd, "client"):
-		// CLIENT SESSION <id> is the redis-shaped spelling of the native
-		// session handshake; other CLIENT subcommands are not served.
-		sub, err := st.next()
-		if err != nil {
-			return err
-		}
-		if sub != nil && eqFold(sub, "session") {
-			return respSessionArgs(st, req, "client|session")
-		}
-		if err := st.drain(); err != nil {
-			return err
-		}
-		req.bad(KErrClient, "unknown CLIENT subcommand (try CLIENT SESSION <id>)")
-
-	case eqFold(cmd, "ping"):
-		if err := st.drain(); err != nil {
-			return err
-		}
-		req.Cmd = CmdPing
-
-	case eqFold(cmd, "info"):
-		if err := st.drain(); err != nil {
-			return err
-		}
-		req.Cmd = CmdInfo
-
-	case eqFold(cmd, "command"):
-		if err := st.drain(); err != nil {
-			return err
-		}
-		req.Cmd = CmdCommand
-
-	case eqFold(cmd, "quit"):
-		if err := st.drain(); err != nil {
-			return err
-		}
-		req.Cmd = CmdQuit
-
-	case eqFold(cmd, "stats"):
-		arg, err := st.next()
-		if err != nil {
-			return err
-		}
-		if err := st.drain(); err != nil {
-			return err
-		}
-		req.Cmd = CmdStats
-		if arg != nil {
-			switch {
-			case eqFold(arg, "shards"):
-				req.Stats = StatsShards
-			case eqFold(arg, "reset"):
-				req.Stats = StatsReset
-			}
-		}
-
-	case eqFold(cmd, "crash"):
-		arg, err := st.next()
-		if err != nil {
-			return err
-		}
-		if err := st.drain(); err != nil {
-			return err
-		}
-		req.Cmd = CmdCrash
-		if arg != nil {
-			req.HasShard = true
-			req.Shard = parseShard(arg)
-		}
-
-	case eqFold(cmd, "promote"):
-		if err := st.drain(); err != nil {
-			return err
-		}
-		req.Cmd = CmdPromote
-
-	case eqFold(cmd, "cluster"):
-		// CLUSTER [INFO] — any other subcommand is drained and answered
-		// with the same view; the slot table is the only thing to say.
-		if err := st.drain(); err != nil {
-			return err
-		}
-		req.Cmd = CmdCluster
-
-	case eqFold(cmd, "migrate"):
-		slot, err := st.next()
-		if err != nil {
-			return err
-		}
-		addr, err := st.next()
-		if err != nil {
-			return err
-		}
-		if slot == nil || addr == nil {
-			return wrongArgs(st, req, "migrate")
-		}
-		if extra, err := st.next(); err != nil {
-			return err
-		} else if extra != nil {
-			return wrongArgs(st, req, "migrate")
-		}
-		sn, ok := parseUint64(slot)
-		if !ok {
-			req.bad(KErrClient, "value is not an integer or out of range")
-			return nil
-		}
-		req.Cmd = CmdMigrate
-		req.KV = append(req.KV, sn)
-		req.Addr = string(addr)
-
-	default:
-		if err := st.drain(); err != nil {
-			return err
-		}
-		req.bad(KErrClient, "unknown command")
 	}
+	if len(req.KV) == 0 || len(req.KV)%sp.Stride != 0 {
+		return wrongArgs(st, req, sp.RESP)
+	}
+	req.Cmd = c
+	return nil
+}
+
+// parseRESPArgs decodes a fixed argument list. The error replies have
+// always been chosen in this order: the argument count, then a mutating
+// command's trailing options or the end of the request (an argument-less
+// command ignores extras, as redis's PING does), then the first
+// malformed argument — so values are decoded as they are read, but a bad
+// one is only reported last. An alias spelling brings its own argument
+// kinds and its own name for arity errors.
+func parseRESPArgs(c Cmd, sp *Spec, al *alias, st *respArgs, req *Request) error {
+	name, args := sp.RESP, sp.Args
+	if al != nil {
+		name, args = al.arity, al.args
+	}
+	n, bad := 0, ""
+	for ; n < len(args); n++ {
+		t, err := st.next()
+		if err != nil {
+			return err
+		}
+		if t == nil {
+			break
+		}
+		v, ok := parseUint64(t)
+		switch {
+		case args[n] == ArgAddr:
+			req.Addr = string(t)
+			continue
+		case ok:
+		case args[n] == ArgInt:
+			if bad == "" {
+				bad = "value is not an integer or out of range"
+			}
+		default:
+			v = fnv1a(t)
+		}
+		if v == 0 && args[n] == ArgID && bad == "" {
+			// No hash realistically produces 0, which is reserved as "no
+			// session".
+			bad = "bad session id (must be >= 1)"
+		}
+		req.KV = append(req.KV, v)
+	}
+	switch {
+	case n < len(args)-sp.Opt:
+		return wrongArgs(st, req, name)
+	case sp.Mutates():
+		if done, err := respTrailingOpts(st, req, name); !done {
+			return err
+		}
+	case len(args) == 0:
+		if err := st.drain(); err != nil {
+			return err
+		}
+	default:
+		if extra, err := st.next(); err != nil {
+			return err
+		} else if extra != nil {
+			return wrongArgs(st, req, name)
+		}
+	}
+	if bad != "" {
+		req.bad(KErrClient, bad)
+		return nil
+	}
+	if al != nil {
+		for i := len(al.args); i < len(sp.Args); i++ {
+			req.KV = append(req.KV, al.fill)
+		}
+	}
+	if c == CmdWait {
+		// Redis-shaped WAIT <numreplicas> <timeout-ms>: numreplicas 0 waits
+		// on the local persistent epoch frontier (the epoch current when
+		// the wait executes), numreplicas > 0 for that many follower acks.
+		req.WaitRepl = req.KV[0] > 0
+	}
+	req.Cmd = c
 	return nil
 }
 
@@ -726,8 +443,8 @@ func appendBulkUint(dst []byte, v uint64) []byte {
 	return append(dst, '\r', '\n')
 }
 
-// appendBulkStr appends s as a RESP bulk string.
-func appendBulkStr(dst []byte, s string) []byte {
+// appendBulk appends s as a RESP bulk string.
+func appendBulk[S string | []byte](dst []byte, s S) []byte {
 	dst = append(dst, '$')
 	dst = appendUint(dst, uint64(len(s)))
 	dst = append(dst, '\r', '\n')
@@ -784,7 +501,7 @@ func (RESP) Encode(dst []byte, rep *Reply) []byte {
 		}
 		return dst
 	case KRaw:
-		return appendBulkStr(dst, rep.Msg)
+		return appendBulk(dst, rep.Msg)
 	case KPong:
 		return append(dst, "+PONG\r\n"...)
 	case KEmpty:
@@ -813,107 +530,49 @@ func (RESP) Resync(buf []byte) (int, ResyncState) {
 
 // AppendRequest appends req as a RESP array of bulk strings — the
 // client side of the protocol, for benchmarks and round-trip tests.
-// Requests a client cannot express append nothing.
+// Requests RESP cannot express (CmdNone, CmdBad, native-only commands)
+// append nothing. Only the two-integer WAIT exists on this wire: a
+// native epoch target beyond "current" has no RESP form.
 func (RESP) AppendRequest(dst []byte, req *Request) []byte {
-	var name string
-	extra := 0
-	switch req.Cmd {
-	case CmdGet:
-		name = "GET"
-	case CmdSet:
-		name = "SET"
-	case CmdIncr:
-		name = "INCRBY"
-	case CmdDelete:
-		name = "DEL"
-	case CmdMGet:
-		name = "MGET"
-	case CmdMSet:
-		name = "MSET"
-	case CmdZAdd:
-		name = "ZADD"
-	case CmdZGet:
-		name = "ZGET"
-	case CmdZIncr:
-		name = "ZINCR"
-	case CmdZDel:
-		name = "ZDEL"
-	case CmdZRange:
-		name = "ZRANGE"
-	case CmdZCount:
-		name = "ZCOUNT"
-	case CmdWait:
-		// Only the two-integer WAIT form exists on this wire; a native
-		// epoch target beyond "current" cannot be expressed in RESP.
-		name = "WAIT"
-	case CmdPing:
-		name = "PING"
-	case CmdInfo:
-		name = "INFO"
-	case CmdCommand:
-		name = "COMMAND"
-	case CmdQuit:
-		name = "QUIT"
-	case CmdSession:
-		name = "SESSION"
-	case CmdPromote:
-		name = "PROMOTE"
-	case CmdStats:
-		name = "STATS"
-		if req.Stats != StatsAggregate {
-			extra = 1
-		}
-	case CmdCrash:
-		name = "CRASH"
-		if req.HasShard {
-			extra = 1
-		}
-	default:
+	sp := req.Cmd.Spec()
+	if sp.RESP == "" {
 		return dst
 	}
-	tier := req.Dur != DurDurable
+	var buf [24]byte
+	tail := appendTail(buf[:0], req)
+	tier := sp.Mutates() && req.Dur != DurDurable
+	seq := sp.Mutates() && req.HasSeq
+	n := 1 + len(req.KV)
 	if tier {
-		switch req.Cmd {
-		case CmdSet, CmdIncr, CmdDelete, CmdMSet, CmdZAdd, CmdZIncr, CmdZDel:
-			extra++
-		default:
-			tier = false
-		}
+		n++
 	}
-	seq := req.HasSeq
 	if seq {
-		switch req.Cmd {
-		case CmdSet, CmdIncr, CmdDelete, CmdMSet, CmdZAdd, CmdZIncr, CmdZDel:
-			extra++
-		default:
-			seq = false
-		}
+		n++
+	}
+	if len(tail) > 0 {
+		n++
 	}
 	dst = append(dst, '*')
-	dst = appendUint(dst, uint64(1+len(req.KV)+extra))
+	dst = appendUint(dst, uint64(n))
+	dst = append(dst, "\r\n$"...)
+	dst = appendUint(dst, uint64(len(sp.RESP)))
 	dst = append(dst, '\r', '\n')
-	dst = appendBulkStr(dst, name)
+	for i := 0; i < len(sp.RESP); i++ {
+		dst = append(dst, sp.RESP[i]-('a'-'A'))
+	}
+	dst = append(dst, '\r', '\n')
 	for _, v := range req.KV {
 		dst = appendBulkUint(dst, v)
 	}
 	if tier {
-		dst = appendBulkStr(dst, req.Dur.String())
+		dst = appendBulk(dst, req.Dur.String())
 	}
 	if seq {
 		var tmp [28]byte
-		t := append(tmp[:0], "seq="...)
-		t = appendUint(t, req.Seq)
-		dst = appendBulkStr(dst, string(t))
+		dst = appendBulk(dst, appendUint(append(tmp[:0], "seq="...), req.Seq))
 	}
-	if req.Cmd == CmdStats && extra == 1 {
-		if req.Stats == StatsShards {
-			dst = appendBulkStr(dst, "shards")
-		} else {
-			dst = appendBulkStr(dst, "reset")
-		}
-	}
-	if req.Cmd == CmdCrash && extra == 1 {
-		dst = appendBulkUint(dst, uint64(req.Shard))
+	if len(tail) > 0 {
+		dst = appendBulk(dst, tail)
 	}
 	return dst
 }

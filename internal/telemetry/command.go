@@ -40,50 +40,30 @@ const (
 	NumCommands = int(CmdRepl) + 1
 )
 
+// commandNames holds each command's wire-protocol spelling, in enum
+// order.
+var commandNames = [NumCommands]string{
+	CmdGet: "get", CmdSet: "set", CmdIncr: "incr", CmdDelete: "delete", CmdMGet: "mget", CmdMSet: "mset",
+	CmdZAdd: "zadd", CmdZGet: "zget", CmdZIncr: "zincr", CmdZDel: "zdel", CmdZRange: "zrange", CmdZCount: "zcount",
+	CmdWait: "wait", CmdRepl: "repl",
+}
+
 // String returns the wire-protocol spelling of the command.
 func (c Command) String() string {
-	switch c {
-	case CmdGet:
-		return "get"
-	case CmdSet:
-		return "set"
-	case CmdIncr:
-		return "incr"
-	case CmdDelete:
-		return "delete"
-	case CmdMGet:
-		return "mget"
-	case CmdMSet:
-		return "mset"
-	case CmdZAdd:
-		return "zadd"
-	case CmdZGet:
-		return "zget"
-	case CmdZIncr:
-		return "zincr"
-	case CmdZDel:
-		return "zdel"
-	case CmdZRange:
-		return "zrange"
-	case CmdZCount:
-		return "zcount"
-	case CmdWait:
-		return "wait"
-	case CmdRepl:
-		return "repl"
-	default:
-		return "unknown"
+	if int(c) < NumCommands {
+		return commandNames[c]
 	}
+	return "unknown"
 }
 
 // Commands lists every command in enum order, for deterministic
 // rendering of per-command surfaces.
 func Commands() []Command {
-	return []Command{
-		CmdGet, CmdSet, CmdIncr, CmdDelete, CmdMGet, CmdMSet,
-		CmdZAdd, CmdZGet, CmdZIncr, CmdZDel, CmdZRange, CmdZCount,
-		CmdWait, CmdRepl,
+	cmds := make([]Command, NumCommands)
+	for i := range cmds {
+		cmds[i] = Command(i)
 	}
+	return cmds
 }
 
 // Protocol labels which wire protocol carried a command — the second

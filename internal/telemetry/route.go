@@ -15,8 +15,9 @@ type RouteStats struct {
 	Batches Counter
 	// Requests counts frontend requests decoded.
 	Requests Counter
-	// LocalReplies counts requests the proxy answered itself (ping,
-	// stats, cluster, errors).
+	// LocalReplies counts requests the proxy answered itself — session,
+	// ping, stats, cluster, quit, refusals, errors — as each reply is
+	// staged (so a stats reply does not count itself).
 	LocalReplies Counter
 	// Forwards counts requests forwarded whole to one node.
 	Forwards Counter

@@ -55,6 +55,14 @@ go test ./...
 echo "== internal/cacheserver non-test lines"
 ls internal/cacheserver/*.go | grep -v '_test\.go$' | xargs cat | wc -l
 
+# So is per-command knowledge outside the command table
+# (internal/proto/spec.go): every `case …Cmd…` arm in the four packages
+# that read it. What remains should be executor arms and the adapters'
+# hand-written argument tails.
+echo "== case-Cmd arms (internal/{proto,cacheserver,cluster,telemetry}, non-test)"
+ls internal/proto/*.go internal/cacheserver/*.go internal/cluster/*.go internal/telemetry/*.go |
+	grep -v '_test\.go$' | xargs cat | grep -c 'case .*Cmd'
+
 # Recovery cost is tracked the same way: one served shard's crash →
 # serving again (Restart, heap open, Atlas recovery with its GC, runtime
 # rebuild), in time and in allocations. Printed, not gated — a single
@@ -147,9 +155,17 @@ for s in 1 2 3; do
 	go run -race ./cmd/faultinject -cluster -cluster-cycles 2 -seed "$s"
 done
 
+# Both parsers read attacker-controlled bytes, and the seeded fuzz
+# targets otherwise only ever run their seed corpus: give each a short
+# real campaign (liveness: no panic, no hang, no stranded queue entry).
+echo "== fuzz the codec loops (10s each)"
+go test -run '^$' -fuzz '^FuzzNativeLoop$' -fuzztime=10s ./internal/cacheserver
+go test -run '^$' -fuzz '^FuzzRESPLoop$' -fuzztime=10s ./internal/cacheserver
+
 # The doc-drift gate: docs/PROTOCOL.md (the canonical wire reference)
-# must match the live flag set and both adapters' command sets.
-echo "== doc drift (docs/PROTOCOL.md vs tspcached -help + adapters)"
+# must match the live flag sets. (Its command tables are checked against
+# the command table by TestSpecSpellingsDocumented in go test.)
+echo "== doc drift (docs/PROTOCOL.md vs tspcached/tspproxy -help)"
 sh scripts/check_docs.sh
 
 # Report-only perf gate: diff the working tspbench report (if any)
