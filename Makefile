@@ -131,14 +131,15 @@ demo-repl:
 # and atlas.Recover by in-flight log volume. Fixed iteration counts, so
 # two runs measure the same work.
 bench-recover:
-	$(GO) test -run 'ZZZ' -bench 'Restart' -benchtime 100x ./internal/nvm
+	$(GO) test -run 'ZZZ' -bench 'Restart|FlushAllSparse' -benchtime 100x ./internal/nvm
 	$(GO) test -run 'ZZZ' -bench 'CrashReattach' -benchtime 100x ./internal/stack
 	$(GO) test -run 'ZZZ' -bench 'BenchmarkRecovery$$' -benchtime 20x .
 
-# The telemetry overhead guard: counting on vs off at the device and map
-# layers must stay within a few percent.
+# The telemetry overhead guard: counting on vs off at the device's
+# one-shot entry points and the map layer, and the tallied load the
+# layers use beside the one-shot one.
 bench-telemetry:
-	$(GO) test -run 'ZZZ' -bench 'StoreTelemetry|LoadTelemetry' -benchtime 2000000x ./internal/nvm
+	$(GO) test -run 'ZZZ' -bench 'StoreTelemetry|LoadTelemetry|LoadTallied|LoadOneShot' -benchtime 2000000x ./internal/nvm
 	$(GO) test -run 'ZZZ' -bench 'PutTelemetry' -benchtime 300000x ./internal/hashmap
 
 # Alternating parent/change pairs of one bench/ workload, with quartiles

@@ -649,7 +649,7 @@ func TestConcurrentThreadsManyOCSes(t *testing.T) {
 }
 
 func TestNewRejectsIncompatibleLineSize(t *testing.T) {
-	dev := nvm.NewDevice(nvm.Config{Words: 1 << 12, LineWords: 6})
+	dev := nvm.NewDevice(nvm.Config{Words: 1 << 12, LineWords: 2}) // half a log record
 	heap, err := pheap.Format(dev)
 	if err != nil {
 		t.Fatalf("Format: %v", err)

@@ -97,18 +97,18 @@ func checksum(meta, a, v, thread, epoch uint64) uint64 {
 // on them (see Thread.appendEntry). A background eviction capturing the
 // line mid-write yields a checksum mismatch, never a silently wrong
 // record.
-func writeEntry(dev *nvm.Device, base nvm.Addr, e entry, thread, epoch uint64) {
+func writeEntry(tal *nvm.Tally, base nvm.Addr, e entry, thread, epoch uint64) {
 	m := e.meta()
-	dev.StoreBlock(base, []uint64{m, e.a, e.v, checksum(m, e.a, e.v, thread, epoch)})
+	tal.StoreBlock(base, []uint64{m, e.a, e.v, checksum(m, e.a, e.v, thread, epoch)})
 }
 
 // readEntry decodes and validates the record at base from the device's
 // CURRENT image (recovery runs after Restart, so the volatile image is
 // the persisted one). ok is false for never-written, torn, wrong-ring,
 // or wrong-epoch records.
-func readEntry(dev *nvm.Device, base nvm.Addr, thread, epoch uint64) (entry, bool) {
+func readEntry(tal *nvm.Tally, base nvm.Addr, thread, epoch uint64) (entry, bool) {
 	var rec [entryWords]uint64
-	dev.LoadBlock(base, rec[:])
+	tal.LoadBlock(base, rec[:])
 	m, a, v := rec[0], rec[1], rec[2]
 	if rec[3] != checksum(m, a, v, thread, epoch) {
 		return entry{}, false
@@ -161,26 +161,29 @@ func alignedLogBase(p pheap.Ptr) nvm.Addr {
 	return nvm.Addr((uint64(p) + entryWords - 1) &^ (entryWords - 1))
 }
 
-// logDir is a volatile handle onto the persistent directory block.
+// logDir is a volatile view of the persistent directory block: the
+// block, and the tally its reader counts the directory's words in (a
+// scan re-reads the bounds on every slot, so they are worth not paying
+// for one by one).
 type logDir struct {
-	heap *pheap.Heap
-	p    pheap.Ptr
+	dev *nvm.Device
+	p   pheap.Ptr
+	tal *nvm.Tally
 }
 
-func (d logDir) magic() uint64   { return d.heap.Load(d.p, dirMagicWord) }
-func (d logDir) epoch() uint64   { return d.heap.Load(d.p, dirEpochWord) }
-func (d logDir) maxThreads() int { return int(d.heap.Load(d.p, dirThreadsWord)) }
-func (d logDir) entries() int    { return int(d.heap.Load(d.p, dirEntriesWord)) }
-func (d logDir) buf(i int) pheap.Ptr {
-	return pheap.Ptr(d.heap.Load(d.p, dirBufBase+i))
+func (d logDir) word(off int) uint64 { return d.tal.Load(d.p.Addr() + nvm.Addr(off)) }
+
+func (d logDir) magic() uint64       { return d.word(dirMagicWord) }
+func (d logDir) epoch() uint64       { return d.word(dirEpochWord) }
+func (d logDir) maxThreads() int     { return int(d.word(dirThreadsWord)) }
+func (d logDir) entries() int        { return int(d.word(dirEntriesWord)) }
+func (d logDir) buf(i int) pheap.Ptr { return pheap.Ptr(d.word(dirBufBase + i)) }
+
+func (d logDir) setWord(off int, v uint64) {
+	a := d.p.Addr() + nvm.Addr(off)
+	d.tal.Store(a, v)
+	d.dev.FlushWord(a)
 }
 
-func (d logDir) setEpoch(e uint64) {
-	d.heap.Store(d.p, dirEpochWord, e)
-	d.heap.Device().FlushWord(d.p.Addr() + dirEpochWord)
-}
-
-func (d logDir) setBuf(i int, b pheap.Ptr) {
-	d.heap.Store(d.p, dirBufBase+i, uint64(b))
-	d.heap.Device().FlushWord(d.p.Addr() + nvm.Addr(dirBufBase+i))
-}
+func (d logDir) setEpoch(e uint64)         { d.setWord(dirEpochWord, e) }
+func (d logDir) setBuf(i int, b pheap.Ptr) { d.setWord(dirBufBase+i, uint64(b)) }

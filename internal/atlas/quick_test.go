@@ -238,14 +238,15 @@ func TestQuickChecksumRejectsTampering(t *testing.T) {
 			opening: kindBits%2 == 0,
 		}
 		dev := nvm.NewDevice(nvm.Config{Words: 64})
-		writeEntry(dev, 0, e, 3, 7)
-		if _, ok := readEntry(dev, 0, 3, 7); !ok {
+		tal := dev.Tally()
+		writeEntry(&tal, 0, e, 3, 7)
+		if _, ok := readEntry(&tal, 0, 3, 7); !ok {
 			return false // must validate untampered
 		}
 		// Tamper with one bit of one word.
 		w := nvm.Addr(word % entryWords)
 		dev.Store(w, dev.Load(w)^(1<<(bit%64)))
-		_, ok := readEntry(dev, 0, 3, 7)
+		_, ok := readEntry(&tal, 0, 3, 7)
 		return !ok
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 400}); err != nil {
@@ -258,15 +259,15 @@ func TestQuickChecksumRejectsTampering(t *testing.T) {
 func TestQuickEntryRejectedInWrongRingOrEpoch(t *testing.T) {
 	f := func(seq, a, v uint64, thread, epoch uint8) bool {
 		e := entry{kind: entryStore, seq: seq % (1 << 40), a: a, v: v}
-		dev := nvm.NewDevice(nvm.Config{Words: 64})
-		writeEntry(dev, 0, e, uint64(thread), uint64(epoch))
-		if _, ok := readEntry(dev, 0, uint64(thread), uint64(epoch)); !ok {
+		tal := nvm.NewDevice(nvm.Config{Words: 64}).Tally()
+		writeEntry(&tal, 0, e, uint64(thread), uint64(epoch))
+		if _, ok := readEntry(&tal, 0, uint64(thread), uint64(epoch)); !ok {
 			return false
 		}
-		if _, ok := readEntry(dev, 0, uint64(thread)+1, uint64(epoch)); ok {
+		if _, ok := readEntry(&tal, 0, uint64(thread)+1, uint64(epoch)); ok {
 			return false
 		}
-		if _, ok := readEntry(dev, 0, uint64(thread), uint64(epoch)+1); ok {
+		if _, ok := readEntry(&tal, 0, uint64(thread), uint64(epoch)+1); ok {
 			return false
 		}
 		return true

@@ -70,9 +70,10 @@ func (r Report) String() string {
 // depth walk; ordinals are not stored in records).
 type ocsKey struct{ thread, ocs uint64 }
 
-// ocsGroup collects one OCS's records.
+// ocsGroup is one OCS's records: a thread's records sorted by sequence
+// number are in append order, so a group is a contiguous run of them.
 type ocsGroup struct {
-	entries  []entry // in append (sequence) order
+	entries  []entry // in append (sequence) order; a subslice of the thread's sorted records
 	complete bool    // final release observed (depth returned to 0)
 }
 
@@ -101,11 +102,16 @@ func Recover(heap *pheap.Heap) (Report, error) {
 		rep.GC = gc
 		return rep, nil
 	}
-	dir := logDir{heap: heap, p: dirPtr}
+	dev := heap.Device()
+	// One tally for the scan and the undo replay (the ring scan is the
+	// bulk of a recovery's loads), published before the collector runs
+	// with its own.
+	tal := dev.Tally()
+	defer tal.Publish()
+	dir := logDir{dev: dev, p: dirPtr, tal: &tal}
 	if dir.magic() != dirMagic {
 		return rep, fmt.Errorf("atlas: log directory corrupt (bad magic)")
 	}
-	dev := heap.Device()
 	epoch := dir.epoch()
 
 	// 1: scan every ring slot per thread; sort valid records by sequence
@@ -127,7 +133,7 @@ func Recover(heap *pheap.Heap) (Report, error) {
 		base := alignedLogBase(buf)
 		var recs []entry
 		for slot := 0; slot < dir.entries(); slot++ {
-			e, ok := readEntry(dev, base+nvm.Addr(slot*entryWords), uint64(tid), epoch)
+			e, ok := readEntry(&tal, base+nvm.Addr(slot*entryWords), uint64(tid), epoch)
 			if !ok {
 				continue // empty, torn, or stale slot
 			}
@@ -136,28 +142,34 @@ func Recover(heap *pheap.Heap) (Report, error) {
 		rep.EntriesScanned += len(recs)
 		sort.Slice(recs, func(i, j int) bool { return recs[i].seq < recs[j].seq })
 
-		var cur *ocsGroup
-		depth := 0
-		ordinal := uint64(0)
-		sawPartial := false
+		// Groups come from one slab per thread, sized by its opening
+		// acquires; a group's entries are a run of recs, not a copy.
+		opens := 0
 		for _, e := range recs {
+			if e.kind == entryAcquire && e.opening {
+				opens++
+			}
+		}
+		slab := make([]ocsGroup, 0, opens)
+		var cur *ocsGroup
+		start := 0 // index in recs of cur's opening acquire
+		depth := 0
+		sawPartial := false
+		for i, e := range recs {
 			if cur == nil && !(e.kind == entryAcquire && e.opening) {
 				sawPartial = true // overwritten head of an old OCS
 				continue
 			}
 			if e.kind == entryAcquire && e.opening {
-				if cur != nil {
-					// A new OCS opening while the previous never closed
-					// means the previous one's tail records were lost
-					// (possible only in the unsound TSP-without-rescue
-					// scenario); it stays incomplete.
-					depth = 0
-				}
-				ordinal++
-				cur = &ocsGroup{}
-				groups[ocsKey{uint64(tid), ordinal}] = cur
+				// If the previous OCS never closed, its tail records were
+				// lost (possible only in the unsound TSP-without-rescue
+				// scenario) and it stays incomplete.
+				depth = 0
+				slab = append(slab, ocsGroup{})
+				cur, start = &slab[len(slab)-1], i
+				groups[ocsKey{uint64(tid), uint64(len(slab))}] = cur
 			}
-			cur.entries = append(cur.entries, e)
+			cur.entries = recs[start : i+1]
 			switch e.kind {
 			case entryAcquire:
 				depth++
@@ -233,13 +245,14 @@ func Recover(heap *pheap.Heap) (Report, error) {
 	}
 	sort.Slice(undo, func(i, j int) bool { return undo[i].seq > undo[j].seq })
 	for _, e := range undo {
-		dev.Store(nvm.Addr(e.a), e.v)
+		tal.Store(nvm.Addr(e.a), e.v)
 	}
 	rep.UndoApplied = len(undo)
 
 	// 5: persist the restored state, truncate logs, collect leaks.
 	dev.FlushAll()
 	dir.setEpoch(epoch + 1)
+	tal.Publish()
 	gc, err := heap.GC()
 	if err != nil {
 		return rep, err

@@ -117,9 +117,9 @@ type Runtime struct {
 	opts Options
 	tel  *telemetry.AtlasStats // nil-safe; from Options.Telemetry
 
-	dir   logDir
-	epoch atomic.Uint64 // cached copy of the directory epoch
-	mtxID atomic.Uint64 // mutex id allocator
+	dirPtr pheap.Ptr     // the persistent log directory (see dir)
+	epoch  atomic.Uint64 // cached copy of the directory epoch
+	mtxID  atomic.Uint64 // mutex id allocator
 
 	// ocsGate serializes checkpoints against running OCSes: every OCS
 	// holds a read lock for its duration; Checkpoint takes the write
@@ -169,29 +169,36 @@ func New(heap *pheap.Heap, mode Mode, opts Options) (*Runtime, error) {
 		rt.dev.FlushRange(0, pheap.HeapStart()) // the aux slot lives in the header
 		dirPtr = p
 	}
-	rt.dir = logDir{heap: heap, p: dirPtr}
-	if rt.dir.magic() != dirMagic {
+	rt.dirPtr = dirPtr
+	tal := rt.dev.Tally()
+	defer tal.Publish()
+	dir := rt.dir(&tal)
+	if dir.magic() != dirMagic {
 		return nil, errors.New("atlas: log directory corrupt (bad magic)")
 	}
-	if got := rt.dir.maxThreads(); got != opts.MaxThreads {
+	if got := dir.maxThreads(); got != opts.MaxThreads {
 		return nil, fmt.Errorf("atlas: directory built for %d threads, options say %d", got, opts.MaxThreads)
 	}
-	if got := rt.dir.entries(); got != opts.LogEntries {
+	if got := dir.entries(); got != opts.LogEntries {
 		return nil, fmt.Errorf("atlas: directory built for %d log entries, options say %d", got, opts.LogEntries)
 	}
-	if n := countResidualEntries(heap, rt.dir); n > 0 {
+	if n := countResidualEntries(dir); n > 0 {
 		return nil, fmt.Errorf("atlas: directory holds %d un-recovered log entries; run Recover first", n)
 	}
-	rt.epoch.Store(rt.dir.epoch())
+	rt.epoch.Store(dir.epoch())
 	rt.threads = make([]*Thread, opts.MaxThreads)
 	return rt, nil
+}
+
+// dir returns a view of the log directory counting into tal.
+func (rt *Runtime) dir(tal *nvm.Tally) logDir {
+	return logDir{dev: rt.dev, p: rt.dirPtr, tal: tal}
 }
 
 // countResidualEntries counts valid current-epoch entries left anywhere
 // in the log rings — nonzero means the previous incarnation crashed and
 // Recover has not been run.
-func countResidualEntries(heap *pheap.Heap, dir logDir) int {
-	dev := heap.Device()
+func countResidualEntries(dir logDir) int {
 	epoch := dir.epoch()
 	total := 0
 	for i := 0; i < dir.maxThreads(); i++ {
@@ -201,7 +208,7 @@ func countResidualEntries(heap *pheap.Heap, dir logDir) int {
 		}
 		base := alignedLogBase(buf)
 		for slot := 0; slot < dir.entries(); slot++ {
-			if _, ok := readEntry(dev, base+nvm.Addr(slot*entryWords), uint64(i), epoch); ok {
+			if _, ok := readEntry(dir.tal, base+nvm.Addr(slot*entryWords), uint64(i), epoch); ok {
 				total++
 			}
 		}
@@ -231,10 +238,13 @@ func (rt *Runtime) NewMutex() *Mutex {
 func (rt *Runtime) NewThread() (*Thread, error) {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
+	tal := rt.dev.Tally()
+	defer tal.Publish()
+	dir := rt.dir(&tal)
 	reused := rt.slotReused
 	for i, t := range rt.threads {
 		if t == nil {
-			buf := rt.dir.buf(i)
+			buf := dir.buf(i)
 			if buf.IsNil() && rt.mode != ModeOff {
 				// One entry of slack lets the base be rounded up to an
 				// entry (= line) boundary; see alignedLogBase.
@@ -242,7 +252,7 @@ func (rt *Runtime) NewThread() (*Thread, error) {
 				if err != nil {
 					return nil, fmt.Errorf("atlas: allocating log for thread %d: %w", i, err)
 				}
-				rt.dir.setBuf(i, p)
+				dir.setBuf(i, p)
 				buf = p
 			}
 			var base nvm.Addr
@@ -256,11 +266,11 @@ func (rt *Runtime) NewThread() (*Thread, error) {
 				// ones. Scrub the ring (and make the scrub durable, so a
 				// no-rescue crash cannot resurrect the stale records).
 				for w := 0; w < rt.opts.LogEntries*entryWords; w++ {
-					rt.dev.Store(base+nvm.Addr(w), 0)
+					tal.Store(base+nvm.Addr(w), 0)
 				}
 				rt.dev.FlushRange(base, uint64(rt.opts.LogEntries*entryWords))
 			}
-			t := &Thread{rt: rt, id: uint64(i), buf: base}
+			t := &Thread{rt: rt, id: uint64(i), buf: base, tal: rt.dev.Tally()}
 			rt.threads[i] = t
 			return t, nil
 		}
@@ -307,7 +317,9 @@ func (rt *Runtime) checkpointLocked() {
 	// back is already durable and consistent (no OCS is running).
 	rt.dev.FlushAll()
 	newEpoch := rt.epoch.Load() + 1
-	rt.dir.setEpoch(newEpoch)
+	tal := rt.dev.Tally()
+	rt.dir(&tal).setEpoch(newEpoch)
+	tal.Publish()
 	rt.epoch.Store(newEpoch)
 	rt.mu.Lock()
 	for _, t := range rt.threads {

@@ -167,3 +167,82 @@ func TestLargeSectionReusesFirstStoreFilter(t *testing.T) {
 		t.Fatalf("log appends over %d sections = %d, want %d (each address logged once per OCS)", runs, got, want)
 	}
 }
+
+// TestTallyPublishedWhenSectionEnds pins when a thread's device accesses
+// reach Device.Stats: not while its outermost section is open, all of
+// them when it closes — and also when it never closes because the body
+// panicked, or closes on a device that an armed crash stopped mid-way
+// (whose dropped stores are not accesses). Each number is what the
+// device counted when every access was its own atomic add.
+func TestTallyPublishedWhenSectionEnds(t *testing.T) {
+	e := newEnv(t, ModeTSP, Options{})
+	th := e.thread(t)
+	p := e.alloc(t, 8)
+	mus := []*Mutex{e.rt.NewMutex()}
+	delta := func(since nvm.StatsSnapshot) (loads, stores uint64) {
+		d := e.dev.Stats().Sub(since)
+		return d.Loads, d.Stores
+	}
+
+	// Three first stores: per store one load of the old value, one undo
+	// record and the store; plus the acquire and release records.
+	before := e.dev.Stats()
+	if err := th.Section(mus, func() error {
+		for w := 0; w < 3; w++ {
+			th.Store(p.Addr()+uint64ToAddr(w), 9)
+		}
+		if l, s := delta(before); l != 0 || s != 0 {
+			t.Errorf("an open section has published %d loads, %d stores", l, s)
+		}
+		return nil
+	}); err != nil {
+		t.Fatalf("Section: %v", err)
+	}
+	if l, s := delta(before); l != 3 || s != 8 {
+		t.Fatalf("closed section counted %d loads, %d stores, want 3 and 8", l, s)
+	}
+
+	// Outside a section every access is published at once.
+	before = e.dev.Stats()
+	th.Store(p.Addr(), th.Load(p.Addr())+1)
+	if l, s := delta(before); l != 1 || s != 1 {
+		t.Fatalf("unguarded load+store counted %d loads, %d stores, want 1 and 1", l, s)
+	}
+
+	// A body that panics: acquire record, one guarded store, one load.
+	before = e.dev.Stats()
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("the section body's panic was swallowed")
+			}
+		}()
+		_ = th.Section(mus, func() error {
+			th.Store(p.Addr(), 1)
+			th.Load(p.Addr() + 1)
+			panic("section body failed")
+		})
+	}()
+	if l, s := delta(before); l != 2 || s != 3 {
+		t.Fatalf("panicked section counted %d loads, %d stores, want 2 and 3", l, s)
+	}
+
+	// An armed crash two store-class operations in: the acquire record
+	// and the first undo record land, everything after is dropped.
+	th2 := e.thread(t)
+	mus2 := []*Mutex{e.rt.NewMutex()}
+	before = e.dev.Stats()
+	e.dev.ArmCrashAfter(2, nvm.CrashOptions{RescueFraction: 1})
+	_ = th2.Section(mus2, func() error {
+		for w := 4; w < 7; w++ {
+			th2.Store(p.Addr()+uint64ToAddr(w), 9)
+		}
+		return nil
+	})
+	if !e.dev.Crashed() {
+		t.Fatal("the armed crash did not fire")
+	}
+	if l, s := delta(before); l != 3 || s != 2 {
+		t.Fatalf("section cut by a crash counted %d loads, %d stores, want 3 and 2", l, s)
+	}
+}

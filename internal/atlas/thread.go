@@ -19,6 +19,10 @@ type Thread struct {
 	// buf is stored as the pheap payload address; pheap.Ptr(0) marks
 	// "no log" (ModeOff runtimes register threads without buffers).
 
+	// tal counts the thread's device accesses, published when the
+	// outermost critical section closes (or at once, outside one).
+	tal nvm.Tally
+
 	head       int    // total entries ever appended; slot = head % capacity
 	flushedTo  int    // entries [flushedTo, head) await their ordered flush (ModeNonTSP)
 	ocsEntries int    // entries appended by the current OCS (ring-span guard)
@@ -93,7 +97,7 @@ func (t *Thread) appendEntry(kind entryKind, a, v uint64, opening bool) {
 	slot := t.head % t.rt.opts.LogEntries
 	base := t.buf + nvm.Addr(slot*entryWords)
 	t.clock++
-	writeEntry(t.rt.dev, base, entry{
+	writeEntry(&t.tal, base, entry{
 		kind:    kind,
 		seq:     t.clock,
 		a:       a,
@@ -180,6 +184,7 @@ func (t *Thread) Unlock(m *Mutex) {
 	}
 	m.mu.Unlock()
 	if t.held == 0 {
+		t.tal.Publish()
 		t.rt.ocsGate.RUnlock()
 		if len(t.deferredFrees) > 0 {
 			t.runDeferredFrees()
@@ -212,6 +217,9 @@ func (t *Thread) Section(mus []*Mutex, fn func() error) error {
 	for _, m := range mus {
 		t.Lock(m)
 	}
+	// A panicking fn leaves the mutexes held, so no Unlock publishes what
+	// it counted; after a returning fn's last Unlock this has nothing left.
+	defer t.tal.Publish()
 	err := fn()
 	for i := len(mus) - 1; i >= 0; i-- {
 		t.Unlock(mus[i])
@@ -288,7 +296,7 @@ func (t *Thread) Store(a nvm.Addr, v uint64) {
 		// the commit-time data-flush line set in ModeNonTSP.
 		first := !t.seenDirty(a)
 		if first || t.rt.opts.LogEveryStore {
-			old := t.rt.dev.Load(a)
+			old := t.tal.Load(a)
 			t.appendEntry(entryStore, uint64(a), old, false)
 			if t.rt.mode == ModeNonTSP {
 				// The undo record (and everything logged before it) must
@@ -297,11 +305,20 @@ func (t *Thread) Store(a nvm.Addr, v uint64) {
 			}
 		}
 	}
-	t.rt.dev.Store(a, v)
+	t.tal.Store(a, v)
+	if t.held == 0 {
+		t.tal.Publish()
+	}
 }
 
 // Load reads heap word address a.
-func (t *Thread) Load(a nvm.Addr) uint64 { return t.rt.dev.Load(a) }
+func (t *Thread) Load(a nvm.Addr) uint64 {
+	v := t.tal.Load(a)
+	if t.held == 0 {
+		t.tal.Publish()
+	}
+	return v
+}
 
 // FreeDeferred schedules the block at p for deallocation once no
 // possible recovery could resurrect it. Freeing inside a critical

@@ -76,6 +76,43 @@ func TestWritePathAllocBudget(t *testing.T) {
 	}
 }
 
+// TestRangeAllocBudget pins what a zrange allocates once the connection
+// is warm: the per-shard runs and the merged result are scratch on the
+// connection, so a trip allocates nothing (21 objects before the runs
+// were kept: the runs slice, and each shard's run grown by append).
+func TestRangeAllocBudget(t *testing.T) {
+	s, err := New(WithShards(4), WithEpochInterval(0))
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	defer s.Close()
+	var load strings.Builder
+	for k := 0; k < 64; k++ {
+		fmt.Fprintf(&load, "zadd %d %d\r\n", k*3, k)
+	}
+	cs := s.newConnState()
+	enc := proto.NewEncoder(io.Discard, proto.Native{}, s.cfg.writeBuf)
+	trip := func(input string) func() {
+		dec := proto.NewDecoder(&burstReader{burst: []byte(input)}, proto.Native{}, 0)
+		return func() {
+			batch, err := dec.Next()
+			if err != nil {
+				t.Fatalf("decode: %v", err)
+			}
+			s.serveBatch(cs, enc, batch)
+			if err := enc.Flush(); err != nil {
+				t.Fatalf("flush: %v", err)
+			}
+		}
+	}
+	trip(load.String())()
+	zrange := trip("zrange 10 1000 16\r\n")
+	zrange() // grow the per-connection scratch once
+	if got := testing.AllocsPerRun(200, zrange); got > 0 {
+		t.Fatalf("allocs per zrange = %.1f, budget 0", got)
+	}
+}
+
 // TestEpochCloseAllocBudget pins what an epoch close allocates. Over
 // empty overlays — every close of an all-durable workload, 200 a second
 // — only the wake broadcast's fresh channel (the channel and the cell

@@ -184,17 +184,14 @@ func (s *Server) rangeMerged(cs *connState, lo, hi uint64, limit int) []proto.It
 		cs.items = cs.items[:0]
 		return cs.items
 	}
-	if len(s.shards) == 1 {
-		cs.items = s.shards[0].listRange(lo, hi, limit, cs.items[:0])
-		return cs.items
-	}
-	// Collect each shard's run, then k-way merge by key. The per-shard
-	// runs are each capped at limit — more can never survive the merge.
-	runs := make([][]proto.Item, 0, len(s.shards))
-	for _, sh := range s.shards {
-		run := sh.listRange(lo, hi, limit, nil)
-		if len(run) > 0 {
-			runs = append(runs, run)
+	// Collect each shard's run (capped at limit: more can never survive
+	// the merge), then k-way merge by key. cs.runs keeps the runs' buffers
+	// (first half) and the merge's shrinking views of them (second half).
+	n := len(s.shards)
+	bufs, runs := cs.runs[:n], cs.runs[n:n]
+	for i, sh := range s.shards {
+		if bufs[i] = sh.listRange(lo, hi, limit, bufs[i][:0]); len(bufs[i]) > 0 {
+			runs = append(runs, bufs[i])
 		}
 	}
 	out := cs.items[:0]

@@ -388,14 +388,15 @@ type connState struct {
 	// construction (a connection has at most one in flight, so building
 	// and running it allocates nothing), one tag per command in it, the
 	// tags' op references, the op translation of the command being
-	// compiled, the reply being staged and its item arena, and the
-	// optimistic read path's stripe-version captures.
+	// compiled, the reply being staged, its item arena and a zrange's
+	// per-shard runs, and the optimistic read path's version captures.
 	plan  plan
 	tags  []cmdTag
 	refs  []opRef
 	ops   []batchOp
 	rep   proto.Reply
 	items []proto.Item
+	runs  [][]proto.Item
 	vers  []uint64
 
 	// sess is the session id the connection bound with the session
@@ -409,7 +410,7 @@ type connState struct {
 }
 
 func (s *Server) newConnState() *connState {
-	return &connState{importSlot: -1, plan: plan{max: s.cfg.batchMax, legs: make([]leg, len(s.shards))}}
+	return &connState{importSlot: -1, plan: plan{max: s.cfg.batchMax, legs: make([]leg, len(s.shards))}, runs: make([][]proto.Item, 2*len(s.shards))}
 }
 
 // readOptimistic attempts to serve every op of the connection's

@@ -494,10 +494,11 @@ func (r VerifyReport) String() string {
 // the expected observable outcome.
 func (m *Map) Verify() (VerifyReport, error) {
 	var rep VerifyReport
-	dev := m.heap.Device()
+	tal := m.heap.Device().Tally()
+	defer tal.Publish()
 	var node [nodeWords]uint64
 	for b := 0; b < m.nBuckets; b++ {
-		n := pheap.Ptr(dev.Load(m.bucketAddr(b)))
+		n := pheap.Ptr(tal.Load(m.bucketAddr(b)))
 		if !n.IsNil() {
 			rep.Chains++
 		}
@@ -507,7 +508,7 @@ func (m *Map) Verify() (VerifyReport, error) {
 			if steps > m.nBuckets*1024 {
 				return rep, fmt.Errorf("%w: cycle suspected in bucket %d", ErrCorrupt, b)
 			}
-			dev.LoadBlock(n.Addr(), node[:])
+			tal.LoadBlock(n.Addr(), node[:])
 			key, val := node[nodeKey], node[nodeValue]
 			if node[nodeCheck] != checkWord(key, val) {
 				return rep, fmt.Errorf("%w: entry key=%d val=%d in bucket %d", ErrCorrupt, key, val, b)
@@ -525,10 +526,11 @@ func (m *Map) Verify() (VerifyReport, error) {
 // Range calls fn for every entry on a QUIESCENT map until fn returns
 // false. Iteration order is unspecified.
 func (m *Map) Range(fn func(key, value uint64) bool) {
-	dev := m.heap.Device()
+	tal := m.heap.Device().Tally()
+	defer tal.Publish()
 	for b := 0; b < m.nBuckets; b++ {
-		for n := pheap.Ptr(dev.Load(m.bucketAddr(b))); !n.IsNil(); n = pheap.Ptr(dev.Load(n.Addr() + nodeNext)) {
-			if !fn(dev.Load(n.Addr()+nodeKey), dev.Load(n.Addr()+nodeValue)) {
+		for n := pheap.Ptr(tal.Load(m.bucketAddr(b))); !n.IsNil(); n = pheap.Ptr(tal.Load(n.Addr() + nodeNext)) {
+			if !fn(tal.Load(n.Addr()+nodeKey), tal.Load(n.Addr()+nodeValue)) {
 				return
 			}
 		}

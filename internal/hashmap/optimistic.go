@@ -15,7 +15,7 @@
 //   - Every word access is an atomic load on the simulated NVM device, so
 //     the race detector is clean by construction.
 //   - A torn pointer (next/head read mid-unlink) can point anywhere; the
-//     walk dereferences through Device.TryLoad, which range-checks
+//     walk dereferences through nvm's TryLoad, which range-checks
 //     instead of panicking, and any such interleaving also bumped the
 //     sequence, so the garbage value is discarded at validation.
 //   - Freed node memory cannot be recycled under a reader's feet: Delete
@@ -54,9 +54,14 @@ const (
 // exhausted, in which case the caller must re-run the read under the
 // stripe lock (Get). It takes no atlas.Thread: the whole point is that
 // the reader participates in no critical section.
+//
+// The read is one device operation: its loads, retried walks included,
+// are counted in a tally on this frame and published once on return.
 func (m *Map) GetOptimistic(key uint64) (value uint64, ok, valid bool) {
+	tal := m.heap.Device().Tally()
+	defer tal.Publish()
 	for attempt := 0; attempt < optimisticAttempts; attempt++ {
-		value, ok, valid = m.getAttempt(key)
+		value, ok, valid = m.getAttempt(&tal, key)
 		if valid {
 			m.tel.IncOptGet()
 			m.tel.IncGet()
@@ -85,33 +90,32 @@ func (m *Map) MGetOptimistic(keys, vals []uint64, oks, valid []bool) (nValid int
 }
 
 // getAttempt is one snapshot-walk-validate cycle.
-func (m *Map) getAttempt(key uint64) (value uint64, ok, valid bool) {
+func (m *Map) getAttempt(tal *nvm.Tally, key uint64) (value uint64, ok, valid bool) {
 	b := m.bucketOf(key)
 	seqAddr := &m.seqs[b/m.stride].v
 	seq := atomic.LoadUint64(seqAddr)
 	if seq&1 != 0 { // writer in the stripe's critical section right now
 		return 0, false, false
 	}
-	dev := m.heap.Device()
-	n, live := dev.TryLoad(m.bucketAddr(b))
+	n, live := tal.TryLoad(m.bucketAddr(b))
 	steps := 0
 	for live && n != 0 {
 		steps++
 		if steps > optimisticMaxSteps {
 			return 0, false, false
 		}
-		k, kLive := dev.TryLoad(nvm.Addr(n) + nodeKey)
+		k, kLive := tal.TryLoad(nvm.Addr(n) + nodeKey)
 		if !kLive {
 			return 0, false, false
 		}
 		if k == key {
-			v, vLive := dev.TryLoad(nvm.Addr(n) + nodeValue)
+			v, vLive := tal.TryLoad(nvm.Addr(n) + nodeValue)
 			if !vLive || atomic.LoadUint64(seqAddr) != seq {
 				return 0, false, false
 			}
 			return v, true, true
 		}
-		n, live = dev.TryLoad(nvm.Addr(n) + nodeNext)
+		n, live = tal.TryLoad(nvm.Addr(n) + nodeNext)
 	}
 	if !live || atomic.LoadUint64(seqAddr) != seq {
 		return 0, false, false

@@ -13,8 +13,9 @@ type Config struct {
 	// Words is the device size in 8-byte words.
 	Words int
 
-	// LineWords is the cache-line size in words. The default of 8 models
-	// the ubiquitous 64-byte line.
+	// LineWords is the cache-line size in words, a power of two (the
+	// line of an address is a shift). The default of 8 models the
+	// ubiquitous 64-byte line.
 	LineWords int
 
 	// FlushCost is the simulated latency of one synchronous line flush,
@@ -51,8 +52,8 @@ type Config struct {
 	Telemetry *telemetry.DeviceStats
 
 	// DisableStats turns counting off entirely: the device holds a nil
-	// telemetry section and every counter update is a single predictable
-	// branch. Stats() then reads as all zeros.
+	// telemetry section, so a published tally is dropped at the cost of
+	// one branch. Stats() then reads as all zeros.
 	DisableStats bool
 }
 
@@ -95,8 +96,8 @@ func (c Config) Validate() error {
 	if c.Words <= 0 {
 		return errors.New("Words must be positive")
 	}
-	if c.LineWords <= 0 {
-		return errors.New("LineWords must be positive")
+	if c.LineWords <= 0 || c.LineWords&(c.LineWords-1) != 0 {
+		return errors.New("LineWords must be a positive power of two")
 	}
 	if c.FlushCost < 0 {
 		return errors.New("FlushCost must be non-negative")

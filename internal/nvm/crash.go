@@ -59,12 +59,16 @@ func (d *Device) Crash(opts CrashOptions) {
 		// Dirty lines are simply lost; nothing to do.
 	default:
 		d.tel.IncRescue()
+		// One draw per dirty line, in ascending line order.
 		rng := rand.New(rand.NewSource(opts.Seed))
-		for line := uint64(0); line < uint64(len(d.dirty)); line++ {
-			if d.lineDirty(line) && rng.Float64() < opts.RescueFraction {
-				d.flushLine(line, false)
+		var n uint64
+		for line := d.nextDirty(0); line < d.lines; line = d.nextDirty(line + 1) {
+			if rng.Float64() < opts.RescueFraction {
+				d.writeBack(line)
+				n++
 			}
 		}
+		d.tel.AddWritebacks(n)
 	}
 }
 
@@ -111,10 +115,9 @@ func (d *Device) DisarmCrash() {
 // countdown is called by every store-class operation; when an armed
 // countdown reaches zero the crash fires BEFORE the triggering store
 // takes effect (the store is the one that never happened).
-func (d *Device) countdown() bool {
-	if d.armed.Load() == 0 {
-		return false
-	}
+func (d *Device) countdown() bool { return d.armed.Load() != 0 && d.countdownArmed() }
+
+func (d *Device) countdownArmed() bool {
 	if d.armed.Add(-1) != 0 {
 		return false
 	}
@@ -134,7 +137,7 @@ func (d *Device) countdown() bool {
 // configured, ready for StartEvictor.
 //
 // Only dirty lines are re-read: by the clean-line invariant (see
-// flushLine) every other line already equals its persisted content. So a
+// writeBack) every other line already equals its persisted content. So a
 // restart costs what the crash left unrescued — nothing after a full
 // rescue — not the size of the device.
 //
@@ -144,15 +147,12 @@ func (d *Device) countdown() bool {
 func (d *Device) Restart() {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	for line := uint64(0); line < uint64(len(d.dirty)); line++ {
-		if !d.lineDirty(line) {
-			continue
-		}
+	for line := d.nextDirty(0); line < d.lines; line = d.nextDirty(line + 1) {
 		lo, hi := d.lineSpan(line)
 		for w := lo; w < hi; w++ {
 			d.volatileStore(w, d.persistedLoad(w))
 		}
-		d.dirtyClear(line)
+		d.setDirty(line, false)
 	}
 	if d.cfg.Evictor.Enabled() {
 		d.evictor = newEvictor(d, d.cfg.Evictor)
@@ -160,9 +160,4 @@ func (d *Device) Restart() {
 	d.armed.Store(0)
 	d.armedOpts.Store(nil)
 	d.crashed.Store(false)
-}
-
-// lineDirty reports whether the given line index is dirty.
-func (d *Device) lineDirty(line uint64) bool {
-	return d.dirtyLoad(line) != 0
 }

@@ -2,7 +2,6 @@ package nvm
 
 import (
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -78,17 +77,23 @@ func (e *evictor) run() {
 }
 
 // sweep writes back up to LinesPerSweep dirty lines, scanning round-robin
-// so every line eventually gets evicted under sustained dirtying.
+// from where the last sweep stopped — [next, lines) and then [0, next) —
+// so every line eventually gets evicted under sustained dirtying. A
+// sweep that runs out of dirty lines first leaves next where it was.
 func (e *evictor) sweep() {
 	d := e.d
-	lines := uint64(len(d.dirty))
-	written := 0
-	for scanned := uint64(0); scanned < lines && written < e.cfg.LinesPerSweep; scanned++ {
-		line := e.next
-		e.next = (e.next + 1) % lines
-		if atomic.LoadUint32(&d.dirty[line]) != 0 {
-			d.flushLine(line, false)
+	start, written := e.next, uint64(0)
+	visit := func(from, to uint64) {
+		for line := d.nextDirty(from); line < to && written < uint64(e.cfg.LinesPerSweep); line = d.nextDirty(line + 1) {
+			d.writeBack(line)
 			written++
+			e.next = (line + 1) % d.lines
 		}
 	}
+	visit(start, d.lines)
+	visit(0, start)
+	if written < uint64(e.cfg.LinesPerSweep) {
+		e.next = start
+	}
+	d.tel.AddWritebacks(written)
 }

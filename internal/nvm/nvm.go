@@ -26,6 +26,7 @@ package nvm
 
 import (
 	"fmt"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 
@@ -54,15 +55,28 @@ type Device struct {
 	// concurrently with crash-time readers in tests.
 	persisted []uint64
 
-	// dirty has one word per cache line: nonzero when the line's volatile
-	// content may differ from its persisted content, zero when the two
-	// are identical (the clean-line invariant, see flushLine).
-	dirty []uint32
+	// dirty is the dirty set, one bit per cache line (line l is bit l&63
+	// of word l>>6): set when the line's volatile content may differ from
+	// its persisted content, clear when the two are identical (the
+	// clean-line invariant, see writeBack). Bits change by compare-and-swap
+	// on their word; every walk of the set (rescue, restart, eviction, the
+	// DirtyLines gauge) visits set bits only, in ascending line order.
+	dirty []uint64
+
+	// lines is the number of cache lines covering the device; line sizes
+	// are powers of two, so the line of an address is a shift by lineShift.
+	lines     uint64
+	lineShift uint
 
 	// tel is the device's counter section: injected via Config.Telemetry,
 	// privately allocated by default, or nil when Config.DisableStats is
-	// set (every update then costs one branch).
+	// set. No access touches it: accesses are counted in a Tally and added
+	// here when the operation owning the tally ends (see tally.go).
 	tel *telemetry.DeviceStats
+
+	// quick is how many words a load may read on its inlined fast path:
+	// all of them with the latency model off, none with it on (loadSlow).
+	quick uint64
 
 	// cacheTags is the direct-mapped latency model: cacheTags[line&mask]
 	// holds line+1 when that line is "cached". Entries race benignly —
@@ -98,7 +112,9 @@ func NewDevice(cfg Config) *Device {
 		cfg:       cfg,
 		volatile:  make([]uint64, cfg.Words),
 		persisted: make([]uint64, cfg.Words),
-		dirty:     make([]uint32, lines),
+		dirty:     make([]uint64, (lines+63)/64),
+		lines:     uint64(lines),
+		lineShift: uint(bits.TrailingZeros(uint(cfg.LineWords))),
 		tel:       cfg.Telemetry,
 	}
 	if d.tel == nil && !cfg.DisableStats {
@@ -107,6 +123,8 @@ func NewDevice(cfg Config) *Device {
 	if cfg.MissCost > 0 {
 		d.cacheTags = make([]uint64, cfg.MissLines)
 		d.tagMask = uint64(cfg.MissLines - 1)
+	} else {
+		d.quick = uint64(cfg.Words)
 	}
 	if cfg.Evictor.Enabled() {
 		d.evictor = newEvictor(d, cfg.Evictor)
@@ -117,11 +135,9 @@ func NewDevice(cfg Config) *Device {
 // touchLoad charges the cache-latency model for a load of address a: a
 // hit in the direct-mapped tag table is free, a miss spins MissCost and
 // installs the line. Tag accesses are atomic only to stay race-clean;
-// lost updates merely misestimate one access.
+// lost updates merely misestimate one access. Callers test cacheTags for
+// nil themselves: with the model off the call would be the access's cost.
 func (d *Device) touchLoad(a Addr) {
-	if d.cacheTags == nil {
-		return
-	}
 	line := d.LineOf(a)
 	idx := line & d.tagMask
 	if atomic.LoadUint64(&d.cacheTags[idx]) == line+1 {
@@ -136,11 +152,9 @@ func (d *Device) touchLoad(a Addr) {
 // without stalling the pipeline, which is precisely why sequential log
 // appends cost so much less than pointer-chasing loads — the asymmetry
 // at the heart of the paper's overhead measurements. Read-modify-write
-// operations (CAS, Add) stall like loads and use touchLoad.
+// operations (CAS, Add) stall like loads and use touchLoad. As there,
+// the caller has checked that the model is on.
 func (d *Device) touchStore(a Addr) {
-	if d.cacheTags == nil {
-		return
-	}
 	line := d.LineOf(a)
 	idx := line & d.tagMask
 	if atomic.LoadUint64(&d.cacheTags[idx]) != line+1 {
@@ -155,146 +169,127 @@ func (d *Device) Config() Config { return d.cfg }
 func (d *Device) Words() uint64 { return uint64(len(d.volatile)) }
 
 // Lines returns the number of cache lines covering the device.
-func (d *Device) Lines() uint64 { return uint64(len(d.dirty)) }
+func (d *Device) Lines() uint64 { return d.lines }
 
 // LineOf returns the cache line index containing address a.
-func (d *Device) LineOf(a Addr) uint64 { return uint64(a) / uint64(d.cfg.LineWords) }
+func (d *Device) LineOf(a Addr) uint64 { return uint64(a) >> d.lineShift }
 
 // check panics on out-of-range addresses. Simulated programs indexing
 // outside the device are bugs in this repository, not recoverable errors.
 func (d *Device) check(a Addr) {
 	if uint64(a) >= uint64(len(d.volatile)) {
-		panic(fmt.Sprintf("nvm: address %d out of range (device has %d words)", a, len(d.volatile)))
+		d.outOfRange(a)
 	}
 }
+
+// loadSlow is the out-of-line half of Tally.Load, reached when a is not
+// below quick: either a is out of range (check panics) or the latency
+// model is on and the load is charged to it.
+func (d *Device) loadSlow(a Addr) {
+	d.check(a)
+	d.touchLoad(a)
+}
+
+// outOfRange is check's panic, kept out of line so check inlines.
+func (d *Device) outOfRange(a Addr) {
+	panic(fmt.Sprintf("nvm: address %d out of range (device has %d words)", a, len(d.volatile)))
+}
+
+// The accessors below are the tally-of-one entry points: each runs the
+// Tally method of the same name (tally.go has its contract) on a fresh
+// tally and publishes it. A caller with many accesses holds a Tally.
 
 // Load atomically reads the word at a from the volatile image.
 func (d *Device) Load(a Addr) uint64 {
-	d.check(a)
-	d.tel.IncLoad(uint64(a))
-	d.touchLoad(a)
-	return atomic.LoadUint64(&d.volatile[a])
+	t := d.Tally()
+	v := t.Load(a)
+	t.Publish()
+	return v
 }
 
-// TryLoad atomically reads the word at a, reporting false instead of
-// panicking when a is out of range. Optimistic readers need it: a
-// lock-free chain walk can pick up a pointer mid-update, and the torn
-// value may index anywhere. The reader detects the interleaving by
-// sequence validation afterwards; TryLoad just keeps the speculative
-// dereference from killing the process first.
+// TryLoad is Load reporting false, not panicking, when a is out of range.
 func (d *Device) TryLoad(a Addr) (uint64, bool) {
-	if uint64(a) >= uint64(len(d.volatile)) {
-		return 0, false
-	}
-	d.tel.IncLoad(uint64(a))
-	d.touchLoad(a)
-	return atomic.LoadUint64(&d.volatile[a]), true
+	t := d.Tally()
+	v, ok := t.TryLoad(a)
+	t.Publish()
+	return v, ok
 }
 
-// LoadBlock reads len(dst) consecutive words starting at a into dst. It
-// is the load-side mirror of StoreBlock, for code that scans (the
-// recovery collector, the log scan, a structure verifier): every word is
-// still read atomically and counted as one load, but the range check and
-// the statistics update are paid once per call and the latency model
-// once per line. Unlike StoreBlock the range may span lines.
+// LoadBlock reads len(dst) consecutive words starting at a into dst.
 func (d *Device) LoadBlock(a Addr, dst []uint64) {
-	if len(dst) == 0 {
-		return
-	}
-	last := a + Addr(len(dst)) - 1
-	d.check(a)
-	d.check(last)
-	d.tel.AddLoads(uint64(a), uint64(len(dst)))
-	if d.cacheTags != nil {
-		for line, end := d.LineOf(a), d.LineOf(last); line <= end; line++ {
-			d.touchLoad(Addr(line * uint64(d.cfg.LineWords)))
-		}
-	}
-	src := d.volatile[a : last+1]
-	for i := range dst {
-		dst[i] = atomic.LoadUint64(&src[i])
-	}
+	t := d.Tally()
+	t.LoadBlock(a, dst)
+	t.Publish()
 }
 
 // Store atomically writes v to the word at a in the volatile image and
-// marks the containing line dirty. Stores issued after a crash are
-// dropped: the simulated threads have already been terminated.
+// marks the containing line dirty.
 func (d *Device) Store(a Addr, v uint64) {
-	d.check(a)
-	if d.crashed.Load() || d.countdown() {
-		return
-	}
-	d.tel.IncStore(uint64(a))
-	d.touchStore(a)
-	atomic.StoreUint64(&d.volatile[a], v)
-	d.markDirty(a)
+	t := d.Tally()
+	t.Store(a, v)
+	t.Publish()
 }
 
-// StoreBlock writes vals to consecutive words starting at a, which must
-// all lie within one cache line. It models a line-sized store burst (the
-// write-combined stores a logging runtime emits for a record): the
-// individual word stores are still atomic, but the crash check, the
-// statistics update and the dirty marking are paid once per line rather
-// than once per word.
+// StoreBlock writes vals to consecutive words of one line, from a.
 func (d *Device) StoreBlock(a Addr, vals []uint64) {
-	if len(vals) == 0 {
-		return
-	}
-	d.check(a)
-	last := a + Addr(len(vals)) - 1
-	d.check(last)
-	if d.LineOf(a) != d.LineOf(last) {
-		panic(fmt.Sprintf("nvm: StoreBlock [%d,%d] crosses a cache line", a, last))
-	}
-	if d.crashed.Load() || d.countdown() {
-		return
-	}
-	d.tel.IncStore(uint64(a))
-	d.touchStore(a)
-	for i, v := range vals {
-		atomic.StoreUint64(&d.volatile[a+Addr(i)], v)
-	}
-	d.markDirty(a)
+	t := d.Tally()
+	t.StoreBlock(a, vals)
+	t.Publish()
 }
 
 // CAS atomically compares-and-swaps the word at a in the volatile image.
-// It returns false (and performs no store) after a crash.
 func (d *Device) CAS(a Addr, old, new uint64) bool {
-	d.check(a)
-	if d.crashed.Load() || d.countdown() {
-		return false
-	}
-	d.tel.IncCAS(uint64(a))
-	d.touchLoad(a)
-	if atomic.CompareAndSwapUint64(&d.volatile[a], old, new) {
-		d.markDirty(a)
-		return true
-	}
-	return false
+	t := d.Tally()
+	ok := t.CAS(a, old, new)
+	t.Publish()
+	return ok
 }
 
 // Add atomically adds delta to the word at a and returns the new value.
-// After a crash it returns the current value unmodified.
 func (d *Device) Add(a Addr, delta uint64) uint64 {
-	d.check(a)
-	if d.crashed.Load() || d.countdown() {
-		return atomic.LoadUint64(&d.volatile[a])
-	}
-	d.tel.IncStore(uint64(a))
-	d.touchLoad(a)
-	v := atomic.AddUint64(&d.volatile[a], delta)
-	d.markDirty(a)
+	t := d.Tally()
+	v := t.Add(a, delta)
+	t.Publish()
 	return v
 }
 
 // markDirty records that the line containing a may differ from the
 // persisted image. The value is written before the dirty bit in Store, so
 // a flusher that observes the bit also observes (at least) that value.
+// The bit is written only when it reads clear.
 func (d *Device) markDirty(a Addr) {
-	line := d.LineOf(a)
-	if atomic.LoadUint32(&d.dirty[line]) == 0 {
-		atomic.StoreUint32(&d.dirty[line], 1)
+	line := uint64(a) >> d.lineShift
+	if atomic.LoadUint64(&d.dirty[line>>6])>>(line&63)&1 == 0 {
+		d.setDirty(line, true)
 	}
+}
+
+// setDirty makes line's bit equal to on, by compare-and-swap on the bit's
+// word (sync/atomic's Or and And are newer than go.mod's toolchain line).
+func (d *Device) setDirty(line uint64, on bool) {
+	w, bit := &d.dirty[line>>6], uint64(1)<<(line&63)
+	for {
+		old := atomic.LoadUint64(w)
+		if (old&bit != 0) == on || atomic.CompareAndSwapUint64(w, old, old^bit) {
+			return
+		}
+	}
+}
+
+// nextDirty returns the first dirty line at or after from, or Lines()
+// when there is none. Every walk of the dirty set is a loop over it: one
+// load per 64 lines plus the set bits, in ascending line order.
+func (d *Device) nextDirty(from uint64) uint64 {
+	for w := from >> 6; w < uint64(len(d.dirty)); w++ {
+		rest := atomic.LoadUint64(&d.dirty[w])
+		if w == from>>6 {
+			rest &^= 1<<(from&63) - 1
+		}
+		if rest != 0 {
+			return w<<6 + uint64(bits.TrailingZeros64(rest))
+		}
+	}
+	return d.lines
 }
 
 // FlushWord synchronously writes back the cache line containing a,
@@ -302,7 +297,7 @@ func (d *Device) markDirty(a Addr) {
 // clflush/clwb + sfence a non-TSP design must issue on the critical path.
 func (d *Device) FlushWord(a Addr) {
 	d.check(a)
-	d.flushLine(d.LineOf(a), true)
+	d.flushLine(d.LineOf(a))
 }
 
 // FlushRange flushes every cache line overlapping [a, a+words). Each
@@ -316,7 +311,7 @@ func (d *Device) FlushRange(a Addr, words uint64) {
 	first := d.LineOf(a)
 	last := d.LineOf(a + Addr(words) - 1)
 	for line := first; line <= last; line++ {
-		d.flushLine(line, true)
+		d.flushLine(line)
 	}
 }
 
@@ -324,11 +319,12 @@ func (d *Device) FlushRange(a Addr, words uint64) {
 // the crash-time rescue primitive (TSP's "last-minute rescue") and is also
 // used by checkpoints; neither is on the failure-free critical path.
 func (d *Device) FlushAll() {
-	for line := uint64(0); line < uint64(len(d.dirty)); line++ {
-		if atomic.LoadUint32(&d.dirty[line]) != 0 {
-			d.flushLine(line, false)
-		}
+	var n uint64
+	for line := d.nextDirty(0); line < d.lines; line = d.nextDirty(line + 1) {
+		d.writeBack(line)
+		n++
 	}
+	d.tel.AddWritebacks(n)
 }
 
 // The clean-line invariant. Once no store or flush is in flight, a line
@@ -336,14 +332,14 @@ func (d *Device) FlushAll() {
 // persisted images. Restart and RestorePersisted depend on it: Restart
 // reverts only dirty lines, so a clean line that differed would survive a
 // crash it should not have. Each writer does its part: Store, StoreBlock,
-// CAS and Add mark the line after writing it; flushLine clears the bit
+// CAS and Add mark the line after writing it; writeBack clears the bit
 // before copying and copies again when a word changed under the copy;
 // RestorePersisted marks every line it changes.
 
 // lineSpan returns the word range [lo, hi) the line covers; the device's
 // last line may be short.
 func (d *Device) lineSpan(line uint64) (lo, hi uint64) {
-	lo = line * uint64(d.cfg.LineWords)
+	lo = line << d.lineShift
 	hi = lo + uint64(d.cfg.LineWords)
 	if hi > uint64(len(d.volatile)) {
 		hi = uint64(len(d.volatile))
@@ -351,27 +347,30 @@ func (d *Device) lineSpan(line uint64) (lo, hi uint64) {
 	return lo, hi
 }
 
-// flushLine writes the line's volatile words to the persisted image. The
-// dirty bit is cleared before the copy: a racing store that lands mid-copy
-// re-sets the bit, so its value is either captured now or flushed later —
-// never silently lost. Two flushers can also race on one line (the
-// evictor against an explicit flush), and the slower one may then
-// overwrite a newer persisted word with the older value it loaded. So
-// every word is re-read after it is written back, and the line is copied
-// again if one moved: the flush returns with the line either persisted as
-// it stood at some instant after the clear or marked dirty by the store
-// that changed it, which is the clean-line invariant.
-func (d *Device) flushLine(line uint64, charge bool) {
-	if charge {
-		d.tel.IncFlush()
-		spin(d.cfg.FlushCost)
-	} else {
-		d.tel.IncWriteback()
-	}
+// flushLine is one synchronous, latency-charged flush of the line.
+func (d *Device) flushLine(line uint64) {
+	d.tel.IncFlush()
+	spin(d.cfg.FlushCost)
+	d.writeBack(line)
+}
+
+// writeBack writes the line's volatile words to the persisted image; the
+// free write-backs (rescue, eviction, FlushAll) call it directly and
+// count what they wrote. The dirty bit is cleared before the copy: a
+// racing store that lands mid-copy re-sets the bit, so its value is
+// either captured now or flushed later — never silently lost. Two
+// flushers can also race on one line (the evictor against an explicit
+// flush), and the slower one may then overwrite a newer persisted word
+// with the older value it loaded. So every word is re-read after it is
+// written back, and the line is copied again if one moved: the flush
+// returns with the line either persisted as it stood at some instant
+// after the clear or marked dirty by the store that changed it, which is
+// the clean-line invariant.
+func (d *Device) writeBack(line uint64) {
 	lo, hi := d.lineSpan(line)
 	for moved := true; moved; {
 		moved = false
-		atomic.StoreUint32(&d.dirty[line], 0)
+		d.setDirty(line, false)
 		for w := lo; w < hi; w++ {
 			v := atomic.LoadUint64(&d.volatile[w])
 			atomic.StoreUint64(&d.persisted[w], v)
@@ -389,13 +388,12 @@ func (d *Device) Persisted(a Addr) uint64 {
 	return atomic.LoadUint64(&d.persisted[a])
 }
 
-// DirtyLines counts lines currently marked dirty.
+// DirtyLines counts lines currently marked dirty: a population count
+// over the dirty set's words, cheap enough to read as a live gauge.
 func (d *Device) DirtyLines() uint64 {
 	var n uint64
 	for i := range d.dirty {
-		if atomic.LoadUint32(&d.dirty[i]) != 0 {
-			n++
-		}
+		n += uint64(bits.OnesCount64(atomic.LoadUint64(&d.dirty[i])))
 	}
 	return n
 }
@@ -403,17 +401,20 @@ func (d *Device) DirtyLines() uint64 {
 // LineDirty reports whether the line containing a is marked dirty.
 func (d *Device) LineDirty(a Addr) bool {
 	d.check(a)
-	return atomic.LoadUint32(&d.dirty[d.LineOf(a)]) != 0
+	return d.lineDirty(d.LineOf(a))
 }
 
-// Internal raw accessors used by crash/restart and the evictor. They
-// bypass counters and the crashed check: they model the machine, not the
-// program running on it.
+// lineDirty reports whether the given line index is dirty.
+func (d *Device) lineDirty(line uint64) bool {
+	return atomic.LoadUint64(&d.dirty[line>>6])>>(line&63)&1 != 0
+}
+
+// Internal raw accessors used by crash/restart. They bypass counters and
+// the crashed check: they model the machine, not the program running on
+// it.
 
 func (d *Device) volatileStore(w uint64, v uint64) { atomic.StoreUint64(&d.volatile[w], v) }
 func (d *Device) persistedLoad(w uint64) uint64    { return atomic.LoadUint64(&d.persisted[w]) }
-func (d *Device) dirtyLoad(line uint64) uint32     { return atomic.LoadUint32(&d.dirty[line]) }
-func (d *Device) dirtyClear(line uint64)           { atomic.StoreUint32(&d.dirty[line], 0) }
 
 // Stats returns a snapshot of the device's operation counters (all
 // zeros when counting is disabled).

@@ -17,8 +17,8 @@ func restartFullCopy(d *Device) {
 	for w := range d.volatile {
 		d.volatileStore(uint64(w), d.persistedLoad(uint64(w)))
 	}
-	for line := range d.dirty {
-		d.dirtyClear(uint64(line))
+	for line := uint64(0); line < d.Lines(); line++ {
+		d.setDirty(line, false)
 	}
 	if d.cfg.Evictor.Enabled() {
 		d.evictor = newEvictor(d, d.cfg.Evictor)

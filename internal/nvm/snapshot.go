@@ -25,7 +25,7 @@ func (d *Device) SnapshotPersisted() []uint64 {
 // Restart so the volatile image re-reads the restored state. Every line
 // the restore changes is marked dirty — its volatile content now differs
 // from its persisted content — which is what makes that Restart re-read
-// it (the clean-line invariant, see flushLine).
+// it (the clean-line invariant, see writeBack).
 func (d *Device) RestorePersisted(img []uint64) error {
 	if len(img) != len(d.persisted) {
 		return fmt.Errorf("nvm: snapshot has %d words, device has %d", len(img), len(d.persisted))

@@ -40,8 +40,10 @@ type GCReport struct {
 func (h *Heap) GC() (GCReport, error) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
+	tal := h.dev.Tally()
+	defer tal.Publish()
 
-	blocks, err := h.collectBlocks()
+	blocks, err := h.collectBlocks(&tal)
 	if err != nil {
 		return GCReport{}, err
 	}
@@ -59,9 +61,9 @@ func (h *Heap) GC() (GCReport, error) {
 			stack = append(stack, p)
 		}
 	}
-	push(uint64(h.Root()))
+	push(tal.Load(hdrRoot))
 	for i := 0; i < NumAux; i++ {
-		push(uint64(h.Aux(i)))
+		push(tal.Load(nvm.Addr(hdrAuxBase + i)))
 	}
 	for p := range h.pins {
 		push(uint64(p))
@@ -73,7 +75,7 @@ func (h *Heap) GC() (GCReport, error) {
 		rep.BlocksMarked++
 		for end := p + blocks.total(p) - 1; p < end; {
 			words := buf[:min(uint64(len(buf)), end-p)]
-			h.dev.LoadBlock(nvm.Addr(p), words)
+			tal.LoadBlock(nvm.Addr(p), words)
 			for _, v := range words {
 				push(v)
 			}
@@ -87,7 +89,7 @@ func (h *Heap) GC() (GCReport, error) {
 		for leaked := allocated &^ marked[w]; leaked != 0; leaked &= leaked - 1 {
 			p := uint64(w)<<6 + uint64(bits.TrailingZeros64(leaked))
 			total := blocks.total(p)
-			h.dev.Store(nvm.Addr(p)-1, total<<1) // clear alloc bit
+			tal.Store(nvm.Addr(p)-1, total<<1) // clear alloc bit
 			h.pushFree(Ptr(p), int(total))
 			rep.BlocksFreed++
 			rep.WordsReclaimed += int(total)
@@ -143,8 +145,8 @@ type blockMap struct {
 func (m *blockMap) total(p uint64) uint64 { return m.starts.next(p+1) - p }
 
 // collectBlocks walks the block chain and returns its map.
-func (h *Heap) collectBlocks() (*blockMap, error) {
-	bump := h.dev.Load(hdrBump)
+func (h *Heap) collectBlocks(tal *nvm.Tally) (*blockMap, error) {
+	bump := tal.Load(hdrBump)
 	if bump > h.dev.Words() {
 		return nil, ErrCorrupt
 	}
@@ -152,7 +154,7 @@ func (h *Heap) collectBlocks() (*blockMap, error) {
 	m := &blockMap{starts: make(bitmap, n), alloc: make(bitmap, n)}
 	addr := uint64(heapStart)
 	for addr < bump {
-		hdr := h.dev.Load(nvm.Addr(addr))
+		hdr := tal.Load(nvm.Addr(addr))
 		size := hdr >> 1
 		if size < minBlock || addr+size > bump {
 			return nil, ErrCorrupt

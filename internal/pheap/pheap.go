@@ -128,17 +128,21 @@ func Open(dev *nvm.Device) (*Heap, error) {
 	if dev.Words() < heapStart+minBlock {
 		return nil, ErrNotFormatted
 	}
-	if dev.Load(hdrMagic) != Magic {
+	// One tally for the header check and the chain walk: Open is a
+	// recovery pass, a load per block.
+	tal := dev.Tally()
+	defer tal.Publish()
+	if tal.Load(hdrMagic) != Magic {
 		return nil, ErrNotFormatted
 	}
-	if v := dev.Load(hdrVersion); v != Version {
+	if v := tal.Load(hdrVersion); v != Version {
 		return nil, fmt.Errorf("pheap: unsupported version %d", v)
 	}
-	if w := dev.Load(hdrWords); w != dev.Words() {
+	if w := tal.Load(hdrWords); w != dev.Words() {
 		return nil, fmt.Errorf("%w: header says %d words, device has %d", ErrCorrupt, w, dev.Words())
 	}
 	h := newHeap(dev)
-	if err := h.rebuildFreeLists(); err != nil {
+	if err := h.rebuildFreeLists(&tal); err != nil {
 		return nil, err
 	}
 	return h, nil
@@ -159,21 +163,21 @@ func (h *Heap) Device() *nvm.Device { return h.dev }
 // pointer, repairing a torn bump pointer if the chain ends early (a
 // crash-without-rescue can persist a block header without the bump
 // update, or vice versa; both resolve to "trust the chain").
-func (h *Heap) rebuildFreeLists() error {
-	bump := Ptr(h.dev.Load(hdrBump))
+func (h *Heap) rebuildFreeLists(tal *nvm.Tally) error {
+	bump := Ptr(tal.Load(hdrBump))
 	if uint64(bump) < heapStart || uint64(bump) > h.dev.Words() {
 		return fmt.Errorf("%w: bump pointer %d out of range", ErrCorrupt, bump)
 	}
 	addr := Ptr(heapStart)
 	for addr < bump {
-		hdr := h.dev.Load(addr.Addr())
+		hdr := tal.Load(addr.Addr())
 		size := hdr >> 1
 		if size == 0 {
 			// Torn allocation: the bump pointer advanced but the block
 			// header never became durable. Everything from here on was
 			// never handed out in this incarnation's view; pull the bump
 			// pointer back.
-			h.dev.Store(hdrBump, uint64(addr))
+			tal.Store(hdrBump, uint64(addr))
 			h.dev.FlushWord(hdrBump)
 			bump = addr
 			break
@@ -230,8 +234,10 @@ func (h *Heap) Alloc(words int) (Ptr, error) {
 		return Nil, fmt.Errorf("pheap: Alloc(%d): size must be positive", words)
 	}
 	need := words + 1 // block header
+	tal := h.dev.Tally()
+	defer tal.Publish()
 	h.mu.Lock()
-	p, total, err := h.allocLocked(need)
+	p, total, err := h.allocLocked(&tal, need)
 	h.mu.Unlock()
 	if err != nil {
 		return Nil, err
@@ -239,7 +245,7 @@ func (h *Heap) Alloc(words int) (Ptr, error) {
 	// Zero the payload outside the allocator lock; the block is not yet
 	// published to any other thread.
 	for i := 0; i < total-1; i++ {
-		h.dev.Store(p.Addr()+nvm.Addr(i), 0)
+		tal.Store(p.Addr()+nvm.Addr(i), 0)
 	}
 	h.tel.IncAlloc()
 	return p, nil
@@ -249,24 +255,24 @@ func (h *Heap) Alloc(words int) (Ptr, error) {
 // turns counting off). Call before the heap is shared.
 func (h *Heap) SetTelemetry(tel *telemetry.HeapStats) { h.tel = tel }
 
-func (h *Heap) allocLocked(need int) (Ptr, int, error) {
+func (h *Heap) allocLocked(tal *nvm.Tally, need int) (Ptr, int, error) {
 	// Try the segregated lists first.
 	if c := classFor(need); c >= 0 {
 		for ; c < len(sizeClasses); c++ {
 			if n := len(h.free[c]); n > 0 {
 				p := h.free[c][n-1]
 				h.free[c] = h.free[c][:n-1]
-				h.markAllocated(p)
-				return p, h.blockSize(p), nil
+				markAllocated(tal, p)
+				return p, blockSize(tal, p), nil
 			}
 		}
 	} else {
 		// Large request: first-fit over the large list.
 		for i, p := range h.large {
-			if h.blockSize(p) >= need {
+			if blockSize(tal, p) >= need {
 				h.large = append(h.large[:i], h.large[i+1:]...)
-				h.markAllocated(p)
-				return p, h.blockSize(p), nil
+				markAllocated(tal, p)
+				return p, blockSize(tal, p), nil
 			}
 		}
 	}
@@ -276,7 +282,7 @@ func (h *Heap) allocLocked(need int) (Ptr, int, error) {
 	if c := classFor(need); c >= 0 {
 		total = sizeClasses[c]
 	}
-	bump := h.dev.Load(hdrBump)
+	bump := tal.Load(hdrBump)
 	if bump+uint64(total) > h.dev.Words() {
 		return Nil, 0, ErrOutOfMemory
 	}
@@ -284,30 +290,32 @@ func (h *Heap) allocLocked(need int) (Ptr, int, error) {
 	// Order matters for crash robustness: write the header first, then
 	// advance the bump pointer. rebuildFreeLists tolerates either store
 	// being lost.
-	h.dev.Store(blockAddr, uint64(total)<<1|allocBit)
-	h.dev.Store(hdrBump, bump+uint64(total))
+	tal.Store(blockAddr, uint64(total)<<1|allocBit)
+	tal.Store(hdrBump, bump+uint64(total))
 	return Ptr(blockAddr) + 1, total, nil
 }
 
 // markAllocated sets the allocated bit on a block being popped from a
 // free list.
-func (h *Heap) markAllocated(payload Ptr) {
+func markAllocated(tal *nvm.Tally, payload Ptr) {
 	hdr := payload.Addr() - 1
-	h.dev.Store(hdr, h.dev.Load(hdr)|allocBit)
+	tal.Store(hdr, tal.Load(hdr)|allocBit)
 }
 
 // blockSize returns the total size (header included) of the block whose
 // payload starts at p.
-func (h *Heap) blockSize(payload Ptr) int {
-	return int(h.dev.Load(payload.Addr()-1) >> 1)
+func blockSize(tal *nvm.Tally, payload Ptr) int {
+	return int(tal.Load(payload.Addr()-1) >> 1)
 }
 
 // SizeOf returns the payload capacity, in words, of the block at p.
 func (h *Heap) SizeOf(p Ptr) (int, error) {
-	if err := h.validate(p); err != nil {
+	tal := h.dev.Tally()
+	defer tal.Publish()
+	if err := h.validate(&tal, p); err != nil {
 		return 0, err
 	}
-	return h.blockSize(p) - 1, nil
+	return blockSize(&tal, p) - 1, nil
 }
 
 // Free returns the block at p to the allocator. Freeing Nil is a no-op,
@@ -316,17 +324,19 @@ func (h *Heap) Free(p Ptr) error {
 	if p.IsNil() {
 		return nil
 	}
-	if err := h.validate(p); err != nil {
+	tal := h.dev.Tally()
+	defer tal.Publish()
+	if err := h.validate(&tal, p); err != nil {
 		return err
 	}
 	hdrAddr := p.Addr() - 1
-	hdr := h.dev.Load(hdrAddr)
+	hdr := tal.Load(hdrAddr)
 	if hdr&allocBit == 0 {
 		return fmt.Errorf("%w: block at %d", ErrDoubleFree, p)
 	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	h.dev.Store(hdrAddr, hdr&^uint64(allocBit))
+	tal.Store(hdrAddr, hdr&^uint64(allocBit))
 	h.pushFree(p, int(hdr>>1))
 	delete(h.pins, p)
 	h.tel.IncFree()
@@ -336,11 +346,11 @@ func (h *Heap) Free(p Ptr) error {
 // validate checks that p plausibly points at the payload of a block
 // inside the heap. It cannot prove p is a live allocation (that is the
 // collector's job) but rejects out-of-range and misheaded pointers.
-func (h *Heap) validate(p Ptr) error {
+func (h *Heap) validate(tal *nvm.Tally, p Ptr) error {
 	if p.IsNil() || uint64(p) <= heapStart || uint64(p) >= h.dev.Words() {
 		return fmt.Errorf("%w: %d", ErrBadPointer, p)
 	}
-	size := h.dev.Load(p.Addr()-1) >> 1
+	size := tal.Load(p.Addr()-1) >> 1
 	if size < minBlock || uint64(p)-1+size > h.dev.Words() {
 		return fmt.Errorf("%w: %d (header size %d)", ErrBadPointer, p, size)
 	}

@@ -154,10 +154,13 @@ func (l *List) nextAddr(n pheap.Ptr, lvl int) nvm.Addr {
 	return n.Addr() + nvm.Addr(nodeNext+lvl)
 }
 
-func (l *List) key(n pheap.Ptr) uint64 { return l.heap.Load(n, nodeKey) }
-func (l *List) top(n pheap.Ptr) int    { return int(l.heap.Load(n, nodeTop)) }
-func (l *List) next(n pheap.Ptr, lvl int) uint64 {
-	return l.dev.Load(l.nextAddr(n, lvl))
+// Every operation counts its device accesses in one nvm.Tally on its own
+// frame (the traversal helpers below take it) and publishes it on return.
+
+func (l *List) key(tal *nvm.Tally, n pheap.Ptr) uint64 { return tal.Load(n.Addr() + nodeKey) }
+func (l *List) top(tal *nvm.Tally, n pheap.Ptr) int    { return int(tal.Load(n.Addr() + nodeTop)) }
+func (l *List) next(tal *nvm.Tally, n pheap.Ptr, lvl int) uint64 {
+	return tal.Load(l.nextAddr(n, lvl))
 }
 
 // randomLevel draws a geometric level in [1, maxLevel] from a lock-free
@@ -183,7 +186,7 @@ func (l *List) randomLevel() int {
 // node with the key sits at level 0. It returns ErrCrashed if the device
 // has crashed, so spinning threads terminate like their SIGKILLed
 // counterparts.
-func (l *List) find(key uint64, preds, succs []pheap.Ptr) (bool, error) {
+func (l *List) find(tal *nvm.Tally, key uint64, preds, succs []pheap.Ptr) (bool, error) {
 retry:
 	for {
 		if l.dev.Crashed() {
@@ -191,30 +194,30 @@ retry:
 		}
 		pred := l.head
 		for lvl := l.maxLevel - 1; lvl >= 0; lvl-- {
-			curr := ref(l.next(pred, lvl))
+			curr := ref(l.next(tal, pred, lvl))
 			for {
 				if curr.IsNil() {
 					break
 				}
-				succ := l.next(curr, lvl)
+				succ := l.next(tal, curr, lvl)
 				for isMarked(succ) {
 					// curr is logically deleted: splice it out.
-					if !l.dev.CAS(l.nextAddr(pred, lvl), uint64(curr), uint64(ref(succ))) {
+					if !tal.CAS(l.nextAddr(pred, lvl), uint64(curr), uint64(ref(succ))) {
 						if l.dev.Crashed() {
 							return false, ErrCrashed
 						}
 						continue retry
 					}
-					curr = ref(l.next(pred, lvl))
+					curr = ref(l.next(tal, pred, lvl))
 					if curr.IsNil() {
 						break
 					}
-					succ = l.next(curr, lvl)
+					succ = l.next(tal, curr, lvl)
 				}
 				if curr.IsNil() {
 					break
 				}
-				if l.key(curr) < key {
+				if l.key(tal, curr) < key {
 					pred = curr
 					curr = ref(succ)
 				} else {
@@ -224,7 +227,7 @@ retry:
 			preds[lvl] = pred
 			succs[lvl] = curr
 		}
-		found := !succs[0].IsNil() && l.key(succs[0]) == key
+		found := !succs[0].IsNil() && l.key(tal, succs[0]) == key
 		return found, nil
 	}
 }
@@ -232,17 +235,19 @@ retry:
 // Get returns the value stored under key. The traversal is wait-free: it
 // skips logically deleted nodes without helping, so it never writes.
 func (l *List) Get(key uint64) (uint64, bool) {
+	tal := l.dev.Tally()
+	defer tal.Publish()
 	pred := l.head
 	var curr pheap.Ptr
 	for lvl := l.maxLevel - 1; lvl >= 0; lvl-- {
-		curr = ref(l.next(pred, lvl))
+		curr = ref(l.next(&tal, pred, lvl))
 		for !curr.IsNil() {
-			succ := l.next(curr, lvl)
+			succ := l.next(&tal, curr, lvl)
 			if isMarked(succ) {
 				curr = ref(succ) // skip deleted node
 				continue
 			}
-			if l.key(curr) < key {
+			if l.key(&tal, curr) < key {
 				pred = curr
 				curr = ref(succ)
 				continue
@@ -250,30 +255,32 @@ func (l *List) Get(key uint64) (uint64, bool) {
 			break
 		}
 	}
-	if curr.IsNil() || l.key(curr) != key || isMarked(l.next(curr, 0)) {
+	if curr.IsNil() || l.key(&tal, curr) != key || isMarked(l.next(&tal, curr, 0)) {
 		return 0, false
 	}
-	return l.heap.Load(curr, nodeValue), true
+	return tal.Load(curr.Addr() + nodeValue), true
 }
 
 // Put sets key to val, inserting a node if absent. It returns true if a
 // new node was inserted, false if an existing node was updated.
 func (l *List) Put(key, val uint64) (bool, error) {
+	tal := l.dev.Tally()
+	defer tal.Publish()
 	sc := l.getScratch()
 	defer l.putScratch(sc)
 	preds, succs := sc.preds, sc.succs
 	for {
-		found, err := l.find(key, preds, succs)
+		found, err := l.find(&tal, key, preds, succs)
 		if err != nil {
 			return false, err
 		}
 		if found {
 			// Single-word value update: atomic, and a fine linearization
 			// point on its own.
-			l.heap.Store(succs[0], nodeValue, val)
+			tal.Store(succs[0].Addr()+nodeValue, val)
 			return false, nil
 		}
-		inserted, err := l.insert(key, val, preds, succs)
+		inserted, err := l.insert(&tal, key, val, preds, succs)
 		if err != nil {
 			return false, err
 		}
@@ -287,18 +294,20 @@ func (l *List) Put(key, val uint64) (bool, error) {
 // Inc atomically adds delta to the value under key, inserting the key
 // with value delta if absent. It returns the new value.
 func (l *List) Inc(key, delta uint64) (uint64, error) {
+	tal := l.dev.Tally()
+	defer tal.Publish()
 	sc := l.getScratch()
 	defer l.putScratch(sc)
 	preds, succs := sc.preds, sc.succs
 	for {
-		found, err := l.find(key, preds, succs)
+		found, err := l.find(&tal, key, preds, succs)
 		if err != nil {
 			return 0, err
 		}
 		if found {
-			return l.heap.Add(succs[0], nodeValue, delta), nil
+			return tal.Add(succs[0].Addr()+nodeValue, delta), nil
 		}
-		inserted, err := l.insert(key, delta, preds, succs)
+		inserted, err := l.insert(&tal, key, delta, preds, succs)
 		if err != nil {
 			return 0, err
 		}
@@ -311,24 +320,24 @@ func (l *List) Inc(key, delta uint64) (uint64, error) {
 // insert tries to link a fresh node for key between preds and succs. It
 // returns false (without error) if the bottom-level CAS lost a race and
 // the caller should re-find and retry.
-func (l *List) insert(key, val uint64, preds, succs []pheap.Ptr) (bool, error) {
+func (l *List) insert(tal *nvm.Tally, key, val uint64, preds, succs []pheap.Ptr) (bool, error) {
 	topLevel := l.randomLevel()
 	node, err := l.heap.Alloc(nodeNext + topLevel)
 	if err != nil {
 		return false, err
 	}
-	l.heap.Store(node, nodeKey, key)
-	l.heap.Store(node, nodeValue, val)
-	l.heap.Store(node, nodeTop, uint64(topLevel))
+	tal.Store(node.Addr()+nodeKey, key)
+	tal.Store(node.Addr()+nodeValue, val)
+	tal.Store(node.Addr()+nodeTop, uint64(topLevel))
 	for lvl := 0; lvl < topLevel; lvl++ {
-		l.heap.Store(node, nodeNext+lvl, uint64(succs[lvl]))
+		tal.Store(l.nextAddr(node, lvl), uint64(succs[lvl]))
 	}
 	// The bottom-level CAS is the linearization point — and, under TSP,
 	// also the durability point: a crash immediately after it leaves the
 	// node reachable; a crash before it leaves the node unreachable (the
 	// recovery GC reclaims the block). No intermediate state is visible
 	// to the recovery observer.
-	if !l.dev.CAS(l.nextAddr(preds[0], 0), uint64(succs[0]), uint64(node)) {
+	if !tal.CAS(l.nextAddr(preds[0], 0), uint64(succs[0]), uint64(node)) {
 		if l.dev.Crashed() {
 			return false, ErrCrashed
 		}
@@ -344,19 +353,19 @@ func (l *List) insert(key, val uint64, preds, succs []pheap.Ptr) (bool, error) {
 			if l.dev.Crashed() {
 				return true, nil // node is linked; thread dies here
 			}
-			cur := l.next(node, lvl)
+			cur := l.next(tal, node, lvl)
 			if isMarked(cur) {
 				return true, nil // concurrently deleted; stop indexing
 			}
 			if ref(cur) != succs[lvl] {
-				if !l.dev.CAS(l.nextAddr(node, lvl), cur, uint64(succs[lvl])) {
+				if !tal.CAS(l.nextAddr(node, lvl), cur, uint64(succs[lvl])) {
 					continue
 				}
 			}
-			if l.dev.CAS(l.nextAddr(preds[lvl], lvl), uint64(succs[lvl]), uint64(node)) {
+			if tal.CAS(l.nextAddr(preds[lvl], lvl), uint64(succs[lvl]), uint64(node)) {
 				break
 			}
-			found, err := l.find(key, preds, succs)
+			found, err := l.find(tal, key, preds, succs)
 			if err != nil {
 				return true, nil
 			}
@@ -375,10 +384,12 @@ func (l *List) insert(key, val uint64, preds, succs []pheap.Ptr) (bool, error) {
 // recovery-time conservative GC reclaims, which is exactly the
 // reclamation story the paper's persistent-heap model prescribes.
 func (l *List) Delete(key uint64) (bool, error) {
+	tal := l.dev.Tally()
+	defer tal.Publish()
 	sc := l.getScratch()
 	defer l.putScratch(sc)
 	preds, succs := sc.preds, sc.succs
-	found, err := l.find(key, preds, succs)
+	found, err := l.find(&tal, key, preds, succs)
 	if err != nil {
 		return false, err
 	}
@@ -386,15 +397,15 @@ func (l *List) Delete(key uint64) (bool, error) {
 		return false, nil
 	}
 	node := succs[0]
-	topLevel := l.top(node)
+	topLevel := l.top(&tal, node)
 	// Mark the index levels top-down.
 	for lvl := topLevel - 1; lvl >= 1; lvl-- {
 		for {
-			succ := l.next(node, lvl)
+			succ := l.next(&tal, node, lvl)
 			if isMarked(succ) {
 				break
 			}
-			if l.dev.CAS(l.nextAddr(node, lvl), succ, succ|markBit) {
+			if tal.CAS(l.nextAddr(node, lvl), succ, succ|markBit) {
 				break
 			}
 			if l.dev.Crashed() {
@@ -404,13 +415,13 @@ func (l *List) Delete(key uint64) (bool, error) {
 	}
 	// Marking level 0 is the linearization point.
 	for {
-		succ := l.next(node, 0)
+		succ := l.next(&tal, node, 0)
 		if isMarked(succ) {
 			return false, nil // someone else deleted it first
 		}
-		if l.dev.CAS(l.nextAddr(node, 0), succ, succ|markBit) {
+		if tal.CAS(l.nextAddr(node, 0), succ, succ|markBit) {
 			// Physically unlink via find's helping; best effort.
-			_, _ = l.find(key, preds, succs)
+			_, _ = l.find(&tal, key, preds, succs)
 			return true, nil
 		}
 		if l.dev.Crashed() {
@@ -424,11 +435,13 @@ func (l *List) Delete(key uint64) (bool, error) {
 // concurrent updates may or may not be observed, exactly like the C
 // original.
 func (l *List) Range(fn func(key, val uint64) bool) {
-	curr := ref(l.next(l.head, 0))
+	tal := l.dev.Tally()
+	defer tal.Publish()
+	curr := ref(l.next(&tal, l.head, 0))
 	for !curr.IsNil() {
-		succ := l.next(curr, 0)
+		succ := l.next(&tal, curr, 0)
 		if !isMarked(succ) {
-			if !fn(l.key(curr), l.heap.Load(curr, nodeValue)) {
+			if !fn(l.key(&tal, curr), tal.Load(curr.Addr()+nodeValue)) {
 				return
 			}
 		}
@@ -444,27 +457,29 @@ func (l *List) RangeBetween(lo, hi uint64, fn func(key, val uint64) bool) {
 	if lo >= hi {
 		return
 	}
+	tal := l.dev.Tally()
+	defer tal.Publish()
 	// Descend the index to the last node with key < lo.
 	pred := l.head
 	for lvl := l.maxLevel - 1; lvl >= 0; lvl-- {
 		for {
-			curr := ref(l.next(pred, lvl))
-			if curr.IsNil() || l.key(curr) >= lo {
+			curr := ref(l.next(&tal, pred, lvl))
+			if curr.IsNil() || l.key(&tal, curr) >= lo {
 				break
 			}
 			pred = curr
 		}
 	}
 	// Walk the bottom level through the window.
-	for curr := ref(l.next(pred, 0)); !curr.IsNil(); curr = ref(l.next(curr, 0)) {
-		k := l.key(curr)
+	for curr := ref(l.next(&tal, pred, 0)); !curr.IsNil(); curr = ref(l.next(&tal, curr, 0)) {
+		k := l.key(&tal, curr)
 		if k >= hi {
 			return
 		}
-		if isMarked(l.next(curr, 0)) || k < lo {
+		if isMarked(l.next(&tal, curr, 0)) || k < lo {
 			continue
 		}
-		if !fn(k, l.heap.Load(curr, nodeValue)) {
+		if !fn(k, tal.Load(curr.Addr()+nodeValue)) {
 			return
 		}
 	}
@@ -481,9 +496,11 @@ func (l *List) CountBetween(lo, hi uint64) int {
 
 // Min returns the smallest live key, if any.
 func (l *List) Min() (uint64, bool) {
-	for curr := ref(l.next(l.head, 0)); !curr.IsNil(); curr = ref(l.next(curr, 0)) {
-		if !isMarked(l.next(curr, 0)) {
-			return l.key(curr), true
+	tal := l.dev.Tally()
+	defer tal.Publish()
+	for curr := ref(l.next(&tal, l.head, 0)); !curr.IsNil(); curr = ref(l.next(&tal, curr, 0)) {
+		if !isMarked(l.next(&tal, curr, 0)) {
+			return l.key(&tal, curr), true
 		}
 	}
 	return 0, false

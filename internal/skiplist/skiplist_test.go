@@ -365,8 +365,10 @@ func TestCompactFreesMarkedButLinkedNodes(t *testing.T) {
 	mustPut(t, l, 3, 30)
 	// Find node 2 and mark its level-0 next pointer by hand.
 	var node2 pheap.Ptr
-	for curr := ref(l.next(l.head, 0)); !curr.IsNil(); curr = ref(l.next(curr, 0)) {
-		if l.key(curr) == 2 {
+	t0 := dev.Tally()
+	tal := &t0
+	for curr := ref(l.next(tal, l.head, 0)); !curr.IsNil(); curr = ref(l.next(tal, curr, 0)) {
+		if l.key(tal, curr) == 2 {
 			node2 = curr
 			break
 		}
@@ -374,7 +376,7 @@ func TestCompactFreesMarkedButLinkedNodes(t *testing.T) {
 	if node2.IsNil() {
 		t.Fatal("node 2 not found")
 	}
-	nxt := l.next(node2, 0)
+	nxt := l.next(tal, node2, 0)
 	if !dev.CAS(l.nextAddr(node2, 0), nxt, nxt|markBit) {
 		t.Fatal("manual mark failed")
 	}
@@ -429,8 +431,9 @@ func TestVerifyDetectsOutOfOrder(t *testing.T) {
 	mustPut(t, l, 1, 1)
 	mustPut(t, l, 2, 2)
 	// Corrupt: swap the keys of the two nodes.
-	n1 := ref(l.next(l.head, 0))
-	n2 := ref(l.next(n1, 0))
+	tal := l.dev.Tally()
+	n1 := ref(l.next(&tal, l.head, 0))
+	n2 := ref(l.next(&tal, n1, 0))
 	l.heap.Store(n1, nodeKey, 9)
 	l.heap.Store(n2, nodeKey, 1)
 	if _, err := l.Verify(); err == nil {

@@ -32,14 +32,16 @@ func (r VerifyReport) String() string {
 // the Section 4.1 guarantee, checked mechanically.
 func (l *List) Verify() (VerifyReport, error) {
 	var rep VerifyReport
+	tal := l.dev.Tally()
+	defer tal.Publish()
 	// Walk level 0, collecting node identity and checking sort order.
 	level0 := map[pheap.Ptr]bool{}
 	var lastKey uint64
 	first := true
-	for curr := ref(l.next(l.head, 0)); !curr.IsNil(); {
+	for curr := ref(l.next(&tal, l.head, 0)); !curr.IsNil(); {
 		level0[curr] = true
-		marked := isMarked(l.next(curr, 0))
-		k := l.key(curr)
+		marked := isMarked(l.next(&tal, curr, 0))
+		k := l.key(&tal, curr)
 		if marked {
 			rep.MarkedNodes++
 		} else {
@@ -50,25 +52,25 @@ func (l *List) Verify() (VerifyReport, error) {
 			lastKey = k
 			first = false
 		}
-		if top := l.top(curr); top < 1 || top > l.maxLevel {
+		if top := l.top(&tal, curr); top < 1 || top > l.maxLevel {
 			return rep, fmt.Errorf("skiplist: node %d has topLevel %d", curr, top)
 		}
-		curr = ref(l.next(curr, 0))
+		curr = ref(l.next(&tal, curr, 0))
 	}
 	// Walk the index levels.
 	for lvl := 1; lvl < l.maxLevel; lvl++ {
 		var prevKey uint64
 		firstAt := true
-		for curr := ref(l.next(l.head, lvl)); !curr.IsNil(); curr = ref(l.next(curr, lvl)) {
+		for curr := ref(l.next(&tal, l.head, lvl)); !curr.IsNil(); curr = ref(l.next(&tal, curr, lvl)) {
 			rep.IndexedLinks++
 			if !level0[curr] {
 				return rep, fmt.Errorf("skiplist: node %d at level %d not on level 0", curr, lvl)
 			}
-			if l.top(curr) <= lvl {
+			if l.top(&tal, curr) <= lvl {
 				return rep, fmt.Errorf("skiplist: node %d linked at level %d beyond its topLevel %d",
-					curr, lvl, l.top(curr))
+					curr, lvl, l.top(&tal, curr))
 			}
-			k := l.key(curr)
+			k := l.key(&tal, curr)
 			if !firstAt && k <= prevKey {
 				return rep, fmt.Errorf("skiplist: level %d out of order: %d after %d", lvl, k, prevKey)
 			}
@@ -94,18 +96,20 @@ type CompactReport struct {
 // for them).
 func (l *List) Compact() (CompactReport, error) {
 	var rep CompactReport
+	tal := l.dev.Tally()
+	defer tal.Publish()
 	// Unlink marked nodes at every level, single-threadedly.
 	for lvl := l.maxLevel - 1; lvl >= 0; lvl-- {
 		pred := l.head
 		for {
-			curr := ref(l.next(pred, lvl))
+			curr := ref(l.next(&tal, pred, lvl))
 			if curr.IsNil() {
 				break
 			}
-			if isMarked(l.next(curr, 0)) {
+			if isMarked(l.next(&tal, curr, 0)) {
 				// Splice curr out of this level.
-				succ := ref(l.next(curr, lvl))
-				l.heap.Store(pred, nodeNext+lvl, uint64(succ))
+				succ := ref(l.next(&tal, curr, lvl))
+				tal.Store(l.nextAddr(pred, lvl), uint64(succ))
 				if lvl == 0 {
 					if err := l.heap.Free(curr); err != nil {
 						return rep, err
@@ -127,9 +131,11 @@ func (l *List) Compact() (CompactReport, error) {
 // correctness but suboptimal for search. Recovery code may call this on
 // a quiescent list to restore the expected O(log n) search paths.
 func (l *List) RebuildIndex() error {
+	tal := l.dev.Tally()
+	defer tal.Publish()
 	// Clear all index levels.
 	for lvl := 1; lvl < l.maxLevel; lvl++ {
-		l.heap.Store(l.head, nodeNext+lvl, 0)
+		tal.Store(l.nextAddr(l.head, lvl), 0)
 	}
 	// Re-thread each level: walk level 0 and append nodes whose
 	// topLevel admits them.
@@ -137,14 +143,14 @@ func (l *List) RebuildIndex() error {
 	for i := range tails {
 		tails[i] = l.head
 	}
-	for curr := ref(l.next(l.head, 0)); !curr.IsNil(); curr = ref(l.next(curr, 0)) {
-		if isMarked(l.next(curr, 0)) {
+	for curr := ref(l.next(&tal, l.head, 0)); !curr.IsNil(); curr = ref(l.next(&tal, curr, 0)) {
+		if isMarked(l.next(&tal, curr, 0)) {
 			continue
 		}
-		top := l.top(curr)
+		top := l.top(&tal, curr)
 		for lvl := 1; lvl < top; lvl++ {
-			l.heap.Store(tails[lvl], nodeNext+lvl, uint64(curr))
-			l.heap.Store(curr, nodeNext+lvl, 0)
+			tal.Store(l.nextAddr(tails[lvl], lvl), uint64(curr))
+			tal.Store(l.nextAddr(curr, lvl), 0)
 			tails[lvl] = curr
 		}
 	}

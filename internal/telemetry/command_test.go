@@ -104,7 +104,7 @@ func TestHistogramObserveValue(t *testing.T) {
 // not the traffic — survives.
 func TestRegistryReset(t *testing.T) {
 	r := NewRegistry()
-	r.Device.IncStore(1)
+	r.Device.AddAccesses(0, 1, 0)
 	r.Device.IncFlush()
 	r.Atlas.IncLogAppend()
 	r.Heap.IncAlloc()

@@ -3,14 +3,20 @@ package telemetry
 import "sort"
 
 // DeviceStats is the simulated NVM device's section: memory-access
-// counters (sharded; they fire on every simulated load/store) and the
-// persistence-cost counters the paper's whole argument rests on —
-// synchronous flushes are the preventive cost, writebacks are free
-// background work, rescues/drops classify crash outcomes.
+// counters and the persistence-cost counters the paper's whole argument
+// rests on — synchronous flushes are the preventive cost, writebacks are
+// free background work, rescues/drops classify crash outcomes.
+//
+// The device does not touch this section per access. Accesses are
+// counted in an nvm.Tally, plain words owned by the goroutine doing an
+// operation, and reach the section through AddAccesses when the
+// operation ends; the section is exact whenever no operation is in
+// flight, and short by at most the in-flight operations' accesses
+// otherwise.
 type DeviceStats struct {
-	Loads  ShardedCounter
-	Stores ShardedCounter
-	CAS    ShardedCounter
+	Loads  Counter
+	Stores Counter
+	CAS    Counter
 
 	Flushes    Counter // synchronous, latency-charged flushes
 	Writebacks Counter // background/rescue write-backs (free)
@@ -18,32 +24,24 @@ type DeviceStats struct {
 	Drops      Counter // crashes that discarded the volatile image
 }
 
-// The Inc* helpers are the device's hot-path entry points. They are
+// The helpers below are the device's entry points. They are
 // nil-receiver safe so a device built without telemetry pays exactly one
-// branch per event.
+// branch per published operation.
 
-func (s *DeviceStats) IncLoad(hint uint64) {
-	if s != nil {
-		s.Loads.Inc(hint)
+// AddAccesses publishes one operation's tally: an atomic add per
+// counter the operation moved.
+func (s *DeviceStats) AddAccesses(loads, stores, cas uint64) {
+	if s == nil {
+		return
 	}
-}
-
-// AddLoads counts n loads at once (a block read).
-func (s *DeviceStats) AddLoads(hint, n uint64) {
-	if s != nil {
-		s.Loads.Add(hint, n)
+	if loads != 0 {
+		s.Loads.Add(loads)
 	}
-}
-
-func (s *DeviceStats) IncStore(hint uint64) {
-	if s != nil {
-		s.Stores.Inc(hint)
+	if stores != 0 {
+		s.Stores.Add(stores)
 	}
-}
-
-func (s *DeviceStats) IncCAS(hint uint64) {
-	if s != nil {
-		s.CAS.Inc(hint)
+	if cas != 0 {
+		s.CAS.Add(cas)
 	}
 }
 
@@ -53,9 +51,10 @@ func (s *DeviceStats) IncFlush() {
 	}
 }
 
-func (s *DeviceStats) IncWriteback() {
-	if s != nil {
-		s.Writebacks.Inc()
+// AddWritebacks counts n free write-backs (one sweep's, one rescue's).
+func (s *DeviceStats) AddWritebacks(n uint64) {
+	if s != nil && n != 0 {
+		s.Writebacks.Add(n)
 	}
 }
 
@@ -479,13 +478,13 @@ func (r *Registry) Walk(fn func(name string, value uint64)) {
 		return
 	}
 	d, a, h, m, sv, rec := r.Device, r.Atlas, r.Heap, r.Map, r.Server, r.Recovery
-	fn("nvm_loads", d.loadsLoad())
-	fn("nvm_stores", d.storesLoad())
-	fn("nvm_cas", d.casLoad())
-	fn("nvm_flushes", d.flushesLoad())
-	fn("nvm_writebacks", d.writebacksLoad())
-	fn("nvm_rescues", d.rescuesLoad())
-	fn("nvm_drops", d.dropsLoad())
+	fn("nvm_loads", fieldLoad(d, func(d *DeviceStats) *Counter { return &d.Loads }))
+	fn("nvm_stores", fieldLoad(d, func(d *DeviceStats) *Counter { return &d.Stores }))
+	fn("nvm_cas", fieldLoad(d, func(d *DeviceStats) *Counter { return &d.CAS }))
+	fn("nvm_flushes", fieldLoad(d, func(d *DeviceStats) *Counter { return &d.Flushes }))
+	fn("nvm_writebacks", fieldLoad(d, func(d *DeviceStats) *Counter { return &d.Writebacks }))
+	fn("nvm_rescues", fieldLoad(d, func(d *DeviceStats) *Counter { return &d.Rescues }))
+	fn("nvm_drops", fieldLoad(d, func(d *DeviceStats) *Counter { return &d.Drops }))
 	fn("atlas_log_appends", fieldLoad(a, func(a *AtlasStats) *Counter { return &a.LogAppends }))
 	fn("atlas_log_flushes", fieldLoad(a, func(a *AtlasStats) *Counter { return &a.LogFlushes }))
 	fn("atlas_ocs_commits", fieldLoad(a, func(a *AtlasStats) *Counter { return &a.OCSCommits }))
@@ -541,57 +540,6 @@ func fieldLoad[S any](sec *S, field func(*S) *Counter) uint64 {
 		return 0
 	}
 	return field(sec).Load()
-}
-
-// Sharded device counters need their own nil-tolerant loads.
-
-func (s *DeviceStats) loadsLoad() uint64 {
-	if s == nil {
-		return 0
-	}
-	return s.Loads.Load()
-}
-
-func (s *DeviceStats) storesLoad() uint64 {
-	if s == nil {
-		return 0
-	}
-	return s.Stores.Load()
-}
-
-func (s *DeviceStats) casLoad() uint64 {
-	if s == nil {
-		return 0
-	}
-	return s.CAS.Load()
-}
-
-func (s *DeviceStats) flushesLoad() uint64 {
-	if s == nil {
-		return 0
-	}
-	return s.Flushes.Load()
-}
-
-func (s *DeviceStats) writebacksLoad() uint64 {
-	if s == nil {
-		return 0
-	}
-	return s.Writebacks.Load()
-}
-
-func (s *DeviceStats) rescuesLoad() uint64 {
-	if s == nil {
-		return 0
-	}
-	return s.Rescues.Load()
-}
-
-func (s *DeviceStats) dropsLoad() uint64 {
-	if s == nil {
-		return 0
-	}
-	return s.Drops.Load()
 }
 
 // Sub returns s minus earlier, name by name. Names present in s but not

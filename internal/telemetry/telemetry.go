@@ -14,10 +14,15 @@
 //     nil-receiver safe, so a layer built without telemetry holds a nil
 //     section pointer and pays one predictable branch per event — no
 //     interface dispatch, no map lookup, no allocation.
-//   - The enabled hot path is atomics only. High-frequency device
-//     counters (loads/stores/CAS) are sharded across padded cache lines
-//     exactly as nvm.Stats was, so counting never serializes the
-//     simulation on counter-line ping-pong.
+//   - Nothing counted per simulated memory access touches shared
+//     memory. The device's access counters (loads/stores/CAS) are kept
+//     in an nvm.Tally — plain words owned by the goroutine doing an
+//     operation — and reach DeviceStats as one atomic add per counter
+//     per OPERATION (a critical section, an optimistic read, a recovery
+//     pass). Every other counter here fires once per operation already
+//     and is a single atomic add. A reader of the registry therefore
+//     sees every finished operation exactly and may miss only the
+//     accesses of operations still in flight.
 //   - Snapshots are monotonic deltas. Counters only ever go up during an
 //     incarnation; consumers diff two Snapshots (Sub) to attribute cost
 //     to a window, and merge shards' Snapshots (Add) to aggregate.
@@ -58,60 +63,5 @@ func (c *Counter) Load() uint64 {
 func (c *Counter) Reset() {
 	if c != nil {
 		c.v.Store(0)
-	}
-}
-
-// counterShards is the sharding degree of ShardedCounter. Sixteen padded
-// lines keep a simulated many-core workload from serializing on one
-// counter word while costing only 2 KiB per counter.
-const counterShards = 16
-
-// paddedCounter occupies a full cache line so shards never false-share.
-type paddedCounter struct {
-	v atomic.Uint64
-	_ [7]uint64
-}
-
-// ShardedCounter is a Counter sharded across padded cache lines for
-// counters incremented on every simulated memory access. The hint
-// (typically the address being accessed) picks the shard, so concurrent
-// workers touching different addresses bump different lines.
-type ShardedCounter struct {
-	shards [counterShards]paddedCounter
-}
-
-// Inc adds one to the shard selected by hint.
-func (c *ShardedCounter) Inc(hint uint64) {
-	if c != nil {
-		c.shards[hint&(counterShards-1)].v.Add(1)
-	}
-}
-
-// Add adds n to the shard selected by hint.
-func (c *ShardedCounter) Add(hint, n uint64) {
-	if c != nil {
-		c.shards[hint&(counterShards-1)].v.Add(n)
-	}
-}
-
-// Load sums all shards (0 on nil).
-func (c *ShardedCounter) Load() uint64 {
-	if c == nil {
-		return 0
-	}
-	var total uint64
-	for i := range c.shards {
-		total += c.shards[i].v.Load()
-	}
-	return total
-}
-
-// Reset zeroes every shard.
-func (c *ShardedCounter) Reset() {
-	if c == nil {
-		return
-	}
-	for i := range c.shards {
-		c.shards[i].v.Store(0)
 	}
 }

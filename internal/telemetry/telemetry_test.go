@@ -15,13 +15,6 @@ func TestCounterNilSafety(t *testing.T) {
 		t.Fatalf("nil Counter.Load() = %d, want 0", got)
 	}
 
-	var sc *ShardedCounter
-	sc.Inc(7)
-	sc.Reset()
-	if got := sc.Load(); got != 0 {
-		t.Fatalf("nil ShardedCounter.Load() = %d, want 0", got)
-	}
-
 	var h *Histogram
 	h.Observe(time.Millisecond)
 	h.Reset()
@@ -30,11 +23,9 @@ func TestCounterNilSafety(t *testing.T) {
 	}
 
 	var d *DeviceStats
-	d.IncLoad(1)
-	d.IncStore(2)
-	d.IncCAS(3)
+	d.AddAccesses(1, 2, 3)
 	d.IncFlush()
-	d.IncWriteback()
+	d.AddWritebacks(1)
 	d.IncRescue()
 	d.IncDrop()
 	d.Reset()
@@ -76,26 +67,28 @@ func TestCounterBasics(t *testing.T) {
 	}
 }
 
-func TestShardedCounterConcurrent(t *testing.T) {
-	var c ShardedCounter
+// Every operation publishes its tally with one AddAccesses; operations
+// on many goroutines must neither lose nor double an access.
+func TestDeviceStatsConcurrentPublish(t *testing.T) {
+	var d DeviceStats
 	const workers, per = 8, 1000
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
-		go func(w int) {
+		go func() {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
-				c.Inc(uint64(w*per + i))
+				d.AddAccesses(3, uint64(i&1), 0)
 			}
-		}(w)
+		}()
 	}
 	wg.Wait()
-	if got := c.Load(); got != workers*per {
-		t.Fatalf("Load() = %d, want %d", got, workers*per)
+	if l, s, c := d.Loads.Load(), d.Stores.Load(), d.CAS.Load(); l != 3*workers*per || s != workers*per/2 || c != 0 {
+		t.Fatalf("loads/stores/cas = %d/%d/%d, want %d/%d/0", l, s, c, 3*workers*per, workers*per/2)
 	}
-	c.Reset()
-	if got := c.Load(); got != 0 {
-		t.Fatalf("after Reset, Load() = %d, want 0", got)
+	d.Reset()
+	if got := d.Loads.Load() + d.Stores.Load(); got != 0 {
+		t.Fatalf("after Reset, loads+stores = %d, want 0", got)
 	}
 }
 
@@ -178,7 +171,7 @@ func TestHistogramMerge(t *testing.T) {
 
 func TestRegistrySnapshotSubAdd(t *testing.T) {
 	r := NewRegistry()
-	r.Device.IncStore(1)
+	r.Device.AddAccesses(0, 1, 0)
 	r.Device.IncFlush()
 	r.Atlas.IncLogAppend()
 	r.Map.IncPut()
@@ -190,7 +183,7 @@ func TestRegistrySnapshotSubAdd(t *testing.T) {
 		t.Fatalf("unexpected snapshot: %v", s1)
 	}
 
-	r.Device.IncStore(2)
+	r.Device.AddAccesses(0, 1, 0)
 	r.Map.IncPut()
 	s2 := r.Counters()
 	delta := s2.Sub(s1)

@@ -25,6 +25,28 @@ go vet ./...
 echo "== go build ./..."
 go build ./...
 
+# Every layer pays the simulated device on every word: the tallied load,
+# LineOf and markDirty must stay inlineable (the load sits exactly at the
+# compiler's budget), and the tallied load must have no LOCK-prefixed
+# instruction (an access is counted in a word the goroutine owns).
+echo "== nvm load path (inlineable, no locked instruction)"
+inl=$(go build -gcflags=-m ./internal/nvm 2>&1 || true)
+for fn in '(*Tally).Load' '(*Device).LineOf' '(*Device).markDirty'; do
+	if ! printf '%s\n' "$inl" | grep -qF "can inline $fn"; then
+		echo "internal/nvm: $fn is no longer inlineable" >&2
+		exit 1
+	fi
+done
+nvma=$(mktemp)
+go build -o "$nvma" ./internal/nvm
+locked=$(go tool objdump -s '\(\*Tally\)\.Load$' "$nvma" | grep -w LOCK || true)
+rm -f "$nvma"
+if [ -n "$locked" ]; then
+	echo "internal/nvm: the tallied load has a locked instruction:" >&2
+	echo "$locked" >&2
+	exit 1
+fi
+
 echo "== go test -race (server + proto + repl + cluster + harness + stack + hashmap + nvm + pheap)"
 go test -race ./internal/cacheserver ./internal/proto ./internal/repl ./internal/cluster ./internal/harness ./internal/stack ./internal/hashmap ./internal/nvm ./internal/pheap
 
