@@ -1,8 +1,8 @@
 GO ?= go
 
-.PHONY: build test check bench-shards bench-json bench-telemetry bench-batch bench-diff \
+.PHONY: build test check bench-shards bench-json bench-telemetry bench-batch \
 	bench-repl bench-read bench-pipeline bench-ordered bench-epoch bench-session \
-	bench-cacheserver-baseline demo-repl campaign-durability campaign-exactly-once \
+	demo-repl campaign-durability campaign-exactly-once \
 	campaign-cluster bench-cluster check-docs bench-recover bench-pairs
 
 build:
@@ -32,11 +32,6 @@ bench-json:
 bench-batch:
 	$(GO) test -run 'ZZZ' -bench 'SetsBatched|MsetsBatched' -cpu 8 -benchtime 50000x ./internal/cacheserver
 
-# Compare the working BENCH_tspbench.json against the baseline
-# committed at HEAD; soft gate (report-only) unless BENCH_DIFF_STRICT=1.
-bench-diff:
-	sh scripts/bench_diff.sh
-
 # The replication overhead comparison: the pure-set workload with a
 # streaming in-process follower attached vs standalone. The On variant
 # also reports the ack-measured lag percentiles.
@@ -52,8 +47,7 @@ bench-read:
 
 # The pipelined wire-codec benchmark: an in-process server driven over
 # TCP at pipeline depths 1/8/64. Cells merge into BENCH_tspbench.json
-# under profile "pipeline" (the Table-1 cells are preserved), where
-# bench-diff's soft gate tracks them like any other throughput cell.
+# under profile "pipeline" (the Table-1 cells are preserved).
 bench-pipeline:
 	$(GO) run ./cmd/tspbench -pipeline -duration 500ms -depths 1,8,64 -json -out BENCH_tspbench.json
 
@@ -112,13 +106,6 @@ bench-session:
 # TestSpecSpellingsDocumented in internal/proto.)
 check-docs:
 	sh scripts/check_docs.sh
-
-# Record the cacheserver go-bench baseline that bench-diff compares
-# ns/op against. Commit the refreshed BENCH_cacheserver.txt when the
-# numbers move for a known reason.
-bench-cacheserver-baseline:
-	$(GO) test -run 'ZZZ' -bench 'Sets|Msets|Mget8|GetsOptimistic|GetsLocked|ReadMix' -cpu 8 -benchtime 20000x \
-		./internal/cacheserver | tee BENCH_cacheserver.txt
 
 # The replication acceptance campaign: two real tspcached processes,
 # load, SIGKILL the primary, promote the follower, verify Equations 1

@@ -3,6 +3,7 @@ package cacheserver
 import (
 	"bufio"
 	"bytes"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -188,9 +189,6 @@ func (s *Server) serveClusterInfo() proto.Reply {
 // notClusterMsg answers cluster commands on a non-cluster server.
 const notClusterMsg = "not a cluster node (start with cluster slots configured)"
 
-// migrateChunk bounds pairs per streamed snapshot frame.
-const migrateChunk = 1024
-
 // migrateLagBound is how close the pre-flip catch-up must get to the
 // log tip before the flip is taken; the remainder streams inside the
 // frozen window.
@@ -259,69 +257,48 @@ func (s *Server) migrateSlot(st *clusterState, slot int, target string) (npairs,
 		return 0, 0, fmt.Errorf("target refused: %s", strings.TrimSpace(line))
 	}
 
-	mw := repl.NewMigrateWriter(conn)
-	gen0, seq0 := s.replLog.Position()
-	if err := mw.Begin(gen0, seq0); err != nil {
+	// The follower's state transfer filtered to the slot: its pairs, the
+	// session records its keys witnessed, and each shard's eviction
+	// floor — a retry refused as too old on the source must stay refused
+	// on the target.
+	w := repl.NewWriter(conn)
+	keep := inSlot(slot)
+	gen, seq := s.replLog.Position()
+	if err := w.Begin(gen, seq); err != nil {
 		return 0, 0, err
 	}
-	// Session dedup windows first (the follower transfer's order): the
-	// records for sessions witnessed by this slot's keys, plus each
-	// shard's eviction floor — a retry refused as too old on the source
-	// must stay refused on the target.
-	for _, sh := range s.shards {
-		recs, floor := sh.sessSnapshot()
-		kept := recs[:0]
-		for _, m := range recs {
-			if cluster.SlotOf(m.Key) == slot {
-				kept = append(kept, m)
-			}
-		}
-		if len(kept) == 0 && floor == 0 {
-			continue
-		}
-		if err := mw.Sessions(kept, floor); err != nil {
-			return 0, 0, err
-		}
+	err = s.streamState(keep, func(ops []repl.Op, marks []repl.SessRec, floor uint64) error {
+		npairs += len(ops)
+		return w.State(ops, marks, floor)
+	})
+	if err != nil {
+		return npairs, 0, err
 	}
-	// The slot's current pairs, shard by shard. Each shard is copied
-	// under its lock and filtered after, so the pause is the copy.
-	for _, sh := range s.shards {
-		all := sh.pairs()
-		kept := all[:0]
-		for _, p := range all {
-			if cluster.SlotOf(p.Key) == slot {
-				kept = append(kept, p)
+	send := func(groups []repl.Group) error {
+		for _, g := range groups {
+			if err := w.Group(g); err != nil {
+				return err
 			}
+			ngroups++
 		}
-		for off := 0; off < len(kept); off += migrateChunk {
-			end := off + migrateChunk
-			if end > len(kept) {
-				end = len(kept)
-			}
-			if err := mw.Pairs(kept[off:end]); err != nil {
-				return 0, 0, err
-			}
-			npairs += end - off
-		}
+		return nil
 	}
-	// Pre-flip catch-up: stream the log suffix the snapshot window
-	// accumulated, without blocking writers, until the gap to the tip
-	// is small. Bounded rounds — under a write storm the frozen window
-	// absorbs whatever remains.
-	seq := seq0
+	// Pre-flip catch-up: stream the log suffix the copy window
+	// accumulated, without blocking writers, until a round finds the gap
+	// to the tip small. Bounded rounds — under a write storm the frozen
+	// window absorbs whatever remains.
 	for round := 0; round < 8; round++ {
-		gen, tip := s.replLog.Position()
-		if gen != gen0 {
-			return npairs, ngroups, fmt.Errorf("log generation changed (crash during migration)")
+		groups, tip, err := s.suffix(keep, gen, seq)
+		if err == nil {
+			err = send(groups)
 		}
-		if tip-seq <= migrateLagBound {
-			break
-		}
-		var n int
-		seq, n, err = s.streamSuffix(mw, slot, gen0, seq, tip)
-		ngroups += n
 		if err != nil {
 			return npairs, ngroups, err
+		}
+		lag := tip - seq
+		seq = tip
+		if lag <= migrateLagBound {
+			break
 		}
 	}
 
@@ -338,46 +315,34 @@ func (s *Server) migrateSlot(st *clusterState, slot int, target string) (npairs,
 	for _, sh := range s.shards {
 		sh.flushOverlay(s, &flushBuf)
 	}
-	gen1, tip := s.replLog.Position()
-	if gen1 != gen0 {
+	groups, _, err := s.suffix(keep, gen, seq)
+	if err != nil {
 		st.gate.Unlock()
-		return npairs, ngroups, fmt.Errorf("log generation changed (crash during migration)")
-	}
-	suffix := make([]repl.Group, 0, tip-seq)
-	for q := seq + 1; q <= tip; q++ {
-		g, ok := s.replLog.Get(gen0, q)
-		if !ok {
-			st.gate.Unlock()
-			return npairs, ngroups, fmt.Errorf("migration fell behind the log window")
-		}
-		if fg, any := filterGroup(g, slot); any {
-			suffix = append(suffix, fg)
-		}
+		return npairs, ngroups, err
 	}
 	st.state[slot].Store(slotFrozen)
 	st.gate.Unlock()
 
-	rollback := func() {
-		st.state[slot].Store(slotOwned)
+	err = send(groups)
+	if err == nil {
+		err = w.End()
 	}
-	for _, g := range suffix {
-		if err := mw.Group(g); err != nil {
-			rollback()
-			return npairs, ngroups, err
+	if err == nil {
+		err = conn.SetReadDeadline(time.Now().Add(30 * time.Second))
+	}
+	if err == nil {
+		var ack repl.Msg
+		if ack, err = repl.NewReader(br).Next(); err == nil && ack.Frame != repl.FrameAck {
+			err = fmt.Errorf("frame type %d", ack.Frame)
 		}
-		ngroups++
+		if err != nil {
+			err = fmt.Errorf("awaiting ack: %w", err)
+		}
 	}
-	if err := mw.End(); err != nil {
-		rollback()
+	if err != nil {
+		// Roll back: nothing has left the source's responsibility.
+		st.state[slot].Store(slotOwned)
 		return npairs, ngroups, err
-	}
-	if err := conn.SetReadDeadline(time.Now().Add(30 * time.Second)); err != nil {
-		rollback()
-		return npairs, ngroups, err
-	}
-	if _, _, err := repl.ReadAck(br); err != nil {
-		rollback()
-		return npairs, ngroups, fmt.Errorf("awaiting ack: %w", err)
 	}
 	// Commit: the target applied and acknowledged everything. Publish
 	// the forward address first so no request can observe "unowned, no
@@ -390,41 +355,43 @@ func (s *Server) migrateSlot(st *clusterState, slot int, target string) (npairs,
 	return npairs, ngroups, nil
 }
 
-// streamSuffix streams log groups (from, tip], filtered to slot,
-// returning the new position and how many groups were sent.
-func (s *Server) streamSuffix(mw *repl.MigrateWriter, slot int, gen, from, tip uint64) (uint64, int, error) {
-	n := 0
-	for q := from + 1; q <= tip; q++ {
-		g, ok := s.replLog.Get(gen, q)
-		if !ok {
-			return q - 1, n, fmt.Errorf("migration fell behind the log window")
-		}
-		if fg, any := filterGroup(g, slot); any {
-			if err := mw.Group(fg); err != nil {
-				return q, n, err
-			}
-			n++
-		}
-	}
-	return tip, n, nil
+// inSlot is the key filter a migration applies to the state transfer,
+// the log suffix, and the target's Wipe.
+func inSlot(slot int) func(uint64) bool {
+	return func(k uint64) bool { return cluster.SlotOf(k) == slot }
 }
 
-// filterGroup restricts a log group to ops and marks whose keys hash
-// to slot, reporting whether anything remains. The filtered group
-// copies its slices — the log ring owns the originals.
-func filterGroup(g repl.Group, slot int) (repl.Group, bool) {
-	out := repl.Group{Seq: g.Seq, Epoch: g.Epoch}
-	for _, op := range g.Ops {
-		if cluster.SlotOf(op.Key) == slot {
-			out.Ops = append(out.Ops, op)
+// suffix returns the log's tip and the groups after from through it,
+// restricted to the ops and marks whose keys keep admits; groups left
+// empty are dropped, and the kept ones copy their slices — the log ring
+// owns the originals. It fails if the log is no longer on generation
+// gen (a crash during the migration) or has evicted a group it needs.
+func (s *Server) suffix(keep func(uint64) bool, gen, from uint64) (groups []repl.Group, tip uint64, err error) {
+	g, tip := s.replLog.Position()
+	if g != gen {
+		return nil, 0, fmt.Errorf("log generation changed (crash during migration)")
+	}
+	for q := from + 1; q <= tip; q++ {
+		lg, ok := s.replLog.Get(gen, q)
+		if !ok {
+			return nil, 0, fmt.Errorf("migration fell behind the log window")
+		}
+		out := repl.Group{Seq: lg.Seq, Epoch: lg.Epoch}
+		for _, op := range lg.Ops {
+			if keep(op.Key) {
+				out.Ops = append(out.Ops, op)
+			}
+		}
+		for _, m := range lg.Marks {
+			if keep(m.Key) {
+				out.Marks = append(out.Marks, m)
+			}
+		}
+		if len(out.Ops) > 0 || len(out.Marks) > 0 {
+			groups = append(groups, out)
 		}
 	}
-	for _, m := range g.Marks {
-		if cluster.SlotOf(m.Key) == slot {
-			out.Marks = append(out.Marks, m)
-		}
-	}
-	return out, len(out.Ops) > 0 || len(out.Marks) > 0
+	return groups, tip, nil
 }
 
 // beginImport validates and opens an inbound migration for
@@ -451,80 +418,56 @@ func (s *Server) beginImport(req *proto.Request) (proto.Reply, bool) {
 
 // serveImport runs the receiving side of a migration after the OK
 // ACCEPT reply was flushed: the connection is spliced from the request
-// protocol to the follower wire format and every frame is applied
-// through the server's own write path (the same commit groups, Atlas
-// critical sections, and telemetry as client traffic). Ownership commits at
-// FrameSnapshotEnd; any earlier failure aborts — the slot reverts to
-// unowned and the partial copy is deleted, so a later retry (or a
-// different owner) starts clean.
-func (s *Server) serveImport(conn net.Conn, dec *proto.Decoder, slot int) {
+// protocol to the replication stream and read exactly as a follower
+// reads a state transfer, filtered to the slot — Begin wipes the
+// slot's keys (whatever an earlier failed import left goes first),
+// State and Group frames apply through the server's own write path (the
+// same commit groups, Atlas critical sections, and telemetry as client
+// traffic). Ownership commits at FrameSnapshotEnd; any earlier failure
+// aborts — the partial copy is wiped the same way and the slot reverts
+// to unowned even if the wipe fails, whose error is returned with the
+// stream's.
+func (s *Server) serveImport(conn net.Conn, dec *proto.Decoder, slot int) error {
 	st := s.clusterSt
-	ap := &replApplier{s: s, cs: s.newConnState()}
-	mr := repl.NewMigrateReader(io.MultiReader(bytes.NewReader(dec.Leftover()), conn))
-	committed := false
-	defer func() {
-		if !committed {
-			st.tel.MigrationAborts.Inc()
-			s.abortImport(ap, slot)
-		}
-	}()
+	ap := &replApplier{s: s, cs: s.newConnState(), keep: inSlot(slot)}
+	rd := repl.NewReader(io.MultiReader(bytes.NewReader(dec.Leftover()), conn))
 	for {
-		msg, err := mr.Next()
+		m, err := rd.Next()
+		if err == nil {
+			switch m.Frame {
+			case repl.FrameSnapshotBegin:
+				// The position is informational here: the source's log
+				// positions mean nothing to this node's log.
+				err = ap.Wipe()
+			case repl.FrameState:
+				if err = ap.Apply(m.Ops, m.Marks, m.Floor); err == nil {
+					st.tel.ImportedPairs.Add(uint64(len(m.Ops)))
+				}
+			case repl.FrameGroup:
+				if err = ap.Apply(m.Ops, m.Marks, 0); err == nil {
+					st.tel.ImportedGroups.Inc()
+				}
+			case repl.FrameSnapshotEnd:
+				// Commit: own the slot, then acknowledge so the source can
+				// publish the handoff. The order matters — once the ack is
+				// on the wire the source stops serving the slot, so this
+				// node must already be answering for it.
+				st.state[slot].Store(slotOwned)
+				st.fwdMu.Lock()
+				st.fwd[slot] = ""
+				st.fwdMu.Unlock()
+				st.epoch.Add(1)
+				st.tel.MigrationsIn.Inc()
+				return repl.NewWriter(conn).Ack(0, 0)
+			default:
+				err = fmt.Errorf("unexpected frame type %d in a migration", m.Frame)
+			}
+		}
 		if err != nil {
-			return
-		}
-		switch msg.Frame {
-		case repl.FrameSnapshotBegin:
-			// Position is informational here: the source's log positions
-			// mean nothing to this node's log.
-		case repl.FrameSessChunk:
-			if err := ap.ApplySessions(msg.Recs, msg.Floor); err != nil {
-				return
-			}
-		case repl.FrameSnapshotChunk:
-			if err := ap.ApplyPairs(msg.Pairs); err != nil {
-				return
-			}
-			st.tel.ImportedPairs.Add(uint64(len(msg.Pairs)))
-		case repl.FrameGroup:
-			if err := ap.ApplyGroup(msg.Group.Ops, msg.Group.Marks); err != nil {
-				return
-			}
-			st.tel.ImportedGroups.Inc()
-		case repl.FrameSnapshotEnd:
-			// Commit: own the slot, then acknowledge so the source can
-			// publish the handoff. The order matters — once the ack is on
-			// the wire the source stops serving the slot, so this node
-			// must already be answering for it.
-			st.state[slot].Store(slotOwned)
-			st.fwdMu.Lock()
-			st.fwd[slot] = ""
-			st.fwdMu.Unlock()
-			st.epoch.Add(1)
-			st.tel.MigrationsIn.Inc()
-			committed = true
-			repl.WriteAck(conn, 0, 0)
-			return
+			st.tel.MigrationAborts.Inc()
+			err = errors.Join(err, ap.Wipe())
+			st.state[slot].Store(slotUnowned)
+			return err
 		}
 	}
-}
-
-// abortImport reverts a failed inbound migration: the slot returns to
-// unowned and every key of the partial copy is deleted, so no stale
-// value can be resurrected by a later transfer.
-func (s *Server) abortImport(ap *replApplier, slot int) {
-	st := s.clusterSt
-	for _, sh := range s.shards {
-		all := sh.pairs()
-		var dels []repl.Op
-		for _, p := range all {
-			if cluster.SlotOf(p.Key) == slot {
-				dels = append(dels, repl.Op{Del: true, List: p.List, Key: p.Key})
-			}
-		}
-		if len(dels) > 0 {
-			ap.apply(dels, nil, 0)
-		}
-	}
-	st.state[slot].Store(slotUnowned)
 }

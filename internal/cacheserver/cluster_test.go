@@ -1,7 +1,14 @@
 package cacheserver
 
 import (
+	"bufio"
+	"bytes"
+	"encoding/binary"
+	"errors"
 	"fmt"
+	"io"
+	"net"
+	"reflect"
 	"strconv"
 	"strings"
 	"sync"
@@ -10,6 +17,8 @@ import (
 	"time"
 
 	"tsp/internal/cluster"
+	"tsp/internal/proto"
+	"tsp/internal/repl"
 )
 
 // keysInSlot returns the first n keys whose hash slot is slot.
@@ -360,5 +369,267 @@ func TestClusterSurvivesCrash(t *testing.T) {
 	}
 	if got := c.cmd(t, "get %d", moved); got != fmt.Sprintf("MOVED %d ?", cluster.SlotOf(moved)) {
 		t.Fatalf("redirect after crash: %q", got)
+	}
+}
+
+// marksIn reads every shard's persistent session records witnessed by
+// keys keep admits, by session id.
+func marksIn(s *Server, keep func(uint64) bool) map[uint64]repl.SessRec {
+	out := map[uint64]repl.SessRec{}
+	for _, sh := range s.shards {
+		_, marks, _ := sh.state(keep)
+		for _, m := range marks {
+			out[m.Sess] = m
+		}
+	}
+	return out
+}
+
+// TestClusterMigrateImportStartsClean: a key left in an unowned slot on
+// the target — what a failed import whose abort could not wipe it
+// leaves behind — must not survive the next import of that slot from a
+// source that lacks it. The transfer's Begin wipes the slot first, as a
+// follower's Begin wipes everything.
+func TestClusterMigrateImportStartsClean(t *testing.T) {
+	src := startServer(t, WithClusterSlots("all"))
+	dst := startServer(t, WithClusterSlots("none"))
+	keys := keysInSlot(7, 2)
+	stale, kept := keys[0], keys[1]
+
+	ap := &replApplier{s: dst, cs: dst.newConnState()}
+	if err := ap.Apply([]repl.Op{{Key: stale, Val: 666}, {List: true, Key: stale, Val: 667}}, nil, 0); err != nil {
+		t.Fatalf("plant stale key: %v", err)
+	}
+	c := dial(t, src.Addr().String())
+	if got := c.cmd(t, "set %d 1", kept); got != "STORED" {
+		t.Fatalf("set: %q", got)
+	}
+	if got := c.cmd(t, "migrate 7 %s", dst.Addr()); !strings.HasPrefix(got, "OK MIGRATED 7 ") {
+		t.Fatalf("migrate: %q", got)
+	}
+	d := dial(t, dst.Addr().String())
+	for cmd, want := range map[string]string{
+		fmt.Sprintf("get %d", stale):  "NOT_FOUND",
+		fmt.Sprintf("zget %d", stale): "NOT_FOUND",
+		fmt.Sprintf("get %d", kept):   fmt.Sprintf("VALUE %d 1", kept),
+	} {
+		if got := d.cmd(t, "%s", cmd); got != want {
+			t.Fatalf("%s on target after import = %q, want %q", cmd, got, want)
+		}
+	}
+	if err := dst.VerifyAll(); err != nil {
+		t.Fatalf("target verify: %v", err)
+	}
+}
+
+// splitFrames cuts a recorded replication stream at its length
+// prefixes.
+func splitFrames(t *testing.T, b []byte) [][]byte {
+	t.Helper()
+	var out [][]byte
+	for len(b) > 0 {
+		if len(b) < 4 {
+			t.Fatalf("stream ends inside a length prefix")
+		}
+		n := 4 + int(binary.LittleEndian.Uint32(b))
+		out = append(out, b[:n])
+		b = b[n:]
+	}
+	return out
+}
+
+// awaitNoImport polls the node's `cluster` report until no slot is
+// importing — the import it was running has committed or aborted — and
+// returns the report.
+func awaitNoImport(t *testing.T, c *client) string {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		out := strings.Join(c.lines(t, "cluster"), "\n")
+		if !strings.Contains(out, "IMPORTING") {
+			return out
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("import never finished:\n%s", out)
+		}
+	}
+}
+
+// TestClusterMigrateFrameCutSweep plays the source of a migration by
+// hand and cuts the stream after every frame: acceptslot, the first k
+// frames of a stream built with the shared writer from the source's
+// own state transfer, then close. Every cut must leave the target's
+// slot unowned, empty and verifiable, and open to the next acceptslot;
+// only the whole stream commits, with exactly the source's contents
+// plus the suffix group, and the dedup record that rode along.
+func TestClusterMigrateFrameCutSweep(t *testing.T) {
+	src := startServer(t, WithClusterSlots("all"))
+	dst := startServer(t, WithClusterSlots("none"))
+	slot := cluster.SlotOf(4242)
+	keep := inSlot(slot)
+	keys := keysInSlot(slot, 6)
+	c := dial(t, src.Addr().String())
+	for i, k := range keys {
+		c.cmd(t, "set %d %d", k, 100+i)
+	}
+	c.cmd(t, "zadd %d 5", keys[0])
+	c.cmd(t, "set %d 1", keyOutsideSlot(slot))
+	sess := dial(t, src.Addr().String())
+	sess.cmd(t, "session 9")
+	if got := sess.cmd(t, "incr %d 1 seq=1", keys[1]); got != "102" {
+		t.Fatalf("sessioned incr: %q", got)
+	}
+
+	var stream bytes.Buffer
+	w := repl.NewWriter(&stream)
+	if err := w.Begin(1, 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := src.streamState(keep, w.State); err != nil {
+		t.Fatal(err)
+	}
+	w.Group(repl.Group{Seq: 1, Ops: []repl.Op{{Key: keys[2], Val: 999}, {Del: true, Key: keys[3]}}})
+	if err := w.End(); err != nil {
+		t.Fatal(err)
+	}
+	want := keyspace(src, keep)
+	want[fmt.Sprintf("false/%d", keys[2])] = 999
+	delete(want, fmt.Sprintf("false/%d", keys[3]))
+	frames := splitFrames(t, stream.Bytes())
+
+	info := dial(t, dst.Addr().String())
+	for k := 0; k <= len(frames); k++ {
+		conn, err := net.Dial("tcp", dst.Addr().String())
+		if err != nil {
+			t.Fatalf("dial: %v", err)
+		}
+		fmt.Fprintf(conn, "acceptslot %d\r\n", slot)
+		br := bufio.NewReader(conn)
+		if line, err := br.ReadString('\n'); err != nil || strings.TrimSpace(line) != fmt.Sprintf("OK ACCEPT %d", slot) {
+			t.Fatalf("cut %d: acceptslot = %q, %v", k, line, err)
+		}
+		for _, f := range frames[:k] {
+			if _, err := conn.Write(f); err != nil {
+				t.Fatalf("cut %d: write: %v", k, err)
+			}
+		}
+		if k == len(frames) {
+			ack, err := repl.NewReader(br).Next()
+			conn.Close()
+			if err != nil || ack.Frame != repl.FrameAck {
+				t.Fatalf("whole stream: ack = %+v, %v", ack, err)
+			}
+			break
+		}
+		conn.Close()
+		if out := awaitNoImport(t, info); strings.Contains(out, "SLOTS") {
+			t.Fatalf("cut after %d of %d frames: slot owned:\n%s", k, len(frames), out)
+		}
+		if ks := keyspace(dst, keep); len(ks) != 0 {
+			t.Fatalf("cut after %d of %d frames: slot holds %v", k, len(frames), ks)
+		}
+		if err := dst.VerifyAll(); err != nil {
+			t.Fatalf("cut after %d of %d frames: verify: %v", k, len(frames), err)
+		}
+	}
+
+	if out := awaitNoImport(t, info); !strings.Contains(out, fmt.Sprintf("SLOTS %d self", slot)) {
+		t.Fatalf("whole stream: slot not owned:\n%s", out)
+	}
+	if got := keyspace(dst, keep); !reflect.DeepEqual(got, want) {
+		t.Fatalf("whole stream: target holds %v, want %v", got, want)
+	}
+	dsess := dial(t, dst.Addr().String())
+	dsess.cmd(t, "session 9")
+	if got := dsess.cmd(t, "incr %d 1 seq=1", keys[1]); got != "102" {
+		t.Fatalf("replay on target: %q, want the recorded 102", got)
+	}
+	if err := dst.VerifyAll(); err != nil {
+		t.Fatalf("target verify: %v", err)
+	}
+}
+
+// TestClusterMigrateEqualsFollowerSnapshot is the differential: a
+// migration is a follower's state transfer filtered to one slot, so a
+// follower bootstrapped from a cluster node and that node's migration
+// target must hold the same keys and dedup records in the slot, and
+// both must answer a replayed sessioned incr with the recorded ack.
+func TestClusterMigrateEqualsFollowerSnapshot(t *testing.T) {
+	node := startServer(t, WithClusterSlots("all"), WithReplListen("127.0.0.1:0"), WithShards(2))
+	slot := cluster.SlotOf(777)
+	keep := inSlot(slot)
+	keys := keysInSlot(slot, 12)
+	c := dial(t, node.Addr().String())
+	for i, k := range keys {
+		c.cmd(t, "set %d %d", k, 10*i+1)
+		if i%3 == 0 {
+			c.cmd(t, "zadd %d %d", k, i)
+		}
+	}
+	c.cmd(t, "set %d 5", keyOutsideSlot(slot))
+	sess := dial(t, node.Addr().String())
+	sess.cmd(t, "session 31")
+	recorded := sess.cmd(t, "incr %d 7 seq=1", keys[4])
+	if recorded != "48" {
+		t.Fatalf("sessioned incr: %q", recorded)
+	}
+
+	follower := startServer(t, WithReplicaOf(node.ReplAddr().String()), WithShards(3))
+	want := keyspace(node, keep)
+	waitReplFor(t, "follower bootstrap", func() bool {
+		return reflect.DeepEqual(keyspace(follower, keep), want)
+	})
+	dst := startServer(t, WithClusterSlots("none"))
+	if got := c.cmd(t, "migrate %d %s", slot, dst.Addr()); !strings.HasPrefix(got, "OK MIGRATED") {
+		t.Fatalf("migrate: %q", got)
+	}
+
+	if f, d := keyspace(follower, keep), keyspace(dst, keep); !reflect.DeepEqual(f, d) {
+		t.Fatalf("slot %d: follower holds %v, migration target %v", slot, f, d)
+	}
+	if f, d := marksIn(follower, keep), marksIn(dst, keep); !reflect.DeepEqual(f, d) || len(d) != 1 {
+		t.Fatalf("slot %d dedup records: follower %v, migration target %v", slot, f, d)
+	}
+	fc := dial(t, follower.Addr().String())
+	if got := fc.cmd(t, "promote"); got != "OK PROMOTED" {
+		t.Fatalf("promote: %q", got)
+	}
+	for name, s := range map[string]*Server{"follower": follower, "target": dst} {
+		r := dial(t, s.Addr().String())
+		r.cmd(t, "session 31")
+		if got := r.cmd(t, "incr %d 7 seq=1", keys[4]); got != recorded {
+			t.Fatalf("replay on %s: %q, want the recorded %q", name, got, recorded)
+		}
+	}
+}
+
+// TestClusterMigrateAbortReturnsError: an import cut inside a frame
+// returns the stream's error instead of dropping it, and still leaves
+// the slot unowned and empty.
+func TestClusterMigrateAbortReturnsError(t *testing.T) {
+	dst := startServer(t, WithClusterSlots("none"))
+	slot := 7
+	var stream bytes.Buffer
+	w := repl.NewWriter(&stream)
+	w.Begin(1, 0)
+	w.State([]repl.Op{{Key: keysInSlot(slot, 1)[0], Val: 1}}, nil, 0)
+	w.Group(repl.Group{Seq: 1, Ops: []repl.Op{{Key: keysInSlot(slot, 2)[1], Val: 2}}})
+	w.Flush()
+
+	dst.clusterSt.state[slot].Store(slotImporting)
+	srv, cli := net.Pipe()
+	go func() {
+		cli.Write(stream.Bytes()[:stream.Len()-3])
+		cli.Close()
+	}()
+	err := dst.serveImport(srv, proto.NewDecoder(strings.NewReader(""), proto.Native{}, 0), slot)
+	if !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("serveImport on a cut stream = %v, want io.ErrUnexpectedEOF", err)
+	}
+	if st := dst.clusterSt.state[slot].Load(); st != slotUnowned {
+		t.Fatalf("slot state after abort = %d, want unowned", st)
+	}
+	if ks := keyspace(dst, inSlot(slot)); len(ks) != 0 {
+		t.Fatalf("slot holds %v after abort", ks)
 	}
 }

@@ -151,11 +151,13 @@ func sessionCounts(s *Server) (ops, dups, old uint64) {
 	return
 }
 
-// keyspace reads every shard's live contents.
-func keyspace(s *Server) map[string]uint64 {
+// keyspace reads every shard's live contents whose keys keep admits
+// (nil: all).
+func keyspace(s *Server, keep func(uint64) bool) map[string]uint64 {
 	out := map[string]uint64{}
 	for _, sh := range s.shards {
-		for _, p := range sh.pairs() {
+		ops, _, _ := sh.state(keep)
+		for _, p := range ops {
 			out[fmt.Sprintf("%v/%d", p.List, p.Key)] = p.Val
 		}
 	}
@@ -210,7 +212,7 @@ func TestPlanBurstMatchesSequential(t *testing.T) {
 						t.Fatalf("seed %d writer %d: %s", seed, w, diffLines(replies[w][0], replies[w][1]))
 					}
 				}
-				ks, kb := keyspace(seq), keyspace(burst)
+				ks, kb := keyspace(seq, nil), keyspace(burst, nil)
 				if len(ks) != len(kb) {
 					t.Fatalf("seed %d: keyspace sizes differ: depth-1 %d, burst %d", seed, len(ks), len(kb))
 				}

@@ -64,10 +64,11 @@ func (s *Server) startReplication() error {
 			sh.replLog = s.replLog
 		}
 		p, err := repl.ListenPrimary(s.cfg.replListen, repl.PrimaryConfig{
-			Log:      s.replLog,
-			Snapshot: s.replSnapshot,
-			Sessions: s.replSessions,
-			Tel:      s.replTel,
+			Log: s.replLog,
+			State: func(emit func([]repl.Op, []repl.SessRec, uint64) error) error {
+				return s.streamState(nil, emit)
+			},
+			Tel: s.replTel,
 			// Every recorded follower ack re-arms parked `wait repl`
 			// barriers (see epoch.go). The wake pointer is initialized by
 			// startEpochClock, which New runs before replication starts.
@@ -97,7 +98,7 @@ func (s *Server) startReplication() error {
 
 // closeReplication tears the replication role down. Called by Close
 // before the shard pipelines stop: the follower's applier and the
-// primary's snapshot callback both execute through the shards and must
+// primary's state callback both execute through the shards and must
 // be gone first.
 func (s *Server) closeReplication() {
 	if s.replFollower != nil {
@@ -111,58 +112,52 @@ func (s *Server) closeReplication() {
 	}
 }
 
-// replSnapshot streams a full copy of every shard to a catching-up
-// follower. Each shard is copied under its write lock — the same full
-// quiescence the crash command uses, since Map.Range reads the device
-// directly — and released before the pairs go to the network, so the
-// pause per shard is the copy, not the transfer. The log position the
-// primary captured before calling this may trail the copied state;
-// that is safe because replicated ops are absolute and replay
-// converges.
-func (s *Server) replSnapshot(emit func([]repl.Pair) error) error {
+// streamState is the state transfer's one source: for every shard, the
+// pairs whose keys keep admits (nil: every key) and the session records
+// witnessed by those keys, with the shard's eviction floor, go to emit.
+// A follower bootstrap passes nil; a slot migration passes the slot.
+// The log position the caller captured before calling this may trail
+// the copied state; that is safe because replicated ops are absolute
+// and replay converges.
+func (s *Server) streamState(keep func(uint64) bool, emit func([]repl.Op, []repl.SessRec, uint64) error) error {
 	for _, sh := range s.shards {
-		pairs := sh.pairs()
-		if err := emit(pairs); err != nil {
+		if err := emit(sh.state(keep)); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// pairs copies the shard's live contents for a snapshot transfer.
-func (sh *shard) pairs() []repl.Pair {
+// state copies the shard's live pairs whose keys keep admits (nil: all)
+// as absolute sets, plus its PERSISTENT session records witnessed by
+// those keys and its eviction floor. It holds the shard's write lock —
+// the same full quiescence the crash command uses, since Map.Range
+// reads the device directly — and releases it before anything goes to
+// the network, so the pause per shard is the copy, not the transfer.
+// Volatile-only session records are deliberately left out: they guard
+// overlay values the copy cannot see, so shipping one would suppress a
+// retry whose effect the receiver never got.
+func (sh *shard) state(keep func(uint64) bool) (ops []repl.Op, marks []repl.SessRec, floor uint64) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	out := make([]repl.Pair, 0, 1024)
-	sh.stk.Map.Range(func(k, v uint64) bool {
-		out = append(out, repl.Pair{Key: k, Val: v})
-		return true
-	})
-	if sh.stk.List != nil {
-		sh.stk.List.Range(func(k, v uint64) bool {
-			out = append(out, repl.Pair{List: true, Key: k, Val: v})
+	add := func(list bool) func(k, v uint64) bool {
+		return func(k, v uint64) bool {
+			if keep == nil || keep(k) {
+				ops = append(ops, repl.Op{List: list, Key: k, Val: v})
+			}
 			return true
-		})
-	}
-	return out
-}
-
-// replSessions streams every shard's PERSISTENT session dedup records
-// (and eviction floor) to a catching-up follower, after the keyspace
-// snapshot. Volatile-only records guard overlay values the snapshot
-// cannot see either; both sides of that pair are lost together on a
-// promote, which is the relaxed tier's normal loss shape.
-func (s *Server) replSessions(emit func([]repl.SessRec, uint64) error) error {
-	for _, sh := range s.shards {
-		recs, floor := sh.sessSnapshot()
-		if len(recs) == 0 && floor == 0 {
-			continue
-		}
-		if err := emit(recs, floor); err != nil {
-			return err
 		}
 	}
-	return nil
+	sh.stk.Map.Range(add(false))
+	if sh.stk.List != nil {
+		sh.stk.List.Range(add(true))
+	}
+	floor = sh.sessSlots(func(_ int, r repl.SessRec) {
+		if keep == nil || keep(r.Key) {
+			marks = append(marks, r)
+		}
+	})
+	return ops, marks, floor
 }
 
 // appendRepl turns one batch's committed effects into a replication
@@ -223,6 +218,9 @@ func (sh *shard) appendRepl(reqs []*batchReq) {
 type replApplier struct {
 	s  *Server
 	cs *connState
+	// keep is the keys the transfer replaces, and so the keys Wipe
+	// deletes: nil (all) on a follower, the slot's on an import.
+	keep func(uint64) bool
 }
 
 // toBatchOp converts one replicated op — an absolute set or delete in
@@ -239,11 +237,15 @@ func toBatchOp(r repl.Op) batchOp {
 	return batchOp{kind: opSet, key: r.Key, arg: r.Val}
 }
 
-// apply commits replicated ops, session records and an eviction floor
+// Apply commits replicated ops, session records and an eviction floor
 // as one plan: ops AND records route by shard so each shard commits its
-// ops and the records that witnessed them in one section, and a
-// non-zero floor is raised on every shard.
-func (a *replApplier) apply(rops []repl.Op, marks []repl.SessRec, floor uint64) error {
+// ops and the records that witnessed them in one section — a promoted
+// follower then answers the primary's in-flight retries exactly as the
+// primary would have. A non-zero floor is raised on every shard: the
+// receiver's shard map need not mirror the sender's, and raising it too
+// broadly only turns some replayable retries into "seq too old", never
+// into a duplicate application, which is the safe direction.
+func (a *replApplier) Apply(rops []repl.Op, marks []repl.SessRec, floor uint64) error {
 	if len(rops) == 0 && len(marks) == 0 && floor == 0 {
 		return nil
 	}
@@ -268,44 +270,18 @@ func (a *replApplier) apply(rops []repl.Op, marks []repl.SessRec, floor uint64) 
 	return err
 }
 
-// Wipe deletes every local key so an incoming snapshot replaces the
-// follower's state rather than merging with it.
+// Wipe deletes every local key keep admits, so an incoming transfer
+// replaces that state rather than merging with it; an aborted import
+// runs it again to delete its partial copy.
 func (a *replApplier) Wipe() error {
 	for _, sh := range a.s.shards {
-		pairs := sh.pairs()
-		dels := make([]repl.Op, len(pairs))
-		for i, p := range pairs {
-			dels[i] = repl.Op{Del: true, List: p.List, Key: p.Key}
+		dels, _, _ := sh.state(a.keep)
+		for i := range dels {
+			dels[i].Del = true
 		}
-		if err := a.apply(dels, nil, 0); err != nil {
+		if err := a.Apply(dels, nil, 0); err != nil {
 			return err
 		}
 	}
 	return nil
-}
-
-// ApplyPairs installs one snapshot chunk as absolute sets.
-func (a *replApplier) ApplyPairs(pairs []repl.Pair) error {
-	sets := make([]repl.Op, len(pairs))
-	for i, p := range pairs {
-		sets[i] = repl.Op{List: p.List, Key: p.Key, Val: p.Val}
-	}
-	return a.apply(sets, nil, 0)
-}
-
-// ApplySessions merges one snapshot session-window chunk: records
-// routed to their keys' shards, the chunk's floor raised on every
-// shard. The floor must land everywhere because the follower's shard
-// map need not mirror the primary's — raising it too broadly only
-// turns some replayable retries into "seq too old", never into a
-// duplicate application, which is the safe direction.
-func (a *replApplier) ApplySessions(recs []repl.SessRec, floor uint64) error {
-	return a.apply(nil, recs, floor)
-}
-
-// ApplyGroup applies one committed group in commit order, its session
-// records with it — a promoted follower then answers the primary's
-// in-flight retries exactly as the primary would have.
-func (a *replApplier) ApplyGroup(rops []repl.Op, marks []repl.SessRec) error {
-	return a.apply(rops, marks, 0)
 }

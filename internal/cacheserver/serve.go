@@ -70,8 +70,11 @@ func (s *Server) handle(conn net.Conn) {
 				if ferr == nil && cs.importSlot >= 0 {
 					// acceptslot committed this connection to an inbound
 					// migration; its OK reply is on the wire, so splice the
-					// stream onto the frame reader (see cluster.go).
-					s.serveImport(conn, dec, cs.importSlot)
+					// stream onto the frame reader (see cluster.go). A failed
+					// import has nobody left to tell: it is counted, its slot
+					// is unowned again, and the source sees the connection
+					// close before its ack.
+					_ = s.serveImport(conn, dec, cs.importSlot)
 				}
 				return
 			}

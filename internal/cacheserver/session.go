@@ -287,19 +287,6 @@ func (sh *shard) sessRaiseFloor(th *atlas.Thread, floor uint64) {
 	th.Store(sessAddr(p, stack.SessFloorWord), floor)
 }
 
-// sessSnapshot reads the shard's PERSISTENT session window for a
-// replication state transfer.
-// Volatile-only records are deliberately excluded: their values are
-// not in the snapshot's pairs, so shipping the record would suppress a
-// retry whose effect the follower never received. Takes the shard
-// write lock briefly, like pairs().
-func (sh *shard) sessSnapshot() (recs []repl.SessRec, floor uint64) {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	floor = sh.sessSlots(func(_ int, r repl.SessRec) { recs = append(recs, r) })
-	return recs, floor
-}
-
 // sessPayload derives the recorded reply payload from a sessioned
 // request's resolved ops: the new value for arithmetic commands, the
 // found bit for deletes, 0 for sets (whose replies need no state).

@@ -1,7 +1,6 @@
 package repl
 
 import (
-	"bufio"
 	"fmt"
 	"net"
 	"sync"
@@ -16,22 +15,18 @@ import (
 // serves clients, so replicated data lands with identical persistence
 // semantics. Calls arrive from a single goroutine, in stream order.
 type Applier interface {
-	// Wipe deletes all local pairs; called when a snapshot install
-	// begins so the transferred state replaces, not merges with,
-	// whatever the follower held. Session dedup windows are NOT wiped:
-	// records already inherited must keep suppressing retries across a
+	// Wipe deletes all local keys; called when a state transfer begins
+	// so the transferred state replaces, not merges with, whatever the
+	// follower held. Session dedup windows are NOT wiped: records
+	// already inherited must keep suppressing retries across a
 	// re-snapshot (upserts are guarded by sequence, so replaying the
 	// incoming window over them converges).
 	Wipe() error
-	// ApplyPairs installs one snapshot chunk.
-	ApplyPairs(pairs []Pair) error
-	// ApplySessions merges one session-window chunk (records plus the
-	// primary's evicted-seq floor) into the local dedup window.
-	ApplySessions(recs []SessRec, floor uint64) error
-	// ApplyGroup applies one committed group's resolved effects in
-	// order, committing each session mark atomically with the ops on the
-	// mark's shard.
-	ApplyGroup(ops []Op, marks []SessRec) error
+	// Apply applies one state frame or committed group: the ops in
+	// order, each session mark atomically with the ops on the mark's
+	// shard, and a non-zero evicted-seq floor merged into the local
+	// dedup window.
+	Apply(ops []Op, marks []SessRec, floor uint64) error
 }
 
 // FollowerConfig configures a replication client.
@@ -171,34 +166,25 @@ func (f *Follower) sleep(d time.Duration) {
 // apply frames until error or stop.
 func (f *Follower) stream(conn net.Conn) error {
 	gen, seq := f.Position()
-	w := bufio.NewWriter(conn)
-	if err := writeFrame(w, encodeHello(gen, seq)); err != nil {
-		return err
-	}
-	if err := w.Flush(); err != nil {
+	w := NewWriter(conn)
+	if err := w.Hello(gen, seq); err != nil {
 		return err
 	}
 	f.logf("repl: follower connected to %s at gen %d seq %d", f.cfg.Addr, gen, seq)
 
-	r := bufio.NewReader(conn)
+	rd := NewReader(conn)
 	// Position announced by an in-flight snapshot; committed only at
 	// FrameSnapshotEnd so a transfer severed halfway leaves the
 	// follower positionless and forces a fresh snapshot on reconnect.
 	var pendGen, pendSeq uint64
 	for {
-		payload, err := readFrame(r)
+		m, err := rd.Next()
 		if err != nil {
 			return err
 		}
-		if len(payload) == 0 {
-			return fmt.Errorf("repl: empty frame")
-		}
-		switch payload[0] {
+		switch m.Frame {
 		case FrameSnapshotBegin:
-			pendGen, pendSeq, err = decodeSnapshotBegin(payload)
-			if err != nil {
-				return err
-			}
+			pendGen, pendSeq = m.Gen, m.Seq
 			// Invalidate the position before touching local state: from
 			// here until SnapshotEnd the local copy matches no log
 			// position.
@@ -206,53 +192,37 @@ func (f *Follower) stream(conn net.Conn) error {
 			if err := f.cfg.Applier.Wipe(); err != nil {
 				return err
 			}
-		case FrameSnapshotChunk:
-			pairs, err := decodeSnapshotChunk(payload)
-			if err != nil {
-				return err
-			}
-			if err := f.cfg.Applier.ApplyPairs(pairs); err != nil {
-				return err
-			}
-		case FrameSessChunk:
-			recs, floor, err := decodeSessChunk(payload)
-			if err != nil {
-				return err
-			}
-			if err := f.cfg.Applier.ApplySessions(recs, floor); err != nil {
+		case FrameState:
+			if err := f.cfg.Applier.Apply(m.Ops, m.Marks, m.Floor); err != nil {
 				return err
 			}
 		case FrameSnapshotEnd:
 			f.setPosition(pendGen, pendSeq)
 			f.cfg.Tel.SnapshotsLoaded.Inc()
-			if err := f.ack(w, pendGen, pendSeq); err != nil {
+			if err := w.Ack(pendGen, pendSeq); err != nil {
 				return err
 			}
 		case FrameGroup:
-			g, err := decodeGroup(payload)
-			if err != nil {
-				return err
-			}
-			if err := f.cfg.Applier.ApplyGroup(g.Ops, g.Marks); err != nil {
+			if err := f.cfg.Applier.Apply(m.Ops, m.Marks, 0); err != nil {
 				// Local apply failure means the copy may have diverged;
 				// drop the position so reconnect takes a fresh snapshot.
 				f.setPosition(0, 0)
 				return err
 			}
 			f.cfg.Tel.GroupsApplied.Inc()
-			f.cfg.Tel.OpsApplied.Add(uint64(len(g.Ops)))
+			f.cfg.Tel.OpsApplied.Add(uint64(len(m.Ops)))
 			f.mu.Lock()
-			f.seq = g.Seq
+			f.seq = m.Seq
 			ackGen := f.gen
-			if g.Epoch > f.epoch {
-				f.epoch = g.Epoch
+			if m.Epoch > f.epoch {
+				f.epoch = m.Epoch
 			}
 			f.mu.Unlock()
-			if err := f.ack(w, ackGen, g.Seq); err != nil {
+			if err := w.Ack(ackGen, m.Seq); err != nil {
 				return err
 			}
 		default:
-			return fmt.Errorf("repl: unexpected frame type %d", payload[0])
+			return fmt.Errorf("repl: unexpected frame type %d", m.Frame)
 		}
 	}
 }
@@ -262,11 +232,4 @@ func (f *Follower) setPosition(gen, seq uint64) {
 	f.gen = gen
 	f.seq = seq
 	f.mu.Unlock()
-}
-
-func (f *Follower) ack(w *bufio.Writer, gen, seq uint64) error {
-	if err := writeFrame(w, encodeAck(gen, seq)); err != nil {
-		return err
-	}
-	return w.Flush()
 }

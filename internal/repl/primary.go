@@ -1,9 +1,7 @@
 package repl
 
 import (
-	"bufio"
 	"fmt"
-	"io"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -12,27 +10,20 @@ import (
 	"tsp/internal/telemetry"
 )
 
-// snapshotChunkPairs bounds how many pairs the primary packs into one
-// FrameSnapshotChunk.
-const snapshotChunkPairs = 4096
-
 // PrimaryConfig configures a replication listener.
 type PrimaryConfig struct {
 	// Log is the bounded replication log the serving process appends
 	// committed groups to. Required.
 	Log *Log
-	// Snapshot streams a full copy of the current state as batches of
-	// pairs through emit, returning emit's error if any. The primary
-	// captures the log position immediately before calling it; because
-	// replicated ops are absolute, the copy may safely include effects
-	// committed after that position — replaying them is idempotent.
-	// Required.
-	Snapshot func(emit func([]Pair) error) error
-	// Sessions streams the primary's session dedup window as batches of
-	// records (with the evicted-seq floor) through emit during a state
-	// transfer, so a promoted follower inherits the exactly-once window.
-	// Optional: nil means no session frames are sent.
-	Sessions func(emit func([]SessRec, uint64) error) error
+	// State streams a full copy of the current state through emit, in
+	// as many calls as it likes: absolute sets, the session dedup
+	// records witnessed by their keys (so a promoted follower inherits
+	// the exactly-once window), and the evicted-seq floor. It returns
+	// emit's error if any. The primary captures the log position
+	// immediately before calling it; because replicated ops are
+	// absolute, the copy may safely include effects committed after
+	// that position — replaying them is idempotent. Required.
+	State func(emit func(ops []Op, marks []SessRec, floor uint64) error) error
 	// Tel receives the replication counters and lag histogram. Optional
 	// (nil-safe).
 	Tel *telemetry.ReplStats
@@ -74,8 +65,8 @@ type Primary struct {
 
 // ListenPrimary starts accepting followers on addr (":0" picks a port).
 func ListenPrimary(addr string, cfg PrimaryConfig) (*Primary, error) {
-	if cfg.Log == nil || cfg.Snapshot == nil {
-		return nil, fmt.Errorf("repl: PrimaryConfig needs Log and Snapshot")
+	if cfg.Log == nil || cfg.State == nil {
+		return nil, fmt.Errorf("repl: PrimaryConfig needs Log and State")
 	}
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
@@ -173,17 +164,16 @@ func (p *Primary) serveFollower(conn net.Conn) {
 		p.connMu.Unlock()
 	}()
 
-	r := bufio.NewReader(conn)
-	payload, err := readFrame(r)
-	if err != nil || len(payload) == 0 || payload[0] != FrameHello {
-		p.logf("repl: follower %s: bad handshake", conn.RemoteAddr())
-		return
+	rd := NewReader(conn)
+	hello, err := rd.Next()
+	if err == nil && hello.Frame != FrameHello {
+		err = fmt.Errorf("frame type %d", hello.Frame)
 	}
-	gen, seq, err := decodeHello(payload)
 	if err != nil {
-		p.logf("repl: follower %s: %v", conn.RemoteAddr(), err)
+		p.logf("repl: follower %s: bad handshake: %v", conn.RemoteAddr(), err)
 		return
 	}
+	gen, seq := hello.Gen, hello.Seq
 	p.followers.Add(1)
 	defer p.followers.Add(-1)
 	p.logf("repl: follower %s connected at gen %d seq %d", conn.RemoteAddr(), gen, seq)
@@ -193,13 +183,13 @@ func (p *Primary) serveFollower(conn net.Conn) {
 	// Close the connection before waiting so the ack reader's blocked
 	// read is severed when the streamer exits first (e.g. log closed).
 	ackDone := make(chan struct{})
-	go p.readAcks(conn, r, ackDone)
+	go p.readAcks(conn, rd, ackDone)
 	defer func() {
 		conn.Close()
 		<-ackDone
 	}()
 
-	w := bufio.NewWriter(conn)
+	w := NewWriter(conn)
 	for {
 		g, st := p.cfg.Log.Next(gen, seq, p.closing.Load)
 		switch st {
@@ -213,7 +203,7 @@ func (p *Primary) serveFollower(conn net.Conn) {
 			}
 			gen, seq = ngen, nseq
 		case NextOK:
-			if err := writeFrame(w, encodeGroup(g)); err != nil {
+			if err := w.Group(g); err != nil {
 				return
 			}
 			if err := w.Flush(); err != nil {
@@ -227,56 +217,24 @@ func (p *Primary) serveFollower(conn net.Conn) {
 }
 
 // sendSnapshot streams a full state transfer and returns the position
-// the follower should resume streaming from.
-func (p *Primary) sendSnapshot(w *bufio.Writer) (gen, seq uint64, err error) {
+// the follower should resume streaming from. Session records ride
+// inside the transfer (before End) so the follower commits dedup
+// records and data together: a transfer severed midway leaves it
+// positionless either way.
+func (p *Primary) sendSnapshot(w *Writer) (gen, seq uint64, err error) {
 	gen, seq = p.cfg.Log.Position()
-	if err := writeFrame(w, encodeSnapshotBegin(gen, seq)); err != nil {
+	if err := w.Begin(gen, seq); err != nil {
 		return 0, 0, err
 	}
 	var keys uint64
-	emit := func(pairs []Pair) error {
-		for len(pairs) > 0 {
-			n := len(pairs)
-			if n > snapshotChunkPairs {
-				n = snapshotChunkPairs
-			}
-			if err := writeFrame(w, encodeSnapshotChunk(pairs[:n])); err != nil {
-				return err
-			}
-			keys += uint64(n)
-			pairs = pairs[n:]
-		}
-		return nil
+	err = p.cfg.State(func(ops []Op, marks []SessRec, floor uint64) error {
+		keys += uint64(len(ops))
+		return w.State(ops, marks, floor)
+	})
+	if err == nil {
+		err = w.End()
 	}
-	if err := p.cfg.Snapshot(emit); err != nil {
-		return 0, 0, err
-	}
-	// Session window frames ride inside the transfer (before the end
-	// frame) so the follower commits dedup records and data together: a
-	// transfer severed midway leaves it positionless either way.
-	if p.cfg.Sessions != nil {
-		emitSess := func(recs []SessRec, floor uint64) error {
-			for len(recs) > 0 || floor > 0 {
-				n := len(recs)
-				if n > snapshotChunkPairs {
-					n = snapshotChunkPairs
-				}
-				if err := writeFrame(w, encodeSessChunk(recs[:n], floor)); err != nil {
-					return err
-				}
-				recs = recs[n:]
-				floor = 0
-			}
-			return nil
-		}
-		if err := p.cfg.Sessions(emitSess); err != nil {
-			return 0, 0, err
-		}
-	}
-	if err := writeFrame(w, []byte{FrameSnapshotEnd}); err != nil {
-		return 0, 0, err
-	}
-	if err := w.Flush(); err != nil {
+	if err != nil {
 		return 0, 0, err
 	}
 	p.cfg.Tel.Snapshots.Inc()
@@ -288,7 +246,7 @@ func (p *Primary) sendSnapshot(w *bufio.Writer) (gen, seq uint64, err error) {
 // connection's acknowledged position (the substrate of AckedCount),
 // converting it into a lag sample when the acked group is still
 // retained, and firing the OnAck hook so parked barriers re-check.
-func (p *Primary) readAcks(conn net.Conn, r io.Reader, done chan<- struct{}) {
+func (p *Primary) readAcks(conn net.Conn, rd *Reader, done chan<- struct{}) {
 	defer close(done)
 	defer func() {
 		// The ack stream died, so this follower can never ack again:
@@ -305,22 +263,15 @@ func (p *Primary) readAcks(conn net.Conn, r io.Reader, done chan<- struct{}) {
 		}
 	}()
 	for {
-		payload, err := readFrame(r)
-		if err != nil {
-			return
-		}
-		if len(payload) == 0 || payload[0] != FrameAck {
-			return
-		}
-		gen, seq, err := decodeAck(payload)
-		if err != nil {
+		m, err := rd.Next()
+		if err != nil || m.Frame != FrameAck {
 			return
 		}
 		p.ackMu.Lock()
-		p.acked[conn] = ackPos{gen: gen, seq: seq}
+		p.acked[conn] = ackPos{gen: m.Gen, seq: m.Seq}
 		p.ackMu.Unlock()
 		p.cfg.Tel.AcksReceived.Inc()
-		if at, ok := p.cfg.Log.AppendTime(gen, seq); ok {
+		if at, ok := p.cfg.Log.AppendTime(m.Gen, m.Seq); ok {
 			p.cfg.Tel.Lag.ObserveValue(uint64(time.Since(at).Nanoseconds()))
 		}
 		if p.cfg.OnAck != nil {

@@ -1,6 +1,11 @@
 package repl
 
 import (
+	"bytes"
+	"encoding/binary"
+	"io"
+	"reflect"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -36,15 +41,15 @@ func (s *source) apply(ops ...Op) {
 	s.log.Append(ops, 0, nil)
 }
 
-// snapshot emits the current state, as the primary's Snapshot callback.
-func (s *source) snapshot(emit func([]Pair) error) error {
+// state emits the current state, as the primary's State callback.
+func (s *source) state(emit func([]Op, []SessRec, uint64) error) error {
 	s.mu.Lock()
-	pairs := make([]Pair, 0, len(s.m))
+	ops := make([]Op, 0, len(s.m))
 	for k, v := range s.m {
-		pairs = append(pairs, Pair{Key: k, Val: v})
+		ops = append(ops, Op{Key: k, Val: v})
 	}
 	s.mu.Unlock()
-	return emit(pairs)
+	return emit(ops, nil, 0)
 }
 
 // copyState returns a copy of the authoritative map.
@@ -58,18 +63,18 @@ func (s *source) copyState() map[uint64]uint64 {
 	return out
 }
 
-// fakeApplier is an in-memory follower state; failPairs makes the next
-// N ApplyPairs calls fail to simulate a snapshot transfer dying midway.
+// fakeApplier is an in-memory follower state; failApply makes the next
+// N Apply calls fail to simulate a snapshot transfer dying midway.
 type fakeApplier struct {
 	mu        sync.Mutex
 	m         map[uint64]uint64
 	sess      map[uint64]uint64 // session id -> highest inherited seq
 	floor     uint64
-	failPairs atomic.Int32
+	failApply atomic.Int32
 }
 
 func newFakeApplier() *fakeApplier {
-	return &fakeApplier{m: make(map[uint64]uint64)}
+	return &fakeApplier{m: make(map[uint64]uint64), sess: make(map[uint64]uint64)}
 }
 
 func (a *fakeApplier) Wipe() error {
@@ -79,38 +84,13 @@ func (a *fakeApplier) Wipe() error {
 	return nil
 }
 
-func (a *fakeApplier) ApplyPairs(pairs []Pair) error {
-	if a.failPairs.Load() > 0 {
-		a.failPairs.Add(-1)
+func (a *fakeApplier) Apply(ops []Op, marks []SessRec, floor uint64) error {
+	if a.failApply.Load() > 0 {
+		a.failApply.Add(-1)
 		return errFailInjected
 	}
 	a.mu.Lock()
-	for _, p := range pairs {
-		a.m[p.Key] = p.Val
-	}
-	a.mu.Unlock()
-	return nil
-}
-
-func (a *fakeApplier) ApplySessions(recs []SessRec, floor uint64) error {
-	a.mu.Lock()
-	for _, r := range recs {
-		if r.Seq > a.sess[r.Sess] {
-			if a.sess == nil {
-				a.sess = make(map[uint64]uint64)
-			}
-			a.sess[r.Sess] = r.Seq
-		}
-	}
-	if floor > a.floor {
-		a.floor = floor
-	}
-	a.mu.Unlock()
-	return nil
-}
-
-func (a *fakeApplier) ApplyGroup(ops []Op, marks []SessRec) error {
-	a.mu.Lock()
+	defer a.mu.Unlock()
 	for _, op := range ops {
 		if op.Del {
 			delete(a.m, op.Key)
@@ -119,14 +99,9 @@ func (a *fakeApplier) ApplyGroup(ops []Op, marks []SessRec) error {
 		}
 	}
 	for _, m := range marks {
-		if a.sess == nil {
-			a.sess = make(map[uint64]uint64)
-		}
-		if m.Seq > a.sess[m.Sess] {
-			a.sess[m.Sess] = m.Seq
-		}
+		a.sess[m.Sess] = max(a.sess[m.Sess], m.Seq)
 	}
-	a.mu.Unlock()
+	a.floor = max(a.floor, floor)
 	return nil
 }
 
@@ -175,10 +150,10 @@ func sameState(a, b map[uint64]uint64) bool {
 func startPrimary(t *testing.T, src *source, tel *telemetry.ReplStats) *Primary {
 	t.Helper()
 	p, err := ListenPrimary("127.0.0.1:0", PrimaryConfig{
-		Log:      src.log,
-		Snapshot: src.snapshot,
-		Tel:      tel,
-		Logf:     t.Logf,
+		Log:   src.log,
+		State: src.state,
+		Tel:   tel,
+		Logf:  t.Logf,
 	})
 	if err != nil {
 		t.Fatalf("ListenPrimary: %v", err)
@@ -260,7 +235,7 @@ func TestReconnectInsideWindow(t *testing.T) {
 	for i := uint64(5); i < 10; i++ {
 		src.apply(Op{Key: i, Val: i * 100})
 	}
-	p2, err := ListenPrimary(addr, PrimaryConfig{Log: src.log, Snapshot: src.snapshot, Tel: ptel, Logf: t.Logf})
+	p2, err := ListenPrimary(addr, PrimaryConfig{Log: src.log, State: src.state, Tel: ptel, Logf: t.Logf})
 	if err != nil {
 		t.Fatalf("restart primary: %v", err)
 	}
@@ -301,7 +276,7 @@ func TestReconnectBeyondWindow(t *testing.T) {
 	for i := uint64(0); i < 20; i++ {
 		src.apply(Op{Key: i, Val: i + 1000})
 	}
-	p2, err := ListenPrimary(addr, PrimaryConfig{Log: src.log, Snapshot: src.snapshot, Tel: ptel, Logf: t.Logf})
+	p2, err := ListenPrimary(addr, PrimaryConfig{Log: src.log, State: src.state, Tel: ptel, Logf: t.Logf})
 	if err != nil {
 		t.Fatalf("restart primary: %v", err)
 	}
@@ -376,7 +351,7 @@ func TestSnapshotInterrupted(t *testing.T) {
 	}
 
 	app := newFakeApplier()
-	app.failPairs.Store(1)
+	app.failApply.Store(1)
 	f := startFollower(t, p.Addr(), app, ftel)
 	defer f.Stop()
 
@@ -483,28 +458,119 @@ func TestLogNextBlocksAndCloseUnblocks(t *testing.T) {
 	}
 }
 
-// TestWireRoundTrip round-trips every frame type through the codec.
+// rawFrame builds one frame by hand: length prefix, type byte, words.
+func rawFrame(t byte, words ...uint64) []byte {
+	b := []byte{0, 0, 0, 0, t}
+	for _, v := range words {
+		b = binary.LittleEndian.AppendUint64(b, v)
+	}
+	binary.LittleEndian.PutUint32(b, uint32(len(b)-4))
+	return b
+}
+
+// TestWireRoundTrip round-trips every frame type through the one writer
+// and the one reader — a state transfer large enough to chunk included
+// — and checks the reader refuses what it must.
 func TestWireRoundTrip(t *testing.T) {
-	g := Group{Seq: 99, Epoch: 41, Ops: []Op{{Key: 1, Val: 2}, {Del: true, Key: 3}}}
-	dg, err := decodeGroup(encodeGroup(g))
-	if err != nil || dg.Seq != 99 || dg.Epoch != 41 || len(dg.Ops) != 2 || dg.Ops[1].Del != true || dg.Ops[0].Val != 2 {
-		t.Fatalf("group round-trip: %+v err=%v", dg, err)
+	var buf bytes.Buffer
+	w := NewWriter(&buf)
+	g := Group{Seq: 99, Epoch: 41, Ops: []Op{{Key: 1, Val: 2}, {Del: true, List: true, Key: 3}},
+		Marks: []SessRec{{Sess: 7, Seq: 8, Payload: 9, Key: 1}}}
+	// More records than one state frame holds: the ops fill the first
+	// frame, the rest of them and the marks the second; the floor rides
+	// the first frame only, and an empty State call sends nothing.
+	ops := make([]Op, snapshotChunkPairs+10)
+	for i := range ops {
+		ops[i] = Op{List: i%2 == 1, Key: uint64(i), Val: uint64(i) * 3}
 	}
-	hg, hs, err := decodeHello(encodeHello(5, 6))
-	if err != nil || hg != 5 || hs != 6 {
-		t.Fatalf("hello round-trip: %d %d err=%v", hg, hs, err)
+	marks := []SessRec{{Sess: 1, Seq: 2, Payload: 3, Key: 4}, {Sess: 5, Seq: 6, Payload: 7, Key: 8}}
+	for i, err := range []error{w.Hello(5, 6), w.Begin(1, 2), w.State(ops, marks, 77),
+		w.State(nil, nil, 0), w.End(), w.Group(g), w.Ack(77, 1234)} {
+		if err != nil {
+			t.Fatalf("write %d: %v", i, err)
+		}
 	}
-	if _, _, err := decodeHello(encodeSnapshotBegin(1, 2)); err == nil {
-		t.Fatal("hello decode accepted a frame without the magic")
+
+	rd := NewReader(&buf)
+	next := func(want byte) Msg {
+		t.Helper()
+		m, err := rd.Next()
+		if err != nil || m.Frame != want {
+			t.Fatalf("Next = frame %d err=%v, want frame %d", m.Frame, err, want)
+		}
+		return m
 	}
-	pairs, err := decodeSnapshotChunk(encodeSnapshotChunk([]Pair{{Key: 8, Val: 9}}))
-	if err != nil || len(pairs) != 1 || pairs[0].Val != 9 {
-		t.Fatalf("chunk round-trip: %+v err=%v", pairs, err)
+	if m := next(FrameHello); m.Gen != 5 || m.Seq != 6 {
+		t.Fatalf("hello round-trip: %+v", m)
 	}
-	agen, seq, err := decodeAck(encodeAck(77, 1234))
-	if err != nil || agen != 77 || seq != 1234 {
-		t.Fatalf("ack round-trip: %d %d err=%v", agen, seq, err)
+	if m := next(FrameSnapshotBegin); m.Gen != 1 || m.Seq != 2 {
+		t.Fatalf("begin round-trip: %+v", m)
 	}
+	s1, s2 := next(FrameState), next(FrameState)
+	if s1.Floor != 77 || s2.Floor != 0 || len(s1.Ops) != snapshotChunkPairs || len(s1.Marks) != 0 ||
+		!reflect.DeepEqual(append(s1.Ops, s2.Ops...), ops) || !reflect.DeepEqual(s2.Marks, marks) {
+		t.Fatalf("state round-trip: floors %d/%d, %d+%d ops, %d+%d marks",
+			s1.Floor, s2.Floor, len(s1.Ops), len(s2.Ops), len(s1.Marks), len(s2.Marks))
+	}
+	next(FrameSnapshotEnd)
+	if m := next(FrameGroup); m.Seq != 99 || m.Epoch != 41 ||
+		!reflect.DeepEqual(m.Ops, g.Ops) || !reflect.DeepEqual(m.Marks, g.Marks) {
+		t.Fatalf("group round-trip: %+v", m)
+	}
+	if m := next(FrameAck); m.Gen != 77 || m.Seq != 1234 {
+		t.Fatalf("ack round-trip: %+v", m)
+	}
+	if _, err := rd.Next(); err != io.EOF {
+		t.Fatalf("Next at a clean end = %v, want io.EOF", err)
+	}
+
+	var oversized [4]byte
+	binary.LittleEndian.PutUint32(oversized[:], maxFrame+1)
+	for name, b := range map[string][]byte{
+		"hello without the magic":      rawFrame(FrameHello, 5, 6),
+		"state counts beyond the body": rawFrame(FrameState, 0, 1, 0),
+		"group counts short of body":   rawFrame(FrameGroup, 1, 0, 0, 0, 42),
+		"unknown frame type":           rawFrame(99),
+		"empty frame":                  {0, 0, 0, 0},
+		"oversized frame":              oversized[:],
+		"frame cut short":              rawFrame(FrameAck, 1, 2)[:10],
+	} {
+		if _, err := NewReader(bytes.NewReader(b)).Next(); err == nil || err == io.EOF {
+			t.Errorf("%s: Next err = %v, want a decode error", name, err)
+		}
+	}
+}
+
+// FuzzReadMsg feeds arbitrary bytes to the one reader — the bytes after
+// `acceptslot` come from any client on the cache server's client port —
+// and checks it never panics and never allocates beyond one
+// maxFrame-sized payload plus what the input's own bytes decode into.
+func FuzzReadMsg(f *testing.F) {
+	var seed bytes.Buffer
+	w := NewWriter(&seed)
+	w.Hello(1, 2)
+	w.Begin(3, 4)
+	w.State([]Op{{Key: 5, Val: 6}}, []SessRec{{Sess: 7, Seq: 8, Payload: 9, Key: 5}}, 10)
+	w.Group(Group{Seq: 11, Epoch: 12, Ops: []Op{{Del: true, List: true, Key: 13}}})
+	w.End()
+	w.Ack(14, 15)
+	f.Add(seed.Bytes())
+	f.Add(rawFrame(FrameState, 0, 1<<40, 1<<40))
+	f.Add([]byte{0xff, 0xff, 0xff, 0x00, FrameGroup}) // just under maxFrame, no body
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		rd := NewReader(bytes.NewReader(data))
+		for {
+			if _, err := rd.Next(); err != nil {
+				break
+			}
+		}
+		runtime.ReadMemStats(&after)
+		if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(maxFrame+4*len(data)+1<<20); got > limit {
+			t.Fatalf("reading %d bytes allocated %d bytes (limit %d)", len(data), got, limit)
+		}
+	})
 }
 
 // TestAckTrackingAndEpochPropagation pins the barrier substrate: the
@@ -515,10 +581,10 @@ func TestAckTrackingAndEpochPropagation(t *testing.T) {
 	src := newSource(1024)
 	var acks atomic.Int64
 	p, err := ListenPrimary("127.0.0.1:0", PrimaryConfig{
-		Log:      src.log,
-		Snapshot: src.snapshot,
-		OnAck:    func() { acks.Add(1) },
-		Logf:     t.Logf,
+		Log:   src.log,
+		State: src.state,
+		OnAck: func() { acks.Add(1) },
+		Logf:  t.Logf,
 	})
 	if err != nil {
 		t.Fatalf("ListenPrimary: %v", err)

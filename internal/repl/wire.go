@@ -23,11 +23,19 @@
 // bounded in-memory Log keyed by (generation, sequence): a follower
 // whose position is inside the retained window streams the missing
 // groups; one behind the window — or on the wrong generation, as after
-// a primary power failure — receives a full snapshot of the primary's
-// shards and then streams from the snapshot's position.
+// a primary power failure — receives a state transfer (Begin, State
+// frames, End) and then streams from the transfer's position.
+//
+// The cache server's slot migration is the same state transfer
+// filtered to one slot's keys, followed by the filtered log suffix and
+// only then End: it writes with the same Writer and reads with the same
+// Reader, so both sessions share one framing, one set of bounds checks
+// and one convergence argument. Only who dials whom, and what End
+// commits (a position or a slot's ownership), differ.
 package repl
 
 import (
+	"bufio"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -36,18 +44,22 @@ import (
 // ProtocolMagic identifies the replication stream and its version; a
 // hello frame carrying anything else is rejected. Bump the trailing
 // digit on any incompatible framing change.
-const ProtocolMagic uint64 = 0x5453_5052_4550_4C34 // "TSPREPL4"
+const ProtocolMagic uint64 = 0x5453_5052_4550_4C35 // "TSPREPL5"
 
 // Frame types, the first payload byte of every frame.
 const (
 	// FrameHello is the follower's opening frame: magic, then the
 	// (generation, sequence) position it has applied through.
 	FrameHello = byte(iota + 1)
-	// FrameSnapshotBegin announces a full state transfer and carries the
-	// (generation, sequence) position the snapshot is consistent through.
+	// FrameSnapshotBegin announces a state transfer and carries the
+	// (generation, sequence) position the transfer is consistent through.
+	// The receiver wipes the keys the transfer replaces.
 	FrameSnapshotBegin
-	// FrameSnapshotChunk carries a bounded batch of key/value pairs.
-	FrameSnapshotChunk
+	// FrameState carries a bounded slice of a state transfer: absolute
+	// sets, session dedup records (so a promoted follower or a slot's new
+	// owner inherits the exactly-once window), and the sender's
+	// evicted-seq floor, in FrameGroup's op and mark records.
+	FrameState
 	// FrameSnapshotEnd closes the state transfer; the follower commits
 	// the position from the matching FrameSnapshotBegin.
 	FrameSnapshotEnd
@@ -57,22 +69,22 @@ const (
 	// FrameAck is the follower's cumulative acknowledgement of the
 	// sequence number it has applied through.
 	FrameAck
-	// FrameSessChunk carries a bounded batch of session dedup records
-	// (plus the primary's evicted-seq floor) during a state transfer, so
-	// a promoted follower inherits the exactly-once window and a client
-	// retrying against it after failover is still suppressed.
-	FrameSessChunk
 )
 
 // maxFrame bounds a frame's payload so a corrupt length prefix cannot
-// ask either side to allocate unbounded memory. Snapshot chunks and
+// ask either side to allocate unbounded memory. State frames and
 // groups are sized well inside it.
 const maxFrame = 1 << 24
+
+// snapshotChunkPairs bounds how many records (ops plus marks) one
+// FrameState carries.
+const snapshotChunkPairs = 4096
 
 // Op is one replicated effect: an absolute set of Key to Val, or — when
 // Del is true — a delete of Key. Increments never appear on the wire;
 // the primary resolves them to the value they produced, which is what
-// makes suffix replay over a snapshot converge.
+// makes suffix replay over a snapshot converge. A state transfer's
+// entries are Ops too (sets only).
 type Op struct {
 	// Del selects delete; otherwise the op is an absolute set.
 	Del bool
@@ -91,7 +103,7 @@ type Op struct {
 // record is routed by (shardOf(Key) on whichever server holds it — the
 // same place the retried command's dedup check will look). The same
 // shape rides committed groups (as marks witnessing the group's
-// sessioned requests) and snapshot session chunks.
+// sessioned requests) and state frames.
 type SessRec struct {
 	// Sess is the client session id (ids start at 1).
 	Sess uint64
@@ -102,16 +114,6 @@ type SessRec struct {
 	Payload uint64
 	// Key is the witness key the record is routed and stored by.
 	Key uint64
-}
-
-// Pair is one key/value pair of a snapshot transfer.
-type Pair struct {
-	// List marks a pair belonging to the ordered keyspace.
-	List bool
-	// Key is the snapshotted key.
-	Key uint64
-	// Val is its value at the snapshot position.
-	Val uint64
 }
 
 // Group is one replication unit: the mutations one committed Atlas
@@ -135,40 +137,209 @@ type Group struct {
 	Marks []SessRec
 }
 
-// writeFrame emits one length-prefixed frame: a 4-byte little-endian
-// payload length, then the payload (type byte first).
-func writeFrame(w io.Writer, payload []byte) error {
-	var hdr [4]byte
-	binary.LittleEndian.PutUint32(hdr[:], uint32(len(payload)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
+// Msg is one decoded frame, tagged by Frame. Only the fields its frame
+// type carries are set: Gen and Seq for FrameHello, FrameSnapshotBegin
+// and FrameAck; Seq, Epoch, Ops and Marks for FrameGroup; Ops, Marks
+// and Floor for FrameState; nothing for FrameSnapshotEnd.
+type Msg struct {
+	// Frame is the frame type.
+	Frame byte
+	// Gen and Seq are a position; Seq is also a group's sequence.
+	Gen, Seq uint64
+	// Epoch is a group's durability epoch.
+	Epoch uint64
+	// Floor is a state frame's evicted-seq floor (0: none).
+	Floor uint64
+	// Ops and Marks are a group's or a state frame's records.
+	Ops   []Op
+	Marks []SessRec
+}
+
+// Writer emits frames onto a stream through a buffer. Hello, End and
+// Ack flush; the others leave their frame buffered until the next
+// flushing call or Flush.
+type Writer struct {
+	w *bufio.Writer
+	b []byte // the frame being built, length prefix first
+}
+
+// NewWriter wraps w for frame output.
+func NewWriter(w io.Writer) *Writer {
+	return &Writer{w: bufio.NewWriterSize(w, 64<<10)}
+}
+
+// start begins a frame of type t in the scratch buffer, leaving room
+// for the length prefix, followed by the frame's fixed words.
+func (w *Writer) start(t byte, words ...uint64) {
+	w.b = append(w.b[:0], 0, 0, 0, 0, t)
+	for _, v := range words {
+		w.b = binary.LittleEndian.AppendUint64(w.b, v)
 	}
-	_, err := w.Write(payload)
+}
+
+// send patches the length prefix into the built frame and buffers it.
+func (w *Writer) send() error {
+	binary.LittleEndian.PutUint32(w.b, uint32(len(w.b)-4))
+	_, err := w.w.Write(w.b)
 	return err
 }
 
-// readFrame reads one frame and returns its payload (type byte first).
-func readFrame(r io.Reader) ([]byte, error) {
+// sendFlush sends the built frame and flushes.
+func (w *Writer) sendFlush() error {
+	if err := w.send(); err != nil {
+		return err
+	}
+	return w.w.Flush()
+}
+
+// Hello sends the follower's opening frame.
+func (w *Writer) Hello(gen, seq uint64) error {
+	w.start(FrameHello, ProtocolMagic, gen, seq)
+	return w.sendFlush()
+}
+
+// Begin announces a state transfer consistent through (gen, seq).
+func (w *Writer) Begin(gen, seq uint64) error {
+	w.start(FrameSnapshotBegin, gen, seq)
+	return w.send()
+}
+
+// State emits ops, then marks, with floor on the first frame, in as
+// many FrameState frames as snapshotChunkPairs requires. Nothing is
+// sent when all three are empty.
+func (w *Writer) State(ops []Op, marks []SessRec, floor uint64) error {
+	for len(ops) > 0 || len(marks) > 0 || floor > 0 {
+		n := min(len(ops), snapshotChunkPairs)
+		m := min(len(marks), snapshotChunkPairs-n)
+		w.start(FrameState, floor)
+		w.records(ops[:n], marks[:m])
+		if err := w.send(); err != nil {
+			return err
+		}
+		ops, marks, floor = ops[n:], marks[m:], 0
+	}
+	return nil
+}
+
+// Group emits one committed operation group.
+func (w *Writer) Group(g Group) error {
+	w.start(FrameGroup, g.Seq, g.Epoch)
+	w.records(g.Ops, g.Marks)
+	return w.send()
+}
+
+// End closes the state transfer and flushes.
+func (w *Writer) End() error {
+	w.start(FrameSnapshotEnd)
+	return w.sendFlush()
+}
+
+// Ack sends a cumulative acknowledgement of (gen, seq) and flushes. The
+// generation makes acks unambiguous across a re-snapshot — a primary
+// counting acks toward a `wait repl` barrier must not credit a
+// stale-generation ack against a current-generation sequence.
+func (w *Writer) Ack(gen, seq uint64) error {
+	w.start(FrameAck, gen, seq)
+	return w.sendFlush()
+}
+
+// Flush pushes buffered frames to the wire.
+func (w *Writer) Flush() error { return w.w.Flush() }
+
+// Record kind bits of an op record: bit 0 is delete, bit 1 routes to
+// the ordered keyspace.
+const (
+	kindDel  = byte(1 << 0)
+	kindList = byte(1 << 1)
+)
+
+// Wire sizes of one op record (kind, key, value) and one mark record.
+const (
+	opBytes   = 17
+	markBytes = 32
+)
+
+// records appends the body FrameGroup and FrameState share: op count,
+// mark count, the op records, then the mark records.
+func (w *Writer) records(ops []Op, marks []SessRec) {
+	b := binary.LittleEndian.AppendUint64(w.b, uint64(len(ops)))
+	b = binary.LittleEndian.AppendUint64(b, uint64(len(marks)))
+	for _, op := range ops {
+		kind := byte(0)
+		if op.Del {
+			kind |= kindDel
+		}
+		if op.List {
+			kind |= kindList
+		}
+		b = append(b, kind)
+		b = binary.LittleEndian.AppendUint64(b, op.Key)
+		b = binary.LittleEndian.AppendUint64(b, op.Val)
+	}
+	for _, m := range marks {
+		for _, v := range [4]uint64{m.Sess, m.Seq, m.Payload, m.Key} {
+			b = binary.LittleEndian.AppendUint64(b, v)
+		}
+	}
+	w.b = b
+}
+
+// Reader decodes frames from a stream. It never allocates from a
+// count it has not bounded: a frame is at most maxFrame bytes, and a
+// frame's record counts must account for exactly the bytes it holds.
+type Reader struct {
+	r   *bufio.Reader
+	buf []byte // the last frame's payload, reused
+}
+
+// NewReader wraps r for frame input.
+func NewReader(r io.Reader) *Reader {
+	return &Reader{r: bufio.NewReaderSize(r, 64<<10)}
+}
+
+// Next reads and decodes one frame. io.EOF surfaces unwrapped when the
+// stream ends cleanly between frames; a frame cut short is
+// io.ErrUnexpectedEOF, and an unknown frame type is an error.
+func (r *Reader) Next() (Msg, error) {
 	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, err
+	if _, err := io.ReadFull(r.r, hdr[:]); err != nil {
+		return Msg{}, err
 	}
 	n := binary.LittleEndian.Uint32(hdr[:])
 	if n == 0 || n > maxFrame {
-		return nil, fmt.Errorf("repl: frame length %d out of range", n)
+		return Msg{}, fmt.Errorf("repl: frame length %d out of range", n)
 	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return nil, err
+	if cap(r.buf) < int(n) {
+		r.buf = make([]byte, n)
 	}
-	return payload, nil
-}
-
-// u64 appends v little-endian.
-func u64(b []byte, v uint64) []byte {
-	var w [8]byte
-	binary.LittleEndian.PutUint64(w[:], v)
-	return append(b, w[:]...)
+	p := r.buf[:n]
+	if _, err := io.ReadFull(r.r, p); err != nil {
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF
+		}
+		return Msg{}, err
+	}
+	f := &frameReader{b: p, off: 1}
+	m := Msg{Frame: p[0]}
+	switch m.Frame {
+	case FrameHello:
+		if magic := f.u64(); f.err == nil && magic != ProtocolMagic {
+			return m, fmt.Errorf("repl: bad hello magic %#x", magic)
+		}
+		m.Gen, m.Seq = f.u64(), f.u64()
+	case FrameSnapshotBegin, FrameAck:
+		m.Gen, m.Seq = f.u64(), f.u64()
+	case FrameState:
+		m.Floor = f.u64()
+		m.Ops, m.Marks = f.records()
+	case FrameGroup:
+		m.Seq, m.Epoch = f.u64(), f.u64()
+		m.Ops, m.Marks = f.records()
+	case FrameSnapshotEnd:
+	default:
+		return m, fmt.Errorf("repl: unknown frame type %d", m.Frame)
+	}
+	return m, f.err
 }
 
 // frameReader decodes the fixed-width fields of a received payload.
@@ -191,226 +362,30 @@ func (f *frameReader) u64() uint64 {
 	return v
 }
 
-func (f *frameReader) byte() byte {
+// records decodes the op and mark records FrameGroup and FrameState
+// share. The counts must account for exactly the rest of the frame.
+func (f *frameReader) records() ([]Op, []SessRec) {
+	n, nm := f.u64(), f.u64()
 	if f.err != nil {
-		return 0
+		return nil, nil
 	}
-	if f.off >= len(f.b) {
-		f.err = fmt.Errorf("repl: truncated frame (%d bytes)", len(f.b))
-		return 0
+	rest := uint64(len(f.b) - f.off)
+	if n > rest/opBytes || nm > rest/markBytes || n*opBytes+nm*markBytes != rest {
+		f.err = fmt.Errorf("repl: %d ops and %d marks do not fill a %d-byte body", n, nm, rest)
+		return nil, nil
 	}
-	v := f.b[f.off]
-	f.off++
-	return v
-}
-
-// encodeHello builds the follower's opening frame.
-func encodeHello(gen, seq uint64) []byte {
-	b := make([]byte, 0, 1+24)
-	b = append(b, FrameHello)
-	b = u64(b, ProtocolMagic)
-	b = u64(b, gen)
-	b = u64(b, seq)
-	return b
-}
-
-// decodeHello parses a hello payload (type byte already consumed by the
-// caller's switch is NOT assumed: payload includes the type byte).
-func decodeHello(payload []byte) (gen, seq uint64, err error) {
-	f := &frameReader{b: payload, off: 1}
-	if magic := f.u64(); f.err == nil && magic != ProtocolMagic {
-		return 0, 0, fmt.Errorf("repl: bad hello magic %#x", magic)
+	ops := make([]Op, n)
+	for i := range ops {
+		kind := f.b[f.off]
+		f.off++
+		ops[i] = Op{Del: kind&kindDel != 0, List: kind&kindList != 0, Key: f.u64(), Val: f.u64()}
 	}
-	gen = f.u64()
-	seq = f.u64()
-	return gen, seq, f.err
-}
-
-// encodeSnapshotBegin builds the state-transfer announcement.
-func encodeSnapshotBegin(gen, seq uint64) []byte {
-	b := make([]byte, 0, 1+16)
-	b = append(b, FrameSnapshotBegin)
-	b = u64(b, gen)
-	b = u64(b, seq)
-	return b
-}
-
-// decodeSnapshotBegin parses a snapshot-begin payload.
-func decodeSnapshotBegin(payload []byte) (gen, seq uint64, err error) {
-	f := &frameReader{b: payload, off: 1}
-	gen = f.u64()
-	seq = f.u64()
-	return gen, seq, f.err
-}
-
-// Record kind bits shared by group ops and snapshot pairs: bit 0 is
-// delete (ops only), bit 1 routes to the ordered keyspace.
-const (
-	kindDel  = byte(1 << 0)
-	kindList = byte(1 << 1)
-)
-
-// encodeSnapshotChunk builds one chunk of pairs: a count, then one
-// kind byte + key + value per pair (17 bytes each).
-func encodeSnapshotChunk(pairs []Pair) []byte {
-	b := make([]byte, 0, 1+8+17*len(pairs))
-	b = append(b, FrameSnapshotChunk)
-	b = u64(b, uint64(len(pairs)))
-	for _, p := range pairs {
-		kind := byte(0)
-		if p.List {
-			kind |= kindList
-		}
-		b = append(b, kind)
-		b = u64(b, p.Key)
-		b = u64(b, p.Val)
-	}
-	return b
-}
-
-// decodeSnapshotChunk parses a chunk payload.
-func decodeSnapshotChunk(payload []byte) ([]Pair, error) {
-	f := &frameReader{b: payload, off: 1}
-	n := f.u64()
-	if f.err != nil {
-		return nil, f.err
-	}
-	if n > uint64(len(payload)/17) {
-		return nil, fmt.Errorf("repl: chunk count %d exceeds frame", n)
-	}
-	pairs := make([]Pair, n)
-	for i := range pairs {
-		kind := f.byte()
-		pairs[i].List = kind&kindList != 0
-		pairs[i].Key = f.u64()
-		pairs[i].Val = f.u64()
-	}
-	return pairs, f.err
-}
-
-// encodeGroup builds one group frame: sequence, epoch, op count, mark
-// count, the 17-byte op records, then the 32-byte mark records.
-func encodeGroup(g Group) []byte {
-	b := make([]byte, 0, 1+32+17*len(g.Ops)+32*len(g.Marks))
-	b = append(b, FrameGroup)
-	b = u64(b, g.Seq)
-	b = u64(b, g.Epoch)
-	b = u64(b, uint64(len(g.Ops)))
-	b = u64(b, uint64(len(g.Marks)))
-	for _, op := range g.Ops {
-		kind := byte(0)
-		if op.Del {
-			kind |= kindDel
-		}
-		if op.List {
-			kind |= kindList
-		}
-		b = append(b, kind)
-		b = u64(b, op.Key)
-		b = u64(b, op.Val)
-	}
-	for _, m := range g.Marks {
-		b = u64(b, m.Sess)
-		b = u64(b, m.Seq)
-		b = u64(b, m.Payload)
-		b = u64(b, m.Key)
-	}
-	return b
-}
-
-// decodeGroup parses a group payload.
-func decodeGroup(payload []byte) (Group, error) {
-	f := &frameReader{b: payload, off: 1}
-	var g Group
-	g.Seq = f.u64()
-	g.Epoch = f.u64()
-	n := f.u64()
-	nm := f.u64()
-	if f.err != nil {
-		return g, f.err
-	}
-	if n > uint64(len(payload)/17) {
-		return g, fmt.Errorf("repl: group op count %d exceeds frame", n)
-	}
-	if nm > uint64(len(payload)/32) {
-		return g, fmt.Errorf("repl: group mark count %d exceeds frame", nm)
-	}
-	g.Ops = make([]Op, n)
-	for i := range g.Ops {
-		kind := f.byte()
-		g.Ops[i].Del = kind&kindDel != 0
-		g.Ops[i].List = kind&kindList != 0
-		g.Ops[i].Key = f.u64()
-		g.Ops[i].Val = f.u64()
-	}
+	var marks []SessRec
 	if nm > 0 {
-		g.Marks = make([]SessRec, nm)
-		for i := range g.Marks {
-			g.Marks[i].Sess = f.u64()
-			g.Marks[i].Seq = f.u64()
-			g.Marks[i].Payload = f.u64()
-			g.Marks[i].Key = f.u64()
+		marks = make([]SessRec, nm)
+		for i := range marks {
+			marks[i] = SessRec{Sess: f.u64(), Seq: f.u64(), Payload: f.u64(), Key: f.u64()}
 		}
 	}
-	return g, f.err
-}
-
-// encodeSessChunk builds one session-window chunk of a state transfer:
-// the primary's evicted-seq floor, a count, then one 32-byte record per
-// session.
-func encodeSessChunk(recs []SessRec, floor uint64) []byte {
-	b := make([]byte, 0, 1+16+32*len(recs))
-	b = append(b, FrameSessChunk)
-	b = u64(b, floor)
-	b = u64(b, uint64(len(recs)))
-	for _, m := range recs {
-		b = u64(b, m.Sess)
-		b = u64(b, m.Seq)
-		b = u64(b, m.Payload)
-		b = u64(b, m.Key)
-	}
-	return b
-}
-
-// decodeSessChunk parses a session-window chunk payload.
-func decodeSessChunk(payload []byte) ([]SessRec, uint64, error) {
-	f := &frameReader{b: payload, off: 1}
-	floor := f.u64()
-	n := f.u64()
-	if f.err != nil {
-		return nil, 0, f.err
-	}
-	if n > uint64(len(payload)/32) {
-		return nil, 0, fmt.Errorf("repl: session chunk count %d exceeds frame", n)
-	}
-	recs := make([]SessRec, n)
-	for i := range recs {
-		recs[i].Sess = f.u64()
-		recs[i].Seq = f.u64()
-		recs[i].Payload = f.u64()
-		recs[i].Key = f.u64()
-	}
-	return recs, floor, f.err
-}
-
-// encodeAck builds the follower's cumulative acknowledgement: the
-// generation the follower is positioned on plus the sequence it has
-// applied through. The generation makes acks unambiguous across a
-// re-snapshot — a primary counting acks toward a `wait repl` barrier
-// must not credit a stale-generation ack against a current-generation
-// sequence.
-func encodeAck(gen, seq uint64) []byte {
-	b := make([]byte, 0, 1+16)
-	b = append(b, FrameAck)
-	b = u64(b, gen)
-	b = u64(b, seq)
-	return b
-}
-
-// decodeAck parses an ack payload.
-func decodeAck(payload []byte) (gen, seq uint64, err error) {
-	f := &frameReader{b: payload, off: 1}
-	gen = f.u64()
-	seq = f.u64()
-	return gen, seq, f.err
+	return ops, marks
 }

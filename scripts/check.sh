@@ -73,9 +73,12 @@ echo "== go test ./... (everything else, no race)"
 go test ./...
 
 # Line count is a tracked metric (ROADMAP aim 2): the served system's
-# non-test source, printed so a PR that grows it does so in plain sight.
-echo "== internal/cacheserver non-test lines"
-ls internal/cacheserver/*.go | grep -v '_test\.go$' | xargs cat | wc -l
+# non-test source and the replication tier under it, printed so a PR
+# that grows either does so in plain sight.
+for pkg in cacheserver repl; do
+	echo "== internal/$pkg non-test lines"
+	ls internal/$pkg/*.go | grep -v '_test\.go$' | xargs cat | wc -l
+done
 
 # So is per-command knowledge outside the command table
 # (internal/proto/spec.go): every `case …Cmd…` arm in the four packages
@@ -180,20 +183,18 @@ done
 # Both parsers read attacker-controlled bytes, and the seeded fuzz
 # targets otherwise only ever run their seed corpus: give each a short
 # real campaign (liveness: no panic, no hang, no stranded queue entry).
-echo "== fuzz the codec loops (10s each)"
+# So does the replication stream's reader: the bytes after `acceptslot`
+# come from any client on the client port (no panic, no allocation
+# beyond one bounded frame).
+echo "== fuzz the codec loops and the replication reader (10s each)"
 go test -run '^$' -fuzz '^FuzzNativeLoop$' -fuzztime=10s ./internal/cacheserver
 go test -run '^$' -fuzz '^FuzzRESPLoop$' -fuzztime=10s ./internal/cacheserver
+go test -run '^$' -fuzz '^FuzzReadMsg$' -fuzztime=10s ./internal/repl
 
 # The doc-drift gate: docs/PROTOCOL.md (the canonical wire reference)
 # must match the live flag sets. (Its command tables are checked against
 # the command table by TestSpecSpellingsDocumented in go test.)
 echo "== doc drift (docs/PROTOCOL.md vs tspcached/tspproxy -help)"
 sh scripts/check_docs.sh
-
-# Report-only perf gate: diff the working tspbench report (if any)
-# against the committed baseline. Never fails the check — single runs
-# are too noisy — but a regression prints loudly.
-echo "== bench-diff (soft gate)"
-sh scripts/bench_diff.sh || true
 
 echo "OK"
