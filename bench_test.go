@@ -92,8 +92,8 @@ func BenchmarkFaultInjection(b *testing.B) {
 			}
 			opts := harness.CrashOptions{
 				RescueFraction: sc.rescue,
-				MinRun:         time.Millisecond,
-				MaxRun:         5 * time.Millisecond,
+				MinRun:         2_000,
+				MaxRun:         25_000,
 			}
 			consistent := 0
 			total := 0

@@ -64,9 +64,7 @@ var campTel = &telemetry.CampaignStats{}
 // servers' STAT vocabulary — one schema for campaigns and servers.
 func printCampaignStats() {
 	fmt.Println()
-	campTel.Walk(func(name string, v uint64) {
-		fmt.Printf("STAT %s %d\n", name, v)
-	})
+	telemetry.Text(os.Stdout, telemetry.CampaignRows.Bind(campTel))
 }
 
 func main() {

@@ -407,12 +407,13 @@ func run() int {
 			return 1
 		}
 		followers, _ := stat(lines, "repl_followers")
+		lagN, _ := stat(lines, "repl_lag_count")
 		lagP50, _ = stat(lines, "repl_lag_p50_us")
 		lagP95, _ = stat(lines, "repl_lag_p95_us")
 		lagP99, _ = stat(lines, "repl_lag_p99_us")
 		streamed, _ = stat(lines, "repl_groups_streamed")
 		optGets, _ = stat(lines, "map_opt_gets")
-		if followers == "1" && lagP50 != "" {
+		if followers == "1" && lagN != "" && lagN != "0" {
 			break
 		}
 		if time.Now().After(statsDeadline) {

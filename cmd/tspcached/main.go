@@ -17,11 +17,12 @@
 // every shard (crash <n> takes down just one, while the rest keep
 // serving) and runs the full recovery path (heap reopen, Atlas
 // rollback, verify); the data is still there, as Section 4.2 promises.
-// The stats command reports aggregate counters — including every
-// layer's telemetry (device flushes, Atlas log appends, map ops) and
-// op-latency percentiles; stats shards breaks them down per shard,
-// including recovery counts and latencies. With -metrics-addr the same
-// telemetry is additionally served as Prometheus-style text over HTTP:
+// The stats command renders every telemetry row — every layer's counters
+// (device flushes, Atlas log appends, map ops), gauges and latency
+// histograms, the shard rows summed; stats shards shows the shard rows
+// per shard. With -metrics-addr the same rows are additionally served
+// as Prometheus-style text over HTTP, beside the runtime profiles at
+// /debug/pprof/ (docs/PROTOCOL.md §9 lists the rows):
 //
 //	$ tspcached -metrics-addr 127.0.0.1:9090 &
 //	$ curl -s http://127.0.0.1:9090/metrics | grep tsp_nvm_flushes

@@ -1,8 +1,9 @@
 // Command tspsoak is a crash-recovery fuzzer: it runs continuous
 // random crash-inject-recover-verify cycles across the fortified
-// variants, randomizing the variant, thread count, crash instant and —
-// within each variant's soundness envelope — the rescue fraction, until
-// the time budget expires or an inconsistency is found.
+// variants, randomizing the variant, thread count, crash point (a number
+// of device stores) and — within each variant's soundness envelope — the
+// rescue fraction, until the time budget expires or an inconsistency is
+// found.
 //
 // This is the long-running counterpart of cmd/faultinject's fixed
 // campaign: where the paper reports "hundreds of injected crashes", a
@@ -58,8 +59,8 @@ func main() {
 		}
 		opts := harness.CrashOptions{
 			RescueFraction: rescue,
-			MinRun:         time.Millisecond,
-			MaxRun:         time.Duration(1+rng.Intn(15)) * time.Millisecond,
+			MinRun:         2_000,
+			MaxRun:         uint64(1+rng.Intn(15)) * 5_000,
 		}
 		res, err := harness.RunCrash(cfg, opts)
 		if err != nil {

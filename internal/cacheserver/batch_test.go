@@ -151,7 +151,9 @@ func TestQueueFullFallsBackToSyncPath(t *testing.T) {
 	if got := sh.tel.OpLatency.Snapshot().Count(); got < 1 {
 		t.Fatal("no op latency observations")
 	}
-	if got := sh.tel.CmdLatency.Snapshot(telemetry.CmdMSet).Count(); got != n {
+	var text strings.Builder
+	telemetry.Text(&text, telemetry.RegistryRows.Bind(sh.tel))
+	if got := statValue(t, strings.Split(text.String(), "\r\n"), "cmd_mset_count"); got != uint64(n) {
 		t.Fatalf("mset command latency observations = %d, want %d", got, n)
 	}
 	c := dial(t, s.Addr().String())
@@ -436,8 +438,8 @@ func TestStatsResetCommand(t *testing.T) {
 	c.cmd(t, "crash")
 
 	before := c.lines(t, "stats")
-	if got := statValue(t, before, "sets"); got != 5 {
-		t.Fatalf("sets before reset = %d, want 5", got)
+	if got := statValue(t, before, "server_sets"); got != 5 {
+		t.Fatalf("server_sets before reset = %d, want 5", got)
 	}
 	gen := statValue(t, before, "stack_generation")
 	if gen < 4 { // 2 shards x (initial 1 + one crash)
@@ -451,7 +453,7 @@ func TestStatsResetCommand(t *testing.T) {
 		t.Fatalf("stats reset: %q", got)
 	}
 	after := c.lines(t, "stats")
-	for _, name := range []string{"gets", "sets", "op_count", "batch_count", "server_batches", "server_batched_ops", "nvm_stores", "crashes_survived"} {
+	for _, name := range []string{"server_gets", "server_sets", "op_count", "batch_size_count", "server_batches", "server_batched_ops", "nvm_stores", "recovery_count"} {
 		if got := statValue(t, after, name); got != 0 {
 			t.Errorf("%s after reset = %d, want 0", name, got)
 		}
@@ -464,7 +466,7 @@ func TestStatsResetCommand(t *testing.T) {
 	if got := c.cmd(t, "get 1"); got != "VALUE 1 1" {
 		t.Fatalf("get after reset: %q", got)
 	}
-	if got := statValue(t, c.lines(t, "stats"), "gets"); got != 1 {
-		t.Fatalf("gets after post-reset traffic = %d, want 1", got)
+	if got := statValue(t, c.lines(t, "stats"), "server_gets"); got != 1 {
+		t.Fatalf("server_gets after post-reset traffic = %d, want 1", got)
 	}
 }

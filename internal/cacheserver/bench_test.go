@@ -2,12 +2,13 @@ package cacheserver
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 
-	"tsp/internal/telemetry"
+	"tsp/internal/proto"
 )
 
 // resident is the number of keys loaded before measurement. Every
@@ -140,12 +141,8 @@ func benchmarkMutations(b *testing.B, nShards int) {
 		}
 	})
 	b.StopTimer()
-	v := s.aggregateViews()
-	b.ReportMetric(us(v.cmdLat[telemetry.CmdSet].Quantile(0.50)), "p50_us")
-	b.ReportMetric(us(v.cmdLat[telemetry.CmdSet].Quantile(0.95)), "p95_us")
-	if n := v.batchSize.Count(); n > 0 {
-		b.ReportMetric(float64(v.batchSize.Sum)/float64(n), "ops/batch")
-	}
+	reportLatency(b, s, "cmd_set", "")
+	reportOpsPerBatch(b, s)
 }
 
 // benchmarkMsets measures the batched mutation workload: every request
@@ -190,12 +187,8 @@ func benchmarkMsets(b *testing.B, nShards int) {
 		}
 	})
 	b.StopTimer()
-	v := s.aggregateViews()
-	b.ReportMetric(us(v.cmdLat[telemetry.CmdMSet].Quantile(0.50)), "p50_us")
-	b.ReportMetric(us(v.cmdLat[telemetry.CmdMSet].Quantile(0.95)), "p95_us")
-	if n := v.batchSize.Count(); n > 0 {
-		b.ReportMetric(float64(v.batchSize.Sum)/float64(n), "ops/batch")
-	}
+	reportLatency(b, s, "cmd_mset", "")
+	reportOpsPerBatch(b, s)
 }
 
 // benchmarkMsetsPinned is benchmarkMsets with every request's 8 keys
@@ -251,12 +244,8 @@ func benchmarkMsetsPinned(b *testing.B, nShards int) {
 		}
 	})
 	b.StopTimer()
-	v := s.aggregateViews()
-	b.ReportMetric(us(v.cmdLat[telemetry.CmdMSet].Quantile(0.50)), "p50_us")
-	b.ReportMetric(us(v.cmdLat[telemetry.CmdMSet].Quantile(0.95)), "p95_us")
-	if n := v.batchSize.Count(); n > 0 {
-		b.ReportMetric(float64(v.batchSize.Sum)/float64(n), "ops/batch")
-	}
+	reportLatency(b, s, "cmd_mset", "")
+	reportOpsPerBatch(b, s)
 }
 
 func BenchmarkMsetsBatchedShards1(b *testing.B) { benchmarkMsets(b, 1) }
@@ -324,13 +313,8 @@ func benchmarkSetsRepl(b *testing.B, replicated bool) {
 		}
 	})
 	b.StopTimer()
-	v := s.aggregateViews()
-	b.ReportMetric(us(v.cmdLat[telemetry.CmdSet].Quantile(0.50)), "p50_us")
-	b.ReportMetric(us(v.cmdLat[telemetry.CmdSet].Quantile(0.95)), "p95_us")
-	if lag := s.replTel.LagSnapshot(); lag.Count() > 0 {
-		b.ReportMetric(us(lag.Quantile(0.50)), "lag_p50_us")
-		b.ReportMetric(us(lag.Quantile(0.95)), "lag_p95_us")
-	}
+	reportLatency(b, s, "cmd_set", "")
+	reportLatency(b, s, "repl_lag", "lag_")
 }
 
 // The replication overhead comparison (make bench-repl): the same
@@ -380,9 +364,7 @@ func benchmarkGets(b *testing.B, nShards int, optimistic bool) {
 		}
 	})
 	b.StopTimer()
-	v := s.aggregateViews()
-	b.ReportMetric(us(v.cmdLat[telemetry.CmdGet].Quantile(0.50)), "p50_us")
-	b.ReportMetric(us(v.cmdLat[telemetry.CmdGet].Quantile(0.95)), "p95_us")
+	reportLatency(b, s, "cmd_get", "")
 }
 
 // The pure-get scaling comparison (make bench-read): identical workload
@@ -437,11 +419,9 @@ func benchmarkReadMix(b *testing.B, nShards int, optimistic bool) {
 		}
 	})
 	b.StopTimer()
-	v := s.aggregateViews()
-	b.ReportMetric(us(v.cmdLat[telemetry.CmdGet].Quantile(0.50)), "get_p50_us")
-	b.ReportMetric(us(v.cmdLat[telemetry.CmdGet].Quantile(0.95)), "get_p95_us")
+	reportLatency(b, s, "cmd_get", "get_")
 	if optimistic {
-		agg := v.agg
+		agg := serverStats(s)
 		if total := agg["map_opt_gets"] + agg["map_opt_fallbacks"]; total > 0 {
 			b.ReportMetric(float64(agg["map_opt_gets"])/float64(total), "opt_hit_rate")
 		}
@@ -468,5 +448,34 @@ func BenchmarkMget8Keys(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s.dispatch(cs, "mget 1 2 3 4 5 6 7 8")
+	}
+}
+
+// serverStats is the server's `stats` reply read back as name → value.
+func serverStats(s *Server) map[string]float64 {
+	out := map[string]float64{}
+	for _, line := range strings.Split(proto.StatsAggregate.Reply(s.statsSources()...).Msg, "\r\n") {
+		if f := strings.Fields(line); len(f) == 3 {
+			out[f[1]], _ = strconv.ParseFloat(f[2], 64)
+		}
+	}
+	return out
+}
+
+// reportOpsPerBatch reports the mean operations per drained commit
+// group.
+func reportOpsPerBatch(b *testing.B, s *Server) {
+	if st := serverStats(s); st["server_batches"] > 0 {
+		b.ReportMetric(st["server_batched_ops"]/st["server_batches"], "ops/batch")
+	}
+}
+
+// reportLatency reports the p50 and p95 of one duration histogram (a
+// spelled row name such as "cmd_set"); a histogram with no observations
+// reports nothing.
+func reportLatency(b *testing.B, s *Server, series, prefix string) {
+	if st := serverStats(s); st[series+"_count"] > 0 {
+		b.ReportMetric(st[series+"_p50_us"], prefix+"p50_us")
+		b.ReportMetric(st[series+"_p95_us"], prefix+"p95_us")
 	}
 }

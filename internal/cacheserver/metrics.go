@@ -4,24 +4,60 @@ import (
 	"fmt"
 	"net"
 	"net/http"
-	"strings"
-	"time"
+	"net/http/pprof"
 
 	"tsp/internal/telemetry"
 )
 
-// metricsServer is the optional HTTP side-channel serving the shards'
-// telemetry as Prometheus-style text exposition (hand-rolled on
-// net/http; the repo takes no dependencies). It listens on its own
-// address so scraping never competes with the cache protocol for
-// connection slots.
+// statsSources sets the gauges only the server can read and returns
+// every telemetry section its surfaces render: `stats`, `stats shards`,
+// `stats reset` and /metrics all go through here. The replication and
+// cluster sections render only while the server has that role.
+func (s *Server) statsSources() []telemetry.Source {
+	regs := make([]*telemetry.Registry, len(s.shards))
+	for i, sh := range s.shards {
+		sh.refreshGauges()
+		regs[i] = sh.tel
+	}
+	s.tel.EpochCurrent.Store(s.curEpoch.Load())
+	s.tel.EpochPersisted.Store(s.perEpoch.Load())
+	srcs := []telemetry.Source{telemetry.ServerRows.Bind(&s.tel), telemetry.RegistryRows.Bind(regs...)}
+	if role := s.replRole(); role != "" {
+		t := s.replTel
+		t.SetRole(role)
+		if s.replPrimary != nil {
+			t.Followers.Store(uint64(s.replPrimary.Followers()))
+			gen, seq := s.replLog.Position()
+			t.LogGen.Store(gen)
+			t.LogSeq.Store(seq)
+		}
+		if s.replFollower != nil {
+			gen, seq := s.replFollower.Position()
+			t.PosGen.Store(gen)
+			t.PosSeq.Store(seq)
+		}
+		srcs = append(srcs, telemetry.ReplRows.Bind(t))
+	}
+	if st := s.clusterSt; st != nil {
+		st.tel.Epoch.Store(st.epoch.Load())
+		st.tel.SlotsOwned.Store(uint64(len(st.slotsIn(slotOwned))))
+		srcs = append(srcs, telemetry.ClusterRows.Bind(st.tel))
+	}
+	return srcs
+}
+
+// metricsServer is the optional HTTP side-channel: the telemetry rows as
+// Prometheus-style text at /metrics (hand-rolled on net/http; the repo
+// takes no dependencies) and the runtime profiles at /debug/pprof/. It
+// listens on its own address so scraping never competes with the cache
+// protocol for connection slots.
 type metricsServer struct {
 	ln  net.Listener
 	srv *http.Server
 }
 
-// startMetrics binds addr and begins serving GET /metrics in the
-// background. Serve errors after close are expected and discarded.
+// startMetrics binds addr and begins serving in the background. Serve
+// errors after close are expected and discarded.
 func startMetrics(s *Server, addr string) (*metricsServer, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
@@ -30,8 +66,13 @@ func startMetrics(s *Server, addr string) (*metricsServer, error) {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		w.Write([]byte(s.renderMetrics()))
+		telemetry.Prometheus(w, s.statsSources()...)
 	})
+	mux.HandleFunc("/debug/pprof/", pprof.Index)
+	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	m := &metricsServer{ln: ln, srv: &http.Server{Handler: mux}}
 	go func() { _ = m.srv.Serve(ln) }()
 	return m, nil
@@ -40,153 +81,3 @@ func startMetrics(s *Server, addr string) (*metricsServer, error) {
 func (m *metricsServer) addr() net.Addr { return m.ln.Addr() }
 
 func (m *metricsServer) close() { _ = m.srv.Close() }
-
-// renderMetrics renders every shard's registry plus the merged
-// aggregate in Prometheus text format. Counters carry a shard label
-// ("all" for the aggregate); the latency histograms surface as summary
-// quantiles in seconds, the conventional Prometheus unit.
-func (s *Server) renderMetrics() string {
-	var b strings.Builder
-
-	v := s.aggregateViews()
-	agg := v.agg
-
-	b.WriteString("# TYPE tsp_items gauge\n")
-	fmt.Fprintf(&b, "tsp_items %d\n", v.items)
-	b.WriteString("# TYPE tsp_zitems gauge\n")
-	fmt.Fprintf(&b, "tsp_zitems %d\n", v.zitems)
-
-	// One TYPE header per counter family, then the aggregate and every
-	// shard's value. The registry's Walk order keeps families contiguous.
-	views := make([]shardView, len(s.shards))
-	for i, sh := range s.shards {
-		views[i] = sh.view()
-	}
-	for _, name := range agg.Names() {
-		fmt.Fprintf(&b, "# TYPE tsp_%s counter\n", name)
-		fmt.Fprintf(&b, "tsp_%s{shard=\"all\"} %d\n", name, agg[name])
-		for i, v := range views {
-			fmt.Fprintf(&b, "tsp_%s{shard=\"%d\"} %d\n", name, i, v.counters[name])
-		}
-	}
-
-	writeSummary := func(name string, snap telemetry.HistogramSnapshot) {
-		fmt.Fprintf(&b, "# TYPE tsp_%s summary\n", name)
-		for _, q := range []float64{0.5, 0.95, 0.99} {
-			fmt.Fprintf(&b, "tsp_%s{quantile=\"%g\"} %g\n", name, q, snap.Quantile(q).Seconds())
-		}
-		fmt.Fprintf(&b, "tsp_%s_sum %g\n", name, (time.Duration(snap.Sum) * time.Nanosecond).Seconds())
-		fmt.Fprintf(&b, "tsp_%s_count %d\n", name, snap.Count())
-	}
-	writeSummary("op_latency_seconds", v.opLat)
-	writeSummary("recovery_latency_seconds", v.recLat)
-	writeSummary("read_latency_seconds", v.readLat)
-	for _, c := range telemetry.Commands() {
-		if v.cmdLat[c].Count() == 0 {
-			continue
-		}
-		writeSummary(fmt.Sprintf("cmd_%s_latency_seconds", c), v.cmdLat[c])
-	}
-
-	// Per-protocol command latency: same histograms as above, protocol
-	// dimension unmerged, as one labeled family.
-	if hasProtoCmd(v) {
-		b.WriteString("# TYPE tsp_cmd_latency_by_proto_seconds summary\n")
-		for _, p := range telemetry.Protocols() {
-			for _, c := range telemetry.Commands() {
-				snap := v.cmdProto[p][c]
-				if snap.Count() == 0 {
-					continue
-				}
-				for _, q := range []float64{0.5, 0.95, 0.99} {
-					fmt.Fprintf(&b, "tsp_cmd_latency_by_proto_seconds{proto=%q,cmd=%q,quantile=\"%g\"} %g\n",
-						p.String(), c.String(), q, snap.Quantile(q).Seconds())
-				}
-				fmt.Fprintf(&b, "tsp_cmd_latency_by_proto_seconds_count{proto=%q,cmd=%q} %d\n",
-					p.String(), c.String(), snap.Count())
-			}
-		}
-	}
-
-	// Decoded batch sizes per protocol: how many requests each socket
-	// read surfaced — the pipelining depth clients actually present.
-	b.WriteString("# TYPE tsp_decoded_batch_requests summary\n")
-	for _, p := range telemetry.Protocols() {
-		db := s.decodedBatch[p].Snapshot()
-		if db.Count() == 0 {
-			continue
-		}
-		for _, q := range []float64{0.5, 0.95, 0.99} {
-			fmt.Fprintf(&b, "tsp_decoded_batch_requests{proto=%q,quantile=\"%g\"} %d\n",
-				p.String(), q, uint64(db.Quantile(q)))
-		}
-		fmt.Fprintf(&b, "tsp_decoded_batch_requests_sum{proto=%q} %d\n", p.String(), db.Sum)
-		fmt.Fprintf(&b, "tsp_decoded_batch_requests_count{proto=%q} %d\n", p.String(), db.Count())
-	}
-
-	// Batch sizes are plain counts, not durations: render the summary
-	// in ops.
-	b.WriteString("# TYPE tsp_batch_size_ops summary\n")
-	for _, q := range []float64{0.5, 0.95, 0.99} {
-		fmt.Fprintf(&b, "tsp_batch_size_ops{quantile=\"%g\"} %d\n", q, uint64(v.batchSize.Quantile(q)))
-	}
-	fmt.Fprintf(&b, "tsp_batch_size_ops_sum %d\n", v.batchSize.Sum)
-	fmt.Fprintf(&b, "tsp_batch_size_ops_count %d\n", v.batchSize.Count())
-
-	// zrange result lengths: plain counts too, in keys per range.
-	if v.rangeLen.Count() > 0 {
-		b.WriteString("# TYPE tsp_zrange_len_keys summary\n")
-		for _, q := range []float64{0.5, 0.95, 0.99} {
-			fmt.Fprintf(&b, "tsp_zrange_len_keys{quantile=\"%g\"} %d\n", q, uint64(v.rangeLen.Quantile(q)))
-		}
-		fmt.Fprintf(&b, "tsp_zrange_len_keys_sum %d\n", v.rangeLen.Sum)
-		fmt.Fprintf(&b, "tsp_zrange_len_keys_count %d\n", v.rangeLen.Count())
-	}
-
-	// Durability-tier family: the epoch clock's two frontiers as gauges
-	// (their gap, in epochs, is how much acked-but-volatile state a
-	// crash would shed) and the cost of closing an epoch as a summary.
-	// Server-wide: the clock spans shards.
-	if s.epochEnabled() {
-		b.WriteString("# TYPE tsp_epoch_current gauge\n")
-		fmt.Fprintf(&b, "tsp_epoch_current %d\n", s.curEpoch.Load())
-		b.WriteString("# TYPE tsp_epoch_persisted gauge\n")
-		fmt.Fprintf(&b, "tsp_epoch_persisted %d\n", s.perEpoch.Load())
-		if v.epochFlush.Count() > 0 {
-			writeSummary("epoch_flush_latency_seconds", v.epochFlush)
-		}
-	}
-
-	// Replication family: server-wide (streams span shards), so no
-	// shard label. The role gauge's value encodes nothing; the label
-	// carries the information, Prometheus-info-metric style.
-	if role := s.replRole(); role != "" {
-		b.WriteString("# TYPE tsp_repl_role gauge\n")
-		fmt.Fprintf(&b, "tsp_repl_role{role=%q} 1\n", role)
-		if s.replPrimary != nil {
-			b.WriteString("# TYPE tsp_repl_followers gauge\n")
-			fmt.Fprintf(&b, "tsp_repl_followers %d\n", s.replPrimary.Followers())
-		}
-		rs := s.replTel.Snapshot()
-		for _, name := range sortedKeys(rs) {
-			fmt.Fprintf(&b, "# TYPE tsp_%s counter\n", name)
-			fmt.Fprintf(&b, "tsp_%s %d\n", name, rs[name])
-		}
-		writeSummary("repl_lag_seconds", s.replTel.LagSnapshot())
-	}
-
-	return b.String()
-}
-
-// hasProtoCmd reports whether any protocol × command histogram has
-// observations, gating the labeled family's TYPE header.
-func hasProtoCmd(v serverView) bool {
-	for p := range v.cmdProto {
-		for c := range v.cmdProto[p] {
-			if v.cmdProto[p][c].Count() > 0 {
-				return true
-			}
-		}
-	}
-	return false
-}

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"tsp/internal/proto"
+	"tsp/internal/telemetry"
 )
 
 // The commit plan's contract, checked against the one thing it must be
@@ -359,7 +360,7 @@ func TestPlanCutsAtCommandBoundaries(t *testing.T) {
 		t.Fatalf("fallbacks = %d, want 0", got)
 	}
 
-	sh.tel.Reset()
+	telemetry.Reset(telemetry.RegistryRows.Bind(sh.tel))
 	cmds = []string{"session 5", "mset 1 1 2 2 3 3", "mset 4 4 5 5 6 6 seq=1", "mset 7 7 8 8 9 9"}
 	if got, want := serveBursts(s, append(regroup(cmds[:1], 1), regroup(cmds[1:], 64)...)),
 		"OK SESSION 5\r\n"+strings.Repeat("STORED 3\r\n", 3); got != want {

@@ -308,7 +308,7 @@ func TestPipeliningProperty(t *testing.T) {
 	// native-protocol decoded-batch histogram saw groups, not only
 	// singletons. (Timing can split a burst across reads, so assert the
 	// max, not every observation.)
-	db := s.decodedBatch[telemetry.ProtoNative].Snapshot()
+	db := s.tel.DecodedBatch[telemetry.ProtoNative].Snapshot()
 	if db.Count() == 0 {
 		t.Fatal("no decoded-batch observations")
 	}

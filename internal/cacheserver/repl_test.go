@@ -129,15 +129,15 @@ func TestReplicationStreamToFollower(t *testing.T) {
 
 	// Primary stats carry the replication surface.
 	stats := pc.lines(t, "stats")
-	if v, ok := replStat(stats, "repl_role"); !ok || v != "primary" {
-		t.Fatalf("repl_role = %q ok=%v", v, ok)
+	if v, ok := replStat(stats, "repl_role_primary"); !ok || v != "1" {
+		t.Fatalf("repl_role_primary = %q ok=%v", v, ok)
 	}
 	if v, ok := replStat(stats, "repl_followers"); !ok || v != "1" {
 		t.Fatalf("repl_followers = %q ok=%v", v, ok)
 	}
 	waitReplFor(t, "lag samples in primary stats", func() bool {
-		_, ok := replStat(pc.lines(t, "stats"), "repl_lag_p50_us")
-		return ok
+		v, ok := replStat(pc.lines(t, "stats"), "repl_lag_count")
+		return ok && v != "0"
 	})
 
 	// Promote: a second promote is idempotent, mutations open up, and
@@ -158,8 +158,8 @@ func TestReplicationStreamToFollower(t *testing.T) {
 		t.Fatalf("post-promote get 3 = %q", got)
 	}
 	fstats := fc.lines(t, "stats")
-	if v, ok := replStat(fstats, "repl_role"); !ok || v != "promoted" {
-		t.Fatalf("follower repl_role = %q ok=%v", v, ok)
+	if v, ok := replStat(fstats, "repl_role_promoted"); !ok || v != "1" {
+		t.Fatalf("follower repl_role_promoted = %q ok=%v", v, ok)
 	}
 }
 

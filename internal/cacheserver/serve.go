@@ -64,7 +64,7 @@ func (s *Server) handle(conn net.Conn) {
 	for {
 		batch, err := dec.Next()
 		if len(batch) > 0 {
-			s.decodedBatch[cs.ptel].ObserveValue(uint64(len(batch)))
+			s.tel.DecodedBatch[cs.ptel].ObserveValue(uint64(len(batch)))
 			quit := s.serveBatch(cs, enc, batch)
 			if ferr := enc.Flush(); ferr != nil || quit {
 				if ferr == nil && cs.importSlot >= 0 {
@@ -344,14 +344,7 @@ func (s *Server) serveAdmin(cs *connState, req *proto.Request) proto.Reply {
 		return rep
 
 	case proto.CmdStats:
-		switch req.Stats {
-		case proto.StatsShards:
-			return proto.Reply{Kind: proto.KRaw, Msg: s.statsShards()}
-		case proto.StatsReset:
-			return proto.Reply{Kind: proto.KRaw, Msg: s.statsReset()}
-		default:
-			return proto.Reply{Kind: proto.KRaw, Msg: s.statsAggregate()}
-		}
+		return req.Stats.Reply(s.statsSources()...)
 
 	case proto.CmdCrash:
 		// Crash takes shard write locks itself; the pending data group
@@ -421,8 +414,11 @@ func (s *Server) infoText() string {
 	if role == "" {
 		role = "master"
 	}
-	v := s.aggregateViews()
+	var items uint64
+	for _, sh := range s.shards {
+		items += sh.refreshGauges()
+	}
 	return fmt.Sprintf(
 		"# Server\r\nserver:tspcached\r\nmode:%v\r\nshards:%d\r\n\r\n# Keyspace\r\nitems:%d\r\n\r\n# Replication\r\nrole:%s\r\n",
-		s.cfg.mode, len(s.shards), v.items, role)
+		s.cfg.mode, len(s.shards), items, role)
 }

@@ -27,7 +27,7 @@
 //	zdel <key>               -> DELETED | NOT_FOUND
 //	zrange <lo> <hi> [limit] -> ascending VALUE lines over [lo,hi), then END
 //	zcount <lo> <hi>         -> count of ordered keys in [lo,hi)
-//	stats                    -> aggregate STAT lines + END
+//	stats                    -> one STAT line per telemetry row series + END
 //	stats shards             -> one STAT line per shard + END
 //	stats reset              -> zeroes counters and histograms; RESET
 //	crash                    -> power-fails and recovers every shard; OK RECOVERED EPOCH <p>
@@ -111,8 +111,6 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -161,11 +159,9 @@ type Server struct {
 	// node (see cluster.go).
 	clusterSt *clusterState
 
-	// decodedBatch records, per wire protocol, how many requests each
-	// decoder batch carried — the direct measure of how much pipelining
-	// clients actually present and hence how much work each protocol
-	// amortizes per socket read.
-	decodedBatch [telemetry.NumProtocols]telemetry.Histogram
+	// tel is the server-wide telemetry section: the gauges no shard
+	// knows and the per-protocol decoded batch sizes (see metrics.go).
+	tel telemetry.ServerWide
 
 	// Durability-tier state (see epoch.go). curEpoch is the open epoch
 	// relaxed acks are stamped with; perEpoch is the persistent frontier
@@ -210,6 +206,8 @@ func New(opts ...Option) (*Server, error) {
 		conns:   map[net.Conn]struct{}{},
 		replTel: telemetry.NewReplStats(),
 	}
+	s.tel.Shards.Store(uint64(cfg.shards))
+	s.tel.EpochIntervalUS.Store(uint64(cfg.epochInterval / time.Microsecond))
 	for i := range s.shards {
 		sh, err := newShard(i, cfg)
 		if err != nil {
@@ -487,212 +485,4 @@ func (s *Server) crashAll() error {
 	}
 	wg.Wait()
 	return errors.Join(errs...)
-}
-
-// serverView is every shard's telemetry merged into one snapshot.
-type serverView struct {
-	items      int
-	zitems     int
-	agg        telemetry.Snapshot
-	opLat      telemetry.HistogramSnapshot
-	recLat     telemetry.HistogramSnapshot
-	readLat    telemetry.HistogramSnapshot
-	cmdLat     telemetry.CommandLatencySnapshot
-	cmdProto   [telemetry.NumProtocols]telemetry.CommandLatencySnapshot
-	batchSize  telemetry.HistogramSnapshot
-	rangeLen   telemetry.HistogramSnapshot
-	epochFlush telemetry.HistogramSnapshot
-}
-
-// aggregateViews collects and merges every shard's telemetry view.
-func (s *Server) aggregateViews() serverView {
-	v := serverView{agg: telemetry.Snapshot{}}
-	for _, sh := range s.shards {
-		sv := sh.view()
-		v.items += sv.items
-		v.zitems += sv.zitems
-		v.agg.Add(sv.counters)
-		v.opLat.Merge(sv.opLat)
-		v.recLat.Merge(sv.recLat)
-		v.readLat.Merge(sv.readLat)
-		v.cmdLat.Merge(sv.cmdLat)
-		for p := range sv.cmdProto {
-			v.cmdProto[p].Merge(sv.cmdProto[p])
-		}
-		v.batchSize.Merge(sv.batchSize)
-		v.rangeLen.Merge(sv.rangeLen)
-		v.epochFlush.Merge(sv.epochFlush)
-	}
-	return v
-}
-
-// statsReset zeroes every shard's counters and histograms. Shard
-// generations survive — they identify the stack incarnation, not the
-// traffic — as does anything a crash needs for recovery: the reset
-// touches only telemetry.
-func (s *Server) statsReset() string {
-	for _, sh := range s.shards {
-		sh.tel.Reset()
-	}
-	for p := range s.decodedBatch {
-		s.decodedBatch[p].Reset()
-	}
-	s.replTel.Reset()
-	if s.clusterSt != nil {
-		s.clusterSt.tel.Reset()
-	}
-	return "RESET"
-}
-
-// us renders a duration in (fractional) microseconds for STAT lines.
-func us(d time.Duration) float64 { return float64(d) / float64(time.Microsecond) }
-
-// statsAggregate renders the whole-server stats view: the historical
-// headline STAT keys, op-latency percentiles, and then the registry's
-// full per-layer counter vocabulary — every shard merged into one
-// monotonic snapshot.
-func (s *Server) statsAggregate() string {
-	v := s.aggregateViews()
-	agg, opLat, recLat := v.agg, v.opLat, v.recLat
-	gets, hits := agg["server_gets"], agg["server_hits"]
-	hitRate := 0.0
-	if gets > 0 {
-		hitRate = float64(hits) / float64(gets)
-	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "STAT shards %d\r\n", len(s.shards))
-	fmt.Fprintf(&b, "STAT items %d\r\n", v.items)
-	fmt.Fprintf(&b, "STAT gets %d\r\n", gets)
-	fmt.Fprintf(&b, "STAT hits %d\r\n", hits)
-	fmt.Fprintf(&b, "STAT hit_rate %.4f\r\n", hitRate)
-	fmt.Fprintf(&b, "STAT sets %d\r\n", agg["server_sets"])
-	fmt.Fprintf(&b, "STAT deletes %d\r\n", agg["server_deletes"])
-	fmt.Fprintf(&b, "STAT zitems %d\r\n", v.zitems)
-	fmt.Fprintf(&b, "STAT zgets %d\r\n", agg["server_zgets"])
-	fmt.Fprintf(&b, "STAT zsets %d\r\n", agg["server_zsets"])
-	fmt.Fprintf(&b, "STAT zdeletes %d\r\n", agg["server_zdeletes"])
-	fmt.Fprintf(&b, "STAT crashes_survived %d\r\n", agg["recovery_count"])
-	fmt.Fprintf(&b, "STAT recovery_avg_us %.1f\r\n", us(recLat.Mean()))
-	fmt.Fprintf(&b, "STAT recovery_max_us %.1f\r\n", us(recLat.Max()))
-	fmt.Fprintf(&b, "STAT op_count %d\r\n", opLat.Count())
-	fmt.Fprintf(&b, "STAT op_p50_us %.1f\r\n", us(opLat.Quantile(0.50)))
-	fmt.Fprintf(&b, "STAT op_p95_us %.1f\r\n", us(opLat.Quantile(0.95)))
-	fmt.Fprintf(&b, "STAT op_p99_us %.1f\r\n", us(opLat.Quantile(0.99)))
-	fmt.Fprintf(&b, "STAT read_count %d\r\n", v.readLat.Count())
-	fmt.Fprintf(&b, "STAT read_p50_us %.1f\r\n", us(v.readLat.Quantile(0.50)))
-	fmt.Fprintf(&b, "STAT read_p95_us %.1f\r\n", us(v.readLat.Quantile(0.95)))
-	fmt.Fprintf(&b, "STAT read_p99_us %.1f\r\n", us(v.readLat.Quantile(0.99)))
-	fmt.Fprintf(&b, "STAT batch_count %d\r\n", v.batchSize.Count())
-	fmt.Fprintf(&b, "STAT batch_size_p50 %d\r\n", uint64(v.batchSize.Quantile(0.50)))
-	fmt.Fprintf(&b, "STAT batch_size_max %d\r\n", uint64(v.batchSize.Max()))
-	if v.rangeLen.Count() > 0 {
-		fmt.Fprintf(&b, "STAT zrange_count %d\r\n", v.rangeLen.Count())
-		fmt.Fprintf(&b, "STAT zrange_len_p50 %d\r\n", uint64(v.rangeLen.Quantile(0.50)))
-		fmt.Fprintf(&b, "STAT zrange_len_max %d\r\n", uint64(v.rangeLen.Max()))
-	}
-	for _, c := range telemetry.Commands() {
-		cl := v.cmdLat[c]
-		if cl.Count() == 0 {
-			continue
-		}
-		fmt.Fprintf(&b, "STAT cmd_%s_count %d\r\n", c, cl.Count())
-		fmt.Fprintf(&b, "STAT cmd_%s_p50_us %.1f\r\n", c, us(cl.Quantile(0.50)))
-		fmt.Fprintf(&b, "STAT cmd_%s_p99_us %.1f\r\n", c, us(cl.Quantile(0.99)))
-	}
-	// Per-protocol surfaces: how commands split across wire codecs, and
-	// how many requests each decoded batch carried (the pipelining depth
-	// clients actually present).
-	for _, p := range telemetry.Protocols() {
-		for _, c := range telemetry.Commands() {
-			cl := v.cmdProto[p][c]
-			if cl.Count() == 0 {
-				continue
-			}
-			fmt.Fprintf(&b, "STAT proto_%s_cmd_%s_count %d\r\n", p, c, cl.Count())
-		}
-		db := s.decodedBatch[p].Snapshot()
-		if db.Count() == 0 {
-			continue
-		}
-		fmt.Fprintf(&b, "STAT proto_%s_decoded_batches %d\r\n", p, db.Count())
-		fmt.Fprintf(&b, "STAT proto_%s_decoded_batch_p50 %d\r\n", p, uint64(db.Quantile(0.50)))
-		fmt.Fprintf(&b, "STAT proto_%s_decoded_batch_max %d\r\n", p, uint64(db.Max()))
-	}
-	// Durability-tier surface: where the epoch clock stands, how far the
-	// persistent frontier trails it, and what closing an epoch costs.
-	if s.epochEnabled() {
-		fmt.Fprintf(&b, "STAT epoch_current %d\r\n", s.curEpoch.Load())
-		fmt.Fprintf(&b, "STAT epoch_persisted %d\r\n", s.perEpoch.Load())
-		fmt.Fprintf(&b, "STAT epoch_interval_us %.1f\r\n", us(s.cfg.epochInterval))
-		if ef := v.epochFlush; ef.Count() > 0 {
-			fmt.Fprintf(&b, "STAT epoch_flush_count %d\r\n", ef.Count())
-			fmt.Fprintf(&b, "STAT epoch_flush_p50_us %.1f\r\n", us(ef.Quantile(0.50)))
-			fmt.Fprintf(&b, "STAT epoch_flush_p99_us %.1f\r\n", us(ef.Quantile(0.99)))
-		}
-	}
-	if role := s.replRole(); role != "" {
-		fmt.Fprintf(&b, "STAT repl_role %s\r\n", role)
-		if s.replPrimary != nil {
-			fmt.Fprintf(&b, "STAT repl_followers %d\r\n", s.replPrimary.Followers())
-			gen, seq := s.replLog.Position()
-			fmt.Fprintf(&b, "STAT repl_log_gen %d\r\n", gen)
-			fmt.Fprintf(&b, "STAT repl_log_seq %d\r\n", seq)
-		}
-		if s.replFollower != nil {
-			gen, seq := s.replFollower.Position()
-			fmt.Fprintf(&b, "STAT repl_pos_gen %d\r\n", gen)
-			fmt.Fprintf(&b, "STAT repl_pos_seq %d\r\n", seq)
-		}
-		rs := s.replTel.Snapshot()
-		for _, name := range sortedKeys(rs) {
-			fmt.Fprintf(&b, "STAT %s %d\r\n", name, rs[name])
-		}
-		if lag := s.replTel.LagSnapshot(); lag.Count() > 0 {
-			fmt.Fprintf(&b, "STAT repl_lag_count %d\r\n", lag.Count())
-			fmt.Fprintf(&b, "STAT repl_lag_p50_us %.1f\r\n", us(lag.Quantile(0.50)))
-			fmt.Fprintf(&b, "STAT repl_lag_p95_us %.1f\r\n", us(lag.Quantile(0.95)))
-			fmt.Fprintf(&b, "STAT repl_lag_p99_us %.1f\r\n", us(lag.Quantile(0.99)))
-		}
-	}
-	// Cluster-node surface: ownership epoch, slot count, and the
-	// migration/redirect counters under their canonical names.
-	if st := s.clusterSt; st != nil {
-		fmt.Fprintf(&b, "STAT cluster_epoch %d\r\n", st.epoch.Load())
-		fmt.Fprintf(&b, "STAT cluster_slots_owned %d\r\n", len(st.slotsIn(slotOwned)))
-		st.tel.Walk(func(name string, v uint64) {
-			fmt.Fprintf(&b, "STAT %s %d\r\n", name, v)
-		})
-	}
-	for _, name := range agg.Names() {
-		fmt.Fprintf(&b, "STAT %s %d\r\n", name, agg[name])
-	}
-	b.WriteString("END")
-	return b.String()
-}
-
-// sortedKeys renders a counter map deterministically.
-func sortedKeys(m map[string]uint64) []string {
-	names := make([]string, 0, len(m))
-	for k := range m {
-		names = append(names, k)
-	}
-	sort.Strings(names)
-	return names
-}
-
-// statsShards renders one line per shard: the historical per-shard
-// fields plus that shard's per-layer highlights and op percentiles.
-func (s *Server) statsShards() string {
-	var b strings.Builder
-	for _, sh := range s.shards {
-		v := sh.view()
-		c := v.counters
-		fmt.Fprintf(&b, "STAT shard %d items %d zitems %d gets %d hits %d sets %d deletes %d recoveries %d recovery_avg_us %.1f nvm_stores %d nvm_flushes %d atlas_log_appends %d map_gets %d map_puts %d op_p50_us %.1f op_p99_us %.1f\r\n",
-			sh.idx, v.items, v.zitems, c["server_gets"], c["server_hits"], c["server_sets"], c["server_deletes"],
-			c["recovery_count"], us(v.recLat.Mean()), c["nvm_stores"], c["nvm_flushes"],
-			c["atlas_log_appends"], c["map_gets"], c["map_puts"],
-			us(v.opLat.Quantile(0.50)), us(v.opLat.Quantile(0.99)))
-	}
-	b.WriteString("END")
-	return b.String()
 }

@@ -279,9 +279,9 @@ func TestStats(t *testing.T) {
 	out := c.lines(t, "stats")
 	joined := strings.Join(out, "\n")
 	for _, want := range []string{
-		"STAT shards 2", "STAT items 1", "STAT sets 1", "STAT hits 1",
-		"STAT hit_rate 1.0000", "STAT crashes_survived 2", "STAT nvm_stores",
-		"STAT recovery_avg_us", "END",
+		"STAT shards 2", "STAT items 1", "STAT server_sets 1", "STAT server_gets 1",
+		"STAT server_hits 1", "STAT recovery_count 2", "STAT nvm_stores",
+		"STAT recovery_latency_p50_us", "END",
 	} {
 		if !strings.Contains(joined, want) {
 			t.Fatalf("stats missing %q:\n%s", want, joined)
@@ -296,7 +296,7 @@ func TestStats(t *testing.T) {
 		if !strings.HasPrefix(perShard[i], fmt.Sprintf("STAT shard %d ", i)) {
 			t.Fatalf("per-shard line %d = %q", i, perShard[i])
 		}
-		if !strings.Contains(perShard[i], "recoveries 1") {
+		if !strings.Contains(perShard[i], " recovery_count 1 ") {
 			t.Fatalf("shard %d shows no recovery: %q", i, perShard[i])
 		}
 	}

@@ -224,39 +224,14 @@ func (sh *shard) verify() error {
 	return nil
 }
 
-// shardView is one shard's telemetry contribution to the stats command
-// and the metrics endpoint: the full registry snapshot plus the only
-// value the registry cannot know — the map's live item count.
-type shardView struct {
-	items      int
-	zitems     int
-	counters   telemetry.Snapshot
-	opLat      telemetry.HistogramSnapshot
-	recLat     telemetry.HistogramSnapshot
-	readLat    telemetry.HistogramSnapshot
-	cmdLat     telemetry.CommandLatencySnapshot
-	cmdProto   [telemetry.NumProtocols]telemetry.CommandLatencySnapshot
-	batchSize  telemetry.HistogramSnapshot
-	rangeLen   telemetry.HistogramSnapshot
-	epochFlush telemetry.HistogramSnapshot
-}
-
-// view collects the shard's telemetry under the read lock (Map.Len
-// needs a live stack; the registry itself is lock-free).
-func (sh *shard) view() shardView {
+// refreshGauges publishes the shard's live key counts into its registry
+// (Map.Len and List.Len need a live stack, hence the read lock) and
+// returns the hash map's.
+func (sh *shard) refreshGauges() uint64 {
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
-	return shardView{
-		items:      sh.stk.Map.Len(),
-		zitems:     sh.stk.List.Len(),
-		counters:   sh.tel.Counters(),
-		opLat:      sh.tel.OpLatency.Snapshot(),
-		recLat:     sh.tel.RecoveryLatency.Snapshot(),
-		readLat:    sh.tel.ReadLatency.Snapshot(),
-		cmdLat:     sh.tel.CmdLatency.SnapshotAll(),
-		cmdProto:   sh.tel.CmdLatency.SnapshotAllByProto(),
-		batchSize:  sh.tel.BatchSize.Snapshot(),
-		rangeLen:   sh.tel.RangeLen.Snapshot(),
-		epochFlush: sh.tel.EpochFlushLatency.Snapshot(),
-	}
+	items := uint64(sh.stk.Map.Len())
+	sh.tel.Items.Store(items)
+	sh.tel.ZItems.Store(uint64(sh.stk.List.Len()))
+	return items
 }

@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"fmt"
 	"net"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -50,7 +49,6 @@ type Proxy struct {
 
 	mu       sync.Mutex
 	backends map[string]*backend
-	nodeTel  map[string]*telemetry.NodeStats
 	conns    map[net.Conn]struct{}
 	closed   bool
 	wg       sync.WaitGroup
@@ -80,7 +78,6 @@ func New(cfg Config) (*Proxy, error) {
 		ring:     ring,
 		tel:      cfg.Tel,
 		backends: make(map[string]*backend),
-		nodeTel:  make(map[string]*telemetry.NodeStats),
 		conns:    make(map[net.Conn]struct{}),
 	}
 	p.seedFromNodes()
@@ -180,9 +177,7 @@ func (p *Proxy) backendFor(addr string) *backend {
 	if b, ok := p.backends[addr]; ok {
 		return b
 	}
-	nt := &telemetry.NodeStats{}
-	p.nodeTel[addr] = nt
-	b := &backend{addr: addr, tel: p.tel, node: nt}
+	b := &backend{addr: addr, tel: p.tel, node: p.tel.Node(addr)}
 	p.backends[addr] = b
 	return b
 }
@@ -265,7 +260,9 @@ func (p *Proxy) handle(conn net.Conn) {
 	if tc, ok := conn.(*net.TCPConn); ok {
 		tc.SetNoDelay(true)
 	}
-	p.tel.IncFrontends()
+	if p.tel != nil {
+		p.tel.Frontends.Inc()
+	}
 	dec := proto.NewDecoder(conn, proto.Native{}, p.cfg.MaxRequestBytes)
 	var ad proto.Adapter
 	switch p.cfg.Proto {
@@ -445,7 +442,7 @@ func (p *Proxy) serveLocal(cs *feConn, req *proto.Request) proto.Reply {
 	case proto.CmdCluster:
 		return proto.Reply{Kind: proto.KRaw, Msg: p.ring.Table()}
 	case proto.CmdStats:
-		return proto.Reply{Kind: proto.KRaw, Msg: p.statsText()}
+		return req.Stats.Reply(p.statsSources())
 	case proto.CmdInfo:
 		return proto.Reply{Kind: proto.KRaw, Msg: p.infoText()}
 	case proto.CmdBad:
@@ -714,41 +711,15 @@ func mergeRange(e *entry) []proto.Item {
 	return out
 }
 
-// statsText renders the proxy's routing counters and per-node counters
-// in the servers' STAT vocabulary.
-func (p *Proxy) statsText() string {
-	var b strings.Builder
-	p.tel.Walk(func(name string, v uint64) {
-		fmt.Fprintf(&b, "STAT %s %d\r\n", name, v)
-	})
+// statsSources is what the proxy's `stats` renders and `stats reset`
+// zeroes: its routing rows (counters, latencies, the ring epoch and the
+// per-node counters). A proxy has no shard-scoped rows, so
+// `stats shards` answers END alone.
+func (p *Proxy) statsSources() telemetry.Source {
 	if p.tel != nil {
-		for _, h := range []struct {
-			name string
-			hist *telemetry.Histogram
-		}{{"route_forward_latency", &p.tel.ForwardLatency}, {"route_fanout_latency", &p.tel.FanoutLatency}} {
-			s := h.hist.Snapshot()
-			fmt.Fprintf(&b, "STAT %s_count %d\r\n", h.name, s.Count())
-			fmt.Fprintf(&b, "STAT %s_p50_ns %d\r\n", h.name, int64(s.Quantile(0.50)))
-			fmt.Fprintf(&b, "STAT %s_p99_ns %d\r\n", h.name, int64(s.Quantile(0.99)))
-		}
+		p.tel.RingEpoch.Store(p.ring.Epoch())
 	}
-	fmt.Fprintf(&b, "STAT ring_epoch %d\r\n", p.ring.Epoch())
-	p.mu.Lock()
-	addrs := make([]string, 0, len(p.nodeTel))
-	for addr := range p.nodeTel {
-		addrs = append(addrs, addr)
-	}
-	sort.Strings(addrs)
-	for _, addr := range addrs {
-		nt := p.nodeTel[addr]
-		fmt.Fprintf(&b, "STAT node_%s_sent %d\r\n", addr, nt.Sent.Load())
-		fmt.Fprintf(&b, "STAT node_%s_batches %d\r\n", addr, nt.Batches.Load())
-		fmt.Fprintf(&b, "STAT node_%s_redirects %d\r\n", addr, nt.Redirects.Load())
-		fmt.Fprintf(&b, "STAT node_%s_errors %d\r\n", addr, nt.Errors.Load())
-	}
-	p.mu.Unlock()
-	b.WriteString("END")
-	return b.String()
+	return telemetry.RouteRows.Bind(p.tel)
 }
 
 // infoText renders the INFO reply.

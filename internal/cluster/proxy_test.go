@@ -507,3 +507,43 @@ func TestProxyCountsEveryLocalReply(t *testing.T) {
 		t.Fatalf("route_local_replies after quit = %d, want %d", got, want)
 	}
 }
+
+// TestProxyStatsReset: `stats reset` through the proxy zeroes its route
+// counters, latencies and per-node counters, and `stats shards` answers
+// END alone — a proxy has no shards.
+func TestProxyStatsReset(t *testing.T) {
+	_, _, p := twoNodeCluster(t)
+	c := dialText(t, p.Addr())
+	stat := func(name string) string {
+		t.Helper()
+		for _, line := range c.lines(t, "stats") {
+			if v, ok := strings.CutPrefix(line, "STAT "+name+" "); ok {
+				return v
+			}
+		}
+		t.Fatalf("proxy stats carry no %s", name)
+		return ""
+	}
+	if got := c.cmd(t, "set 1 10"); got != "STORED" {
+		t.Fatalf("set: %q", got)
+	}
+	if got := stat("route_forwards"); got != "1" {
+		t.Fatalf("route_forwards before reset = %s, want 1", got)
+	}
+	if got := c.cmd(t, "stats reset"); got != "RESET" {
+		t.Fatalf("stats reset: %q, want RESET", got)
+	}
+	for _, name := range []string{"route_forwards", "route_forward_latency_count"} {
+		if got := stat(name); got != "0" {
+			t.Errorf("%s after reset = %s, want 0", name, got)
+		}
+	}
+	for _, line := range c.lines(t, "stats") {
+		if strings.HasPrefix(line, "STAT node_") && !strings.HasSuffix(line, " 0") {
+			t.Errorf("per-node counter survived the reset: %q", line)
+		}
+	}
+	if got := c.lines(t, "stats shards"); len(got) != 1 || got[0] != "END" {
+		t.Fatalf("proxy stats shards = %q, want END alone", got)
+	}
+}

@@ -24,8 +24,8 @@ func fastCfg(v Variant) Config {
 func fastCrash(frac float64) CrashOptions {
 	return CrashOptions{
 		RescueFraction: frac,
-		MinRun:         1 * time.Millisecond,
-		MaxRun:         8 * time.Millisecond,
+		MinRun:         2_000,
+		MaxRun:         40_000,
 	}
 }
 

@@ -138,24 +138,27 @@ type CrashOptions struct {
 	// 0 = no rescue.
 	RescueFraction float64
 
-	// MinRun/MaxRun bound the uniformly random instant at which the
-	// crash is injected into the running workload. Defaults 2ms/20ms.
-	MinRun, MaxRun time.Duration
+	// MinRun/MaxRun bound the seeded, uniformly drawn number of device
+	// stores the workload issues before the crash. Defaults 10k/100k —
+	// roughly 2–20 ms of the mutex variants at a few thousand stores
+	// per millisecond.
+	MinRun, MaxRun uint64
 }
 
 func (o *CrashOptions) fillDefaults() {
 	if o.MinRun == 0 {
-		o.MinRun = 2 * time.Millisecond
+		o.MinRun = 10_000
 	}
 	if o.MaxRun == 0 {
-		o.MaxRun = 20 * time.Millisecond
+		o.MaxRun = 100_000
 	}
 }
 
 // RunCrash executes the Section 5 fault-injection experiment once:
-// start the workload, crash the machine at a random instant (mimicking
-// the paper's SIGKILL, which abruptly terminates all threads), run
-// recovery, and let the recovery observer verify the invariants.
+// start the workload, crash the machine after a seeded number of stores
+// (mimicking the paper's SIGKILL, which abruptly terminates all
+// threads), run recovery, and let the recovery observer verify the
+// invariants.
 func RunCrash(cfg Config, opts CrashOptions) (CrashResult, error) {
 	cfg.fillDefaults()
 	opts.fillDefaults()
@@ -174,33 +177,33 @@ func RunCrash(cfg Config, opts CrashOptions) (CrashResult, error) {
 		workers[i] = w
 	}
 
-	stop := make(chan struct{})
+	// Crash after a seeded number of stores while the workload is hot:
+	// the paper's SIGKILL at an arbitrary instant, counted in stores
+	// rather than wall time, so a saturated host cannot land it before
+	// the workers have started. It fires inside whichever worker issues
+	// that store; every worker stops at its next iteration boundary.
+	rng := rand.New(rand.NewSource(cfg.Seed))
+	after := opts.MinRun + uint64(rng.Int63n(int64(opts.MaxRun-opts.MinRun)+1))
+	crash := nvm.CrashOptions{RescueFraction: opts.RescueFraction, Seed: cfg.Seed}
+	d.dev.ArmCrashAfter(after, crash)
 	var wg sync.WaitGroup
 	for _, w := range workers {
 		wg.Add(1)
 		go func(w *worker) {
 			defer wg.Done()
-			for i := uint64(1); ; i++ {
-				select {
-				case <-stop:
-					return
-				default:
-				}
+			for i := uint64(1); !d.dev.Crashed(); i++ {
 				if err := d.iterate(w, i); err != nil {
 					return // terminated by crash (or allocator exhaustion post-crash)
 				}
 			}
 		}(w)
 	}
-
-	// Crash at a uniformly random instant while the workload is hot.
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	runFor := opts.MinRun + time.Duration(rng.Int63n(int64(opts.MaxRun-opts.MinRun)+1))
-	time.Sleep(runFor)
-	d.dev.StopEvictor() // the cache controller dies with the machine
-	d.dev.Crash(nvm.CrashOptions{RescueFraction: opts.RescueFraction, Seed: cfg.Seed})
-	close(stop)
 	wg.Wait()
+	// The cache controller dies with the machine. Workers that all failed
+	// before the countdown ran out leave the crash to this call; after an
+	// armed crash it is a no-op.
+	d.dev.StopEvictor()
+	d.dev.Crash(crash)
 
 	res := CrashResult{Variant: cfg.Variant, RescueFraction: opts.RescueFraction}
 	for _, w := range workers {

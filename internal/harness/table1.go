@@ -100,7 +100,7 @@ func (c CampaignResult) Counters() telemetry.Snapshot {
 	var cs telemetry.CampaignStats
 	cs.Record(c.Runs, c.Consistent)
 	cs.Crashes.Add(uint64(c.Runs))
-	return cs.Counters()
+	return telemetry.CampaignRows.Bind(&cs).Counters()
 }
 
 // Campaign injects n crashes into the configured variant and reports how

@@ -79,9 +79,15 @@ func (e *evictor) run() {
 // sweep writes back up to LinesPerSweep dirty lines, scanning round-robin
 // from where the last sweep stopped — [next, lines) and then [0, next) —
 // so every line eventually gets evicted under sustained dirtying. A
-// sweep that runs out of dirty lines first leaves next where it was.
+// sweep that runs out of dirty lines first leaves next where it was. A
+// crashed machine's cache controller is dead: a sweep after a crash
+// writes nothing back, so the crash's rescue fraction stays exact even
+// before its caller gets to StopEvictor.
 func (e *evictor) sweep() {
 	d := e.d
+	if d.crashed.Load() {
+		return
+	}
 	start, written := e.next, uint64(0)
 	visit := func(from, to uint64) {
 		for line := d.nextDirty(from); line < to && written < uint64(e.cfg.LinesPerSweep); line = d.nextDirty(line + 1) {

@@ -421,7 +421,9 @@ func (d *Device) persistedLoad(w uint64) uint64    { return atomic.LoadUint64(&d
 func (d *Device) Stats() StatsSnapshot { return snapshotOf(d.tel) }
 
 // ResetStats zeroes the operation counters.
-func (d *Device) ResetStats() { d.tel.Reset() }
+func (d *Device) ResetStats() {
+	telemetry.Reset(telemetry.RegistryRows.Bind(&telemetry.Registry{Device: d.tel}))
+}
 
 // Telemetry returns the device's live counter section (nil when counting
 // is disabled). stack.Reattach adopts it into the new incarnation's

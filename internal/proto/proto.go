@@ -25,7 +25,12 @@
 // it.
 package proto
 
-import "errors"
+import (
+	"errors"
+	"strings"
+
+	"tsp/internal/telemetry"
+)
 
 // Cmd identifies a decoded command, independent of which protocol
 // carried it.
@@ -152,6 +157,25 @@ const (
 	// StatsReset zeroes counters and histograms.
 	StatsReset
 )
+
+// Reply answers a stats request from the rows of srcs: `stats` and
+// `stats shards` render them, then END; `stats reset` zeroes their
+// counters and histograms and answers RESET. A server and a proxy answer
+// through this one function.
+func (v StatsSub) Reply(srcs ...telemetry.Source) Reply {
+	var b strings.Builder
+	switch v {
+	case StatsReset:
+		telemetry.Reset(srcs...)
+		return Reply{Kind: KRaw, Msg: "RESET"}
+	case StatsShards:
+		telemetry.ShardText(&b, srcs...)
+	default:
+		telemetry.Text(&b, srcs...)
+	}
+	b.WriteString("END")
+	return Reply{Kind: KRaw, Msg: b.String()}
+}
 
 // Request is one decoded command. It is protocol-neutral: every
 // argument is already parsed to its numeric form, so the execution

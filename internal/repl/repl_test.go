@@ -197,7 +197,7 @@ func TestStreamBasic(t *testing.T) {
 		return gen == lgen && seq == lseq
 	})
 	waitFor(t, "acks and lag samples", func() bool {
-		return ptel.AcksReceived.Load() > 0 && ptel.LagSnapshot().Count() > 0
+		return ptel.AcksReceived.Load() > 0 && ptel.Lag.Snapshot().Count() > 0
 	})
 	if got := ptel.Snapshots.Load(); got != 1 {
 		t.Fatalf("snapshots served = %d, want 1 (initial transfer only)", got)

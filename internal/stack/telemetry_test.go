@@ -1,6 +1,7 @@
 package stack
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -69,7 +70,7 @@ func TestTelemetryContinuityAcrossCrashReattach(t *testing.T) {
 	}
 	// The registry's histogram sections (the cache server's batch-size
 	// and per-command planes included) must ride the same continuity.
-	s.Tel.CmdLatency.Observe(telemetry.CmdSet, time.Millisecond)
+	s.Tel.CmdLatency.ObserveProto(telemetry.ProtoInternal, telemetry.CmdSet, time.Millisecond)
 	s.Tel.BatchSize.ObserveValue(7)
 
 	s2, err := s.CrashReattach(nvm.CrashOptions{RescueFraction: 1})
@@ -103,8 +104,10 @@ func TestTelemetryContinuityAcrossCrashReattach(t *testing.T) {
 	if want := uint64(s2.Recovery.OCSes); after["recovery_ocses"] != want {
 		t.Errorf("recovery_ocses = %d, want %d (report)", after["recovery_ocses"], want)
 	}
-	if got := s2.Tel.CmdLatency.Snapshot(telemetry.CmdSet).Count(); got != 1 {
-		t.Errorf("cmd latency count = %d across crash, want 1", got)
+	var text strings.Builder
+	telemetry.Text(&text, telemetry.RegistryRows.Bind(s2.Tel))
+	if !strings.Contains(text.String(), "STAT cmd_set_count 1\r\n") {
+		t.Errorf("cmd latency count across crash is not 1:\n%s", text.String())
 	}
 	if got := s2.Tel.BatchSize.Snapshot().Count(); got != 1 {
 		t.Errorf("batch size count = %d across crash, want 1", got)

@@ -3,23 +3,14 @@ package telemetry
 // CampaignStats is a fault-injection campaign's counter section: what
 // the harness and cmd/faultinject drove and how much of it recovered
 // consistently. It follows the registry sections' vocabulary rules —
-// nil-safe counters, a Walk with canonical campaign_* names, a Snapshot
-// usable with the shared Snapshot arithmetic — so campaign reports and
+// nil-safe counters, rows with canonical campaign_* names (CampaignRows,
+// whose help says what each field counts) rendered by the servers' text
+// renderer — so campaign reports and
 // server stats speak one schema (the ROADMAP's "campaigns and servers
 // share one stats schema" item). It lives outside Registry because a
 // campaign aggregates over many stacks, not one.
 type CampaignStats struct {
-	// Runs counts campaign runs/cycles executed.
-	Runs Counter
-	// Consistent counts runs that recovered consistently (every
-	// invariant and crash contract held).
-	Consistent Counter
-	// Failures counts runs that broke their contract.
-	Failures Counter
-	// Crashes counts crashes injected across all runs.
-	Crashes Counter
-	// Migrations counts slot migrations driven by the cluster campaign.
-	Migrations Counter
+	Runs, Consistent, Failures, Crashes, Migrations Counter
 }
 
 // Record tallies one campaign's outcome: runs cycles, of which
@@ -33,26 +24,11 @@ func (t *CampaignStats) Record(runs, consistent int) {
 	t.Failures.Add(uint64(runs - consistent))
 }
 
-// Walk calls fn for every campaign counter with its canonical
-// campaign_* name, in a fixed order.
-func (t *CampaignStats) Walk(fn func(name string, value uint64)) {
-	if t == nil {
-		return
-	}
-	fn("campaign_runs", t.Runs.Load())
-	fn("campaign_consistent", t.Consistent.Load())
-	fn("campaign_failures", t.Failures.Load())
-	fn("campaign_crashes", t.Crashes.Load())
-	fn("campaign_migrations", t.Migrations.Load())
-}
-
-// Counters snapshots the campaign counters under their canonical names
-// (nil-safe, like Registry.Counters).
-func (t *CampaignStats) Counters() Snapshot {
-	if t == nil {
-		return nil
-	}
-	s := make(Snapshot, 8)
-	t.Walk(func(name string, v uint64) { s[name] = v })
-	return s
-}
+// CampaignRows is a campaign's rows.
+var CampaignRows = newTable(ScopeServer, []Row[CampaignStats]{
+	counter("campaign_runs", "campaign runs and cycles executed", func(t *CampaignStats) *Counter { return &t.Runs }),
+	counter("campaign_consistent", "runs that recovered consistently", func(t *CampaignStats) *Counter { return &t.Consistent }),
+	counter("campaign_failures", "runs that broke their contract", func(t *CampaignStats) *Counter { return &t.Failures }),
+	counter("campaign_crashes", "crashes injected across all runs", func(t *CampaignStats) *Counter { return &t.Crashes }),
+	counter("campaign_migrations", "slot migrations the cluster campaign drove", func(t *CampaignStats) *Counter { return &t.Migrations }),
+})

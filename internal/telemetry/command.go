@@ -56,16 +56,6 @@ func (c Command) String() string {
 	return "unknown"
 }
 
-// Commands lists every command in enum order, for deterministic
-// rendering of per-command surfaces.
-func Commands() []Command {
-	cmds := make([]Command, NumCommands)
-	for i := range cmds {
-		cmds[i] = Command(i)
-	}
-	return cmds
-}
-
 // Protocol labels which wire protocol carried a command — the second
 // dimension of command-latency attribution. The same get executes the
 // same shard code whether it arrived as native text or RESP, but the
@@ -86,24 +76,15 @@ const (
 	NumProtocols = int(ProtoRESP) + 1
 )
 
+// protocolNames holds each protocol's telemetry label, in enum order.
+var protocolNames = [NumProtocols]string{ProtoInternal: "internal", ProtoNative: "native", ProtoRESP: "resp"}
+
 // String returns the protocol's stable telemetry label.
 func (p Protocol) String() string {
-	switch p {
-	case ProtoNative:
-		return "native"
-	case ProtoRESP:
-		return "resp"
-	case ProtoInternal:
-		return "internal"
-	default:
-		return "unknown"
+	if int(p) < NumProtocols {
+		return protocolNames[p]
 	}
-}
-
-// Protocols lists every protocol in enum order, for deterministic
-// rendering of per-protocol surfaces.
-func Protocols() []Protocol {
-	return []Protocol{ProtoInternal, ProtoNative, ProtoRESP}
+	return "unknown"
 }
 
 // CommandLatency is a bundle of per-protocol, per-command latency
@@ -111,13 +92,6 @@ func Protocols() []Protocol {
 // *CommandLatency is "telemetry off".
 type CommandLatency struct {
 	hists [NumProtocols][NumCommands]Histogram
-}
-
-// Observe records one request's service time under its command with no
-// protocol attribution (ProtoInternal) — the pre-seam API, kept for
-// embedded callers.
-func (c *CommandLatency) Observe(cmd Command, d time.Duration) {
-	c.ObserveProto(ProtoInternal, cmd, d)
 }
 
 // ObserveProto records one request's service time under its protocol
@@ -130,77 +104,30 @@ func (c *CommandLatency) ObserveProto(p Protocol, cmd Command, d time.Duration) 
 	c.hists[p][cmd].Observe(d)
 }
 
-// Snapshot copies one command's histogram merged across protocols
-// (zero value on nil).
-func (c *CommandLatency) Snapshot(cmd Command) HistogramSnapshot {
-	var s HistogramSnapshot
-	if c == nil || int(cmd) >= NumCommands {
-		return s
-	}
-	for p := 0; p < NumProtocols; p++ {
-		s.Merge(c.hists[p][cmd].Snapshot())
-	}
-	return s
+// commandRows are the per-command latency families: merged across
+// protocols, and per protocol.
+var commandRows = []Row[CommandLatency]{
+	{Desc: Desc{Name: "cmd_<cmd>", Kind: KindDuration, Help: "service time per command, every protocol"},
+		labels: fixed[CommandLatency](oneLabel(commandNames[:]...)),
+		read: func(c *CommandLatency, i int, out *cell) {
+			for p := range c.hists {
+				out.hs = append(out.hs, &c.hists[p][i])
+			}
+		}},
+	{Desc: Desc{Name: "proto_<proto>_cmd_<cmd>", Kind: KindDuration, Help: "service time per wire protocol and command"},
+		labels: fixed[CommandLatency](protoCmdLabels()),
+		read: func(c *CommandLatency, i int, out *cell) {
+			out.hs = append(out.hs, &c.hists[i/NumCommands][i%NumCommands])
+		}},
 }
 
-// SnapshotProto copies one protocol × command histogram.
-func (c *CommandLatency) SnapshotProto(p Protocol, cmd Command) HistogramSnapshot {
-	if c == nil || int(cmd) >= NumCommands || int(p) >= NumProtocols {
-		return HistogramSnapshot{}
-	}
-	return c.hists[p][cmd].Snapshot()
-}
-
-// Reset zeroes every histogram in the bundle.
-func (c *CommandLatency) Reset() {
-	if c == nil {
-		return
-	}
-	for p := range c.hists {
-		for i := range c.hists[p] {
-			c.hists[p][i].Reset()
+// protoCmdLabels is every (protocol, command) pair, protocol-major.
+func protoCmdLabels() [][]string {
+	var out [][]string
+	for _, p := range protocolNames {
+		for _, c := range commandNames {
+			out = append(out, []string{p, c})
 		}
 	}
-}
-
-// CommandLatencySnapshot is the point-in-time copy of one protocol's
-// (or the merged) command histograms, and the unit of cross-shard
-// aggregation.
-type CommandLatencySnapshot [NumCommands]HistogramSnapshot
-
-// SnapshotAll copies every command's histogram merged across protocols
-// — the protocol-blind view the aggregate stats report.
-func (c *CommandLatency) SnapshotAll() CommandLatencySnapshot {
-	var s CommandLatencySnapshot
-	if c == nil {
-		return s
-	}
-	for p := range c.hists {
-		for i := range c.hists[p] {
-			s[i].Merge(c.hists[p][i].Snapshot())
-		}
-	}
-	return s
-}
-
-// SnapshotAllByProto copies every protocol × command histogram at
-// once, protocols unmerged.
-func (c *CommandLatency) SnapshotAllByProto() [NumProtocols]CommandLatencySnapshot {
-	var s [NumProtocols]CommandLatencySnapshot
-	if c == nil {
-		return s
-	}
-	for p := range c.hists {
-		for i := range c.hists[p] {
-			s[p][i] = c.hists[p][i].Snapshot()
-		}
-	}
-	return s
-}
-
-// Merge adds other's buckets into s, command by command.
-func (s *CommandLatencySnapshot) Merge(other CommandLatencySnapshot) {
-	for i := range s {
-		s[i].Merge(other[i])
-	}
+	return out
 }

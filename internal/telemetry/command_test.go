@@ -11,12 +11,11 @@ func TestCommandStrings(t *testing.T) {
 		"zadd", "zget", "zincr", "zdel", "zrange", "zcount",
 		"wait", "repl",
 	}
-	cmds := Commands()
-	if len(cmds) != NumCommands {
-		t.Fatalf("Commands() returned %d entries, want %d", len(cmds), NumCommands)
+	if len(want) != NumCommands {
+		t.Fatalf("%d commands, want %d", NumCommands, len(want))
 	}
-	for i, c := range cmds {
-		if c.String() != want[i] {
+	for i := range want {
+		if c := Command(i); c.String() != want[i] {
 			t.Errorf("command %d = %q, want %q", i, c.String(), want[i])
 		}
 	}
@@ -26,52 +25,39 @@ func TestCommandStrings(t *testing.T) {
 }
 
 func TestCommandLatencyObserveAndSnapshot(t *testing.T) {
-	var cl CommandLatency
-	cl.Observe(CmdGet, 100*time.Nanosecond)
-	cl.Observe(CmdGet, 200*time.Nanosecond)
-	cl.Observe(CmdSet, time.Microsecond)
-	cl.Observe(Command(250), time.Second) // dropped, not a panic
+	r := &Registry{CmdLatency: &CommandLatency{}}
+	cl := r.CmdLatency
+	cl.ObserveProto(ProtoNative, CmdGet, 100*time.Nanosecond)
+	cl.ObserveProto(ProtoRESP, CmdGet, 200*time.Nanosecond)
+	cl.ObserveProto(ProtoInternal, CmdSet, time.Microsecond)
+	cl.ObserveProto(ProtoNative, Command(250), time.Second) // dropped, not a panic
+	cl.ObserveProto(Protocol(9), CmdGet, time.Second)       // likewise
 
-	if got := cl.Snapshot(CmdGet).Count(); got != 2 {
-		t.Errorf("get count = %d, want 2", got)
-	}
-	if got := cl.Snapshot(CmdSet).Count(); got != 1 {
-		t.Errorf("set count = %d, want 1", got)
-	}
-	if got := cl.Snapshot(CmdDelete).Count(); got != 0 {
-		t.Errorf("delete count = %d, want 0", got)
-	}
-	if got := cl.Snapshot(Command(250)).Count(); got != 0 {
-		t.Errorf("out-of-range snapshot count = %d, want 0", got)
-	}
-
-	all := cl.SnapshotAll()
-	if all[CmdGet].Count() != 2 || all[CmdSet].Count() != 1 {
-		t.Errorf("SnapshotAll mismatch: get=%d set=%d", all[CmdGet].Count(), all[CmdSet].Count())
+	// Two instances of one registry: a shard-scoped row sums them.
+	src := RegistryRows.Bind(r, r)
+	// An unobserved label value renders no series at all.
+	for name, want := range map[string]string{
+		"cmd_get_count": "4", "cmd_set_count": "2", "cmd_delete_count": "",
+		"proto_native_cmd_get_count": "2", "proto_resp_cmd_get_count": "2", "proto_internal_cmd_get_count": "",
+	} {
+		if got := stat(name, src); got != want {
+			t.Errorf("%s = %q, want %q", name, got, want)
+		}
 	}
 
-	var merged CommandLatencySnapshot
-	merged.Merge(all)
-	merged.Merge(all)
-	if got := merged[CmdGet].Count(); got != 4 {
-		t.Errorf("merged get count = %d, want 4", got)
-	}
-
-	cl.Reset()
-	if got := cl.Snapshot(CmdGet).Count(); got != 0 {
-		t.Errorf("get count after Reset = %d, want 0", got)
+	Reset(src)
+	if got := stat("cmd_get_count", src); got != "" {
+		t.Errorf("cmd_get_count after Reset = %q, want no series", got)
 	}
 }
 
 func TestCommandLatencyNilSafe(t *testing.T) {
 	var cl *CommandLatency
-	cl.Observe(CmdGet, time.Second) // must not panic
-	cl.Reset()
-	if got := cl.Snapshot(CmdGet).Count(); got != 0 {
-		t.Errorf("nil snapshot count = %d", got)
-	}
-	if got := cl.SnapshotAll()[CmdSet].Count(); got != 0 {
-		t.Errorf("nil SnapshotAll count = %d", got)
+	cl.ObserveProto(ProtoNative, CmdGet, time.Second) // must not panic
+	src := RegistryRows.Bind(&Registry{})             // a nil CmdLatency section
+	Reset(src)
+	if got := stat("op_count", src); got != "0" {
+		t.Errorf("nil-section registry op_count = %q, want 0", got)
 	}
 }
 
@@ -116,11 +102,11 @@ func TestRegistryReset(t *testing.T) {
 	r.Recovery.Recoveries.Inc()
 	r.OpLatency.Observe(time.Millisecond)
 	r.RecoveryLatency.Observe(time.Millisecond)
-	r.CmdLatency.Observe(CmdSet, time.Millisecond)
+	r.CmdLatency.ObserveProto(ProtoInternal, CmdSet, time.Millisecond)
 	r.BatchSize.ObserveValue(8)
 	r.Generation.Add(3)
 
-	r.Reset()
+	Reset(RegistryRows.Bind(r))
 
 	snap := r.Counters()
 	for name, v := range snap {
@@ -140,19 +126,15 @@ func TestRegistryReset(t *testing.T) {
 	if got := r.RecoveryLatency.Snapshot().Count(); got != 0 {
 		t.Errorf("RecoveryLatency count = %d after Reset", got)
 	}
-	if got := r.CmdLatency.Snapshot(CmdSet).Count(); got != 0 {
-		t.Errorf("CmdLatency set count = %d after Reset", got)
+	if got := stat("cmd_set_count", RegistryRows.Bind(r)); got != "" {
+		t.Errorf("cmd_set_count = %q after Reset, want no series", got)
 	}
 	if got := r.BatchSize.Snapshot().Count(); got != 0 {
 		t.Errorf("BatchSize count = %d after Reset", got)
 	}
 
-	// A nil registry Resets as a no-op.
-	var nilReg *Registry
-	nilReg.Reset()
-
-	// A registry with nil sections Resets without panicking.
-	(&Registry{}).Reset()
+	// A nil registry, and one with nil sections, Reset as a no-op.
+	Reset(RegistryRows.Bind(nil, &Registry{}))
 }
 
 // TestWalkIncludesBatchCounters pins the new wire vocabulary.

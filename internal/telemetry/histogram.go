@@ -57,13 +57,7 @@ func (h *Histogram) ObserveValue(v uint64) {
 // distorts a quantile by at most the in-flight events.
 func (h *Histogram) Snapshot() HistogramSnapshot {
 	var s HistogramSnapshot
-	if h == nil {
-		return s
-	}
-	for i := range h.counts {
-		s.Counts[i] = h.counts[i].Load()
-	}
-	s.Sum = h.sum.Load()
+	s.add(h)
 	return s
 }
 
@@ -147,6 +141,17 @@ func (s *HistogramSnapshot) Merge(other HistogramSnapshot) {
 		s.Counts[i] += other.Counts[i]
 	}
 	s.Sum += other.Sum
+}
+
+// add merges a live histogram's buckets into s (nothing on nil).
+func (s *HistogramSnapshot) add(h *Histogram) {
+	if h == nil {
+		return
+	}
+	for i := range h.counts {
+		s.Counts[i] += h.counts[i].Load()
+	}
+	s.Sum += h.sum.Load()
 }
 
 // bucketUpper returns bucket i's inclusive upper bound in nanoseconds.

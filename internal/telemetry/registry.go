@@ -1,6 +1,9 @@
 package telemetry
 
-import "sort"
+import (
+	"sort"
+	"sync/atomic"
+)
 
 // DeviceStats is the simulated NVM device's section: memory-access
 // counters and the persistence-cost counters the paper's whole argument
@@ -70,20 +73,6 @@ func (s *DeviceStats) IncDrop() {
 	}
 }
 
-// Reset zeroes the section (nvm.Device.ResetStats compatibility).
-func (s *DeviceStats) Reset() {
-	if s == nil {
-		return
-	}
-	s.Loads.Reset()
-	s.Stores.Reset()
-	s.CAS.Reset()
-	s.Flushes.Reset()
-	s.Writebacks.Reset()
-	s.Rescues.Reset()
-	s.Drops.Reset()
-}
-
 // AtlasStats is the Atlas runtime's section: undo-log traffic and OCS
 // commit counts — the "log writes" column of the paper's cost breakdown.
 type AtlasStats struct {
@@ -117,17 +106,6 @@ func (s *AtlasStats) IncCheckpoint() {
 	}
 }
 
-// Reset zeroes the section.
-func (s *AtlasStats) Reset() {
-	if s == nil {
-		return
-	}
-	s.LogAppends.Reset()
-	s.LogFlushes.Reset()
-	s.OCSCommits.Reset()
-	s.Checkpoints.Reset()
-}
-
 // HeapStats is the persistent heap's section.
 type HeapStats struct {
 	Allocs        Counter
@@ -155,25 +133,9 @@ func (s *HeapStats) AddGC(blocksFreed uint64) {
 	}
 }
 
-// Reset zeroes the section.
-func (s *HeapStats) Reset() {
-	if s == nil {
-		return
-	}
-	s.Allocs.Reset()
-	s.Frees.Reset()
-	s.GCRuns.Reset()
-	s.GCBlocksFreed.Reset()
-}
-
 // MapStats is the fortified hash map's section: data-structure-level
-// operation counts (distinct from ServerStats, which counts protocol
-// requests — one mget request is many map gets). The Opt* counters
-// instrument the seqlock read path: OptGets are reads served without
-// any stripe mutex, OptRetries are snapshot validations that failed
-// (a writer interleaved), and OptFallbacks are reads that exhausted
-// their retry budget and re-ran under the stripe lock — the bounded-
-// retry contract made observable.
+// operation counts (one mget request is many map gets), and the seqlock
+// read path's bounded-retry contract made observable (the Opt* rows).
 type MapStats struct {
 	Gets    Counter
 	Puts    Counter
@@ -227,35 +189,16 @@ func (s *MapStats) IncOptFallback() {
 	}
 }
 
-// Reset zeroes the section.
-func (s *MapStats) Reset() {
-	if s == nil {
-		return
-	}
-	s.Gets.Reset()
-	s.Puts.Reset()
-	s.Incs.Reset()
-	s.Deletes.Reset()
-	s.OptGets.Reset()
-	s.OptRetries.Reset()
-	s.OptFallbacks.Reset()
-}
-
-// ServerStats is the cache server's protocol-level section, per shard.
-// The batch counters instrument the per-shard execution pipeline: how
-// many coalesced critical sections ran, how many operations rode in
-// them, and how often a full queue degraded an operation to the
-// synchronous per-op path.
+// ServerStats is the cache server's protocol-level section, per shard:
+// requests on both keyspaces (the ordered keyspace's Z* counters kept
+// apart because its engine has a different persistence cost model), the
+// batch pipeline, the durability tiers and the session dedup window.
 type ServerStats struct {
 	Gets    Counter
 	Hits    Counter
 	Sets    Counter
 	Deletes Counter
 
-	// The Z* counters are the ordered keyspace's request counts: reads
-	// (zget/zrange/zcount traversals) and writes against the skip list,
-	// kept apart from the map counters because the two engines have
-	// completely different persistence cost models.
 	ZGets    Counter // zget/zrange/zcount requests served lock-free
 	ZHits    Counter // zget requests that found the key
 	ZSets    Counter // zadd/zincr writes applied
@@ -265,12 +208,6 @@ type ServerStats struct {
 	BatchedOps     Counter // operations executed inside those batches
 	BatchFallbacks Counter // commit groups that found the queue full and ran directly on the drain lock
 
-	// The epoch-durability counters instrument the per-operation
-	// durability tiers: how many mutations deferred their persistence
-	// to an epoch close (RelaxedOps/FireOps vs DurableOps), how many
-	// epoch closes ran, how many overlay entries they flushed into
-	// Atlas sections, and how many closes skipped the frontier advance
-	// because a crash raced the drain.
 	DurableOps    Counter // mutations served at the durable tier
 	RelaxedOps    Counter // mutations acknowledged at the relaxed tier
 	FireOps       Counter // mutations acknowledged fire-and-forget
@@ -280,45 +217,10 @@ type ServerStats struct {
 	EpochSkipped  Counter // epoch closes that withheld the frontier (crash raced)
 	Waits         Counter // wait barrier requests served
 
-	// The session counters instrument the exactly-once dedup window:
-	// how many sessioned (seq-tagged) mutations arrived, how many were
-	// suppressed as duplicates of an already-applied request, how many
-	// were rejected as older than the eviction floor, and how many
-	// records the bounded window evicted to make room.
 	SessionOps     Counter // seq-tagged mutations served
 	SessionDups    Counter // duplicate retries suppressed by the window
 	SessionTooOld  Counter // seq-too-old rejections (below record or floor)
 	SessionEvicted Counter // dedup records evicted from the bounded window
-}
-
-// Reset zeroes the section.
-func (s *ServerStats) Reset() {
-	if s == nil {
-		return
-	}
-	s.Gets.Reset()
-	s.Hits.Reset()
-	s.Sets.Reset()
-	s.Deletes.Reset()
-	s.ZGets.Reset()
-	s.ZHits.Reset()
-	s.ZSets.Reset()
-	s.ZDeletes.Reset()
-	s.Batches.Reset()
-	s.BatchedOps.Reset()
-	s.BatchFallbacks.Reset()
-	s.DurableOps.Reset()
-	s.RelaxedOps.Reset()
-	s.FireOps.Reset()
-	s.EpochCloses.Reset()
-	s.EpochDemanded.Reset()
-	s.EpochFlushed.Reset()
-	s.EpochSkipped.Reset()
-	s.Waits.Reset()
-	s.SessionOps.Reset()
-	s.SessionDups.Reset()
-	s.SessionTooOld.Reset()
-	s.SessionEvicted.Reset()
 }
 
 // RecoveryStats accumulates crash/recovery outcomes across a stack's
@@ -336,21 +238,6 @@ type RecoveryStats struct {
 	GCBlocksFreed  Counter // leaked blocks reclaimed by recovery GC
 }
 
-// Reset zeroes the section.
-func (s *RecoveryStats) Reset() {
-	if s == nil {
-		return
-	}
-	s.Recoveries.Reset()
-	s.EntriesScanned.Reset()
-	s.OCSes.Reset()
-	s.PartialGroups.Reset()
-	s.Incomplete.Reset()
-	s.Cascaded.Reset()
-	s.UndoApplied.Reset()
-	s.GCBlocksFreed.Reset()
-}
-
 // Registry is one storage stack's complete telemetry plane. Layer
 // sections are pointers so an already-running layer's live section can
 // be adopted (stack.Reattach adopts the restarted device's counters
@@ -364,50 +251,28 @@ type Registry struct {
 	Server   *ServerStats
 	Recovery *RecoveryStats
 
-	// OpLatency is the service-time distribution observed at the top of
-	// the stack: one observation per request-level op on the synchronous
-	// path, one per drained group on the batch pipeline (the group is
-	// the unit of locking and persistence there).
-	OpLatency *Histogram
-
-	// RecoveryLatency is the crash-to-serving distribution, one
-	// observation per recovery.
-	RecoveryLatency *Histogram
-
-	// CmdLatency attributes request service time per protocol command
-	// (one observation per request, on both execution paths).
-	CmdLatency *CommandLatency
-
-	// BatchSize is a value histogram (ObserveValue) of operations per
-	// drained batch group — the direct read on how much amortization the
-	// pipeline is actually getting.
-	BatchSize *Histogram
-
-	// ReadLatency is the service-time distribution of read commands that
-	// completed entirely on the optimistic (seqlock) path — no stripe
-	// mutex, no batch pipeline. Every command still lands in CmdLatency
-	// exactly once whichever path served it; ReadLatency is the
-	// lock-free subset, so comparing the two isolates what the locked
-	// machinery costs a read.
-	ReadLatency *Histogram
-
-	// RangeLen is a value histogram (ObserveValue) of result lengths of
-	// zrange requests — the shape of the ordered workload's scans, and
-	// the denominator for judging whether the range limit is binding.
-	RangeLen *Histogram
-
-	// EpochFlushLatency is the epoch-close drain distribution: one
-	// observation per close that flushed this shard's relaxed overlay,
-	// measuring how long the deferred persistence actually takes — the
-	// tail a relaxed writer's loss window adds to, and the cost the
-	// durable tier avoids paying inline.
-	EpochFlushLatency *Histogram
+	// The histograms: service time per drained commit group, crash to
+	// serving per recovery, the drain of each epoch close that flushed
+	// this shard's overlay, service time per protocol and command, and
+	// per read served wholly on the lock-free path (a subset of
+	// CmdLatency's reads, so the two together isolate what the locked
+	// machinery costs a read). BatchSize and RangeLen are value
+	// histograms (ObserveValue): operations per drained group, zrange
+	// result lengths.
+	OpLatency, RecoveryLatency, ReadLatency, EpochFlushLatency *Histogram
+	CmdLatency                                                 *CommandLatency
+	BatchSize, RangeLen                                        *Histogram
 
 	// Generation counts the stack's incarnations: 1 after New, +1 per
 	// reattach. Counters deliberately survive reattach (the registry
 	// outlives the stack it instruments); Generation is how a consumer
 	// tells one incarnation's deltas from the next.
 	Generation Counter
+
+	// Items and ZItems are the shard's live key counts in the hash map
+	// and the ordered keyspace. The registry cannot count them; the
+	// server that owns the stack sets them before it renders.
+	Items, ZItems atomic.Uint64
 }
 
 // NewRegistry returns a registry with every section live.
@@ -429,118 +294,113 @@ func NewRegistry() *Registry {
 	}
 }
 
-// Reset zeroes every counter and histogram in the registry — the
-// operator-facing "stats reset" — while deliberately leaving Generation
-// alone: counters describe traffic, Generation describes which
-// incarnation of the stack is serving it, and a reset must not make a
-// twice-recovered stack look freshly built.
-func (r *Registry) Reset() {
-	if r == nil {
-		return
-	}
-	r.Device.Reset()
-	r.Atlas.Reset()
-	r.Heap.Reset()
-	r.Map.Reset()
-	r.Server.Reset()
-	r.Recovery.Reset()
-	r.OpLatency.Reset()
-	r.RecoveryLatency.Reset()
-	r.CmdLatency.Reset()
-	r.BatchSize.Reset()
-	r.ReadLatency.Reset()
-	r.RangeLen.Reset()
-	r.EpochFlushLatency.Reset()
-}
-
 // Snapshot is a point-in-time copy of a registry's counters, keyed by
 // canonical metric name. Counters are monotonic within an incarnation,
 // so Sub yields the events of a window and Add aggregates shards.
 type Snapshot map[string]uint64
 
-// Counters snapshots every counter in the registry (nil on a nil
-// registry). Names are stable: they are the wire-protocol and
+// Counters snapshots every counter and gauge in the registry (nil on a
+// nil registry). Names are stable: they are the wire-protocol and
 // Prometheus-exposition vocabulary.
 func (r *Registry) Counters() Snapshot {
 	if r == nil {
 		return nil
 	}
-	s := make(Snapshot, 32)
-	r.Walk(func(name string, v uint64) { s[name] = v })
-	return s
+	return RegistryRows.Bind(r).Counters()
 }
 
-// Walk calls fn for every counter with its canonical name, in a fixed
-// order. Missing (nil) sections are emitted as zeros so consumers always
-// see the full vocabulary.
+// Walk calls fn for every counter and gauge with its canonical name, in
+// row order. Missing (nil) sections are emitted as zeros so consumers
+// always see the full vocabulary.
 func (r *Registry) Walk(fn func(name string, value uint64)) {
-	if r == nil {
-		return
+	if r != nil {
+		RegistryRows.Bind(r).Walk(fn)
 	}
-	d, a, h, m, sv, rec := r.Device, r.Atlas, r.Heap, r.Map, r.Server, r.Recovery
-	fn("nvm_loads", fieldLoad(d, func(d *DeviceStats) *Counter { return &d.Loads }))
-	fn("nvm_stores", fieldLoad(d, func(d *DeviceStats) *Counter { return &d.Stores }))
-	fn("nvm_cas", fieldLoad(d, func(d *DeviceStats) *Counter { return &d.CAS }))
-	fn("nvm_flushes", fieldLoad(d, func(d *DeviceStats) *Counter { return &d.Flushes }))
-	fn("nvm_writebacks", fieldLoad(d, func(d *DeviceStats) *Counter { return &d.Writebacks }))
-	fn("nvm_rescues", fieldLoad(d, func(d *DeviceStats) *Counter { return &d.Rescues }))
-	fn("nvm_drops", fieldLoad(d, func(d *DeviceStats) *Counter { return &d.Drops }))
-	fn("atlas_log_appends", fieldLoad(a, func(a *AtlasStats) *Counter { return &a.LogAppends }))
-	fn("atlas_log_flushes", fieldLoad(a, func(a *AtlasStats) *Counter { return &a.LogFlushes }))
-	fn("atlas_ocs_commits", fieldLoad(a, func(a *AtlasStats) *Counter { return &a.OCSCommits }))
-	fn("atlas_checkpoints", fieldLoad(a, func(a *AtlasStats) *Counter { return &a.Checkpoints }))
-	fn("heap_allocs", fieldLoad(h, func(h *HeapStats) *Counter { return &h.Allocs }))
-	fn("heap_frees", fieldLoad(h, func(h *HeapStats) *Counter { return &h.Frees }))
-	fn("heap_gc_runs", fieldLoad(h, func(h *HeapStats) *Counter { return &h.GCRuns }))
-	fn("heap_gc_blocks_freed", fieldLoad(h, func(h *HeapStats) *Counter { return &h.GCBlocksFreed }))
-	fn("map_gets", fieldLoad(m, func(m *MapStats) *Counter { return &m.Gets }))
-	fn("map_puts", fieldLoad(m, func(m *MapStats) *Counter { return &m.Puts }))
-	fn("map_incs", fieldLoad(m, func(m *MapStats) *Counter { return &m.Incs }))
-	fn("map_deletes", fieldLoad(m, func(m *MapStats) *Counter { return &m.Deletes }))
-	fn("map_opt_gets", fieldLoad(m, func(m *MapStats) *Counter { return &m.OptGets }))
-	fn("map_opt_retries", fieldLoad(m, func(m *MapStats) *Counter { return &m.OptRetries }))
-	fn("map_opt_fallbacks", fieldLoad(m, func(m *MapStats) *Counter { return &m.OptFallbacks }))
-	fn("server_gets", fieldLoad(sv, func(s *ServerStats) *Counter { return &s.Gets }))
-	fn("server_hits", fieldLoad(sv, func(s *ServerStats) *Counter { return &s.Hits }))
-	fn("server_sets", fieldLoad(sv, func(s *ServerStats) *Counter { return &s.Sets }))
-	fn("server_deletes", fieldLoad(sv, func(s *ServerStats) *Counter { return &s.Deletes }))
-	fn("server_zgets", fieldLoad(sv, func(s *ServerStats) *Counter { return &s.ZGets }))
-	fn("server_zhits", fieldLoad(sv, func(s *ServerStats) *Counter { return &s.ZHits }))
-	fn("server_zsets", fieldLoad(sv, func(s *ServerStats) *Counter { return &s.ZSets }))
-	fn("server_zdeletes", fieldLoad(sv, func(s *ServerStats) *Counter { return &s.ZDeletes }))
-	fn("server_batches", fieldLoad(sv, func(s *ServerStats) *Counter { return &s.Batches }))
-	fn("server_batched_ops", fieldLoad(sv, func(s *ServerStats) *Counter { return &s.BatchedOps }))
-	fn("server_batch_fallbacks", fieldLoad(sv, func(s *ServerStats) *Counter { return &s.BatchFallbacks }))
-	fn("server_durable_ops", fieldLoad(sv, func(s *ServerStats) *Counter { return &s.DurableOps }))
-	fn("server_relaxed_ops", fieldLoad(sv, func(s *ServerStats) *Counter { return &s.RelaxedOps }))
-	fn("server_fire_ops", fieldLoad(sv, func(s *ServerStats) *Counter { return &s.FireOps }))
-	fn("server_epoch_closes", fieldLoad(sv, func(s *ServerStats) *Counter { return &s.EpochCloses }))
-	fn("server_session_ops", fieldLoad(sv, func(s *ServerStats) *Counter { return &s.SessionOps }))
-	fn("server_session_dups", fieldLoad(sv, func(s *ServerStats) *Counter { return &s.SessionDups }))
-	fn("server_session_too_old", fieldLoad(sv, func(s *ServerStats) *Counter { return &s.SessionTooOld }))
-	fn("server_session_evicted", fieldLoad(sv, func(s *ServerStats) *Counter { return &s.SessionEvicted }))
-	fn("server_epoch_flushed", fieldLoad(sv, func(s *ServerStats) *Counter { return &s.EpochFlushed }))
-	fn("server_epoch_skipped", fieldLoad(sv, func(s *ServerStats) *Counter { return &s.EpochSkipped }))
-	fn("server_epoch_demanded", fieldLoad(sv, func(s *ServerStats) *Counter { return &s.EpochDemanded }))
-	fn("server_waits", fieldLoad(sv, func(s *ServerStats) *Counter { return &s.Waits }))
-	fn("recovery_count", fieldLoad(rec, func(r *RecoveryStats) *Counter { return &r.Recoveries }))
-	fn("recovery_entries_scanned", fieldLoad(rec, func(r *RecoveryStats) *Counter { return &r.EntriesScanned }))
-	fn("recovery_ocses", fieldLoad(rec, func(r *RecoveryStats) *Counter { return &r.OCSes }))
-	fn("recovery_partial_groups", fieldLoad(rec, func(r *RecoveryStats) *Counter { return &r.PartialGroups }))
-	fn("recovery_incomplete", fieldLoad(rec, func(r *RecoveryStats) *Counter { return &r.Incomplete }))
-	fn("recovery_cascaded", fieldLoad(rec, func(r *RecoveryStats) *Counter { return &r.Cascaded }))
-	fn("recovery_undo_applied", fieldLoad(rec, func(r *RecoveryStats) *Counter { return &r.UndoApplied }))
-	fn("recovery_gc_blocks_freed", fieldLoad(rec, func(r *RecoveryStats) *Counter { return &r.GCBlocksFreed }))
-	fn("stack_generation", r.Generation.Load())
 }
 
-// fieldLoad loads one counter out of a possibly-nil section.
-func fieldLoad[S any](sec *S, field func(*S) *Counter) uint64 {
-	if sec == nil {
-		return 0
-	}
-	return field(sec).Load()
-}
+// RegistryRows is every shard registry's rows: the device, Atlas, heap,
+// map, server and recovery sections, then the registry's gauges and
+// histograms.
+var RegistryRows = newTable(ScopeShard,
+	lift(func(r *Registry) *DeviceStats { return r.Device }, []Row[DeviceStats]{
+		counter("nvm_loads", "simulated NVM word loads", func(s *DeviceStats) *Counter { return &s.Loads }),
+		counter("nvm_stores", "simulated NVM word stores", func(s *DeviceStats) *Counter { return &s.Stores }),
+		counter("nvm_cas", "simulated NVM compare-and-swaps", func(s *DeviceStats) *Counter { return &s.CAS }),
+		counter("nvm_flushes", "synchronous, latency-charged line flushes: the preventive cost", func(s *DeviceStats) *Counter { return &s.Flushes }),
+		counter("nvm_writebacks", "free background and rescue write-backs", func(s *DeviceStats) *Counter { return &s.Writebacks }),
+		counter("nvm_rescues", "crash-time rescues performed", func(s *DeviceStats) *Counter { return &s.Rescues }),
+		counter("nvm_drops", "crashes that discarded the volatile image", func(s *DeviceStats) *Counter { return &s.Drops }),
+	}),
+	lift(func(r *Registry) *AtlasStats { return r.Atlas }, []Row[AtlasStats]{
+		counter("atlas_log_appends", "undo records appended", func(s *AtlasStats) *Counter { return &s.LogAppends }),
+		counter("atlas_log_flushes", "synchronous log flush ranges (log+flush mode only)", func(s *AtlasStats) *Counter { return &s.LogFlushes }),
+		counter("atlas_ocs_commits", "outermost critical sections committed", func(s *AtlasStats) *Counter { return &s.OCSCommits }),
+		counter("atlas_checkpoints", "explicit log-truncating checkpoints", func(s *AtlasStats) *Counter { return &s.Checkpoints }),
+	}),
+	lift(func(r *Registry) *HeapStats { return r.Heap }, []Row[HeapStats]{
+		counter("heap_allocs", "persistent heap allocations", func(s *HeapStats) *Counter { return &s.Allocs }),
+		counter("heap_frees", "persistent heap frees", func(s *HeapStats) *Counter { return &s.Frees }),
+		counter("heap_gc_runs", "recovery-time heap collections", func(s *HeapStats) *Counter { return &s.GCRuns }),
+		counter("heap_gc_blocks_freed", "leaked blocks those collections freed", func(s *HeapStats) *Counter { return &s.GCBlocksFreed }),
+	}),
+	lift(func(r *Registry) *MapStats { return r.Map }, []Row[MapStats]{
+		counter("map_gets", "hash map reads", func(s *MapStats) *Counter { return &s.Gets }),
+		counter("map_puts", "hash map upserts", func(s *MapStats) *Counter { return &s.Puts }),
+		counter("map_incs", "hash map increments", func(s *MapStats) *Counter { return &s.Incs }),
+		counter("map_deletes", "hash map deletes", func(s *MapStats) *Counter { return &s.Deletes }),
+		counter("map_opt_gets", "reads served on the seqlock path, no stripe mutex", func(s *MapStats) *Counter { return &s.OptGets }),
+		counter("map_opt_retries", "seqlock validations a writer broke", func(s *MapStats) *Counter { return &s.OptRetries }),
+		counter("map_opt_fallbacks", "seqlock reads that ran out of retries and took the lock", func(s *MapStats) *Counter { return &s.OptFallbacks }),
+	}),
+	lift(func(r *Registry) *ServerStats { return r.Server }, []Row[ServerStats]{
+		counter("server_gets", "get requests served", func(s *ServerStats) *Counter { return &s.Gets }),
+		counter("server_hits", "get requests that found the key", func(s *ServerStats) *Counter { return &s.Hits }),
+		counter("server_sets", "set writes applied", func(s *ServerStats) *Counter { return &s.Sets }),
+		counter("server_deletes", "delete writes applied", func(s *ServerStats) *Counter { return &s.Deletes }),
+		counter("server_zgets", "ordered-keyspace reads served lock-free", func(s *ServerStats) *Counter { return &s.ZGets }),
+		counter("server_zhits", "zget requests that found the key", func(s *ServerStats) *Counter { return &s.ZHits }),
+		counter("server_zsets", "zadd and zincr writes applied", func(s *ServerStats) *Counter { return &s.ZSets }),
+		counter("server_zdeletes", "zdel writes applied", func(s *ServerStats) *Counter { return &s.ZDeletes }),
+		counter("server_batches", "batches (Atlas sections) the write path ran", func(s *ServerStats) *Counter { return &s.Batches }),
+		counter("server_batched_ops", "operations inside those batches", func(s *ServerStats) *Counter { return &s.BatchedOps }),
+		counter("server_batch_fallbacks", "commit groups that found the queue full and ran on the drain lock", func(s *ServerStats) *Counter { return &s.BatchFallbacks }),
+		counter("server_durable_ops", "mutations served at the durable tier", func(s *ServerStats) *Counter { return &s.DurableOps }),
+		counter("server_relaxed_ops", "mutations acked at the relaxed tier", func(s *ServerStats) *Counter { return &s.RelaxedOps }),
+		counter("server_fire_ops", "mutations acked fire-and-forget", func(s *ServerStats) *Counter { return &s.FireOps }),
+		counter("server_epoch_closes", "epoch closes run, clocked and demanded", func(s *ServerStats) *Counter { return &s.EpochCloses }),
+		counter("server_epoch_demanded", "of those, closes a wait started", func(s *ServerStats) *Counter { return &s.EpochDemanded }),
+		counter("server_epoch_flushed", "overlay entries the closes drained into fortified state", func(s *ServerStats) *Counter { return &s.EpochFlushed }),
+		counter("server_epoch_skipped", "closes that withheld the frontier because a shard crashed mid-drain", func(s *ServerStats) *Counter { return &s.EpochSkipped }),
+		counter("server_waits", "wait barriers served", func(s *ServerStats) *Counter { return &s.Waits }),
+		counter("server_session_ops", "seq-tagged mutations served", func(s *ServerStats) *Counter { return &s.SessionOps }),
+		counter("server_session_dups", "duplicate retries answered from the dedup window", func(s *ServerStats) *Counter { return &s.SessionDups }),
+		counter("server_session_too_old", "seq-too-old refusals", func(s *ServerStats) *Counter { return &s.SessionTooOld }),
+		counter("server_session_evicted", "dedup records evicted from the bounded window", func(s *ServerStats) *Counter { return &s.SessionEvicted }),
+	}),
+	lift(func(r *Registry) *RecoveryStats { return r.Recovery }, []Row[RecoveryStats]{
+		counter("recovery_count", "successful crash-and-reattach cycles", func(s *RecoveryStats) *Counter { return &s.Recoveries }),
+		counter("recovery_entries_scanned", "valid log records recovery found", func(s *RecoveryStats) *Counter { return &s.EntriesScanned }),
+		counter("recovery_ocses", "fully captured critical-section groups", func(s *RecoveryStats) *Counter { return &s.OCSes }),
+		counter("recovery_partial_groups", "partially overwritten old groups skipped", func(s *RecoveryStats) *Counter { return &s.PartialGroups }),
+		counter("recovery_incomplete", "critical sections lacking a durable final release", func(s *RecoveryStats) *Counter { return &s.Incomplete }),
+		counter("recovery_cascaded", "completed critical sections rolled back by happens-before", func(s *RecoveryStats) *Counter { return &s.Cascaded }),
+		counter("recovery_undo_applied", "undo records replayed", func(s *RecoveryStats) *Counter { return &s.UndoApplied }),
+		counter("recovery_gc_blocks_freed", "leaked blocks recovery's collection freed", func(s *RecoveryStats) *Counter { return &s.GCBlocksFreed }),
+	}),
+	[]Row[Registry]{
+		{Desc: Desc{Name: "stack_generation", Kind: KindGauge, Help: "stack incarnations: 1 when built, +1 per reattach"},
+			read: func(r *Registry, _ int, c *cell) { c.v = r.Generation.Load() }},
+		gauge("items", "live keys in the hash map", func(r *Registry) *atomic.Uint64 { return &r.Items }),
+		gauge("zitems", "live keys in the ordered keyspace", func(r *Registry) *atomic.Uint64 { return &r.ZItems }),
+		histogram("op", KindDuration, "service time of each drained commit group", func(r *Registry) *Histogram { return r.OpLatency }),
+		histogram("read", KindDuration, "service time of reads served wholly on the lock-free path", func(r *Registry) *Histogram { return r.ReadLatency }),
+		histogram("recovery_latency", KindDuration, "crash to serving again, per recovery", func(r *Registry) *Histogram { return r.RecoveryLatency }),
+		histogram("batch_size", KindValue, "operations per drained commit group", func(r *Registry) *Histogram { return r.BatchSize }),
+		histogram("zrange_len", KindValue, "result lengths of zrange requests", func(r *Registry) *Histogram { return r.RangeLen }),
+		histogram("epoch_flush", KindDuration, "drain time of each epoch close that flushed the shard's overlay", func(r *Registry) *Histogram { return r.EpochFlushLatency }),
+	},
+	lift(func(r *Registry) *CommandLatency { return r.CmdLatency }, commandRows),
+)
 
 // Sub returns s minus earlier, name by name. Names present in s but not
 // in earlier are treated as starting from zero.
@@ -570,3 +430,25 @@ func (s Snapshot) Names() []string {
 	sort.Strings(names)
 	return names
 }
+
+// ServerWide is a cache server's server-wide section: what no one shard
+// knows. The server sets the gauges (ServerRows says what each holds)
+// before it renders.
+type ServerWide struct {
+	Shards, EpochCurrent, EpochPersisted, EpochIntervalUS atomic.Uint64
+
+	// DecodedBatch records, per wire protocol, how many requests each
+	// decoder batch carried: the pipelining depth clients present.
+	DecodedBatch [NumProtocols]Histogram
+}
+
+// ServerRows is the server-wide section's rows.
+var ServerRows = newTable(ScopeServer, []Row[ServerWide]{
+	gauge("shards", "independent storage shards", func(s *ServerWide) *atomic.Uint64 { return &s.Shards }),
+	gauge("epoch_current", "the open epoch relaxed acks are stamped with", func(s *ServerWide) *atomic.Uint64 { return &s.EpochCurrent }),
+	gauge("epoch_persisted", "the persistent frontier: relaxed acks at or below it survive a crash", func(s *ServerWide) *atomic.Uint64 { return &s.EpochPersisted }),
+	gauge("epoch_interval_us", "the epoch clock's period; 0 when the tiers are off", func(s *ServerWide) *atomic.Uint64 { return &s.EpochIntervalUS }),
+	{Desc: Desc{Name: "proto_<proto>_decoded_batch", Kind: KindValue, Help: "requests per decoded batch, per wire protocol"},
+		labels: fixed[ServerWide](oneLabel(protocolNames[:]...)),
+		read:   func(s *ServerWide, i int, c *cell) { c.hs = append(c.hs, &s.DecodedBatch[i]) }},
+})

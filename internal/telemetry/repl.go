@@ -1,33 +1,27 @@
 package telemetry
 
+import (
+	"slices"
+	"sync/atomic"
+)
+
 // ReplStats aggregates the replication tier's counters and the
 // ack-driven lag histogram. Unlike the per-stack Registry sections it
 // is server-wide — replication streams span shards — so the cache
-// server owns one instance and folds it into `stats` output and the
-// Prometheus endpoint itself. All methods are nil-receiver safe, like
-// the rest of the package, so code paths can record unconditionally.
+// server owns one instance, rendered through ReplRows, whose help says
+// what each field counts.
 type ReplStats struct {
-	// GroupsStreamed counts committed groups sent to followers.
-	GroupsStreamed Counter
-	// OpsStreamed counts individual ops inside streamed groups.
-	OpsStreamed Counter
-	// AcksReceived counts cumulative acks received from followers.
-	AcksReceived Counter
-	// Snapshots counts full state transfers served by the primary.
-	Snapshots Counter
-	// SnapshotKeys counts key/value pairs sent in state transfers.
-	SnapshotKeys Counter
-	// GroupsApplied counts groups a follower applied locally.
-	GroupsApplied Counter
-	// OpsApplied counts ops a follower applied locally.
-	OpsApplied Counter
-	// SnapshotsLoaded counts full state transfers a follower installed.
-	SnapshotsLoaded Counter
-	// Reconnects counts follower dial attempts after the first.
-	Reconnects Counter
-	// Lag is the primary's ack-driven replication lag distribution:
-	// time from a group's commit (log append) to its cumulative ack.
-	Lag Histogram
+	GroupsStreamed, OpsStreamed, AcksReceived  Counter // a primary's stream
+	Snapshots, SnapshotKeys                    Counter // a primary's state transfers
+	GroupsApplied, OpsApplied, SnapshotsLoaded Counter // a follower's apply side
+	Reconnects                                 Counter // a follower's redials
+
+	Lag Histogram // a primary's commit-to-ack lag
+
+	// The gauges are the stream's state, which the server sets before
+	// it renders: its role (see SetRole), a primary's follower count and
+	// log position, a follower's applied position.
+	Role, Followers, LogGen, LogSeq, PosGen, PosSeq atomic.Uint64
 }
 
 // NewReplStats returns a zeroed bundle.
@@ -35,47 +29,36 @@ func NewReplStats() *ReplStats {
 	return &ReplStats{}
 }
 
-// Reset zeroes every counter and the lag histogram.
-func (r *ReplStats) Reset() {
-	if r == nil {
-		return
-	}
-	r.GroupsStreamed.Reset()
-	r.OpsStreamed.Reset()
-	r.AcksReceived.Reset()
-	r.Snapshots.Reset()
-	r.SnapshotKeys.Reset()
-	r.GroupsApplied.Reset()
-	r.OpsApplied.Reset()
-	r.SnapshotsLoaded.Reset()
-	r.Reconnects.Reset()
-	r.Lag.Reset()
-}
+// replRoles are the repl_role_<role> label values; Role holds a
+// role's index plus one.
+var replRoles = []string{"primary", "follower", "promoted"}
 
-// Snapshot returns the counters under their canonical repl_* names.
-// The lag histogram is exposed separately via LagSnapshot so callers
-// can render quantiles.
-func (r *ReplStats) Snapshot() map[string]uint64 {
-	if r == nil {
-		return nil
-	}
-	return map[string]uint64{
-		"repl_groups_streamed":  r.GroupsStreamed.Load(),
-		"repl_ops_streamed":     r.OpsStreamed.Load(),
-		"repl_acks_received":    r.AcksReceived.Load(),
-		"repl_snapshots":        r.Snapshots.Load(),
-		"repl_snapshot_keys":    r.SnapshotKeys.Load(),
-		"repl_groups_applied":   r.GroupsApplied.Load(),
-		"repl_ops_applied":      r.OpsApplied.Load(),
-		"repl_snapshots_loaded": r.SnapshotsLoaded.Load(),
-		"repl_reconnects":       r.Reconnects.Load(),
-	}
-}
+// SetRole sets the Role gauge from a role's name (0 for none).
+func (r *ReplStats) SetRole(role string) { r.Role.Store(uint64(slices.Index(replRoles, role) + 1)) }
 
-// LagSnapshot returns a point-in-time copy of the lag histogram.
-func (r *ReplStats) LagSnapshot() HistogramSnapshot {
-	if r == nil {
-		return HistogramSnapshot{}
-	}
-	return r.Lag.Snapshot()
-}
+// ReplRows is the replication section's rows, rendered while the server
+// has a replication role.
+var ReplRows = newTable(ScopeServer, []Row[ReplStats]{
+	{Desc: Desc{Name: "repl_role_<role>", Kind: KindGauge, Help: "1 for the server's replication role, 0 for the others"},
+		labels: fixed[ReplStats](oneLabel(replRoles...)),
+		read: func(r *ReplStats, i int, c *cell) {
+			if r.Role.Load() == uint64(i+1) {
+				c.v = 1
+			}
+		}},
+	gauge("repl_followers", "followers attached to this primary", func(r *ReplStats) *atomic.Uint64 { return &r.Followers }),
+	gauge("repl_log_gen", "the primary log's generation", func(r *ReplStats) *atomic.Uint64 { return &r.LogGen }),
+	gauge("repl_log_seq", "the primary log's last sequence number", func(r *ReplStats) *atomic.Uint64 { return &r.LogSeq }),
+	gauge("repl_pos_gen", "the generation a follower has applied", func(r *ReplStats) *atomic.Uint64 { return &r.PosGen }),
+	gauge("repl_pos_seq", "the sequence number a follower has applied", func(r *ReplStats) *atomic.Uint64 { return &r.PosSeq }),
+	counter("repl_groups_streamed", "committed groups sent to followers", func(r *ReplStats) *Counter { return &r.GroupsStreamed }),
+	counter("repl_ops_streamed", "ops inside streamed groups", func(r *ReplStats) *Counter { return &r.OpsStreamed }),
+	counter("repl_acks_received", "cumulative acks received from followers", func(r *ReplStats) *Counter { return &r.AcksReceived }),
+	counter("repl_snapshots", "full state transfers served", func(r *ReplStats) *Counter { return &r.Snapshots }),
+	counter("repl_snapshot_keys", "pairs sent in state transfers", func(r *ReplStats) *Counter { return &r.SnapshotKeys }),
+	counter("repl_groups_applied", "groups a follower applied", func(r *ReplStats) *Counter { return &r.GroupsApplied }),
+	counter("repl_ops_applied", "ops a follower applied", func(r *ReplStats) *Counter { return &r.OpsApplied }),
+	counter("repl_snapshots_loaded", "full state transfers a follower installed", func(r *ReplStats) *Counter { return &r.SnapshotsLoaded }),
+	counter("repl_reconnects", "follower dial attempts after the first", func(r *ReplStats) *Counter { return &r.Reconnects }),
+	histogram("repl_lag", KindDuration, "a group's commit to its follower ack, at the primary", func(r *ReplStats) *Histogram { return &r.Lag }),
+})

@@ -1,172 +1,127 @@
 package telemetry
 
+import (
+	"sync"
+	"sync/atomic"
+)
+
 // RouteStats is the routing tier's counter section: what a cluster
 // proxy did with the frontend traffic it decoded. It follows the same
 // vocabulary rules as the server-side registry sections — nil-safe
-// increment helpers, a Walk with canonical route_* names, and a
-// Snapshot usable with the Snapshot arithmetic the stats surfaces
-// share — but lives outside Registry because a proxy carries no
-// storage stack underneath it.
+// counters and rows with canonical route_* names (RouteRows),
+// whose help says what each field counts — but lives outside Registry
+// because a proxy carries no storage stack underneath it.
 type RouteStats struct {
-	// Frontends counts accepted frontend connections.
-	Frontends Counter
-	// Batches counts decoded frontend batches routed (one backend write
-	// per touched node each).
-	Batches Counter
-	// Requests counts frontend requests decoded.
-	Requests Counter
-	// LocalReplies counts requests the proxy answered itself — session,
-	// ping, stats, cluster, quit, refusals, errors — as each reply is
-	// staged (so a stats reply does not count itself).
-	LocalReplies Counter
-	// Forwards counts requests forwarded whole to one node.
-	Forwards Counter
-	// Fanouts counts scatter-gather requests (mget/mset/delete split
-	// across nodes, zrange/zcount/wait broadcasts).
-	Fanouts Counter
-	// FanoutLegs counts the per-node sub-requests fanouts produced.
-	FanoutLegs Counter
-	// Redirects counts MOVED replies consumed from backends.
-	Redirects Counter
-	// Retries counts re-sends after a redirect or an importing-owner
-	// wait.
-	Retries Counter
-	// RingRefreshes counts ownership changes applied to the proxy's
-	// ring from redirects and migrate acknowledgements.
-	RingRefreshes Counter
-	// BackendDials counts backend connections established.
-	BackendDials Counter
-	// BackendErrors counts backend connections torn down by errors.
-	BackendErrors Counter
+	Frontends, Batches, Requests, LocalReplies Counter
+	Forwards, Fanouts, FanoutLegs              Counter
+	Redirects, Retries, RingRefreshes          Counter
+	BackendDials, BackendErrors                Counter
 
-	// ForwardLatency observes the frontend-observed latency of
-	// single-node forwards (enqueue to reply).
-	ForwardLatency Histogram
-	// FanoutLatency observes the frontend-observed latency of
-	// scatter-gather requests (enqueue to last leg's reply).
-	FanoutLatency Histogram
+	ForwardLatency, FanoutLatency Histogram
+
+	// RingEpoch is the proxy ring's epoch, set before the proxy renders.
+	RingEpoch atomic.Uint64
+
+	// The per-node counters (see Node), in first-use order.
+	nodeMu    sync.Mutex
+	nodeAddrs []string
+	nodes     []*NodeStats
 }
 
-// IncFrontends counts one accepted frontend connection.
-func (t *RouteStats) IncFrontends() {
-	if t != nil {
-		t.Frontends.Inc()
-	}
-}
-
-// Walk calls fn for every routing counter with its canonical route_*
-// name, in a fixed order — the proxy-side mirror of Registry.Walk.
-func (t *RouteStats) Walk(fn func(name string, value uint64)) {
-	if t == nil {
-		return
-	}
-	fn("route_frontends", t.Frontends.Load())
-	fn("route_batches", t.Batches.Load())
-	fn("route_requests", t.Requests.Load())
-	fn("route_local_replies", t.LocalReplies.Load())
-	fn("route_forwards", t.Forwards.Load())
-	fn("route_fanouts", t.Fanouts.Load())
-	fn("route_fanout_legs", t.FanoutLegs.Load())
-	fn("route_redirects", t.Redirects.Load())
-	fn("route_retries", t.Retries.Load())
-	fn("route_ring_refreshes", t.RingRefreshes.Load())
-	fn("route_backend_dials", t.BackendDials.Load())
-	fn("route_backend_errors", t.BackendErrors.Load())
-}
-
-// Counters snapshots the routing counters under their canonical names
-// (nil-safe, like Registry.Counters).
-func (t *RouteStats) Counters() Snapshot {
+// Node returns addr's backend counters, creating them on first use
+// (nil on a nil receiver). Nodes are kept in first-use order, so a
+// node's series index never changes while a surface reads it.
+func (t *RouteStats) Node(addr string) *NodeStats {
 	if t == nil {
 		return nil
 	}
-	s := make(Snapshot, 16)
-	t.Walk(func(name string, v uint64) { s[name] = v })
-	return s
+	t.nodeMu.Lock()
+	defer t.nodeMu.Unlock()
+	for i, a := range t.nodeAddrs {
+		if a == addr {
+			return t.nodes[i]
+		}
+	}
+	n := &NodeStats{}
+	t.nodeAddrs = append(t.nodeAddrs, addr)
+	t.nodes = append(t.nodes, n)
+	return n
 }
+
+func (t *RouteStats) node(i int) *NodeStats {
+	t.nodeMu.Lock()
+	defer t.nodeMu.Unlock()
+	return t.nodes[i]
+}
+
+// nodeRow is one per-node counter family, labelled by node address.
+func nodeRow(name, help string, f func(*NodeStats) *Counter) Row[RouteStats] {
+	return Row[RouteStats]{Desc: Desc{Name: "node_<node>_" + name, Kind: KindCounter, Help: help},
+		labels: func(t *RouteStats) [][]string {
+			t.nodeMu.Lock()
+			defer t.nodeMu.Unlock()
+			return oneLabel(t.nodeAddrs...)
+		},
+		read: func(t *RouteStats, i int, c *cell) { c.c = f(t.node(i)) }}
+}
+
+// RouteRows is a proxy's rows: the routing counters, the forward and
+// fan-out latencies, the ring epoch and the per-node counters.
+var RouteRows = newTable(ScopeServer, []Row[RouteStats]{
+	counter("route_frontends", "frontend connections accepted", func(t *RouteStats) *Counter { return &t.Frontends }),
+	counter("route_batches", "decoded frontend batches routed", func(t *RouteStats) *Counter { return &t.Batches }),
+	counter("route_requests", "frontend requests decoded", func(t *RouteStats) *Counter { return &t.Requests }),
+	counter("route_local_replies", "requests the proxy answered itself, counted as each reply is staged", func(t *RouteStats) *Counter { return &t.LocalReplies }),
+	counter("route_forwards", "requests forwarded whole to one node", func(t *RouteStats) *Counter { return &t.Forwards }),
+	counter("route_fanouts", "requests split or broadcast across nodes", func(t *RouteStats) *Counter { return &t.Fanouts }),
+	counter("route_fanout_legs", "per-node sub-requests the fan-outs produced", func(t *RouteStats) *Counter { return &t.FanoutLegs }),
+	counter("route_redirects", "MOVED replies consumed from nodes", func(t *RouteStats) *Counter { return &t.Redirects }),
+	counter("route_retries", "re-sends after a redirect or an importing owner", func(t *RouteStats) *Counter { return &t.Retries }),
+	counter("route_ring_refreshes", "ownership changes applied to the ring", func(t *RouteStats) *Counter { return &t.RingRefreshes }),
+	counter("route_backend_dials", "backend connections established", func(t *RouteStats) *Counter { return &t.BackendDials }),
+	counter("route_backend_errors", "backend connections torn down by errors", func(t *RouteStats) *Counter { return &t.BackendErrors }),
+	histogram("route_forward_latency", KindDuration, "a single-node forward, enqueue to reply", func(t *RouteStats) *Histogram { return &t.ForwardLatency }),
+	histogram("route_fanout_latency", KindDuration, "a fan-out, enqueue to its last leg's reply", func(t *RouteStats) *Histogram { return &t.FanoutLatency }),
+	gauge("ring_epoch", "the proxy ring's ownership epoch", func(t *RouteStats) *atomic.Uint64 { return &t.RingEpoch }),
+	nodeRow("sent", "requests written to the node, fan-out legs and session rebinds included", func(n *NodeStats) *Counter { return &n.Sent }),
+	nodeRow("batches", "backend writes to the node", func(n *NodeStats) *Counter { return &n.Batches }),
+	nodeRow("redirects", "MOVED replies the node answered", func(n *NodeStats) *Counter { return &n.Redirects }),
+	nodeRow("errors", "connection failures against the node", func(n *NodeStats) *Counter { return &n.Errors }),
+})
 
 // ClusterStats is a cluster NODE's slot-ownership counter section —
 // the server-side mirror of the proxy's RouteStats: what a node did
 // with traffic for slots it does or does not own, and how migrations
-// in and out of it went. Same vocabulary rules: nil-safe, a Walk with
-// canonical cluster_* names, a Snapshot for the shared arithmetic.
+// in and out of it went. Same vocabulary rules: nil-safe, rows with
+// canonical cluster_* names (ClusterRows) whose help says what each
+// field counts.
 type ClusterStats struct {
-	// MovedReplies counts requests answered with a MOVED redirect
-	// (importing, frozen, or not-owned slots).
-	MovedReplies Counter
-	// MigrationsOut counts slot migrations this node completed as the
-	// source (ownership handed off).
-	MigrationsOut Counter
-	// MigrationsIn counts slot migrations this node completed as the
-	// target (ownership taken).
-	MigrationsIn Counter
-	// MigrationAborts counts migrations (either side) that failed and
-	// rolled back without an ownership change.
-	MigrationAborts Counter
-	// MigratedPairs counts snapshot pairs streamed out by migrations.
-	MigratedPairs Counter
-	// MigratedGroups counts log groups streamed out by migrations (the
-	// dual-write window's traffic).
-	MigratedGroups Counter
-	// ImportedPairs counts snapshot pairs applied by inbound migrations.
-	ImportedPairs Counter
-	// ImportedGroups counts log groups applied by inbound migrations.
-	ImportedGroups Counter
+	MovedReplies                                 Counter
+	MigrationsOut, MigrationsIn, MigrationAborts Counter
+	MigratedPairs, MigratedGroups                Counter
+	ImportedPairs, ImportedGroups                Counter
+
+	// Epoch and SlotsOwned are set before the node renders.
+	Epoch, SlotsOwned atomic.Uint64
 }
 
-// Walk calls fn for every cluster counter with its canonical
-// cluster_* name, in a fixed order.
-func (t *ClusterStats) Walk(fn func(name string, value uint64)) {
-	if t == nil {
-		return
-	}
-	fn("cluster_moved_replies", t.MovedReplies.Load())
-	fn("cluster_migrations_out", t.MigrationsOut.Load())
-	fn("cluster_migrations_in", t.MigrationsIn.Load())
-	fn("cluster_migration_aborts", t.MigrationAborts.Load())
-	fn("cluster_migrated_pairs", t.MigratedPairs.Load())
-	fn("cluster_migrated_groups", t.MigratedGroups.Load())
-	fn("cluster_imported_pairs", t.ImportedPairs.Load())
-	fn("cluster_imported_groups", t.ImportedGroups.Load())
-}
-
-// Counters snapshots the cluster counters under their canonical names
-// (nil-safe).
-func (t *ClusterStats) Counters() Snapshot {
-	if t == nil {
-		return nil
-	}
-	s := make(Snapshot, 8)
-	t.Walk(func(name string, v uint64) { s[name] = v })
-	return s
-}
-
-// Reset zeroes every cluster counter.
-func (t *ClusterStats) Reset() {
-	if t == nil {
-		return
-	}
-	t.MovedReplies.Reset()
-	t.MigrationsOut.Reset()
-	t.MigrationsIn.Reset()
-	t.MigrationAborts.Reset()
-	t.MigratedPairs.Reset()
-	t.MigratedGroups.Reset()
-	t.ImportedPairs.Reset()
-	t.ImportedGroups.Reset()
-}
+// ClusterRows is a cluster node's rows, rendered while the server is a
+// cluster node.
+var ClusterRows = newTable(ScopeServer, []Row[ClusterStats]{
+	gauge("cluster_epoch", "the node's ownership epoch: 1 at start, +1 per flip", func(t *ClusterStats) *atomic.Uint64 { return &t.Epoch }),
+	gauge("cluster_slots_owned", "hash slots the node owns", func(t *ClusterStats) *atomic.Uint64 { return &t.SlotsOwned }),
+	counter("cluster_moved_replies", "requests answered with a MOVED redirect", func(t *ClusterStats) *Counter { return &t.MovedReplies }),
+	counter("cluster_migrations_out", "slot migrations completed as the source", func(t *ClusterStats) *Counter { return &t.MigrationsOut }),
+	counter("cluster_migrations_in", "slot migrations completed as the target", func(t *ClusterStats) *Counter { return &t.MigrationsIn }),
+	counter("cluster_migration_aborts", "migrations, either side, rolled back without a flip", func(t *ClusterStats) *Counter { return &t.MigrationAborts }),
+	counter("cluster_migrated_pairs", "pairs migrations streamed out", func(t *ClusterStats) *Counter { return &t.MigratedPairs }),
+	counter("cluster_migrated_groups", "log groups migrations streamed out", func(t *ClusterStats) *Counter { return &t.MigratedGroups }),
+	counter("cluster_imported_pairs", "pairs inbound migrations applied", func(t *ClusterStats) *Counter { return &t.ImportedPairs }),
+	counter("cluster_imported_groups", "log groups inbound migrations applied", func(t *ClusterStats) *Counter { return &t.ImportedGroups }),
+})
 
 // NodeStats is one backend node's routing counters, keyed by address
 // at the proxy.
 type NodeStats struct {
-	// Sent counts requests (including fanout legs and session rebind
-	// prefixes) written to the node.
-	Sent Counter
-	// Batches counts backend writes (one per frontend batch touching
-	// the node).
-	Batches Counter
-	// Redirects counts MOVED replies the node answered.
-	Redirects Counter
-	// Errors counts connection failures against the node.
-	Errors Counter
+	Sent, Batches, Redirects, Errors Counter // see RouteRows' node_<node>_* rows
 }

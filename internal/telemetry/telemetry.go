@@ -2,11 +2,9 @@
 // atomic counters, fixed-bucket latency histograms, and a per-stack
 // Registry that every layer of the storage stack (simulated NVM device,
 // persistent heap, Atlas runtime, hash map, cache-server shard) reports
-// into. Before this package existed each layer reinvented its own
-// snapshot/reset scheme (nvm.Stats, the cache server's shardStats, the
-// harness's hand-rolled sample merging) with no way to see one coherent
-// picture of where persistence cost goes — the very attribution the
-// paper's Table 1 is built on (flushes vs. log writes vs. rescue work).
+// into: one coherent picture of where persistence cost goes, the
+// attribution the paper's Table 1 is built on (flushes vs. log writes
+// vs. rescue work).
 //
 // Design constraints, in order:
 //
@@ -26,6 +24,10 @@
 //   - Snapshots are monotonic deltas. Counters only ever go up during an
 //     incarnation; consumers diff two Snapshots (Sub) to attribute cost
 //     to a window, and merge shards' Snapshots (Add) to aggregate.
+//   - A metric is one row (rows.go): name, kind, scope, help and how to
+//     read it from its section. Every surface is one renderer over the
+//     rows (render.go) and `stats reset` one loop over them. Rows are
+//     read-side only: counting stays one atomic add on a struct field.
 package telemetry
 
 import "sync/atomic"

@@ -28,7 +28,7 @@ func TestCounterNilSafety(t *testing.T) {
 	d.AddWritebacks(1)
 	d.IncRescue()
 	d.IncDrop()
-	d.Reset()
+	Reset(RegistryRows.Bind(&Registry{Device: d}))
 
 	var a *AtlasStats
 	a.IncLogAppend()
@@ -86,7 +86,7 @@ func TestDeviceStatsConcurrentPublish(t *testing.T) {
 	if l, s, c := d.Loads.Load(), d.Stores.Load(), d.CAS.Load(); l != 3*workers*per || s != workers*per/2 || c != 0 {
 		t.Fatalf("loads/stores/cas = %d/%d/%d, want %d/%d/0", l, s, c, 3*workers*per, workers*per/2)
 	}
-	d.Reset()
+	Reset(RegistryRows.Bind(&Registry{Device: &d}))
 	if got := d.Loads.Load() + d.Stores.Load(); got != 0 {
 		t.Fatalf("after Reset, loads+stores = %d, want 0", got)
 	}

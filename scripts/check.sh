@@ -73,9 +73,10 @@ echo "== go test ./... (everything else, no race)"
 go test ./...
 
 # Line count is a tracked metric (ROADMAP aim 2): the served system's
-# non-test source and the replication tier under it, printed so a PR
-# that grows either does so in plain sight.
-for pkg in cacheserver repl; do
+# non-test source, the replication tier under it and the telemetry
+# rows every stats surface renders, printed so a PR that grows any of
+# them does so in plain sight.
+for pkg in cacheserver repl telemetry; do
 	echo "== internal/$pkg non-test lines"
 	ls internal/$pkg/*.go | grep -v '_test\.go$' | xargs cat | wc -l
 done
@@ -87,6 +88,13 @@ done
 echo "== case-Cmd arms (internal/{proto,cacheserver,cluster,telemetry}, non-test)"
 ls internal/proto/*.go internal/cacheserver/*.go internal/cluster/*.go internal/telemetry/*.go |
 	grep -v '_test\.go$' | xargs cat | grep -c 'case .*Cmd'
+
+# So is per-metric knowledge outside the telemetry rows
+# (internal/telemetry): every hand-written stats line literal left in
+# the server and the proxy. The renderers live beside the rows.
+echo "== stats renderer literals (\"STAT / \"tsp_ / \"# TYPE in internal/{cacheserver,cluster}, non-test)"
+ls internal/cacheserver/*.go internal/cluster/*.go | grep -v '_test\.go$' |
+	xargs grep -o '"STAT \|"tsp_\|"# TYPE ' | wc -l
 
 # Recovery cost is tracked the same way: one served shard's crash →
 # serving again (Restart, heap open, Atlas recovery with its GC, runtime
