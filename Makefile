@@ -1,9 +1,8 @@
 GO ?= go
 
-.PHONY: build test check bench-shards bench-json bench-telemetry bench-batch \
-	bench-repl bench-read bench-pipeline bench-ordered bench-epoch bench-session \
-	demo-repl campaign-durability campaign-exactly-once \
-	campaign-cluster bench-cluster check-docs bench-recover bench-pairs
+.PHONY: build test check bench-json bench-micro bench-recover bench-pairs \
+	demo-repl campaign-durability campaign-exactly-once campaign-cluster \
+	check-docs
 
 build:
 	$(GO) build ./...
@@ -16,52 +15,27 @@ test:
 check:
 	sh scripts/check.sh
 
-# The sharding acceptance benchmark: multi-shard must beat single-shard
-# at >= 4 goroutines.
-bench-shards:
-	$(GO) test -run 'ZZZ' -bench 'Shards|Mget' -cpu 4,8 -benchtime 300000x ./internal/cacheserver
-
 # Machine-readable Table 1 run: writes BENCH_tspbench.json next to the
 # human-readable output, for tracking perf across commits.
 bench-json:
 	$(GO) run ./cmd/tspbench -duration 500ms -json -out BENCH_tspbench.json
 
-# The batch-pipeline benchmark, at 8 concurrent clients: single sets
-# and the batched mutation workload (8-key msets), with client-observed
-# p50/p95 command latency and mean ops/batch as extra metrics.
-bench-batch:
+# The in-process micro-benchmarks, one line per question: sharded
+# scaling (multi-shard must beat single-shard at >= 4 goroutines), the
+# batch pipeline (single sets and 8-key msets, with p50/p95 and
+# ops/batch), replication overhead (a streaming follower vs none, with
+# the ack-measured lag), lock-free read scaling and the 90/10 get/set
+# mix, and the telemetry overhead guard (counting on vs off at the
+# device and map entry points). Fixed iteration counts, so two runs
+# measure the same work. The served system end to end is bench/ (see
+# bench-pairs).
+bench-micro:
+	$(GO) test -run 'ZZZ' -bench '^Benchmark(Shards|Mget)' -cpu 4,8 -benchtime 300000x ./internal/cacheserver
 	$(GO) test -run 'ZZZ' -bench 'SetsBatched|MsetsBatched' -cpu 8 -benchtime 50000x ./internal/cacheserver
-
-# The replication overhead comparison: the pure-set workload with a
-# streaming in-process follower attached vs standalone. The On variant
-# also reports the ack-measured lag percentiles.
-bench-repl:
 	$(GO) test -run 'ZZZ' -bench 'SetsRepl' -cpu 8 -benchtime 50000x ./internal/cacheserver
-
-# The optimistic-read acceptance benchmark, at 8 concurrent clients:
-# pure-get scaling at 1/4/8 shards and the 90/10 get/set mix, seqlock
-# read path vs the locked one. Optimistic pure-get throughput must beat
-# locked by >= 1.5x, and the mix's get p50 must be no worse.
-bench-read:
-	$(GO) test -run 'ZZZ' -bench 'Gets(Optimistic|Locked)|ReadMix' -cpu 8 -benchtime 50000x ./internal/cacheserver
-
-# The pipelined wire-codec benchmark: an in-process server driven over
-# TCP at pipeline depths 1/8/64. Cells merge into BENCH_tspbench.json
-# under profile "pipeline" (the Table-1 cells are preserved).
-bench-pipeline:
-	$(GO) run ./cmd/tspbench -pipeline -duration 500ms -depths 1,8,64 -json -out BENCH_tspbench.json
-
-# The ordered-keyspace benchmark: zadd/zrange/mixed traffic against the
-# persistent skip list over the native protocol. Cells merge into
-# BENCH_tspbench.json under profile "ordered".
-bench-ordered:
-	$(GO) run ./cmd/tspbench -ordered -duration 500ms -json -out BENCH_tspbench.json
-
-# The durability-tier benchmark: depth-32 set bursts acked durable vs
-# relaxed vs fire, plus a relaxed burst closed by one wait barrier.
-# Cells merge into BENCH_tspbench.json under profile "epoch".
-bench-epoch:
-	$(GO) run ./cmd/tspbench -epoch -duration 500ms -json -out BENCH_tspbench.json
+	$(GO) test -run 'ZZZ' -bench 'GetsOptimistic|ReadMix' -cpu 8 -benchtime 50000x ./internal/cacheserver
+	$(GO) test -run 'ZZZ' -bench 'StoreTelemetry|LoadTelemetry|LoadTallied|LoadOneShot' -benchtime 2000000x ./internal/nvm
+	$(GO) test -run 'ZZZ' -bench 'PutTelemetry' -benchtime 300000x ./internal/hashmap
 
 # The durability-tier crash campaign: a full cache server under mixed
 # durable/relaxed/wait traffic, crashed every cycle; durable and
@@ -86,22 +60,9 @@ campaign-exactly-once:
 campaign-cluster:
 	$(GO) run ./cmd/faultinject -cluster -cluster-cycles 3
 
-# The cluster-tier benchmark: the pipelined mixed workload direct to
-# one node vs through tspproxy over 1/2/4 nodes splitting the slot
-# space. Cells merge into BENCH_tspbench.json under profile "cluster".
-# Single-core hosts understate the proxy cells badly — see the cluster
-# section of EXPERIMENTS.md before reading the ratios.
-bench-cluster:
-	$(GO) run ./cmd/tspbench -cluster -duration 500ms -json -out BENCH_tspbench.json
-
-# The exactly-once session benchmark: seq-tagged increments vs the plain
-# baseline, durable and relaxed, plus the pure duplicate-replay rate.
-# Cells merge into BENCH_tspbench.json under profile "session".
-bench-session:
-	$(GO) run ./cmd/tspbench -session -duration 500ms -json -out BENCH_tspbench.json
-
 # The doc-drift gate: the flag tables in README.md and docs/PROTOCOL.md
-# must list exactly the live `tspcached -help` flags. (That the command
+# must list exactly the live `tspcached -help` flags, and no doc may
+# name a make target or tspbench flag that is gone. (That the command
 # tables in docs/PROTOCOL.md cover the command table is a go test:
 # TestSpecSpellingsDocumented in internal/proto.)
 check-docs:
@@ -121,13 +82,6 @@ bench-recover:
 	$(GO) test -run 'ZZZ' -bench 'Restart|FlushAllSparse' -benchtime 100x ./internal/nvm
 	$(GO) test -run 'ZZZ' -bench 'CrashReattach' -benchtime 100x ./internal/stack
 	$(GO) test -run 'ZZZ' -bench 'BenchmarkRecovery$$' -benchtime 20x .
-
-# The telemetry overhead guard: counting on vs off at the device's
-# one-shot entry points and the map layer, and the tallied load the
-# layers use beside the one-shot one.
-bench-telemetry:
-	$(GO) test -run 'ZZZ' -bench 'StoreTelemetry|LoadTelemetry|LoadTallied|LoadOneShot' -benchtime 2000000x ./internal/nvm
-	$(GO) test -run 'ZZZ' -bench 'PutTelemetry' -benchtime 300000x ./internal/hashmap
 
 # Alternating parent/change pairs of one bench/ workload, with quartiles
 # and wins — the form a perf claim against BENCHMARK.json takes:

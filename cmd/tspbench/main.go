@@ -9,39 +9,14 @@
 // perf trajectories can be tracked across commits without scraping the
 // human-readable tables.
 //
-// With -pipeline the command instead benchmarks the wire codec: an
-// in-process cache server driven over TCP by a client pipelining N
-// requests per write (N from -depths), reporting request throughput
-// and per-request latency per (workload, depth) cell. Pipeline cells
-// are merged into the JSON report under profile "pipeline" without
-// disturbing the Table-1 cells already recorded there.
-//
-// With -ordered it benchmarks the ordered keyspace: zadd/zrange/mixed
-// traffic against the persistent skip list, merged into the report
-// under profile "ordered" the same way.
-//
-// With -epoch it benchmarks the per-command durability tiers: the same
-// set workload acked durable (committed before the ack), relaxed (acked
-// from the volatile overlay, persisted at epoch close), and fire
-// (acked before any state is consulted), plus a relaxed burst closed by
-// one `wait` barrier. Cells merge under profile "epoch".
-//
-// With -session it benchmarks the exactly-once machinery: sessioned
-// seq-tagged increments against the plain baseline, on the durable and
-// relaxed tiers, plus a pure duplicate-replay cell. Cells merge under
-// profile "session".
-//
-// With -cluster it benchmarks the routing tier: mixed pipelined
-// set/get traffic against one directly-addressed node versus the same
-// load through one tspproxy over 1, 2, and 4 cluster nodes, reporting
-// aggregate req/s per cell and the depth-1 p50 cost of the proxy hop.
-// Cells merge under profile "cluster".
+// The served system (the cache server, the proxy) is measured by the
+// repo benchmark under bench/, with repeat runs and a spread; this
+// command measures only the map variants the paper compares.
 //
 // Usage:
 //
 //	tspbench [-duration 2s] [-seed 1] [-profiles desktop,server] [-runs 3]
-//	         [-latency] [-pipeline] [-depths 1,8,64] [-ordered] [-epoch]
-//	         [-session] [-cluster] [-json] [-out BENCH_tspbench.json]
+//	         [-latency] [-json] [-out BENCH_tspbench.json]
 package main
 
 import (
@@ -103,12 +78,6 @@ func main() {
 	profiles := flag.String("profiles", "desktop,server", "comma-separated platform profiles")
 	runs := flag.Int("runs", 1, "repetitions per cell (best run reported, all summarized)")
 	latency := flag.Bool("latency", false, "measure per-iteration latency distributions instead of throughput")
-	pipeline := flag.Bool("pipeline", false, "benchmark the pipelined wire codec against an in-process server instead of Table 1")
-	ordered := flag.Bool("ordered", false, "benchmark the ordered keyspace (zadd/zrange) against an in-process server instead of Table 1")
-	epoch := flag.Bool("epoch", false, "benchmark the per-command durability tiers against an in-process server instead of Table 1")
-	session := flag.Bool("session", false, "benchmark the exactly-once session dedup window against an in-process server instead of Table 1")
-	clusterMode := flag.Bool("cluster", false, "benchmark the routing tier (tspproxy over 1/2/4 nodes vs one direct node) instead of Table 1")
-	depthsFlag := flag.String("depths", "1,8,64", "comma-separated pipeline depths used with -pipeline")
 	jsonOut := flag.Bool("json", false, "also write a machine-readable report (see -out)")
 	outPath := flag.String("out", "BENCH_tspbench.json", "report path used with -json")
 	flag.Parse()
@@ -134,53 +103,6 @@ func main() {
 	}
 
 	switch {
-	case *pipeline:
-		report.Mode = "pipeline"
-		var depths []int
-		for _, d := range strings.Split(*depthsFlag, ",") {
-			var n int
-			if _, err := fmt.Sscanf(strings.TrimSpace(d), "%d", &n); err != nil || n < 1 {
-				fmt.Fprintf(os.Stderr, "bad -depths entry %q\n", d)
-				os.Exit(2)
-			}
-			depths = append(depths, n)
-		}
-		runPipelineMode(depths, *duration, *seed, &report)
-		// Pipeline cells extend the committed report rather than
-		// replacing it: keep every non-pipeline cell already recorded so
-		// the Table-1 baseline survives a bench-pipeline refresh.
-		if *jsonOut {
-			mergeExistingCells(*outPath, &report)
-		}
-	case *ordered:
-		report.Mode = "ordered"
-		runOrderedMode(*duration, *seed, &report)
-		// Same merge discipline as -pipeline: only the "ordered" profile
-		// cells are refreshed.
-		if *jsonOut {
-			mergeExistingCells(*outPath, &report)
-		}
-	case *epoch:
-		report.Mode = "epoch"
-		runEpochMode(*duration, *seed, &report)
-		// Same merge discipline: only the "epoch" profile cells refresh.
-		if *jsonOut {
-			mergeExistingCells(*outPath, &report)
-		}
-	case *session:
-		report.Mode = "session"
-		runSessionMode(*duration, *seed, &report)
-		// Same merge discipline: only the "session" profile cells refresh.
-		if *jsonOut {
-			mergeExistingCells(*outPath, &report)
-		}
-	case *clusterMode:
-		report.Mode = "cluster"
-		runClusterMode(*duration, *seed, &report)
-		// Same merge discipline: only the "cluster" profile cells refresh.
-		if *jsonOut {
-			mergeExistingCells(*outPath, &report)
-		}
 	case *latency:
 		runLatencyMode(profs, *duration, *seed, &report)
 	case *runs <= 1:
@@ -195,38 +117,6 @@ func main() {
 			os.Exit(1)
 		}
 		fmt.Printf("wrote %s (%d cells)\n", *outPath, len(report.Cells))
-	}
-}
-
-// mergeExistingCells folds the cells of an existing report at path
-// into report, dropping the stale copies of any profile report
-// regenerated (matched by profile name) and preserving the rest —
-// derived rows included.
-func mergeExistingCells(path string, report *benchReport) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return // nothing to merge
-	}
-	var old benchReport
-	if err := json.Unmarshal(data, &old); err != nil {
-		return // unreadable old report: overwrite
-	}
-	fresh := map[string]bool{}
-	for _, c := range report.Cells {
-		fresh[c.Profile] = true
-	}
-	kept := make([]benchCell, 0, len(old.Cells)+len(report.Cells))
-	for _, c := range old.Cells {
-		if !fresh[c.Profile] {
-			kept = append(kept, c)
-		}
-	}
-	report.Cells = append(kept, report.Cells...)
-	if len(report.Derived) == 0 {
-		report.Derived = old.Derived
-	}
-	if old.Mode != "" && old.Mode != report.Mode {
-		report.Mode = old.Mode + "+" + report.Mode
 	}
 }
 

@@ -74,7 +74,7 @@
 //
 //	tspcached [-addr 127.0.0.1:11222] [-mode tsp|nontsp|off] [-shards 4]
 //	          [-conns 16] [-words 1048576] [-metrics-addr host:port]
-//	          [-batch-max 64] [-queue-depth 256] [-optimistic-reads=true]
+//	          [-batch-max 64] [-queue-depth 256]
 //	          [-proto auto|native|resp] [-max-request-bytes 1048576]
 //	          [-repl-listen host:port | -replica-of host:port]
 //	          [-repl-window 4096] [-epoch-interval 5ms]
@@ -92,9 +92,8 @@
 // Pure reads (get, and mget when every key validates) are served by a
 // lock-free seqlock path that takes no Atlas mutex and never enters the
 // write path — the paper's recovery-observer argument applied to the
-// hot path. -optimistic-reads=false routes every read through a commit
-// group instead (the pre-optimistic behavior, useful for benchmarking
-// the difference).
+// hot path. A read that fails to validate, or that shares a pipelined
+// burst with a mutation, commits through the shards instead.
 //
 // Replication (the preventive tier for site-disaster failure classes —
 // see internal/repl): -repl-listen makes this process a primary that
@@ -138,7 +137,6 @@ func main() {
 	metricsAddr := flag.String("metrics-addr", "", "HTTP metrics listen address (Prometheus text at /metrics); empty disables")
 	batchMax := flag.Int("batch-max", 64, "max ops per batched critical section (>= 1)")
 	queueDepth := flag.Int("queue-depth", 256, "per-shard bound on commit groups queued behind a busy drain lock")
-	optimisticReads := flag.Bool("optimistic-reads", true, "serve pure reads on the lock-free seqlock path (no Atlas mutex, no batching)")
 	protoFlag := flag.String("proto", "auto", "wire protocol: auto (sniff per connection), native (text), resp (RESP2)")
 	maxRequestBytes := flag.Int("max-request-bytes", 1<<20, "single-request wire-size ceiling; oversized requests are answered with an error")
 	replListen := flag.String("repl-listen", "", "replication listen address: stream committed batches to followers (primary role); empty disables")
@@ -171,7 +169,6 @@ func main() {
 		cacheserver.WithMetricsAddr(*metricsAddr),
 		cacheserver.WithBatchMax(*batchMax),
 		cacheserver.WithQueueDepth(*queueDepth),
-		cacheserver.WithOptimisticReads(*optimisticReads),
 		cacheserver.WithProto(*protoFlag),
 		cacheserver.WithMaxRequestBytes(*maxRequestBytes),
 		cacheserver.WithReplListen(*replListen),

@@ -317,26 +317,21 @@ func benchmarkSetsRepl(b *testing.B, replicated bool) {
 	reportLatency(b, s, "repl_lag", "lag_")
 }
 
-// The replication overhead comparison (make bench-repl): the same
+// The replication overhead comparison (make bench-micro): the same
 // workload, shapes, and concurrency, differing only in whether a
 // follower is streaming.
 func BenchmarkSetsReplOn(b *testing.B)  { benchmarkSetsRepl(b, true) }
 func BenchmarkSetsReplOff(b *testing.B) { benchmarkSetsRepl(b, false) }
 
 // benchmarkGets measures the pure-read command path over the resident
-// set: with optimistic reads on, every get is a seqlock-validated walk
-// — no Atlas mutex, no commit group; with them off it is the
-// pre-optimistic locked path (stripe mutex per get).
-// The gap between the two is what the locked machinery charges a
-// workload that, by the recovery-observer argument, owes nothing
-// (run with -cpu 8: the lock-free path scales with readers, the
-// locked one serializes per stripe and runtime).
-func benchmarkGets(b *testing.B, nShards int, optimistic bool) {
+// set: every get is a seqlock-validated walk — no Atlas mutex, no
+// commit group — which is what the recovery-observer argument says a
+// reader owes (run with -cpu 8: the lock-free path scales with readers).
+func benchmarkGets(b *testing.B, nShards int) {
 	s, err := New(
 		WithShards(nShards),
 		WithMaxConns(64),
 		WithDeviceWords(1<<22),
-		WithOptimisticReads(optimistic),
 	)
 	if err != nil {
 		b.Fatalf("New: %v", err)
@@ -367,25 +362,21 @@ func benchmarkGets(b *testing.B, nShards int, optimistic bool) {
 	reportLatency(b, s, "cmd_get", "")
 }
 
-// The pure-get scaling comparison (make bench-read): identical workload
-// and concurrency, differing only in the read path.
-func BenchmarkGetsOptimisticShards1(b *testing.B) { benchmarkGets(b, 1, true) }
-func BenchmarkGetsOptimisticShards4(b *testing.B) { benchmarkGets(b, 4, true) }
-func BenchmarkGetsOptimisticShards8(b *testing.B) { benchmarkGets(b, 8, true) }
-func BenchmarkGetsLockedShards1(b *testing.B)     { benchmarkGets(b, 1, false) }
-func BenchmarkGetsLockedShards4(b *testing.B)     { benchmarkGets(b, 4, false) }
-func BenchmarkGetsLockedShards8(b *testing.B)     { benchmarkGets(b, 8, false) }
+// The pure-get scaling run (make bench-micro): identical workload and
+// concurrency, differing only in the shard count.
+func BenchmarkGetsOptimisticShards1(b *testing.B) { benchmarkGets(b, 1) }
+func BenchmarkGetsOptimisticShards4(b *testing.B) { benchmarkGets(b, 4) }
+func BenchmarkGetsOptimisticShards8(b *testing.B) { benchmarkGets(b, 8) }
 
 // benchmarkReadMix measures the 90/10 get/set mix — the read-heavy
 // shape the optimistic path exists for, with enough writes that
 // readers actually collide with stripe critical sections and the
 // fallback machinery gets exercised on the measured path.
-func benchmarkReadMix(b *testing.B, nShards int, optimistic bool) {
+func benchmarkReadMix(b *testing.B, nShards int) {
 	s, err := New(
 		WithShards(nShards),
 		WithMaxConns(64),
 		WithDeviceWords(1<<22),
-		WithOptimisticReads(optimistic),
 	)
 	if err != nil {
 		b.Fatalf("New: %v", err)
@@ -420,20 +411,15 @@ func benchmarkReadMix(b *testing.B, nShards int, optimistic bool) {
 	})
 	b.StopTimer()
 	reportLatency(b, s, "cmd_get", "get_")
-	if optimistic {
-		agg := serverStats(s)
-		if total := agg["map_opt_gets"] + agg["map_opt_fallbacks"]; total > 0 {
-			b.ReportMetric(float64(agg["map_opt_gets"])/float64(total), "opt_hit_rate")
-		}
+	agg := serverStats(s)
+	if total := agg["map_opt_gets"] + agg["map_opt_fallbacks"]; total > 0 {
+		b.ReportMetric(float64(agg["map_opt_gets"])/float64(total), "opt_hit_rate")
 	}
 }
 
-func BenchmarkReadMixOptimisticShards1(b *testing.B) { benchmarkReadMix(b, 1, true) }
-func BenchmarkReadMixOptimisticShards4(b *testing.B) { benchmarkReadMix(b, 4, true) }
-func BenchmarkReadMixOptimisticShards8(b *testing.B) { benchmarkReadMix(b, 8, true) }
-func BenchmarkReadMixLockedShards1(b *testing.B)     { benchmarkReadMix(b, 1, false) }
-func BenchmarkReadMixLockedShards4(b *testing.B)     { benchmarkReadMix(b, 4, false) }
-func BenchmarkReadMixLockedShards8(b *testing.B)     { benchmarkReadMix(b, 8, false) }
+func BenchmarkReadMixOptimisticShards1(b *testing.B) { benchmarkReadMix(b, 1) }
+func BenchmarkReadMixOptimisticShards4(b *testing.B) { benchmarkReadMix(b, 4) }
+func BenchmarkReadMixOptimisticShards8(b *testing.B) { benchmarkReadMix(b, 8) }
 
 // BenchmarkMget8Keys measures the pipelined batch read: one request
 // fanned out across every shard concurrently.

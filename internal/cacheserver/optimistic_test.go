@@ -57,25 +57,6 @@ func TestOptimisticReadPathServes(t *testing.T) {
 	}
 }
 
-// TestOptimisticReadsDisabled: WithOptimisticReads(false) routes every
-// read through the locked machinery — the opt counters stay zero.
-func TestOptimisticReadsDisabled(t *testing.T) {
-	s := startServer(t, WithShards(2), WithOptimisticReads(false))
-	c := dial(t, s.Addr().String())
-	c.cmd(t, "set 1 100")
-	if got := c.cmd(t, "get 1"); got != "VALUE 1 100" {
-		t.Fatalf("get: %q", got)
-	}
-	mgetLines(t, c, 4)
-	stats := c.lines(t, "stats")
-	if got := statValue(t, stats, "map_opt_gets"); got != 0 {
-		t.Fatalf("map_opt_gets = %d with optimistic reads disabled", got)
-	}
-	if got := statValue(t, stats, "read_count"); got != 0 {
-		t.Fatalf("read_count = %d with optimistic reads disabled", got)
-	}
-}
-
 // TestOptimisticReadsOnFollower: a read-only follower serves get/mget on
 // the lock-free path without ever touching the drain lock — reads
 // coexist with the replication applier instead of queueing behind it.
@@ -128,20 +109,24 @@ func TestOptimisticReadsOnFollower(t *testing.T) {
 // command and must observe CmdLatency exactly once, not once per
 // touched shard (the per-shard inflation this regression test pins).
 func TestCmdLatencyCountedOncePerCommand(t *testing.T) {
-	// Optimistic reads off so mget exercises the exec multi-shard path.
-	s := startServer(t, WithShards(4), WithOptimisticReads(false))
+	s := startServer(t, WithShards(4))
 	c := dial(t, s.Addr().String())
 
 	// 32 keys spread across 4 shards: both commands touch several shards.
-	var sb strings.Builder
-	sb.WriteString("mset")
+	// Sent in one write, so the plan holds a mutation and the mget
+	// commits through the shards with the mset instead of reading
+	// lock-free.
+	var mset, mget strings.Builder
+	mset.WriteString("mset")
+	mget.WriteString("mget")
 	for i := 0; i < 32; i++ {
-		fmt.Fprintf(&sb, " %d %d", i, i)
+		fmt.Fprintf(&mset, " %d %d", i, i)
+		fmt.Fprintf(&mget, " %d", i)
 	}
-	if got := c.cmd(t, "%s", sb.String()); got != "STORED 32" {
-		t.Fatalf("mset: %q", got)
+	// One STORED line, then the mget's 32 VALUE lines and its END.
+	if got := c.lines(t, "%s\r\n%s", mset.String(), mget.String()); len(got) != 34 || got[0] != "STORED 32" {
+		t.Fatalf("mset+mget: %q", got)
 	}
-	mgetLines(t, c, 32)
 
 	stats := c.lines(t, "stats")
 	if got := statValue(t, stats, "cmd_mset_count"); got != 1 {
@@ -149,6 +134,9 @@ func TestCmdLatencyCountedOncePerCommand(t *testing.T) {
 	}
 	if got := statValue(t, stats, "cmd_mget_count"); got != 1 {
 		t.Fatalf("cmd_mget_count = %d, want 1 (one command, one observation)", got)
+	}
+	if got := statValue(t, stats, "read_count"); got != 0 {
+		t.Fatalf("read_count = %d, want 0 (the mget rode the mset's plan)", got)
 	}
 }
 

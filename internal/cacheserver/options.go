@@ -34,7 +34,6 @@ type config struct {
 
 	proto           string // wire protocol: "auto" (sniff), "native", "resp"
 	maxRequestBytes int    // single-request wire-size ceiling
-	optimisticReads bool   // serve pure reads on the lock-free seqlock path
 
 	clusterSlots string // owned hash-slot spec ("lo-hi,lo" or "all"); "" = not a cluster node
 
@@ -66,7 +65,6 @@ func defaultConfig() config {
 
 		proto:           protoAuto,
 		maxRequestBytes: proto.DefaultMaxRequest,
-		optimisticReads: true,
 
 		epochInterval: 5 * time.Millisecond,
 
@@ -218,17 +216,6 @@ func WithReplListen(addr string) Option {
 // WithReplListen.
 func WithReplicaOf(addr string) Option {
 	return func(c *config) { c.replicaOf = addr }
-}
-
-// WithOptimisticReads toggles the lock-free read path (default true).
-// When enabled, get and the pure-read mget are served by seqlock-
-// validated optimistic reads that take no Atlas mutex and never enter
-// the write path — the paper's recovery-observer argument (readers
-// need zero persistence work) applied to the server's hot path. A read
-// that keeps colliding with writers falls back to a commit group, so
-// disabling the option only removes the fast path, never behavior.
-func WithOptimisticReads(on bool) Option {
-	return func(c *config) { c.optimisticReads = on }
 }
 
 // WithProto pins the listener's wire protocol: "native" (the

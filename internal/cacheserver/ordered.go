@@ -63,6 +63,7 @@ func (s *Server) serveOrdered(cs *connState, req *proto.Request) proto.Reply {
 		rep = proto.Reply{Kind: proto.KInt, Val: uint64(n)}
 	}
 	el := time.Since(start)
+	telSh.tel.Server.ZGets.Inc()
 	telSh.tel.ReadLatency.Observe(el)
 	telSh.tel.CmdLatency.ObserveProto(cs.ptel, sp.Tel, el)
 	return rep
@@ -74,7 +75,6 @@ func (s *Server) serveOrdered(cs *connState, req *proto.Request) proto.Reply {
 func (sh *shard) listGet(key uint64) (uint64, bool) {
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
-	sh.tel.Server.ZGets.Inc()
 	if e, hit := sh.ovl.get(key, true); hit {
 		if e.del {
 			return 0, false
@@ -97,7 +97,6 @@ func (sh *shard) listGet(key uint64) (uint64, bool) {
 func (sh *shard) listRange(lo, hi uint64, limit int, out []proto.Item) []proto.Item {
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
-	sh.tel.Server.ZGets.Inc()
 	type ovPair struct {
 		key uint64
 		e   ovEntry
@@ -159,7 +158,6 @@ func (sh *shard) listRange(lo, hi uint64, limit int, out []proto.Item) []proto.I
 func (sh *shard) listCount(lo, hi uint64) int {
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
-	sh.tel.Server.ZGets.Inc()
 	n := sh.stk.List.CountBetween(lo, hi)
 	sh.ovl.rangeList(lo, hi, func(k uint64, e ovEntry) {
 		_, has := sh.stk.List.Get(k)

@@ -125,6 +125,27 @@ func TestOrderedRESPOverTCP(t *testing.T) {
 	}
 }
 
+// TestZGetsCountedOncePerRequest: server_zgets counts requests, not the
+// shards a request visits — a zrange or zcount fans out to every shard
+// but is one request, like a zget.
+func TestZGetsCountedOncePerRequest(t *testing.T) {
+	s := startServer(t, WithShards(4))
+	c := dial(t, s.Addr().String())
+	for k := 1; k <= 8; k++ {
+		if got := c.cmd(t, "zadd %d %d", k, k); got != "STORED" {
+			t.Fatalf("zadd: %q", got)
+		}
+	}
+	before := statValue(t, c.lines(t, "stats"), "server_zgets")
+	c.lines(t, "zrange 0 100")
+	if got := c.cmd(t, "zcount 0 100"); got != "8" {
+		t.Fatalf("zcount: %q", got)
+	}
+	if got := statValue(t, c.lines(t, "stats"), "server_zgets") - before; got != 2 {
+		t.Fatalf("server_zgets moved by %d for one zrange and one zcount on 4 shards, want 2", got)
+	}
+}
+
 // parseRange turns zrange VALUE lines into key/val pairs, asserting the
 // trailing END.
 func parseRange(t *testing.T, lines []string) (keys, vals []uint64) {

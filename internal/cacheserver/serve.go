@@ -262,7 +262,7 @@ func (s *Server) flushPlan(cs *connState, enc *proto.Encoder) {
 	}
 	start := time.Now()
 	p := &cs.plan
-	optimistic := s.cfg.optimisticReads && p.muts == 0 && len(cs.refs) > 0 && s.readOptimistic(cs)
+	optimistic := p.muts == 0 && len(cs.refs) > 0 && s.readOptimistic(cs)
 	if !optimistic {
 		s.runPlan(p)
 	}

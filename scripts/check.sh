@@ -200,9 +200,10 @@ go test -run '^$' -fuzz '^FuzzRESPLoop$' -fuzztime=10s ./internal/cacheserver
 go test -run '^$' -fuzz '^FuzzReadMsg$' -fuzztime=10s ./internal/repl
 
 # The doc-drift gate: docs/PROTOCOL.md (the canonical wire reference)
-# must match the live flag sets. (Its command tables are checked against
-# the command table by TestSpecSpellingsDocumented in go test.)
-echo "== doc drift (docs/PROTOCOL.md vs tspcached/tspproxy -help)"
+# must match the live flag sets, and no doc may name a dead make target
+# or tspbench flag. (Its command tables are checked against the command
+# table by TestSpecSpellingsDocumented in go test.)
+echo "== doc drift (docs/PROTOCOL.md vs -help, make targets, tspbench flags)"
 sh scripts/check_docs.sh
 
 echo "OK"

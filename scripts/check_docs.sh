@@ -8,6 +8,10 @@
 #      `-help` prints (names compared both ways).
 #   2. README.md must point at docs/PROTOCOL.md, and any flag rows it
 #      still carries must name live flags (of either binary).
+#   3. No doc names a dead target or flag: every `make <target>` in the
+#      operator docs must be a Makefile target, and every
+#      `tspbench -<flag>` must be a flag `tspbench -h` prints.
+#      bench/README.md is left out: it changes only with the benchmark.
 #
 # The command sets are gated by a test instead: every spelling in the
 # command table (internal/proto/spec.go) must appear as a command entry
@@ -66,7 +70,49 @@ for f in $readme_flags; do
 	fi
 done
 
+# --- 3. no doc names a dead make target or tspbench flag -------------
+docs="README.md DESIGN.md EXPERIMENTS.md docs/*.md .claude/skills/verify/SKILL.md"
+targets=$(awk -F: '/^[A-Za-z][A-Za-z0-9_-]*:/ { print $1 }' Makefile | sort -u)
+for f in $docs; do
+	# A target is written `make <target>`, possibly wrapped onto the
+	# next line; join the lines so the wrap does not hide it.
+	named=$(tr '\n' ' ' <"$f" | grep -oE '`make[[:space:]]+[A-Za-z][A-Za-z0-9_-]*' |
+		awk '{ print $2 }' | sort -u || true)
+	for t in $named; do
+		if ! printf '%s\n' "$targets" | grep -qx -- "$t"; then
+			echo "check_docs: $f names make target '$t', which the Makefile does not have" >&2
+			fail=1
+		fi
+	done
+done
+bench_flags=$(go run ./cmd/tspbench -h 2>&1 | awk '/^  -/{print $1}' | sort -u || true)
+if [ -z "$bench_flags" ]; then
+	echo "check_docs: could not read flags from 'tspbench -h'" >&2
+	exit 1
+fi
+for f in $docs; do
+	# Every -flag token after "tspbench" on a line, up to the end of
+	# the code span or the shell comment.
+	used=$(awk '{
+		line = $0
+		while ((i = index(line, "tspbench")) > 0) {
+			line = substr(line, i + 8)
+			rest = line
+			sub(/[`#|].*/, "", rest)
+			n = split(rest, w, /[[:space:]]+/)
+			for (k = 1; k <= n; k++)
+				if (match(w[k], /^-[a-z][a-z-]*/)) print substr(w[k], RSTART, RLENGTH)
+		}
+	}' "$f" | sort -u)
+	for u in $used; do
+		if ! printf '%s\n' "$bench_flags" | grep -qx -- "$u"; then
+			echo "check_docs: $f names tspbench flag $u, which 'tspbench -h' does not list" >&2
+			fail=1
+		fi
+	done
+done
+
 if [ "$fail" -ne 0 ]; then
 	exit 1
 fi
-echo "docs in sync with the code (flag tables)"
+echo "docs in sync with the code (flag tables, make targets, tspbench flags)"
