@@ -1,8 +1,9 @@
 // Command tspproxy serves the cluster routing tier: one listener that
 // terminates client connections (native or RESP, sniffed per
 // connection exactly like tspcached) and routes every request to the
-// cluster node that owns its hash slot, multiplexing all frontend
-// traffic onto one pipelined backend connection per node. Multi-key
+// cluster node that owns its hash slot, over a pool of at most four
+// pipelined backend connections per node (give each node -conns of at
+// least four per proxy plus its direct clients). Multi-key
 // commands (mget, mset, delete) are split per slot owner and the
 // partial replies merged back in request order; ordered-keyspace
 // commands (zrange, zcount) and wait fan out to every node and k-way
@@ -25,7 +26,7 @@
 // through the proxy (or directly to a node) redirects traffic without
 // a restart or a config push. Session semantics survive routing — the
 // proxy tracks each frontend connection's `session <id>` binding and
-// prefixes forwarded sessioned commands with a rebind on the shared
+// prefixes forwarded sessioned commands with a rebind on the pooled
 // backend connection, so exactly-once `seq=` retries dedup on the
 // owning node exactly as they would point-to-point.
 //

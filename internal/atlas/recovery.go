@@ -35,7 +35,10 @@ import (
 //     durable;
 //  5. make the restored state durable, truncate the logs by bumping the
 //     epoch, and run the heap's conservative collector to reclaim blocks
-//     leaked by the crash.
+//     leaked by the crash. The log rings are kept but not scanned: their
+//     records are dead after the bump, and the old values they hold
+//     include the addresses of blocks unlinked inside committed OCSes
+//     and still awaiting FreeDeferred — exactly the leaks to reclaim.
 //
 // Soundness of ignoring partial groups rests on the ring-capacity
 // assumption the runtime enforces at append time: an OCS never outlives
@@ -125,11 +128,13 @@ func Recover(heap *pheap.Heap) (Report, error) {
 	// acquire starts a group and the release that balances its depth
 	// completes it.
 	groups := map[ocsKey]*ocsGroup{}
+	var rings []pheap.Ptr
 	for tid := 0; tid < dir.maxThreads(); tid++ {
 		buf := dir.buf(tid)
 		if buf.IsNil() {
 			continue
 		}
+		rings = append(rings, buf)
 		base := alignedLogBase(buf)
 		var recs []entry
 		for slot := 0; slot < dir.entries(); slot++ {
@@ -253,7 +258,7 @@ func Recover(heap *pheap.Heap) (Report, error) {
 	dev.FlushAll()
 	dir.setEpoch(epoch + 1)
 	tal.Publish()
-	gc, err := heap.GC()
+	gc, err := heap.GC(rings...)
 	if err != nil {
 		return rep, err
 	}

@@ -1,7 +1,7 @@
 package cacheserver
 
 import (
-	"sort"
+	"slices"
 	"time"
 
 	"tsp/internal/atlas"
@@ -13,12 +13,21 @@ import (
 // sessioned request with its dedup record, an epoch drain's flush, a
 // follower applying its primary's groups — is one commit group (a
 // batchReq) executed by one function, shard.runBatch, inside ONE Atlas
-// outermost critical section over the union of the group's stripe
-// mutexes, under the shard's drain lock. That is the paper's promise
-// kept literally: each group is one OCS and is therefore applied or
-// rolled back as a unit, and because no mutation runs outside the drain
-// lock, per shard the commit order, the replication-log order and the
-// order in which tiers observe each other are the same order.
+// outermost critical section under the shard's drain lock. That is the
+// paper's promise kept literally: each group is one OCS and is
+// therefore applied or rolled back as a unit, and because no mutation
+// runs outside the drain lock, per shard the commit order, the
+// replication-log order and the order in which tiers observe each other
+// are the same order.
+//
+// The section takes ONE Atlas mutex, the shard's commit lock. Atlas
+// logs acquires and releases so recovery can follow happens-before
+// edges between threads, but every section of a shard runs on its one
+// Atlas thread under the drain lock: per-stripe mutexes would never
+// contend, and the edges they recorded would be program order, which
+// recovery's cascade already has. What the stripes still do is the
+// seqlock bracket optimistic readers validate against, so only the
+// stripes a section mutates are bracketed.
 //
 // A submitter hands a shard an ordered LIST of groups (chained through
 // batchReq.next): everything one pipelined burst — or one replicated
@@ -188,10 +197,10 @@ func (g *batchReq) complete() {
 }
 
 // workerThread returns the drain's Atlas thread on the current stack
-// incarnation, re-registering after a crash replaced the runtime. It is
-// the shard's only Atlas thread: only the drain-lock holder touches
-// wth/wgen, and the caller holds the shard read lock, which keeps gen
-// stable.
+// incarnation, and the commit lock made beside it, re-registering after
+// a crash replaced the runtime. It is the shard's only Atlas thread:
+// only the drain-lock holder touches wth/wmu/wgen, and the caller holds
+// the shard read lock, which keeps gen stable.
 func (sh *shard) workerThread() (*atlas.Thread, error) {
 	if sh.wth != nil && sh.wgen == sh.gen.Load() {
 		return sh.wth, nil
@@ -200,7 +209,7 @@ func (sh *shard) workerThread() (*atlas.Thread, error) {
 	if err != nil {
 		return nil, err
 	}
-	sh.wth = th
+	sh.wth, sh.wmu = th, []*atlas.Mutex{sh.stk.RT.NewMutex()}
 	sh.wgen = sh.gen.Load()
 	return th, nil
 }
@@ -305,12 +314,11 @@ func (sh *shard) runOne(g *batchReq) {
 }
 
 // runBatch executes one batch of commit groups inside a single
-// outermost critical section over the union of their stripe mutexes;
-// completing queued lists is the caller's job. The caller holds combineMu, so at
+// outermost critical section under the shard's commit lock; completing
+// queued lists is the caller's job. The caller holds combineMu, so at
 // most one batch is in flight per shard and the scratch buffers and
-// drain thread are single-owner. Stripes are deduplicated and acquired
-// in ascending order; the drain-lock holder is the only stripe acquirer
-// on this shard, so the acquisition cannot deadlock.
+// drain thread are single-owner. A batch of skip-list ops alone takes
+// no lock and so opens no section.
 func (sh *shard) runBatch(reqs []*batchReq, nops int) {
 	sh.mu.RLock()
 	th, err := sh.workerThread()
@@ -324,54 +332,40 @@ func (sh *shard) runBatch(reqs []*batchReq, nops int) {
 		return
 	}
 	m := sh.stk.Map
+	var mus []*atlas.Mutex
 	stripes := sh.stripeScratch[:0]
-	hasMut := false
 	for _, r := range reqs {
 		for i := range r.ops {
-			if isZ(r.ops[i].kind) {
-				// Skip-list ops need no stripe mutex: the structure is
-				// lock-free. They still execute inside the section so
-				// the batch stays one commit-ordered unit.
-				continue
+			// Skip-list ops need no lock: the structure is lock-free.
+			// They still execute inside the section so the batch stays
+			// one commit-ordered unit.
+			if op := &r.ops[i]; !isZ(op.kind) {
+				mus = sh.wmu
+				if op.kind != opGet {
+					stripes = append(stripes, m.StripeOf(op.key))
+				}
 			}
-			if r.ops[i].kind != opGet {
-				hasMut = true
-			}
-			stripes = append(stripes, m.StripeOf(r.ops[i].key))
 		}
 	}
-	sort.Ints(stripes)
-	mus := sh.mutexScratch[:0]
-	last := -1
-	n := 0
-	for _, st := range stripes {
-		if st != last {
-			mus = append(mus, m.StripeMutex(st))
-			stripes[n] = st
-			n++
-			last = st
-		}
-	}
-	uniq := stripes[:n]
+	slices.Sort(stripes)
+	stripes = slices.Compact(stripes)
 
 	start := time.Now()
 	_ = th.Section(mus, func() error {
-		// Section-wide seqlock bracket: hold every involved stripe odd
+		// Section-wide seqlock bracket: hold every mutated stripe odd
 		// for the whole group so optimistic readers can never validate a
 		// half-applied batch. The *Locked map variants do not bump on
 		// their own (see hashmap.BeginStripeWrites) — per-mutation
 		// brackets would leave validatable quiet windows between a
 		// group's mutations, tearing cross-key mget snapshots.
-		if hasMut {
-			for _, st := range uniq {
-				m.BeginStripeWrites(st)
-			}
-			defer func() {
-				for _, st := range uniq {
-					m.EndStripeWrites(st)
-				}
-			}()
+		for _, st := range stripes {
+			m.BeginStripeWrites(st)
 		}
+		defer func() {
+			for _, st := range stripes {
+				m.EndStripeWrites(st)
+			}
+		}()
 		for _, r := range reqs {
 			if r.sess != 0 {
 				// Sessioned group: window check, effects, and dedup
@@ -405,13 +399,12 @@ func (sh *shard) runBatch(reqs []*batchReq, nops int) {
 	if sh.replLog != nil {
 		sh.appendRepl(reqs)
 	}
-	sh.stripeScratch, sh.mutexScratch = stripes[:0], mus[:0]
+	sh.stripeScratch = stripes[:0]
 	sh.mu.RUnlock()
 }
 
 // execOp runs one op against the shard's engines with th, inside the
-// batch's open section (which already holds every stripe mutex the
-// batch needs), recording the protocol counters.
+// batch's open section, recording the protocol counters.
 //
 // Tier interleaving happens here: reads consult the shard's relaxed
 // overlay first (read-your-writes across tiers), and a durable write

@@ -58,6 +58,61 @@ func TestMsetIsOneBatchOneSection(t *testing.T) {
 	}
 }
 
+// TestSectionLogsOneLockPair: a pipelined burst of gets across every
+// stripe of one shard plus one set commits as one section that logs one
+// acquire/release pair — the shard's commit lock — beside the set's undo
+// records, exactly what the set alone logs. Locking a mutex per stripe
+// touched would log a pair per stripe.
+func TestSectionLogsOneLockPair(t *testing.T) {
+	s := startServer(t, WithShards(1), WithEpochInterval(0))
+	sh := s.shards[0]
+	m := sh.stk.Map
+	keys := make([]uint64, m.Mutexes()) // keys[st] lives in stripe st
+	seen := make([]bool, len(keys))
+	for k, n := uint64(1), 0; n < len(keys); k++ {
+		if st := m.StripeOf(k); !seen[st] {
+			keys[st], seen[st] = k, true
+			n++
+		}
+	}
+	if len(keys) != 16 {
+		t.Fatalf("default map has %d stripes, want 16", len(keys))
+	}
+	c := dial(t, s.Addr().String())
+	if got := c.cmd(t, "set %d 1", keys[0]); got != "STORED" {
+		t.Fatalf("set: %q", got)
+	}
+
+	// appends runs one burst and returns the records it logged, checking
+	// that it committed as one section.
+	appends := func(burst string, replies int) uint64 {
+		t.Helper()
+		logged, ocs := sh.tel.Atlas.LogAppends.Load(), sh.tel.Atlas.OCSCommits.Load()
+		if _, err := c.conn.Write([]byte(burst)); err != nil {
+			t.Fatalf("write: %v", err)
+		}
+		for i := 0; i < replies; i++ {
+			c.line(t)
+		}
+		if got := sh.tel.Atlas.OCSCommits.Load() - ocs; got != 1 {
+			t.Fatalf("burst committed in %d sections, want 1", got)
+		}
+		return sh.tel.Atlas.LogAppends.Load() - logged
+	}
+	alone := appends(fmt.Sprintf("set %d 2\r\n", keys[0]), 1)
+	var burst strings.Builder
+	for _, k := range keys {
+		fmt.Fprintf(&burst, "get %d\r\n", k)
+	}
+	fmt.Fprintf(&burst, "set %d 3\r\n", keys[0])
+	withGets := appends(burst.String(), len(keys)+1)
+	// An overwrite's undo records: the value word and its check word.
+	if want := uint64(2 + 2); alone != want || withGets != want {
+		t.Fatalf("log records: set alone %d, set with %d gets %d; want %d each (one lock pair + 2 undo records)",
+			alone, len(keys), withGets, want)
+	}
+}
+
 // TestBatchMaxZeroRejected: the unbatched mode is gone — there is one
 // write path, and its batch bound must admit at least one op.
 func TestBatchMaxZeroRejected(t *testing.T) {

@@ -32,29 +32,14 @@ func protoLabel(a proto.Adapter) telemetry.Protocol {
 
 // handle runs one connection's request loop: decode a batch, serve it,
 // flush one write. The protocol is fixed per listener config or
-// sniffed from the first byte — RESP framing always leads with '*',
-// which no native command starts with.
+// sniffed from the first byte (proto.Decoder.Sniff).
 func (s *Server) handle(conn net.Conn) {
 	defer conn.Close()
 	dec := proto.NewDecoder(conn, proto.Native{}, s.cfg.maxRequestBytes)
-	var ad proto.Adapter
-	switch s.cfg.proto {
-	case protoNative:
-		ad = proto.Native{}
-	case protoRESP:
-		ad = proto.RESP{}
-	default: // protoAuto
-		b, err := dec.Peek()
-		if err != nil {
-			return
-		}
-		if b == '*' {
-			ad = proto.RESP{}
-		} else {
-			ad = proto.Native{}
-		}
+	ad, err := dec.Sniff(s.cfg.proto)
+	if err != nil {
+		return
 	}
-	dec.Use(ad)
 	enc := proto.NewEncoder(conn, ad, s.cfg.writeBuf)
 	defer enc.Flush()
 

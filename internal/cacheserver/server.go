@@ -428,7 +428,7 @@ func (s *Server) newConnState() *connState {
 // revalidate, and since every capture precedes every read precedes
 // every revalidate, all values coexisted at the last capture point. Any
 // mismatch sends the WHOLE plan to the locked fallback — and because
-// runBatch holds all of a batch's stripes odd for its entire section
+// runBatch holds every stripe a batch mutates odd for its entire section
 // (see hashmap.BeginStripeWrites), a half-applied mset can never
 // revalidate here. Overlay-served relaxed state is exempt: the overlay
 // is per-key newest-state by design, and the snapshot guarantee targets

@@ -46,18 +46,18 @@ type shard struct {
 	// holder — the submitter that won it without waiting, the worker
 	// woken by the doorbell, or a relaxed read-modify-write — is the one
 	// goroutine mutating this shard's engines, and owns carry, the
-	// scratch slices and the drain thread wth/wgen while it holds the
-	// lock.
+	// scratch slices, the drain thread wth and its commit lock wmu (both
+	// of generation wgen) while it holds the lock.
 	queue          chan *batchReq
 	doorbell       chan struct{}
 	combineMu      sync.Mutex
 	workerDone     chan struct{}
 	carry          *batchReq
 	wth            *atlas.Thread
+	wmu            []*atlas.Mutex
 	wgen           uint64
 	pendingScratch []*batchReq
 	stripeScratch  []int
-	mutexScratch   []*atlas.Mutex
 
 	// replLog, when non-nil (primary role), receives every drained
 	// batch's committed effects as one replication group; runBatch
@@ -89,9 +89,9 @@ type shard struct {
 
 func newShard(idx int, c config) (*shard, error) {
 	// A batch holds at most batchMax ops in one outermost critical
-	// section; size the undo-log ring so the largest batch (acquire and
-	// release records per stripe plus first-store undo records per op)
-	// cannot lap it, without shrinking the atlas default.
+	// section; size the undo-log ring so the largest batch (its
+	// acquire/release pair plus first-store undo records per op) cannot
+	// lap it, without shrinking the atlas default.
 	logEntries := c.batchMax*32 + 1024
 	if logEntries < 4096 {
 		logEntries = 4096

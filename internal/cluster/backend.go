@@ -2,9 +2,7 @@ package cluster
 
 import (
 	"bufio"
-	"errors"
 	"net"
-	"runtime"
 	"sync"
 	"time"
 
@@ -12,18 +10,11 @@ import (
 	"tsp/internal/telemetry"
 )
 
-// pendCap bounds the replies outstanding on one backend connection.
-// Enqueueing past it blocks the sending frontend (natural
-// backpressure); the reader goroutine is always draining, so the block
-// is bounded by the node's service rate.
-const pendCap = 4096
-
-// fwd is one in-flight forwarded request: what the reply reader needs
-// to frame the reply (cmd, key count), plus a private copy of the
-// request so a redirect can re-send it after the decoder's arena has
-// moved on. A non-zero sess makes appendWire emit a session-rebind
-// command ahead of the request; the reader consumes and drops the
-// rebind's reply to keep the FIFO aligned.
+// fwd is one forwarded request: what its reply needs to be framed (cmd,
+// key count), plus a private copy of the request so a redirect can
+// re-send it. A non-zero sess makes appendWire emit a session-rebind
+// command ahead of the request; the link reads and drops the rebind's
+// reply to keep its FIFO aligned.
 type fwd struct {
 	cmd      proto.Cmd
 	kv       []uint64
@@ -34,13 +25,9 @@ type fwd struct {
 	addr     string // leg's target node (fanouts), or migrate target
 	waitRepl bool   // CmdWait's replication-barrier form
 
-	ch  chan proto.Reply
-	rep proto.Reply // the settled reply (moved out of ch by the waiter)
-}
-
-// newFwd returns a reusable forward slot with its reply channel.
-func newFwd() *fwd {
-	return &fwd{ch: make(chan proto.Reply, 1)}
+	ln  *link       // the link that owes rep; nil once rep is settled
+	rep proto.Reply // the reply, read straight off the link
+	at  int         // merge cursor into rep.Items
 }
 
 // set loads a request copy into the slot for one flight.
@@ -53,6 +40,7 @@ func (f *fwd) set(cmd proto.Cmd, kv []uint64, dur proto.Durability, seq uint64, 
 	f.sess = sess
 	f.addr = ""
 	f.waitRepl = false
+	f.at = 0
 }
 
 // appendWire appends the forward's native wire form (session rebind
@@ -77,191 +65,185 @@ func (f *fwd) appendWire(dst []byte) []byte {
 	return proto.Native{}.AppendRequest(dst, &req)
 }
 
-// backendConn is one live pipelined connection to a node: a write side
-// serialized by the owning backend's mutex and a reader goroutine that
-// walks the in-flight FIFO, parsing each reply by its request's
-// command.
-type backendConn struct {
-	conn net.Conn
-	w    *bufio.Writer
-	pend chan *fwd
-	dead chan struct{} // closed by the write-side teardown only
-}
+// linkFlushBytes bounds the request bytes one link stages before it
+// writes them and reads their replies back. A node that cannot write
+// its replies stops reading requests, so an unbounded write could wait
+// forever on a node waiting for us.
+const linkFlushBytes = 64 << 10
 
-// backend is the proxy's view of one node: the current connection (if
-// any) plus its counters. A backend survives connection failures; the
-// next send re-dials.
+// nodeConns bounds the connections a proxy holds to one node, however
+// many frontends it serves. A node serves at most its -conns
+// connections and leaves the rest queued unanswered, so the bound must
+// not grow with the frontend count.
+const nodeConns = 4
+
+// backend is the proxy's pool of connections to one node, shared by
+// every frontend connection. A frontend borrows a connection only
+// while it owes the node replies, so the pool bounds how many batches
+// are in flight to the node, not how many frontends talk to it.
 type backend struct {
-	addr string
-	tel  *telemetry.RouteStats
-	node *telemetry.NodeStats
-
-	mu  sync.Mutex
-	cur *backendConn
+	p     *Proxy
+	addr  string
+	node  *telemetry.NodeStats
+	slots chan struct{} // one token per connection lent out
+	mu    sync.Mutex
+	idle  []*bconn // live connections not lent out, latest returned last
 }
 
-// errConnClosed is reported for fwds stranded by a write-side teardown.
-var errConnClosed = errors.New("connection closed")
-
-// errorReply shapes a backend failure as the error reply the frontend
-// protocol can carry.
-func errorReply(addr string, err error) proto.Reply {
-	if err == nil {
-		err = errConnClosed
-	}
-	return proto.Reply{Kind: proto.KErrServer, Msg: "cluster node " + addr + ": " + err.Error()}
+// bconn is one pipelined connection to a node.
+type bconn struct {
+	conn net.Conn
+	r    *bufio.Reader
 }
 
-// countError bumps the failure counters.
-func (b *backend) countError() {
-	if b.node != nil {
-		b.node.Errors.Inc()
+// borrow lends out a connection to the node, an idle one if there is
+// one and a new dial otherwise, waiting while nodeConns are lent out.
+func (b *backend) borrow() (*bconn, error) {
+	b.slots <- struct{}{}
+	b.mu.Lock()
+	if n := len(b.idle); n > 0 {
+		c := b.idle[n-1]
+		b.idle = b.idle[:n-1]
+		b.mu.Unlock()
+		return c, nil
 	}
-	if b.tel != nil {
-		b.tel.BackendErrors.Inc()
-	}
-}
-
-// get returns the live connection, dialing if needed. Callers hold mu.
-func (b *backend) get() (*backendConn, error) {
-	if b.cur != nil {
-		return b.cur, nil
-	}
+	b.mu.Unlock()
 	conn, err := net.DialTimeout("tcp", b.addr, 2*time.Second)
+	if err == nil && !b.p.track(conn) {
+		conn.Close()
+		err = net.ErrClosed
+	}
 	if err != nil {
-		b.countError()
+		<-b.slots
 		return nil, err
 	}
 	if tc, ok := conn.(*net.TCPConn); ok {
 		tc.SetNoDelay(true)
 	}
-	bc := &backendConn{
-		conn: conn,
-		w:    bufio.NewWriterSize(conn, 64<<10),
-		pend: make(chan *fwd, pendCap),
-		dead: make(chan struct{}),
+	if b.p.tel != nil {
+		b.p.tel.BackendDials.Inc()
 	}
-	b.cur = bc
-	if b.tel != nil {
-		b.tel.BackendDials.Inc()
-	}
-	go bc.readLoop(b)
-	return bc, nil
+	return &bconn{conn: conn, r: bufio.NewReaderSize(conn, 64<<10)}, nil
 }
 
-// send writes one batch of forwards to the node: the FIFO entries and
-// the payload bytes enter the connection under one mutex hold, so
-// interleaved frontends cannot split a batch's reply order. On error
-// every fwd in fs (and anything already in flight) is answered with an
-// error reply.
-func (b *backend) send(fs []*fwd, payload []byte) {
+// giveBack returns a borrowed connection to the pool. A nil c means it
+// failed; the idle ones are closed with it, since a node that cut one
+// connection (a restart) has cut them all.
+func (b *backend) giveBack(c *bconn) {
 	b.mu.Lock()
-	bc, err := b.get()
-	if err != nil {
-		b.mu.Unlock()
-		for _, f := range fs {
-			if f.ch != nil {
-				f.ch <- errorReply(b.addr, err)
-			}
+	if c != nil {
+		b.idle = append(b.idle, c)
+	} else {
+		for _, i := range b.idle {
+			b.p.untrack(i.conn)
 		}
-		return
-	}
-	for _, f := range fs {
-		bc.pend <- f
-	}
-	_, werr := bc.w.Write(payload)
-	if werr == nil {
-		werr = bc.w.Flush()
-	}
-	if werr != nil {
-		// Retire the connection; the reader wakes (dead, or the read
-		// failing after Close) and answers everything in flight,
-		// including fs.
-		b.cur = nil
-		close(bc.dead)
-		bc.conn.Close()
-		b.countError()
+		b.idle = b.idle[:0]
 	}
 	b.mu.Unlock()
-	if b.node != nil {
-		b.node.Batches.Inc()
-		b.node.Sent.Add(uint64(len(fs)))
-	}
+	<-b.slots
 }
 
-// sendOne is the slow-path single-request send used by redirect
-// retries. It returns the scratch buffer for reuse.
-func (b *backend) sendOne(f *fwd, scratch []byte) []byte {
-	payload := f.appendWire(scratch[:0])
-	b.send([]*fwd{f}, payload)
-	return payload
+// link is one frontend connection's pipeline to one node. Only that
+// frontend's goroutine touches it: a batch's forwards are staged into
+// buf, written in one call on a connection borrowed from the node's
+// pool, and their replies read back in FIFO order by whichever settle
+// first needs one, each straight into its own forward. The connection
+// goes back to the pool once the link owes nothing. No goroutine or
+// channel stands between a reply and the request it answers.
+type link struct {
+	b    *backend
+	c    *bconn // borrowed while the link owes replies, else nil
+	buf  []byte // staged request bytes
+	q    []*fwd // q[head:sent] await their replies; q[sent:] are staged
+	head int
+	sent int
 }
 
-// readLoop walks the in-flight FIFO, answering each fwd from the
-// connection's reply stream. On failure it retires the connection
-// under the backend mutex first — no new fwds can join — then drains
-// and answers everything stranded.
-func (bc *backendConn) readLoop(b *backend) {
-	r := bufio.NewReaderSize(bc.conn, 64<<10)
-	var rep proto.Reply
-	for {
-		var f *fwd
-		select {
-		case f = <-bc.pend:
-		case <-bc.dead:
-			bc.drainFail(b, errConnClosed)
-			return
-		}
-		// A session-rebind prefix rides the wire ahead of its request
-		// (appendWire emits both); its OK SESSION reply is consumed and
-		// dropped here to keep the FIFO aligned.
-		var err error
-		if f.sess != 0 {
-			err = proto.ReadNativeReply(r, proto.CmdSession, 1, &rep)
-		}
-		if err == nil {
-			err = proto.ReadNativeReply(r, f.cmd, len(f.kv), &rep)
-		}
-		if err != nil {
-			if f.ch != nil {
-				f.ch <- errorReply(b.addr, err)
-			}
-			// Close first so any in-progress write fails, then retire.
-			// A sender blocked enqueueing into a full FIFO holds the
-			// mutex, so drain between TryLock attempts to unblock it.
-			bc.conn.Close()
-			for !b.mu.TryLock() {
-				bc.drainFail(b, err)
-				runtime.Gosched()
-			}
-			if b.cur == bc {
-				b.cur = nil
-				b.countError()
-			}
-			b.mu.Unlock()
-			bc.drainFail(b, err)
-			return
-		}
-		if f.ch != nil {
-			out := rep
-			out.Items = append([]proto.Item(nil), rep.Items...)
-			f.ch <- out
+// stage queues f for the link's next write.
+func (l *link) stage(f *fwd) {
+	f.ln = l
+	l.q = append(l.q, f)
+	l.buf = f.appendWire(l.buf)
+	if len(l.buf) >= linkFlushBytes {
+		l.flush()
+		for l.head < len(l.q) {
+			l.readOne()
 		}
 	}
 }
 
-// drainFail answers everything still in the FIFO with an error. It
-// runs only after the connection is retired, so the FIFO can no longer
-// grow.
-func (bc *backendConn) drainFail(b *backend, err error) {
-	for {
-		select {
-		case f := <-bc.pend:
-			if f.ch != nil {
-				f.ch <- errorReply(b.addr, err)
-			}
-		default:
-			return
-		}
+// flush writes the staged requests, borrowing a connection first if the
+// link holds none, and reports whether it wrote any. A failure answers
+// every forward the link owes with an error reply.
+func (l *link) flush() bool {
+	if l.sent == len(l.q) {
+		return false
+	}
+	var err error
+	if l.c == nil {
+		l.c, err = l.b.borrow()
+	}
+	if err == nil {
+		_, err = l.c.conn.Write(l.buf)
+	}
+	l.buf = l.buf[:0]
+	if err != nil {
+		l.fail(err)
+		return false
+	}
+	if n := l.b.node; n != nil {
+		n.Batches.Inc()
+		n.Sent.Add(uint64(len(l.q) - l.sent))
+	}
+	l.sent = len(l.q)
+	return true
+}
+
+// readOne reads the reply the link owes its oldest forward into that
+// forward, and reports whether the link now owes nothing; then its
+// connection is back in the pool.
+func (l *link) readOne() bool {
+	f := l.q[l.head]
+	var err error
+	if f.sess != 0 {
+		// The session-rebind prefix's OK SESSION reply, dropped.
+		err = proto.ReadNativeReply(l.c.r, proto.CmdSession, 1, &f.rep)
+	}
+	if err == nil {
+		err = proto.ReadNativeReply(l.c.r, f.cmd, len(f.kv), &f.rep)
+	}
+	if err != nil {
+		l.fail(err)
+		return true
+	}
+	f.ln = nil
+	if l.head++; l.head < len(l.q) {
+		return false
+	}
+	l.q, l.head, l.sent = l.q[:0], 0, 0
+	l.b.giveBack(l.c)
+	l.c = nil
+	return true
+}
+
+// fail answers every forward the link owes with err, in the error reply
+// the frontend protocol can carry, and closes the link's connection;
+// the next flush borrows another.
+func (l *link) fail(err error) {
+	for _, f := range l.q[l.head:] {
+		f.rep = proto.Reply{Kind: proto.KErrServer, Msg: "cluster node " + l.b.addr + ": " + err.Error()}
+		f.ln = nil
+	}
+	l.q, l.head, l.sent, l.buf = l.q[:0], 0, 0, l.buf[:0]
+	if l.c != nil {
+		l.b.p.untrack(l.c.conn)
+		l.c = nil
+		l.b.giveBack(nil)
+	}
+	if n := l.b.node; n != nil {
+		n.Errors.Inc()
+	}
+	if l.b.p.tel != nil {
+		l.b.p.tel.BackendErrors.Inc()
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"net"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -36,11 +37,13 @@ type Config struct {
 // Proxy is the cluster routing tier: it terminates frontend
 // connections (native or RESP, sniffed per connection), decodes each
 // connection's pipelined burst as one batch, routes every request to
-// the slot owner through a shared pipelined backend connection per
-// node — one backend write per decoded frontend batch per touched
-// node — and merges scatter-gather fan-outs back in request order.
-// MOVED redirects from nodes update its ring, so it follows live
-// migrations without coordination.
+// the slot owner over the frontend connection's own pipelined link to
+// that node — one backend write per decoded frontend batch per touched
+// node, on a connection borrowed from the node's pool for the batch,
+// the replies read back by the frontend itself — and merges
+// scatter-gather fan-outs back in request order. MOVED redirects from
+// nodes update its ring, so it follows live migrations without
+// coordination.
 type Proxy struct {
 	cfg  Config
 	ln   net.Listener
@@ -48,8 +51,8 @@ type Proxy struct {
 	tel  *telemetry.RouteStats
 
 	mu       sync.Mutex
-	backends map[string]*backend
-	conns    map[net.Conn]struct{}
+	conns    map[net.Conn]struct{} // every open connection, frontend and backend
+	backends map[string]*backend   // one connection pool per node address
 	closed   bool
 	wg       sync.WaitGroup
 }
@@ -77,8 +80,8 @@ func New(cfg Config) (*Proxy, error) {
 		ln:       ln,
 		ring:     ring,
 		tel:      cfg.Tel,
-		backends: make(map[string]*backend),
 		conns:    make(map[net.Conn]struct{}),
+		backends: make(map[string]*backend),
 	}
 	p.seedFromNodes()
 	p.wg.Add(1)
@@ -136,7 +139,8 @@ func (p *Proxy) Addr() string { return p.ln.Addr().String() }
 // Ring returns the proxy's routing table.
 func (p *Proxy) Ring() *Ring { return p.ring }
 
-// Close stops the listener and tears down every connection.
+// Close stops the listener and closes every connection, frontend and
+// backend: a frontend waiting on a silent node wakes to a failed read.
 func (p *Proxy) Close() error {
 	p.mu.Lock()
 	if p.closed {
@@ -148,19 +152,41 @@ func (p *Proxy) Close() error {
 	for c := range p.conns {
 		c.Close()
 	}
-	for _, b := range p.backends {
-		b.mu.Lock()
-		if b.cur != nil {
-			bc := b.cur
-			b.cur = nil
-			close(bc.dead)
-			bc.conn.Close()
-		}
-		b.mu.Unlock()
-	}
 	p.mu.Unlock()
 	p.wg.Wait()
 	return err
+}
+
+// track registers a connection for Close to close; it reports false,
+// registering nothing, once the proxy is closed.
+func (p *Proxy) track(c net.Conn) bool {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.closed {
+		return false
+	}
+	p.conns[c] = struct{}{}
+	return true
+}
+
+// untrack closes a tracked connection and forgets it.
+func (p *Proxy) untrack(c net.Conn) {
+	p.mu.Lock()
+	delete(p.conns, c)
+	p.mu.Unlock()
+	c.Close()
+}
+
+// backend returns addr's connection pool, creating it on first use.
+func (p *Proxy) backend(addr string) *backend {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	b := p.backends[addr]
+	if b == nil {
+		b = &backend{p: p, addr: addr, node: p.tel.Node(addr), slots: make(chan struct{}, nodeConns)}
+		p.backends[addr] = b
+	}
+	return b
 }
 
 // logf reports a serving error.
@@ -168,18 +194,6 @@ func (p *Proxy) logf(format string, args ...any) {
 	if p.cfg.Logf != nil {
 		p.cfg.Logf(format, args...)
 	}
-}
-
-// backendFor returns (creating if needed) the backend for addr.
-func (p *Proxy) backendFor(addr string) *backend {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if b, ok := p.backends[addr]; ok {
-		return b
-	}
-	b := &backend{addr: addr, tel: p.tel, node: p.tel.Node(addr)}
-	p.backends[addr] = b
-	return b
 }
 
 // acceptLoop serves frontend connections until Close.
@@ -190,15 +204,11 @@ func (p *Proxy) acceptLoop() {
 		if err != nil {
 			return
 		}
-		p.mu.Lock()
-		if p.closed {
-			p.mu.Unlock()
+		if !p.track(conn) {
 			conn.Close()
 			return
 		}
-		p.conns[conn] = struct{}{}
 		p.wg.Add(1)
-		p.mu.Unlock()
 		go p.handle(conn)
 	}
 }
@@ -223,38 +233,79 @@ type entry struct {
 	start  time.Time
 }
 
-// feConn is one frontend connection's reusable serving state.
+// feConn is one frontend connection's reusable serving state. The
+// fan-outs' legs and key maps are carved out of per-batch arenas: an
+// entry's slices stay valid when a later append moves the arena, since
+// nothing rewrites what an earlier entry holds until the next batch.
 type feConn struct {
-	p       *Proxy
-	sess    uint64
-	entries []entry
-	fwds    []*fwd
-	nfwd    int
-	scratch []byte
-	legs    map[string]*fwd // per-request scratch: addr → leg
-	bufFwds map[*backend][]*fwd
-	bufs    map[*backend][]byte
+	p        *Proxy
+	sess     uint64
+	entries  []entry
+	fwds     []*fwd
+	nfwd     int
+	links    []*link // one per node this connection has talked to
+	legs     []*fwd
+	keyLeg   []int
+	items    []proto.Item // the merged reply's items; staged before reuse
+	lastRead time.Time    // when the batch's last owed reply was read
 }
 
 // takeFwd returns a reusable fwd slot for this batch.
 func (cs *feConn) takeFwd() *fwd {
 	if cs.nfwd == len(cs.fwds) {
-		cs.fwds = append(cs.fwds, newFwd())
+		cs.fwds = append(cs.fwds, &fwd{})
 	}
 	f := cs.fwds[cs.nfwd]
 	cs.nfwd++
 	return f
 }
 
+// link returns the connection's link to addr, creating it on first use.
+// The links stay sorted by address, the order serveBatch borrows their
+// connections in. Nodes are few, so a scan beats a map.
+func (cs *feConn) link(addr string) *link {
+	i := 0
+	for i < len(cs.links) && cs.links[i].b.addr < addr {
+		i++
+	}
+	if i < len(cs.links) && cs.links[i].b.addr == addr {
+		return cs.links[i]
+	}
+	l := &link{b: cs.p.backend(addr)}
+	cs.links = slices.Insert(cs.links, i, l)
+	return l
+}
+
+// await reads f's link until f's reply has arrived; the replies ahead
+// of it on that link land in their own forwards on the way.
+func (cs *feConn) await(f *fwd) {
+	for f.ln != nil {
+		if f.ln.readOne() {
+			cs.lastRead = time.Now()
+		}
+	}
+}
+
+// drain reads every reply the connection's links owe, giving their
+// connections back. A frontend waits for a pool only while holding
+// connections to nodes ordered before it (serveBatch borrows in address
+// order), so no two frontends wait on each other; a redirect, which
+// borrows out of that order, drains first and waits holding nothing.
+func (cs *feConn) drain() {
+	for _, l := range cs.links {
+		for l.c != nil {
+			l.readOne()
+		}
+	}
+}
+
 // handle runs one frontend connection: sniff the protocol like the
 // cache server does (RESP leads with '*'), then decode → route → merge
 // → stage, one write per batch.
 func (p *Proxy) handle(conn net.Conn) {
+	cs := &feConn{p: p}
 	defer func() {
-		p.mu.Lock()
-		delete(p.conns, conn)
-		p.mu.Unlock()
-		conn.Close()
+		p.untrack(conn)
 		p.wg.Done()
 	}()
 	if tc, ok := conn.(*net.TCPConn); ok {
@@ -264,33 +315,13 @@ func (p *Proxy) handle(conn net.Conn) {
 		p.tel.Frontends.Inc()
 	}
 	dec := proto.NewDecoder(conn, proto.Native{}, p.cfg.MaxRequestBytes)
-	var ad proto.Adapter
-	switch p.cfg.Proto {
-	case "native":
-		ad = proto.Native{}
-	case "resp":
-		ad = proto.RESP{}
-	default: // auto
-		b, err := dec.Peek()
-		if err != nil {
-			return
-		}
-		if b == '*' {
-			ad = proto.RESP{}
-		} else {
-			ad = proto.Native{}
-		}
+	ad, err := dec.Sniff(p.cfg.Proto)
+	if err != nil {
+		return
 	}
-	dec.Use(ad)
 	enc := proto.NewEncoder(conn, ad, 0)
 	defer enc.Flush()
 
-	cs := &feConn{
-		p:       p,
-		legs:    make(map[string]*fwd),
-		bufFwds: make(map[*backend][]*fwd),
-		bufs:    make(map[*backend][]byte),
-	}
 	for {
 		batch, err := dec.Next()
 		if len(batch) > 0 {
@@ -313,7 +344,7 @@ func (p *Proxy) serveBatch(cs *feConn, enc *proto.Encoder, batch []proto.Request
 		p.tel.Batches.Inc()
 		p.tel.Requests.Add(uint64(len(batch)))
 	}
-	cs.nfwd = 0
+	cs.nfwd, cs.legs, cs.keyLeg = 0, cs.legs[:0], cs.keyLeg[:0]
 	entries := cs.entries[:0]
 	for i := range batch {
 		entries = append(entries, p.classify(cs, &batch[i]))
@@ -323,17 +354,14 @@ func (p *Proxy) serveBatch(cs *feConn, enc *proto.Encoder, batch []proto.Request
 	}
 	cs.entries = entries
 
-	// One write per touched backend: ship every entry's payload.
-	for b, fs := range cs.bufFwds {
-		if len(fs) == 0 {
-			continue
-		}
-		b.send(fs, cs.bufs[b])
-		cs.bufFwds[b] = fs[:0]
-		cs.bufs[b] = cs.bufs[b][:0]
+	// One write per touched node, in address order.
+	wrote := false
+	for _, l := range cs.links {
+		wrote = l.flush() || wrote
 	}
+	written := time.Now()
 
-	// Settle in request order.
+	// Settle in request order (a quit, if any, is the last entry).
 	for i := range entries {
 		e := &entries[i]
 		switch e.kind {
@@ -342,9 +370,7 @@ func (p *Proxy) serveBatch(cs *feConn, enc *proto.Encoder, batch []proto.Request
 				p.tel.LocalReplies.Inc()
 			}
 			enc.Stage(&e.rep)
-			if e.rep.Kind == proto.KQuit {
-				return true
-			}
+			quit = e.rep.Kind == proto.KQuit
 		case eForward:
 			p.settle(cs, e.f)
 			rep := e.f.rep
@@ -368,14 +394,10 @@ func (p *Proxy) serveBatch(cs *feConn, enc *proto.Encoder, batch []proto.Request
 			enc.Stage(&rep)
 		}
 	}
-	return false
-}
-
-// stageForward queues f for the batch write to addr's backend.
-func (cs *feConn) stageForward(addr string, f *fwd) {
-	b := cs.p.backendFor(addr)
-	cs.bufFwds[b] = append(cs.bufFwds[b], f)
-	cs.bufs[b] = f.appendWire(cs.bufs[b])
+	if wrote && p.tel != nil && cs.lastRead.After(written) {
+		p.tel.BackendWait.Observe(cs.lastRead.Sub(written))
+	}
+	return quit
 }
 
 // localReply shapes an eLocal entry.
@@ -388,8 +410,8 @@ const notRoutableMsg = "not routable through the proxy (connect to a node direct
 
 // classify routes one request by its command's routing class: answer
 // locally, forward whole to the slot owner, or split into fan-out legs.
-// Forwarded requests are staged into the per-backend batch buffers;
-// settle picks the replies up afterwards.
+// Forwarded requests are staged on the connection's links; settle
+// picks the replies up afterwards.
 func (p *Proxy) classify(cs *feConn, req *proto.Request) entry {
 	sp := req.Cmd.Spec()
 	switch sp.Route {
@@ -422,7 +444,7 @@ func (p *Proxy) classify(cs *feConn, req *proto.Request) entry {
 		if p.tel != nil {
 			p.tel.Forwards.Inc()
 		}
-		cs.stageForward(p.ring.Owner(slot), f)
+		cs.link(p.ring.Owner(slot)).stage(f)
 		return entry{kind: eForward, f: f, moved: slot, start: time.Now()}
 
 	case proto.RouteLocal:
@@ -470,7 +492,7 @@ func (p *Proxy) forwardKeyed(cs *feConn, req *proto.Request) entry {
 	if p.tel != nil {
 		p.tel.Forwards.Inc()
 	}
-	cs.stageForward(addr, f)
+	cs.link(addr).stage(f)
 	return entry{kind: eForward, f: f, moved: -1, start: time.Now()}
 }
 
@@ -478,71 +500,58 @@ func (p *Proxy) forwardKeyed(cs *feConn, req *proto.Request) entry {
 // stride at a time: 1 for key lists (mget/delete), 2 for pairs (mset).
 // Keys for the same node stay in one leg, in request order.
 func (p *Proxy) fanKeys(cs *feConn, req *proto.Request, sp *proto.Spec) entry {
-	for k := range cs.legs {
-		delete(cs.legs, k)
-	}
 	kv, stride := req.KV, sp.Stride
 	e := entry{kind: eFanout, sp: sp, limit: -1, moved: -1, start: time.Now()}
-	nkeys := len(kv) / stride
-	if cap(e.keyLeg) < nkeys {
-		e.keyLeg = make([]int, 0, nkeys)
-	}
-	var order []*fwd
+	legs0, keys0 := len(cs.legs), len(cs.keyLeg)
 	for i := 0; i < len(kv); i += stride {
 		addr, _ := p.ring.OwnerOfKey(kv[i])
-		f, ok := cs.legs[addr]
-		if !ok {
-			f = cs.takeFwd()
+		li := legs0
+		for li < len(cs.legs) && cs.legs[li].addr != addr {
+			li++ // legs are few; linear is right
+		}
+		if li == len(cs.legs) {
+			f := cs.takeFwd()
 			f.set(req.Cmd, nil, req.Dur, 0, false, 0)
 			f.addr = addr
-			cs.legs[addr] = f
-			order = append(order, f)
+			cs.legs = append(cs.legs, f)
 		}
+		f := cs.legs[li]
 		f.kv = append(f.kv, kv[i:i+stride]...)
-		e.keyLeg = append(e.keyLeg, indexOf(order, f))
+		cs.keyLeg = append(cs.keyLeg, li-legs0)
 	}
-	if len(order) == 1 {
+	e.legs, e.keyLeg = cs.legs[legs0:len(cs.legs):len(cs.legs)], cs.keyLeg[keys0:len(cs.keyLeg):len(cs.keyLeg)]
+	if len(e.legs) == 1 {
 		// Single owner: no split needed; forward whole.
-		f := order[0]
+		f := e.legs[0]
 		if p.tel != nil {
 			p.tel.Forwards.Inc()
 		}
-		cs.stageForward(f.addr, f)
+		cs.link(f.addr).stage(f)
 		return entry{kind: eForward, f: f, moved: -1, start: e.start}
 	}
 	if p.tel != nil {
 		p.tel.Fanouts.Inc()
-		p.tel.FanoutLegs.Add(uint64(len(order)))
+		p.tel.FanoutLegs.Add(uint64(len(e.legs)))
 	}
-	for _, f := range order {
-		cs.stageForward(f.addr, f)
+	for _, f := range e.legs {
+		cs.link(f.addr).stage(f)
 	}
-	e.legs = order
 	return e
-}
-
-// indexOf finds f in order (legs are few; linear is right).
-func indexOf(order []*fwd, f *fwd) int {
-	for i, g := range order {
-		if g == f {
-			return i
-		}
-	}
-	return -1
 }
 
 // broadcast stages one copy of req to every node in the ring.
 func (p *Proxy) broadcast(cs *feConn, req *proto.Request, sp *proto.Spec, limit int) entry {
-	nodes := p.ring.Nodes()
 	e := entry{kind: eFanout, sp: sp, limit: limit, moved: -1, start: time.Now()}
-	for _, addr := range nodes {
+	legs0 := len(cs.legs)
+	for _, addr := range p.ring.Nodes() {
 		f := cs.takeFwd()
 		f.set(req.Cmd, req.KV, req.Dur, 0, false, 0)
 		f.waitRepl = req.WaitRepl
 		f.addr = addr
-		cs.stageForward(addr, f)
-		e.legs = append(e.legs, f)
+		cs.link(addr).stage(f)
+		cs.legs = append(cs.legs, f)
 	}
+	e.legs = cs.legs[legs0:len(cs.legs):len(cs.legs)]
 	if p.tel != nil {
 		p.tel.Fanouts.Inc()
 		p.tel.FanoutLegs.Add(uint64(len(e.legs)))
@@ -555,12 +564,14 @@ func (p *Proxy) broadcast(cs *feConn, req *proto.Request, sp *proto.Spec, limit 
 // proxy waits in 1 ms steps between retries.
 const movedRetryMax = 2000
 
-// settle receives f's reply, following MOVED redirects: a redirect
-// naming a node updates the ring and re-sends there; "?" means the
-// new owner is still importing — wait and retry.
+// settle awaits f's reply, following MOVED redirects: a redirect
+// naming a node updates the ring and re-sends on that node's link,
+// after the batch's other replies are read; "?" means the new owner is
+// still importing — wait and retry.
 func (p *Proxy) settle(cs *feConn, f *fwd) {
-	f.rep = <-f.ch
+	cs.await(f)
 	for tries := 0; f.rep.Kind == proto.KMoved && tries < movedRetryMax; tries++ {
+		cs.drain()
 		if p.tel != nil {
 			p.tel.Redirects.Inc()
 		}
@@ -579,8 +590,10 @@ func (p *Proxy) settle(cs *feConn, f *fwd) {
 		if p.tel != nil {
 			p.tel.Retries.Inc()
 		}
-		cs.scratch = p.backendFor(owner).sendOne(f, cs.scratch)
-		f.rep = <-f.ch
+		l := cs.link(owner)
+		l.stage(f)
+		l.flush()
+		cs.await(f)
 	}
 }
 
@@ -589,7 +602,7 @@ func (p *Proxy) settle(cs *feConn, f *fwd) {
 // singles settle recursively and reassemble into the leg's reply
 // shape.
 func (p *Proxy) settleLeg(cs *feConn, f *fwd) {
-	f.rep = <-f.ch
+	cs.await(f)
 	if f.rep.Kind != proto.KMoved {
 		return
 	}
@@ -598,9 +611,7 @@ func (p *Proxy) settleLeg(cs *feConn, f *fwd) {
 	}
 	sp := f.cmd.Spec()
 	if len(f.kv) == sp.Stride {
-		// Single-key leg: plain redirect following. Put the reply back
-		// for settle's loop.
-		f.ch <- f.rep
+		// Single-key leg: plain redirect following.
 		p.settle(cs, f)
 		return
 	}
@@ -609,12 +620,15 @@ func (p *Proxy) settleLeg(cs *feConn, f *fwd) {
 		return
 	}
 	// Re-split per key and reassemble: items in key order, counts summed.
+	cs.drain()
 	singles := make([]*fwd, 0, len(f.kv)/sp.Stride)
 	for i := 0; i < len(f.kv); i += sp.Stride {
-		s := newFwd()
+		s := cs.takeFwd()
 		s.set(f.cmd, f.kv[i:i+sp.Stride], f.dur, 0, false, 0)
 		addr, _ := p.ring.OwnerOfKey(f.kv[i])
-		cs.scratch = p.backendFor(addr).sendOne(s, cs.scratch)
+		l := cs.link(addr)
+		l.stage(s)
+		l.flush()
 		p.settle(cs, s)
 		singles = append(singles, s)
 	}
@@ -645,17 +659,15 @@ func (p *Proxy) mergeFanout(cs *feConn, e *entry) proto.Reply {
 			return f.rep
 		}
 	}
-	out := proto.Reply{Kind: e.sp.Reply}
+	out := proto.Reply{Kind: e.sp.Reply, Items: cs.items[:0]}
+	defer func() { cs.items = out.Items }()
 	switch e.sp.Merge {
 	case proto.MergeKeys:
 		// Rebuild original key order from the per-key leg map.
-		cursors := make([]int, len(e.legs))
 		for _, li := range e.keyLeg {
-			items := e.legs[li].rep.Items
-			ci := cursors[li]
-			if ci < len(items) {
-				out.Items = append(out.Items, items[ci])
-				cursors[li] = ci + 1
+			if f := e.legs[li]; f.at < len(f.rep.Items) {
+				out.Items = append(out.Items, f.rep.Items[f.at])
+				f.at++
 			}
 		}
 	case proto.MergeSum:
@@ -665,7 +677,7 @@ func (p *Proxy) mergeFanout(cs *feConn, e *entry) proto.Reply {
 			out.Val += f.rep.Val
 		}
 	case proto.MergeSorted:
-		out.Items = mergeRange(e)
+		out.Items = mergeRange(e, out.Items)
 	case proto.MergeMin:
 		// Each node settles its own frontier; the barrier holds once
 		// every leg returned. The reported epoch is the minimum — the
@@ -681,32 +693,22 @@ func (p *Proxy) mergeFanout(cs *feConn, e *entry) proto.Reply {
 	return out
 }
 
-// mergeRange k-way merges the legs' ordered items by key, honoring the
-// request's limit. Node keyspaces are disjoint, so no deduplication is
-// needed.
-func mergeRange(e *entry) []proto.Item {
-	var out []proto.Item
-	cursors := make([]int, len(e.legs))
-	for {
-		best, bestLeg := uint64(0), -1
-		for li, f := range e.legs {
-			items := f.rep.Items
-			ci := cursors[li]
-			if ci >= len(items) {
-				continue
-			}
-			if bestLeg < 0 || items[ci].Key < best {
-				best, bestLeg = items[ci].Key, li
+// mergeRange k-way merges the legs' ordered items by key onto out,
+// honoring the request's limit. Node keyspaces are disjoint, so no
+// deduplication is needed.
+func mergeRange(e *entry, out []proto.Item) []proto.Item {
+	for e.limit < 0 || len(out) < e.limit {
+		var best *fwd
+		for _, f := range e.legs {
+			if f.at < len(f.rep.Items) && (best == nil || f.rep.Items[f.at].Key < best.rep.Items[best.at].Key) {
+				best = f
 			}
 		}
-		if bestLeg < 0 {
+		if best == nil {
 			break
 		}
-		out = append(out, e.legs[bestLeg].rep.Items[cursors[bestLeg]])
-		cursors[bestLeg]++
-		if e.limit >= 0 && len(out) >= e.limit {
-			break
-		}
+		out = append(out, best.rep.Items[best.at])
+		best.at++
 	}
 	return out
 }

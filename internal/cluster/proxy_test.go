@@ -12,7 +12,9 @@ import (
 	"net"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"tsp/internal/cacheserver"
 	"tsp/internal/cluster"
@@ -20,13 +22,13 @@ import (
 )
 
 // startNode boots one cluster node owning the given slots.
-func startNode(t *testing.T, slots string) *cacheserver.Server {
+func startNode(t *testing.T, slots string, opts ...cacheserver.Option) *cacheserver.Server {
 	t.Helper()
-	s, err := cacheserver.New(
+	s, err := cacheserver.New(append([]cacheserver.Option{
 		cacheserver.WithAddr("127.0.0.1:0"),
 		cacheserver.WithShards(2),
 		cacheserver.WithClusterSlots(slots),
-	)
+	}, opts...)...)
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -93,6 +95,31 @@ func (c *textClient) lines(t *testing.T, format string, args ...interface{}) []s
 		out = append(out, line)
 		if line == "END" {
 			return out
+		}
+	}
+}
+
+// proxyStat reads one of the proxy's counters through `stats`.
+func proxyStat(t *testing.T, c *textClient, name string) uint64 {
+	t.Helper()
+	for _, line := range c.lines(t, "stats") {
+		if v, ok := strings.CutPrefix(line, "STAT "+name+" "); ok {
+			n, err := strconv.ParseUint(v, 10, 64)
+			if err != nil {
+				t.Fatalf("%s: %q", name, v)
+			}
+			return n
+		}
+	}
+	t.Fatalf("proxy stats carry no %s", name)
+	return 0
+}
+
+// keyInSlots returns the smallest key whose slot is in [lo, hi].
+func keyInSlots(lo, hi int) uint64 {
+	for k := uint64(0); ; k++ {
+		if s := cluster.SlotOf(k); s >= lo && s <= hi {
+			return k
 		}
 	}
 }
@@ -262,14 +289,7 @@ func TestProxyFollowsMigration(t *testing.T) {
 	a, b, p := twoNodeCluster(t)
 	c := dialText(t, p.Addr())
 
-	// A key in a slot node a owns.
-	var key uint64
-	for k := uint64(0); ; k++ {
-		if cluster.SlotOf(k) < 32 {
-			key = k
-			break
-		}
-	}
+	key := keyInSlots(0, 31) // a key node a owns
 	slot := cluster.SlotOf(key)
 	if got := c.cmd(t, "set %d 4242", key); got != "STORED" {
 		t.Fatalf("set: %q", got)
@@ -308,13 +328,7 @@ func TestProxyFollowsRedirects(t *testing.T) {
 	a, b, p := twoNodeCluster(t)
 	c := dialText(t, p.Addr())
 
-	var key uint64
-	for k := uint64(0); ; k++ {
-		if cluster.SlotOf(k) < 32 {
-			key = k
-			break
-		}
-	}
+	key := keyInSlots(0, 31)
 	slot := cluster.SlotOf(key)
 	if got := c.cmd(t, "set %d 1", key); got != "STORED" {
 		t.Fatalf("set: %q", got)
@@ -448,20 +462,7 @@ func TestProxyPipelinedBatch(t *testing.T) {
 // to go uncounted.
 func TestProxyCountsEveryLocalReply(t *testing.T) {
 	_, _, p := twoNodeCluster(t)
-	localReplies := func(c *textClient) int {
-		t.Helper()
-		for _, line := range c.lines(t, "stats") {
-			if v, ok := strings.CutPrefix(line, "STAT route_local_replies "); ok {
-				n, err := strconv.Atoi(v)
-				if err != nil {
-					t.Fatalf("route_local_replies: %q", v)
-				}
-				return n
-			}
-		}
-		t.Fatal("proxy stats carry no route_local_replies")
-		return 0
-	}
+	localReplies := func(c *textClient) uint64 { return proxyStat(t, c, "route_local_replies") }
 
 	c := dialText(t, p.Addr())
 	base := localReplies(c) // this stats reply is itself the next one counted
@@ -514,28 +515,18 @@ func TestProxyCountsEveryLocalReply(t *testing.T) {
 func TestProxyStatsReset(t *testing.T) {
 	_, _, p := twoNodeCluster(t)
 	c := dialText(t, p.Addr())
-	stat := func(name string) string {
-		t.Helper()
-		for _, line := range c.lines(t, "stats") {
-			if v, ok := strings.CutPrefix(line, "STAT "+name+" "); ok {
-				return v
-			}
-		}
-		t.Fatalf("proxy stats carry no %s", name)
-		return ""
-	}
 	if got := c.cmd(t, "set 1 10"); got != "STORED" {
 		t.Fatalf("set: %q", got)
 	}
-	if got := stat("route_forwards"); got != "1" {
-		t.Fatalf("route_forwards before reset = %s, want 1", got)
+	if got := proxyStat(t, c, "route_forwards"); got != 1 {
+		t.Fatalf("route_forwards before reset = %d, want 1", got)
 	}
 	if got := c.cmd(t, "stats reset"); got != "RESET" {
 		t.Fatalf("stats reset: %q, want RESET", got)
 	}
-	for _, name := range []string{"route_forwards", "route_forward_latency_count"} {
-		if got := stat(name); got != "0" {
-			t.Errorf("%s after reset = %s, want 0", name, got)
+	for _, name := range []string{"route_forwards", "route_forward_latency_count", "route_backend_wait_count"} {
+		if got := proxyStat(t, c, name); got != 0 {
+			t.Errorf("%s after reset = %d, want 0", name, got)
 		}
 	}
 	for _, line := range c.lines(t, "stats") {
@@ -545,5 +536,180 @@ func TestProxyStatsReset(t *testing.T) {
 	}
 	if got := c.lines(t, "stats shards"); len(got) != 1 || got[0] != "END" {
 		t.Fatalf("proxy stats shards = %q, want END alone", got)
+	}
+}
+
+// TestProxyBackendFailure: a node that goes away under a pipelined batch
+// fails only its own requests, with the node named in the error, and
+// costs its link one teardown; once the node is back on the same
+// address, the next batch redials and succeeds.
+func TestProxyBackendFailure(t *testing.T) {
+	_, b, p := twoNodeCluster(t)
+	c := dialText(t, p.Addr())
+	ka, kb := keyInSlots(0, 31), keyInSlots(32, 63)
+	burst := func() []string {
+		t.Helper()
+		var req strings.Builder
+		fmt.Fprintf(&req, "get %d\r\nset %d 2\r\nset %d 3\r\nget %d\r\n", ka, kb, ka, kb)
+		if _, err := c.conn.Write([]byte(req.String())); err != nil {
+			t.Fatal(err)
+		}
+		got := make([]string, 4)
+		for i := range got {
+			line, err := c.r.ReadString('\n')
+			if err != nil {
+				t.Fatalf("reply %d: %v", i, err)
+			}
+			got[i] = strings.TrimSpace(line)
+		}
+		return got
+	}
+	if got := c.cmd(t, "set %d 1", ka); got != "STORED" {
+		t.Fatalf("set: %q", got)
+	}
+	burst() // both links up
+	dials, errs := proxyStat(t, c, "route_backend_dials"), proxyStat(t, c, "route_backend_errors")
+	if dials != 2 {
+		t.Fatalf("route_backend_dials = %d, want 2 (one link per node)", dials)
+	}
+
+	baddr := b.Addr().String()
+	b.Close()
+	got := burst()
+	nodeErr := "SERVER_ERROR cluster node " + baddr + ": "
+	if got[0] != fmt.Sprintf("VALUE %d 3", ka) || got[2] != "STORED" ||
+		!strings.HasPrefix(got[1], nodeErr) || !strings.HasPrefix(got[3], nodeErr) {
+		t.Fatalf("burst with node b down = %q; want node a's replies and %q... for b's", got, nodeErr)
+	}
+	if got := proxyStat(t, c, "route_backend_errors"); got != errs+1 {
+		t.Fatalf("route_backend_errors = %d, want %d", got, errs+1)
+	}
+
+	b2, err := cacheserver.New(
+		cacheserver.WithAddr(baddr),
+		cacheserver.WithShards(2),
+		cacheserver.WithClusterSlots("32-63"),
+	)
+	if err != nil {
+		t.Fatalf("restart node b: %v", err)
+	}
+	go b2.Serve()
+	t.Cleanup(func() { b2.Close() })
+	if got, want := burst(), []string{fmt.Sprintf("VALUE %d 3", ka), "STORED", "STORED", fmt.Sprintf("VALUE %d 2", kb)}; strings.Join(got, ",") != strings.Join(want, ",") {
+		t.Fatalf("burst after restart = %q, want %q", got, want)
+	}
+	if got := proxyStat(t, c, "route_backend_dials"); got != dials+1 {
+		t.Fatalf("route_backend_dials after restart = %d, want %d (one redial)", got, dials+1)
+	}
+	if got := proxyStat(t, c, "route_backend_errors"); got != errs+1 {
+		t.Fatalf("route_backend_errors after restart = %d, want %d", got, errs+1)
+	}
+}
+
+// TestProxyCloseUnblocksBackendWait: a frontend waiting on a node that
+// accepted its request and never answers does not hold Proxy.Close up.
+func TestProxyCloseUnblocksBackendWait(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	// The silent node answers the proxy's seeding `cluster` with an empty
+	// table, and nothing else ever.
+	go func() {
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			go func() {
+				defer conn.Close()
+				r := bufio.NewReader(conn)
+				if line, err := r.ReadString('\n'); err == nil && strings.TrimSpace(line) == "cluster" {
+					io.WriteString(conn, "END\r\n")
+					return
+				}
+				io.Copy(io.Discard, r)
+			}()
+		}
+	}()
+	tel := &telemetry.RouteStats{}
+	p, err := cluster.New(cluster.Config{Nodes: []string{ln.Addr().String()}, Tel: tel})
+	if err != nil {
+		t.Fatalf("proxy: %v", err)
+	}
+	c := dialText(t, p.Addr())
+	if _, err := io.WriteString(c.conn, "get 1\r\n"); err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(5 * time.Second); tel.Node(ln.Addr().String()).Sent.Load() == 0; {
+		if time.Now().After(deadline) {
+			t.Fatal("the proxy never forwarded the get")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	closed := make(chan error, 1)
+	go func() { closed <- p.Close() }()
+	select {
+	case <-closed:
+	case <-time.After(time.Second):
+		t.Fatal("Proxy.Close still blocked after 1s on a frontend waiting for a silent node")
+	}
+}
+
+// TestProxyManyFrontendsFewNodeConns: more frontends than a node serves
+// connections. A node leaves connections past its cap queued
+// unanswered, so the proxy must share a bounded set of connections per
+// node among its frontends, not hold one per frontend; every burst
+// spans both nodes, the order in which a batch borrows them.
+func TestProxyManyFrontendsFewNodeConns(t *testing.T) {
+	const nodeCap, frontends, bursts = 4, 12, 40
+	a := startNode(t, "0-31", cacheserver.WithMaxConns(nodeCap))
+	b := startNode(t, "32-63", cacheserver.WithMaxConns(nodeCap))
+	p := startProxy(t, a.Addr().String(), b.Addr().String())
+
+	var ka, kb []uint64 // one key per frontend on each node
+	for k := uint64(0); len(ka) < frontends || len(kb) < frontends; k++ {
+		if cluster.SlotOf(k) < 32 {
+			ka = append(ka, k)
+		} else {
+			kb = append(kb, k)
+		}
+	}
+	var wg sync.WaitGroup
+	for i := 0; i < frontends; i++ {
+		wg.Add(1)
+		go func(x, y uint64) {
+			defer wg.Done()
+			conn, err := net.Dial("tcp", p.Addr())
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			defer conn.Close()
+			conn.SetDeadline(time.Now().Add(20 * time.Second))
+			r := bufio.NewReader(conn)
+			for n := 0; n < bursts; n++ {
+				fmt.Fprintf(conn, "set %d %d\r\nset %d %d\r\nmget %d %d\r\n", x, n, y, n, x, y)
+				want := []string{"STORED", "STORED",
+					fmt.Sprintf("VALUE %d %d", x, n), fmt.Sprintf("VALUE %d %d", y, n), "END"}
+				for _, w := range want {
+					line, err := r.ReadString('\n')
+					if err != nil {
+						t.Errorf("frontend %d/%d burst %d: %v", x, y, n, err)
+						return
+					}
+					if got := strings.TrimSpace(line); got != w {
+						t.Errorf("frontend %d/%d burst %d: %q, want %q", x, y, n, got, w)
+						return
+					}
+				}
+			}
+		}(ka[i], kb[i])
+	}
+	wg.Wait()
+	c := dialText(t, p.Addr())
+	if got := proxyStat(t, c, "route_backend_dials"); got > 2*nodeCap {
+		t.Fatalf("route_backend_dials = %d, want at most %d for %d frontends", got, 2*nodeCap, frontends)
 	}
 }

@@ -383,17 +383,18 @@ func (m *Map) deleteLocked(t *atlas.Thread, b int, key uint64, bump bool) (bool,
 	return true, nil
 }
 
-// Stripe-level access, for layers (such as txkv and the cache server's
-// batch pipeline) that implement multi-key operations by taking several
-// stripe locks themselves. The *Locked methods require the caller's
-// thread to hold the stripe mutex covering the key — they perform no
-// locking of their own, and no seqlock bumping either: the section
-// owner brackets every stripe its group touches with BeginStripeWrites
-// before the first mutation and EndStripeWrites after the last, which
-// holds the stripes odd for the whole section and makes the group
-// atomic to optimistic readers (per-mutation brackets would leave the
-// quiet windows between a group's mutations individually validatable —
-// a cross-key reader could see half an mset).
+// Stripe-level access, for layers that implement multi-key operations
+// by locking for themselves: txkv takes the stripe locks; the cache
+// server's batch pipeline takes one commit lock of its own, since one
+// thread runs all of a shard's sections. The *Locked methods require the
+// caller to hold a lock that excludes every other writer of the key's
+// stripe — they perform no locking of their own, and no seqlock bumping
+// either: the section owner brackets every stripe its group mutates with
+// BeginStripeWrites before the first mutation and EndStripeWrites after
+// the last, which holds the stripes odd for the whole section and makes
+// the group atomic to optimistic readers (per-mutation brackets would
+// leave the quiet windows between a group's mutations individually
+// validatable — a cross-key reader could see half an mset).
 
 // StripeOf returns the stripe-lock index covering key.
 func (m *Map) StripeOf(key uint64) int { return m.bucketOf(key) / m.stride }

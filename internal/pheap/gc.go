@@ -34,10 +34,17 @@ type GCReport struct {
 // mutator is running — the collector is designed for recovery time, where
 // that holds by construction.
 //
+// The blocks named in noScan are kept but never scanned: they hold no
+// pointers the heap's structures need, only words that may look like
+// them — Boehm's pointer-free blocks. Recovery names the Atlas log
+// rings, whose dead undo records still carry the addresses of blocks
+// unlinked before the crash; scanned, they would retain the very leaks
+// the collection exists to reclaim.
+//
 // The collector's whole working state is three bitmaps over the words
 // below the bump pointer (see blockMap), so a collection costs the chain
 // walk plus the live payload, hashes nothing, and frees in chain order.
-func (h *Heap) GC() (GCReport, error) {
+func (h *Heap) GC(noScan ...Ptr) (GCReport, error) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	tal := h.dev.Tally()
@@ -54,6 +61,12 @@ func (h *Heap) GC() (GCReport, error) {
 	// rejects everything else, out-of-range values included.
 	marked := make(bitmap, len(blocks.alloc))
 	var stack []uint64
+	for _, p := range noScan {
+		if blocks.alloc.has(uint64(p)) && !marked.has(uint64(p)) {
+			marked.set(uint64(p))
+			rep.BlocksMarked++
+		}
+	}
 	push := func(v uint64) {
 		p := v &^ markTagMask // see through pointer tags
 		if blocks.alloc.has(p) && !marked.has(p) {

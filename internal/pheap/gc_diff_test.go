@@ -14,8 +14,9 @@ import (
 // gcWithMaps is the collector as it was before the bitmaps: the
 // allocated blocks in a Go map keyed by payload address, the mark set in
 // a second one. It is kept as the reference GC is checked against — the
-// two must free exactly the same blocks and report the same numbers.
-func gcWithMaps(h *Heap) (GCReport, error) {
+// two must free exactly the same blocks and report the same numbers,
+// given the same blocks to keep unscanned.
+func gcWithMaps(h *Heap, noScan ...Ptr) (GCReport, error) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 
@@ -36,6 +37,11 @@ func gcWithMaps(h *Heap) (GCReport, error) {
 	rep.BlocksScanned = len(blocks)
 
 	marked := make(map[Ptr]bool, len(blocks))
+	for _, p := range noScan {
+		if _, ok := blocks[p]; ok {
+			marked[p] = true
+		}
+	}
 	var queue []Ptr
 	push := func(p Ptr) {
 		if _, ok := blocks[p]; ok && !marked[p] {
@@ -194,46 +200,62 @@ func freeLists(h *Heap) [][]Ptr {
 	return lists
 }
 
+// TestGCMatchesMapReference collects each seed's heap twice, from the
+// same start: once scanning every block, once keeping a few unscanned.
 func TestGCMatchesMapReference(t *testing.T) {
 	for seed := int64(1); seed <= 16; seed++ {
 		t.Run(fmt.Sprint("seed=", seed), func(t *testing.T) {
-			heaps := buildRandomHeaps(t, seed)
-			before := allocatedSet(t, heaps[0])
-			got, err := heaps[0].GC()
-			if err != nil {
-				t.Fatalf("GC: %v", err)
-			}
-			want, err := gcWithMaps(heaps[1])
-			if err != nil {
-				t.Fatalf("reference GC: %v", err)
-			}
-			if got != want {
-				t.Fatalf("GC reports %+v, the map-based reference %+v", got, want)
-			}
-			if got.BlocksFreed == 0 || got.BlocksMarked < 3 {
-				t.Fatalf("degenerate heap: %+v", got)
-			}
-			after, refAfter := allocatedSet(t, heaps[0]), allocatedSet(t, heaps[1])
-			if !reflect.DeepEqual(after, refAfter) {
-				t.Fatalf("GC kept %d blocks, the reference %d: the freed sets differ", len(after), len(refAfter))
-			}
-			if len(before)-len(after) != got.BlocksFreed {
-				t.Fatalf("report says %d freed, the chain lost %d", got.BlocksFreed, len(before)-len(after))
-			}
-			if !reflect.DeepEqual(freeLists(heaps[0]), freeLists(heaps[1])) {
-				t.Fatal("free lists differ from the reference's")
-			}
-			for i, h := range heaps {
-				if _, err := h.Check(); err != nil {
-					t.Fatalf("heap %d Check after GC: %v", i, err)
-				}
-			}
-			// A second collection finds nothing more to free.
-			again, err := heaps[0].GC()
-			if err != nil || again.BlocksFreed != 0 || again.BlocksMarked != got.BlocksMarked {
-				t.Fatalf("second GC = %+v, %v; want %d marked, none freed", again, err, got.BlocksMarked)
-			}
+			t.Run("scan=all", func(t *testing.T) { checkGCAgainstReference(t, seed, false) })
+			t.Run("scan=some", func(t *testing.T) { checkGCAgainstReference(t, seed, true) })
 		})
+	}
+}
+
+// checkGCAgainstReference runs GC and gcWithMaps on two copies of one
+// random heap and requires the same report, the same survivors and the
+// same free lists.
+func checkGCAgainstReference(t *testing.T, seed int64, keepSome bool) {
+	heaps := buildRandomHeaps(t, seed)
+	before := allocatedSet(t, heaps[0])
+	var noScan []Ptr
+	if keepSome {
+		// Keep a few blocks unscanned, a freed-looking and an
+		// out-of-range pointer among them.
+		noScan = append([]Ptr{Ptr(1 << 40), before[0] + 1}, before[len(before)/2:len(before)/2+3]...)
+	}
+	got, err := heaps[0].GC(noScan...)
+	if err != nil {
+		t.Fatalf("GC: %v", err)
+	}
+	want, err := gcWithMaps(heaps[1], noScan...)
+	if err != nil {
+		t.Fatalf("reference GC: %v", err)
+	}
+	if got != want {
+		t.Fatalf("GC reports %+v, the map-based reference %+v", got, want)
+	}
+	if got.BlocksFreed == 0 || got.BlocksMarked < 3 {
+		t.Fatalf("degenerate heap: %+v", got)
+	}
+	after, refAfter := allocatedSet(t, heaps[0]), allocatedSet(t, heaps[1])
+	if !reflect.DeepEqual(after, refAfter) {
+		t.Fatalf("GC kept %d blocks, the reference %d: the freed sets differ", len(after), len(refAfter))
+	}
+	if len(before)-len(after) != got.BlocksFreed {
+		t.Fatalf("report says %d freed, the chain lost %d", got.BlocksFreed, len(before)-len(after))
+	}
+	if !reflect.DeepEqual(freeLists(heaps[0]), freeLists(heaps[1])) {
+		t.Fatal("free lists differ from the reference's")
+	}
+	for i, h := range heaps {
+		if _, err := h.Check(); err != nil {
+			t.Fatalf("heap %d Check after GC: %v", i, err)
+		}
+	}
+	// A second collection finds nothing more to free.
+	again, err := heaps[0].GC(noScan...)
+	if err != nil || again.BlocksFreed != 0 || again.BlocksMarked != got.BlocksMarked {
+		t.Fatalf("second GC = %+v, %v; want %d marked, none freed", again, err, got.BlocksMarked)
 	}
 }
 
@@ -283,6 +305,25 @@ func TestGCPinOfFreedBlockIsIgnored(t *testing.T) {
 	}
 	if _, err := h.Check(); err != nil {
 		t.Fatalf("Check: %v", err)
+	}
+}
+
+// A block kept unscanned survives, and what only it points at does not.
+func TestGCNoScanKeepsWithoutScanning(t *testing.T) {
+	h := newHeapT(t, 1<<12)
+	ring, _ := h.Alloc(4)
+	target, _ := h.Alloc(2)
+	h.Store(ring, 1, uint64(target))
+	h.SetRoot(ring)
+	rep, err := h.GC(ring)
+	if err != nil {
+		t.Fatalf("GC: %v", err)
+	}
+	if want := (GCReport{BlocksScanned: 2, BlocksMarked: 1, BlocksFreed: 1, WordsReclaimed: 3}); rep != want {
+		t.Fatalf("GC = %+v, want %+v", rep, want)
+	}
+	if allocated := allocatedSet(t, h); len(allocated) != 1 || allocated[0] != ring {
+		t.Fatalf("allocated after GC = %v, want [%d] (%d only referenced from the unscanned block)", allocated, ring, target)
 	}
 }
 

@@ -63,6 +63,29 @@ func NewDecoder(r io.Reader, a Adapter, maxRequest int) *Decoder {
 // first byte, pick the protocol, Use it, then start calling Next.
 func (d *Decoder) Use(a Adapter) { d.a = a }
 
+// Sniff fixes the stream's protocol and returns its adapter: "native"
+// or "resp" as named, anything else ("auto") from the first byte —
+// RESP framing always leads with '*', which no native command starts
+// with. A server and the proxy call it once per connection.
+func (d *Decoder) Sniff(name string) (Adapter, error) {
+	var a Adapter = Native{}
+	switch name {
+	case "native":
+	case "resp":
+		a = RESP{}
+	default:
+		b, err := d.Peek()
+		if err != nil {
+			return nil, err
+		}
+		if b == '*' {
+			a = RESP{}
+		}
+	}
+	d.Use(a)
+	return a, nil
+}
+
 // Adapter returns the adapter currently decoding the stream.
 func (d *Decoder) Adapter() Adapter { return d.a }
 

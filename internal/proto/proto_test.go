@@ -417,6 +417,27 @@ func TestEncoderBoundSpills(t *testing.T) {
 	}
 }
 
+// TestDecoderSniff: a named protocol is taken as named, whatever the
+// stream starts with; "auto" picks RESP on a leading '*' only.
+func TestDecoderSniff(t *testing.T) {
+	for _, c := range []struct{ name, stream, want string }{
+		{"native", "*1\r\n", "native"},
+		{"resp", "get 1\r\n", "resp"},
+		{"auto", "*1\r\n", "resp"},
+		{"auto", "get 1\r\n", "native"},
+		{"", "get 1\r\n", "native"},
+	} {
+		d := NewDecoder(strings.NewReader(c.stream), Native{}, 0)
+		a, err := d.Sniff(c.name)
+		if err != nil || a.Name() != c.want || d.Adapter().Name() != c.want {
+			t.Errorf("Sniff(%q) on %q = %v, %v; want %s in use", c.name, c.stream, a, err, c.want)
+		}
+	}
+	if _, err := NewDecoder(strings.NewReader(""), Native{}, 0).Sniff("auto"); err == nil {
+		t.Error("Sniff(auto) on an empty stream succeeded")
+	}
+}
+
 func TestDecoderPeekAndUse(t *testing.T) {
 	d := NewDecoder(strings.NewReader("*1\r\n$4\r\nPING\r\n"), Native{}, 0)
 	b, err := d.Peek()

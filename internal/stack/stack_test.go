@@ -94,6 +94,47 @@ func TestCrashReattachPreservesCommittedState(t *testing.T) {
 	}
 }
 
+// TestRecoveryCollectsDeferredFrees: a delete inside an OCS unlinks its
+// node but defers the free until the log ring has lapped the section, so
+// a crash soon after leaves every deleted node allocated and
+// unreachable — the leak recovery's collector exists for. The dead undo
+// records in the rings still hold those nodes' addresses; the collector
+// must not read them as pointers.
+func TestRecoveryCollectsDeferredFrees(t *testing.T) {
+	s, err := New(WithDeviceWords(1 << 18))
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	th, err := s.RT.NewThread()
+	if err != nil {
+		t.Fatalf("thread: %v", err)
+	}
+	const n = 10
+	for k := uint64(1); k <= n; k++ {
+		if err := s.Map.Put(th, k, k); err != nil {
+			t.Fatalf("put %d: %v", k, err)
+		}
+	}
+	for k := uint64(1); k <= n; k++ {
+		if ok, err := s.Map.Delete(th, k); err != nil || !ok {
+			t.Fatalf("delete %d = %v, %v", k, ok, err)
+		}
+	}
+	s2, err := s.CrashReattach(nvm.CrashOptions{RescueFraction: 1})
+	if err != nil {
+		t.Fatalf("CrashReattach: %v", err)
+	}
+	if got := s2.Recovery.GC.BlocksFreed; got != n {
+		t.Fatalf("recovery GC freed %d blocks, want the %d deleted nodes (%v)", got, n, s2.Recovery)
+	}
+	if _, err := s2.Map.Verify(); err != nil {
+		t.Fatalf("verify: %v", err)
+	}
+	if _, err := s2.Heap.Check(); err != nil {
+		t.Fatalf("heap check: %v", err)
+	}
+}
+
 func TestHeapOnlyStack(t *testing.T) {
 	s, err := New(HeapOnly(), WithDeviceWords(1<<16))
 	if err != nil {

@@ -17,7 +17,7 @@ type RouteStats struct {
 	Redirects, Retries, RingRefreshes          Counter
 	BackendDials, BackendErrors                Counter
 
-	ForwardLatency, FanoutLatency Histogram
+	ForwardLatency, FanoutLatency, BackendWait Histogram
 
 	// RingEpoch is the proxy ring's epoch, set before the proxy renders.
 	RingEpoch atomic.Uint64
@@ -78,10 +78,11 @@ var RouteRows = newTable(ScopeServer, []Row[RouteStats]{
 	counter("route_redirects", "MOVED replies consumed from nodes", func(t *RouteStats) *Counter { return &t.Redirects }),
 	counter("route_retries", "re-sends after a redirect or an importing owner", func(t *RouteStats) *Counter { return &t.Retries }),
 	counter("route_ring_refreshes", "ownership changes applied to the ring", func(t *RouteStats) *Counter { return &t.RingRefreshes }),
-	counter("route_backend_dials", "backend connections established", func(t *RouteStats) *Counter { return &t.BackendDials }),
+	counter("route_backend_dials", "backend connections established, at most four open per node", func(t *RouteStats) *Counter { return &t.BackendDials }),
 	counter("route_backend_errors", "backend connections torn down by errors", func(t *RouteStats) *Counter { return &t.BackendErrors }),
 	histogram("route_forward_latency", KindDuration, "a single-node forward, enqueue to reply", func(t *RouteStats) *Histogram { return &t.ForwardLatency }),
 	histogram("route_fanout_latency", KindDuration, "a fan-out, enqueue to its last leg's reply", func(t *RouteStats) *Histogram { return &t.FanoutLatency }),
+	histogram("route_backend_wait", KindDuration, "per frontend batch, its last backend write to its last reply read", func(t *RouteStats) *Histogram { return &t.BackendWait }),
 	gauge("ring_epoch", "the proxy ring's ownership epoch", func(t *RouteStats) *atomic.Uint64 { return &t.RingEpoch }),
 	nodeRow("sent", "requests written to the node, fan-out legs and session rebinds included", func(n *NodeStats) *Counter { return &n.Sent }),
 	nodeRow("batches", "backend writes to the node", func(n *NodeStats) *Counter { return &n.Batches }),

@@ -57,9 +57,12 @@ go test -race ./internal/cacheserver ./internal/proto ./internal/repl ./internal
 # whatever this host happens to have. The commit-plan tests (a burst
 # must be indistinguishable from its commands served one at a time) and
 # the crash-vs-batch races ride along: they are the write path's
-# ordering and atomicity contracts.
-echo "== cacheserver tier/migrate/session/plan tests (-race -cpu 1,2,4)"
+# ordering and atomicity contracts. So do the proxy's: each frontend
+# connection reads its own links' replies, and Proxy.Close must still
+# cut a frontend out of a wait on a silent node.
+echo "== cacheserver tier/migrate/session/plan + proxy tests (-race -cpu 1,2,4)"
 go test -race -cpu 1,2,4 -run 'Tier|Relaxed|Durable|Fire|Wait|Epoch|DemandedClose|Migrate|Session|Plan|CrashNeverTears|CrashMidBatch' ./internal/cacheserver
+go test -race -cpu 1,2,4 -run 'Proxy' ./internal/cluster
 
 # The demand-driven epoch close is a handful of schedule races (a kick
 # against a close in flight, sixteen waiters against one close, a crash
@@ -73,10 +76,10 @@ echo "== go test ./... (everything else, no race)"
 go test ./...
 
 # Line count is a tracked metric (ROADMAP aim 2): the served system's
-# non-test source, the replication tier under it and the telemetry
-# rows every stats surface renders, printed so a PR that grows any of
-# them does so in plain sight.
-for pkg in cacheserver repl telemetry; do
+# non-test source, the routing tier in front of it, the replication
+# tier under it and the telemetry rows every stats surface renders,
+# printed so a PR that grows any of them does so in plain sight.
+for pkg in cacheserver cluster repl telemetry; do
 	echo "== internal/$pkg non-test lines"
 	ls internal/$pkg/*.go | grep -v '_test\.go$' | xargs cat | wc -l
 done
