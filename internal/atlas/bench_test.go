@@ -78,17 +78,34 @@ func BenchmarkStoreInOCS(b *testing.B) {
 	}
 }
 
-// BenchmarkFirstStoreFilter measures repeated stores to ONE location in
-// an OCS: after the first, the filter should make them as cheap as raw
-// stores.
+// BenchmarkFirstStoreFilter measures the first-store filter on both of
+// its paths. one: repeated stores to ONE location in an OCS — after the
+// first, the filter should make them as cheap as raw stores. wide: one
+// OCS per op storing twice to each of 256 scattered words, far past
+// dirtySliceMax — the shape of the cache server's burst-sized sections.
 func BenchmarkFirstStoreFilter(b *testing.B) {
-	_, th, m, region := benchRuntime(b, ModeTSP)
-	th.Lock(m)
-	defer th.Unlock(m)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		th.Store(region.Addr(), uint64(i))
-	}
+	b.Run("one", func(b *testing.B) {
+		_, th, m, region := benchRuntime(b, ModeTSP)
+		th.Lock(m)
+		defer th.Unlock(m)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			th.Store(region.Addr(), uint64(i))
+		}
+	})
+	b.Run("wide", func(b *testing.B) {
+		_, th, m, region := benchRuntime(b, ModeTSP)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			th.Lock(m)
+			for pass := 0; pass < 2; pass++ {
+				for w := 0; w < 256; w++ {
+					th.Store(region.Addr()+nvm.Addr(w*13%4096), uint64(i+pass))
+				}
+			}
+			th.Unlock(m)
+		}
+	})
 }
 
 // BenchmarkRecoveryScan measures a full recovery over a populated log.

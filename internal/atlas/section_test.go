@@ -133,8 +133,8 @@ func TestSectionCrashRollsBackWholeGroup(t *testing.T) {
 func uint64ToAddr(w int) nvm.Addr { return nvm.Addr(w) }
 
 // TestLargeSectionReusesFirstStoreFilter: a section with more distinct
-// stores than the filter's slice holds switches to the address map, and
-// the map is kept (cleared) for the next section instead of rebuilt —
+// stores than the filter's slice holds switches to the address table,
+// and the table is kept (emptied) for the next section, not rebuilt —
 // the cache server's burst-sized batches make such sections the common
 // case. The second of two 100-store sections allocates nothing, and
 // the filter still logs each address once per OCS: one undo record per

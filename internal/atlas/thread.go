@@ -2,10 +2,12 @@ package atlas
 
 import (
 	"fmt"
+	"math/bits"
 	"sync"
 
 	"tsp/internal/nvm"
 	"tsp/internal/pheap"
+	"tsp/internal/telemetry"
 )
 
 // Thread is a per-worker handle carrying the thread-local state real
@@ -19,9 +21,15 @@ type Thread struct {
 	// buf is stored as the pheap payload address; pheap.Ptr(0) marks
 	// "no log" (ModeOff runtimes register threads without buffers).
 
-	// tal counts the thread's device accesses, published when the
-	// outermost critical section closes (or at once, outside one).
-	tal nvm.Tally
+	// What the thread counted since it last published, in words only it
+	// touches: device accesses (tal), log traffic, and the map operations
+	// run on it (mapOps, for the map section mapTel). publish hands them
+	// to the shared sections when the outermost critical section closes
+	// (or at once, for an access outside one).
+	tal                       nvm.Tally
+	appends, flushes, commits uint64
+	mapOps                    telemetry.MapTally
+	mapTel                    *telemetry.MapStats
 
 	head       int    // total entries ever appended; slot = head % capacity
 	flushedTo  int    // entries [flushedTo, head) await their ordered flush (ModeNonTSP)
@@ -30,13 +38,10 @@ type Thread struct {
 	clock      uint64 // Lamport clock: the thread's last log sequence number
 
 	// First-store-per-OCS filter and the line set for the commit-time
-	// data flush in ModeNonTSP. A slice scan beats a map while the OCS is
-	// small; past dirtySliceMax addresses dirtySet indexes dirtyAddrs.
-	// The map outlives the OCS that first needed it (cleared, not
-	// dropped), so a thread whose sections are routinely that large —
-	// the cache server's burst-sized batches — allocates it once.
+	// data flush in ModeNonTSP. A slice scan beats hashing while the OCS
+	// is small; past dirtySliceMax addresses dirty indexes dirtyAddrs.
 	dirtyAddrs []nvm.Addr
-	dirtySet   map[nvm.Addr]struct{}
+	dirty      dirtyTable
 
 	// deferredFrees holds blocks unlinked inside OCSes, freed only once
 	// rollback can no longer resurrect them (see FreeDeferred).
@@ -55,8 +60,67 @@ type deferredFree struct {
 	readyAt int
 }
 
-// dirtySliceMax is the first-store filter's slice-to-map switchover.
+// dirtySliceMax is the first-store filter's slice-to-table switchover.
 const dirtySliceMax = 32
+
+// dirtyTable is the first-store filter past dirtySliceMax addresses: an
+// open-addressed set owned by its thread. A slot is in the set iff its
+// stamp is gen, so emptying the set at OCS end is one increment, and the
+// slots are zeroed only when the stamp wraps. It grows at half load and
+// is kept, so a thread whose sections are routinely large — the cache
+// server's burst-sized batches — sizes it once.
+type dirtyTable struct {
+	slots []dirtySlot // a power of two long
+	shift uint        // 64 - log2(len(slots)): hash bits kept
+	gen   uint32      // the current OCS's stamp; never 0 once slots exist
+	n     int         // addresses stamped gen
+}
+
+type dirtySlot struct {
+	a   nvm.Addr
+	gen uint32
+}
+
+// reset empties the set.
+func (d *dirtyTable) reset() {
+	d.n = 0
+	if d.gen++; d.gen == 0 {
+		clear(d.slots) // a wrapped stamp would revive ancient slots
+		d.gen = 1
+	}
+}
+
+// insert adds a to the set, reporting whether it was already there.
+func (d *dirtyTable) insert(a nvm.Addr) bool {
+	if 2*(d.n+1) > len(d.slots) {
+		d.grow()
+	}
+	mask := uint64(len(d.slots) - 1)
+	for i := uint64(a) * 0x9e3779b97f4a7c15 >> d.shift; ; i = (i + 1) & mask {
+		s := &d.slots[i]
+		if s.gen != d.gen {
+			s.a, s.gen = a, d.gen
+			d.n++
+			return false
+		}
+		if s.a == a {
+			return true
+		}
+	}
+}
+
+// grow doubles the table and re-inserts the current OCS's addresses.
+func (d *dirtyTable) grow() {
+	old, gen := d.slots, d.gen
+	size := max(2*len(old), 4*dirtySliceMax)
+	d.slots, d.shift, d.n = make([]dirtySlot, size), uint(64-bits.TrailingZeros(uint(size))), 0
+	d.gen = max(gen, 1)
+	for _, s := range old {
+		if s.gen == gen {
+			d.insert(s.a)
+		}
+	}
+}
 
 // ID returns the thread's registration slot.
 func (t *Thread) ID() uint64 { return t.id }
@@ -106,7 +170,7 @@ func (t *Thread) appendEntry(kind entryKind, a, v uint64, opening bool) {
 	}, t.id, t.rt.epoch.Load())
 	t.head++
 	t.ocsEntries++
-	t.rt.tel.IncLogAppend()
+	t.appends++
 }
 
 // flushPending makes every appended-but-unflushed record durable, in
@@ -121,7 +185,7 @@ func (t *Thread) flushPending() {
 		}
 		t.rt.dev.FlushRange(t.buf+nvm.Addr(slot*entryWords), uint64(n*entryWords))
 		t.flushedTo += n
-		t.rt.tel.IncLogFlush()
+		t.flushes++
 	}
 }
 
@@ -173,7 +237,7 @@ func (t *Thread) Unlock(m *Mutex) {
 				t.appendEntry(entryRelease, m.id, 0, false)
 			}
 			t.resetDirty()
-			t.rt.tel.IncOCSCommit()
+			t.commits++
 		} else {
 			t.appendEntry(entryRelease, m.id, 0, false)
 		}
@@ -184,7 +248,7 @@ func (t *Thread) Unlock(m *Mutex) {
 	}
 	m.mu.Unlock()
 	if t.held == 0 {
-		t.tal.Publish()
+		t.publish()
 		t.rt.ocsGate.RUnlock()
 		if len(t.deferredFrees) > 0 {
 			t.runDeferredFrees()
@@ -204,11 +268,15 @@ func (t *Thread) Unlock(m *Mutex) {
 // Section amortize it.
 //
 // Callers that run concurrent Sections over overlapping mutex sets must
-// order mus consistently (e.g. by stripe index, as txkv and the cache
-// server do); Section itself imposes no order. fn's error is returned
-// after the locks release; the error does NOT abort the section's
-// stores — a caller needing all-or-nothing application must buffer
-// writes until it knows fn succeeds (txkv's pattern).
+// order mus consistently (e.g. by stripe index, as txkv does); Section
+// itself imposes no order. The cache server has no such sets: a shard
+// runs every section on its one thread under one commit lock. fn's
+// error is returned after the locks release; the error does NOT abort
+// the section's stores — a caller needing all-or-nothing application
+// must buffer writes until it knows fn succeeds (txkv's pattern).
+//
+// What the section counted — device accesses, log records, map
+// operations — is published once, when it closes (see publish).
 //
 // One sizing caveat: the section's undo records all land in the same
 // log ring, so the combined footprint of fn must stay under the
@@ -219,12 +287,33 @@ func (t *Thread) Section(mus []*Mutex, fn func() error) error {
 	}
 	// A panicking fn leaves the mutexes held, so no Unlock publishes what
 	// it counted; after a returning fn's last Unlock this has nothing left.
-	defer t.tal.Publish()
+	defer t.publish()
 	err := fn()
 	for i := len(mus) - 1; i >= 0; i-- {
 		t.Unlock(mus[i])
 	}
 	return err
+}
+
+// publish hands the shared sections what the thread counted since it
+// last did: one atomic add per moved counter.
+func (t *Thread) publish() {
+	t.tal.Publish()
+	t.rt.tel.AddSection(t.appends, t.flushes, t.commits)
+	t.appends, t.flushes, t.commits = 0, 0, 0
+	t.mapTel.Publish(&t.mapOps)
+}
+
+// MapTally returns the tally a map counts an operation run on this
+// thread in, bound to the map's section s; the thread publishes it with
+// its other counts. A map with another section publishes what the tally
+// held first.
+func (t *Thread) MapTally(s *telemetry.MapStats) *telemetry.MapTally {
+	if s != t.mapTel {
+		t.mapTel.Publish(&t.mapOps)
+		t.mapTel = s
+	}
+	return &t.mapOps
 }
 
 // flushOCSData flushes every cache line dirtied by this OCS's guarded
@@ -250,7 +339,7 @@ func (t *Thread) flushOCSData() {
 
 func (t *Thread) resetDirty() {
 	if len(t.dirtyAddrs) > dirtySliceMax {
-		clear(t.dirtySet)
+		t.dirty.reset()
 	}
 	t.dirtyAddrs = t.dirtyAddrs[:0]
 }
@@ -259,10 +348,9 @@ func (t *Thread) resetDirty() {
 // current OCS — Atlas's first-store filter.
 func (t *Thread) seenDirty(a nvm.Addr) bool {
 	if len(t.dirtyAddrs) > dirtySliceMax {
-		if _, ok := t.dirtySet[a]; ok {
+		if t.dirty.insert(a) {
 			return true
 		}
-		t.dirtySet[a] = struct{}{}
 		t.dirtyAddrs = append(t.dirtyAddrs, a)
 		return false
 	}
@@ -273,11 +361,8 @@ func (t *Thread) seenDirty(a nvm.Addr) bool {
 	}
 	t.dirtyAddrs = append(t.dirtyAddrs, a)
 	if len(t.dirtyAddrs) > dirtySliceMax {
-		if t.dirtySet == nil {
-			t.dirtySet = make(map[nvm.Addr]struct{}, 4*dirtySliceMax)
-		}
 		for _, x := range t.dirtyAddrs {
-			t.dirtySet[x] = struct{}{}
+			t.dirty.insert(x)
 		}
 	}
 	return false
@@ -307,7 +392,7 @@ func (t *Thread) Store(a nvm.Addr, v uint64) {
 	}
 	t.tal.Store(a, v)
 	if t.held == 0 {
-		t.tal.Publish()
+		t.publish()
 	}
 }
 
@@ -315,7 +400,7 @@ func (t *Thread) Store(a nvm.Addr, v uint64) {
 func (t *Thread) Load(a nvm.Addr) uint64 {
 	v := t.tal.Load(a)
 	if t.held == 0 {
-		t.tal.Publish()
+		t.publish()
 	}
 	return v
 }

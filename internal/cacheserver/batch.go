@@ -1,12 +1,12 @@
 package cacheserver
 
 import (
-	"slices"
 	"time"
 
 	"tsp/internal/atlas"
 	"tsp/internal/proto"
 	"tsp/internal/repl"
+	"tsp/internal/telemetry"
 )
 
 // The write path. Every engine mutation — a client command's ops, a
@@ -333,7 +333,6 @@ func (sh *shard) runBatch(reqs []*batchReq, nops int) {
 	}
 	m := sh.stk.Map
 	var mus []*atlas.Mutex
-	stripes := sh.stripeScratch[:0]
 	for _, r := range reqs {
 		for i := range r.ops {
 			// Skip-list ops need no lock: the structure is lock-free.
@@ -342,30 +341,20 @@ func (sh *shard) runBatch(reqs []*batchReq, nops int) {
 			if op := &r.ops[i]; !isZ(op.kind) {
 				mus = sh.wmu
 				if op.kind != opGet {
-					stripes = append(stripes, m.StripeOf(op.key))
+					sh.stripes.Add(m.StripeOf(op.key))
 				}
 			}
 		}
 	}
-	slices.Sort(stripes)
-	stripes = slices.Compact(stripes)
+	stripes := sh.stripes.Sorted()
 
 	start := time.Now()
 	_ = th.Section(mus, func() error {
-		// Section-wide seqlock bracket: hold every mutated stripe odd
-		// for the whole group so optimistic readers can never validate a
-		// half-applied batch. The *Locked map variants do not bump on
-		// their own (see hashmap.BeginStripeWrites) — per-mutation
-		// brackets would leave validatable quiet windows between a
-		// group's mutations, tearing cross-key mget snapshots.
-		for _, st := range stripes {
-			m.BeginStripeWrites(st)
-		}
-		defer func() {
-			for _, st := range stripes {
-				m.EndStripeWrites(st)
-			}
-		}()
+		// Section-wide seqlock bracket: every mutated stripe stays odd for
+		// the whole group, so no optimistic reader validates a half-applied
+		// batch (see hashmap.BeginStripeWrites).
+		m.BeginStripes(stripes)
+		defer m.EndStripes(stripes)
 		for _, r := range reqs {
 			if r.sess != 0 {
 				// Sessioned group: window check, effects, and dedup
@@ -387,24 +376,25 @@ func (sh *shard) runBatch(reqs []*batchReq, nops int) {
 		}
 		return nil
 	})
-	// One latency observation and one size observation per batch — the
-	// amortization the stats should make visible.
+	// One latency and one size observation per batch — the amortization
+	// the stats should make visible — and the ops' counts, all published
+	// before any op is answered.
 	sh.tel.OpLatency.Observe(time.Since(start))
 	sh.tel.BatchSize.ObserveValue(uint64(nops))
 	sh.tel.Server.Batches.Inc()
 	sh.tel.Server.BatchedOps.Add(uint64(nops))
+	sh.counts.publish(sh.tel.Server)
 	// Replication tail: the batch just committed as one OCS becomes one
 	// replication log group. Still under the read lock, so a crash (and
 	// its generation bump) cannot land between commit and append.
 	if sh.replLog != nil {
 		sh.appendRepl(reqs)
 	}
-	sh.stripeScratch = stripes[:0]
 	sh.mu.RUnlock()
 }
 
 // execOp runs one op against the shard's engines with th, inside the
-// batch's open section, recording the protocol counters.
+// batch's open section, counting it in sh.counts.
 //
 // Tier interleaving happens here: reads consult the shard's relaxed
 // overlay first (read-your-writes across tiers), and a durable write
@@ -437,73 +427,58 @@ func (sh *shard) execOp(th *atlas.Thread, op *batchOp) {
 	}
 	switch op.kind {
 	case opGet:
-		sh.tel.Server.Gets.Inc()
 		if e, hit := sh.ovl.get(op.key, false); hit {
 			op.val, op.ok = e.val, !e.del
 		} else {
 			op.val, op.ok, op.err = m.GetLocked(th, op.key)
 		}
 		if op.ok {
-			sh.tel.Server.Hits.Inc()
+			sh.counts.hits++
 		}
 	case opSet:
 		sh.takeFold(th, op, list)
 		op.err = m.PutLocked(th, op.key, op.arg)
-		if op.err == nil {
-			op.ok = true
-			sh.tel.Server.Sets.Inc()
-		}
+		op.ok = op.err == nil
 	case opIncr:
 		if op.err = sh.foldOverlay(th, op, list); op.err != nil {
 			return
 		}
 		op.val, op.err = m.IncLocked(th, op.key, op.arg)
-		if op.err == nil {
-			op.ok = true
-			sh.tel.Server.Sets.Inc()
-		}
+		op.ok = op.err == nil
 	case opDelete:
 		oe, hadOv := sh.takeFold(th, op, list)
 		op.ok, op.err = m.DeleteLocked(th, op.key)
-		if op.err == nil {
-			if hadOv {
-				// The overlay held the key's logical state: present unless
-				// the pending entry was itself a delete.
-				op.ok = !oe.del
-			}
-			sh.tel.Server.Deletes.Inc()
+		if op.err == nil && hadOv {
+			// The overlay held the key's logical state: present unless
+			// the pending entry was itself a delete.
+			op.ok = !oe.del
 		}
 	case opZSet:
 		sh.takeFold(th, op, list)
 		_, op.err = sh.stk.List.Put(op.key, op.arg)
-		if op.err == nil {
-			op.ok = true
-			op.val = op.arg
-			sh.tel.Server.ZSets.Inc()
-		}
+		op.ok, op.val = op.err == nil, op.arg
 	case opZIncr:
 		if op.err = sh.foldOverlay(th, op, list); op.err != nil {
 			return
 		}
 		op.val, op.err = sh.stk.List.Inc(op.key, op.arg)
-		if op.err == nil {
-			op.ok = true
-			sh.tel.Server.ZSets.Inc()
-		}
+		op.ok = op.err == nil
 	case opZDelete:
 		oe, hadOv := sh.takeFold(th, op, list)
 		op.ok, op.err = sh.stk.List.Delete(op.key)
-		if op.err == nil {
-			if hadOv {
-				op.ok = !oe.del
-			}
-			sh.tel.Server.ZDeletes.Inc()
+		if op.err == nil && hadOv {
+			op.ok = !oe.del
 		}
 	}
-	if op.seq != 0 && op.err == nil {
+	if op.err != nil {
+		return
+	}
+	sh.counts.ops[op.kind]++
+	if op.seq != 0 {
 		// An applied flush always counts (and replicates), whether or
 		// not a flushed delete found the key in the engine.
 		op.ok = true
+		sh.counts.flushed++
 		sh.ovl.clearIfSeq(op.key, list, op.seq)
 		if op.sess != 0 {
 			sh.sessPersist(th, op.sess, op.sseq, op.spay, op.key)
@@ -550,6 +525,24 @@ func (sh *shard) foldOverlay(th *atlas.Thread, op *batchOp, list bool) error {
 		err = sh.stk.Map.PutLocked(th, op.key, e.val)
 	}
 	return err
+}
+
+// execCounts is what execOp counted in the open section — applied ops per
+// kind, hits, applied epoch flushes — until runBatch publishes it.
+type execCounts struct {
+	ops           [opZDelete + 1]uint64
+	hits, flushed uint64
+}
+
+func (c *execCounts) publish(s *telemetry.ServerStats) {
+	s.Gets.Add(c.ops[opGet])
+	s.Hits.Add(c.hits)
+	s.Sets.Add(c.ops[opSet] + c.ops[opIncr])
+	s.Deletes.Add(c.ops[opDelete])
+	s.ZSets.Add(c.ops[opZSet] + c.ops[opZIncr])
+	s.ZDeletes.Add(c.ops[opZDelete])
+	s.EpochFlushed.Add(c.flushed)
+	*c = execCounts{}
 }
 
 // isZ reports whether an op kind targets the ordered keyspace.

@@ -386,13 +386,6 @@ func (sh *shard) flushOverlay(s *Server, buf *[]batchOp) {
 	sh.submit(&g)
 	g.wait()
 	sh.tel.EpochFlushLatency.Observe(time.Since(start))
-	applied := uint64(0)
-	for i := range ops {
-		if ops[i].ok {
-			applied++
-		}
-	}
-	sh.tel.Server.EpochFlushed.Add(applied)
 }
 
 // setDurableEpoch persists e as the shard's epoch frontier, under the
@@ -466,7 +459,7 @@ func (s *Server) serveWait(cs *connState, req *proto.Request) proto.Reply {
 	tel := s.shards[0].tel
 	tel.Server.Waits.Inc()
 	defer func() {
-		tel.CmdLatency.ObserveProto(cs.ptel, telemetry.CmdWait, time.Since(start))
+		tel.CmdLatency.ObserveProto(cs.ptel, telemetry.CmdWait, time.Since(start), 1)
 	}()
 	timeout := time.Duration(req.KV[1]) * time.Millisecond
 
@@ -583,7 +576,7 @@ func (s *Server) serveRelaxed(cs *connState, req *proto.Request) proto.Reply {
 	if sess != 0 {
 		sh0.sessBuffer(sess, seq, pay, key)
 	}
-	sh0.tel.CmdLatency.ObserveProto(cs.ptel, sp.Tel, time.Since(start))
+	sh0.tel.CmdLatency.ObserveProto(cs.ptel, sp.Tel, time.Since(start), 1)
 	return rep
 }
 

@@ -65,7 +65,7 @@ func (s *Server) serveOrdered(cs *connState, req *proto.Request) proto.Reply {
 	el := time.Since(start)
 	telSh.tel.Server.ZGets.Inc()
 	telSh.tel.ReadLatency.Observe(el)
-	telSh.tel.CmdLatency.ObserveProto(cs.ptel, sp.Tel, el)
+	telSh.tel.CmdLatency.ObserveProto(cs.ptel, sp.Tel, el, 1)
 	return rep
 }
 

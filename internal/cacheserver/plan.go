@@ -4,6 +4,7 @@ import (
 	"errors"
 
 	"tsp/internal/repl"
+	"tsp/internal/telemetry"
 )
 
 // The commit plan. Everything a submitter wants committed between two
@@ -44,6 +45,8 @@ type leg struct {
 	open       int
 	cmd, cmdAt int
 	nsess      int
+	durable    uint64                        // durable-tier mutations whose first key is here
+	cmds       [telemetry.NumCommands]uint64 // the commands whose first key is here (flushPlan)
 	marks      []repl.SessRec
 	floor      uint64
 	used       bool

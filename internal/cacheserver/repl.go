@@ -265,7 +265,7 @@ func (a *replApplier) Apply(rops []repl.Op, marks []repl.SessRec, floor uint64) 
 	}
 	a.s.runPlan(p)
 	err := p.err()
-	a.s.shards[p.used[0]].tel.CmdLatency.ObserveProto(a.cs.ptel, telemetry.CmdRepl, time.Since(start))
+	a.s.shards[p.used[0]].tel.CmdLatency.ObserveProto(a.cs.ptel, telemetry.CmdRepl, time.Since(start), 1)
 	p.reset()
 	return err
 }

@@ -167,7 +167,7 @@ func (s *Server) serveBatch(cs *connState, enc *proto.Encoder, batch []proto.Req
 					cs.stage(enc, s.serveRelaxed(cs, req))
 					continue
 				}
-				sh.tel.Server.DurableOps.Inc()
+				cs.plan.legs[sh.idx].durable++
 			}
 			tag := cmdTag{req: req, sh: sh, start: len(cs.refs)}
 			cs.ops = appendOps(cs.ops[:0], req)
@@ -240,7 +240,9 @@ func (cs *connState) stage(enc *proto.Encoder, rep proto.Reply) {
 // or the plan holds a mutation, the whole plan commits through the
 // shards in arrival order (read-your-writes inside a burst). Every tag
 // observes the plan's end-to-end time: replies flush together, so the
-// plan's completion IS each command's service time.
+// plan's completion IS each command's service time — observed once per
+// (shard, command) with a count, and the plan's durable-tier mutations
+// counted once per shard, before any reply is staged.
 func (s *Server) flushPlan(cs *connState, enc *proto.Encoder) {
 	if len(cs.tags) == 0 {
 		return
@@ -252,13 +254,21 @@ func (s *Server) flushPlan(cs *connState, enc *proto.Encoder) {
 		s.runPlan(p)
 	}
 	el := time.Since(start)
-	for ti := range cs.tags {
-		tg := &cs.tags[ti]
-		if optimistic {
-			tg.sh.tel.ReadLatency.Observe(el)
+	for _, tg := range cs.tags {
+		p.leg(tg.sh).cmds[tg.req.Cmd.Spec().Tel]++
+	}
+	for _, li := range p.used {
+		tel := s.shards[li].tel
+		tel.Server.DurableOps.Add(p.legs[li].durable)
+		for cmd, n := range p.legs[li].cmds {
+			tel.CmdLatency.ObserveProto(cs.ptel, telemetry.Command(cmd), el, n)
+			if optimistic {
+				tel.ReadLatency.ObserveN(el, n)
+			}
 		}
-		tg.sh.tel.CmdLatency.ObserveProto(cs.ptel, tg.req.Cmd.Spec().Tel, el)
-		cs.stage(enc, s.buildDataReply(cs, tg))
+	}
+	for ti := range cs.tags {
+		cs.stage(enc, s.buildDataReply(cs, &cs.tags[ti]))
 	}
 	cs.tags, cs.refs = cs.tags[:0], cs.refs[:0]
 	p.reset()

@@ -377,8 +377,7 @@ func (s *Server) planSessioned(cs *connState, enc *proto.Encoder, req *proto.Req
 	}
 	wkey := req.KV[0]
 	wsh := s.shardOf(wkey)
-	tel := wsh.tel.Server
-	tel.SessionOps.Inc()
+	wsh.tel.Server.SessionOps.Inc()
 	p := &cs.plan
 	relaxed := req.Dur != proto.DurDurable && s.epochEnabled() && req.Cmd != proto.CmdMSet
 	cs.ops = appendOps(cs.ops[:0], req)
@@ -408,7 +407,6 @@ func (s *Server) planSessioned(cs *connState, enc *proto.Encoder, req *proto.Req
 		cs.stage(enc, s.serveRelaxed(cs, req))
 		return
 	}
-	tel.DurableOps.Inc()
 	if spans {
 		// Witness last: the other shards' sets commit first. Their
 		// results are not consulted.
@@ -426,6 +424,7 @@ func (s *Server) planSessioned(cs *connState, enc *proto.Encoder, req *proto.Req
 		p.reset()
 	}
 	at, grp := p.addSess(wsh, cs.ops, batchReq{sess: cs.sess, sseq: req.Seq, wkey: wkey, sessCmd: req.Cmd})
+	p.legs[wsh.idx].durable++
 	for i := range cs.ops {
 		cs.refs = append(cs.refs, opRef{at.leg, at.at + int32(i)})
 	}

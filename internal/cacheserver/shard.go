@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"tsp/internal/atlas"
+	"tsp/internal/hashmap"
 	"tsp/internal/nvm"
 	"tsp/internal/repl"
 	"tsp/internal/stack"
@@ -46,8 +47,8 @@ type shard struct {
 	// holder — the submitter that won it without waiting, the worker
 	// woken by the doorbell, or a relaxed read-modify-write — is the one
 	// goroutine mutating this shard's engines, and owns carry, the
-	// scratch slices, the drain thread wth and its commit lock wmu (both
-	// of generation wgen) while it holds the lock.
+	// scratch, the section's op counts, the drain thread wth and its
+	// commit lock wmu (both of generation wgen) while it holds the lock.
 	queue          chan *batchReq
 	doorbell       chan struct{}
 	combineMu      sync.Mutex
@@ -57,7 +58,8 @@ type shard struct {
 	wmu            []*atlas.Mutex
 	wgen           uint64
 	pendingScratch []*batchReq
-	stripeScratch  []int
+	stripes        hashmap.StripeSet
+	counts         execCounts
 
 	// replLog, when non-nil (primary role), receives every drained
 	// batch's committed effects as one replication group; runBatch

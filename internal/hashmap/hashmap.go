@@ -19,6 +19,7 @@ package hashmap
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"sync/atomic"
 
 	"tsp/internal/atlas"
@@ -65,6 +66,8 @@ type Map struct {
 	array    pheap.Ptr
 	nBuckets int
 	stride   int
+	mask     uint64 // nBuckets-1 on a power-of-two table, else noMask
+	shift    uint   // log2(stride) on a power-of-two stripe, else 64
 	mutexes  []*atlas.Mutex
 	seqs     []stripeSeq // one seqlock word per stripe, parallel to mutexes
 
@@ -85,8 +88,13 @@ type stripeSeq struct {
 // SetTelemetry points the map's operation counters at a registry section
 // (nil turns counting off). Call before the map is shared. The *Locked
 // stripe-level variants count too: they are the same logical map
-// operations, just with caller-managed locking.
+// operations, just with caller-managed locking. Every operation but an
+// optimistic get is counted in its thread's tally (atlas.Thread.MapTally)
+// and reaches tel when the thread's outermost critical section closes.
 func (m *Map) SetTelemetry(tel *telemetry.MapStats) { m.tel = tel }
+
+// noMask marks a table whose bucket count is not a power of two.
+const noMask = ^uint64(0)
 
 // mix64 is the table's hash and integrity mixer.
 func mix64(x uint64) uint64 {
@@ -155,6 +163,13 @@ func attach(rt *atlas.Runtime, desc pheap.Ptr) (*Map, error) {
 	if m.nBuckets < 1 || m.stride < 1 || m.array.IsNil() {
 		return nil, ErrNotMap
 	}
+	m.mask, m.shift = noMask, 64
+	if m.nBuckets&(m.nBuckets-1) == 0 {
+		m.mask = uint64(m.nBuckets - 1)
+	}
+	if m.stride&(m.stride-1) == 0 {
+		m.shift = uint(bits.TrailingZeros(uint(m.stride)))
+	}
 	nMutexes := (m.nBuckets + m.stride - 1) / m.stride
 	m.mutexes = make([]*atlas.Mutex, nMutexes)
 	for i := range m.mutexes {
@@ -172,9 +187,9 @@ func attach(rt *atlas.Runtime, desc pheap.Ptr) (*Map, error) {
 // atomic adds never contend with another writer — they exist purely to
 // signal readers.
 
-func (m *Map) writeBegin(b int) { atomic.AddUint64(&m.seqs[b/m.stride].v, 1) }
+func (m *Map) writeBegin(b int) { atomic.AddUint64(&m.seqs[m.stripe(b)].v, 1) }
 
-func (m *Map) writeEnd(b int) { atomic.AddUint64(&m.seqs[b/m.stride].v, 1) }
+func (m *Map) writeEnd(b int) { atomic.AddUint64(&m.seqs[m.stripe(b)].v, 1) }
 
 // StripeVersion returns stripe i's current sequence value — the
 // optimistic readers' consistency witness, exported so multi-key
@@ -198,6 +213,21 @@ func (m *Map) BeginStripeWrites(i int) { atomic.AddUint64(&m.seqs[i].v, 1) }
 // bracket, after the section's last mutation.
 func (m *Map) EndStripeWrites(i int) { atomic.AddUint64(&m.seqs[i].v, 1) }
 
+// BeginStripes opens the bracket on every stripe in stripes, in order:
+// a multi-key section's, around all of its *Locked mutations.
+func (m *Map) BeginStripes(stripes []int) {
+	for _, i := range stripes {
+		m.BeginStripeWrites(i)
+	}
+}
+
+// EndStripes closes the bracket BeginStripes opened.
+func (m *Map) EndStripes(stripes []int) {
+	for _, i := range stripes {
+		m.EndStripeWrites(i)
+	}
+}
+
 // Ptr returns the descriptor pointer for linking into root structures.
 func (m *Map) Ptr() pheap.Ptr { return m.desc }
 
@@ -207,11 +237,29 @@ func (m *Map) Buckets() int { return m.nBuckets }
 // Mutexes returns the number of stripe locks.
 func (m *Map) Mutexes() int { return len(m.mutexes) }
 
-func (m *Map) bucketOf(key uint64) int { return int(mix64(key) % uint64(m.nBuckets)) }
+// bucketOf is key's bucket, mix64(key) mod the bucket count: a mask on a
+// power-of-two table (the same bucket, so a persisted key never moves),
+// a division otherwise.
+func (m *Map) bucketOf(key uint64) int {
+	h := mix64(key)
+	if m.mask != noMask {
+		return int(h & m.mask)
+	}
+	return int(h % uint64(m.nBuckets))
+}
+
+// stripe is bucket b's stripe, b / stride: a shift on a power-of-two
+// stripe, a division otherwise.
+func (m *Map) stripe(b int) int {
+	if m.shift < 64 {
+		return b >> m.shift
+	}
+	return b / m.stride
+}
 
 func (m *Map) bucketAddr(b int) nvm.Addr { return m.array.Addr() + nvm.Addr(b) }
 
-func (m *Map) mutexFor(b int) *atlas.Mutex { return m.mutexes[b/m.stride] }
+func (m *Map) mutexFor(b int) *atlas.Mutex { return m.mutexes[m.stripe(b)] }
 
 // findLocked walks bucket b's chain for key; the caller holds the
 // stripe's mutex. It returns the node and its predecessor (Nil if the
@@ -233,7 +281,7 @@ func (m *Map) Put(t *atlas.Thread, key, value uint64) error {
 	if t == nil {
 		return ErrNoThread
 	}
-	m.tel.IncPut()
+	t.MapTally(m.tel).Puts++
 	b := m.bucketOf(key)
 	mu := m.mutexFor(b)
 	t.Lock(mu)
@@ -287,7 +335,7 @@ func (m *Map) Get(t *atlas.Thread, key uint64) (uint64, bool, error) {
 	if t == nil {
 		return 0, false, ErrNoThread
 	}
-	m.tel.IncGet()
+	t.MapTally(m.tel).Gets++
 	b := m.bucketOf(key)
 	mu := m.mutexFor(b)
 	t.Lock(mu)
@@ -306,7 +354,7 @@ func (m *Map) Inc(t *atlas.Thread, key, delta uint64) (uint64, error) {
 	if t == nil {
 		return 0, ErrNoThread
 	}
-	m.tel.IncInc()
+	t.MapTally(m.tel).Incs++
 	b := m.bucketOf(key)
 	mu := m.mutexFor(b)
 	t.Lock(mu)
@@ -346,7 +394,7 @@ func (m *Map) Delete(t *atlas.Thread, key uint64) (bool, error) {
 	if t == nil {
 		return false, ErrNoThread
 	}
-	m.tel.IncDelete()
+	t.MapTally(m.tel).Deletes++
 	b := m.bucketOf(key)
 	mu := m.mutexFor(b)
 	t.Lock(mu)
@@ -396,8 +444,44 @@ func (m *Map) deleteLocked(t *atlas.Thread, b int, key uint64, bump bool) (bool,
 // leave the quiet windows between a group's mutations individually
 // validatable — a cross-key reader could see half an mset).
 
+// StripeSet is the stripes a multi-key section owner locks or brackets,
+// as a bitset: Add each stripe its keys map to, and Sorted lists the
+// distinct ones in ascending order — the order of ordered locking and of
+// the seqlock bracket — and empties the set. Words at or past hi are
+// zero, so emptying clears only the words below it. The zero value is
+// an empty set.
+type StripeSet struct {
+	words []uint64
+	hi    int
+	list  []int
+}
+
+// Add puts stripe i in the set.
+func (s *StripeSet) Add(i int) {
+	w := i >> 6
+	if w >= len(s.words) {
+		s.words = append(s.words, make([]uint64, w+1-len(s.words))...)
+	}
+	s.words[w] |= 1 << (i & 63)
+	s.hi = max(s.hi, w+1)
+}
+
+// Sorted empties the set into its stripes in ascending order, in a slice
+// the next call reuses.
+func (s *StripeSet) Sorted() []int {
+	s.list = s.list[:0]
+	for w, b := range s.words[:s.hi] {
+		for ; b != 0; b &= b - 1 {
+			s.list = append(s.list, w<<6|bits.TrailingZeros64(b))
+		}
+		s.words[w] = 0
+	}
+	s.hi = 0
+	return s.list
+}
+
 // StripeOf returns the stripe-lock index covering key.
-func (m *Map) StripeOf(key uint64) int { return m.bucketOf(key) / m.stride }
+func (m *Map) StripeOf(key uint64) int { return m.stripe(m.bucketOf(key)) }
 
 // StripeMutex returns stripe i's mutex.
 func (m *Map) StripeMutex(i int) *atlas.Mutex { return m.mutexes[i] }
@@ -407,7 +491,7 @@ func (m *Map) GetLocked(t *atlas.Thread, key uint64) (uint64, bool, error) {
 	if t == nil {
 		return 0, false, ErrNoThread
 	}
-	m.tel.IncGet()
+	t.MapTally(m.tel).Gets++
 	n, _ := m.findLocked(t, m.bucketOf(key), key)
 	if n.IsNil() {
 		return 0, false, nil
@@ -421,7 +505,7 @@ func (m *Map) PutLocked(t *atlas.Thread, key, value uint64) error {
 	if t == nil {
 		return ErrNoThread
 	}
-	m.tel.IncPut()
+	t.MapTally(m.tel).Puts++
 	return m.putLocked(t, m.bucketOf(key), key, value, false)
 }
 
@@ -433,7 +517,7 @@ func (m *Map) IncLocked(t *atlas.Thread, key, delta uint64) (uint64, error) {
 	if t == nil {
 		return 0, ErrNoThread
 	}
-	m.tel.IncInc()
+	t.MapTally(m.tel).Incs++
 	return m.incLocked(t, m.bucketOf(key), key, delta, false)
 }
 
@@ -443,7 +527,7 @@ func (m *Map) DeleteLocked(t *atlas.Thread, key uint64) (bool, error) {
 	if t == nil {
 		return false, ErrNoThread
 	}
-	m.tel.IncDelete()
+	t.MapTally(m.tel).Deletes++
 	return m.deleteLocked(t, m.bucketOf(key), key, false)
 }
 

@@ -8,6 +8,7 @@ import (
 
 	"tsp/internal/atlas"
 	"tsp/internal/nvm"
+	"tsp/internal/telemetry"
 )
 
 // The device's counters are the program's own account of its work (the
@@ -33,6 +34,14 @@ var goldenCounts = nvm.StatsSnapshot{
 	Rescues:    1,
 }
 
+// goldenSectionCounts is what the same script's Atlas and map sections
+// counted at the commit before a thread tallied its sections' log
+// records and map operations (each was its own atomic add there).
+var goldenSectionCounts = telemetry.Snapshot{
+	"atlas_log_appends": 2150, "atlas_ocs_commits": 489,
+	"map_gets": 219, "map_puts": 189, "map_incs": 88, "map_deletes": 112, "map_opt_gets": 112,
+}
+
 func countStack(t testing.TB) (*Stack, *atlas.Thread) {
 	t.Helper()
 	s, err := New(WithDeviceWords(1<<18), WithBuckets(512, 64), WithLogEntries(1024), WithMaxThreads(4))
@@ -48,8 +57,9 @@ func countStack(t testing.TB) (*Stack, *atlas.Thread) {
 
 // countScript runs map puts/gets/incs/deletes through a Thread,
 // optimistic gets, a multi-stripe section, skip-list put/get/range, and
-// one CrashReattach with both verifies, and returns the device's totals.
-func countScript(t testing.TB) nvm.StatsSnapshot {
+// one CrashReattach with both verifies, and returns the device's totals
+// and the registry's.
+func countScript(t testing.TB) (nvm.StatsSnapshot, telemetry.Snapshot) {
 	t.Helper()
 	s, th := countStack(t)
 	rng := rand.New(rand.NewSource(22))
@@ -130,14 +140,20 @@ func countScript(t testing.TB) nvm.StatsSnapshot {
 	if _, err := ns.List.Verify(); err != nil {
 		t.Fatalf("list verify: %v", err)
 	}
-	return ns.Dev.Stats()
+	return ns.Dev.Stats(), ns.Tel.Counters()
 }
 
 // TestDeviceCountsGolden: the script's totals are, number for number,
 // what the parent commit counted.
 func TestDeviceCountsGolden(t *testing.T) {
-	if got := countScript(t); got != goldenCounts {
+	got, sections := countScript(t)
+	if got != goldenCounts {
 		t.Fatalf("device counts moved:\n got  %v\n want %v", got, goldenCounts)
+	}
+	for name, want := range goldenSectionCounts {
+		if sections[name] != want {
+			t.Errorf("%s = %d, want %d", name, sections[name], want)
+		}
 	}
 }
 

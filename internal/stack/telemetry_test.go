@@ -70,7 +70,7 @@ func TestTelemetryContinuityAcrossCrashReattach(t *testing.T) {
 	}
 	// The registry's histogram sections (the cache server's batch-size
 	// and per-command planes included) must ride the same continuity.
-	s.Tel.CmdLatency.ObserveProto(telemetry.ProtoInternal, telemetry.CmdSet, time.Millisecond)
+	s.Tel.CmdLatency.ObserveProto(telemetry.ProtoInternal, telemetry.CmdSet, time.Millisecond, 1)
 	s.Tel.BatchSize.ObserveValue(7)
 
 	s2, err := s.CrashReattach(nvm.CrashOptions{RescueFraction: 1})

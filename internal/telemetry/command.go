@@ -94,14 +94,14 @@ type CommandLatency struct {
 	hists [NumProtocols][NumCommands]Histogram
 }
 
-// ObserveProto records one request's service time under its protocol
-// and command. Out-of-range values are dropped rather than panicking —
-// the histogram is telemetry, not control flow.
-func (c *CommandLatency) ObserveProto(p Protocol, cmd Command, d time.Duration) {
+// ObserveProto records the service time of n requests under their
+// protocol and command. Out-of-range values are dropped rather than
+// panicking — the histogram is telemetry, not control flow.
+func (c *CommandLatency) ObserveProto(p Protocol, cmd Command, d time.Duration, n uint64) {
 	if c == nil || int(cmd) >= NumCommands || int(p) >= NumProtocols {
 		return
 	}
-	c.hists[p][cmd].Observe(d)
+	c.hists[p][cmd].ObserveN(d, n)
 }
 
 // commandRows are the per-command latency families: merged across

@@ -27,11 +27,11 @@ func TestCommandStrings(t *testing.T) {
 func TestCommandLatencyObserveAndSnapshot(t *testing.T) {
 	r := &Registry{CmdLatency: &CommandLatency{}}
 	cl := r.CmdLatency
-	cl.ObserveProto(ProtoNative, CmdGet, 100*time.Nanosecond)
-	cl.ObserveProto(ProtoRESP, CmdGet, 200*time.Nanosecond)
-	cl.ObserveProto(ProtoInternal, CmdSet, time.Microsecond)
-	cl.ObserveProto(ProtoNative, Command(250), time.Second) // dropped, not a panic
-	cl.ObserveProto(Protocol(9), CmdGet, time.Second)       // likewise
+	cl.ObserveProto(ProtoNative, CmdGet, 100*time.Nanosecond, 1)
+	cl.ObserveProto(ProtoRESP, CmdGet, 200*time.Nanosecond, 1)
+	cl.ObserveProto(ProtoInternal, CmdSet, time.Microsecond, 1)
+	cl.ObserveProto(ProtoNative, Command(250), time.Second, 1) // dropped, not a panic
+	cl.ObserveProto(Protocol(9), CmdGet, time.Second, 1)       // likewise
 
 	// Two instances of one registry: a shard-scoped row sums them.
 	src := RegistryRows.Bind(r, r)
@@ -53,8 +53,8 @@ func TestCommandLatencyObserveAndSnapshot(t *testing.T) {
 
 func TestCommandLatencyNilSafe(t *testing.T) {
 	var cl *CommandLatency
-	cl.ObserveProto(ProtoNative, CmdGet, time.Second) // must not panic
-	src := RegistryRows.Bind(&Registry{})             // a nil CmdLatency section
+	cl.ObserveProto(ProtoNative, CmdGet, time.Second, 1) // must not panic
+	src := RegistryRows.Bind(&Registry{})                // a nil CmdLatency section
 	Reset(src)
 	if got := stat("op_count", src); got != "0" {
 		t.Errorf("nil-section registry op_count = %q, want 0", got)
@@ -92,9 +92,9 @@ func TestRegistryReset(t *testing.T) {
 	r := NewRegistry()
 	r.Device.AddAccesses(0, 1, 0)
 	r.Device.IncFlush()
-	r.Atlas.IncLogAppend()
+	r.Atlas.AddSection(1, 0, 0)
 	r.Heap.IncAlloc()
-	r.Map.IncPut()
+	r.Map.Puts.Inc()
 	r.Server.Sets.Inc()
 	r.Server.Batches.Inc()
 	r.Server.BatchedOps.Add(8)
@@ -102,7 +102,7 @@ func TestRegistryReset(t *testing.T) {
 	r.Recovery.Recoveries.Inc()
 	r.OpLatency.Observe(time.Millisecond)
 	r.RecoveryLatency.Observe(time.Millisecond)
-	r.CmdLatency.ObserveProto(ProtoInternal, CmdSet, time.Millisecond)
+	r.CmdLatency.ObserveProto(ProtoInternal, CmdSet, time.Millisecond, 1)
 	r.BatchSize.ObserveValue(8)
 	r.Generation.Add(3)
 

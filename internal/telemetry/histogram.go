@@ -28,15 +28,19 @@ type Histogram struct {
 
 // Observe records one duration. Negative durations are clamped to zero
 // (the clock went backwards; the sample is still an event).
-func (h *Histogram) Observe(d time.Duration) {
-	if h == nil {
+func (h *Histogram) Observe(d time.Duration) { h.ObserveN(d, 1) }
+
+// ObserveN records n events that took d each for the price of one: the
+// commands of one commit plan share its completion time.
+func (h *Histogram) ObserveN(d time.Duration, n uint64) {
+	if h == nil || n == 0 {
 		return
 	}
 	if d < 0 {
 		d = 0
 	}
-	h.counts[bits.Len64(uint64(d))].Add(1)
-	h.sum.Add(uint64(d))
+	h.counts[bits.Len64(uint64(d))].Add(n)
+	h.sum.Add(uint64(d) * n)
 }
 
 // ObserveValue records an arbitrary uint64 magnitude (a batch size, a

@@ -34,16 +34,9 @@ type DeviceStats struct {
 // AddAccesses publishes one operation's tally: an atomic add per
 // counter the operation moved.
 func (s *DeviceStats) AddAccesses(loads, stores, cas uint64) {
-	if s == nil {
-		return
-	}
-	if loads != 0 {
+	if s != nil {
 		s.Loads.Add(loads)
-	}
-	if stores != 0 {
 		s.Stores.Add(stores)
-	}
-	if cas != 0 {
 		s.CAS.Add(cas)
 	}
 }
@@ -82,21 +75,13 @@ type AtlasStats struct {
 	Checkpoints Counter // explicit log-truncating checkpoints
 }
 
-func (s *AtlasStats) IncLogAppend() {
+// AddSection publishes what a thread's outermost critical section
+// counted in words the thread owns: one atomic add per moved counter.
+func (s *AtlasStats) AddSection(appends, flushes, commits uint64) {
 	if s != nil {
-		s.LogAppends.Inc()
-	}
-}
-
-func (s *AtlasStats) IncLogFlush() {
-	if s != nil {
-		s.LogFlushes.Inc()
-	}
-}
-
-func (s *AtlasStats) IncOCSCommit() {
-	if s != nil {
-		s.OCSCommits.Inc()
+		s.LogAppends.Add(appends)
+		s.LogFlushes.Add(flushes)
+		s.OCSCommits.Add(commits)
 	}
 }
 
@@ -147,27 +132,25 @@ type MapStats struct {
 	OptFallbacks Counter
 }
 
+// MapTally is the map operations run by one atlas.Thread since it last
+// published, in plain words the thread owns (atlas.Thread.MapTally).
+type MapTally struct{ Gets, Puts, Incs, Deletes uint64 }
+
+// Publish adds t to the section, one atomic add per moved counter, and
+// empties it.
+func (s *MapStats) Publish(t *MapTally) {
+	if s != nil {
+		s.Gets.Add(t.Gets)
+		s.Puts.Add(t.Puts)
+		s.Incs.Add(t.Incs)
+		s.Deletes.Add(t.Deletes)
+	}
+	*t = MapTally{}
+}
+
 func (s *MapStats) IncGet() {
 	if s != nil {
 		s.Gets.Inc()
-	}
-}
-
-func (s *MapStats) IncPut() {
-	if s != nil {
-		s.Puts.Inc()
-	}
-}
-
-func (s *MapStats) IncInc() {
-	if s != nil {
-		s.Incs.Inc()
-	}
-}
-
-func (s *MapStats) IncDelete() {
-	if s != nil {
-		s.Deletes.Inc()
 	}
 }
 

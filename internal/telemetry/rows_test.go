@@ -80,10 +80,10 @@ func stat(name string, srcs ...Source) string {
 // and unobserved label values of a histogram left out.
 func TestRenderersShareOneSpelling(t *testing.T) {
 	a, b := NewRegistry(), NewRegistry()
-	a.Map.IncPut()
-	b.Map.IncPut()
+	a.Map.Puts.Inc()
+	b.Map.Puts.Inc()
 	b.Items.Store(3)
-	a.CmdLatency.ObserveProto(ProtoNative, CmdGet, 3*time.Microsecond)
+	a.CmdLatency.ObserveProto(ProtoNative, CmdGet, 3*time.Microsecond, 1)
 	regs := RegistryRows.Bind(a, b)
 
 	var text strings.Builder

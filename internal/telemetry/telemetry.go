@@ -12,15 +12,16 @@
 //     nil-receiver safe, so a layer built without telemetry holds a nil
 //     section pointer and pays one predictable branch per event — no
 //     interface dispatch, no map lookup, no allocation.
-//   - Nothing counted per simulated memory access touches shared
-//     memory. The device's access counters (loads/stores/CAS) are kept
-//     in an nvm.Tally — plain words owned by the goroutine doing an
-//     operation — and reach DeviceStats as one atomic add per counter
-//     per OPERATION (a critical section, an optimistic read, a recovery
-//     pass). Every other counter here fires once per operation already
-//     and is a single atomic add. A reader of the registry therefore
-//     sees every finished operation exactly and may miss only the
-//     accesses of operations still in flight.
+//   - Nothing counted per simulated memory access, per log record or
+//     per operation inside a critical section touches shared memory.
+//     Such counts are kept in plain words the section's owner holds —
+//     the device's accesses in an nvm.Tally, Atlas's log traffic and
+//     the map's operations on the atlas.Thread (MapTally), the cache
+//     server's per-op counts with its drain lock — and reach their
+//     section as one atomic add per moved counter when the OPERATION
+//     (a critical section, an optimistic read, a recovery pass) ends. A
+//     reader of the registry therefore sees every finished operation
+//     exactly and may miss only the counts of operations in flight.
 //   - Snapshots are monotonic deltas. Counters only ever go up during an
 //     incarnation; consumers diff two Snapshots (Sub) to attribute cost
 //     to a window, and merge shards' Snapshots (Add) to aggregate.
@@ -45,9 +46,10 @@ func (c *Counter) Inc() {
 	}
 }
 
-// Add adds n.
+// Add adds n; adding zero touches nothing, so a publisher need not
+// check which of its counts moved.
 func (c *Counter) Add(n uint64) {
-	if c != nil {
+	if c != nil && n != 0 {
 		c.v.Add(n)
 	}
 }

@@ -31,9 +31,7 @@ func TestCounterNilSafety(t *testing.T) {
 	Reset(RegistryRows.Bind(&Registry{Device: d}))
 
 	var a *AtlasStats
-	a.IncLogAppend()
-	a.IncLogFlush()
-	a.IncOCSCommit()
+	a.AddSection(1, 1, 1)
 	a.IncCheckpoint()
 
 	var hp *HeapStats
@@ -43,9 +41,7 @@ func TestCounterNilSafety(t *testing.T) {
 
 	var m *MapStats
 	m.IncGet()
-	m.IncPut()
-	m.IncInc()
-	m.IncDelete()
+	m.Publish(&MapTally{Puts: 1})
 
 	var r *Registry
 	if r.Counters() != nil {
@@ -145,6 +141,19 @@ func TestHistogramZeroAndNegative(t *testing.T) {
 	}
 }
 
+// TestHistogramObserveN: a counted observation is n single ones.
+func TestHistogramObserveN(t *testing.T) {
+	var one, counted Histogram
+	for i := 0; i < 5; i++ {
+		one.Observe(3 * time.Microsecond)
+	}
+	counted.ObserveN(3*time.Microsecond, 5)
+	counted.ObserveN(time.Second, 0) // no events, no sample
+	if one.Snapshot() != counted.Snapshot() {
+		t.Fatalf("ObserveN(d, 5) = %+v, five Observe(d) = %+v", counted.Snapshot(), one.Snapshot())
+	}
+}
+
 func TestHistogramEmpty(t *testing.T) {
 	var s HistogramSnapshot
 	if s.Count() != 0 || s.Mean() != 0 || s.Quantile(0.99) != 0 || s.Max() != 0 {
@@ -173,8 +182,8 @@ func TestRegistrySnapshotSubAdd(t *testing.T) {
 	r := NewRegistry()
 	r.Device.AddAccesses(0, 1, 0)
 	r.Device.IncFlush()
-	r.Atlas.IncLogAppend()
-	r.Map.IncPut()
+	r.Atlas.AddSection(1, 0, 0)
+	r.Map.Puts.Inc()
 	r.Generation.Inc()
 
 	s1 := r.Counters()
@@ -184,7 +193,7 @@ func TestRegistrySnapshotSubAdd(t *testing.T) {
 	}
 
 	r.Device.AddAccesses(0, 1, 0)
-	r.Map.IncPut()
+	r.Map.Puts.Inc()
 	s2 := r.Counters()
 	delta := s2.Sub(s1)
 	if delta["nvm_stores"] != 1 || delta["map_puts"] != 1 || delta["nvm_flushes"] != 0 {

@@ -22,7 +22,6 @@ package txkv
 import (
 	"errors"
 	"fmt"
-	"sort"
 
 	"tsp/internal/atlas"
 	"tsp/internal/hashmap"
@@ -156,17 +155,13 @@ func (s *Store) Update(t *atlas.Thread, keys []uint64, fn func(tx *Txn) error) e
 	}
 	// Collect and sort the distinct stripes; ordered acquisition makes
 	// concurrent transactions deadlock-free.
-	stripes := map[int]bool{}
+	var stripes hashmap.StripeSet
 	declared := make(map[uint64]bool, len(keys))
 	for _, k := range keys {
 		declared[k] = true
-		stripes[s.m.StripeOf(k)] = true
+		stripes.Add(s.m.StripeOf(k))
 	}
-	order := make([]int, 0, len(stripes))
-	for st := range stripes {
-		order = append(order, st)
-	}
-	sort.Ints(order)
+	order := stripes.Sorted()
 	mus := make([]*atlas.Mutex, len(order))
 	for i, st := range order {
 		mus[i] = s.m.StripeMutex(st)
@@ -193,14 +188,8 @@ func (s *Store) Update(t *atlas.Thread, keys []uint64, fn func(tx *Txn) error) e
 		// per-write bracket would let a cross-key reader validate between
 		// two writes of one transaction.
 		if len(tx.order) > 0 {
-			for _, st := range order {
-				s.m.BeginStripeWrites(st)
-			}
-			defer func() {
-				for _, st := range order {
-					s.m.EndStripeWrites(st)
-				}
-			}()
+			s.m.BeginStripes(order)
+			defer s.m.EndStripes(order)
 		}
 		for _, k := range tx.order {
 			op := tx.writes[k]
