@@ -19,15 +19,13 @@ import (
 // against it. The contract under test (see internal/cacheserver's
 // session.go):
 //
-//   - durable:  a resend NEVER re-applies — it replays the recorded ack
-//     verbatim, across the crash and on the promoted follower alike.
-//   - relaxed:  a resend either replays the ack or, when the crash shed
-//     the value and its record together, re-applies against the equally
-//     rewound state — so the observed value never exceeds the first
-//     ack. A resend above the first ack is a double application, the
-//     bug this campaign exists to catch.
-//   - always:   after the final barrier, a read returns exactly the
-//     last acknowledged value; nothing applied twice anywhere.
+//   - every tier: a seq tag makes the write durable, so a resend NEVER
+//     re-applies — it replays the recorded ack verbatim, across the
+//     crash and on the promoted follower alike. A resend answering
+//     anything else is a lost or double application, the bug this
+//     campaign exists to catch.
+//   - always:   after the storm, a read returns exactly the last
+//     acknowledged value; nothing applied twice anywhere.
 //
 // Increments are the probe because they are not idempotent: one extra
 // application is arithmetically visible forever.
@@ -51,14 +49,10 @@ type eoWriter struct {
 	last uint64 // value of the most recent (re)send's ack
 }
 
-// eoVal parses the leading integer of an incr/zincr ack, tolerating a
-// trailing `@<epoch>` stamp on relaxed acks.
+// eoVal parses an incr/zincr ack: a bare integer on every tier, since a
+// seq-tagged ack is the durable ack and carries no `@<epoch>` receipt.
 func eoVal(rep string) (uint64, error) {
-	f := strings.Fields(rep)
-	if len(f) == 0 {
-		return 0, fmt.Errorf("empty ack")
-	}
-	v, err := strconv.ParseUint(f[0], 10, 64)
+	v, err := strconv.ParseUint(rep, 10, 64)
 	if err != nil {
 		return 0, fmt.Errorf("ack %q: %w", rep, err)
 	}
@@ -66,8 +60,7 @@ func eoVal(rep string) (uint64, error) {
 }
 
 // sendTwice issues one seq-tagged increment and immediately retries it
-// (the simulated lost ack), checking the dedup contract for the
-// writer's tier. The concurrent crash makes the relaxed bound one-sided.
+// (the simulated lost ack): the retry must replay the first ack.
 func (w *eoWriter) sendTwice() error {
 	w.seq++
 	line := fmt.Sprintf("%s %d %d seq=%d%s", w.cmd, w.key, eoDelta, w.seq, w.tier)
@@ -87,11 +80,8 @@ func (w *eoWriter) sendTwice() error {
 	if err != nil {
 		return fmt.Errorf("session %d seq %d retry: %w", w.sess, w.seq, err)
 	}
-	if w.tier == "" && v2 != v1 {
-		return fmt.Errorf("session %d seq %d: durable retry answered %d, first ack %d", w.sess, w.seq, v2, v1)
-	}
-	if v2 > v1 {
-		return fmt.Errorf("session %d seq %d: retry answered %d above first ack %d (double application)", w.sess, w.seq, v2, v1)
+	if v2 != v1 {
+		return fmt.Errorf("session %d seq %d:%s retry answered %d, first ack %d", w.sess, w.seq, w.tier, v2, v1)
 	}
 	w.last = v2
 	return nil
@@ -208,23 +198,15 @@ func runExactlyOnceCycle(cycle, writers int, seed int64) error {
 		}
 	}
 
-	// Settle: one replay per writer (the post-crash retry), a barrier to
-	// flush any re-applied relaxed state, then the read must agree with
-	// the replay's answer exactly.
+	// Settle: one replay per writer (the post-crash retry), which must
+	// answer the last ack, then the read must agree with it exactly.
 	for _, w := range ws {
 		v, err := w.replayLast(w.c)
 		if err != nil {
 			return err
 		}
-		if w.tier == "" && v != w.last {
-			return fmt.Errorf("session %d: durable replay answered %d, last ack %d", w.sess, v, w.last)
-		}
-		if v > w.last {
-			return fmt.Errorf("session %d: replay answered %d above last ack %d (double application)", w.sess, v, w.last)
-		}
-		w.last = v
-		if _, err := w.c.cmd("wait"); err != nil {
-			return err
+		if v != w.last {
+			return fmt.Errorf("session %d:%s replay answered %d, last ack %d", w.sess, w.tier, v, w.last)
 		}
 		rep, err := w.c.cmd(fmt.Sprintf("%s %d", w.get, w.key))
 		if err != nil {

@@ -59,8 +59,7 @@
 //	VALUE 1 100
 //
 // -epoch-interval sets the clock period (and therefore the relaxed
-// tier's loss bound); 0 disables the tiers, degrading relaxed and fire
-// to durable.
+// tier's loss bound); it must be positive.
 //
 // Exactly-once retries: `session <id>` binds the connection to a client
 // session, and a `seq=<n>` option on a mutating command makes it a
@@ -142,7 +141,7 @@ func main() {
 	replListen := flag.String("repl-listen", "", "replication listen address: stream committed batches to followers (primary role); empty disables")
 	replicaOf := flag.String("replica-of", "", "primary's replication address: apply its stream read-only until promoted (follower role); empty disables")
 	replWindow := flag.Int("repl-window", 4096, "committed groups the replication log retains; reconnects beyond it trigger a snapshot transfer")
-	epochInterval := flag.Duration("epoch-interval", 5*time.Millisecond, "durability epoch clock period — the relaxed tier's crash-loss bound; 0 disables the tiers")
+	epochInterval := flag.Duration("epoch-interval", 5*time.Millisecond, "durability epoch clock period — the relaxed tier's crash-loss bound (> 0)")
 	sessionWindow := flag.Int("session-window", 256, "per-shard session dedup records for exactly-once retries; the oldest is evicted when full")
 	clusterSlots := flag.String("cluster-slots", "", "hash slots this node owns (\"lo-hi,lo\", \"all\", or \"none\"): serve as a cluster node, answering MOVED for other slots; empty disables")
 	flag.Parse()

@@ -50,7 +50,7 @@ func TestWritePathAllocBudget(t *testing.T) {
 		{"depth64_burst_seq_every_8th", tagged.String(), 1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			s, err := New(WithShards(4), WithEpochInterval(0))
+			s, err := New(WithShards(4), WithEpochInterval(time.Hour))
 			if err != nil {
 				t.Fatalf("New: %v", err)
 			}
@@ -81,7 +81,7 @@ func TestWritePathAllocBudget(t *testing.T) {
 // connection, so a trip allocates nothing (21 objects before the runs
 // were kept: the runs slice, and each shard's run grown by append).
 func TestRangeAllocBudget(t *testing.T) {
-	s, err := New(WithShards(4), WithEpochInterval(0))
+	s, err := New(WithShards(4), WithEpochInterval(time.Hour))
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -142,7 +142,7 @@ func TestEpochCloseAllocBudget(t *testing.T) {
 	}
 	fill := func() {
 		for _, k := range keys {
-			s.shardOf(k).ovl.put(k, false, false, k, 0, 0, 0)
+			s.shardOf(k).ovl.put(k, false, false, k)
 		}
 	}
 	fill()

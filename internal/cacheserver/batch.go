@@ -18,7 +18,10 @@ import (
 // therefore applied or rolled back as a unit, and because no mutation
 // runs outside the drain lock, per shard the commit order, the
 // replication-log order and the order in which tiers observe each other
-// are the same order.
+// are the same order. Session records are written in two places, both
+// in runBatch's section: a sessioned group's own record (runSessReq) and
+// a follower group's replicated marks. An epoch drain flushes values
+// only; no record is ever buffered beside one.
 //
 // The section takes ONE Atlas mutex, the shard's commit lock. Atlas
 // logs acquires and releases so recovery can follow happens-before
@@ -100,13 +103,6 @@ type batchOp struct {
 	// success clears the entry if it still carries seq.
 	seq uint64
 
-	// The sess* fields ride only on epoch-drain ops whose overlay entry
-	// was a sessioned relaxed write: on a successful apply the entry's
-	// dedup record persists inside the same section (see sessPersist).
-	sess uint64
-	sseq uint64
-	spay uint64
-
 	val uint64
 	ok  bool
 	err error
@@ -119,11 +115,12 @@ type batchOp struct {
 // frontier has propagated.
 //
 // A request with sess != 0 is a sessioned group (see session.go): the
-// executor re-checks the dedup window, applies the ops, and commits the
-// session record inside the one section — verdict and sessPay carry
-// the outcome back. marks and floor ride only on follower-apply
-// groups: replicated session records (and the primary's eviction
-// floor) that must commit atomically with the group's ops.
+// executor checks the dedup window (the command's one verdict), applies
+// the ops, and commits the session record inside the one section;
+// verdict and sessPay carry the outcome back. marks and floor ride only
+// on follower-apply groups: replicated session records (and the
+// primary's eviction floor) that must commit atomically with the
+// group's ops.
 //
 // next chains the submitter's following group on this shard; the drain
 // commits a list in chain order. done is nil while the list runs in its
@@ -405,10 +402,7 @@ func (sh *shard) runBatch(reqs []*batchReq, nops int) {
 //
 // An epoch-drain op (seq != 0) is the same write with a guard on each
 // side: it runs only while its key still has a pending overlay entry,
-// and on success it clears that entry and persists the dedup record a
-// sessioned relaxed write buffered beside the value — value and record
-// become durable in one section, completing the relaxed tier's
-// exactly-once story (see session.go).
+// and on success it clears that entry.
 func (sh *shard) execOp(th *atlas.Thread, op *batchOp) {
 	m := sh.stk.Map
 	list := isZ(op.kind)
@@ -436,7 +430,7 @@ func (sh *shard) execOp(th *atlas.Thread, op *batchOp) {
 			sh.counts.hits++
 		}
 	case opSet:
-		sh.takeFold(th, op, list)
+		sh.takeFold(op, list)
 		op.err = m.PutLocked(th, op.key, op.arg)
 		op.ok = op.err == nil
 	case opIncr:
@@ -446,7 +440,7 @@ func (sh *shard) execOp(th *atlas.Thread, op *batchOp) {
 		op.val, op.err = m.IncLocked(th, op.key, op.arg)
 		op.ok = op.err == nil
 	case opDelete:
-		oe, hadOv := sh.takeFold(th, op, list)
+		oe, hadOv := sh.takeFold(op, list)
 		op.ok, op.err = m.DeleteLocked(th, op.key)
 		if op.err == nil && hadOv {
 			// The overlay held the key's logical state: present unless
@@ -454,7 +448,7 @@ func (sh *shard) execOp(th *atlas.Thread, op *batchOp) {
 			op.ok = !oe.del
 		}
 	case opZSet:
-		sh.takeFold(th, op, list)
+		sh.takeFold(op, list)
 		_, op.err = sh.stk.List.Put(op.key, op.arg)
 		op.ok, op.val = op.err == nil, op.arg
 	case opZIncr:
@@ -464,7 +458,7 @@ func (sh *shard) execOp(th *atlas.Thread, op *batchOp) {
 		op.val, op.err = sh.stk.List.Inc(op.key, op.arg)
 		op.ok = op.err == nil
 	case opZDelete:
-		oe, hadOv := sh.takeFold(th, op, list)
+		oe, hadOv := sh.takeFold(op, list)
 		op.ok, op.err = sh.stk.List.Delete(op.key)
 		if op.err == nil && hadOv {
 			op.ok = !oe.del
@@ -480,28 +474,17 @@ func (sh *shard) execOp(th *atlas.Thread, op *batchOp) {
 		op.ok = true
 		sh.counts.flushed++
 		sh.ovl.clearIfSeq(op.key, list, op.seq)
-		if op.sess != 0 {
-			sh.sessPersist(th, op.sess, op.sseq, op.spay, op.key)
-		}
 	}
 }
 
 // takeFold pops the pending overlay entry of op's key — the
-// durable-write fold — and, when the entry was a sessioned relaxed
-// write, persists its dedup record inside the open section: the fold is
-// making the buffered value durable, so its record must become durable
-// with it or a crash between the two would let the session's retry
-// apply a second time. An epoch-drain op folds nothing: the entry it
-// is flushing IS the pending state, cleared only once the write landed.
-func (sh *shard) takeFold(th *atlas.Thread, op *batchOp, list bool) (ovEntry, bool) {
+// durable-write fold. An epoch-drain op folds nothing: the entry it is
+// flushing IS the pending state, cleared only once the write landed.
+func (sh *shard) takeFold(op *batchOp, list bool) (ovEntry, bool) {
 	if op.seq != 0 {
 		return ovEntry{}, false
 	}
-	e, ok := sh.ovl.take(op.key, list)
-	if ok && e.sess != 0 {
-		sh.sessPersist(th, e.sess, e.sseq, e.spay, op.key)
-	}
-	return e, ok
+	return sh.ovl.take(op.key, list)
 }
 
 // foldOverlay materializes a key's pending relaxed entry into the
@@ -509,7 +492,7 @@ func (sh *shard) takeFold(th *atlas.Thread, op *batchOp, list bool) (ovEntry, bo
 // tombstone — so an arithmetic durable op (incr/zincr) starts from the
 // logical state its connection has already been acked.
 func (sh *shard) foldOverlay(th *atlas.Thread, op *batchOp, list bool) error {
-	e, ok := sh.takeFold(th, op, list)
+	e, ok := sh.takeFold(op, list)
 	if !ok {
 		return nil
 	}

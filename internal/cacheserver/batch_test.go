@@ -64,7 +64,7 @@ func TestMsetIsOneBatchOneSection(t *testing.T) {
 // records, exactly what the set alone logs. Locking a mutex per stripe
 // touched would log a pair per stripe.
 func TestSectionLogsOneLockPair(t *testing.T) {
-	s := startServer(t, WithShards(1), WithEpochInterval(0))
+	s := startServer(t, WithShards(1), WithEpochInterval(time.Hour))
 	sh := s.shards[0]
 	m := sh.stk.Map
 	keys := make([]uint64, m.Mutexes()) // keys[st] lives in stripe st
@@ -482,10 +482,10 @@ func TestCrashMidBatchCampaign(t *testing.T) {
 // over the wire but keeps stack_generation, which identifies the
 // incarnation rather than the traffic.
 func TestStatsResetCommand(t *testing.T) {
-	// Epoch tiers off: the clock persists the frontier word every tick,
-	// so a tick landing between `stats reset` and the readback would
-	// legitimately make nvm_stores nonzero on a quiescent server.
-	s := startServer(t, WithShards(2), WithEpochInterval(0))
+	// An hour-long epoch: the clock persists the frontier word every
+	// tick, so a tick landing between `stats reset` and the readback
+	// would legitimately make nvm_stores nonzero on a quiescent server.
+	s := startServer(t, WithShards(2), WithEpochInterval(time.Hour))
 	c := dial(t, s.Addr().String())
 	c.cmd(t, "set 1 1")
 	c.cmd(t, "mset 2 2 3 3 4 4 5 5")

@@ -49,6 +49,9 @@ import (
 // the shard's drain lock (see shard.relaxedRMW), so it cannot
 // interleave with a durable group folding the same entry or with
 // another relaxed writer. Blind relaxed writes never touch that lock.
+//
+// The overlay buffers values only. A seq-tagged write is durable on
+// every tier (see session.go), so no dedup record ever waits here.
 
 // ovKey addresses one overlay entry: a key in either the hash-map or
 // the ordered (skip-list) keyspace.
@@ -60,18 +63,11 @@ type ovKey struct {
 // ovEntry is one acked-but-unflushed relaxed write. seq orders entries
 // per overlay so an epoch drain clears an entry only if it is still
 // the one it flushed (a relaxed write landing mid-flush stays
-// pending); del marks a buffered delete (a tombstone reads must honor). A sessioned relaxed
-// write (sess != 0) additionally buffers its dedup record fields —
-// sseq and spay — beside the value, so the record persists in the same
-// section that makes the value durable (see session.go).
+// pending); del marks a buffered delete (a tombstone reads must honor).
 type ovEntry struct {
 	val uint64
 	seq uint64
 	del bool
-
-	sess uint64
-	sseq uint64
-	spay uint64
 }
 
 // overlay is a shard's volatile relaxed-write buffer. It is exactly
@@ -88,10 +84,8 @@ type overlay struct {
 }
 
 // put inserts or replaces the entry for (key, list) and returns its
-// sequence stamp. A sessioned write (sess != 0) carries its dedup
-// record fields: the record rides the entry so the epoch flush persists
-// value and record in one section.
-func (o *overlay) put(key uint64, list, del bool, val, sess, sseq, spay uint64) uint64 {
+// sequence stamp.
+func (o *overlay) put(key uint64, list, del bool, val uint64) uint64 {
 	o.mu.Lock()
 	if o.m == nil {
 		o.m = make(map[ovKey]ovEntry)
@@ -102,7 +96,7 @@ func (o *overlay) put(key uint64, list, del bool, val, sess, sseq, spay uint64) 
 	}
 	o.seq++
 	seq := o.seq
-	o.m[k] = ovEntry{val: val, seq: seq, del: del, sess: sess, sseq: sseq, spay: spay}
+	o.m[k] = ovEntry{val: val, seq: seq, del: del}
 	o.mu.Unlock()
 	return seq
 }
@@ -165,7 +159,7 @@ func (o *overlay) discard() {
 
 // flushOp is the epoch-drain op for one pending entry: the write the
 // entry buffered, carrying the entry's seq (so execOp clears exactly
-// the entry it flushed) and a sessioned write's record fields.
+// the entry it flushed).
 func flushOp(k ovKey, e ovEntry) batchOp {
 	kind := opSet
 	switch {
@@ -176,10 +170,7 @@ func flushOp(k ovKey, e ovEntry) batchOp {
 	case e.del:
 		kind = opDelete
 	}
-	return batchOp{
-		kind: kind, key: k.key, arg: e.val, seq: e.seq,
-		sess: e.sess, sseq: e.sseq, spay: e.spay,
-	}
+	return batchOp{kind: kind, key: k.key, arg: e.val, seq: e.seq}
 }
 
 // pendingOps snapshots every pending entry as an epoch-drain op. A
@@ -214,11 +205,6 @@ func (o *overlay) rangeList(lo, hi uint64, f func(key uint64, e ovEntry)) {
 	o.mu.Unlock()
 }
 
-// epochEnabled reports whether the durability tiers are live. When
-// false, relaxed and fire degrade to durable and epoch waits return
-// immediately.
-func (s *Server) epochEnabled() bool { return s.cfg.epochInterval > 0 }
-
 // broadcastWake publishes a wakeup to every waiter parked on p by
 // swapping in a fresh channel and closing the old one — a one-shot
 // broadcast with no waiter registry and no lock.
@@ -228,18 +214,15 @@ func broadcastWake(p *atomic.Pointer[chan struct{}]) {
 	close(*old)
 }
 
-// startEpochClock initializes the epoch state and, when the tiers are
-// enabled, starts the clock goroutine. Epochs start at 1 so an epoch
-// stamp of 0 can mean "absent" on the wire.
+// startEpochClock initializes the epoch state and starts the clock
+// goroutine. Epochs start at 1 so an epoch stamp of 0 can mean "absent"
+// on the wire.
 func (s *Server) startEpochClock() {
 	s.curEpoch.Store(1)
 	ch1 := make(chan struct{})
 	s.epochWake.Store(&ch1)
 	ch2 := make(chan struct{})
 	s.ackWake.Store(&ch2)
-	if !s.epochEnabled() {
-		return
-	}
 	s.epochKick = make(chan struct{}, 1)
 	s.epochStop = make(chan struct{})
 	s.epochDone = make(chan struct{})
@@ -250,9 +233,6 @@ func (s *Server) startEpochClock() {
 // relaxed writes acked before a clean shutdown are NOT allowed to be
 // lost by it; only crashes get that license) and stops the clock.
 func (s *Server) stopEpochClock() {
-	if s.epochStop == nil {
-		return
-	}
 	close(s.epochStop)
 	<-s.epochDone
 }
@@ -376,9 +356,14 @@ func (s *Server) drainShard(sh *shard) {
 // group per batchMax-sized chunk), stamping the epoch being closed on
 // the replicated groups. buf is the caller's own ops scratch, kept for
 // its next call (the epoch loop and a migration flip can overlap).
+// On return every write pending at the call is in the replication log.
 func (sh *shard) flushOverlay(s *Server, buf *[]batchOp) {
 	ops := sh.ovl.pendingOps((*buf)[:0])
 	if *buf = ops; len(ops) == 0 {
+		// The other flusher's section clears an entry before its log
+		// append; waiting out the drain lock waits out that section.
+		sh.combineMu.Lock()
+		sh.combineMu.Unlock()
 		return
 	}
 	start := time.Now()
@@ -479,11 +464,6 @@ func (s *Server) serveWait(cs *connState, req *proto.Request) proto.Reply {
 		return proto.Reply{Kind: proto.KInt, Val: uint64(got)}
 	}
 
-	if !s.epochEnabled() {
-		// Tiers off: nothing is ever buffered, so every ack was durable
-		// and the barrier is trivially met.
-		return proto.Reply{Kind: proto.KInt, Val: s.perEpoch.Load()}
-	}
 	target := req.KV[0]
 	cur := s.curEpoch.Load()
 	if target == 0 {
@@ -505,15 +485,8 @@ func (s *Server) serveWait(cs *connState, req *proto.Request) proto.Reply {
 // effects in the target shards' overlays and ack immediately with the
 // current epoch stamp. Called from serveBatch as a sequence point (the
 // pending durable group flushed first), so tiers interleave in program
-// order on a connection.
-//
-// A seq-tagged request (routed here by planSessioned, single-key by
-// then) buffers its dedup record beside the value — in the overlay
-// entry and the volatile mirror — and both persist in the same section
-// when the epoch closes (or a durable fold takes the entry). A crash
-// before that section loses value and record together — the relaxed
-// tier's loss contract extended to detectability: the retry re-applies
-// precisely because nothing of the first attempt survived.
+// order on a connection. A seq-tagged request never comes here: it
+// commits as a durable sessioned group (see planSessioned).
 func (s *Server) serveRelaxed(cs *connState, req *proto.Request) proto.Reply {
 	start := time.Now()
 	fire := req.Dur == proto.DurFire
@@ -524,29 +497,23 @@ func (s *Server) serveRelaxed(cs *connState, req *proto.Request) proto.Reply {
 	} else {
 		sh0.tel.Server.RelaxedOps.Inc()
 	}
-	var sess, seq, pay uint64
-	if req.HasSeq {
-		sess, seq = cs.sess, req.Seq
-	}
 	sp := req.Cmd.Spec()
 	list := sp.Space == proto.SpaceOrdered
 	rep := proto.Reply{Kind: sp.Reply}
 	switch sp.Verb {
 	case proto.VerbSet:
-		// One pair, or an mset's several (never seq-tagged here: a
-		// sessioned mset escalates to durable in planSessioned).
+		// One pair, or an mset's several.
 		for i := 0; i+1 < len(req.KV); i += 2 {
-			s.shardOf(req.KV[i]).ovl.put(req.KV[i], list, false, req.KV[i+1], sess, seq, 0)
+			s.shardOf(req.KV[i]).ovl.put(req.KV[i], list, false, req.KV[i+1])
 		}
 		if rep.Kind == proto.KStoredN {
 			rep.N = len(req.KV) / 2
 		}
 	case proto.VerbIncr:
-		nv, _, err := sh0.relaxedRMW(key, list, false, req.KV[1], sess, seq)
+		nv, _, err := sh0.relaxedRMW(key, list, false, req.KV[1])
 		if err != nil {
 			return proto.Reply{Kind: proto.KErrServer, Msg: err.Error()}
 		}
-		pay = nv
 		rep.Val = nv
 	default: // VerbDelete
 		items := cs.items[:0]
@@ -556,15 +523,12 @@ func (s *Server) serveRelaxed(cs *connState, req *proto.Request) proto.Reply {
 			if fire {
 				// The fire tier acks without consulting state; relaxed
 				// reports presence as of the ack.
-				sh.ovl.put(k, list, true, 0, sess, seq, 1)
+				sh.ovl.put(k, list, true, 0)
 			} else {
 				var err error
-				if _, found, err = sh.relaxedRMW(k, list, true, 0, sess, seq); err != nil {
+				if _, found, err = sh.relaxedRMW(k, list, true, 0); err != nil {
 					return proto.Reply{Kind: proto.KErrServer, Msg: err.Error()}
 				}
-			}
-			if found {
-				pay = 1
 			}
 			items = append(items, proto.Item{Key: k, Found: found})
 		}
@@ -573,9 +537,6 @@ func (s *Server) serveRelaxed(cs *connState, req *proto.Request) proto.Reply {
 	}
 	// The stamp is read after the overlay insert (see closeEpoch).
 	rep.Epoch = s.curEpoch.Load()
-	if sess != 0 {
-		sh0.sessBuffer(sess, seq, pay, key)
-	}
 	sh0.tel.CmdLatency.ObserveProto(cs.ptel, sp.Tel, time.Since(start), 1)
 	return rep
 }
@@ -587,9 +548,8 @@ func (s *Server) serveRelaxed(cs *connState, req *proto.Request) proto.Reply {
 // same lock, and every other relaxed read-modify-write brackets itself
 // the same way, so no acked increment can be computed from a value
 // another writer is concurrently replacing. Returns the buffered value
-// (incr) and whether the key was present (delete); a sessioned write's
-// record payload is that same result.
-func (sh *shard) relaxedRMW(key uint64, list, del bool, delta, sess, seq uint64) (uint64, bool, error) {
+// (incr) and whether the key was present (delete).
+func (sh *shard) relaxedRMW(key uint64, list, del bool, delta uint64) (uint64, bool, error) {
 	sh.combineMu.Lock()
 	defer sh.combineMu.Unlock()
 	base, found, err := sh.peekLocked(key, list)
@@ -597,15 +557,11 @@ func (sh *shard) relaxedRMW(key uint64, list, del bool, delta, sess, seq uint64)
 		return 0, false, err
 	}
 	if del {
-		pay := uint64(0)
-		if found {
-			pay = 1
-		}
-		sh.ovl.put(key, list, true, 0, sess, seq, pay)
+		sh.ovl.put(key, list, true, 0)
 		return 0, found, nil
 	}
 	nv := base + delta
-	sh.ovl.put(key, list, false, nv, sess, seq, nv)
+	sh.ovl.put(key, list, false, nv)
 	return nv, found, nil
 }
 

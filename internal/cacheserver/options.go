@@ -37,7 +37,7 @@ type config struct {
 
 	clusterSlots string // owned hash-slot spec ("lo-hi,lo" or "all"); "" = not a cluster node
 
-	epochInterval time.Duration // epoch clock period; <= 0 disables the tiers
+	epochInterval time.Duration // epoch clock period
 
 	sessSlots int // per-shard persistent session dedup records
 }
@@ -104,6 +104,9 @@ func (c config) validate() error {
 	}
 	if c.maxRequestBytes < 64 {
 		return fmt.Errorf("cacheserver: max request bytes %d too small", c.maxRequestBytes)
+	}
+	if c.epochInterval <= 0 {
+		return fmt.Errorf("cacheserver: epoch interval must be > 0, got %v", c.epochInterval)
 	}
 	if c.sessSlots < 1 {
 		return fmt.Errorf("cacheserver: session window must be >= 1, got %d", c.sessSlots)
@@ -276,10 +279,7 @@ func WithClusterSlots(spec string) Option {
 // 5ms). Relaxed-tier writes are acknowledged the moment they land in a
 // shard's volatile overlay, stamped with the current epoch, and made
 // persistent when that epoch closes — so the interval IS the loss bound
-// a crash can inflict on the relaxed tier. A non-positive interval
-// disables the epoch clock entirely: relaxed and fire degrade to
-// durable (every write commits before its ack) and epoch waits return
-// immediately.
+// a crash can inflict on the relaxed tier. It must be positive.
 func WithEpochInterval(d time.Duration) Option {
 	return func(c *config) { c.epochInterval = d }
 }

@@ -12,12 +12,12 @@ import (
 // one replicated group, one snapshot chunk — compiles into ONE plan:
 // per owner shard (a leg), the ops routed there in program order, cut
 // into an ordered list of commit groups. Runs of plain commands' ops
-// form one group each; a seq-tagged durable command whose keys live on
-// one shard forms a sessioned group of its own. runPlan hands every
-// leg's list to its shard before waiting on any and waits once per
-// shard, so a burst costs each shard it touches one submission — and,
-// the drain lock willing, one section — however many commands and
-// sequence numbers it carried.
+// form one group each; a seq-tagged command (durable on every tier)
+// whose keys live on one shard forms a sessioned group of its own.
+// runPlan hands every leg's list to its shard before waiting on any and
+// waits once per shard, so a burst costs each shard it touches one
+// submission — and, the drain lock willing, one section — however many
+// commands and sequence numbers it carried.
 //
 // Per-shard FIFO is per-key program order, which is the whole ordering
 // contract: a key lives on one shard, so its ops commit in the order
@@ -37,14 +37,12 @@ type opRef struct{ leg, at int32 }
 // meaningful — appends may still move ops' array — and open is where
 // the not-yet-cut plain run begins. cmd/cmdAt remember which command
 // added ops last and where they begin: the boundary an overflowing run
-// is cut at. nsess counts sessioned groups (see planSessioned); marks
-// and floor (follower apply only) ride the last group.
+// is cut at. marks and floor (follower apply only) ride the last group.
 type leg struct {
 	ops        []batchOp
 	groups     []batchReq
 	open       int
 	cmd, cmdAt int
-	nsess      int
 	durable    uint64                        // durable-tier mutations whose first key is here
 	cmds       [telemetry.NumCommands]uint64 // the commands whose first key is here (flushPlan)
 	marks      []repl.SessRec
@@ -123,7 +121,6 @@ func (p *plan) addSess(sh *shard, ops []batchOp, g batchReq) (opRef, int) {
 	g.ops = l.ops[l.open:]
 	l.groups = append(l.groups, g)
 	l.open = len(l.ops)
-	l.nsess++
 	return opRef{int32(sh.idx), int32(l.open - len(ops))}, len(l.groups) - 1
 }
 

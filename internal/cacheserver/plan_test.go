@@ -7,6 +7,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"tsp/internal/proto"
 	"tsp/internal/telemetry"
@@ -71,7 +72,8 @@ func regroup(cmds []string, depth int) [][]byte {
 // cross-shard mset / zadd, seq-tagged set, incr, delete, single- and
 // cross-shard mset, word-for-word resends of the latest and of an older
 // seq, and — when crashes is set — a crash followed by a resend of the
-// last seq-tagged command.
+// last seq-tagged command. A fifth of the writes, plain and seq-tagged
+// alike, ride the relaxed tier and a tenth the fire tier.
 func planStream(s *Server, seed int64, w, writers, n int, crashes bool) []string {
 	rng := rand.New(rand.NewSource(seed))
 	key := func() uint64 { return uint64(rng.Intn(24)*writers + w) }
@@ -93,10 +95,20 @@ func planStream(s *Server, seed int64, w, writers, n int, crashes bool) []string
 		}
 		return b.String()
 	}
+	// tier draws a write's durability tier.
+	tier := func(c string) string {
+		switch r := rng.Intn(10); {
+		case r < 2:
+			return c + " relaxed"
+		case r < 3:
+			return c + " fire"
+		}
+		return c
+	}
 	cmds := []string{fmt.Sprintf("session %d", 100+w)}
 	var sent []string // seq-tagged commands, in seq order
 	tagged := func(c string) string {
-		c = fmt.Sprintf("%s seq=%d", c, len(sent)+1)
+		c = tier(fmt.Sprintf("%s seq=%d", c, len(sent)+1))
 		sent = append(sent, c)
 		return c
 	}
@@ -104,19 +116,19 @@ func planStream(s *Server, seed int64, w, writers, n int, crashes bool) []string
 		var c string
 		switch r := rng.Intn(100); {
 		case r < 14:
-			c = fmt.Sprintf("set %d %d", key(), rng.Intn(1000))
+			c = tier(fmt.Sprintf("set %d %d", key(), rng.Intn(1000)))
 		case r < 26:
-			c = fmt.Sprintf("incr %d %d", key(), 1+rng.Intn(9))
+			c = tier(fmt.Sprintf("incr %d %d", key(), 1+rng.Intn(9)))
 		case r < 32:
-			c = fmt.Sprintf("delete %d", key())
+			c = tier(fmt.Sprintf("delete %d", key()))
 		case r < 42:
 			c = fmt.Sprintf("get %d", key())
 		case r < 47:
 			c = fmt.Sprintf("mget %d %d %d", key(), key(), key())
 		case r < 53:
-			c = "mset" + pairs([]uint64{key(), key(), key()})
+			c = tier("mset" + pairs([]uint64{key(), key(), key()}))
 		case r < 57:
-			c = fmt.Sprintf("zadd %d %d", key(), rng.Intn(1000))
+			c = tier(fmt.Sprintf("zadd %d %d", key(), rng.Intn(1000)))
 		case r < 66:
 			c = tagged(fmt.Sprintf("set %d %d", key(), rng.Intn(1000)))
 		case r < 78:
@@ -182,7 +194,9 @@ func diffLines(a, b string) string {
 // the same final keyspace and the same session verdict counts — one
 // connection (with crashes between bursts, each followed by a resend of
 // the last seq, which must replay), then two concurrent writers on
-// disjoint keys.
+// disjoint keys. The epoch clock is live but an hour long, so a relaxed
+// ack's receipt is the same in both runs and only a crash sheds the
+// overlay.
 func TestPlanBurstMatchesSequential(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
@@ -194,7 +208,7 @@ func TestPlanBurstMatchesSequential(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			for seed := int64(1); seed <= 6; seed++ {
-				opts := []Option{WithShards(4), WithEpochInterval(0), WithDeviceWords(1 << 16)}
+				opts := []Option{WithShards(4), WithEpochInterval(time.Hour), WithDeviceWords(1 << 16)}
 				seq, burst := startServer(t, opts...), startServer(t, opts...)
 				replies := make([][2]string, tc.writers)
 				var wg sync.WaitGroup
@@ -211,6 +225,9 @@ func TestPlanBurstMatchesSequential(t *testing.T) {
 				for w := range replies {
 					if replies[w][0] != replies[w][1] {
 						t.Fatalf("seed %d writer %d: %s", seed, w, diffLines(replies[w][0], replies[w][1]))
+					}
+					if !strings.Contains(replies[w][0], " @1\r\n") {
+						t.Fatalf("seed %d writer %d: no relaxed receipt in the replies", seed, w)
 					}
 				}
 				ks, kb := keyspace(seq, nil), keyspace(burst, nil)
@@ -240,13 +257,12 @@ func TestPlanBurstMatchesSequential(t *testing.T) {
 }
 
 // TestPlanSessionVerdictsMatchSequential pins the verdict rule for
-// seq-tagged commands that share a burst: the volatile pre-check reads
-// the window as committed so far, so it may answer only when no earlier
-// seq-tagged command of the burst is still pending on that shard —
-// otherwise the executor, which sees the record those commands leave,
-// decides. Each row sets the record with one depth-1 command, then
-// sends the pending seqs and the new seq as ONE burst; the new seq's
-// reply must be what sequential execution gives.
+// seq-tagged commands that share a burst: a single-shard command's one
+// verdict is its executor's in-section check, which runs in program
+// order after every earlier seq-tagged group of the burst and so sees
+// the record they leave. Each row sets the record with one depth-1
+// command, then sends the pending seqs and the new seq as ONE burst; the
+// new seq's reply must be what sequential execution gives.
 func TestPlanSessionVerdictsMatchSequential(t *testing.T) {
 	const tooOld = "CLIENT_ERROR " + seqTooOldMsg
 	for _, tc := range []struct {
@@ -270,7 +286,7 @@ func TestPlanSessionVerdictsMatchSequential(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			var got [2]string
 			for mode, depth := range []int{1, 64} {
-				s := startServer(t, WithShards(2), WithEpochInterval(0), WithDeviceWords(1<<16))
+				s := startServer(t, WithShards(2), WithEpochInterval(time.Hour), WithDeviceWords(1<<16))
 				cmds := []string{"session 9", fmt.Sprintf("incr 7 1 seq=%d", tc.record)}
 				for _, p := range tc.pending {
 					cmds = append(cmds, fmt.Sprintf("incr 7 1 seq=%d", p))
@@ -305,7 +321,7 @@ func TestPlanSessionVerdictsMatchSequential(t *testing.T) {
 // shards commits in at most one section per shard (it took 64 when each
 // seq-tagged command was a section of its own).
 func TestPlanSessionedBurstSharesSections(t *testing.T) {
-	s := startServer(t, WithShards(4), WithEpochInterval(0))
+	s := startServer(t, WithShards(4), WithEpochInterval(time.Hour))
 	ocs := func() (n uint64) {
 		for _, sh := range s.shards {
 			n += sh.tel.Atlas.OCSCommits.Load()
@@ -341,7 +357,7 @@ func TestPlanSessionedBurstSharesSections(t *testing.T) {
 // and torn three msets. A seq-tagged command in the middle keeps its
 // ops and its record in one section too.
 func TestPlanCutsAtCommandBoundaries(t *testing.T) {
-	s := startServer(t, WithShards(1), WithBatchMax(8), WithEpochInterval(0))
+	s := startServer(t, WithShards(1), WithBatchMax(8), WithEpochInterval(time.Hour))
 	sh := s.shards[0]
 	var cmds []string
 	for c := 0; c < 10; c++ {

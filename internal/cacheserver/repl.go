@@ -134,9 +134,6 @@ func (s *Server) streamState(keep func(uint64) bool, emit func([]repl.Op, []repl
 // the same full quiescence the crash command uses, since Map.Range
 // reads the device directly — and releases it before anything goes to
 // the network, so the pause per shard is the copy, not the transfer.
-// Volatile-only session records are deliberately left out: they guard
-// overlay values the copy cannot see, so shipping one would suppress a
-// retry whose effect the receiver never got.
 func (sh *shard) state(keep func(uint64) bool) (ops []repl.Op, marks []repl.SessRec, floor uint64) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()

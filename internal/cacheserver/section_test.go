@@ -5,6 +5,7 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 )
 
 // TestCountsExactAtReplyTime: a section's counts are published before
@@ -14,7 +15,7 @@ import (
 // map counts exactly — the same numbers the registries hold after the
 // server has shut down.
 func TestCountsExactAtReplyTime(t *testing.T) {
-	s := startServer(t, WithShards(2), WithEpochInterval(0))
+	s := startServer(t, WithShards(2), WithEpochInterval(time.Hour))
 	c, st := dial(t, s.Addr().String()), dial(t, s.Addr().String())
 	before := st.lines(t, "stats")
 	// stat is statValue with absence read as zero: a labelled histogram

@@ -76,8 +76,9 @@ func (s *Server) handle(conn net.Conn) {
 // locate them in the connection's plan. sh is the shard of the request's
 // first key, where its latency is recorded. A seq-tagged request also
 // has a session verdict: grp > 0 names (one-based) its sessioned group
-// in sh's leg, whose executor decides; grp == 0 means the volatile
-// pre-check settled it as verdict/pay and the tag holds no ops.
+// in sh's leg, whose executor decides; grp == 0 means a cross-shard or
+// wide mset's up-front check settled it as verdict/pay and the tag holds
+// no ops.
 type cmdTag struct {
 	req   *proto.Request
 	sh    *shard
@@ -158,7 +159,7 @@ func (s *Server) serveBatch(cs *connState, enc *proto.Encoder, batch []proto.Req
 			}
 			sh := s.shardOf(req.KV[0])
 			if sp.Mutates() {
-				if req.Dur != proto.DurDurable && s.epochEnabled() {
+				if req.Dur != proto.DurDurable {
 					// Relaxed/fire tier: a sequence point — the pending
 					// durable plan lands first so tiers interleave in
 					// program order on this connection — then the write is

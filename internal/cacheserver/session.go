@@ -39,21 +39,21 @@ import (
 // per session suffices.
 //
 // Scope: seq is honored on set, incr, mset, zadd, zincr, zdel, and
-// single-key delete. A sessioned request is one commit group whose
-// session mark the executor checks and commits in whatever section
-// carries the group (see runSessReq), so seq-tagged writes batch with
-// the plain commands around them. A sessioned mset that spans shards
-// executes its non-witness shards first (absolute sets — idempotent
-// under replay) and its witness shard (the shard of the first key)
-// last, with the record committed in that final section: the record's
-// presence therefore implies every other shard applied. Relaxed-tier sessioned writes keep
-// their fast ack — the record buffers beside the value in the volatile
-// overlay and both persist in the same section at epoch close, so a
-// crash loses value and record together (the relaxed tier's legal loss;
-// the retry simply re-applies). On a replicating primary every persisted
-// record also rides the replication stream as a group mark, so a
-// promoted follower inherits the window and keeps suppressing the same
-// retries (DESIGN.md §12).
+// single-key delete. A seq tag makes the write durable on every tier:
+// a sessioned request is one durable commit group whose record the
+// executor checks and commits in whatever section carries the group
+// (see runSessReq), so seq-tagged writes batch with the plain commands
+// around them, the in-section check is the one verdict, and the ack —
+// first send and replay alike — is the durable ack. No record is ever
+// volatile: a session record is present iff its effect is. A sessioned
+// mset that spans shards executes its non-witness shards first
+// (absolute sets — idempotent under replay) and its witness shard (the
+// shard of the first key) last, with the record committed in that final
+// section: the record's presence therefore implies every other shard
+// applied. On a replicating primary every persisted record also rides
+// the replication stream as a group mark, so a promoted follower
+// inherits the window and keeps suppressing the same retries
+// (DESIGN.md §12).
 
 // Error texts of the session contract.
 const (
@@ -75,27 +75,21 @@ const (
 	sessOld
 )
 
-// sessRec is the volatile mirror of one session's dedup record. seq,
-// pay and wkey track the newest acknowledged request (possibly still
-// overlay-buffered on the relaxed tier); pseq is the seq the
-// persistent slot currently holds (0 when nothing persisted); slot is
-// the record's slot in the shard's persistent table, -1 while the
-// record is volatile-only.
+// sessRec is the volatile mirror of one session's dedup record: the
+// newest applied request's seq, reply payload and witness key, and the
+// record's slot in the shard's persistent table.
 type sessRec struct {
 	seq  uint64
 	pay  uint64
 	wkey uint64
-	pseq uint64
 	slot int
 }
 
 // sessTable is a shard's session dedup window: the volatile mirror of
 // the persistent table (rebuilt from the heap on every recovery), the
-// slot-occupancy index, and the eviction floor. The mirror is
-// authoritative for checks — it covers volatile-only relaxed records
-// the heap does not hold yet — and the heap is authoritative across
-// crashes, which is exactly the relaxed tier's loss contract applied
-// to the records themselves.
+// slot-occupancy index, and the eviction floor. The mirror holds
+// exactly what the heap holds — every record is written in-section —
+// and exists so a check reads a map instead of the device.
 type sessTable struct {
 	mu    sync.Mutex
 	m     map[uint64]sessRec
@@ -107,9 +101,7 @@ type sessTable struct {
 // sessRebuild (re)builds the volatile mirror from the shard's
 // persistent session table. Called at shard construction and after
 // every crash-reattach, under the shard write lock (or before the
-// shard serves), so no reader races it. Volatile-only records vanish
-// here by design: their values lived in the overlay the same crash
-// discarded.
+// shard serves), so no reader races it.
 func (sh *shard) sessRebuild() {
 	t := &sh.sess
 	t.mu.Lock()
@@ -119,7 +111,7 @@ func (sh *shard) sessRebuild() {
 	t.slots = make([]uint64, slots)
 	t.cur = 0
 	t.floor = sh.sessSlots(func(i int, r repl.SessRec) {
-		t.m[r.Sess] = sessRec{seq: r.Seq, pay: r.Payload, wkey: r.Key, pseq: r.Seq, slot: i}
+		t.m[r.Sess] = sessRec{seq: r.Seq, pay: r.Payload, wkey: r.Key, slot: i}
 		t.slots[i] = r.Sess
 	})
 }
@@ -168,27 +160,6 @@ func (sh *shard) sessCheck(sess, seq uint64) (sessVerdict, uint64) {
 	return sessFresh, 0
 }
 
-// sessBuffer records a relaxed-tier sessioned ack in the volatile
-// mirror only — the persistent slot (if the session has one) is left
-// at its old seq until the overlay entry's epoch flush calls
-// sessPersist inside the flush section. Between ack and flush the
-// mirror suppresses retries; a crash discards mirror and overlay
-// together, so the retry re-applies against state that equally lost
-// the value.
-func (sh *shard) sessBuffer(sess, seq, pay, wkey uint64) {
-	t := &sh.sess
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	rec, ok := t.m[sess]
-	if !ok {
-		rec = sessRec{slot: -1}
-	}
-	if seq >= rec.seq {
-		rec.seq, rec.pay, rec.wkey = seq, pay, wkey
-	}
-	t.m[sess] = rec
-}
-
 // sessAddr returns the word address off words into the shard's session
 // table block.
 func sessAddr(p pheap.Ptr, off int) nvm.Addr {
@@ -201,43 +172,35 @@ func sessAddr(p pheap.Ptr, off int) nvm.Addr {
 // lock: the record's stores are undo-logged with the mutation they
 // witness, which is the whole point — record and effect commit or
 // roll back together. Persists are seq-guarded (a slot never moves
-// backwards), so out-of-order epoch flushes of two keys written by one
-// session converge. When the table is full the round-robin victim's
-// record is evicted and the floor raised to its seq — in the same
-// section, so the window's honesty survives the crash too. On a
-// replicating primary the persisted record is queued as a group mark
-// for appendRepl (the caller holds the drain lock, which makes
-// markScratch single-writer).
+// backwards), so a follower replaying a log suffix its state transfer
+// already covers keeps the newer record. When the table is full the
+// round-robin victim's record is evicted and the floor raised to its
+// seq — in the same section, so the window's honesty survives the
+// crash too. On a replicating primary the persisted record is queued as
+// a group mark for appendRepl (the caller holds the drain lock, which
+// makes markScratch single-writer).
 func (sh *shard) sessPersist(th *atlas.Thread, sess, seq, pay, wkey uint64) {
 	t := &sh.sess
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	rec, ok := t.m[sess]
-	if ok && rec.pseq >= seq {
+	if ok && rec.seq >= seq {
 		return
-	}
-	if !ok {
-		rec = sessRec{slot: -1}
 	}
 	p, _ := sh.stk.SessTable()
 	if p.IsNil() || len(t.slots) == 0 {
 		return
 	}
-	slot := rec.slot
-	if slot < 0 {
-		slot = t.freeSlotLocked(sh, th, p)
+	if !ok {
+		rec.slot = t.freeSlotLocked(sh, th, p)
 	}
-	base := stack.SessHdrWords + stack.SessRecWords*slot
+	base := stack.SessHdrWords + stack.SessRecWords*rec.slot
 	th.Store(sessAddr(p, base+stack.SessRecSess), sess)
 	th.Store(sessAddr(p, base+stack.SessRecSeq), seq)
 	th.Store(sessAddr(p, base+stack.SessRecPayload), pay)
 	th.Store(sessAddr(p, base+stack.SessRecKey), wkey)
-	if seq >= rec.seq {
-		rec.seq, rec.pay, rec.wkey = seq, pay, wkey
-	}
-	rec.pseq, rec.slot = seq, slot
-	t.m[sess] = rec
-	t.slots[slot] = sess
+	t.m[sess] = sessRec{seq: seq, pay: pay, wkey: wkey, slot: rec.slot}
+	t.slots[rec.slot] = sess
 	if sh.replLog != nil {
 		sh.markScratch = append(sh.markScratch,
 			repl.SessRec{Sess: sess, Seq: seq, Payload: pay, Key: wkey})
@@ -303,8 +266,9 @@ func sessPayload(cmd proto.Cmd, ops []batchOp) uint64 {
 }
 
 // runSessReq executes one sessioned group inside the batch's open
-// section: re-check the window (authoritative under the drain lock),
-// apply the ops, and commit the dedup record — all in one OCS. An op
+// section: check the window (the one verdict: it runs under the drain
+// lock, in program order with every earlier group of the shard), apply
+// the ops, and commit the dedup record — all in one OCS. An op
 // error skips the record so the client's retry re-runs rather than
 // being suppressed with a failure it can't see.
 func (sh *shard) runSessReq(th *atlas.Thread, r *batchReq) {
@@ -324,15 +288,10 @@ func (sh *shard) runSessReq(th *atlas.Thread, r *batchReq) {
 }
 
 // sessReplay shapes the reply a duplicate retry is answered with, from
-// the recorded payload and the (retried) request's own shape. The
-// epoch stamp, when the retry rides a relaxed tier, is the current
-// epoch: the recorded effect is at least that durable.
-func (s *Server) sessReplay(cs *connState, req *proto.Request, pay uint64) proto.Reply {
-	var epoch uint64
-	if req.Dur != proto.DurDurable && s.epochEnabled() {
-		epoch = s.curEpoch.Load()
-	}
-	rep := proto.Reply{Kind: req.Cmd.Spec().Reply, Epoch: epoch}
+// the recorded payload and the (retried) request's own shape: the
+// durable ack its first send was answered with, on every tier.
+func sessReplay(cs *connState, req *proto.Request, pay uint64) proto.Reply {
+	rep := proto.Reply{Kind: req.Cmd.Spec().Reply}
 	switch rep.Kind {
 	case proto.KInt:
 		rep.Val = pay
@@ -360,15 +319,17 @@ func sessGuard(cs *connState, req *proto.Request) (proto.Reply, bool) {
 	return proto.Reply{}, false
 }
 
-// planSessioned compiles one seq-tagged mutation into the connection's
-// plan. A durable command whose keys live on one shard joins it as a
-// sessioned group, in program order with the plain commands around it.
-// Three shapes stay sequence points (the pending plan flushes first): a
-// relaxed/fire single-key write, which keeps its overlay fast path; an
-// mset spanning shards, whose witness shard must commit after every
-// other leg has; and an mset wider than one section, whose head chunks
-// run before its record's section (see shard.drain) and so must not run
-// behind an unsettled duplicate verdict.
+// planSessioned compiles one seq-tagged mutation — durable on every
+// tier — into the connection's plan. A command whose keys live on one
+// shard joins it as a sessioned group, in program order with the plain
+// commands around it, and its executor's in-section check is its
+// verdict. Two shapes stay sequence points (the pending plan flushes
+// first): an mset spanning shards, whose witness shard must commit after
+// every other leg has; and an mset wider than one section, whose head
+// chunks run before its record's section (see shard.drain). With the
+// plan flushed, the window as committed is the window the executor
+// would see, so these two alone are checked up front: a duplicate or
+// stale seq must not reach their non-witness shards or head chunks.
 func (s *Server) planSessioned(cs *connState, enc *proto.Encoder, req *proto.Request) {
 	if rep, bad := sessGuard(cs, req); bad {
 		s.flushPlan(cs, enc)
@@ -379,35 +340,19 @@ func (s *Server) planSessioned(cs *connState, enc *proto.Encoder, req *proto.Req
 	wsh := s.shardOf(wkey)
 	wsh.tel.Server.SessionOps.Inc()
 	p := &cs.plan
-	relaxed := req.Dur != proto.DurDurable && s.epochEnabled() && req.Cmd != proto.CmdMSet
 	cs.ops = appendOps(cs.ops[:0], req)
 	spans := len(cs.ops) > s.cfg.batchMax
 	for i := 1; i < len(cs.ops) && !spans; i++ {
 		spans = s.shardOf(cs.ops[i].key) != wsh
 	}
-	if relaxed || spans {
+	tag := cmdTag{req: req, sh: wsh}
+	if spans {
 		s.flushPlan(cs, enc)
-	}
-	tag := cmdTag{req: req, sh: wsh, start: len(cs.refs)}
-
-	// Volatile pre-check: answers dups and stale seqs without a section,
-	// and keeps a duplicate mset out of its non-witness shards. It reads
-	// the window as committed so far, so it may speak only when this plan
-	// holds no earlier seq-tagged group for the shard — one pending there
-	// moves the record before this command's turn (record 5, pending 6: a
-	// resent 5 is too old, not a replay), and then the executor decides.
-	if p.legs[wsh.idx].nsess == 0 {
 		if v, pay := wsh.sessCheck(cs.sess, req.Seq); v != sessFresh {
 			tag.verdict, tag.pay = v, pay
 			cs.tags = append(cs.tags, tag)
 			return
 		}
-	}
-	if relaxed {
-		cs.stage(enc, s.serveRelaxed(cs, req))
-		return
-	}
-	if spans {
 		// Witness last: the other shards' sets commit first. Their
 		// results are not consulted.
 		n := 0
@@ -423,6 +368,7 @@ func (s *Server) planSessioned(cs *connState, enc *proto.Encoder, req *proto.Req
 		s.runPlan(p)
 		p.reset()
 	}
+	tag.start = len(cs.refs)
 	at, grp := p.addSess(wsh, cs.ops, batchReq{sess: cs.sess, sseq: req.Seq, wkey: wkey, sessCmd: req.Cmd})
 	p.legs[wsh.idx].durable++
 	for i := range cs.ops {
@@ -435,10 +381,10 @@ func (s *Server) planSessioned(cs *connState, enc *proto.Encoder, req *proto.Req
 	}
 }
 
-// sessSettled answers a seq-tagged command whose verdict — the
-// pre-check's, or the one its sessioned group's executor reached — is
-// duplicate or too old. A fresh command is answered from its ops like
-// any other: the ack its record would replay, minus the receipt.
+// sessSettled answers a seq-tagged command whose verdict — its
+// sessioned group's executor's, or a sequence point's up-front check —
+// is duplicate or too old. A fresh command is answered from its ops like
+// any other: the ack its record would replay.
 func (s *Server) sessSettled(cs *connState, tg *cmdTag) (proto.Reply, bool) {
 	v, pay := tg.verdict, tg.pay
 	if tg.grp > 0 {
@@ -448,7 +394,7 @@ func (s *Server) sessSettled(cs *connState, tg *cmdTag) (proto.Reply, bool) {
 	switch v {
 	case sessDup:
 		tg.sh.tel.Server.SessionDups.Inc()
-		return s.sessReplay(cs, tg.req, pay), true
+		return sessReplay(cs, tg.req, pay), true
 	case sessOld:
 		// A client error: well-formed but undecidable, and only the client
 		// knows whether the request was acked before.

@@ -1,6 +1,7 @@
 package cacheserver
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -139,72 +140,124 @@ func TestSessionedMSetExactlyOnce(t *testing.T) {
 	}
 }
 
-func TestSessionRelaxedSuppressionAndLoss(t *testing.T) {
-	// A huge epoch interval pins the overlay: nothing flushes on its
-	// own (and no `wait` demands a close), so the crash below is
-	// guaranteed to land before the record persists — the loss leg of
-	// the relaxed contract.
+// TestSessionRelaxedRecordSurvivesCrash: a seq tag makes a relaxed or
+// fire write durable, so its record commits with its effect and a crash
+// before any epoch closes forgets neither — the retry replays.
+func TestSessionRelaxedRecordSurvivesCrash(t *testing.T) {
+	// A huge epoch interval and no `wait`: no epoch closes, so only the
+	// write's own section can have made it durable.
 	s := startServer(t, WithShards(1), WithDeviceWords(1<<16),
 		WithEpochInterval(time.Hour))
 	c := dial(t, s.Addr().String())
 
 	c.cmd(t, "session 2")
-	got := c.cmd(t, "incr 8 3 seq=1 relaxed")
-	if !strings.HasPrefix(got, "3 @") {
-		t.Fatalf("relaxed incr: %q", got)
-	}
-	// Volatile suppression: the duplicate replays without re-adding.
-	if got := c.cmd(t, "incr 8 3 seq=1 relaxed"); !strings.HasPrefix(got, "3 @") {
-		t.Fatalf("relaxed retry: %q", got)
-	}
-	// A durable write on the same key folds the overlay entry — and its
-	// record — into a persistent section.
-	if got := c.cmd(t, "incr 8 1 seq=2"); got != "4" {
-		t.Fatalf("durable fold: %q", got)
+	for _, tc := range []struct{ cmd, ack string }{
+		{"incr 8 3 seq=1 relaxed", "3"},
+		{"zincr 9 4 seq=2 fire", "4"},
+		{"incr 8 1 seq=3", "4"},
+	} {
+		for i := 0; i < 2; i++ {
+			if got := c.cmd(t, "%s", tc.cmd); got != tc.ack {
+				t.Fatalf("%q send %d: %q, want %q", tc.cmd, i, got, tc.ack)
+			}
+		}
 	}
 	if got := c.cmd(t, "crash"); !strings.HasPrefix(got, "OK RECOVERED") {
 		t.Fatalf("crash: %q", got)
 	}
-	// The folded record survived: both seqs are still recognized.
-	if got := c.cmd(t, "incr 8 3 seq=1"); !strings.Contains(got, "seq too old") {
-		t.Fatalf("stale after fold: %q", got)
+	if got := c.cmd(t, "zincr 9 4 seq=2 fire"); !strings.Contains(got, "seq too old") {
+		t.Fatalf("stale after crash: %q", got)
 	}
-	if got := c.cmd(t, "incr 8 1 seq=2"); got != "4" {
+	if got := c.cmd(t, "incr 8 1 seq=3 relaxed"); got != "4" {
 		t.Fatalf("dup after crash: %q", got)
 	}
-
-	// The loss leg: a relaxed write whose epoch never closed loses the
-	// value AND the record together, so the retry re-applies cleanly.
-	c.cmd(t, "session 4")
-	if got := c.cmd(t, "incr 99 5 seq=1 relaxed"); !strings.HasPrefix(got, "5 @") {
-		t.Fatalf("relaxed: %q", got)
-	}
-	if got := c.cmd(t, "crash"); !strings.HasPrefix(got, "OK RECOVERED") {
-		t.Fatalf("crash: %q", got)
-	}
-	if got := c.cmd(t, "incr 99 5 seq=1"); got != "5" {
-		t.Fatalf("retry after loss: %q", got)
-	}
-	if got := c.cmd(t, "get 99"); got != "VALUE 99 5" {
+	if got := c.cmd(t, "get 8"); got != "VALUE 8 4" {
 		t.Fatalf("value: %q", got)
+	}
+	if got := c.cmd(t, "zget 9"); got != "VALUE 9 4" {
+		t.Fatalf("zvalue: %q", got)
+	}
+}
+
+// TestSessionRetryAckMatchesFirstAck: on every tier, a resend of a
+// seq-tagged command answers byte for byte what its first send did —
+// in the same burst, in a later one, and after a crash. (A relaxed
+// seq-tagged mset once answered `STORED 2`, and its duplicate
+// `STORED 2 @1`.)
+func TestSessionRetryAckMatchesFirstAck(t *testing.T) {
+	s := startServer(t, WithShards(4), WithDeviceWords(1<<16))
+	// keyOn returns the first key above from on (or off) shard sh.
+	keyOn := func(from uint64, sh *shard, same bool) uint64 {
+		for k := from + 1; ; k++ {
+			if (s.shardOf(k) == sh) == same {
+				return k
+			}
+		}
+	}
+	type row struct{ setup, cmd string }
+	var rows []row
+	for ti, tier := range []string{"", " relaxed", " fire"} {
+		k := uint64(1000 * (ti + 1))
+		k2, k3 := keyOn(k, s.shardOf(k), true), keyOn(k, s.shardOf(k), false)
+		rows = append(rows,
+			row{"", fmt.Sprintf("set %d 5", k)},
+			row{"", fmt.Sprintf("incr %d 5", k+100)},
+			row{fmt.Sprintf("set %d 1", k+200), fmt.Sprintf("delete %d", k+200)},
+			row{"", fmt.Sprintf("mset %d 1 %d 2", k, k2)},
+			row{"", fmt.Sprintf("mset %d 1 %d 2", k, k3)},
+			row{"", fmt.Sprintf("zadd %d 5", k+300)},
+			row{"", fmt.Sprintf("zincr %d 5", k+400)},
+			row{fmt.Sprintf("zadd %d 1", k+500), fmt.Sprintf("zdel %d", k+500)},
+		)
+		for i := len(rows) - 8; i < len(rows); i++ {
+			rows[i].cmd += fmt.Sprintf(" seq=%d", i+1) + tier
+		}
+	}
+	// replies serves cmds on session id, the first alone and the rest as
+	// one burst, and returns every reply line after the handshake's.
+	replies := func(id int, cmds ...string) []string {
+		out := serveBursts(s, append(regroup([]string{fmt.Sprintf("session %d", id), cmds[0]}, 1),
+			regroup(cmds[1:], 64)...))
+		return strings.Split(strings.TrimSuffix(out, "\r\n"), "\r\n")[1:]
+	}
+	first := make([]string, len(rows))
+	for i, r := range rows {
+		cmds := []string{r.cmd, r.cmd, r.cmd}
+		if r.setup != "" {
+			cmds = append([]string{r.setup}, cmds...)
+		}
+		got := replies(i+1, cmds...)
+		first[i] = got[len(got)-3]
+		for _, dup := range got[len(got)-2:] {
+			if dup != first[i] {
+				t.Errorf("%q: first ack %q, resend %q", r.cmd, first[i], dup)
+			}
+		}
+	}
+	serveBursts(s, regroup([]string{"crash"}, 1))
+	for i, r := range rows {
+		if got := replies(i+1, r.cmd)[0]; got != first[i] {
+			t.Errorf("%q: first ack %q, resend after crash %q", r.cmd, first[i], got)
+		}
 	}
 }
 
 // TestSessionRecordSurvivesLoneDurableFold closes DESIGN.md §12's old
-// caveat (2): a sessioned relaxed write folded by a PLAIN durable
-// command on an otherwise idle server. That fold used to run on an
-// unlocked synchronous path with no section at its scope, so the value
-// became durable without its record and a crash let the retry apply a
-// second time. Every fold now runs inside the one executor's section.
+// caveat (2): a sessioned relaxed write followed by a PLAIN durable
+// command on the same key on an otherwise idle server. The write once
+// buffered value and record in the overlay and the durable command's
+// fold, on an unlocked path, made the value durable without its record,
+// so a crash let the retry apply a second time. A seq tag now makes the
+// write durable: its record commits with it and nothing is left to fold.
 func TestSessionRecordSurvivesLoneDurableFold(t *testing.T) {
-	// A huge epoch interval and no `wait` pin the overlay: only the fold
-	// can make the relaxed value durable.
+	// A huge epoch interval and no `wait`: no epoch close can make the
+	// value durable.
 	s := startServer(t, WithShards(1), WithDeviceWords(1<<16),
 		WithEpochInterval(time.Hour))
 	c := dial(t, s.Addr().String())
 
 	c.cmd(t, "session 3")
-	if got := c.cmd(t, "set 8 100 relaxed seq=1"); !strings.HasPrefix(got, "STORED @") {
+	if got := c.cmd(t, "set 8 100 relaxed seq=1"); got != "STORED" {
 		t.Fatalf("relaxed set: %q", got)
 	}
 	if got := c.cmd(t, "incr 8 5"); got != "105" {
@@ -214,7 +267,7 @@ func TestSessionRecordSurvivesLoneDurableFold(t *testing.T) {
 		t.Fatalf("crash: %q", got)
 	}
 	// The record persisted with the value it guarded: the retry replays.
-	if got := c.cmd(t, "set 8 100 relaxed seq=1"); !strings.HasPrefix(got, "STORED") {
+	if got := c.cmd(t, "set 8 100 relaxed seq=1"); got != "STORED" {
 		t.Fatalf("retry after crash: %q", got)
 	}
 	if got := c.cmd(t, "get 8"); got != "VALUE 8 105" {

@@ -154,9 +154,8 @@ func (sh *shard) crashAndRecover() error {
 	// event, bounded by the epoch interval.
 	sh.ovl.discard()
 	// Rebuild the session window's volatile mirror from the recovered
-	// heap: records committed in-section with their mutations survived;
-	// volatile-only records died with the overlay values they guarded,
-	// which is exactly why their retries are safe to re-apply.
+	// heap: every record committed in-section with its mutation, so the
+	// records that survived are exactly those whose effects did.
 	sh.sessRebuild()
 	sh.tel.RecoveryLatency.Observe(time.Since(start))
 	// The rebuilt state shed whatever the crash caught un-persisted, so

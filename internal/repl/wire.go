@@ -131,7 +131,7 @@ type Group struct {
 	// Ops are the group's resolved effects in commit order.
 	Ops []Op
 	// Marks are the session dedup records the group's sessioned requests
-	// (and flushed sessioned relaxed writes) committed alongside Ops. A
+	// committed alongside Ops. A
 	// follower applies each mark atomically with the group so its dedup
 	// window never trails state it has already applied.
 	Marks []SessRec

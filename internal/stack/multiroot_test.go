@@ -1,6 +1,7 @@
 package stack
 
 import (
+	"strings"
 	"testing"
 
 	"tsp/internal/atlas"
@@ -10,8 +11,8 @@ import (
 )
 
 // Tests for the multi-engine root directory: both engines served from
-// one heap, and the in-place upgrade of pre-directory heaps whose root
-// still points at the map descriptor directly.
+// one heap, and the refusal of pre-directory heaps whose root points at
+// the map descriptor directly.
 
 func TestMultiEngineRootSurvivesCrash(t *testing.T) {
 	s, err := New(WithDeviceWords(1 << 18))
@@ -68,11 +69,11 @@ func TestMultiEngineRootSurvivesCrash(t *testing.T) {
 	}
 }
 
-// TestLegacyMapOnlyHeapUpgrades builds a heap the way the stack did
+// TestLegacyMapOnlyHeapRefused builds a heap the way the stack did
 // before the multi-engine root existed — the heap root pointing at the
-// map descriptor directly — and asserts Reattach still opens it,
-// upgrading it in place to the directory format with an empty list.
-func TestLegacyMapOnlyHeapUpgrades(t *testing.T) {
+// map descriptor directly — and asserts Reattach refuses it instead of
+// opening the map descriptor as a directory.
+func TestLegacyMapOnlyHeapRefused(t *testing.T) {
 	dev := nvm.NewDevice(nvm.Config{Words: 1 << 18, DisableStats: true})
 	heap, err := pheap.Format(dev)
 	if err != nil {
@@ -86,51 +87,14 @@ func TestLegacyMapOnlyHeapUpgrades(t *testing.T) {
 	if err != nil {
 		t.Fatalf("hashmap: %v", err)
 	}
-	th, err := rt.NewThread()
-	if err != nil {
-		t.Fatalf("thread: %v", err)
-	}
-	for k := uint64(0); k < 20; k++ {
-		if err := m.Put(th, k, k*3); err != nil {
-			t.Fatalf("put %d: %v", k, err)
-		}
-	}
 	// The legacy format: root IS the map descriptor, no directory.
 	heap.SetRoot(m.Ptr())
 	dev.FlushAll()
 
 	dev.Crash(nvm.CrashOptions{RescueFraction: 1})
 	dev.Restart()
-	s, err := Reattach(dev, WithBuckets(256, 64))
-	if err != nil {
-		t.Fatalf("Reattach legacy heap: %v", err)
-	}
-	if s.List == nil {
-		t.Fatal("upgrade did not create a skip list")
-	}
-	if s.List.Len() != 0 {
-		t.Fatalf("upgraded list should be empty, has %d", s.List.Len())
-	}
-	th2, _ := s.RT.NewThread()
-	for k := uint64(0); k < 20; k++ {
-		if v, ok, err := s.Map.Get(th2, k); err != nil || !ok || v != k*3 {
-			t.Fatalf("map get %d after upgrade = %d,%v,%v", k, v, ok, err)
-		}
-	}
-	// The upgrade is durable: a second crash+reattach opens the
-	// directory path (list contents written now must survive).
-	if _, err := s.List.Put(7, 700); err != nil {
-		t.Fatalf("list put after upgrade: %v", err)
-	}
-	s2, err := s.CrashReattach(nvm.CrashOptions{RescueFraction: 1})
-	if err != nil {
-		t.Fatalf("CrashReattach after upgrade: %v", err)
-	}
-	if v, ok := s2.List.Get(7); !ok || v != 700 {
-		t.Fatalf("list get after second crash = %d,%v", v, ok)
-	}
-	th3, _ := s2.RT.NewThread()
-	if v, ok, err := s2.Map.Get(th3, 19); err != nil || !ok || v != 19*3 {
-		t.Fatalf("map get after second crash = %d,%v,%v", v, ok, err)
+	_, err = Reattach(dev, WithBuckets(256, 64))
+	if err == nil || !strings.Contains(err.Error(), "not a multi-engine directory") {
+		t.Fatalf("Reattach legacy heap: err = %v, want the directory error", err)
 	}
 }

@@ -209,8 +209,8 @@ func WithBuckets(buckets, perMutex int) Option {
 
 // WithListLevels sets the maximum level of the ordered-keyspace skip
 // list (default 16, capped at skiplist.MaxLevel). Only consulted when a
-// fresh list is created (New, or the legacy-root upgrade in Reattach);
-// a reopened list keeps the level it was built with.
+// fresh list is created (New); a reopened list keeps the level it was
+// built with.
 func WithListLevels(n int) Option {
 	return func(c *config) { c.listLevels = n }
 }
@@ -352,10 +352,10 @@ func New(opts ...Option) (*Stack, error) {
 }
 
 // ensureEpochAnchor returns the epoch-frontier block, allocating and
-// anchoring one when the heap predates the epoch clock (fresh heaps and
-// the legacy-upgrade path both land here). The second result reports
-// whether an allocation happened, so Reattach knows to flush the new
-// anchor; New's setup FlushAll covers it for free.
+// anchoring one when the heap predates the epoch clock (every fresh heap
+// lands here). The second result reports whether an allocation
+// happened, so Reattach knows to flush the new anchor; New's setup
+// FlushAll covers it for free.
 func ensureEpochAnchor(heap *pheap.Heap) (pheap.Ptr, bool, error) {
 	if p := heap.Aux(auxEpochSlot); !p.IsNil() {
 		return p, false, nil
@@ -437,10 +437,12 @@ func publishRoot(heap *pheap.Heap, mapPtr, listPtr pheap.Ptr) error {
 }
 
 // Reattach is the recovery path: open the heap of a restarted device,
-// run Atlas recovery, rebuild the runtime and attach the map anchored
-// at the heap root. The options must describe the same shape the stack
-// was built with (mode may differ — a store can be reopened under a
-// different fortification level, as the paper's mode comparison does).
+// run Atlas recovery, rebuild the runtime and open both engines from
+// the heap root's multi-engine directory (any other root is an error:
+// the pre-directory single-root format is not read). The options must
+// describe the same shape the stack was built with (mode may differ — a
+// store can be reopened under a different fortification level, as the
+// paper's mode comparison does).
 func Reattach(dev *nvm.Device, opts ...Option) (*Stack, error) {
 	c := buildConfig(opts)
 	reg := c.resolveRegistry()
@@ -476,37 +478,16 @@ func Reattach(dev *nvm.Device, opts ...Option) (*Stack, error) {
 		return nil, fmt.Errorf("stack: atlas runtime: %w", err)
 	}
 	root := heap.Root()
-	var m *hashmap.Map
-	var l *skiplist.List
-	if !root.IsNil() && heap.Load(root, rootMagicWord) == rootMagic {
-		// Multi-engine directory root: open both engines from it.
-		m, err = hashmap.Open(rt, pheap.Ptr(heap.Load(root, rootMapWord)))
-		if err != nil {
-			return nil, fmt.Errorf("stack: hashmap reattach: %w", err)
-		}
-		l, err = skiplist.Open(heap, pheap.Ptr(heap.Load(root, rootListWord)))
-		if err != nil {
-			return nil, fmt.Errorf("stack: skiplist reattach: %w", err)
-		}
-	} else {
-		// Legacy single-root heap (the root points at the map descriptor
-		// directly). Upgrade in place: attach the map, create an empty
-		// skip list, and publish a directory over both. The root word
-		// flips atomically, so a crash mid-upgrade leaves the old format
-		// intact and the half-built directory as unreachable garbage for
-		// the next recovery GC.
-		m, err = hashmap.Open(rt, root)
-		if err != nil {
-			return nil, fmt.Errorf("stack: hashmap reattach: %w", err)
-		}
-		l, err = skiplist.New(heap, c.listLevels)
-		if err != nil {
-			return nil, fmt.Errorf("stack: skiplist: %w", err)
-		}
-		if err := publishRoot(heap, m.Ptr(), l.Ptr()); err != nil {
-			return nil, err
-		}
-		dev.FlushAll()
+	if root.IsNil() || heap.Load(root, rootMagicWord) != rootMagic {
+		return nil, fmt.Errorf("stack: heap root is not a multi-engine directory")
+	}
+	m, err := hashmap.Open(rt, pheap.Ptr(heap.Load(root, rootMapWord)))
+	if err != nil {
+		return nil, fmt.Errorf("stack: hashmap reattach: %w", err)
+	}
+	l, err := skiplist.Open(heap, pheap.Ptr(heap.Load(root, rootListWord)))
+	if err != nil {
+		return nil, fmt.Errorf("stack: skiplist reattach: %w", err)
 	}
 	ep, freshEpoch, err := ensureEpochAnchor(heap)
 	if err != nil {

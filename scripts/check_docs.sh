@@ -12,6 +12,8 @@
 #      operator docs must be a Makefile target, and every
 #      `tspbench -<flag>` must be a flag `tspbench -h` prints.
 #      bench/README.md is left out: it changes only with the benchmark.
+#   4. Every CHANGES.md entry from PR 31 on (a line starting
+#      "- PR <n>:") is at most 2,048 bytes.
 #
 # The command sets are gated by a test instead: every spelling in the
 # command table (internal/proto/spec.go) must appear as a command entry
@@ -112,7 +114,18 @@ for f in $docs; do
 	done
 done
 
+# --- 4. CHANGES.md entries from PR 31 on fit in 2 KB ----------------
+long=$(LC_ALL=C awk '/^- PR [0-9]+:/ {
+	n = $3 + 0
+	if (n >= 31 && length($0) > 2048) print "PR " n ": " length($0) " bytes"
+}' CHANGES.md)
+if [ -n "$long" ]; then
+	echo "check_docs: CHANGES.md entries over 2,048 bytes:" >&2
+	printf '%s\n' "$long" >&2
+	fail=1
+fi
+
 if [ "$fail" -ne 0 ]; then
 	exit 1
 fi
-echo "docs in sync with the code (flag tables, make targets, tspbench flags)"
+echo "docs in sync with the code (flag tables, make targets, tspbench flags, CHANGES.md entry sizes)"
