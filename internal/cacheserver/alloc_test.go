@@ -23,12 +23,11 @@ func (r *burstReader) Read(p []byte) (int, error) { return copy(p, r.burst), nil
 // allocated), a depth-64 pipelined burst fanned across four shards,
 // and the same burst with every 8th command seq-tagged (the write_pipe
 // shape; each trip resends the same seqs, so after the first they are
-// duplicates or stale, answered by the volatile pre-check or the
-// executor). The budgets are what this test measures: the commit plan
+// duplicates or stale, answered by the executor's in-section check). The budgets are what this test measures: the commit plan
 // and the reply being staged are scratch on the connection, so a trip
 // allocates nothing but the text of the session handshake's reply.
-// Epoch tiers are off so no background clock allocates into the
-// measurement.
+// The epoch clock runs an hour long so no background close allocates
+// into the measurement.
 func TestWritePathAllocBudget(t *testing.T) {
 	var burst, tagged strings.Builder
 	tagged.WriteString("session 1\r\n")
@@ -57,7 +56,7 @@ func TestWritePathAllocBudget(t *testing.T) {
 			defer s.Close()
 			cs := s.newConnState()
 			dec := proto.NewDecoder(&burstReader{burst: []byte(tc.input)}, proto.Native{}, 0)
-			enc := proto.NewEncoder(io.Discard, proto.Native{}, s.cfg.writeBuf)
+			enc := proto.NewEncoder(io.Discard, proto.Native{}, writeBufBytes)
 			trip := func() {
 				batch, err := dec.Next()
 				if err != nil {
@@ -91,7 +90,7 @@ func TestRangeAllocBudget(t *testing.T) {
 		fmt.Fprintf(&load, "zadd %d %d\r\n", k*3, k)
 	}
 	cs := s.newConnState()
-	enc := proto.NewEncoder(io.Discard, proto.Native{}, s.cfg.writeBuf)
+	enc := proto.NewEncoder(io.Discard, proto.Native{}, writeBufBytes)
 	trip := func(input string) func() {
 		dec := proto.NewDecoder(&burstReader{burst: []byte(input)}, proto.Native{}, 0)
 		return func() {
@@ -142,7 +141,7 @@ func TestEpochCloseAllocBudget(t *testing.T) {
 	}
 	fill := func() {
 		for _, k := range keys {
-			s.shardOf(k).ovl.put(k, false, false, k)
+			s.shardOf(k).ovl.put(k, false, k)
 		}
 	}
 	fill()

@@ -393,21 +393,22 @@ func (sh *shard) runBatch(reqs []*batchReq, nops int) {
 // execOp runs one op against the shard's engines with th, inside the
 // batch's open section, counting it in sh.counts.
 //
-// Tier interleaving happens here: reads consult the shard's relaxed
-// overlay first (read-your-writes across tiers), and a durable write
-// to a key with a pending relaxed entry pops that entry — folding it
-// into this critical section, so the durable op's result accounts for
-// the buffered state it supersedes. All overlay touches are gated on
-// the atomic size, so an all-durable workload pays one atomic load.
+// Tier interleaving happens here, on the hash map only: gets consult
+// the shard's relaxed overlay first (read-your-writes across tiers),
+// and a durable write to a key with a pending relaxed entry pops that
+// entry — folding it into this critical section, so the durable op's
+// result accounts for the buffered state it supersedes. All overlay
+// touches are gated on the atomic size, so an all-durable workload pays
+// one atomic load. The opZ* arms never touch the overlay: a skip-list
+// write is durable at its CAS on every tier, so nothing is buffered.
 //
 // An epoch-drain op (seq != 0) is the same write with a guard on each
 // side: it runs only while its key still has a pending overlay entry,
 // and on success it clears that entry.
 func (sh *shard) execOp(th *atlas.Thread, op *batchOp) {
 	m := sh.stk.Map
-	list := isZ(op.kind)
 	if op.seq != 0 {
-		e, pending := sh.ovl.get(op.key, list)
+		e, pending := sh.ovl.get(op.key)
 		if !pending {
 			return // a durable fold already settled the entry
 		}
@@ -416,12 +417,12 @@ func (sh *shard) execOp(th *atlas.Thread, op *batchOp) {
 			// drain still owes the key a value at least as new as the one
 			// it snapshotted — that one was acked inside the closing epoch
 			// — so it flushes the replacement instead of skipping.
-			*op = flushOp(ovKey{key: op.key, list: list}, e)
+			*op = flushOp(op.key, e)
 		}
 	}
 	switch op.kind {
 	case opGet:
-		if e, hit := sh.ovl.get(op.key, false); hit {
+		if e, hit := sh.ovl.get(op.key); hit {
 			op.val, op.ok = e.val, !e.del
 		} else {
 			op.val, op.ok, op.err = m.GetLocked(th, op.key)
@@ -430,17 +431,17 @@ func (sh *shard) execOp(th *atlas.Thread, op *batchOp) {
 			sh.counts.hits++
 		}
 	case opSet:
-		sh.takeFold(op, list)
+		sh.takeFold(op)
 		op.err = m.PutLocked(th, op.key, op.arg)
 		op.ok = op.err == nil
 	case opIncr:
-		if op.err = sh.foldOverlay(th, op, list); op.err != nil {
+		if op.err = sh.foldOverlay(th, op); op.err != nil {
 			return
 		}
 		op.val, op.err = m.IncLocked(th, op.key, op.arg)
 		op.ok = op.err == nil
 	case opDelete:
-		oe, hadOv := sh.takeFold(op, list)
+		oe, hadOv := sh.takeFold(op)
 		op.ok, op.err = m.DeleteLocked(th, op.key)
 		if op.err == nil && hadOv {
 			// The overlay held the key's logical state: present unless
@@ -448,21 +449,13 @@ func (sh *shard) execOp(th *atlas.Thread, op *batchOp) {
 			op.ok = !oe.del
 		}
 	case opZSet:
-		sh.takeFold(op, list)
 		_, op.err = sh.stk.List.Put(op.key, op.arg)
 		op.ok, op.val = op.err == nil, op.arg
 	case opZIncr:
-		if op.err = sh.foldOverlay(th, op, list); op.err != nil {
-			return
-		}
 		op.val, op.err = sh.stk.List.Inc(op.key, op.arg)
 		op.ok = op.err == nil
 	case opZDelete:
-		oe, hadOv := sh.takeFold(op, list)
 		op.ok, op.err = sh.stk.List.Delete(op.key)
-		if op.err == nil && hadOv {
-			op.ok = !oe.del
-		}
 	}
 	if op.err != nil {
 		return
@@ -473,41 +466,35 @@ func (sh *shard) execOp(th *atlas.Thread, op *batchOp) {
 		// not a flushed delete found the key in the engine.
 		op.ok = true
 		sh.counts.flushed++
-		sh.ovl.clearIfSeq(op.key, list, op.seq)
+		sh.ovl.clearIfSeq(op.key, op.seq)
 	}
 }
 
 // takeFold pops the pending overlay entry of op's key — the
 // durable-write fold. An epoch-drain op folds nothing: the entry it is
 // flushing IS the pending state, cleared only once the write landed.
-func (sh *shard) takeFold(op *batchOp, list bool) (ovEntry, bool) {
+func (sh *shard) takeFold(op *batchOp) (ovEntry, bool) {
 	if op.seq != 0 {
 		return ovEntry{}, false
 	}
-	return sh.ovl.take(op.key, list)
+	return sh.ovl.take(op.key)
 }
 
-// foldOverlay materializes a key's pending relaxed entry into the
-// engine — a put of the buffered value, or a delete for a buffered
-// tombstone — so an arithmetic durable op (incr/zincr) starts from the
-// logical state its connection has already been acked.
-func (sh *shard) foldOverlay(th *atlas.Thread, op *batchOp, list bool) error {
-	e, ok := sh.takeFold(op, list)
-	if !ok {
-		return nil
-	}
-	var err error
+// foldOverlay materializes a key's pending relaxed entry into the map —
+// a put of the buffered value, or a delete for a buffered tombstone —
+// so a durable incr starts from the logical state its connection has
+// already been acked.
+func (sh *shard) foldOverlay(th *atlas.Thread, op *batchOp) error {
+	e, ok := sh.takeFold(op)
 	switch {
-	case list && e.del:
-		_, err = sh.stk.List.Delete(op.key)
-	case list:
-		_, err = sh.stk.List.Put(op.key, e.val)
+	case !ok:
+		return nil
 	case e.del:
-		_, err = sh.stk.Map.DeleteLocked(th, op.key)
+		_, err := sh.stk.Map.DeleteLocked(th, op.key)
+		return err
 	default:
-		err = sh.stk.Map.PutLocked(th, op.key, e.val)
+		return sh.stk.Map.PutLocked(th, op.key, e.val)
 	}
-	return err
 }
 
 // execCounts is what execOp counted in the open section — applied ops per

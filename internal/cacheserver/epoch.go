@@ -15,9 +15,9 @@ import (
 // data must be durable by the time the failure's consequences are
 // observable, not at every store. The durable tier keeps today's
 // contract (the command's effects are committed to fortified state
-// before the ack). The relaxed tier procrastinates harder: the write
-// lands in a volatile per-shard overlay — plain Go memory, no Atlas
-// machinery, no device stores — and is acknowledged immediately,
+// before the ack). The relaxed tier procrastinates harder: a hash-map
+// write lands in a volatile per-shard overlay — plain Go memory, no
+// Atlas machinery, no device stores — and is acknowledged immediately,
 // stamped with the current epoch. One goroutine closes an epoch every
 // epochInterval — at once when a `wait` demands it — by submitting every
 // shard's overlay as a commit group on the one write path (one Atlas
@@ -29,6 +29,12 @@ import (
 // should be priced per requirement, not paid maximally everywhere.
 // The fire tier acks without even consulting current state.
 //
+// A tier prices the hash map's persistence only. A skip-list write is
+// durable at its CAS (the paper's Section 4.1): a durable zadd costs
+// what a buffered one would, so an ordered-keyspace write joins the
+// commit plan on every tier and answers the durable ack. Buffering it
+// would buy nothing but a window in which a crash loses it.
+//
 // Epoch stamps are crash-scoped receipts. An ack `STORED @e` promises:
 // if the server has not crashed since, the write is durable once the
 // persistent frontier reaches e (observable via `wait`). A crash reply
@@ -38,27 +44,20 @@ import (
 // crash (closeEpoch re-checks every shard generation before
 // persisting), so the receipt can never overpromise.
 //
-// Read-your-writes holds across tiers without waiting: every read path
-// — batched gets, optimistic seqlock gets, ordered-keyspace reads —
-// consults the overlay first, and a durable write to a key with a
-// pending relaxed entry folds that entry into its critical section
-// before applying (so a relaxed set followed by a durable incr
-// increments the relaxed value, then commits durably). The reverse
-// direction is serialized the same way: a relaxed read-modify-write
-// (incr, zincr, a delete that reports presence) reads and buffers under
-// the shard's drain lock (see shard.relaxedRMW), so it cannot
-// interleave with a durable group folding the same entry or with
-// another relaxed writer. Blind relaxed writes never touch that lock.
+// Read-your-writes holds across tiers without waiting: both hash-map
+// read paths — batched gets and optimistic seqlock gets — consult the
+// overlay first, and a durable write to a key with a pending relaxed
+// entry folds that entry into its critical section before applying (so
+// a relaxed set followed by a durable incr increments the relaxed
+// value, then commits durably). The reverse direction is serialized the
+// same way: a relaxed read-modify-write (incr, a delete that reports
+// presence) reads and buffers under the shard's drain lock (see
+// shard.relaxedRMW), so it cannot interleave with a durable group
+// folding the same entry or with another relaxed writer. Blind relaxed
+// writes never touch that lock.
 //
 // The overlay buffers values only. A seq-tagged write is durable on
 // every tier (see session.go), so no dedup record ever waits here.
-
-// ovKey addresses one overlay entry: a key in either the hash-map or
-// the ordered (skip-list) keyspace.
-type ovKey struct {
-	key  uint64
-	list bool
-}
 
 // ovEntry is one acked-but-unflushed relaxed write. seq orders entries
 // per overlay so an epoch drain clears an entry only if it is still
@@ -70,75 +69,69 @@ type ovEntry struct {
 	del bool
 }
 
-// overlay is a shard's volatile relaxed-write buffer. It is exactly
-// the state a crash is allowed to lose: crashAndRecover discards it
-// wholesale. size mirrors len(m) atomically so the hot read and
-// durable-write paths can skip the mutex when no relaxed write is
-// pending — the common case on an all-durable workload, which must not
-// pay for a feature it does not use.
+// overlay is a shard's volatile relaxed-write buffer, keyed by hash-map
+// key. It is exactly the state a crash is allowed to lose:
+// crashAndRecover discards it wholesale. size mirrors len(m) atomically
+// so the hot read and durable-write paths can skip the mutex when no
+// relaxed write is pending — the common case on an all-durable
+// workload, which must not pay for a feature it does not use.
 type overlay struct {
 	mu   sync.Mutex
-	m    map[ovKey]ovEntry
+	m    map[uint64]ovEntry
 	size atomic.Int64
 	seq  uint64
 }
 
-// put inserts or replaces the entry for (key, list) and returns its
-// sequence stamp.
-func (o *overlay) put(key uint64, list, del bool, val uint64) uint64 {
+// put inserts or replaces key's entry, stamping it with the next
+// sequence number.
+func (o *overlay) put(key uint64, del bool, val uint64) {
 	o.mu.Lock()
 	if o.m == nil {
-		o.m = make(map[ovKey]ovEntry)
+		o.m = make(map[uint64]ovEntry)
 	}
-	k := ovKey{key: key, list: list}
-	if _, ok := o.m[k]; !ok {
+	if _, ok := o.m[key]; !ok {
 		o.size.Add(1)
 	}
 	o.seq++
-	seq := o.seq
-	o.m[k] = ovEntry{val: val, seq: seq, del: del}
+	o.m[key] = ovEntry{val: val, seq: o.seq, del: del}
 	o.mu.Unlock()
-	return seq
 }
 
-// get returns the pending entry for (key, list), if any. Callers on
-// hot paths should gate on size.Load() != 0 first.
-func (o *overlay) get(key uint64, list bool) (ovEntry, bool) {
+// get returns key's pending entry, if any. Callers on hot paths should
+// gate on size.Load() != 0 first.
+func (o *overlay) get(key uint64) (ovEntry, bool) {
 	if o.size.Load() == 0 {
 		return ovEntry{}, false
 	}
 	o.mu.Lock()
-	e, ok := o.m[ovKey{key: key, list: list}]
+	e, ok := o.m[key]
 	o.mu.Unlock()
 	return e, ok
 }
 
-// clearIfSeq removes the entry at (key, list) if it still carries seq.
-func (o *overlay) clearIfSeq(key uint64, list bool, seq uint64) {
+// clearIfSeq removes key's entry if it still carries seq.
+func (o *overlay) clearIfSeq(key, seq uint64) {
 	o.mu.Lock()
-	k := ovKey{key: key, list: list}
-	if e, ok := o.m[k]; ok && e.seq == seq {
-		delete(o.m, k)
+	if e, ok := o.m[key]; ok && e.seq == seq {
+		delete(o.m, key)
 		o.size.Add(-1)
 	}
 	o.mu.Unlock()
 }
 
-// take pops and returns the pending entry for (key, list) — the
-// durable-write fold: a durable op on the key supersedes (and must
-// account for) the buffered relaxed state. The size fast path keeps an
-// all-durable workload at one atomic load per op; a relaxed put racing
-// past it serializes after the durable op, a legal order for
-// concurrent commands.
-func (o *overlay) take(key uint64, list bool) (ovEntry, bool) {
+// take pops and returns key's pending entry — the durable-write fold: a
+// durable op on the key supersedes (and must account for) the buffered
+// relaxed state. The size fast path keeps an all-durable workload at
+// one atomic load per op; a relaxed put racing past it serializes after
+// the durable op, a legal order for concurrent commands.
+func (o *overlay) take(key uint64) (ovEntry, bool) {
 	if o.size.Load() == 0 {
 		return ovEntry{}, false
 	}
 	o.mu.Lock()
-	k := ovKey{key: key, list: list}
-	e, ok := o.m[k]
+	e, ok := o.m[key]
 	if ok {
-		delete(o.m, k)
+		delete(o.m, key)
 		o.size.Add(-1)
 	}
 	o.mu.Unlock()
@@ -151,7 +144,7 @@ func (o *overlay) take(key uint64, list bool) (ovEntry, bool) {
 func (o *overlay) discard() {
 	o.mu.Lock()
 	if n := int64(len(o.m)); n > 0 {
-		o.m = make(map[ovKey]ovEntry)
+		o.m = make(map[uint64]ovEntry)
 		o.size.Add(-n)
 	}
 	o.mu.Unlock()
@@ -160,17 +153,12 @@ func (o *overlay) discard() {
 // flushOp is the epoch-drain op for one pending entry: the write the
 // entry buffered, carrying the entry's seq (so execOp clears exactly
 // the entry it flushed).
-func flushOp(k ovKey, e ovEntry) batchOp {
+func flushOp(key uint64, e ovEntry) batchOp {
 	kind := opSet
-	switch {
-	case k.list && e.del:
-		kind = opZDelete
-	case k.list:
-		kind = opZSet
-	case e.del:
+	if e.del {
 		kind = opDelete
 	}
-	return batchOp{kind: kind, key: k.key, arg: e.val, seq: e.seq}
+	return batchOp{kind: kind, key: key, arg: e.val, seq: e.seq}
 }
 
 // pendingOps snapshots every pending entry as an epoch-drain op. A
@@ -187,22 +175,6 @@ func (o *overlay) pendingOps(out []batchOp) []batchOp {
 	}
 	o.mu.Unlock()
 	return out
-}
-
-// rangeList visits every pending ordered-keyspace entry with key in
-// [lo, hi) under the overlay lock — the ordered read path's merge
-// source. f must not call back into the overlay.
-func (o *overlay) rangeList(lo, hi uint64, f func(key uint64, e ovEntry)) {
-	if o.size.Load() == 0 {
-		return
-	}
-	o.mu.Lock()
-	for k, e := range o.m {
-		if k.list && k.key >= lo && k.key < hi {
-			f(k.key, e)
-		}
-	}
-	o.mu.Unlock()
 }
 
 // broadcastWake publishes a wakeup to every waiter parked on p by
@@ -436,9 +408,9 @@ func (s *Server) waitRepl(gen, seq uint64, need int, timeout time.Duration) (int
 //     returns the frontier anyway (RESP WAIT has no error form).
 //   - replication barrier (WaitRepl true): block until KV[0] followers
 //     have acknowledged the replication log position captured now.
-//     Replies the achieved count. Relaxed writes replicate at epoch
-//     close, so a relaxed writer that needs follower coverage should
-//     issue an epoch wait first.
+//     Replies the achieved count. Relaxed hash-map writes replicate at
+//     epoch close, so a relaxed writer that needs follower coverage
+//     should issue an epoch wait first.
 func (s *Server) serveWait(cs *connState, req *proto.Request) proto.Reply {
 	start := time.Now()
 	tel := s.shards[0].tel
@@ -481,12 +453,13 @@ func (s *Server) serveWait(cs *connState, req *proto.Request) proto.Reply {
 	return proto.Reply{Kind: proto.KInt, Val: s.perEpoch.Load()}
 }
 
-// serveRelaxed executes one relaxed- or fire-tier mutation: buffer the
-// effects in the target shards' overlays and ack immediately with the
-// current epoch stamp. Called from serveBatch as a sequence point (the
-// pending durable group flushed first), so tiers interleave in program
-// order on a connection. A seq-tagged request never comes here: it
-// commits as a durable sessioned group (see planSessioned).
+// serveRelaxed executes one relaxed- or fire-tier hash-map mutation:
+// buffer the effects in the target shards' overlays and ack immediately
+// with the current epoch stamp. Called from serveBatch as a sequence
+// point (the pending durable group flushed first), so tiers interleave
+// in program order on a connection. A seq-tagged request never comes
+// here: it commits as a durable sessioned group (see planSessioned);
+// nor does an ordered-keyspace write, durable at its CAS on every tier.
 func (s *Server) serveRelaxed(cs *connState, req *proto.Request) proto.Reply {
 	start := time.Now()
 	fire := req.Dur == proto.DurFire
@@ -498,19 +471,18 @@ func (s *Server) serveRelaxed(cs *connState, req *proto.Request) proto.Reply {
 		sh0.tel.Server.RelaxedOps.Inc()
 	}
 	sp := req.Cmd.Spec()
-	list := sp.Space == proto.SpaceOrdered
 	rep := proto.Reply{Kind: sp.Reply}
 	switch sp.Verb {
 	case proto.VerbSet:
 		// One pair, or an mset's several.
 		for i := 0; i+1 < len(req.KV); i += 2 {
-			s.shardOf(req.KV[i]).ovl.put(req.KV[i], list, false, req.KV[i+1])
+			s.shardOf(req.KV[i]).ovl.put(req.KV[i], false, req.KV[i+1])
 		}
 		if rep.Kind == proto.KStoredN {
 			rep.N = len(req.KV) / 2
 		}
 	case proto.VerbIncr:
-		nv, _, err := sh0.relaxedRMW(key, list, false, req.KV[1])
+		nv, _, err := sh0.relaxedRMW(key, false, req.KV[1])
 		if err != nil {
 			return proto.Reply{Kind: proto.KErrServer, Msg: err.Error()}
 		}
@@ -523,10 +495,10 @@ func (s *Server) serveRelaxed(cs *connState, req *proto.Request) proto.Reply {
 			if fire {
 				// The fire tier acks without consulting state; relaxed
 				// reports presence as of the ack.
-				sh.ovl.put(k, list, true, 0)
+				sh.ovl.put(k, true, 0)
 			} else {
 				var err error
-				if _, found, err = sh.relaxedRMW(k, list, true, 0); err != nil {
+				if _, found, err = sh.relaxedRMW(k, true, 0); err != nil {
 					return proto.Reply{Kind: proto.KErrServer, Msg: err.Error()}
 				}
 			}
@@ -549,39 +521,31 @@ func (s *Server) serveRelaxed(cs *connState, req *proto.Request) proto.Reply {
 // the same way, so no acked increment can be computed from a value
 // another writer is concurrently replacing. Returns the buffered value
 // (incr) and whether the key was present (delete).
-func (sh *shard) relaxedRMW(key uint64, list, del bool, delta uint64) (uint64, bool, error) {
+func (sh *shard) relaxedRMW(key uint64, del bool, delta uint64) (uint64, bool, error) {
 	sh.combineMu.Lock()
 	defer sh.combineMu.Unlock()
-	base, found, err := sh.peekLocked(key, list)
+	base, found, err := sh.peekLocked(key)
 	if err != nil {
 		return 0, false, err
 	}
 	if del {
-		sh.ovl.put(key, list, true, 0)
+		sh.ovl.put(key, true, 0)
 		return 0, found, nil
 	}
 	nv := base + delta
-	sh.ovl.put(key, list, false, nv)
+	sh.ovl.put(key, false, nv)
 	return nv, found, nil
 }
 
 // peekLocked reads a key's current logical value for relaxedRMW: the
-// pending overlay entry if one exists, else the underlying engine —
-// lock-free for both (the skip list always; the map on its optimistic
-// path, which with the drain lock held has no writer to collide with
-// and fails only on an over-long chain), falling back to an opGet
-// group run through the executor. A missing key reads as (0, false,
-// nil) — the base an incr on an absent key starts from. Caller holds
-// combineMu.
-func (sh *shard) peekLocked(key uint64, list bool) (uint64, bool, error) {
-	if e, ok := sh.ovl.get(key, list); ok {
+// pending overlay entry if one exists, else the map's optimistic path
+// — which with the drain lock held has no writer to collide with and
+// fails only on an over-long chain — falling back to an opGet group run
+// through the executor. A missing key reads as (0, false, nil) — the
+// base an incr on an absent key starts from. Caller holds combineMu.
+func (sh *shard) peekLocked(key uint64) (uint64, bool, error) {
+	if e, ok := sh.ovl.get(key); ok {
 		return e.val, !e.del, nil
-	}
-	if list {
-		sh.mu.RLock()
-		v, ok := sh.stk.List.Get(key)
-		sh.mu.RUnlock()
-		return v, ok, nil
 	}
 	sh.mu.RLock()
 	v, ok, valid := sh.stk.Map.GetOptimistic(key)

@@ -35,7 +35,7 @@ func newDispatchServer(tb testing.TB) (*Server, *connState) {
 func serveInput(s *Server, cs *connState, ad proto.Adapter, input []byte) string {
 	dec := proto.NewDecoder(bytes.NewReader(input), ad, s.cfg.maxRequestBytes)
 	var out bytes.Buffer
-	enc := proto.NewEncoder(&out, ad, s.cfg.writeBuf)
+	enc := proto.NewEncoder(&out, ad, writeBufBytes)
 	for {
 		batch, err := dec.Next()
 		if len(batch) > 0 {

@@ -22,7 +22,6 @@ type config struct {
 	shards      int
 	maxConns    int
 	deviceWords int // per shard
-	writeBuf    int // per-connection response buffer bound, bytes
 	buckets     int // per-shard hash map shape
 	perMutex    int
 	metricsAddr string // optional HTTP metrics endpoint; "" = disabled
@@ -56,7 +55,6 @@ func defaultConfig() config {
 		shards:      4,
 		maxConns:    16,
 		deviceWords: 1 << 20,
-		writeBuf:    16 << 10,
 		buckets:     4096,
 		perMutex:    256,
 		batchMax:    64,
@@ -81,9 +79,6 @@ func (c config) validate() error {
 	}
 	if c.deviceWords < 1<<12 {
 		return fmt.Errorf("cacheserver: device words %d too small", c.deviceWords)
-	}
-	if c.writeBuf < 512 {
-		return fmt.Errorf("cacheserver: write buffer %d bytes too small", c.writeBuf)
 	}
 	if c.batchMax < 1 {
 		return fmt.Errorf("cacheserver: batch max must be >= 1, got %d", c.batchMax)
@@ -156,14 +151,6 @@ func WithMaxConns(n int) Option {
 // (default 1<<20 words).
 func WithDeviceWords(n int) Option {
 	return func(c *config) { c.deviceWords = n }
-}
-
-// WithWriteBuffer bounds each connection's response buffer in bytes
-// (default 16 KiB). Responses larger than the bound spill to the socket
-// as they are produced, so a slow reader exerts backpressure on its own
-// handler instead of growing server memory.
-func WithWriteBuffer(bytes int) Option {
-	return func(c *config) { c.writeBuf = bytes }
 }
 
 // WithMetricsAddr enables the HTTP metrics endpoint on addr (e.g.

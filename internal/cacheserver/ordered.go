@@ -1,7 +1,6 @@
 package cacheserver
 
 import (
-	"sort"
 	"time"
 
 	"tsp/internal/proto"
@@ -17,6 +16,12 @@ import (
 // mid-scan. The only lock taken is the shard's generation read lock,
 // which orders the read against the administrative crash command's
 // stack swap — it protects the *pointer* to the list, not the list.
+//
+// The same argument makes every ordered write durable at its CAS, on
+// every tier: a z-write joins the commit plan whatever tier it names
+// (see serveBatch), so the skip list is the ordered keyspace's whole
+// state and a read has no relaxed overlay to merge — read-your-writes
+// holds by construction.
 //
 // Ordered keys are hash-routed across shards exactly like map keys
 // (see DESIGN.md §10): a zrange therefore fans out to every shard and
@@ -69,19 +74,10 @@ func (s *Server) serveOrdered(cs *connState, req *proto.Request) proto.Reply {
 	return rep
 }
 
-// listGet reads one ordered key wait-free off the shard's skip list,
-// after consulting the relaxed overlay — a pending relaxed zadd/zdel
-// is the key's newest logical state (read-your-writes across tiers).
+// listGet reads one ordered key wait-free off the shard's skip list.
 func (sh *shard) listGet(key uint64) (uint64, bool) {
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
-	if e, hit := sh.ovl.get(key, true); hit {
-		if e.del {
-			return 0, false
-		}
-		sh.tel.Server.ZHits.Inc()
-		return e.val, true
-	}
 	v, ok := sh.stk.List.Get(key)
 	if ok {
 		sh.tel.Server.ZHits.Inc()
@@ -91,84 +87,24 @@ func (sh *shard) listGet(key uint64) (uint64, bool) {
 
 // listRange appends the shard's live ordered pairs in [lo, hi) to out,
 // ascending, stopping once limit pairs have been appended in total.
-// Pending relaxed entries merge in by key — a buffered zadd appears, a
-// buffered zdel hides its key — so a range reads the same logical
-// state a zget would, tier boundaries invisible.
 func (sh *shard) listRange(lo, hi uint64, limit int, out []proto.Item) []proto.Item {
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
-	type ovPair struct {
-		key uint64
-		e   ovEntry
-	}
-	var pend []ovPair
-	sh.ovl.rangeList(lo, hi, func(k uint64, e ovEntry) {
-		pend = append(pend, ovPair{key: k, e: e})
-	})
-	if len(pend) == 0 {
-		sh.stk.List.RangeBetween(lo, hi, func(k, v uint64) bool {
-			if len(out) >= limit {
-				return false
-			}
-			out = append(out, proto.Item{Key: k, Val: v, Found: true})
-			return len(out) < limit
-		})
-		return out
-	}
-	sort.Slice(pend, func(i, j int) bool { return pend[i].key < pend[j].key })
-	pi := 0
 	sh.stk.List.RangeBetween(lo, hi, func(k, v uint64) bool {
-		for pi < len(pend) && pend[pi].key < k {
-			p := pend[pi]
-			pi++
-			if !p.e.del {
-				if len(out) >= limit {
-					return false
-				}
-				out = append(out, proto.Item{Key: p.key, Val: p.e.val, Found: true})
-			}
-		}
-		if pi < len(pend) && pend[pi].key == k {
-			p := pend[pi]
-			pi++
-			if p.e.del {
-				return len(out) < limit
-			}
-			v = p.e.val
-		}
 		if len(out) >= limit {
 			return false
 		}
 		out = append(out, proto.Item{Key: k, Val: v, Found: true})
 		return len(out) < limit
 	})
-	for pi < len(pend) && len(out) < limit {
-		p := pend[pi]
-		pi++
-		if !p.e.del {
-			out = append(out, proto.Item{Key: p.key, Val: p.e.val, Found: true})
-		}
-	}
 	return out
 }
 
-// listCount counts the shard's live ordered keys in [lo, hi),
-// adjusting for pending relaxed entries: a buffered zadd of an absent
-// key adds one, a buffered zdel of a present key removes one.
+// listCount counts the shard's live ordered keys in [lo, hi).
 func (sh *shard) listCount(lo, hi uint64) int {
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
-	n := sh.stk.List.CountBetween(lo, hi)
-	sh.ovl.rangeList(lo, hi, func(k uint64, e ovEntry) {
-		_, has := sh.stk.List.Get(k)
-		switch {
-		case e.del && has:
-			n--
-		case !e.del && !has:
-			n++
-		}
-	})
-	return n
+	return sh.stk.List.CountBetween(lo, hi)
 }
 
 // rangeMerged produces the globally ascending [lo, hi) scan across

@@ -22,7 +22,7 @@ import (
 func serveBursts(s *Server, bursts [][]byte) string {
 	cs := s.newConnState()
 	var out bytes.Buffer
-	enc := proto.NewEncoder(&out, proto.Native{}, s.cfg.writeBuf)
+	enc := proto.NewEncoder(&out, proto.Native{}, writeBufBytes)
 	for _, b := range bursts {
 		dec := proto.NewDecoder(bytes.NewReader(b), proto.Native{}, 0)
 		for {
@@ -68,15 +68,23 @@ func regroup(cmds []string, depth int) [][]byte {
 }
 
 // planStream generates one writer's seeded command stream over its own
-// keys (key%writers == w): plain set / incr / delete / get / mget /
-// cross-shard mset / zadd, seq-tagged set, incr, delete, single- and
-// cross-shard mset, word-for-word resends of the latest and of an older
-// seq, and — when crashes is set — a crash followed by a resend of the
-// last seq-tagged command. A fifth of the writes, plain and seq-tagged
-// alike, ride the relaxed tier and a tenth the fire tier.
+// keys (key%writers == w; its ordered keys are one block of 24, so a
+// range read sees no other writer's): plain set / incr / delete / get /
+// mget / cross-shard mset, zadd / zincr / zdel / zget / zrange /
+// zcount, seq-tagged set, incr, delete, single- and cross-shard mset,
+// word-for-word resends of the latest and of an older seq, and — when
+// crashes is set — a crash followed by a resend of the last seq-tagged
+// command. A fifth of the writes, plain and seq-tagged, hash and
+// ordered keyspace alike, ride the relaxed tier and a tenth the fire
+// tier.
 func planStream(s *Server, seed int64, w, writers, n int, crashes bool) []string {
 	rng := rand.New(rand.NewSource(seed))
 	key := func() uint64 { return uint64(rng.Intn(24)*writers + w) }
+	zkey := func() uint64 { return uint64(w*24 + rng.Intn(24)) }
+	zspan := func() string {
+		lo := zkey()
+		return fmt.Sprintf("%d %d", lo, min(lo+1+uint64(rng.Intn(12)), uint64(w*24+24)))
+	}
 	// sameShard returns k keys owned by one shard.
 	sameShard := func(k int) []uint64 {
 		first := key()
@@ -115,20 +123,30 @@ func planStream(s *Server, seed int64, w, writers, n int, crashes bool) []string
 	for len(cmds) < n {
 		var c string
 		switch r := rng.Intn(100); {
-		case r < 14:
+		case r < 12:
 			c = tier(fmt.Sprintf("set %d %d", key(), rng.Intn(1000)))
-		case r < 26:
+		case r < 22:
 			c = tier(fmt.Sprintf("incr %d %d", key(), 1+rng.Intn(9)))
-		case r < 32:
+		case r < 27:
 			c = tier(fmt.Sprintf("delete %d", key()))
-		case r < 42:
+		case r < 35:
 			c = fmt.Sprintf("get %d", key())
-		case r < 47:
+		case r < 39:
 			c = fmt.Sprintf("mget %d %d %d", key(), key(), key())
-		case r < 53:
+		case r < 44:
 			c = tier("mset" + pairs([]uint64{key(), key(), key()}))
+		case r < 48:
+			c = tier(fmt.Sprintf("zadd %d %d", zkey(), rng.Intn(1000)))
+		case r < 51:
+			c = tier(fmt.Sprintf("zincr %d %d", zkey(), 1+rng.Intn(9)))
+		case r < 53:
+			c = tier(fmt.Sprintf("zdel %d", zkey()))
+		case r < 55:
+			c = fmt.Sprintf("zget %d", zkey())
+		case r < 56:
+			c = fmt.Sprintf("zrange %s %d", zspan(), 1+rng.Intn(6))
 		case r < 57:
-			c = tier(fmt.Sprintf("zadd %d %d", key(), rng.Intn(1000)))
+			c = "zcount " + zspan()
 		case r < 66:
 			c = tagged(fmt.Sprintf("set %d %d", key(), rng.Intn(1000)))
 		case r < 78:

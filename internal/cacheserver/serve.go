@@ -22,6 +22,12 @@ import (
 // answers until promoted.
 const readOnlyMsg = "read-only replica (promote to enable writes)"
 
+// writeBufBytes bounds each connection's response buffer. Replies larger
+// than the bound spill to the socket as they are produced, so a slow
+// reader exerts backpressure on its own handler instead of growing
+// server memory.
+const writeBufBytes = 16 << 10
+
 // protoLabel maps a wire adapter to its telemetry protocol label.
 func protoLabel(a proto.Adapter) telemetry.Protocol {
 	if a.Name() == "resp" {
@@ -40,7 +46,7 @@ func (s *Server) handle(conn net.Conn) {
 	if err != nil {
 		return
 	}
-	enc := proto.NewEncoder(conn, ad, s.cfg.writeBuf)
+	enc := proto.NewEncoder(conn, ad, writeBufBytes)
 	defer enc.Flush()
 
 	cs := s.newConnState()
@@ -159,11 +165,13 @@ func (s *Server) serveBatch(cs *connState, enc *proto.Encoder, batch []proto.Req
 			}
 			sh := s.shardOf(req.KV[0])
 			if sp.Mutates() {
-				if req.Dur != proto.DurDurable {
-					// Relaxed/fire tier: a sequence point — the pending
-					// durable plan lands first so tiers interleave in
-					// program order on this connection — then the write is
-					// buffered and acked with its epoch receipt.
+				if req.Dur != proto.DurDurable && sp.Space == proto.SpaceHash {
+					// Relaxed/fire hash-map write: a sequence point — the
+					// pending durable plan lands first so tiers interleave
+					// in program order on this connection — then the write
+					// is buffered and acked with its epoch receipt. An
+					// ordered write is durable at its CAS on every tier, so
+					// it joins the plan below and answers the durable ack.
 					flushData()
 					cs.stage(enc, s.serveRelaxed(cs, req))
 					continue

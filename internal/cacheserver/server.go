@@ -41,8 +41,9 @@
 // state before the ack), `relaxed` (acked from a volatile overlay,
 // persisted when the current epoch closes; the ack carries `@<epoch>`,
 // a receipt redeemable against the crash reply's recovered frontier),
-// or `fire` (acked before any state is consulted). The companion
-// barrier:
+// or `fire` (acked before any state is consulted). A tier settles
+// hash-keyspace writes: a z-write is durable at its skip-list CAS, so it
+// answers the durable ack on every tier. The companion barrier:
 //
 //	wait [epoch [timeout-ms]] -> persisted frontier once it covers <epoch> (default: now)
 //	wait repl [timeout-ms]    -> follower ack count for this connection's writes

@@ -68,9 +68,9 @@ type shard struct {
 	// Server.startReplication).
 	replLog *repl.Log
 
-	// ovl buffers this shard's acked-but-unflushed relaxed-tier writes
-	// (see epoch.go). It is volatile by design — a crash discards it;
-	// that is the relaxed tier's bounded loss.
+	// ovl buffers this shard's acked-but-unflushed relaxed-tier hash-map
+	// writes (see epoch.go). It is volatile by design — a crash discards
+	// it; that is the relaxed tier's bounded loss.
 	ovl overlay
 
 	// closeEpoch's scratch (see epoch.go), owned by the epoch loop.
@@ -180,7 +180,7 @@ func (sh *shard) getOptimistic(key uint64) (val uint64, ok, valid bool) {
 	defer sh.mu.RUnlock()
 	// The relaxed overlay is this key's newest logical state when an
 	// entry is pending; one atomic load when none is.
-	if e, hit := sh.ovl.get(key, false); hit {
+	if e, hit := sh.ovl.get(key); hit {
 		sh.tel.Server.Gets.Inc()
 		if !e.del {
 			sh.tel.Server.Hits.Inc()

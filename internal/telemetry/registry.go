@@ -191,9 +191,9 @@ type ServerStats struct {
 	BatchedOps     Counter // operations executed inside those batches
 	BatchFallbacks Counter // commit groups that found the queue full and ran directly on the drain lock
 
-	DurableOps    Counter // mutations served at the durable tier
-	RelaxedOps    Counter // mutations acknowledged at the relaxed tier
-	FireOps       Counter // mutations acknowledged fire-and-forget
+	DurableOps    Counter // mutations committed before their ack
+	RelaxedOps    Counter // hash-keyspace mutations acked at the relaxed tier
+	FireOps       Counter // hash-keyspace mutations acked fire-and-forget
 	EpochCloses   Counter // epoch-close cycles completed
 	EpochDemanded Counter // of those, closes a wait barrier started (the rest are the clock's)
 	EpochFlushed  Counter // overlay entries drained into Atlas at epoch close
@@ -347,9 +347,9 @@ var RegistryRows = newTable(ScopeShard,
 		counter("server_batches", "batches (Atlas sections) the write path ran", func(s *ServerStats) *Counter { return &s.Batches }),
 		counter("server_batched_ops", "operations inside those batches", func(s *ServerStats) *Counter { return &s.BatchedOps }),
 		counter("server_batch_fallbacks", "commit groups that found the queue full and ran on the drain lock", func(s *ServerStats) *Counter { return &s.BatchFallbacks }),
-		counter("server_durable_ops", "mutations served at the durable tier", func(s *ServerStats) *Counter { return &s.DurableOps }),
-		counter("server_relaxed_ops", "mutations acked at the relaxed tier", func(s *ServerStats) *Counter { return &s.RelaxedOps }),
-		counter("server_fire_ops", "mutations acked fire-and-forget", func(s *ServerStats) *Counter { return &s.FireOps }),
+		counter("server_durable_ops", "mutations committed before their ack: the durable tier, seq-tagged and ordered-keyspace writes", func(s *ServerStats) *Counter { return &s.DurableOps }),
+		counter("server_relaxed_ops", "hash-keyspace mutations acked at the relaxed tier", func(s *ServerStats) *Counter { return &s.RelaxedOps }),
+		counter("server_fire_ops", "hash-keyspace mutations acked fire-and-forget", func(s *ServerStats) *Counter { return &s.FireOps }),
 		counter("server_epoch_closes", "epoch closes run, clocked and demanded", func(s *ServerStats) *Counter { return &s.EpochCloses }),
 		counter("server_epoch_demanded", "of those, closes a wait started", func(s *ServerStats) *Counter { return &s.EpochDemanded }),
 		counter("server_epoch_flushed", "overlay entries the closes drained into fortified state", func(s *ServerStats) *Counter { return &s.EpochFlushed }),
@@ -430,7 +430,7 @@ var ServerRows = newTable(ScopeServer, []Row[ServerWide]{
 	gauge("shards", "independent storage shards", func(s *ServerWide) *atomic.Uint64 { return &s.Shards }),
 	gauge("epoch_current", "the open epoch relaxed acks are stamped with", func(s *ServerWide) *atomic.Uint64 { return &s.EpochCurrent }),
 	gauge("epoch_persisted", "the persistent frontier: relaxed acks at or below it survive a crash", func(s *ServerWide) *atomic.Uint64 { return &s.EpochPersisted }),
-	gauge("epoch_interval_us", "the epoch clock's period; 0 when the tiers are off", func(s *ServerWide) *atomic.Uint64 { return &s.EpochIntervalUS }),
+	gauge("epoch_interval_us", "the epoch clock's period", func(s *ServerWide) *atomic.Uint64 { return &s.EpochIntervalUS }),
 	{Desc: Desc{Name: "proto_<proto>_decoded_batch", Kind: KindValue, Help: "requests per decoded batch, per wire protocol"},
 		labels: fixed[ServerWide](oneLabel(protocolNames[:]...)),
 		read:   func(s *ServerWide, i int, c *cell) { c.hs = append(c.hs, &s.DecodedBatch[i]) }},

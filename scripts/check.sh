@@ -91,11 +91,21 @@ go test ./...
 
 # Line count is a tracked metric (ROADMAP aim 2): the served system's
 # non-test source, the routing tier in front of it, the replication
-# tier under it and the telemetry rows every stats surface renders,
-# printed so a PR that grows any of them does so in plain sight.
-for pkg in cacheserver cluster repl telemetry; do
+# tier under it and the telemetry rows every stats surface renders.
+# Each count has a ceiling written here: a change that must grow one
+# raises its ceiling in its own diff, where reviewers see it.
+ceiling() {
+	echo "$2 (ceiling $3)"
+	if [ "$2" -gt "$3" ]; then
+		echo "$1: $2 is above its ceiling $3" >&2
+		exit 1
+	fi
+}
+for pc in cacheserver:4092 cluster:1265 repl:1138 telemetry:1469; do
+	pkg=${pc%:*}
 	echo "== internal/$pkg non-test lines"
-	ls internal/$pkg/*.go | grep -v '_test\.go$' | xargs cat | wc -l
+	ceiling "internal/$pkg non-test lines" \
+		$(($(ls internal/"$pkg"/*.go | grep -v '_test\.go$' | xargs cat | wc -l))) "${pc#*:}"
 done
 
 # So is per-command knowledge outside the command table
@@ -103,15 +113,15 @@ done
 # that read it. What remains should be executor arms and the adapters'
 # hand-written argument tails.
 echo "== case-Cmd arms (internal/{proto,cacheserver,cluster,telemetry}, non-test)"
-ls internal/proto/*.go internal/cacheserver/*.go internal/cluster/*.go internal/telemetry/*.go |
-	grep -v '_test\.go$' | xargs cat | grep -c 'case .*Cmd'
+ceiling "case-Cmd arms" $(($(ls internal/proto/*.go internal/cacheserver/*.go internal/cluster/*.go internal/telemetry/*.go |
+	grep -v '_test\.go$' | xargs cat | grep 'case .*Cmd' | wc -l))) 28
 
 # So is per-metric knowledge outside the telemetry rows
 # (internal/telemetry): every hand-written stats line literal left in
 # the server and the proxy. The renderers live beside the rows.
 echo "== stats renderer literals (\"STAT / \"tsp_ / \"# TYPE in internal/{cacheserver,cluster}, non-test)"
-ls internal/cacheserver/*.go internal/cluster/*.go | grep -v '_test\.go$' |
-	xargs grep -o '"STAT \|"tsp_\|"# TYPE ' | wc -l
+ceiling "stats renderer literals" $(($(ls internal/cacheserver/*.go internal/cluster/*.go | grep -v '_test\.go$' |
+	xargs grep -o '"STAT \|"tsp_\|"# TYPE ' | wc -l))) 0
 
 # Recovery cost is tracked the same way: one served shard's crash →
 # serving again (Restart, heap open, Atlas recovery with its GC, runtime
