@@ -23,16 +23,22 @@ func (r *burstReader) Read(p []byte) (int, error) { return copy(p, r.burst), nil
 // allocated), a depth-64 pipelined burst fanned across four shards,
 // and the same burst with every 8th command seq-tagged (the write_pipe
 // shape; each trip resends the same seqs, so after the first they are
-// duplicates or stale, answered by the executor's in-section check). The budgets are what this test measures: the commit plan
-// and the reply being staged are scratch on the connection, so a trip
-// allocates nothing but the text of the session handshake's reply.
+// duplicates or stale, answered by the executor's in-section check),
+// and a depth-32 burst of relaxed sets (one run: the overlay entries it
+// replaces trip after trip allocate nothing). The budgets are what this
+// test measures: the commit plan and the reply being staged are scratch
+// on the connection, so a trip allocates nothing but the text of the
+// session handshake's reply.
 // The epoch clock runs an hour long so no background close allocates
 // into the measurement.
 func TestWritePathAllocBudget(t *testing.T) {
-	var burst, tagged strings.Builder
+	var burst, tagged, relaxed strings.Builder
 	tagged.WriteString("session 1\r\n")
 	for k := 0; k < 64; k++ {
 		fmt.Fprintf(&burst, "set %d %d\r\n", k, k)
+		if k < 32 {
+			fmt.Fprintf(&relaxed, "set %d %d relaxed\r\n", k, k)
+		}
 		if k%8 == 7 {
 			fmt.Fprintf(&tagged, "incr %d 1 seq=%d\r\n", k, k)
 		} else {
@@ -47,6 +53,7 @@ func TestWritePathAllocBudget(t *testing.T) {
 		{"lone_durable_set", "set 1 2\r\n", 0},
 		{"depth64_burst", burst.String(), 0},
 		{"depth64_burst_seq_every_8th", tagged.String(), 1},
+		{"depth32_relaxed_burst", relaxed.String(), 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			s, err := New(WithShards(4), WithEpochInterval(time.Hour))
@@ -141,7 +148,7 @@ func TestEpochCloseAllocBudget(t *testing.T) {
 	}
 	fill := func() {
 		for _, k := range keys {
-			s.shardOf(k).ovl.put(k, false, k)
+			s.shardOf(k).ovl.put([]batchOp{{kind: opSet, key: k, arg: k}})
 		}
 	}
 	fill()

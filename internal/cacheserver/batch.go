@@ -337,6 +337,7 @@ func (sh *shard) runBatch(reqs []*batchReq, nops int) {
 			// one commit-ordered unit.
 			if op := &r.ops[i]; !isZ(op.kind) {
 				mus = sh.wmu
+				sh.walk = append(sh.walk, op.key)
 				if op.kind != opGet {
 					sh.stripes.Add(m.StripeOf(op.key))
 				}
@@ -344,6 +345,11 @@ func (sh *shard) runBatch(reqs []*batchReq, nops int) {
 		}
 	}
 	stripes := sh.stripes.Sorted()
+	if len(sh.walk) > 1 {
+		// Overlap the chains' misses; a lone op would walk its chain twice.
+		m.WalkChains(sh.walk)
+	}
+	sh.walk = sh.walk[:0]
 
 	start := time.Now()
 	_ = th.Section(mus, func() error {

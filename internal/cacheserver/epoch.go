@@ -17,8 +17,11 @@ import (
 // contract (the command's effects are committed to fortified state
 // before the ack). The relaxed tier procrastinates harder: a hash-map
 // write lands in a volatile per-shard overlay — plain Go memory, no
-// Atlas machinery, no device stores — and is acknowledged immediately,
-// stamped with the current epoch. One goroutine closes an epoch every
+// Atlas machinery, no device stores — and is acknowledged once it is
+// buffered, stamped with the current epoch. A connection's run of blind
+// writes (set, mset, a fire delete; see serveBatch) inserts every entry,
+// one overlay lock per shard, before it reads the epoch once for all of
+// its acks. One goroutine closes an epoch every
 // epochInterval — at once when a `wait` demands it — by submitting every
 // shard's overlay as a commit group on the one write path (one Atlas
 // critical section per BatchMax-sized chunk; see batch.go), all shards
@@ -54,7 +57,7 @@ import (
 // presence) reads and buffers under the shard's drain lock (see
 // shard.relaxedRMW), so it cannot interleave with a durable group
 // folding the same entry or with another relaxed writer. Blind relaxed
-// writes never touch that lock.
+// writes never touch that lock; they take only the overlay's.
 //
 // The overlay buffers values only. A seq-tagged write is durable on
 // every tier (see session.go), so no dedup record ever waits here.
@@ -82,18 +85,22 @@ type overlay struct {
 	seq  uint64
 }
 
-// put inserts or replaces key's entry, stamping it with the next
-// sequence number.
-func (o *overlay) put(key uint64, del bool, val uint64) {
+// put buffers ops (opSet or opDelete writes) in order under one hold of
+// the mutex, each entry stamped with the next sequence number, and marks
+// them applied.
+func (o *overlay) put(ops []batchOp) {
 	o.mu.Lock()
 	if o.m == nil {
 		o.m = make(map[uint64]ovEntry)
 	}
-	if _, ok := o.m[key]; !ok {
-		o.size.Add(1)
+	for i := range ops {
+		if _, ok := o.m[ops[i].key]; !ok {
+			o.size.Add(1)
+		}
+		o.seq++
+		o.m[ops[i].key] = ovEntry{val: ops[i].arg, seq: o.seq, del: ops[i].kind == opDelete}
+		ops[i].ok = true
 	}
-	o.seq++
-	o.m[key] = ovEntry{val: val, seq: o.seq, del: del}
 	o.mu.Unlock()
 }
 
@@ -259,10 +266,11 @@ func (s *Server) epochReached(target uint64) bool {
 //
 // Ordering is what makes the ack sound: curEpoch moves to e+1 BEFORE
 // the overlays are snapshotted, and a relaxed writer inserts its
-// overlay entry BEFORE reading curEpoch for its ack stamp (both sides
-// ordered by the overlay mutex). So any entry the snapshot misses was
-// inserted after the snapshot, and its writer must have read e+1 —
-// every write acked with stamp <= e is in this (or an earlier) drain.
+// overlay entries (a run, all of them) BEFORE reading curEpoch for its
+// ack stamp (both sides ordered by the overlay mutex). So any entry the
+// snapshot misses was inserted after the snapshot, and its writer must
+// have read e+1 — every write acked with stamp <= e is in this (or an
+// earlier) drain.
 // The shards drain concurrently (one goroutine per non-empty overlay,
 // one of them this one), each through shard.submit under its own drain
 // lock: a barrier waits for the largest drain, not the sum.
@@ -453,54 +461,51 @@ func (s *Server) serveWait(cs *connState, req *proto.Request) proto.Reply {
 	return proto.Reply{Kind: proto.KInt, Val: s.perEpoch.Load()}
 }
 
-// serveRelaxed executes one relaxed- or fire-tier hash-map mutation:
-// buffer the effects in the target shards' overlays and ack immediately
-// with the current epoch stamp. Called from serveBatch as a sequence
-// point (the pending durable group flushed first), so tiers interleave
-// in program order on a connection. A seq-tagged request never comes
-// here: it commits as a durable sessioned group (see planSessioned);
-// nor does an ordered-keyspace write, durable at its CAS on every tier.
+// bufferRun buffers a connection's run of blind relaxed/fire writes
+// (see serveBatch) in its shards' overlays, one mutex hold per shard,
+// and returns the stamp of every ack in it: the epoch read once, after
+// the last insert, so no stamp is earlier than a one-at-a-time insert
+// would have read (see closeEpoch).
+func (s *Server) bufferRun(p *plan) uint64 {
+	for _, li := range p.used {
+		s.shards[li].ovl.put(p.legs[li].ops)
+	}
+	return s.curEpoch.Load()
+}
+
+// tierOps is the counter of mutations acked at tier d.
+func tierOps(st *telemetry.ServerStats, d proto.Durability) *telemetry.Counter {
+	return [...]*telemetry.Counter{&st.DurableOps, &st.RelaxedOps, &st.FireOps}[d]
+}
+
+// serveRelaxed executes one relaxed- or fire-tier hash-map
+// read-modify-write — an incr, or a relaxed delete that reports
+// presence: buffer the effects in the target shards' overlays and ack
+// immediately with the current epoch stamp. Called from serveBatch as a
+// sequence point (the pending plan or run flushed first), so tiers
+// interleave in program order on a connection. Blind writes buffer as a
+// run instead (see bufferRun); a seq-tagged request commits as a
+// durable sessioned group (see planSessioned), and so does an
+// ordered-keyspace write, durable at its CAS on every tier.
 func (s *Server) serveRelaxed(cs *connState, req *proto.Request) proto.Reply {
 	start := time.Now()
-	fire := req.Dur == proto.DurFire
 	key := req.KV[0]
 	sh0 := s.shardOf(key)
-	if fire {
-		sh0.tel.Server.FireOps.Inc()
-	} else {
-		sh0.tel.Server.RelaxedOps.Inc()
-	}
+	tierOps(sh0.tel.Server, req.Dur).Inc()
 	sp := req.Cmd.Spec()
 	rep := proto.Reply{Kind: sp.Reply}
-	switch sp.Verb {
-	case proto.VerbSet:
-		// One pair, or an mset's several.
-		for i := 0; i+1 < len(req.KV); i += 2 {
-			s.shardOf(req.KV[i]).ovl.put(req.KV[i], false, req.KV[i+1])
-		}
-		if rep.Kind == proto.KStoredN {
-			rep.N = len(req.KV) / 2
-		}
-	case proto.VerbIncr:
+	if sp.Verb == proto.VerbIncr {
 		nv, _, err := sh0.relaxedRMW(key, false, req.KV[1])
 		if err != nil {
 			return proto.Reply{Kind: proto.KErrServer, Msg: err.Error()}
 		}
 		rep.Val = nv
-	default: // VerbDelete
+	} else { // VerbDelete: presence as of the ack
 		items := cs.items[:0]
 		for _, k := range req.KV {
-			sh := s.shardOf(k)
-			found := true
-			if fire {
-				// The fire tier acks without consulting state; relaxed
-				// reports presence as of the ack.
-				sh.ovl.put(k, true, 0)
-			} else {
-				var err error
-				if _, found, err = sh.relaxedRMW(k, true, 0); err != nil {
-					return proto.Reply{Kind: proto.KErrServer, Msg: err.Error()}
-				}
+			_, found, err := s.shardOf(k).relaxedRMW(k, true, 0)
+			if err != nil {
+				return proto.Reply{Kind: proto.KErrServer, Msg: err.Error()}
 			}
 			items = append(items, proto.Item{Key: k, Found: found})
 		}
@@ -528,13 +533,12 @@ func (sh *shard) relaxedRMW(key uint64, del bool, delta uint64) (uint64, bool, e
 	if err != nil {
 		return 0, false, err
 	}
+	op := batchOp{kind: opSet, key: key, arg: base + delta}
 	if del {
-		sh.ovl.put(key, true, 0)
-		return 0, found, nil
+		op.kind, op.arg = opDelete, 0
 	}
-	nv := base + delta
-	sh.ovl.put(key, false, nv)
-	return nv, found, nil
+	sh.ovl.put([]batchOp{op})
+	return op.arg, found, nil
 }
 
 // peekLocked reads a key's current logical value for relaxedRMW: the

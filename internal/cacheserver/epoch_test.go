@@ -1,12 +1,16 @@
 package cacheserver
 
 import (
+	"bytes"
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"tsp/internal/proto"
 )
 
 // Durability-tier tests: the relaxed/fire acks and their epoch
@@ -730,5 +734,75 @@ func TestEpochClockStillBoundsLoss(t *testing.T) {
 	}
 	if got := c.cmd(t, "get 1"); got != "VALUE 1 100" {
 		t.Fatalf("clock-covered relaxed write lost: %q", got)
+	}
+}
+
+// TestRelaxedRunStampCoversEveryEntry: a run of blind relaxed writes is
+// stamped once, with the epoch read after its last overlay insert, so
+// every ack's stamp covers its entry even when epochs close while the
+// run is being buffered. One connection (served in process, so the
+// schedule is not paced by the network poller) sends bursts of 32
+// relaxed sets, each burst one run, while a goroutine closes epochs back
+// to back; after each burst a wait on the largest stamp and a crash
+// must leave every acked write at or below the crash frontier readable.
+// Each burst writes fresh values, so a lost entry reads back the
+// previous burst's.
+func TestRelaxedRunStampCoversEveryEntry(t *testing.T) {
+	const bursts, width = 1000, 32
+	s := startServer(t, WithShards(2), WithEpochInterval(time.Hour), WithDeviceWords(1<<16))
+	stop := make(chan struct{})
+	closed := make(chan struct{})
+	go func() {
+		defer close(closed)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				s.waitEpoch(s.curEpoch.Load(), 0) // demands the close of the current epoch
+			}
+		}
+	}()
+	defer func() { close(stop); <-closed }()
+
+	cs := s.newConnState()
+	var out bytes.Buffer
+	enc := proto.NewEncoder(&out, proto.Native{}, writeBufBytes)
+	send := func(req string) []string {
+		out.Reset()
+		dec := proto.NewDecoder(strings.NewReader(req), proto.Native{}, 0)
+		for batch, err := dec.Next(); len(batch) > 0 || err == nil; batch, err = dec.Next() {
+			s.serveBatch(cs, enc, batch)
+		}
+		enc.Flush()
+		return strings.Split(strings.TrimSuffix(out.String(), "\r\n"), "\r\n")
+	}
+	var req strings.Builder
+	for b := 1; b <= bursts; b++ {
+		req.Reset()
+		for k := 0; k < width; k++ {
+			fmt.Fprintf(&req, "set %d %d relaxed\r\n", k, b)
+		}
+		var stamps [width]uint64
+		for k, line := range send(req.String()) {
+			stamps[k] = epochStamp(t, line, "STORED")
+		}
+		// The crash rides the wait's burst: the sooner it follows the
+		// barrier, the fewer later closes can cover for a short stamp.
+		maxStamp := slices.Max(stamps[:])
+		rep := send(fmt.Sprintf("wait %d\r\ncrash\r\n", maxStamp))
+		if _, err := strconv.ParseUint(rep[0], 10, 64); err != nil {
+			t.Fatalf("burst %d: wait %d: %q", b, maxStamp, rep[0])
+		}
+		p := crashFrontier(t, rep[1])
+		req.Reset()
+		for k := range stamps {
+			fmt.Fprintf(&req, "get %d\r\n", k)
+		}
+		for k, got := range send(req.String()) {
+			if want := fmt.Sprintf("VALUE %d %d", k, b); stamps[k] <= p && got != want {
+				t.Fatalf("burst %d: key %d acked @%d, crash frontier %d: %q, want %q", b, k, stamps[k], p, got, want)
+			}
+		}
 	}
 }

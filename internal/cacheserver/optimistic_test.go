@@ -145,8 +145,16 @@ func TestCmdLatencyCountedOncePerCommand(t *testing.T) {
 // — the retry budget bounds the optimistic attempts and the locked path
 // finishes the job, visible as a bounded fallback counter.
 func TestOptimisticReadsUnderWriteLoad(t *testing.T) {
-	s := startServer(t, WithShards(1), WithBuckets(64, 64)) // one stripe: every write collides
+	s := startServer(t, WithShards(1))
 	addr := s.Addr().String()
+	// 64 keys of one stripe: every write collides with every read.
+	m := s.shards[0].stk.Map
+	var keys []uint64
+	for k := uint64(0); len(keys) < 64; k++ {
+		if m.StripeOf(k) == m.StripeOf(0) {
+			keys = append(keys, k)
+		}
+	}
 
 	const writers = 4
 	stop := make(chan struct{})
@@ -162,7 +170,7 @@ func TestOptimisticReadsUnderWriteLoad(t *testing.T) {
 					return
 				default:
 				}
-				if got := wc.cmd(t, "set %d %d", (w*1000+i)%64, i); got != "STORED" {
+				if got := wc.cmd(t, "set %d %d", keys[(w*1000+i)%64], i); got != "STORED" {
 					t.Errorf("set: %q", got)
 					return
 				}
@@ -173,7 +181,7 @@ func TestOptimisticReadsUnderWriteLoad(t *testing.T) {
 	rc := dial(t, addr)
 	const reads = 500
 	for i := 0; i < reads; i++ {
-		got := rc.cmd(t, "get %d", i%64)
+		got := rc.cmd(t, "get %d", keys[i%64])
 		if !strings.HasPrefix(got, "VALUE") && got != "NOT_FOUND" {
 			t.Fatalf("get under write load: %q", got)
 		}

@@ -21,9 +21,7 @@ type config struct {
 	mode        atlas.Mode
 	shards      int
 	maxConns    int
-	deviceWords int // per shard
-	buckets     int // per-shard hash map shape
-	perMutex    int
+	deviceWords int    // per shard
 	metricsAddr string // optional HTTP metrics endpoint; "" = disabled
 	batchMax    int    // max ops per batch, i.e. per Atlas critical section
 	queueDepth  int    // per-shard pending-request queue bound
@@ -55,8 +53,6 @@ func defaultConfig() config {
 		shards:      4,
 		maxConns:    16,
 		deviceWords: 1 << 20,
-		buckets:     4096,
-		perMutex:    256,
 		batchMax:    64,
 		queueDepth:  256,
 		replWindow:  4096,
@@ -177,15 +173,6 @@ func WithBatchMax(n int) Option {
 // server_batch_fallbacks, so backpressure shows up in stats.
 func WithQueueDepth(n int) Option {
 	return func(c *config) { c.queueDepth = n }
-}
-
-// WithBuckets shapes each shard's hash map: bucket count and buckets
-// per stripe mutex (defaults 4096 and 256).
-func WithBuckets(buckets, perMutex int) Option {
-	return func(c *config) {
-		c.buckets = buckets
-		c.perMutex = perMutex
-	}
 }
 
 // WithReplListen makes the server a replication primary: it accepts

@@ -43,7 +43,7 @@ type leg struct {
 	groups     []batchReq
 	open       int
 	cmd, cmdAt int
-	durable    uint64                        // durable-tier mutations whose first key is here
+	tiers      [3]uint64                     // mutations whose first key is here, per proto.Durability
 	cmds       [telemetry.NumCommands]uint64 // the commands whose first key is here (flushPlan)
 	marks      []repl.SessRec
 	floor      uint64
@@ -52,13 +52,15 @@ type leg struct {
 
 // plan is one commit plan under construction. max is batchMax (plain
 // runs are cut to fit one section), used the legs touched, cmd the
-// commands begun, muts the ops that are not plain gets.
+// commands begun, muts the ops that are not plain gets; run marks a
+// run of blind relaxed/fire writes, buffered instead (see bufferRun).
 type plan struct {
 	max  int
 	legs []leg
 	used []int32
 	cmd  int
 	muts int
+	run  bool
 }
 
 // reset empties the plan, keeping its scratch.
@@ -67,7 +69,7 @@ func (p *plan) reset() {
 		l := &p.legs[li]
 		*l = leg{ops: l.ops[:0], groups: l.groups[:0], marks: l.marks[:0]}
 	}
-	p.used, p.cmd, p.muts = p.used[:0], 0, 0
+	p.used, p.cmd, p.muts, p.run = p.used[:0], 0, 0, false
 }
 
 func (p *plan) leg(sh *shard) *leg {

@@ -76,7 +76,7 @@ func regroup(cmds []string, depth int) [][]byte {
 // crashes is set — a crash followed by a resend of the last seq-tagged
 // command. A fifth of the writes, plain and seq-tagged, hash and
 // ordered keyspace alike, ride the relaxed tier and a tenth the fire
-// tier.
+// tier. A relaxed-heavy phase of blind-write runs follows (below).
 func planStream(s *Server, seed int64, w, writers, n int, crashes bool) []string {
 	rng := rand.New(rand.NewSource(seed))
 	key := func() uint64 { return uint64(rng.Intn(24)*writers + w) }
@@ -169,6 +169,46 @@ func planStream(s *Server, seed int64, w, writers, n int, crashes bool) []string
 		}
 		cmds = append(cmds, c)
 	}
+	// The relaxed-heavy phase: runs of 2-40 blind relaxed/fire writes
+	// (set, mset, fire delete), each broken by a read of a run key, a
+	// durable incr of one (the fold), a relaxed incr (a sequence point)
+	// or — when this writer is alone, so the epoch count is its own — a
+	// wait.
+	blind := func() string {
+		if rng.Intn(2) == 0 {
+			return " relaxed"
+		}
+		return " fire"
+	}
+	for len(cmds) < n+n/2 {
+		var keys []uint64
+		for i := 2 + rng.Intn(39); i > 0; i-- {
+			switch r := rng.Intn(10); {
+			case r < 5:
+				keys = append(keys, key())
+				cmds = append(cmds, fmt.Sprintf("set %d %d%s", keys[len(keys)-1], rng.Intn(1000), blind()))
+			case r < 8:
+				keys = append(keys, key(), key())
+				cmds = append(cmds, "mset"+pairs(keys[len(keys)-2:])+blind())
+			default:
+				keys = append(keys, key())
+				cmds = append(cmds, fmt.Sprintf("delete %d fire", keys[len(keys)-1]))
+			}
+		}
+		rk := keys[rng.Intn(len(keys))]
+		switch r := rng.Intn(5); {
+		case r == 0:
+			cmds = append(cmds, fmt.Sprintf("get %d", rk))
+		case r == 1:
+			cmds = append(cmds, fmt.Sprintf("mget %d %d", key(), rk))
+		case r == 2:
+			cmds = append(cmds, fmt.Sprintf("incr %d %d", rk, 1+rng.Intn(9)))
+		case r == 3 || writers > 1:
+			cmds = append(cmds, fmt.Sprintf("incr %d %d relaxed", key(), 1+rng.Intn(9)))
+		default:
+			cmds = append(cmds, "wait")
+		}
+	}
 	return cmds
 }
 
@@ -212,9 +252,9 @@ func diffLines(a, b string) string {
 // the same final keyspace and the same session verdict counts — one
 // connection (with crashes between bursts, each followed by a resend of
 // the last seq, which must replay), then two concurrent writers on
-// disjoint keys. The epoch clock is live but an hour long, so a relaxed
-// ack's receipt is the same in both runs and only a crash sheds the
-// overlay.
+// disjoint keys. The epoch clock is live but an hour long, so only a
+// lone writer's waits close epochs: a relaxed ack's receipt is the same
+// in both runs, and only a crash sheds the overlay.
 func TestPlanBurstMatchesSequential(t *testing.T) {
 	for _, tc := range []struct {
 		name    string

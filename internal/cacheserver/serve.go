@@ -159,24 +159,33 @@ func (s *Server) serveBatch(cs *connState, enc *proto.Encoder, batch []proto.Req
 					continue
 				}
 			}
+			// A relaxed/fire hash-map write is buffered in the overlay and
+			// acked with its epoch receipt: a blind one (set, mset, a fire
+			// delete) joins the connection's run, a read-modify-write is a
+			// sequence point. Whatever is pending of the other kind lands
+			// first, so tiers interleave in program order. A seq-tagged or
+			// ordered write is durable on every tier (the durable ack).
+			dur := req.Dur
+			if req.HasSeq || sp.Space == proto.SpaceOrdered || !sp.Mutates() {
+				dur = proto.DurDurable
+			}
+			blind := dur != proto.DurDurable && (sp.Verb == proto.VerbSet || sp.Verb == proto.VerbDelete && dur == proto.DurFire)
+			if blind != cs.plan.run {
+				flushData()
+				cs.plan.run = blind
+			}
 			if req.HasSeq {
 				s.planSessioned(cs, enc, req)
 				continue
 			}
+			if dur != proto.DurDurable && !blind {
+				flushData()
+				cs.stage(enc, s.serveRelaxed(cs, req))
+				continue
+			}
 			sh := s.shardOf(req.KV[0])
 			if sp.Mutates() {
-				if req.Dur != proto.DurDurable && sp.Space == proto.SpaceHash {
-					// Relaxed/fire hash-map write: a sequence point — the
-					// pending durable plan lands first so tiers interleave
-					// in program order on this connection — then the write
-					// is buffered and acked with its epoch receipt. An
-					// ordered write is durable at its CAS on every tier, so
-					// it joins the plan below and answers the durable ack.
-					flushData()
-					cs.stage(enc, s.serveRelaxed(cs, req))
-					continue
-				}
-				cs.plan.legs[sh.idx].durable++
+				cs.plan.legs[sh.idx].tiers[dur]++
 			}
 			tag := cmdTag{req: req, sh: sh, start: len(cs.refs)}
 			cs.ops = appendOps(cs.ops[:0], req)
@@ -242,7 +251,8 @@ func (cs *connState) stage(enc *proto.Encoder, rep proto.Reply) {
 	enc.Stage(&cs.rep)
 }
 
-// flushPlan runs the connection's pending plan, stages one reply per
+// flushPlan runs the connection's pending plan (or buffers its run,
+// every reply stamped with the run's epoch), stages one reply per
 // tagged command in request order, and empties the plan — what every
 // sequence point (and the end of the batch) does first. A plan of pure
 // reads tries the lock-free seqlock path; if a key fails to validate,
@@ -250,16 +260,20 @@ func (cs *connState) stage(enc *proto.Encoder, rep proto.Reply) {
 // shards in arrival order (read-your-writes inside a burst). Every tag
 // observes the plan's end-to-end time: replies flush together, so the
 // plan's completion IS each command's service time — observed once per
-// (shard, command) with a count, and the plan's durable-tier mutations
-// counted once per shard, before any reply is staged.
+// (shard, command) with a count, and the mutations counted once per
+// shard and tier, before any reply is staged.
 func (s *Server) flushPlan(cs *connState, enc *proto.Encoder) {
 	if len(cs.tags) == 0 {
 		return
 	}
 	start := time.Now()
 	p := &cs.plan
+	var epoch uint64
 	optimistic := p.muts == 0 && len(cs.refs) > 0 && s.readOptimistic(cs)
-	if !optimistic {
+	switch {
+	case p.run:
+		epoch = s.bufferRun(p)
+	case !optimistic:
 		s.runPlan(p)
 	}
 	el := time.Since(start)
@@ -268,7 +282,9 @@ func (s *Server) flushPlan(cs *connState, enc *proto.Encoder) {
 	}
 	for _, li := range p.used {
 		tel := s.shards[li].tel
-		tel.Server.DurableOps.Add(p.legs[li].durable)
+		for d, n := range p.legs[li].tiers {
+			tierOps(tel.Server, proto.Durability(d)).Add(n)
+		}
 		for cmd, n := range p.legs[li].cmds {
 			tel.CmdLatency.ObserveProto(cs.ptel, telemetry.Command(cmd), el, n)
 			if optimistic {
@@ -277,7 +293,9 @@ func (s *Server) flushPlan(cs *connState, enc *proto.Encoder) {
 		}
 	}
 	for ti := range cs.tags {
-		cs.stage(enc, s.buildDataReply(cs, &cs.tags[ti]))
+		rep := s.buildDataReply(cs, &cs.tags[ti])
+		rep.Epoch = epoch
+		cs.stage(enc, rep)
 	}
 	cs.tags, cs.refs = cs.tags[:0], cs.refs[:0]
 	p.reset()

@@ -370,7 +370,7 @@ func (s *Server) planSessioned(cs *connState, enc *proto.Encoder, req *proto.Req
 	}
 	tag.start = len(cs.refs)
 	at, grp := p.addSess(wsh, cs.ops, batchReq{sess: cs.sess, sseq: req.Seq, wkey: wkey, sessCmd: req.Cmd})
-	p.legs[wsh.idx].durable++
+	p.legs[wsh.idx].tiers[proto.DurDurable]++
 	for i := range cs.ops {
 		cs.refs = append(cs.refs, opRef{at.leg, at.at + int32(i)})
 	}

@@ -59,6 +59,7 @@ type shard struct {
 	wgen           uint64
 	pendingScratch []*batchReq
 	stripes        hashmap.StripeSet
+	walk           []uint64 // the section's hash-op keys, for Map.WalkChains
 	counts         execCounts
 
 	// replLog, when non-nil (primary role), receives every drained
@@ -106,7 +107,7 @@ func newShard(idx int, c config) (*shard, error) {
 		// section runs under the drain lock (see workerThread).
 		stack.WithMaxThreads(1),
 		stack.WithLogEntries(logEntries),
-		stack.WithBuckets(c.buckets, c.perMutex),
+		stack.WithBuckets(4096, 256), // every shard's map shape
 		stack.WithSessionSlots(c.sessSlots),
 		stack.WithTelemetry(tel),
 	)

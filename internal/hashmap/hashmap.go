@@ -276,6 +276,37 @@ func (m *Map) findLocked(t *atlas.Thread, b int, key uint64) (node, prev pheap.P
 	return pheap.Nil, pheap.Nil
 }
 
+// walkRounds bounds WalkChains: chains average entries/buckets nodes,
+// and a walk that reaches this deep has warmed what the section reads.
+const walkRounds = 8
+
+// WalkChains walks the bucket chains of keys in lockstep rounds — one
+// load per chain per round, at most walkRounds rounds — so the cache
+// misses of a batch's ops overlap instead of each waiting on the one
+// before, and the *Locked calls that follow find their chains cached.
+// It is only a hint: it reads through nvm.Device.Peek (not counted, not
+// charged to the latency model), writes nothing, and ends a chain at a
+// pointer out of range. keys is overwritten with the walk's cursors.
+// It needs no lock: a concurrent writer only makes it a worse hint.
+func (m *Map) WalkChains(keys []uint64) {
+	d := m.heap.Device()
+	for i, k := range keys {
+		keys[i] = uint64(m.bucketAddr(m.bucketOf(k)))
+	}
+	for r, live := 0, true; r < walkRounds && live; r++ {
+		live = false
+		for i, a := range keys {
+			if a == 0 {
+				continue
+			}
+			n, ok := d.Peek(nvm.Addr(a))
+			if keys[i] = 0; ok && !pheap.Ptr(n).IsNil() {
+				keys[i], live = uint64(pheap.Ptr(n).Addr()+nodeNext), true
+			}
+		}
+	}
+}
+
 // Put sets key to value as one outermost critical section.
 func (m *Map) Put(t *atlas.Thread, key, value uint64) error {
 	if t == nil {

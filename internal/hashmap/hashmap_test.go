@@ -2,7 +2,9 @@ package hashmap
 
 import (
 	"errors"
+	"maps"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -440,5 +442,98 @@ func TestNewValidation(t *testing.T) {
 	}
 	if _, err := New(e.rt, 16, -1); err == nil {
 		t.Fatal("New(negative stride) succeeded")
+	}
+}
+
+// TestWalkChainsIsOnlyAHint: the lockstep chain walk a batch runs before
+// its section warms the host's cache and does nothing else. Over chains
+// of 0 to 40 nodes and batches of 0, 1, 64 and 300 keys (present, absent
+// and repeated), it must leave the device counts, Verify's report and
+// every Get answer as they were; a next word planted out of range must
+// end the walk, not panic it.
+func TestWalkChainsIsOnlyAHint(t *testing.T) {
+	e := newEnv(t, atlas.ModeTSP, 8, 2)
+	th := e.thread(t)
+	lens := [8]int{0, 1, 2, 5, 10, 20, 30, 40}
+	var n [8]int
+	var absent []uint64
+	for k := uint64(1); len(absent) < 40 || n != lens; k++ {
+		if b := e.m.bucketOf(k); n[b] < lens[b] {
+			n[b]++
+			if err := e.m.Put(th, k, k*7); err != nil {
+				t.Fatalf("Put: %v", err)
+			}
+		} else {
+			absent = append(absent, k)
+		}
+	}
+	rng := rand.New(rand.NewSource(1))
+	batch := func(size int) []uint64 {
+		keys := make([]uint64, size)
+		for i := range keys {
+			switch r := rng.Intn(4); {
+			case r == 0:
+				keys[i] = absent[rng.Intn(len(absent))]
+			case r == 1 && i > 0:
+				keys[i] = keys[rng.Intn(i)]
+			default:
+				keys[i] = 1 + uint64(rng.Intn(int(absent[len(absent)-1])))
+			}
+		}
+		return keys
+	}
+	answers := func() map[uint64]uint64 {
+		out := map[uint64]uint64{}
+		for k := uint64(0); k <= absent[len(absent)-1]; k++ {
+			if v, ok, err := e.m.Get(th, k); err != nil {
+				t.Fatalf("Get %d: %v", k, err)
+			} else if ok {
+				out[k] = v
+			}
+		}
+		return out
+	}
+	verify := func() VerifyReport {
+		rep, err := e.m.Verify()
+		if err != nil {
+			t.Fatalf("Verify: %v", err)
+		}
+		return rep
+	}
+	before, rep := answers(), verify()
+	for _, size := range []int{0, 1, 64, 300} {
+		keys := batch(size)
+		stats := e.dev.Stats()
+		e.m.WalkChains(keys)
+		if got := e.dev.Stats(); got != stats {
+			t.Fatalf("walk of %d keys moved the device counts: %+v -> %+v", size, stats, got)
+		}
+	}
+	if got := verify(); got != rep {
+		t.Fatalf("Verify after the walks: %v, before %v", got, rep)
+	}
+	if got := answers(); !maps.Equal(got, before) {
+		t.Fatalf("Get answers changed by the walks: %d entries, %d before", len(got), len(before))
+	}
+
+	// Plant an out-of-range next word at the tail of the 40-node chain.
+	b := slices.Index(lens[:], 40)
+	tail := e.dev.Load(e.m.bucketAddr(b))
+	for next := e.dev.Load(nvm.Addr(tail) + nodeNext); next != 0; next = e.dev.Load(nvm.Addr(tail) + nodeNext) {
+		tail = next
+	}
+	for _, bad := range []uint64{e.dev.Words(), e.dev.Words() + 1<<20, ^uint64(0)} {
+		e.dev.Store(nvm.Addr(tail)+nodeNext, bad)
+		var keys []uint64
+		for k := uint64(1); len(keys) < 64; k++ {
+			if e.m.bucketOf(k) == b {
+				keys = append(keys, k)
+			}
+		}
+		e.m.WalkChains(keys)
+	}
+	e.dev.Store(nvm.Addr(tail)+nodeNext, 0)
+	if got := verify(); got != rep {
+		t.Fatalf("Verify after the planted walks: %v, before %v", got, rep)
 	}
 }

@@ -215,6 +215,17 @@ func (d *Device) TryLoad(a Addr) (uint64, bool) {
 	return v, ok
 }
 
+// Peek atomically reads the word at a, reporting false instead of
+// panicking when a is out of range. It is a prefetch, not a program
+// load: it is neither counted nor charged to the latency model, so a
+// walk that only warms the host's cache moves no device count.
+func (d *Device) Peek(a Addr) (uint64, bool) {
+	if uint64(a) >= uint64(len(d.volatile)) {
+		return 0, false
+	}
+	return atomic.LoadUint64(&d.volatile[a]), true
+}
+
 // LoadBlock reads len(dst) consecutive words starting at a into dst.
 func (d *Device) LoadBlock(a Addr, dst []uint64) {
 	t := d.Tally()
