@@ -124,8 +124,8 @@ func TestRangeAllocBudget(t *testing.T) {
 // — only the wake broadcast's fresh channel (the channel and the cell
 // the atomic pointer publishes). Over full ones, nothing that scales
 // with the entries drained: the ops snapshot reuses the loop's
-// per-shard buffer, so a second close of the same size adds only the
-// fan-out's goroutines and the commit groups' fixed parts. The epoch
+// per-shard buffer, so a second close of the same size adds only fixed
+// parts. The epoch
 // loop is parked for an hour and nothing waits, so this goroutine can
 // stand in for it as closeEpoch's one caller.
 func TestEpochCloseAllocBudget(t *testing.T) {

@@ -10,7 +10,7 @@ import (
 )
 
 // The write path. Every engine mutation — a client command's ops, a
-// sessioned request with its dedup record, an epoch drain's flush, a
+// sessioned request with its dedup record, an epoch drain's apply, a
 // follower applying its primary's groups — is one commit group (a
 // batchReq) executed by one function, shard.runBatch, inside ONE Atlas
 // outermost critical section under the shard's drain lock. That is the
@@ -20,7 +20,7 @@ import (
 // replication-log order and the order in which tiers observe each other
 // are the same order. Session records are written in two places, both
 // in runBatch's section: a sessioned group's own record (runSessReq) and
-// a follower group's replicated marks. An epoch drain flushes values
+// a follower group's replicated marks. An epoch drain applies values
 // only; no record is ever buffered beside one.
 //
 // The section takes ONE Atlas mutex, the shard's commit lock. Atlas
@@ -34,9 +34,11 @@ import (
 //
 // A submitter hands a shard an ordered LIST of groups (chained through
 // batchReq.next): everything one pipelined burst — or one replicated
-// group, or one epoch drain — owes this shard, in program order (see
-// plan.go). How a list reaches the executor is a scheduling choice made
-// in one place, shard.submit, with three arms:
+// group — owes this shard, in program order (see plan.go). An epoch
+// drain is the one mutation that does not come through submit: it takes
+// the drain lock itself, commits its payload and applies it in sections
+// of its own (see epoch.go). How a list reaches the executor is a
+// scheduling choice made in one place, shard.submit, with three arms:
 //
 //   - Own goroutine: the submitter tries the drain lock without waiting
 //     and, if it wins, runs its list there and then in as few sections
@@ -57,10 +59,10 @@ import (
 //
 // A section never splits a group, and the plan compiler cuts groups at
 // command boundaries. The one exception is a single group wider than
-// BatchMax (a wide mset, an epoch drain), which runs alone as
-// BatchMax-sized sections back to back — the bound is what sizes the
-// undo-log ring — its session record, follower marks and floor riding
-// the last chunk.
+// BatchMax (a wide mset, a follower's copy of a primary's epoch drain),
+// which runs alone as BatchMax-sized sections back to back — the bound is
+// what sizes the undo-log ring — its session record, follower marks and
+// floor riding the last chunk.
 //
 // Crash safety is inherited rather than re-proven: every batch executes
 // under the shard read lock, and the administrative crash command tears
@@ -97,10 +99,8 @@ type batchOp struct {
 	arg  uint64 // value for set, delta for incr
 
 	// seq is non-zero only on the epoch drain's writes (see epoch.go):
-	// the overlay sequence of the entry being flushed. Such an op
-	// applies only while its key still has a pending entry — a durable
-	// fold between snapshot and apply leaves nothing to flush — and on
-	// success clears the entry if it still carries seq.
+	// the overlay sequence of the snapshotted entry, which the apply
+	// clears once the write landed if the entry still carries seq.
 	seq uint64
 
 	val uint64
@@ -110,9 +110,8 @@ type batchOp struct {
 
 // batchReq is one commit group: ops one submitter contributes to one
 // shard that apply inside one section (but see the wide-group note
-// above). epoch is non-zero only on epoch-drain groups; it stamps the
-// replication log group so followers learn how far the relaxed
-// frontier has propagated.
+// above). markApplied is set only on the last group of an epoch drain's
+// apply: its section also marks the shard's drain payload applied.
 //
 // A request with sess != 0 is a sessioned group (see session.go): the
 // executor checks the dedup window (the command's one verdict), applies
@@ -128,8 +127,8 @@ type batchOp struct {
 // only — when the list is queued, and the drain closes it after every
 // op's result in the whole list is filled in.
 type batchReq struct {
-	ops   []batchOp
-	epoch uint64
+	ops         []batchOp
+	markApplied bool
 
 	sess    uint64
 	sseq    uint64
@@ -150,8 +149,9 @@ type batchReq struct {
 // already committed in this goroutine or is queued; wait() on its last
 // group covers both, so a multi-shard plan submits to every owner shard
 // before waiting on any. A list whose first group is wider than a
-// section (an epoch drain, a snapshot wipe) is never queued: its chunks
-// run on the goroutine that brought them, not on a client's.
+// section (a wide mset, a replicated drain, a snapshot wipe) is never
+// queued: its chunks run on the goroutine that brought them, not on a
+// client's.
 func (sh *shard) submit(g *batchReq) {
 	if !sh.combineMu.TryLock() {
 		if len(g.ops) <= sh.cfg.batchMax {
@@ -202,7 +202,7 @@ func (sh *shard) workerThread() (*atlas.Thread, error) {
 	if sh.wth != nil && sh.wgen == sh.gen.Load() {
 		return sh.wth, nil
 	}
-	th, err := sh.stk.RT.NewThread()
+	th, err := sh.stk.NewThread()
 	if err != nil {
 		return nil, err
 	}
@@ -292,7 +292,7 @@ func (sh *shard) drain(own *batchReq) {
 			// marks and floor into the last section.
 			*slot = g.next
 			all := g.ops
-			chunk := batchReq{epoch: g.epoch}
+			var chunk batchReq
 			for len(g.ops) > max {
 				chunk.ops, g.ops = g.ops[:max], g.ops[max:]
 				sh.runOne(&chunk)
@@ -368,6 +368,9 @@ func (sh *shard) runBatch(reqs []*batchReq, nops int) {
 			for i := range r.ops {
 				sh.execOp(th, &r.ops[i])
 			}
+			if r.markApplied {
+				sh.stk.MarkDrainApplied(th)
+			}
 			// Follower-apply groups carry the primary's session records
 			// (and floor), committed with the ops they witnessed.
 			for _, mk := range r.marks {
@@ -408,24 +411,14 @@ func (sh *shard) runBatch(reqs []*batchReq, nops int) {
 // one atomic load. The opZ* arms never touch the overlay: a skip-list
 // write is durable at its CAS on every tier, so nothing is buffered.
 //
-// An epoch-drain op (seq != 0) is the same write with a guard on each
-// side: it runs only while its key still has a pending overlay entry,
-// and on success it clears that entry.
+// An epoch-drain op (seq != 0) applies its snapshot's own value — the
+// payload committed exactly that — and folds nothing. On success it
+// clears its entry if the entry still carries seq; a relaxed write that
+// replaced it since the snapshot was stamped with the next epoch and
+// stays pending for the next drain. No durable fold can have settled the
+// entry first: the drain holds the drain lock from its snapshot on.
 func (sh *shard) execOp(th *atlas.Thread, op *batchOp) {
 	m := sh.stk.Map
-	if op.seq != 0 {
-		e, pending := sh.ovl.get(op.key)
-		if !pending {
-			return // a durable fold already settled the entry
-		}
-		if e.seq != op.seq {
-			// A newer relaxed write replaced the snapshotted entry. The
-			// drain still owes the key a value at least as new as the one
-			// it snapshotted — that one was acked inside the closing epoch
-			// — so it flushes the replacement instead of skipping.
-			*op = flushOp(op.key, e)
-		}
-	}
 	switch op.kind {
 	case opGet:
 		if e, hit := sh.ovl.get(op.key); hit {
@@ -468,9 +461,6 @@ func (sh *shard) execOp(th *atlas.Thread, op *batchOp) {
 	}
 	sh.counts.ops[op.kind]++
 	if op.seq != 0 {
-		// An applied flush always counts (and replicates), whether or
-		// not a flushed delete found the key in the engine.
-		op.ok = true
 		sh.counts.flushed++
 		sh.ovl.clearIfSeq(op.key, op.seq)
 	}
@@ -478,7 +468,7 @@ func (sh *shard) execOp(th *atlas.Thread, op *batchOp) {
 
 // takeFold pops the pending overlay entry of op's key — the
 // durable-write fold. An epoch-drain op folds nothing: the entry it is
-// flushing IS the pending state, cleared only once the write landed.
+// applying IS the pending state, cleared only once the write landed.
 func (sh *shard) takeFold(op *batchOp) (ovEntry, bool) {
 	if op.seq != 0 {
 		return ovEntry{}, false
@@ -504,7 +494,7 @@ func (sh *shard) foldOverlay(th *atlas.Thread, op *batchOp) error {
 }
 
 // execCounts is what execOp counted in the open section — applied ops per
-// kind, hits, applied epoch flushes — until runBatch publishes it.
+// kind, hits, applied epoch-drain writes — until runBatch publishes it.
 type execCounts struct {
 	ops           [opZDelete + 1]uint64
 	hits, flushed uint64

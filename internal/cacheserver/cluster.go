@@ -311,9 +311,8 @@ func (s *Server) migrateSlot(st *clusterState, slot int, target string) (npairs,
 	// the target acknowledges the complete stream, the source can still
 	// roll back to owned without having lost anything.
 	st.gate.Lock()
-	var flushBuf []batchOp
 	for _, sh := range s.shards {
-		sh.flushOverlay(s, &flushBuf)
+		sh.flushOverlay(s)
 	}
 	groups, _, err := s.suffix(keep, gen, seq)
 	if err != nil {

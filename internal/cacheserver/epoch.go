@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"tsp/internal/proto"
+	"tsp/internal/repl"
 	"tsp/internal/telemetry"
 )
 
@@ -22,11 +23,13 @@ import (
 // writes (set, mset, a fire delete; see serveBatch) inserts every entry,
 // one overlay lock per shard, before it reads the epoch once for all of
 // its acks. One goroutine closes an epoch every
-// epochInterval — at once when a `wait` demands it — by submitting every
-// shard's overlay as a commit group on the one write path (one Atlas
-// critical section per BatchMax-sized chunk; see batch.go), all shards
-// at once, and then advancing a persistent frontier word on each heap.
-// A crash therefore loses at most one epoch interval of relaxed writes
+// epochInterval — at once when a `wait` demands it. It drains each
+// shard's overlay in two steps under the shard's drain lock: a commit
+// writes the snapshot out of place as the shard's persistent payload and
+// stores its commit word (see stack.DrainPayload), and an apply runs it
+// through the map in ordinary sections afterwards. Between the two the
+// close advances a persistent frontier word on each heap and answers the
+// waiters. A crash therefore loses at most one epoch interval of relaxed writes
 // — a bounded, configured, and *purchasable* loss window, which is
 // exactly the paper's Figure-1 argument that the cost of persistence
 // should be priced per requirement, not paid maximally everywhere.
@@ -45,7 +48,12 @@ import (
 // epoch <= p are guaranteed to have survived, acks above it may be
 // gone. The frontier never advances past an epoch whose drain raced a
 // crash (closeEpoch re-checks every shard generation before
-// persisting), so the receipt can never overpromise.
+// persisting), so the receipt can never overpromise. The commit word is
+// the drain's persist point: a crash after it recovers the whole
+// snapshot (stack.Reattach replays a payload whose apply did not
+// finish), a crash before it none of it, so each shard recovers a
+// consistent cut of its relaxed writes. Shards crash, commit and recover
+// independently: a cut across shards is not promised.
 //
 // Read-your-writes holds across tiers without waiting: both hash-map
 // read paths — batched gets and optimistic seqlock gets — consult the
@@ -64,7 +72,7 @@ import (
 
 // ovEntry is one acked-but-unflushed relaxed write. seq orders entries
 // per overlay so an epoch drain clears an entry only if it is still
-// the one it flushed (a relaxed write landing mid-flush stays
+// the one it snapshotted (a relaxed write landing mid-drain stays
 // pending); del marks a buffered delete (a tombstone reads must honor).
 type ovEntry struct {
 	val uint64
@@ -157,28 +165,20 @@ func (o *overlay) discard() {
 	o.mu.Unlock()
 }
 
-// flushOp is the epoch-drain op for one pending entry: the write the
-// entry buffered, carrying the entry's seq (so execOp clears exactly
-// the entry it flushed).
-func flushOp(key uint64, e ovEntry) batchOp {
-	kind := opSet
-	if e.del {
-		kind = opDelete
-	}
-	return batchOp{kind: kind, key: key, arg: e.val, seq: e.seq}
-}
-
-// pendingOps snapshots every pending entry as an epoch-drain op. A
-// durable fold or a newer relaxed write may land between snapshot and
-// apply; execOp re-reads the entry and flushes whatever is pending
-// then.
+// pendingOps snapshots every pending entry as an epoch-drain op: the
+// write the entry buffered, carrying the entry's seq (so execOp clears
+// exactly the entry it applied).
 func (o *overlay) pendingOps(out []batchOp) []batchOp {
 	if o.size.Load() == 0 {
 		return out
 	}
 	o.mu.Lock()
 	for k, e := range o.m {
-		out = append(out, flushOp(k, e))
+		op := batchOp{kind: opSet, key: k, arg: e.val, seq: e.seq}
+		if e.del {
+			op.kind = opDelete
+		}
+		out = append(out, op)
 	}
 	o.mu.Unlock()
 	return out
@@ -259,10 +259,13 @@ func (s *Server) epochReached(target uint64) bool {
 	return false
 }
 
-// closeEpoch closes the current epoch e: open e+1, drain every shard's
-// overlay into fortified state through the write path, and — if no
-// shard crashed during the drain — persist e as every shard's durable
-// frontier and advance the volatile frontier waiters watch.
+// closeEpoch closes the current epoch e: open e+1, commit every
+// shard's overlay snapshot as its drain payload, and — if no shard
+// crashed meanwhile — persist e as every shard's durable frontier,
+// advance the volatile frontier waiters watch and wake them. Only then
+// do the shards apply their payloads to the map, one after another on
+// this goroutine: a waiter is answered at the persist point, not after
+// the apply.
 //
 // Ordering is what makes the ack sound: curEpoch moves to e+1 BEFORE
 // the overlays are snapshotted, and a relaxed writer inserts its
@@ -271,41 +274,41 @@ func (s *Server) epochReached(target uint64) bool {
 // snapshot misses was inserted after the snapshot, and its writer must
 // have read e+1 — every write acked with stamp <= e is in this (or an
 // earlier) drain.
-// The shards drain concurrently (one goroutine per non-empty overlay,
-// one of them this one), each through shard.submit under its own drain
-// lock: a barrier waits for the largest drain, not the sum.
 //
-// A shard generation changing across the drain means a crash landed
-// somewhere inside it: some flushed chunks may have committed, but the
-// crashed shard's overlay (and possibly its un-rescued commits) are
-// gone, so the frontier must NOT advance to e — the receipts for epoch
-// e would overpromise; the generations are read before any drain starts
-// and re-checked after all returned. Survivors need no re-flush (they
-// committed); the lost ones were acked above the frontier and are legal
-// losses. The next close (at once, if a waiter is unmet) tries epoch e+1.
+// Each shard's drain lock is held from its snapshot to the end of its
+// apply, so no durable write, relaxed read-modify-write or replication
+// copy lands between a committed payload and its apply: a replay could
+// otherwise overwrite a newer acked value with the snapshot's.
+//
+// A shard generation changing across the close means a crash landed in
+// it: the crashed shard's overlay is gone, possibly before its snapshot,
+// so the frontier must NOT advance to e — the receipts for epoch e would
+// overpromise. The generations are read before curEpoch moves and
+// re-checked after every commit. A committed payload needs no re-drain
+// (recovery replays it); the lost entries were acked above the frontier
+// and are legal losses. The next close (at once, if a waiter is unmet)
+// tries epoch e+1.
 func (s *Server) closeEpoch() {
-	e := s.curEpoch.Load()
-	s.curEpoch.Store(e + 1)
-
 	for _, sh := range s.shards {
 		sh.drainGen = sh.gen.Load()
 	}
-	var inline *shard // the last non-empty shard drains on this goroutine
+	e := s.curEpoch.Load()
+	s.curEpoch.Store(e + 1)
+
+	held, stable := s.drainHeld[:0], true
 	for _, sh := range s.shards {
 		if sh.ovl.size.Load() == 0 {
 			continue
 		}
-		s.drainWG.Add(1)
-		if inline != nil {
-			go s.drainShard(inline)
+		sh.combineMu.Lock()
+		stable = sh.commitDrain(e) == nil && stable
+		if len(sh.drainOps) > 0 {
+			held = append(held, sh)
+		} else {
+			sh.combineMu.Unlock()
 		}
-		inline = sh
 	}
-	if inline != nil {
-		s.drainShard(inline)
-	}
-	s.drainWG.Wait()
-	stable := true
+	s.drainHeld = held
 	for _, sh := range s.shards {
 		stable = stable && sh.gen.Load() == sh.drainGen
 	}
@@ -323,34 +326,81 @@ func (s *Server) closeEpoch() {
 	// frontier; on a skip (or shutdown) they demand the next close or
 	// see the closing state instead of parking forever.
 	broadcastWake(&s.epochWake)
-}
-
-// drainShard is one shard's leg of closeEpoch's drain.
-func (s *Server) drainShard(sh *shard) {
-	defer s.drainWG.Done()
-	sh.flushOverlay(s, &sh.drainOps)
-}
-
-// flushOverlay drains this shard's pending relaxed writes into
-// fortified state as one commit group (one OCS and one replication
-// group per batchMax-sized chunk), stamping the epoch being closed on
-// the replicated groups. buf is the caller's own ops scratch, kept for
-// its next call (the epoch loop and a migration flip can overlap).
-// On return every write pending at the call is in the replication log.
-func (sh *shard) flushOverlay(s *Server, buf *[]batchOp) {
-	ops := sh.ovl.pendingOps((*buf)[:0])
-	if *buf = ops; len(ops) == 0 {
-		// The other flusher's section clears an entry before its log
-		// append; waiting out the drain lock waits out that section.
-		sh.combineMu.Lock()
+	for _, sh := range held {
+		sh.applyDrain()
 		sh.combineMu.Unlock()
+	}
+}
+
+// commitDrain is a drain's commit: snapshot the overlay into drainOps,
+// write it as the shard's payload up to its commit word, and append it
+// to the replication log as one group stamped epoch — the log order is
+// the commit order, and a follower applies a drain whole. It runs under
+// the read lock, so a crash lands before it or after it. drainOps is
+// left empty when there is nothing to apply: an empty overlay, or a
+// payload that could not be written (its entries stay pending). Caller
+// holds combineMu, and keeps it until applyDrain returns.
+func (sh *shard) commitDrain(epoch uint64) error {
+	sh.mu.RLock()
+	defer sh.mu.RUnlock()
+	ops := sh.ovl.pendingOps(sh.drainOps[:0])
+	if sh.drainOps = ops; len(ops) == 0 {
+		return nil
+	}
+	start := time.Now()
+	w, err := sh.stk.BeginDrain(len(ops))
+	if err != nil {
+		sh.drainOps = ops[:0]
+		return err
+	}
+	for i := range ops {
+		if ops[i].kind == opDelete {
+			w.Delete(ops[i].key)
+		} else {
+			w.Set(ops[i].key, ops[i].arg)
+		}
+	}
+	w.Commit()
+	if sh.replLog != nil {
+		rops := make([]repl.Op, len(ops))
+		for i := range ops {
+			rops[i] = repl.Op{Del: ops[i].kind == opDelete, Key: ops[i].key, Val: ops[i].arg}
+		}
+		sh.replLog.Append(rops, epoch, nil)
+	}
+	sh.tel.EpochCommitLatency.Observe(time.Since(start))
+	return nil
+}
+
+// applyDrain is a drain's apply: the committed snapshot runs through the
+// write path in batchMax-sized sections, the last of which marks the
+// payload applied. Caller holds combineMu.
+func (sh *shard) applyDrain() {
+	ops, max := sh.drainOps, sh.cfg.batchMax
+	if len(ops) == 0 {
 		return
 	}
 	start := time.Now()
-	g := batchReq{ops: ops, epoch: s.curEpoch.Load() - 1}
-	sh.submit(&g)
-	g.wait()
+	for len(ops) > max {
+		sh.drainReq = batchReq{ops: ops[:max]}
+		sh.runOne(&sh.drainReq)
+		ops = ops[max:]
+	}
+	sh.drainReq = batchReq{ops: ops, markApplied: true}
+	sh.runOne(&sh.drainReq)
 	sh.tel.EpochFlushLatency.Observe(time.Since(start))
+}
+
+// flushOverlay drains this shard's pending relaxed writes — commit and
+// apply, stamping the open epoch's predecessor on the replicated group —
+// without touching the frontier: a migration flip's flush. On return
+// every write pending at the call is in the replication log, and so is
+// any drain that held the lock when it was called.
+func (sh *shard) flushOverlay(s *Server) {
+	sh.combineMu.Lock()
+	defer sh.combineMu.Unlock()
+	_ = sh.commitDrain(s.curEpoch.Load() - 1) // a failed commit leaves nothing to apply
+	sh.applyDrain()
 }
 
 // setDurableEpoch persists e as the shard's epoch frontier, under the

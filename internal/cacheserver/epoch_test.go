@@ -281,38 +281,44 @@ func TestMixedTierIncrAtomic(t *testing.T) {
 	}
 }
 
-// TestEpochDrainFlushesSupersedingWrite: a relaxed write that replaces
-// an entry between the epoch drain's snapshot and its apply must not
-// cancel the flush. The snapshotted write was acked inside the closing
-// epoch, so the frontier is about to cover it; the drain owes the key a
-// value at least that new and flushes the replacement. (Skipping
-// instead lost frontier-covered writes in the durability campaign on
-// two cores.)
-func TestEpochDrainFlushesSupersedingWrite(t *testing.T) {
+// TestEpochDrainAppliesItsSnapshot: a relaxed write that replaces an
+// entry between a drain's commit and its apply was stamped with the next
+// epoch. The apply writes the committed snapshot's value — the payload a
+// replay would recover — and leaves the replacement pending: reads see
+// it, a crash sheds it (its stamp is above the frontier), and the
+// snapshot's value reads back. Applying the replacement instead would
+// let one next-epoch write survive without the rest of its epoch.
+func TestEpochDrainAppliesItsSnapshot(t *testing.T) {
 	// A huge epoch interval and no `wait` (a barrier would demand a
-	// close): the only drain is the one staged by hand.
+	// close): the only drain is the one staged by hand, standing in for
+	// closeEpoch.
 	s := startServer(t, WithShards(1), WithDeviceWords(1<<16),
 		WithEpochInterval(time.Hour))
 	sh := s.shards[0]
 	c := dial(t, s.Addr().String())
 
-	epochStamp(t, c.cmd(t, "set 5 1 relaxed"), "STORED")
-	g := batchReq{ops: sh.ovl.pendingOps(nil)} // the drain's snapshot
-	epochStamp(t, c.cmd(t, "set 5 2 relaxed"), "STORED")
-	sh.submit(&g)
-	g.wait()
-	if !g.ops[0].ok {
-		t.Fatal("drain skipped a key whose snapshotted entry was superseded")
+	e := epochStamp(t, c.cmd(t, "set 5 1 relaxed"), "STORED")
+	s.curEpoch.Store(e + 1)
+	release := holdDrainLock(t, sh)
+	if err := sh.commitDrain(e); err != nil || len(sh.drainOps) != 1 {
+		t.Fatalf("commit: %v, %d ops", err, len(sh.drainOps))
 	}
-	if n := sh.ovl.size.Load(); n != 0 {
-		t.Fatalf("overlay holds %d entries after the drain, want 0", n)
+	if got := epochStamp(t, c.cmd(t, "set 5 2 relaxed"), "STORED"); got != e+1 {
+		t.Fatalf("replacement stamped %d, want %d", got, e+1)
 	}
-	// The crash discards the overlay; only what the drain flushed remains.
+	sh.applyDrain()
+	release()
+	if n := sh.ovl.size.Load(); n != 1 {
+		t.Fatalf("overlay holds %d entries after the apply, want the replacement", n)
+	}
+	if got := c.cmd(t, "get 5"); got != "VALUE 5 2" {
+		t.Fatalf("before the crash: %q, want the pending VALUE 5 2", got)
+	}
 	if got := c.cmd(t, "crash"); !strings.HasPrefix(got, "OK RECOVERED") {
 		t.Fatalf("crash: %q", got)
 	}
-	if got := c.cmd(t, "get 5"); got != "VALUE 5 2" {
-		t.Fatalf("after drain + crash: %q, want VALUE 5 2", got)
+	if got := c.cmd(t, "get 5"); got != "VALUE 5 1" {
+		t.Fatalf("after apply + crash: %q, want the snapshot's VALUE 5 1", got)
 	}
 }
 
@@ -567,11 +573,10 @@ func holdDrainLock(t *testing.T, sh *shard) (release func()) {
 	return release
 }
 
-// TestFlushOverlayWaitsOutInFlightSection: a section clears the overlay
-// entries it flushes before it appends them to the replication log, so
-// a flusher that finds the overlay empty must still wait out a section
-// in flight. A migration flip captures the log tip right after its
-// flush; returning early left an epoch drain's writes out of the stream
+// TestFlushOverlayWaitsOutInFlightSection: a flusher that finds the
+// overlay empty must still wait out the drain lock's holder. A migration
+// flip captures the log tip right after its flush; returning early once
+// left an epoch drain's writes out of the stream
 // (TestClusterMigrateUnderLoad lost acked increments about once in 150
 // runs).
 func TestFlushOverlayWaitsOutInFlightSection(t *testing.T) {
@@ -580,8 +585,7 @@ func TestFlushOverlayWaitsOutInFlightSection(t *testing.T) {
 	release := holdDrainLock(t, sh) // the section in flight
 	done := make(chan struct{})
 	go func() {
-		var buf []batchOp
-		sh.flushOverlay(s, &buf)
+		sh.flushOverlay(s)
 		close(done)
 	}()
 	select {
@@ -687,9 +691,11 @@ func TestDemandedCloseSkippedByCrash(t *testing.T) {
 	sh := s.shardOf(1)
 	release := holdDrainLock(t, sh)
 	w.send(t, "wait %d 2000", stamp)
-	// The demanded close has queued its flush behind the held lock.
+	// The demanded close read the generations before it opened the next
+	// epoch; now it is blocked on the held drain lock, short of its
+	// snapshot.
 	waitFor(t, 5*time.Second, "the demanded close to reach the shard", func() bool {
-		return len(sh.queue) > 0
+		return s.curEpoch.Load() > stamp
 	})
 	got := c.cmd(t, "crash %d", sh.idx)
 	rest, ok := strings.CutPrefix(got, fmt.Sprintf("OK RECOVERED SHARD %d EPOCH ", sh.idx))
@@ -804,5 +810,113 @@ func TestRelaxedRunStampCoversEveryEntry(t *testing.T) {
 				t.Fatalf("burst %d: key %d acked @%d, crash frontier %d: %q, want %q", b, k, stamps[k], p, got, want)
 			}
 		}
+	}
+}
+
+// pipe writes reqs — CRLF-terminated commands — from a second goroutine
+// while it reads n reply lines, so a burst larger than the socket
+// buffers cannot wedge both ends.
+func (c *client) pipe(t *testing.T, reqs string, n int) []string {
+	t.Helper()
+	errc := make(chan error, 1)
+	go func() {
+		_, err := c.conn.Write([]byte(reqs))
+		errc <- err
+	}()
+	out := make([]string, n)
+	for i := range out {
+		out[i] = c.line(t)
+	}
+	if err := <-errc; err != nil {
+		t.Fatalf("write: %v", err)
+	}
+	return out
+}
+
+// relaxedBurst is n pipelined relaxed sets of keys first..first+n-1 to val.
+func relaxedBurst(first, n, val int) string {
+	var b strings.Builder
+	for k := first; k < first+n; k++ {
+		fmt.Fprintf(&b, "set %d %d relaxed\r\n", k, val)
+	}
+	return b.String()
+}
+
+// getBurst is n pipelined gets of keys first..first+n-1.
+func getBurst(first, n int) string {
+	var b strings.Builder
+	for k := first; k < first+n; k++ {
+		fmt.Fprintf(&b, "get %d\r\n", k)
+	}
+	return b.String()
+}
+
+// TestEpochDrainCrashRecoversWholeDrain: a crash in the middle of an
+// epoch drain recovers all of the drained snapshot or none of it. One
+// shard, an hour-long clock: 3,000 relaxed sets are acked, a `wait` on
+// a second connection demands the close, and the crash lands as soon as
+// the drain starts clearing the overlay — inside the apply, or when its
+// sections ran back to back as separate commits, between two of them.
+// Each trial writes fresh values, so a key the drain lost reads an older
+// one.
+func TestEpochDrainCrashRecoversWholeDrain(t *testing.T) {
+	const keys, trials = 3000, 10
+	s := startServer(t, WithShards(1), WithEpochInterval(time.Hour))
+	sh := s.shards[0]
+	c := dial(t, s.Addr().String())
+	w := dial(t, s.Addr().String())
+	for trial := 1; trial <= trials; trial++ {
+		var stamp uint64
+		for _, line := range c.pipe(t, relaxedBurst(1, keys, trial), keys) {
+			stamp = max(stamp, epochStamp(t, line, "STORED"))
+		}
+		w.send(t, "wait")
+		waitFor(t, 10*time.Second, "the drain to start clearing the overlay", func() bool {
+			return sh.ovl.size.Load() < keys
+		})
+		p := crashFrontier(t, c.cmd(t, "crash"))
+		if line := w.line(t); strings.Contains(line, "ERROR") {
+			t.Fatalf("trial %d: wait: %q", trial, line)
+		}
+		found := 0
+		want := fmt.Sprintf(" %d", trial)
+		for _, line := range c.pipe(t, getBurst(1, keys), keys) {
+			if strings.HasSuffix(line, want) {
+				found++
+			}
+		}
+		if found != 0 && found != keys {
+			t.Fatalf("trial %d: %d of %d keys of one drain survived the crash (frontier %d)", trial, found, keys, p)
+		}
+		if p >= stamp && found != keys {
+			t.Fatalf("trial %d: crash frontier %d covers stamp %d, but %d of %d keys survived", trial, p, stamp, found, keys)
+		}
+	}
+}
+
+// TestEpochDrainReplicatesOneGroupPerShard: a drain wider than a section
+// reaches the replication log as one group per shard — the unit a
+// follower applies whole — not one per section.
+func TestEpochDrainReplicatesOneGroupPerShard(t *testing.T) {
+	s := startServer(t, WithReplListen("127.0.0.1:0"), WithShards(2),
+		WithBatchMax(16), WithEpochInterval(time.Hour))
+	c := dial(t, s.Addr().String())
+	c.pipe(t, relaxedBurst(1, 200, 7), 200)
+	for _, sh := range s.shards {
+		if n := sh.ovl.size.Load(); n <= 16 {
+			t.Fatalf("shard %d buffers %d entries, want a drain wider than a section", sh.idx, n)
+		}
+	}
+	_, before := s.replLog.Position()
+	if got := c.cmd(t, "wait"); strings.Contains(got, "ERROR") {
+		t.Fatalf("wait: %q", got)
+	}
+	// The apply runs after the wait is answered; wait it out too.
+	for _, sh := range s.shards {
+		sh.combineMu.Lock()
+		sh.combineMu.Unlock()
+	}
+	if _, after := s.replLog.Position(); after-before != uint64(len(s.shards)) {
+		t.Fatalf("the drain added %d log groups, want one per shard (%d)", after-before, len(s.shards))
 	}
 }

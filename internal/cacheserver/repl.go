@@ -134,7 +134,11 @@ func (s *Server) streamState(keep func(uint64) bool, emit func([]repl.Op, []repl
 // the same full quiescence the crash command uses, since Map.Range
 // reads the device directly — and releases it before anything goes to
 // the network, so the pause per shard is the copy, not the transfer.
+// The drain lock comes first: an epoch drain is in the log from its
+// commit, so a copy must not read the map before its apply finished.
 func (sh *shard) state(keep func(uint64) bool) (ops []repl.Op, marks []repl.SessRec, floor uint64) {
+	sh.combineMu.Lock()
+	defer sh.combineMu.Unlock()
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	add := func(list bool) func(k, v uint64) bool {
@@ -159,13 +163,11 @@ func (sh *shard) state(keep func(uint64) bool) (ops []repl.Op, marks []repl.Sess
 
 // appendRepl turns one batch's committed effects into a replication
 // log group: sets and resolved increments become absolute sets, applied
-// deletes become deletes, failed, skipped and read-only ops vanish.
-// Epoch-drain flushes replicate the same way — an applied flush is an
-// absolute write — and stamp the group with the epoch being closed.
+// deletes become deletes, failed and read-only ops vanish, and so do an
+// epoch drain's, which replicated whole at its commit (see commitDrain).
 // Caller is runBatch, still under the shard read lock.
 func (sh *shard) appendRepl(reqs []*batchReq) {
 	var rops []repl.Op
-	var epoch uint64
 	// Session records persisted during this batch (sessPersist fills
 	// markScratch only on a primary) ride the same log group as the ops
 	// they witnessed, so a follower commits both in one section. The
@@ -176,14 +178,11 @@ func (sh *shard) appendRepl(reqs []*batchReq) {
 		sh.markScratch = sh.markScratch[:0]
 	}
 	for _, r := range reqs {
-		if r.epoch > epoch {
-			epoch = r.epoch
-		}
 		for i := range r.ops {
-			// ok is "took effect": a delete that found nothing and a flush
-			// whose entry was superseded changed no state to replicate.
+			// ok is "took effect": a delete that found nothing changed no
+			// state to replicate.
 			op := &r.ops[i]
-			if op.err != nil || !op.ok {
+			if op.err != nil || !op.ok || op.seq != 0 {
 				continue
 			}
 			switch op.kind {
@@ -204,7 +203,7 @@ func (sh *shard) appendRepl(reqs []*batchReq) {
 		}
 	}
 	if len(rops) > 0 || len(marks) > 0 {
-		sh.replLog.Append(rops, epoch, marks)
+		sh.replLog.Append(rops, 0, marks)
 	}
 }
 

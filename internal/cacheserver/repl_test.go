@@ -1,6 +1,7 @@
 package cacheserver
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -230,5 +231,78 @@ func TestReplicationRejectsDualRole(t *testing.T) {
 	_, err := New(WithReplListen("127.0.0.1:0"), WithReplicaOf("127.0.0.1:1"))
 	if err == nil {
 		t.Fatal("dual-role config was accepted")
+	}
+}
+
+// TestRelaxedWaitThenWaitReplCoversFollower: the documented recipe for a
+// relaxed writer that needs follower coverage — `wait`, then `wait
+// repl` — leaves every relaxed write readable on the follower the moment
+// both return, with no polling. The drain reaches the log at its commit,
+// before `wait` is answered, so the replication barrier's log position
+// covers it.
+func TestRelaxedWaitThenWaitReplCoversFollower(t *testing.T) {
+	const rounds, keys = 20, 500
+	p, f := startReplPair(t, WithEpochInterval(time.Hour))
+	waitReplFor(t, "the follower's initial sync", func() bool {
+		gen, _ := f.replFollower.Position()
+		return gen != 0
+	})
+	pc, fc := dial(t, p.Addr().String()), dial(t, f.Addr().String())
+	for r := 1; r <= rounds; r++ {
+		pc.pipe(t, relaxedBurst(1, keys, r), keys)
+		if got := pc.cmd(t, "wait"); strings.Contains(got, "ERROR") {
+			t.Fatalf("round %d: wait: %q", r, got)
+		}
+		if got := pc.cmd(t, "wait repl 2000"); got != "1" {
+			t.Fatalf("round %d: wait repl: %q, want 1 follower", r, got)
+		}
+		for i, line := range fc.pipe(t, getBurst(1, keys), keys) {
+			if want := fmt.Sprintf("VALUE %d %d", i+1, r); line != want {
+				t.Fatalf("round %d: follower read %q, want %q", r, line, want)
+			}
+		}
+	}
+}
+
+// TestPromoteRacingDrainFindsItWholeOrAbsent: a follower promoted while
+// its primary drains an epoch holds each shard's drain whole or not at
+// all — the drain replicates as one group per shard, and a follower
+// applies a group before it stops.
+func TestPromoteRacingDrainFindsItWholeOrAbsent(t *testing.T) {
+	const trials, keys = 5, 400
+	for trial := 0; trial < trials; trial++ {
+		p, f := startReplPair(t, WithEpochInterval(time.Hour))
+		waitReplFor(t, "the follower's initial sync", func() bool {
+			gen, _ := f.replFollower.Position()
+			return gen != 0
+		})
+		pc, fc := dial(t, p.Addr().String()), dial(t, f.Addr().String())
+		pc.pipe(t, relaxedBurst(1, keys, 1), keys)
+		pc.cmd(t, "wait")
+		if got := pc.cmd(t, "wait repl 2000"); got != "1" {
+			t.Fatalf("trial %d: wait repl: %q", trial, got)
+		}
+		pc.pipe(t, relaxedBurst(1, keys, 2), keys)
+		pc.send(t, "wait")
+		waitFor(t, 10*time.Second, "the drain to start", func() bool {
+			return p.shards[0].ovl.size.Load()+p.shards[1].ovl.size.Load() < keys
+		})
+		if got := fc.cmd(t, "promote"); got != "OK PROMOTED" {
+			t.Fatalf("trial %d: promote: %q", trial, got)
+		}
+		pc.line(t)
+		seen := make([]map[string]int, len(f.shards))
+		for i := range seen {
+			seen[i] = map[string]int{}
+		}
+		for i, line := range fc.pipe(t, getBurst(1, keys), keys) {
+			fields := strings.Fields(line)
+			seen[f.shardOf(uint64(i+1)).idx][fields[len(fields)-1]]++
+		}
+		for i, vals := range seen {
+			if len(vals) != 1 {
+				t.Fatalf("trial %d: follower shard %d holds a torn drain: %v", trial, i, vals)
+			}
+		}
 	}
 }

@@ -170,7 +170,8 @@ type Server struct {
 	// epochWake re-arms epoch-barrier waiters on every epoch close;
 	// ackWake re-arms replication-barrier waiters on every follower ack.
 	// epochWant is the highest epoch a parked `wait` needs, epochKick the
-	// one-slot doorbell to the epoch loop, drainWG that loop's drain join.
+	// one-slot doorbell to the epoch loop; drainHeld is closeEpoch's list
+	// of the shards whose drain lock it holds from commit to apply.
 	curEpoch  atomic.Uint64
 	perEpoch  atomic.Uint64
 	epochWake atomic.Pointer[chan struct{}]
@@ -179,7 +180,7 @@ type Server struct {
 	epochKick chan struct{}
 	epochStop chan struct{}
 	epochDone chan struct{}
-	drainWG   sync.WaitGroup
+	drainHeld []*shard
 
 	// optReadHook is a test-only interleaving hook, called after each
 	// validated read of a multi-key optimistic group with the op index

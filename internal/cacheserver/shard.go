@@ -74,9 +74,12 @@ type shard struct {
 	// it; that is the relaxed tier's bounded loss.
 	ovl overlay
 
-	// closeEpoch's scratch (see epoch.go), owned by the epoch loop.
-	drainGen uint64    // generation read before the drain, re-checked after
-	drainOps []batchOp // ops buffer the drain's snapshot reuses
+	// The epoch drain's state (see epoch.go). drainGen is owned by the
+	// epoch loop; drainOps (the snapshot the commit wrote and the apply
+	// runs) and drainReq (the apply's group) by the drain-lock holder.
+	drainGen uint64
+	drainOps []batchOp
+	drainReq batchReq
 
 	// sess is the shard's session dedup window (see session.go): the
 	// volatile mirror of the persistent per-session records that make

@@ -100,6 +100,8 @@ type Heap struct {
 	pins map[Ptr]struct{} // volatile GC roots registered this incarnation
 
 	tel *telemetry.HeapStats // nil-safe; set via SetTelemetry
+
+	syncAllocs bool // flush each allocation's header and the bump pointer; see SetSyncAllocs
 }
 
 // Format initializes a fresh heap on the device, destroying any previous
@@ -242,6 +244,10 @@ func (h *Heap) Alloc(words int) (Ptr, error) {
 	if err != nil {
 		return Nil, err
 	}
+	if h.syncAllocs {
+		h.dev.FlushWord(p.Addr() - 1)
+		h.dev.FlushWord(hdrBump)
+	}
 	// Zero the payload outside the allocator lock; the block is not yet
 	// published to any other thread.
 	for i := 0; i < total-1; i++ {
@@ -250,6 +256,15 @@ func (h *Heap) Alloc(words int) (Ptr, error) {
 	h.tel.IncAlloc()
 	return p, nil
 }
+
+// SetSyncAllocs makes every allocation durable before Alloc returns: the
+// block's header, then the bump pointer, are flushed. A heap whose
+// failures get no rescue (ModeNonTSP's crash) needs it: otherwise a block
+// linked into a flushed structure can come back free after the crash, and
+// the next allocation hands it out a second time. Frees need no flush:
+// a free lost to the crash leaves an unreachable block the collector
+// reclaims. Call before the heap is shared.
+func (h *Heap) SetSyncAllocs(on bool) { h.syncAllocs = on }
 
 // SetTelemetry points the heap's counters at a registry section (nil
 // turns counting off). Call before the heap is shared.

@@ -18,15 +18,16 @@ import (
 // the device; goldenCounts is what the device reported for it at the
 // commit before accesses were tallied per operation (8ec88db), where
 // every access was one atomic add on the shared section — loads 37,355,
-// stores 14,521, writebacks 1,208 — moved by exactly one change since:
-// recovery's collector no longer scans the log ring. Loads fell by
-// 4,215: the ring's 4,100 words (1,025 entries of 4) plus the 5-word
+// stores 14,521, writebacks 1,208 — moved by exactly two changes since.
+// Recovery's collector no longer scans the log ring: loads fell by
+// 4,215, the ring's 4,100 words (1,025 entries of 4) plus the 5-word
 // payloads of the 23 deleted nodes only the ring's dead records still
-// pointed at. Stores and writebacks rose by 23: the sweep clears those
-// blocks' headers.
+// pointed at, and stores and writebacks rose by 23, the sweep clearing
+// those blocks' headers. And Reattach reads the epoch drain's payload
+// anchor (one load; the script never drains, so the slot is empty).
 
 var goldenCounts = nvm.StatsSnapshot{
-	Loads:      33140,
+	Loads:      33141,
 	Stores:     14544,
 	CAS:        262,
 	Flushes:    8,

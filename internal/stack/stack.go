@@ -72,6 +72,28 @@ const auxEpochSlot = 1
 // dedup record and its operation's effect atomic across a crash.
 const auxSessSlot = 2
 
+// auxDrainSlot is the heap auxiliary-root slot anchoring the epoch
+// drain's payload: one shard's last drained overlay snapshot, written out
+// of place before the map applies it, so a drain survives a crash whole
+// or not at all (see DrainPayload). Like the other anchors it is an
+// allocated block, grown by replacement when a snapshot outgrows it.
+const auxDrainSlot = 3
+
+// Drain-payload word layout. Set records (key, value) grow up from
+// drainHdrWords; delete records (a bare key) grow down from the block's
+// end; drainLenWord packs their counts (sets<<32 | deletes). A snapshot's
+// keys are distinct, so record order carries no meaning. The payload is
+// pending — committed, not yet applied — while the commit word is one
+// past the applied word.
+const (
+	drainCommitWord  = 0
+	drainAppliedWord = 1
+	drainLenWord     = 2
+	drainHdrWords    = 3
+
+	drainMinWords = 16 // smallest record area a payload block is grown to
+)
+
 // Session-table word layout. The header's capacity word is read at
 // reattach so a table keeps the size it was built with; the floor word
 // is the highest sequence number ever evicted from the table (the
@@ -123,6 +145,13 @@ type Stack struct {
 	// the header.
 	sessPtr pheap.Ptr
 	sessCap int
+
+	// drainPtr is the epoch-drain payload block anchored at Aux slot
+	// auxDrainSlot, nil until the first drain; drainCap is its record
+	// area in words.
+	drainPtr pheap.Ptr
+	drainCap int
+	replayTh *atlas.Thread // the drain replay's thread, for NewThread
 
 	cfg config // retained so CrashReattach can rebuild identically
 }
@@ -305,6 +334,7 @@ func New(opts ...Option) (*Stack, error) {
 	if reg != nil {
 		heap.SetTelemetry(reg.Heap)
 	}
+	heap.SetSyncAllocs(c.mode == atlas.ModeNonTSP)
 	s := &Stack{Dev: dev, Heap: heap, Tel: reg, cfg: c}
 	if c.heapOnly {
 		if reg != nil {
@@ -460,6 +490,7 @@ func Reattach(dev *nvm.Device, opts ...Option) (*Stack, error) {
 	if reg != nil {
 		heap.SetTelemetry(reg.Heap)
 	}
+	heap.SetSyncAllocs(c.mode == atlas.ModeNonTSP)
 	s := &Stack{Dev: dev, Heap: heap, Tel: reg, cfg: c}
 	if c.heapOnly {
 		if reg != nil {
@@ -516,6 +547,9 @@ func Reattach(dev *nvm.Device, opts ...Option) (*Stack, error) {
 	s.RT = rt
 	s.Map = m
 	s.List = l
+	if err := s.replayDrain(); err != nil {
+		return nil, err
+	}
 	return s, nil
 }
 

@@ -235,16 +235,16 @@ type Registry struct {
 	Recovery *RecoveryStats
 
 	// The histograms: service time per drained commit group, crash to
-	// serving per recovery, the drain of each epoch close that flushed
+	// serving per recovery, the commit and the apply of each drain of
 	// this shard's overlay, service time per protocol and command, and
 	// per read served wholly on the lock-free path (a subset of
 	// CmdLatency's reads, so the two together isolate what the locked
 	// machinery costs a read). BatchSize and RangeLen are value
 	// histograms (ObserveValue): operations per drained group, zrange
 	// result lengths.
-	OpLatency, RecoveryLatency, ReadLatency, EpochFlushLatency *Histogram
-	CmdLatency                                                 *CommandLatency
-	BatchSize, RangeLen                                        *Histogram
+	OpLatency, RecoveryLatency, ReadLatency, EpochCommitLatency, EpochFlushLatency *Histogram
+	CmdLatency                                                                     *CommandLatency
+	BatchSize, RangeLen                                                            *Histogram
 
 	// Generation counts the stack's incarnations: 1 after New, +1 per
 	// reattach. Counters deliberately survive reattach (the registry
@@ -261,19 +261,20 @@ type Registry struct {
 // NewRegistry returns a registry with every section live.
 func NewRegistry() *Registry {
 	return &Registry{
-		Device:            &DeviceStats{},
-		Atlas:             &AtlasStats{},
-		Heap:              &HeapStats{},
-		Map:               &MapStats{},
-		Server:            &ServerStats{},
-		Recovery:          &RecoveryStats{},
-		OpLatency:         &Histogram{},
-		RecoveryLatency:   &Histogram{},
-		CmdLatency:        &CommandLatency{},
-		BatchSize:         &Histogram{},
-		ReadLatency:       &Histogram{},
-		RangeLen:          &Histogram{},
-		EpochFlushLatency: &Histogram{},
+		Device:             &DeviceStats{},
+		Atlas:              &AtlasStats{},
+		Heap:               &HeapStats{},
+		Map:                &MapStats{},
+		Server:             &ServerStats{},
+		Recovery:           &RecoveryStats{},
+		OpLatency:          &Histogram{},
+		RecoveryLatency:    &Histogram{},
+		CmdLatency:         &CommandLatency{},
+		BatchSize:          &Histogram{},
+		ReadLatency:        &Histogram{},
+		RangeLen:           &Histogram{},
+		EpochCommitLatency: &Histogram{},
+		EpochFlushLatency:  &Histogram{},
 	}
 }
 
@@ -380,7 +381,8 @@ var RegistryRows = newTable(ScopeShard,
 		histogram("recovery_latency", KindDuration, "crash to serving again, per recovery", func(r *Registry) *Histogram { return r.RecoveryLatency }),
 		histogram("batch_size", KindValue, "operations per drained commit group", func(r *Registry) *Histogram { return r.BatchSize }),
 		histogram("zrange_len", KindValue, "result lengths of zrange requests", func(r *Registry) *Histogram { return r.RangeLen }),
-		histogram("epoch_flush", KindDuration, "drain time of each epoch close that flushed the shard's overlay", func(r *Registry) *Histogram { return r.EpochFlushLatency }),
+		histogram("epoch_commit", KindDuration, "commit time of each drain of the shard's overlay: snapshot, payload and commit word, the share a wait pays", func(r *Registry) *Histogram { return r.EpochCommitLatency }),
+		histogram("epoch_flush", KindDuration, "apply time of each drain of the shard's overlay: the map sections after the commit", func(r *Registry) *Histogram { return r.EpochFlushLatency }),
 	},
 	lift(func(r *Registry) *CommandLatency { return r.CmdLatency }, commandRows),
 )

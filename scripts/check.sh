@@ -83,7 +83,7 @@ go test -race -cpu 1,2,4 -run 'Proxy' ./internal/cluster
 
 # The demand-driven epoch close is a handful of schedule races (a kick
 # against a close in flight, sixteen waiters against one close, a crash
-# against a drain fanned out over the shards, the ticker against no
+# against a close blocked on a shard's drain lock, the ticker against no
 # waiter at all): one pass proves little, so these four run twenty
 # times at each GOMAXPROCS.
 echo "== demanded epoch close tests (-race -cpu 1,2,4 -count=20)"
@@ -104,7 +104,7 @@ ceiling() {
 		exit 1
 	fi
 }
-for pc in cacheserver:4110 cluster:1265 repl:1138 telemetry:1469; do
+for pc in cacheserver:4152 cluster:1265 repl:1138 telemetry:1471; do
 	pkg=${pc%:*}
 	echo "== internal/$pkg non-test lines"
 	ceiling "internal/$pkg non-test lines" \
@@ -193,7 +193,7 @@ fi
 # detector: durable and wait-covered writes must always survive a
 # crash, relaxed losses must stay above the receipt's epoch frontier.
 # Every cycle's crash is issued with a `wait` parked on a second
-# connection, so it races a demanded, parallel drain.
+# connection, so it races a demanded drain's commit or apply.
 echo "== durability-tier crash campaign (3x, -race)"
 for s in 1 2 3; do
 	go run -race ./cmd/faultinject -durability-only -durability-cycles 5 -seed "$s"
