@@ -1,6 +1,7 @@
 package cacheserver
 
 import (
+	"errors"
 	"time"
 
 	"tsp/internal/atlas"
@@ -23,14 +24,10 @@ import (
 // a follower group's replicated marks. An epoch drain applies values
 // only; no record is ever buffered beside one.
 //
-// The section takes ONE Atlas mutex, the shard's commit lock. Atlas
-// logs acquires and releases so recovery can follow happens-before
-// edges between threads, but every section of a shard runs on its one
-// Atlas thread under the drain lock: per-stripe mutexes would never
-// contend, and the edges they recorded would be program order, which
-// recovery's cascade already has. What the stripes still do is the
-// seqlock bracket optimistic readers validate against, so only the
-// stripes a section mutates are bracketed.
+// The section takes ONE Atlas mutex, the shard's commit lock: a shard's
+// sections all run on its one Atlas thread under the drain lock, so
+// per-stripe mutexes would only log program order (DESIGN.md §6). The
+// stripes stay as the seqlock bracket of the stripes a section mutates.
 //
 // A submitter hands a shard an ordered LIST of groups (chained through
 // batchReq.next): everything one pipelined burst — or one replicated
@@ -64,14 +61,10 @@ import (
 // what sizes the undo-log ring — its session record, follower marks and
 // floor riding the last chunk.
 //
-// Crash safety is inherited rather than re-proven: every batch executes
-// under the shard read lock, and the administrative crash command tears
-// the stack down under the shard WRITE lock, so a simulated power
-// failure always lands between batches, never inside one. Requests
-// still in the queue live in volatile Go memory the simulated crash
-// does not touch; they simply execute against the recovered stack, the
-// drain re-registering its Atlas thread under the new runtime
-// generation.
+// A crash may land at any device store. A section or drain commit that
+// ran on a crashed device answers nothing — every op fails with
+// errCrashed — so no reply acks what recovery may roll back.
+var errCrashed = errors.New("device crashed")
 
 // opKind selects the engine operation a batchOp performs.
 type opKind uint8
@@ -318,14 +311,10 @@ func (sh *shard) runOne(g *batchReq) {
 // no lock and so opens no section.
 func (sh *shard) runBatch(reqs []*batchReq, nops int) {
 	sh.mu.RLock()
+	defer sh.mu.RUnlock()
 	th, err := sh.workerThread()
 	if err != nil {
-		sh.mu.RUnlock()
-		for _, r := range reqs {
-			for i := range r.ops {
-				r.ops[i].err = err
-			}
-		}
+		sh.fail(reqs, err)
 		return
 	}
 	m := sh.stk.Map
@@ -390,13 +379,28 @@ func (sh *shard) runBatch(reqs []*batchReq, nops int) {
 	sh.tel.Server.Batches.Inc()
 	sh.tel.Server.BatchedOps.Add(uint64(nops))
 	sh.counts.publish(sh.tel.Server)
-	// Replication tail: the batch just committed as one OCS becomes one
-	// replication log group. Still under the read lock, so a crash (and
-	// its generation bump) cannot land between commit and append.
+	// Still under the read lock, which keeps the stack pointer stable: a
+	// batch that ran on a crashed device fails, and one that committed as
+	// one OCS becomes one replication log group, no rebuild in between.
+	if sh.stk.Dev.Crashed() {
+		sh.fail(reqs, errCrashed)
+		return
+	}
 	if sh.replLog != nil {
 		sh.appendRepl(reqs)
 	}
-	sh.mu.RUnlock()
+}
+
+// fail answers a batch with err, nothing else: every op reports it, and
+// a sessioned group's verdict goes with the record the section may lose.
+func (sh *shard) fail(reqs []*batchReq, err error) {
+	sh.markScratch = sh.markScratch[:0]
+	for _, r := range reqs {
+		r.verdict = sessFresh
+		for i := range r.ops {
+			r.ops[i].err = err
+		}
+	}
 }
 
 // execOp runs one op against the shard's engines with th, inside the

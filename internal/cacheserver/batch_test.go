@@ -257,57 +257,6 @@ func TestPipelinedCommandsOrdered(t *testing.T) {
 	}
 }
 
-// TestCrashNeverTearsBatchGroup races an administrative power failure
-// against an in-flight batch group, every round. The crash command
-// rebuilds the stack under the shard WRITE lock while the worker runs
-// each group under the read lock, so the failure must land between
-// groups: whichever side wins the race, the group is applied whole —
-// all eight keys reach the round's value, never a mix — and a group
-// still queued at crash time executes against the recovered stack
-// rather than being dropped.
-func TestCrashNeverTearsBatchGroup(t *testing.T) {
-	s := startServer(t, WithShards(1))
-	sh := s.shards[0]
-	c := dial(t, s.Addr().String())
-
-	const rounds, width = 15, 8
-	for r := uint64(1); r <= rounds; r++ {
-		ops := make([]batchOp, width)
-		for i := range ops {
-			ops[i] = batchOp{kind: opSet, key: uint64(i), arg: r}
-		}
-		// Hand the group to the worker, not to a submitter's own
-		// goroutine: queue it directly and ring.
-		req := &batchReq{ops: ops, done: make(chan struct{})}
-		sh.queue <- req
-		sh.ringDoorbell()
-
-		crashed := make(chan error, 1)
-		go func() { crashed <- sh.crashAndRecover() }()
-		<-req.done
-		if err := <-crashed; err != nil {
-			t.Fatalf("round %d: recovery failed: %v", r, err)
-		}
-		for i := range ops {
-			if ops[i].err != nil {
-				t.Fatalf("round %d: op %d failed: %v", r, i, ops[i].err)
-			}
-		}
-		for i := 0; i < width; i++ {
-			want := fmt.Sprintf("VALUE %d %d", i, r)
-			if got := c.cmd(t, "get %d", i); got != want {
-				t.Fatalf("round %d: key %d after crash = %q, want %q (torn group)", r, i, got, want)
-			}
-		}
-	}
-	if got := sh.tel.Recovery.Recoveries.Load(); got != rounds {
-		t.Fatalf("recoveries = %d, want %d", got, rounds)
-	}
-	if err := s.VerifyAll(); err != nil {
-		t.Fatalf("VerifyAll: %v", err)
-	}
-}
-
 // TestCrashMidBatchCampaign is the table-driven crash-consistency
 // campaign: concurrent writers drive the batch pipeline while an admin
 // connection power-fails shards (one at a time or the whole machine).

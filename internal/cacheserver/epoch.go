@@ -45,15 +45,12 @@ import (
 // if the server has not crashed since, the write is durable once the
 // persistent frontier reaches e (observable via `wait`). A crash reply
 // carries the recovered frontier (`OK RECOVERED EPOCH <p>`); acks with
-// epoch <= p are guaranteed to have survived, acks above it may be
-// gone. The frontier never advances past an epoch whose drain raced a
-// crash (closeEpoch re-checks every shard generation before
-// persisting), so the receipt can never overpromise. The commit word is
-// the drain's persist point: a crash after it recovers the whole
-// snapshot (stack.Reattach replays a payload whose apply did not
-// finish), a crash before it none of it, so each shard recovers a
-// consistent cut of its relaxed writes. Shards crash, commit and recover
-// independently: a cut across shards is not promised.
+// epoch <= p survived, acks above it may be gone. The frontier never
+// advances past an epoch whose drain a crash touched (see closeEpoch).
+// The commit word is the drain's persist point: a crash after it
+// recovers the whole snapshot (stack.Reattach replays it), a crash
+// before it none of it — per shard, a consistent cut of its relaxed
+// writes; a cut across shards is not promised.
 //
 // Read-your-writes holds across tiers without waiting: both hash-map
 // read paths — batched gets and optimistic seqlock gets — consult the
@@ -280,14 +277,13 @@ func (s *Server) epochReached(target uint64) bool {
 // copy lands between a committed payload and its apply: a replay could
 // otherwise overwrite a newer acked value with the snapshot's.
 //
-// A shard generation changing across the close means a crash landed in
-// it: the crashed shard's overlay is gone, possibly before its snapshot,
-// so the frontier must NOT advance to e — the receipts for epoch e would
-// overpromise. The generations are read before curEpoch moves and
-// re-checked after every commit. A committed payload needs no re-drain
-// (recovery replays it); the lost entries were acked above the frontier
-// and are legal losses. The next close (at once, if a waiter is unmet)
-// tries epoch e+1.
+// A commit that failed (a crashed device) or a shard generation that
+// changed across the close (read before curEpoch moves, re-checked after
+// every commit) means a crash landed in it, possibly before a snapshot,
+// so the frontier must NOT advance to e: its receipts would overpromise.
+// A committed payload needs no re-drain (recovery replays it); the lost
+// entries were acked above the frontier and are legal losses. The next
+// close (at once, if a waiter is unmet) tries epoch e+1.
 func (s *Server) closeEpoch() {
 	for _, sh := range s.shards {
 		sh.drainGen = sh.gen.Load()
@@ -335,11 +331,11 @@ func (s *Server) closeEpoch() {
 // commitDrain is a drain's commit: snapshot the overlay into drainOps,
 // write it as the shard's payload up to its commit word, and append it
 // to the replication log as one group stamped epoch — the log order is
-// the commit order, and a follower applies a drain whole. It runs under
-// the read lock, so a crash lands before it or after it. drainOps is
-// left empty when there is nothing to apply: an empty overlay, or a
-// payload that could not be written (its entries stay pending). Caller
-// holds combineMu, and keeps it until applyDrain returns.
+// the commit order, and a follower applies a drain whole. A commit on a
+// crashed device fails like an unwritable payload (its close answers no
+// waiter) and, like an empty overlay, leaves drainOps empty; the entries
+// stay pending. Caller holds combineMu, and keeps it until applyDrain
+// returns.
 func (sh *shard) commitDrain(epoch uint64) error {
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
@@ -361,6 +357,10 @@ func (sh *shard) commitDrain(epoch uint64) error {
 		}
 	}
 	w.Commit()
+	if sh.stk.Dev.Crashed() {
+		sh.drainOps = ops[:0]
+		return errCrashed
+	}
 	if sh.replLog != nil {
 		rops := make([]repl.Op, len(ops))
 		for i := range ops {

@@ -20,10 +20,22 @@ import (
 // is decoded (by a fresh decoder, whose read buffer holds it whole) and
 // served as one batch. Returns the reply bytes.
 func serveBursts(s *Server, bursts [][]byte) string {
+	serve := burstConn(s)
+	var out strings.Builder
+	for _, b := range bursts {
+		out.WriteString(serve(b))
+	}
+	return out.String()
+}
+
+// burstConn opens one simulated connection for serveBursts: each call
+// serves one burst on it and returns that burst's reply bytes.
+func burstConn(s *Server) func(burst []byte) string {
 	cs := s.newConnState()
 	var out bytes.Buffer
 	enc := proto.NewEncoder(&out, proto.Native{}, writeBufBytes)
-	for _, b := range bursts {
+	return func(b []byte) string {
+		out.Reset()
 		dec := proto.NewDecoder(bytes.NewReader(b), proto.Native{}, 0)
 		for {
 			batch, err := dec.Next()
@@ -32,11 +44,10 @@ func serveBursts(s *Server, bursts [][]byte) string {
 				enc.Flush()
 			}
 			if err != nil {
-				break
+				return out.String()
 			}
 		}
 	}
-	return out.String()
 }
 
 // regroup re-cuts a command stream into bursts of depth commands; a

@@ -1,7 +1,6 @@
 package cacheserver
 
 import (
-	"errors"
 	"fmt"
 	"net"
 	"time"
@@ -313,14 +312,11 @@ func (s *Server) buildDataReply(cs *connState, tg *cmdTag) proto.Reply {
 		}
 	}
 	refs := cs.refs[tg.start : tg.start+tg.n]
-	var errs []error
 	for _, r := range refs {
+		// The first failed op answers: one error line, however many keys.
 		if err := cs.plan.op(r).err; err != nil {
-			errs = append(errs, err)
+			return proto.Reply{Kind: proto.KErrServer, Msg: err.Error()}
 		}
-	}
-	if err := errors.Join(errs...); err != nil {
-		return proto.Reply{Kind: proto.KErrServer, Msg: err.Error()}
 	}
 	op := cs.plan.op(refs[0])
 	switch kind := tg.req.Cmd.Spec().Reply; kind {

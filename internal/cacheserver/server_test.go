@@ -373,97 +373,6 @@ func TestConcurrentClientsAcrossShards(t *testing.T) {
 	}
 }
 
-// TestCrashDuringLoad drives every shard with concurrent mutating
-// clients while an admin connection power-fails shards one at a time
-// and then all at once. Afterwards every shard must verify clean and
-// every key confirmed STORED before the crash phase must survive.
-func TestCrashDuringLoad(t *testing.T) {
-	const nShards = 4
-	s := startServer(t, WithShards(nShards), WithMaxConns(16))
-
-	// Seed phase: confirmed-durable keys, spread across shards.
-	seed := dial(t, s.Addr().String())
-	const seeded = 200
-	for k := 0; k < seeded; k++ {
-		if got := seed.cmd(t, "set %d %d", k, k*3+1); got != "STORED" {
-			t.Fatalf("seed set %d: %q", k, got)
-		}
-	}
-
-	// Load phase: 6 clients mutate disjoint high keys on all shards.
-	const clients = 6
-	stop := make(chan struct{})
-	errs := make(chan error, clients)
-	var wg sync.WaitGroup
-	for g := 0; g < clients; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			conn, err := net.Dial("tcp", s.Addr().String())
-			if err != nil {
-				errs <- err
-				return
-			}
-			defer conn.Close()
-			r := bufio.NewReader(conn)
-			for i := 0; ; i++ {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				k := 10_000 + g*1000 + i%100
-				fmt.Fprintf(conn, "incr %d 1\r\n", k)
-				line, err := r.ReadString('\n')
-				if err != nil {
-					errs <- err
-					return
-				}
-				if strings.HasPrefix(line, "SERVER_ERROR") {
-					errs <- fmt.Errorf("client %d: %s", g, strings.TrimSpace(line))
-					return
-				}
-			}
-		}(g)
-	}
-
-	// Admin: crash each shard in turn, then the whole machine, while the
-	// load runs.
-	admin := dial(t, s.Addr().String())
-	for i := 0; i < nShards; i++ {
-		if got := admin.cmd(t, "crash %d", i); !strings.HasPrefix(got, fmt.Sprintf("OK RECOVERED SHARD %d EPOCH ", i)) {
-			t.Fatalf("crash %d: %q", i, got)
-		}
-		waitProgress(t, s, 10)
-	}
-	if got := admin.cmd(t, "crash"); !strings.HasPrefix(got, "OK RECOVERED EPOCH ") {
-		t.Fatalf("crash all: %q", got)
-	}
-	close(stop)
-	wg.Wait()
-	close(errs)
-	if err := <-errs; err != nil {
-		t.Fatalf("load client error: %v", err)
-	}
-
-	// Every shard recovers with clean invariants...
-	if err := s.VerifyAll(); err != nil {
-		t.Fatalf("VerifyAll after crash-under-load: %v", err)
-	}
-	for _, sh := range s.shards {
-		if got := sh.tel.Recovery.Recoveries.Load(); got < 2 {
-			t.Fatalf("shard %d recoveries = %d, want >= 2", sh.idx, got)
-		}
-	}
-	// ...and every pre-crash confirmed key is readable with its value.
-	for k := 0; k < seeded; k++ {
-		want := fmt.Sprintf("VALUE %d %d", k, k*3+1)
-		if got := seed.cmd(t, "get %d", k); got != want {
-			t.Fatalf("seeded key %d after crashes: %q, want %q", k, got, want)
-		}
-	}
-}
-
 func TestQuitClosesConnection(t *testing.T) {
 	s := startServer(t)
 	c := dial(t, s.Addr().String())

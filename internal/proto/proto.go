@@ -114,9 +114,8 @@ const (
 )
 
 // Durability is a mutation's requested persistence tier — the
-// Montage-style spectrum ROADMAP item 1 exposes per command. The zero
-// value is full durability, so protocols that say nothing get today's
-// behavior.
+// Montage-style spectrum, exposed per command. The zero value is full
+// durability, so protocols that say nothing get today's behavior.
 type Durability uint8
 
 // The durability tiers, strongest first.

@@ -73,12 +73,14 @@ go test -race ./internal/cacheserver ./internal/proto ./internal/repl ./internal
 # race detector at several GOMAXPROCS so the schedule space is not
 # whatever this host happens to have. The commit-plan tests (a burst
 # must be indistinguishable from its commands served one at a time) and
-# the crash-vs-batch races ride along: they are the write path's
-# ordering and atomicity contracts. So do the proxy's: each frontend
+# the concurrent crash campaign ride along: they are the write path's
+# ordering and atomicity contracts (the crash-point sweep is one
+# goroutine's deterministic replay, so the step above runs it once).
+# So do the proxy's: each frontend
 # connection reads its own links' replies, and Proxy.Close must still
 # cut a frontend out of a wait on a silent node.
 echo "== cacheserver tier/migrate/session/plan + proxy tests (-race -cpu 1,2,4)"
-go test -race -cpu 1,2,4 -run 'Tier|Relaxed|Durable|Fire|Wait|Epoch|DemandedClose|Migrate|Session|Plan|CrashNeverTears|CrashMidBatch' ./internal/cacheserver
+go test -race -cpu 1,2,4 -run 'Tier|Relaxed|Durable|Fire|Wait|Epoch|DemandedClose|Migrate|Session|Plan|CrashMidBatch' ./internal/cacheserver
 go test -race -cpu 1,2,4 -run 'Proxy' ./internal/cluster
 
 # The demand-driven epoch close is a handful of schedule races (a kick
