@@ -78,21 +78,18 @@ func runScenario(mode atlas.Mode, rescue float64) {
 	fmt.Println("  crash lands mid-critical-section (value written, check word not)")
 
 	// Crash, restart, and bring a new incarnation up through the
-	// standard recovery path (heap reopen, Atlas rollback, map attach).
+	// standard recovery path (heap reopen, Atlas rollback, map attach),
+	// which verifies the map's integrity words.
 	st.Dev.StopEvictor()
 	st2, err := st.CrashReattach(nvm.CrashOptions{RescueFraction: rescue, Seed: 7})
+	if errors.Is(err, hashmap.ErrCorrupt) {
+		fmt.Printf("  VERDICT: map corrupt, as expected without Atlas: %v\n", err)
+		return
+	}
 	if err != nil {
 		log.Fatalf("recover: %v", err)
 	}
 	fmt.Printf("  recovery: %s\n", st2.Recovery)
-
-	if _, err := st2.Map.Verify(); err != nil {
-		if errors.Is(err, hashmap.ErrCorrupt) {
-			fmt.Printf("  VERDICT: map corrupt, as expected without Atlas: %v\n", err)
-			return
-		}
-		log.Fatalf("verify: %v", err)
-	}
 	th2, _ := st2.RT.NewThread()
 	v, _, _ := st2.Map.Get(th2, 3)
 	fmt.Printf("  VERDICT: map consistent; account 3 = %d (torn update rolled back)\n", v)

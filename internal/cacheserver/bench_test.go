@@ -2,11 +2,14 @@ package cacheserver
 
 import (
 	"fmt"
+	"net"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"tsp/internal/proto"
 )
@@ -26,9 +29,9 @@ func preloadResident(b *testing.B, s *Server) {
 		wg.Add(1)
 		go func(l int) {
 			defer wg.Done()
-			cs := s.newConnState()
+			serve := burstConn(s)
 			for k := l; k < resident; k += loaders {
-				if resp := s.dispatch(cs, fmt.Sprintf("set %d 1", k)); resp != "STORED" {
+				if resp := serve(fmt.Appendf(nil, "set %d 1\r\n", k)); resp != "STORED\r\n" {
 					b.Errorf("preload: %s", resp)
 					return
 				}
@@ -69,7 +72,7 @@ func benchmarkShards(b *testing.B, nShards int) {
 	var gid atomic.Uint64
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
-		cs := s.newConnState()
+		serve := burstConn(s)
 		rng := gid.Add(1) * 0x9e3779b97f4a7c15
 		for pb.Next() {
 			// splitmix64 step: key choice uncorrelated with shard hash.
@@ -83,9 +86,9 @@ func benchmarkShards(b *testing.B, nShards int) {
 			k := x % resident
 			var resp string
 			if x>>60 < 4 { // 1 in 4: fortified overwrite
-				resp = s.dispatch(cs, fmt.Sprintf("set %d %d", k, rng))
+				resp = serve(fmt.Appendf(nil, "set %d %d\r\n", k, rng))
 			} else { // 3 in 4: read
-				resp = s.dispatch(cs, fmt.Sprintf("get %d", k))
+				resp = serve(fmt.Appendf(nil, "get %d\r\n", k))
 			}
 			if len(resp) >= 12 && resp[:12] == "SERVER_ERROR" {
 				b.Fatal(resp)
@@ -124,7 +127,7 @@ func benchmarkMutations(b *testing.B, nShards int) {
 	var gid atomic.Uint64
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
-		cs := s.newConnState()
+		serve := burstConn(s)
 		rng := gid.Add(1) * 0x9e3779b97f4a7c15
 		for pb.Next() {
 			rng += 0x9e3779b97f4a7c15
@@ -135,7 +138,7 @@ func benchmarkMutations(b *testing.B, nShards int) {
 			x *= 0x94d049bb133111eb
 			x ^= x >> 31
 			k := x % (1 << 16)
-			if resp := s.dispatch(cs, fmt.Sprintf("set %d %d", k, rng)); resp != "STORED" {
+			if resp := serve(fmt.Appendf(nil, "set %d %d\r\n", k, rng)); resp != "STORED\r\n" {
 				b.Fatal(resp)
 			}
 		}
@@ -164,7 +167,7 @@ func benchmarkMsets(b *testing.B, nShards int) {
 	var gid atomic.Uint64
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
-		cs := s.newConnState()
+		serve := burstConn(s)
 		rng := gid.Add(1) * 0x9e3779b97f4a7c15
 		var sb strings.Builder
 		for pb.Next() {
@@ -181,7 +184,8 @@ func benchmarkMsets(b *testing.B, nShards int) {
 			for i := uint64(0); i < 8; i++ {
 				fmt.Fprintf(&sb, " %d %d", base+i, rng)
 			}
-			if resp := s.dispatch(cs, sb.String()); resp != "STORED 8" {
+			sb.WriteString("\r\n")
+			if resp := serve([]byte(sb.String())); resp != "STORED 8\r\n" {
 				b.Fatal(resp)
 			}
 		}
@@ -220,7 +224,7 @@ func benchmarkMsetsPinned(b *testing.B, nShards int) {
 	var gid atomic.Uint64
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
-		cs := s.newConnState()
+		serve := burstConn(s)
 		rng := gid.Add(1) * 0x9e3779b97f4a7c15
 		var sb strings.Builder
 		for pb.Next() {
@@ -238,7 +242,8 @@ func benchmarkMsetsPinned(b *testing.B, nShards int) {
 			for i := uint64(0); i < 8; i++ {
 				fmt.Fprintf(&sb, " %d %d", pool[base+i], rng)
 			}
-			if resp := s.dispatch(cs, sb.String()); resp != "STORED 8" {
+			sb.WriteString("\r\n")
+			if resp := serve([]byte(sb.String())); resp != "STORED 8\r\n" {
 				b.Fatal(resp)
 			}
 		}
@@ -296,7 +301,7 @@ func benchmarkSetsRepl(b *testing.B, replicated bool) {
 	var gid atomic.Uint64
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
-		cs := s.newConnState()
+		serve := burstConn(s)
 		rng := gid.Add(1) * 0x9e3779b97f4a7c15
 		for pb.Next() {
 			rng += 0x9e3779b97f4a7c15
@@ -307,7 +312,7 @@ func benchmarkSetsRepl(b *testing.B, replicated bool) {
 			x *= 0x94d049bb133111eb
 			x ^= x >> 31
 			k := x % (1 << 16)
-			if resp := s.dispatch(cs, fmt.Sprintf("set %d %d", k, rng)); resp != "STORED" {
+			if resp := serve(fmt.Appendf(nil, "set %d %d\r\n", k, rng)); resp != "STORED\r\n" {
 				b.Fatal(resp)
 			}
 		}
@@ -342,7 +347,7 @@ func benchmarkGets(b *testing.B, nShards int) {
 	var gid atomic.Uint64
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
-		cs := s.newConnState()
+		serve := burstConn(s)
 		rng := gid.Add(1) * 0x9e3779b97f4a7c15
 		for pb.Next() {
 			rng += 0x9e3779b97f4a7c15
@@ -353,7 +358,7 @@ func benchmarkGets(b *testing.B, nShards int) {
 			x *= 0x94d049bb133111eb
 			x ^= x >> 31
 			k := x % resident
-			if resp := s.dispatch(cs, fmt.Sprintf("get %d", k)); len(resp) >= 12 && resp[:12] == "SERVER_ERROR" {
+			if resp := serve(fmt.Appendf(nil, "get %d\r\n", k)); len(resp) >= 12 && resp[:12] == "SERVER_ERROR" {
 				b.Fatal(resp)
 			}
 		}
@@ -387,7 +392,7 @@ func benchmarkReadMix(b *testing.B, nShards int) {
 	var gid atomic.Uint64
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
-		cs := s.newConnState()
+		serve := burstConn(s)
 		rng := gid.Add(1) * 0x9e3779b97f4a7c15
 		for pb.Next() {
 			rng += 0x9e3779b97f4a7c15
@@ -400,9 +405,9 @@ func benchmarkReadMix(b *testing.B, nShards int) {
 			k := x % resident
 			var resp string
 			if (x>>48)%10 == 0 { // 1 in 10: fortified overwrite
-				resp = s.dispatch(cs, fmt.Sprintf("set %d %d", k, rng))
+				resp = serve(fmt.Appendf(nil, "set %d %d\r\n", k, rng))
 			} else { // 9 in 10: read
-				resp = s.dispatch(cs, fmt.Sprintf("get %d", k))
+				resp = serve(fmt.Appendf(nil, "get %d\r\n", k))
 			}
 			if len(resp) >= 12 && resp[:12] == "SERVER_ERROR" {
 				b.Fatal(resp)
@@ -429,11 +434,11 @@ func BenchmarkMget8Keys(b *testing.B) {
 		b.Fatalf("New: %v", err)
 	}
 	defer s.Close()
-	cs := s.newConnState()
-	s.dispatch(cs, "mset 1 1 2 2 3 3 4 4 5 5 6 6 7 7 8 8")
+	serve := burstConn(s)
+	serve([]byte("mset 1 1 2 2 3 3 4 4 5 5 6 6 7 7 8 8\r\n"))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.dispatch(cs, "mget 1 2 3 4 5 6 7 8")
+		serve([]byte("mget 1 2 3 4 5 6 7 8\r\n"))
 	}
 }
 
@@ -464,4 +469,69 @@ func reportLatency(b *testing.B, s *Server, series, prefix string) {
 		b.ReportMetric(st[series+"_p50_us"], prefix+"p50_us")
 		b.ReportMetric(st[series+"_p95_us"], prefix+"p95_us")
 	}
+}
+
+// BenchmarkLoopbackEchoFloor is the floor under bench's rtt workload:
+// the same closed loop — one connection at depth 1, four gets to a set —
+// against a loopback server that decodes each request with proto and
+// answers a fixed reply, with no store behind it. What a served rtt
+// request costs above this is the server's software; this is the socket
+// and the two wake-ups. It reports kreq_s and p50_us as bench does.
+func BenchmarkLoopbackEchoFloor(b *testing.B) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer ln.Close()
+	done := make(chan struct{})
+	go func() { // the echo: it returns when the client hangs up
+		defer close(done)
+		conn, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		dec := proto.NewDecoder(conn, proto.Native{}, 0)
+		enc := proto.NewEncoder(conn, proto.Native{}, 0)
+		reply := proto.Reply{Kind: proto.KRaw, Msg: "STORED"}
+		for {
+			batch, err := dec.Next()
+			for range batch {
+				_ = enc.Stage(&reply) // a failed write shows at Flush
+			}
+			if enc.Flush() != nil || err != nil {
+				return
+			}
+		}
+	}()
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer func() {
+		conn.Close()
+		<-done
+	}()
+	reqs := [][]byte{[]byte("get 1\r\n"), []byte("get 2\r\n"), []byte("get 3\r\n"), []byte("get 4\r\n"), []byte("set 5 5\r\n")}
+	buf := make([]byte, 64)
+	lat := make([]time.Duration, b.N)
+	b.ResetTimer()
+	for i := range lat {
+		start := time.Now()
+		if _, err := conn.Write(reqs[i%len(reqs)]); err != nil {
+			b.Fatal(err)
+		}
+		for got := 0; got == 0 || buf[got-1] != '\n'; {
+			n, err := conn.Read(buf[got:])
+			if err != nil {
+				b.Fatal(err)
+			}
+			got += n
+		}
+		lat[i] = time.Since(start)
+	}
+	b.StopTimer()
+	slices.Sort(lat)
+	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds()/1e3, "kreq_s")
+	b.ReportMetric(float64(lat[len(lat)/2].Nanoseconds())/1e3, "p50_us")
 }

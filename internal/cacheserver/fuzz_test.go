@@ -186,10 +186,10 @@ func TestRandomLinesBothAdapters(t *testing.T) {
 		serveInput(s, cs, ad, []byte(line))
 		checkQueuesDrained(t, s, fmt.Sprintf("iteration %d %q", i, line))
 	}
-	if got := s.dispatch(cs, "set 12345 678"); got != "STORED" {
+	if got := serveInput(s, cs, proto.Native{}, []byte("set 12345 678\r\n")); got != "STORED\r\n" {
 		t.Fatalf("set after soup: %q", got)
 	}
-	if got := s.dispatch(cs, "get 12345"); got != "VALUE 12345 678" {
+	if got := serveInput(s, cs, proto.Native{}, []byte("get 12345\r\n")); got != "VALUE 12345 678\r\n" {
 		t.Fatalf("get after soup: %q", got)
 	}
 	if err := s.VerifyAll(); err != nil {

@@ -10,6 +10,8 @@ import (
 	"time"
 
 	"tsp/internal/atlas"
+	"tsp/internal/hashmap"
+	"tsp/internal/pheap"
 )
 
 // client is a minimal test client for the text protocol.
@@ -251,6 +253,41 @@ func TestCrashSingleShardLeavesOthersServing(t *testing.T) {
 	}
 	if err := s.VerifyAll(); err != nil {
 		t.Fatalf("VerifyAll: %v", err)
+	}
+}
+
+// TestServedCrashRefusesCorruptMap: recovery's collector verifies the
+// hash map as it traces it (stack.Reattach), so a shard whose map holds a
+// node with a bad check word answers its crash with the map's
+// integrity error, not with a recovery.
+func TestServedCrashRefusesCorruptMap(t *testing.T) {
+	s := startServer(t, WithShards(2))
+	c := dial(t, s.Addr().String())
+	if got := c.cmd(t, "set 7 70"); got != "STORED" {
+		t.Fatalf("set: %q", got)
+	}
+	// Find key 7's node through the map's persistent layout: the root
+	// directory's map word, the descriptor's {buckets, array} words, a
+	// node's {key, value, check, next}.
+	sh := s.shardOf(7)
+	heap := sh.stk.Heap
+	desc := pheap.Ptr(heap.Load(heap.Root(), 1))
+	array, nb := pheap.Ptr(heap.Load(desc, 3)), int(heap.Load(desc, 1))
+	var node pheap.Ptr
+	for b := 0; b < nb && node.IsNil(); b++ {
+		for n := pheap.Ptr(heap.Load(array, b)); !n.IsNil(); n = pheap.Ptr(heap.Load(n, 3)) {
+			if heap.Load(n, 0) == 7 {
+				node = n
+			}
+		}
+	}
+	if node.IsNil() {
+		t.Fatal("key 7 has no node")
+	}
+	heap.Store(node, 2, heap.Load(node, 2)^1)
+	got := c.cmd(t, "crash %d", sh.idx)
+	if !strings.HasPrefix(got, "SERVER_ERROR recovery failed") || !strings.Contains(got, hashmap.ErrCorrupt.Error()) {
+		t.Fatalf("crash of a shard with a corrupt check word: %q", got)
 	}
 }
 

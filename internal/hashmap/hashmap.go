@@ -136,24 +136,31 @@ func New(rt *atlas.Runtime, nBuckets, bucketsPerMutex int) (*Map, error) {
 	heap.Store(desc, descStrideWord, uint64(bucketsPerMutex))
 	heap.Store(desc, descArrayWord, uint64(array))
 	heap.Store(desc, descMagicWord, descMagic)
-	return attach(rt, desc)
+	return Open(rt, desc)
 }
 
 // Open attaches to an existing map via its descriptor pointer.
 func Open(rt *atlas.Runtime, desc pheap.Ptr) (*Map, error) {
-	if desc.IsNil() {
-		return nil, ErrNotMap
+	m, err := layout(rt.Heap(), desc)
+	if err != nil {
+		return nil, err
 	}
-	if rt.Heap().Load(desc, descMagicWord) != descMagic {
-		return nil, ErrNotMap
+	m.rt = rt
+	nMutexes := (m.nBuckets + m.stride - 1) / m.stride
+	m.mutexes = make([]*atlas.Mutex, nMutexes)
+	for i := range m.mutexes {
+		m.mutexes[i] = rt.NewMutex()
 	}
-	return attach(rt, desc)
+	m.seqs = make([]stripeSeq, nMutexes)
+	return m, nil
 }
 
-func attach(rt *atlas.Runtime, desc pheap.Ptr) (*Map, error) {
-	heap := rt.Heap()
+// layout reads desc's map shape: a Map that walks, with no runtime.
+func layout(heap *pheap.Heap, desc pheap.Ptr) (*Map, error) {
+	if desc.IsNil() || heap.Load(desc, descMagicWord) != descMagic {
+		return nil, ErrNotMap
+	}
 	m := &Map{
-		rt:       rt,
 		heap:     heap,
 		desc:     desc,
 		array:    pheap.Ptr(heap.Load(desc, descArrayWord)),
@@ -170,12 +177,6 @@ func attach(rt *atlas.Runtime, desc pheap.Ptr) (*Map, error) {
 	if m.stride&(m.stride-1) == 0 {
 		m.shift = uint(bits.TrailingZeros(uint(m.stride)))
 	}
-	nMutexes := (m.nBuckets + m.stride - 1) / m.stride
-	m.mutexes = make([]*atlas.Mutex, nMutexes)
-	for i := range m.mutexes {
-		m.mutexes[i] = rt.NewMutex()
-	}
-	m.seqs = make([]stripeSeq, nMutexes)
 	return m, nil
 }
 
@@ -230,9 +231,6 @@ func (m *Map) EndStripes(stripes []int) {
 
 // Ptr returns the descriptor pointer for linking into root structures.
 func (m *Map) Ptr() pheap.Ptr { return m.desc }
-
-// Buckets returns the bucket count.
-func (m *Map) Buckets() int { return m.nBuckets }
 
 // Mutexes returns the number of stripe locks.
 func (m *Map) Mutexes() int { return len(m.mutexes) }
@@ -366,16 +364,10 @@ func (m *Map) Get(t *atlas.Thread, key uint64) (uint64, bool, error) {
 	if t == nil {
 		return 0, false, ErrNoThread
 	}
-	t.MapTally(m.tel).Gets++
-	b := m.bucketOf(key)
-	mu := m.mutexFor(b)
+	mu := m.mutexFor(m.bucketOf(key))
 	t.Lock(mu)
 	defer t.Unlock(mu)
-	n, _ := m.findLocked(t, b, key)
-	if n.IsNil() {
-		return 0, false, nil
-	}
-	return t.Load(n.Addr() + nodeValue), true, nil
+	return m.GetLocked(t, key)
 }
 
 // Inc adds delta to the value under key (inserting the key with value
@@ -609,9 +601,30 @@ func (r VerifyReport) String() string {
 // is corrupt — which, for an unfortified map interrupted mid-update, is
 // the expected observable outcome.
 func (m *Map) Verify() (VerifyReport, error) {
-	var rep VerifyReport
 	tal := m.heap.Device().Tally()
 	defer tal.Publish()
+	return m.walk(&tal, nil)
+}
+
+// Trace is the recovery collector's tracer (pheap.SetTracer) for the map
+// whose descriptor is desc: Verify's walk, reaching the descriptor, the
+// bucket array and every node, and offering every word it does not
+// follow. It fails where Verify would: a collection with it verifies.
+func Trace(heap *pheap.Heap, desc pheap.Ptr, mk *pheap.Marker) error {
+	m, err := layout(heap, desc)
+	if err != nil {
+		return err
+	}
+	mk.Reach(desc)
+	mk.Reach(m.array)
+	mk.Offer(descMagic, uint64(m.nBuckets), uint64(m.stride))
+	_, err = m.walk(mk.Tally, mk)
+	return err
+}
+
+// walk is the body of Verify (mk nil) and of Trace.
+func (m *Map) walk(tal *nvm.Tally, mk *pheap.Marker) (VerifyReport, error) {
+	var rep VerifyReport
 	var node [nodeWords]uint64
 	for b := 0; b < m.nBuckets; b++ {
 		n := pheap.Ptr(tal.Load(m.bucketAddr(b)))
@@ -625,6 +638,8 @@ func (m *Map) Verify() (VerifyReport, error) {
 				return rep, fmt.Errorf("%w: cycle suspected in bucket %d", ErrCorrupt, b)
 			}
 			tal.LoadBlock(n.Addr(), node[:])
+			mk.Reach(n)
+			mk.Offer(node[:nodeNext]...) // key, value, check: all but the link
 			key, val := node[nodeKey], node[nodeValue]
 			if node[nodeCheck] != checkWord(key, val) {
 				return rep, fmt.Errorf("%w: entry key=%d val=%d in bucket %d", ErrCorrupt, key, val, b)

@@ -20,6 +20,14 @@ import (
 // as a pointer to it. False retention is possible (an integer that
 // happens to collide with a block address) but harmless; false
 // reclamation is impossible.
+//
+// A structure whose layout is known may instead be walked precisely by a
+// tracer (SetTracer), which runs before the roots. It keeps reclamation
+// false-free by a contract: it marks every block it walks with Reach,
+// without scanning it, and offers every word of those blocks that it
+// does not follow as a pointer with Offer, as a scan would. So a traced
+// structure is read once, and may be checked on the way (recovery's hash
+// map is verified by its trace); a tracer error aborts the collection.
 
 // GCReport summarizes a collection.
 type GCReport struct {
@@ -50,56 +58,49 @@ func (h *Heap) GC(noScan ...Ptr) (GCReport, error) {
 	tal := h.dev.Tally()
 	defer tal.Publish()
 
-	blocks, err := h.collectBlocks(&tal)
+	blocks, err := h.walkChain(&tal, false)
 	if err != nil {
 		return GCReport{}, err
 	}
-	var rep GCReport
 
-	// Mark phase: depth-first from all roots. A candidate word is a
-	// pointer iff it is the payload address of an allocated block; has
-	// rejects everything else, out-of-range values included.
-	marked := make(bitmap, len(blocks.alloc))
-	var stack []uint64
+	// Mark phase: the unscanned blocks, the tracer's, then depth-first
+	// from all roots. A block is marked when first reached or offered, so
+	// none is scanned twice, and one the tracer reaches is not scanned
+	// unless the tracer offered it first.
+	mk := &Marker{Tally: &tal, alloc: blocks.alloc, marked: make(bitmap, len(blocks.alloc))}
 	for _, p := range noScan {
-		if blocks.alloc.has(uint64(p)) && !marked.has(uint64(p)) {
-			marked.set(uint64(p))
-			rep.BlocksMarked++
+		mk.Reach(p)
+	}
+	if h.tracer != nil {
+		if err := h.tracer(mk); err != nil {
+			return GCReport{}, err
 		}
 	}
-	push := func(v uint64) {
-		p := v &^ markTagMask // see through pointer tags
-		if blocks.alloc.has(p) && !marked.has(p) {
-			marked.set(p)
-			stack = append(stack, p)
-		}
-	}
-	push(tal.Load(hdrRoot))
+	mk.Offer(tal.Load(hdrRoot))
 	for i := 0; i < NumAux; i++ {
-		push(tal.Load(nvm.Addr(hdrAuxBase + i)))
+		mk.Offer(tal.Load(nvm.Addr(hdrAuxBase + i)))
 	}
 	for p := range h.pins {
-		push(uint64(p))
+		mk.Offer(uint64(p))
 	}
 	var buf [256]uint64
-	for len(stack) > 0 {
-		p := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		rep.BlocksMarked++
+	for len(mk.scan) > 0 {
+		p := mk.scan[len(mk.scan)-1]
+		mk.scan = mk.scan[:len(mk.scan)-1]
 		for end := p + blocks.total(p) - 1; p < end; {
 			words := buf[:min(uint64(len(buf)), end-p)]
 			tal.LoadBlock(nvm.Addr(p), words)
-			for _, v := range words {
-				push(v)
-			}
+			mk.Offer(words...)
 			p += uint64(len(words))
 		}
 	}
 
 	// Sweep phase: free every allocated block the mark phase missed.
+	var rep GCReport
 	for w, allocated := range blocks.alloc {
 		rep.BlocksScanned += bits.OnesCount64(allocated)
-		for leaked := allocated &^ marked[w]; leaked != 0; leaked &= leaked - 1 {
+		rep.BlocksMarked += bits.OnesCount64(mk.marked[w])
+		for leaked := allocated &^ mk.marked[w]; leaked != 0; leaked &= leaked - 1 {
 			p := uint64(w)<<6 + uint64(bits.TrailingZeros64(leaked))
 			total := blocks.total(p)
 			tal.Store(nvm.Addr(p)-1, total<<1) // clear alloc bit
@@ -110,6 +111,42 @@ func (h *Heap) GC(noScan ...Ptr) (GCReport, error) {
 	}
 	h.tel.AddGC(uint64(rep.BlocksFreed))
 	return rep, nil
+}
+
+// SetTracer makes t (see the file comment) part of every collection's
+// mark phase, or removes it (nil); call it while the heap is unshared. t
+// runs under the allocator lock: it reads through mk.Tally or Load only.
+func (h *Heap) SetTracer(t func(*Marker) error) { h.tracer = t }
+
+// Marker is a collection's mark state as its tracer sees it; the
+// tracer's loads go on Tally. A nil Marker ignores every call.
+type Marker struct {
+	Tally  *nvm.Tally
+	alloc  bitmap // the allocated blocks (blockMap.alloc)
+	marked bitmap
+	scan   []uint64 // offered blocks, marked, not yet scanned
+}
+
+// Reach marks p, if it is an allocated block, without scanning it.
+func (mk *Marker) Reach(p Ptr) {
+	if mk != nil && mk.alloc.has(uint64(p)) {
+		mk.marked.set(uint64(p))
+	}
+}
+
+// Offer takes each of vs as a scanned word: if it is, seen through
+// tags, the payload address of an allocated block not yet marked, the
+// block is marked, and scanned once the tracer returns.
+func (mk *Marker) Offer(vs ...uint64) {
+	if mk == nil {
+		return
+	}
+	for _, v := range vs {
+		if p := v &^ markTagMask; mk.alloc.has(p) && !mk.marked.has(p) {
+			mk.marked.set(p)
+			mk.scan = append(mk.scan, p)
+		}
+	}
 }
 
 // markTagMask strips low/high tag bits before the conservative pointer
@@ -156,28 +193,3 @@ type blockMap struct {
 // total returns the size in words, header included, of the block whose
 // payload starts at p.
 func (m *blockMap) total(p uint64) uint64 { return m.starts.next(p+1) - p }
-
-// collectBlocks walks the block chain and returns its map.
-func (h *Heap) collectBlocks(tal *nvm.Tally) (*blockMap, error) {
-	bump := tal.Load(hdrBump)
-	if bump > h.dev.Words() {
-		return nil, ErrCorrupt
-	}
-	n := (bump+1)>>6 + 1
-	m := &blockMap{starts: make(bitmap, n), alloc: make(bitmap, n)}
-	addr := uint64(heapStart)
-	for addr < bump {
-		hdr := tal.Load(nvm.Addr(addr))
-		size := hdr >> 1
-		if size < minBlock || addr+size > bump {
-			return nil, ErrCorrupt
-		}
-		m.starts.set(addr + 1)
-		if hdr&allocBit != 0 {
-			m.alloc.set(addr + 1)
-		}
-		addr += size
-	}
-	m.starts.set(bump + 1)
-	return m, nil
-}

@@ -200,23 +200,63 @@ func freeLists(h *Heap) [][]Ptr {
 	return lists
 }
 
-// TestGCMatchesMapReference collects each seed's heap twice, from the
-// same start: once scanning every block, once keeping a few unscanned.
+// TestGCMatchesMapReference collects each seed's heap three times, from
+// the same start: once scanning every block, once keeping a few
+// unscanned, and once with a tracer walking what the root reaches.
 func TestGCMatchesMapReference(t *testing.T) {
 	for seed := int64(1); seed <= 16; seed++ {
 		t.Run(fmt.Sprint("seed=", seed), func(t *testing.T) {
-			t.Run("scan=all", func(t *testing.T) { checkGCAgainstReference(t, seed, false) })
-			t.Run("scan=some", func(t *testing.T) { checkGCAgainstReference(t, seed, true) })
+			t.Run("scan=all", func(t *testing.T) { checkGCAgainstReference(t, seed, false, false) })
+			t.Run("scan=some", func(t *testing.T) { checkGCAgainstReference(t, seed, true, false) })
+			t.Run("traced", func(t *testing.T) { checkGCAgainstReference(t, seed, false, true) })
 		})
+	}
+}
+
+// traceFrom is a tracer (SetTracer) that walks everything reachable
+// from root the way a structure's own tracer walks it: a word naming an
+// allocated block (sizes holds each one's payload words) is followed and
+// that block reached, and every other word offered. It knows which words
+// are links from the test's knowledge of the heap, not from a layout, so
+// it must mark exactly what the conservative scan marks.
+func traceFrom(root Ptr, sizes map[Ptr]int) func(*Marker) error {
+	return func(mk *Marker) error {
+		seen := map[Ptr]bool{}
+		var walk func(p Ptr)
+		walk = func(p Ptr) {
+			if sizes[p] == 0 || seen[p] {
+				return
+			}
+			seen[p] = true
+			mk.Reach(p)
+			words := make([]uint64, sizes[p])
+			mk.Tally.LoadBlock(p.Addr(), words)
+			for _, v := range words {
+				if q := Ptr(v &^ markTagMask); sizes[q] > 0 {
+					walk(q)
+				} else {
+					mk.Offer(v)
+				}
+			}
+		}
+		walk(root)
+		return nil
 	}
 }
 
 // checkGCAgainstReference runs GC and gcWithMaps on two copies of one
 // random heap and requires the same report, the same survivors and the
-// same free lists.
-func checkGCAgainstReference(t *testing.T, seed int64, keepSome bool) {
+// same free lists. The reference never traces.
+func checkGCAgainstReference(t *testing.T, seed int64, keepSome, traced bool) {
 	heaps := buildRandomHeaps(t, seed)
 	before := allocatedSet(t, heaps[0])
+	if traced {
+		sizes := map[Ptr]int{}
+		for _, p := range before {
+			sizes[p], _ = heaps[0].SizeOf(p)
+		}
+		heaps[0].SetTracer(traceFrom(heaps[0].Root(), sizes))
+	}
 	var noScan []Ptr
 	if keepSome {
 		// Keep a few blocks unscanned, a freed-looking and an

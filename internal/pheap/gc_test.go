@@ -1,6 +1,7 @@
 package pheap
 
 import (
+	"errors"
 	"testing"
 
 	"tsp/internal/nvm"
@@ -226,5 +227,41 @@ func TestGCReportWordsReclaimed(t *testing.T) {
 	rep, _ := h.GC()
 	if rep.WordsReclaimed < 8 {
 		t.Fatalf("WordsReclaimed = %d, want >= 8", rep.WordsReclaimed)
+	}
+}
+
+// reopened returns a heap on a restarted device holding a 6-node list
+// at the root and two unlinked blocks, freshly Opened.
+func reopened(t *testing.T) *Heap {
+	t.Helper()
+	dev := nvm.NewDevice(nvm.Config{Words: 1 << 14})
+	h, _ := Format(dev)
+	h.SetRoot(buildList(t, h, 6))
+	for i := 0; i < 2; i++ {
+		if _, err := h.Alloc(3); err != nil {
+			t.Fatalf("Alloc: %v", err)
+		}
+	}
+	dev.CrashRescue()
+	dev.Restart()
+	h2, err := Open(dev)
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	return h2
+}
+
+// A tracer's error aborts the collection before the sweep: nothing is
+// freed, and the error is the collection's.
+func TestGCTracerErrorFreesNothing(t *testing.T) {
+	h := reopened(t)
+	bad := errors.New("structure corrupt")
+	h.SetTracer(func(*Marker) error { return bad })
+	if _, err := h.GC(); err != bad {
+		t.Fatalf("GC = %v, want the tracer's error", err)
+	}
+	h.SetTracer(nil)
+	if rep, err := h.GC(); err != nil || rep.BlocksFreed != 2 {
+		t.Fatalf("GC without the tracer = %+v, %v; want the 2 unlinked blocks freed", rep, err)
 	}
 }

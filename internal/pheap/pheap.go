@@ -99,6 +99,8 @@ type Heap struct {
 
 	pins map[Ptr]struct{} // volatile GC roots registered this incarnation
 
+	tracer func(*Marker) error // see SetTracer
+
 	tel *telemetry.HeapStats // nil-safe; set via SetTelemetry
 
 	syncAllocs bool // flush each allocation's header and the bump pointer; see SetSyncAllocs
@@ -144,7 +146,7 @@ func Open(dev *nvm.Device) (*Heap, error) {
 		return nil, fmt.Errorf("%w: header says %d words, device has %d", ErrCorrupt, w, dev.Words())
 	}
 	h := newHeap(dev)
-	if err := h.rebuildFreeLists(&tal); err != nil {
+	if _, err := h.walkChain(&tal, true); err != nil {
 		return nil, err
 	}
 	return h, nil
@@ -161,38 +163,53 @@ func newHeap(dev *nvm.Device) *Heap {
 // Device returns the underlying device.
 func (h *Heap) Device() *nvm.Device { return h.dev }
 
-// rebuildFreeLists walks the block chain from heapStart to the bump
-// pointer, repairing a torn bump pointer if the chain ends early (a
-// crash-without-rescue can persist a block header without the bump
-// update, or vice versa; both resolve to "trust the chain").
-func (h *Heap) rebuildFreeLists(tal *nvm.Tally) error {
-	bump := Ptr(tal.Load(hdrBump))
-	if uint64(bump) < heapStart || uint64(bump) > h.dev.Words() {
-		return fmt.Errorf("%w: bump pointer %d out of range", ErrCorrupt, bump)
+// walkChain walks the block chain from heapStart to the bump pointer:
+// the collector's walk returns its map (see blockMap); Open's (open)
+// rebuilds the free lists, and repairs a torn bump pointer if the chain
+// ends early (a crash-without-rescue can persist a block header without
+// the bump update, or vice versa; both resolve to "trust the chain").
+func (h *Heap) walkChain(tal *nvm.Tally, open bool) (*blockMap, error) {
+	bump := tal.Load(hdrBump)
+	if bump < heapStart || bump > h.dev.Words() {
+		return nil, fmt.Errorf("%w: bump pointer %d out of range", ErrCorrupt, bump)
 	}
-	addr := Ptr(heapStart)
-	for addr < bump {
-		hdr := tal.Load(addr.Addr())
+	var m *blockMap
+	if !open {
+		n := (bump+1)>>6 + 1
+		m = &blockMap{starts: make(bitmap, n), alloc: make(bitmap, n)}
+	}
+	for addr := uint64(heapStart); addr < bump; {
+		hdr := tal.Load(nvm.Addr(addr))
 		size := hdr >> 1
-		if size == 0 {
+		if size == 0 && open {
 			// Torn allocation: the bump pointer advanced but the block
 			// header never became durable. Everything from here on was
 			// never handed out in this incarnation's view; pull the bump
 			// pointer back.
-			tal.Store(hdrBump, uint64(addr))
+			tal.Store(hdrBump, addr)
 			h.dev.FlushWord(hdrBump)
 			bump = addr
 			break
 		}
-		if size < minBlock || size > 1<<maxSizeBits || uint64(addr)+size > uint64(bump) {
-			return fmt.Errorf("%w: block at %d has size %d", ErrCorrupt, addr, size)
+		if size < minBlock || size > 1<<maxSizeBits || addr+size > bump {
+			return nil, fmt.Errorf("%w: block at %d has size %d", ErrCorrupt, addr, size)
 		}
-		if hdr&allocBit == 0 {
-			h.pushFree(addr+1, int(size))
+		if open {
+			if hdr&allocBit == 0 {
+				h.pushFree(Ptr(addr)+1, int(size))
+			}
+		} else {
+			m.starts.set(addr + 1)
+			if hdr&allocBit != 0 {
+				m.alloc.set(addr + 1)
+			}
 		}
-		addr += Ptr(size)
+		addr += size
 	}
-	return nil
+	if m != nil {
+		m.starts.set(bump + 1)
+	}
+	return m, nil
 }
 
 // classFor returns the smallest size-class index whose blocks hold total
@@ -207,25 +224,16 @@ func classFor(total int) int {
 }
 
 // pushFree adds the block with the given payload pointer and total size
-// to the appropriate volatile free list.
+// to the volatile free list of the class whose size equals total, or to
+// the large list. Blocks are always carved at exact class sizes (or
+// large), so lookup by exact size keeps freed blocks reusable at their
+// class.
 func (h *Heap) pushFree(payload Ptr, total int) {
-	if c := classForExact(total); c >= 0 {
+	if c := classFor(total); c >= 0 && sizeClasses[c] == total {
 		h.free[c] = append(h.free[c], payload)
 	} else {
 		h.large = append(h.large, payload)
 	}
-}
-
-// classForExact returns the class whose size equals total, or -1. Blocks
-// are always carved at exact class sizes (or large), so lookup by exact
-// size is sufficient and keeps freed blocks reusable at their class.
-func classForExact(total int) int {
-	for i, c := range sizeClasses {
-		if total == c {
-			return i
-		}
-	}
-	return -1
 }
 
 // Alloc allocates a block with room for at least words payload words,
@@ -303,7 +311,7 @@ func (h *Heap) allocLocked(tal *nvm.Tally, need int) (Ptr, int, error) {
 	}
 	blockAddr := nvm.Addr(bump)
 	// Order matters for crash robustness: write the header first, then
-	// advance the bump pointer. rebuildFreeLists tolerates either store
+	// advance the bump pointer. Open's walkChain tolerates either store
 	// being lost.
 	tal.Store(blockAddr, uint64(total)<<1|allocBit)
 	tal.Store(hdrBump, bump+uint64(total))

@@ -138,10 +138,12 @@ func (s *Stack) MarkDrainApplied(th *atlas.Thread) {
 }
 
 // replayDrain attaches the payload block and, if a payload is committed
-// but not applied, applies it to the map — one section per record — and
-// then marks it applied. Run by Reattach after Atlas recovery, so a
-// partial apply has already rolled back to a section boundary. The
-// replay's thread stays registered for NewThread to hand out.
+// but not applied, applies it to the map — one section per record —
+// marks it applied and verifies the map it leaves (recovery's collector
+// verified the map before the replay). Run by Reattach after Atlas
+// recovery, so a partial apply has already rolled back to a section
+// boundary. The replay's thread stays registered for NewThread to hand
+// out.
 func (s *Stack) replayDrain() error {
 	p := s.Heap.Aux(auxDrainSlot)
 	if p.IsNil() {
@@ -179,6 +181,9 @@ func (s *Stack) replayDrain() error {
 	tal.Store(base+drainAppliedWord, commit)
 	if s.cfg.mode == atlas.ModeNonTSP {
 		s.Dev.FlushWord(base + drainAppliedWord)
+	}
+	if _, err := s.Map.Verify(); err != nil {
+		return fmt.Errorf("stack: epoch drain replay: %w", err)
 	}
 	return nil
 }

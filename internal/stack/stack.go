@@ -499,7 +499,18 @@ func Reattach(dev *nvm.Device, opts ...Option) (*Stack, error) {
 		}
 		return s, nil
 	}
+	// The directory is written once, by New, so no rollback moves it.
+	root := heap.Root()
+	if root.IsNil() || heap.Load(root, rootMagicWord) != rootMagic {
+		return nil, fmt.Errorf("stack: heap root is not a multi-engine directory")
+	}
+	// Recovery's collector traces the map, verifying it: each node is read
+	// once, not by a scan and then a Verify (replayDrain verifies again).
+	// The tracer is recovery's only: the live heap collects untraced.
+	mapPtr := pheap.Ptr(heap.Load(root, rootMapWord))
+	heap.SetTracer(func(mk *pheap.Marker) error { return hashmap.Trace(heap, mapPtr, mk) })
 	rep, err := atlas.Recover(heap)
+	heap.SetTracer(nil)
 	if err != nil {
 		return nil, fmt.Errorf("stack: atlas recovery: %w", err)
 	}
@@ -508,11 +519,7 @@ func Reattach(dev *nvm.Device, opts ...Option) (*Stack, error) {
 	if err != nil {
 		return nil, fmt.Errorf("stack: atlas runtime: %w", err)
 	}
-	root := heap.Root()
-	if root.IsNil() || heap.Load(root, rootMagicWord) != rootMagic {
-		return nil, fmt.Errorf("stack: heap root is not a multi-engine directory")
-	}
-	m, err := hashmap.Open(rt, pheap.Ptr(heap.Load(root, rootMapWord)))
+	m, err := hashmap.Open(rt, mapPtr)
 	if err != nil {
 		return nil, fmt.Errorf("stack: hashmap reattach: %w", err)
 	}
@@ -582,14 +589,6 @@ func (s *Stack) Mode() atlas.Mode { return s.cfg.mode }
 func (s *Stack) CrashReattach(opts nvm.CrashOptions) (*Stack, error) {
 	s.Dev.Crash(opts)
 	s.Dev.Restart()
-	return s.reattachSelf()
-}
-
-func (s *Stack) reattachSelf() (*Stack, error) {
 	c := s.cfg
-	ns, err := Reattach(s.Dev, func(out *config) { *out = c })
-	if err != nil {
-		return nil, err
-	}
-	return ns, nil
+	return Reattach(s.Dev, func(out *config) { *out = c })
 }
