@@ -1,8 +1,7 @@
 GO ?= go
 
 .PHONY: build test check bench-json bench-micro bench-recover bench-pairs \
-	demo-repl campaign-durability campaign-exactly-once campaign-cluster \
-	check-docs
+	demo-repl check-docs
 
 build:
 	$(GO) build ./...
@@ -36,29 +35,6 @@ bench-micro:
 	$(GO) test -run 'ZZZ' -bench 'GetsOptimistic|ReadMix' -cpu 8 -benchtime 50000x ./internal/cacheserver
 	$(GO) test -run 'ZZZ' -bench 'StoreTelemetry|LoadTelemetry|LoadTallied|LoadOneShot' -benchtime 2000000x ./internal/nvm
 	$(GO) test -run 'ZZZ' -bench 'PutTelemetry' -benchtime 300000x ./internal/hashmap
-
-# The durability-tier crash campaign: a full cache server under mixed
-# durable/relaxed/wait traffic, crashed every cycle; durable and
-# wait-covered writes must always survive, relaxed losses must stay
-# above the receipt's epoch frontier. check.sh runs this 3x under -race.
-campaign-durability:
-	$(GO) run ./cmd/faultinject -durability-only -durability-cycles 10
-
-# The exactly-once retry campaign: a replicated pair under a sessioned
-# retry storm (every mutation resent as a lost-ack duplicate), with a
-# power failure mid-storm and a follower promotion per cycle; no
-# duplicate may ever apply twice. check.sh runs this 3x under -race.
-campaign-exactly-once:
-	$(GO) run ./cmd/faultinject -exactly-once -exactly-once-cycles 4
-
-# The cluster crash-and-rebalance campaign: three nodes behind the
-# routing proxy under a duplicate-send storm, one owning node crashed
-# mid-storm, then every one of its slots migrated away while traffic
-# continues; zero acked-write loss across the flips, exactly-once
-# replay on the new owners, MOVED correctness on the old one.
-# check.sh runs this 3x under -race.
-campaign-cluster:
-	$(GO) run ./cmd/faultinject -cluster -cluster-cycles 3
 
 # The doc-drift gate: the flag tables in README.md and docs/PROTOCOL.md
 # must list exactly the live `tspcached -help` flags, and no doc may

@@ -1,53 +1,33 @@
-// Command faultinject runs the Section 5.2 fault-injection experiment:
-// it repeatedly crashes the running map workload at uniformly random
-// instants (the in-process analogue of the paper's SIGKILL), recovers,
-// and has the recovery observer verify the integrity invariants
-// (Equations 1 and 2) plus the structural invariants of the map.
+// Command faultinject runs the Section 5.2 fault-injection experiment
+// and the crash campaigns built on it, each crashing a running workload
+// over and over and holding what recovery leaves to a stated condition:
 //
-// The default campaign covers the paper's claim — hundreds of crashes,
-// all recovering consistently — for the fortified variants under a full
-// TSP rescue, and for Atlas non-TSP mode under a crash with NO rescue.
-// With -hazard it additionally demonstrates the failure mode the TSP
-// framework predicts: Atlas TSP mode crashed WITHOUT its rescue.
+//   - harness: the paper's map workload under the recovery observer
+//     (Equations 1 and 2, the map's structure), for the fortified
+//     variants under a full TSP rescue and for non-TSP mode with none.
+//     A last row, left out of the tally, gives TSP mode HALF a rescue:
+//     the hazard the TSP framework predicts.
+//   - multi-engine: the hash map and the skip list on one heap.
+//   - durability: durable, relaxed and barrier writers on one server;
+//     every shard crashes inside the epoch close a parked `wait` asked for.
+//   - exactly-once: sessioned writers on a replicated pair; the primary
+//     crashes mid-storm, then the follower is promoted.
+//   - cluster: sessioned writers through a proxy to three nodes; node A
+//     crashes mid-storm, then every slot it owns migrates away.
 //
-// The durability-tier campaign (see durability.go) crashes a full cache
-// server under mixed durable/relaxed/wait-barrier traffic and holds each
-// tier to its crash contract: durable and barrier-covered writes always
-// survive, relaxed losses stay above the recovered epoch frontier.
-// -durability-only runs just that campaign (the pre-merge gate's shape);
-// -durability-cycles sets its crash-cycle count.
-//
-// The exactly-once campaign (see exactlyonce.go) runs a replicated
-// primary/follower pair under a sessioned retry storm — every mutation
-// resent as a lost-ack duplicate — with a mid-storm power failure and an
-// end-of-cycle follower promotion, holding the seq=<n> dedup window to
-// the detectable-operation contract: no duplicate ever applies twice,
-// on the recovered primary or the promoted follower. -exactly-once runs
-// just that campaign; -exactly-once-cycles sets its cycle count.
-//
-// The cluster campaign (see cluster.go) runs a three-node cluster
-// behind a routing proxy under the same duplicate-send storm, crashes
-// one owning node mid-storm, then migrates every one of its slots away
-// while traffic continues — holding the cluster to zero acked-write
-// loss across the migration flips, exactly-once replay on whichever
-// node owns each key afterwards, MOVED correctness on the old owner,
-// and Eq 1 & 2 on every node. -cluster runs just that campaign;
-// -cluster-cycles sets its cycle count.
-//
-// Every campaign also tallies into the telemetry registry's campaign_*
-// vocabulary; the final "STAT campaign_* <n>" lines are the same schema
-// a server's `stats` command speaks, so campaign results aggregate and
-// diff with the shared Snapshot arithmetic.
+// All but the first hold every read to its key's recorded history
+// (keyHist): durable linearizability for durable writes, buffered
+// durable linearizability for relaxed ones, detectability for sessioned
+// ones. The closing "STAT campaign_* <n>" lines speak a server's
+// `stats` schema.
 //
 // Usage:
 //
-//	faultinject [-n 100] [-threads 8] [-seed 1] [-hazard]
-//	            [-durability-only] [-durability-cycles 10]
-//	            [-exactly-once] [-exactly-once-cycles 4]
-//	            [-cluster] [-cluster-cycles 3]
+//	faultinject [-campaign all] [-n 0] [-threads 8] [-seed 1]
 package main
 
 import (
+	"cmp"
 	"flag"
 	"fmt"
 	"os"
@@ -57,131 +37,107 @@ import (
 )
 
 // campTel accumulates every campaign's outcome in the telemetry
-// registry's campaign_* vocabulary (see printCampaignStats).
+// registry's campaign_* vocabulary.
 var campTel = &telemetry.CampaignStats{}
 
-// printCampaignStats renders the accumulated campaign counters in the
-// servers' STAT vocabulary — one schema for campaigns and servers.
-func printCampaignStats() {
-	fmt.Println()
-	telemetry.Text(os.Stdout, telemetry.CampaignRows.Bind(campTel))
+// campaigns lists every campaign in the order `-campaign all` runs
+// them, with its default crash or cycle count.
+var campaigns = []struct {
+	name string
+	n    int
+	run  func(n, threads int, seed int64) bool
+}{
+	{"harness", 100, runHarness},
+	{"multi-engine", 100, runMultiEngine},
+	{"durability", 10, runDurability},
+	{"exactly-once", 4, runExactlyOnce},
+	{"cluster", 3, runCluster},
 }
 
 func main() {
-	n := flag.Int("n", 100, "crashes to inject per configuration")
+	campaign := flag.String("campaign", "all", "campaign to run: all, harness, multi-engine, durability, exactly-once or cluster")
+	n := flag.Int("n", 0, "crashes or cycles per campaign (0: each campaign's default)")
 	threads := flag.Int("threads", 8, "worker threads")
 	seed := flag.Int64("seed", 1, "base seed")
-	hazard := flag.Bool("hazard", false, "also run TSP-mode-without-rescue to demonstrate the hazard")
-	durOnly := flag.Bool("durability-only", false, "run only the durability-tier cache-server campaign")
-	durCycles := flag.Int("durability-cycles", 10, "crash cycles in the durability-tier campaign")
-	eoOnly := flag.Bool("exactly-once", false, "run only the exactly-once retry campaign (replicated pair, crash + promote)")
-	eoCycles := flag.Int("exactly-once-cycles", 4, "crash+promote cycles in the exactly-once campaign")
-	clOnly := flag.Bool("cluster", false, "run only the cluster campaign (3 nodes + proxy, crash + slot rebalance)")
-	clCycles := flag.Int("cluster-cycles", 3, "crash+rebalance cycles in the cluster campaign")
 	flag.Parse()
 
-	if *durOnly {
-		ok := runDurability(*durCycles, *threads, *seed)
-		printCampaignStats()
-		if !ok {
-			os.Exit(1)
+	ok, ran := true, false
+	for _, c := range campaigns {
+		if *campaign == "all" || *campaign == c.name {
+			ok = c.run(cmp.Or(*n, c.n), *threads, *seed) && ok
+			ran = true
 		}
-		return
 	}
-	if *eoOnly {
-		ok := runExactlyOnce(*eoCycles, *threads, *seed)
-		printCampaignStats()
-		if !ok {
-			os.Exit(1)
-		}
-		return
+	if !ran {
+		fmt.Fprintf(os.Stderr, "faultinject: unknown campaign %q\n", *campaign)
+		os.Exit(2)
 	}
-	if *clOnly {
-		ok := runCluster(*clCycles, *threads, *seed)
-		printCampaignStats()
-		if !ok {
-			os.Exit(1)
-		}
-		return
+	fmt.Println()
+	telemetry.Text(os.Stdout, telemetry.CampaignRows.Bind(campTel))
+	if !ok {
+		os.Exit(1)
 	}
+}
 
-	type scenario struct {
+// report runs n cycles of one campaign row, tallies them, and prints
+// the row with its first failure. It reports whether every cycle held.
+func report(name string, n int, cycle func(i int) error) bool {
+	consistent := 0
+	var first error
+	for i := 0; i < n; i++ {
+		if err := cycle(i); err == nil {
+			consistent++
+		} else if first == nil {
+			first = err
+		}
+	}
+	campTel.Record(n, consistent)
+	campTel.Crashes.Add(uint64(n))
+	status := "OK"
+	if consistent != n {
+		status = "FAILED"
+	}
+	fmt.Printf("%-55s %3d/%3d consistent  %s\n", name, consistent, n, status)
+	if first != nil {
+		fmt.Printf("    failure: %v\n", first)
+	}
+	return consistent == n
+}
+
+// runHarness runs the Section 5.2 rows, then the hazard row.
+func runHarness(n, threads int, seed int64) bool {
+	ok := true
+	for _, row := range []struct {
 		name    string
 		variant harness.Variant
 		rescue  float64
-		expect  string // "all" = every run must be consistent
-	}
-	scenarios := []scenario{
-		{"non-blocking + TSP rescue", harness.NonBlocking, 1, "all"},
-		{"atlas log-only (TSP mode) + TSP rescue", harness.MutexAtlasTSP, 1, "all"},
-		{"atlas log+flush (non-TSP) + TSP rescue", harness.MutexAtlasNonTSP, 1, "all"},
-		{"atlas log+flush (non-TSP) + NO rescue", harness.MutexAtlasNonTSP, 0, "all"},
-	}
-	if *hazard {
-		// A half-completed rescue (or equivalently, cache eviction having
-		// persisted an arbitrary subset of stores) is the dangerous case
-		// for TSP mode: the unflushed undo log is partially gone while
-		// some uncommitted data stores are durable. A total loss
-		// (rescue=0) would merely revert to the last fully durable state,
-		// which is consistent; it is the *mixed* outcome that corrupts.
-		scenarios = append(scenarios,
-			scenario{"atlas log-only (TSP mode) + HALF rescue  [hazard demo]", harness.MutexAtlasTSP, 0.5, "some-may-fail"})
+	}{
+		{"non-blocking + TSP rescue", harness.NonBlocking, 1},
+		{"atlas log-only (TSP mode) + TSP rescue", harness.MutexAtlasTSP, 1},
+		{"atlas log+flush (non-TSP) + TSP rescue", harness.MutexAtlasNonTSP, 1},
+		{"atlas log+flush (non-TSP) + NO rescue", harness.MutexAtlasNonTSP, 0},
+	} {
+		ok = report(row.name, n, func(i int) error {
+			cfg := harness.Config{Variant: row.variant, Threads: threads, Seed: seed + int64(i)*1000003}
+			r, err := harness.RunCrash(cfg, harness.CrashOptions{RescueFraction: row.rescue})
+			if err == nil && !r.OK() {
+				err = fmt.Errorf("%s (recovery err: %v)", r, r.RecoveryErr)
+			}
+			return err
+		}) && ok
 	}
 
-	exitCode := 0
-	for _, sc := range scenarios {
-		cfg := harness.Config{
-			Variant: sc.variant,
-			Threads: *threads,
-			Seed:    *seed,
-		}
-		camp, err := harness.Campaign(cfg, harness.CrashOptions{RescueFraction: sc.rescue}, *n)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "%s: %v\n", sc.name, err)
-			os.Exit(1)
-		}
-		// The hazard demo is excluded from the shared tally: its failures
-		// are the expected demonstration, not campaign inconsistency.
-		if sc.expect == "all" {
-			campTel.Record(camp.Runs, camp.Consistent)
-			campTel.Crashes.Add(uint64(camp.Runs))
-		}
-		status := "OK"
-		if sc.expect == "all" && !camp.OK() {
-			status = "FAILED"
-			exitCode = 1
-		}
-		if sc.expect != "all" {
-			status = fmt.Sprintf("expected: recovery not guaranteed (observed %d/%d consistent)",
-				camp.Consistent, camp.Runs)
-		}
-		fmt.Printf("%-55s %3d/%3d consistent  %s\n", sc.name, camp.Consistent, camp.Runs, status)
-		for i, f := range camp.Failures {
-			if sc.expect == "all" && i < 3 {
-				fmt.Printf("    failure: %s (recovery err: %v)\n", f, f.RecoveryErr)
-			}
-		}
+	// A half-completed rescue (or cache eviction having persisted an
+	// arbitrary subset of stores) leaves TSP mode's unflushed undo log
+	// partly gone while some uncommitted data stores are durable: the
+	// mixed outcome that corrupts. A total loss would merely revert to
+	// the last durable state.
+	cfg := harness.Config{Variant: harness.MutexAtlasTSP, Threads: threads, Seed: seed}
+	camp, err := harness.Campaign(cfg, harness.CrashOptions{RescueFraction: 0.5}, n)
+	if err != nil {
+		fmt.Printf("    hazard: %v\n", err)
 	}
-	// The multi-engine campaign crashes map and skip-list writers
-	// sharing one heap (see multiengine.go).
-	if !runMultiEngine(*n, *threads, *seed) {
-		exitCode = 1
-	}
-	// The durability-tier campaign crashes the cache server under
-	// mixed-tier wire traffic (see durability.go).
-	if !runDurability(*durCycles, *threads, *seed) {
-		exitCode = 1
-	}
-	// The exactly-once campaign holds the session dedup window to its
-	// retry contract across crash and promotion (see exactlyonce.go).
-	if !runExactlyOnce(*eoCycles, *threads, *seed) {
-		exitCode = 1
-	}
-	// The cluster campaign holds the routing tier to zero acked-write
-	// loss across crash and slot rebalance (see cluster.go).
-	if !runCluster(*clCycles, *threads, *seed) {
-		exitCode = 1
-	}
-	printCampaignStats()
-	os.Exit(exitCode)
+	fmt.Printf("%-55s %3d/%3d consistent  expected: recovery not guaranteed\n",
+		"atlas log-only (TSP mode) + HALF rescue  [hazard]", camp.Consistent, camp.Runs)
+	return ok
 }

@@ -135,55 +135,6 @@ func getVal(w *wire, k uint64) (uint64, error) {
 	return strconv.ParseUint(f[2], 10, 64)
 }
 
-// invariants is the recovery observer's verdict on the promoted copy.
-type invariants struct {
-	sumC1, sumC2, sumHigh        uint64
-	perThread, eq1, eq2, anyData bool
-}
-
-func (v invariants) ok() bool { return v.perThread && v.eq1 && v.eq2 && v.anyData }
-
-func (v invariants) String() string {
-	return fmt.Sprintf("Σc1=%d Σc2=%d ΣH=%d perThread=%v eq1=%v eq2=%v",
-		v.sumC1, v.sumC2, v.sumHigh, v.perThread, v.eq1, v.eq2)
-}
-
-// checkInvariants reads the counters and the high-key range off a
-// quiescent server and evaluates Equations 1 and 2 plus the per-thread
-// strengthening c2,t <= c1,t <= c2,t + 1.
-func checkInvariants(w *wire, threads, highKeys int) (invariants, error) {
-	var v invariants
-	v.perThread = true
-	for t := 0; t < threads; t++ {
-		c1, err := getVal(w, harness.KeyC1(t))
-		if err != nil {
-			return v, err
-		}
-		c2, err := getVal(w, harness.KeyC2(t))
-		if err != nil {
-			return v, err
-		}
-		v.sumC1 += c1
-		v.sumC2 += c2
-		if !(c2 <= c1 && c1 <= c2+1) {
-			v.perThread = false
-		}
-	}
-	lo := harness.HighBase(threads)
-	for k := lo; k < lo+uint64(highKeys); k++ {
-		h, err := getVal(w, k)
-		if err != nil {
-			return v, err
-		}
-		v.sumHigh += h
-	}
-	diff := int64(v.sumC1) - int64(v.sumC2)
-	v.eq1 = diff >= 0 && diff <= int64(threads)
-	v.eq2 = v.sumC1 >= v.sumHigh && v.sumHigh >= v.sumC2
-	v.anyData = v.sumC1 > 0
-	return v, nil
-}
-
 // proc is one tspcached child process with its parsed stdout lines.
 type proc struct {
 	cmd      *exec.Cmd
@@ -459,13 +410,14 @@ func run() int {
 	}
 	fmt.Println("follower promoted")
 
-	v, err := checkInvariants(fw, *threads, *highKeys)
+	read := func(k uint64) (uint64, error) { return getVal(fw, k) }
+	v, err := harness.Observe(*threads, *highKeys, read, nil)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "invariant read: %v\n", err)
 		return 1
 	}
 	fmt.Printf("invariants on the promoted copy:  %s\n", v)
-	if !v.ok() {
+	if !v.OK() || v.SumC1 == 0 {
 		fmt.Fprintln(os.Stderr, "FAIL: invariants violated on the promoted copy (or the copy is empty)")
 		return 1
 	}
@@ -477,13 +429,13 @@ func run() int {
 		fmt.Fprintf(os.Stderr, "crash on promoted copy: %q err=%v\n", resp, err)
 		return 1
 	}
-	v2, err := checkInvariants(fw, *threads, *highKeys)
+	v2, err := harness.Observe(*threads, *highKeys, read, nil)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "invariant read after crash: %v\n", err)
 		return 1
 	}
 	fmt.Printf("invariants after crash+recovery:  %s\n", v2)
-	if !v2.ok() || v2.sumC1 != v.sumC1 || v2.sumC2 != v.sumC2 || v2.sumHigh != v.sumHigh {
+	if !v2.OK() || v2.SumC1 != v.SumC1 || v2.SumC2 != v.SumC2 || v2.SumHigh != v.SumHigh {
 		fmt.Fprintln(os.Stderr, "FAIL: promoted copy lost data across local crash recovery")
 		return 1
 	}

@@ -316,40 +316,7 @@ func TestCrashCampaignWithOptimisticReaders(t *testing.T) {
 
 	// The recovery observer's verdict on the quiescent store, over the
 	// wire (Section 5.1, Equations 1 and 2).
-	var sumC1, sumC2, sumHigh uint64
-	get := func(key uint64) uint64 {
-		got := cc.cmd(t, "get %d", key)
-		if got == "NOT_FOUND" {
-			return 0
-		}
-		fields := strings.Fields(got)
-		v, err := strconv.ParseUint(fields[len(fields)-1], 10, 64)
-		if err != nil {
-			t.Fatalf("parse %q: %v", got, err)
-		}
-		return v
-	}
-	for w := 0; w < writers; w++ {
-		c1, c2 := get(harness.KeyC1(w)), get(harness.KeyC2(w))
-		if !(c2 <= c1 && c1 <= c2+1) {
-			t.Fatalf("per-thread invariant violated for writer %d: c1=%d c2=%d", w, c1, c2)
-		}
-		sumC1 += c1
-		sumC2 += c2
-	}
-	for k := uint64(0); k < highKeys; k++ {
-		sumHigh += get(highBase + k)
-	}
-	diff := int64(sumC1) - int64(sumC2)
-	if diff < 0 || diff > writers {
-		t.Fatalf("Equation 1 violated: Σc1-Σc2 = %d, want [0,%d]", diff, writers)
-	}
-	if !(sumC1 >= sumHigh && sumHigh >= sumC2) {
-		t.Fatalf("Equation 2 violated: Σc1=%d ΣH=%d Σc2=%d", sumC1, sumHigh, sumC2)
-	}
-	if err := s.VerifyAll(); err != nil {
-		t.Fatalf("VerifyAll: %v", err)
-	}
+	observe(t, "recovered store", cc, writers, highKeys, s.VerifyAll)
 	stats := cc.lines(t, "stats")
 	if got := statValue(t, stats, "map_opt_gets"); got == 0 {
 		t.Fatal("campaign readers never hit the optimistic path")
@@ -565,55 +532,41 @@ func TestMultiFollowerFanout(t *testing.T) {
 	// The primary's site is lost.
 	primary.Close()
 
-	checkInvariants := func(name string, c *client) {
-		t.Helper()
-		get := func(key uint64) uint64 {
-			got := c.cmd(t, "get %d", key)
-			if got == "NOT_FOUND" {
-				return 0
-			}
-			fields := strings.Fields(got)
-			v, err := strconv.ParseUint(fields[len(fields)-1], 10, 64)
-			if err != nil {
-				t.Fatalf("%s: parse %q: %v", name, got, err)
-			}
-			return v
-		}
-		var sumC1, sumC2, sumHigh uint64
-		for w := 0; w < writers; w++ {
-			c1, c2 := get(harness.KeyC1(w)), get(harness.KeyC2(w))
-			if !(c2 <= c1 && c1 <= c2+1) {
-				t.Fatalf("%s: per-thread invariant violated: c1=%d c2=%d", name, c1, c2)
-			}
-			sumC1 += c1
-			sumC2 += c2
-		}
-		for k := uint64(0); k < highKeys; k++ {
-			sumHigh += get(highBase + k)
-		}
-		diff := int64(sumC1) - int64(sumC2)
-		if diff < 0 || diff > writers {
-			t.Fatalf("%s: Equation 1 violated: Σc1-Σc2 = %d", name, diff)
-		}
-		if !(sumC1 >= sumHigh && sumHigh >= sumC2) {
-			t.Fatalf("%s: Equation 2 violated: Σc1=%d ΣH=%d Σc2=%d", name, sumC1, sumHigh, sumC2)
-		}
-		// Fully converged before the kill: the writers finished, so both
-		// sums must agree exactly.
-		if sumC1 != uint64(writers*iters) || sumC2 != uint64(writers*iters) {
-			t.Fatalf("%s: Σc1=%d Σc2=%d, want both %d", name, sumC1, sumC2, writers*iters)
-		}
-	}
-
 	// Promote each follower in turn; both must hold the invariants and
 	// accept writes afterwards.
 	for name, fc := range map[string]*client{"follower1": f1c, "follower2": f2c} {
 		if got := fc.cmd(t, "promote"); got != "OK PROMOTED" {
 			t.Fatalf("%s promote: %q", name, got)
 		}
-		checkInvariants(name, fc)
+		// Fully converged before the kill: the writers finished, so both
+		// sums must agree exactly.
+		if rep := observe(t, name, fc, writers, highKeys, nil); rep.SumC1 != writers*iters || rep.SumC2 != writers*iters {
+			t.Fatalf("%s: Σc1=%d Σc2=%d, want both %d", name, rep.SumC1, rep.SumC2, writers*iters)
+		}
 		if got := fc.cmd(t, "set 900000 1"); got != "STORED" {
 			t.Fatalf("%s post-promote write: %q", name, got)
 		}
 	}
+}
+
+// observe runs the recovery observer (Section 5.1, Equations 1 and 2)
+// over c's wire, with verify as the structural check unless it is nil,
+// and fails the test on any violation.
+func observe(t *testing.T, name string, c *client, writers, highKeys int, verify func() error) harness.InvariantReport {
+	t.Helper()
+	rep, err := harness.Observe(writers, highKeys, func(k uint64) (uint64, error) {
+		got := c.cmd(t, "get %d", k)
+		if got == "NOT_FOUND" {
+			return 0, nil
+		}
+		fields := strings.Fields(got)
+		return strconv.ParseUint(fields[len(fields)-1], 10, 64)
+	}, verify)
+	if err == nil {
+		err = rep.Err()
+	}
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	return rep
 }

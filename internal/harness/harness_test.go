@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"errors"
 	"strings"
 	"testing"
 	"time"
@@ -267,5 +268,36 @@ func TestInvariantReportErr(t *testing.T) {
 	bad := InvariantReport{PerThreadOK: true, Eq1OK: false, Eq2OK: true, StructureOK: true}
 	if err := bad.Err(); err == nil {
 		t.Fatal("Err on bad report returned nil")
+	}
+}
+
+func TestObserveOverAReadFunction(t *testing.T) {
+	// Two threads: c1,t at keys 0 and 2, c2,t at 1 and 3, H from 4.
+	store := func(vals map[uint64]uint64) func(uint64) (uint64, error) {
+		return func(k uint64) (uint64, error) { return vals[k], nil }
+	}
+	for _, tc := range []struct {
+		name   string
+		vals   map[uint64]uint64
+		verify func() error
+		want   string // "" = every invariant holds
+	}{
+		{"consistent", map[uint64]uint64{0: 5, 1: 4, 2: 3, 3: 3, 4: 7}, nil, ""},
+		{"empty", map[uint64]uint64{}, nil, ""},
+		{"per-thread", map[uint64]uint64{0: 5, 1: 3, 2: 3, 3: 4, 4: 7}, nil, "perThread=false"},
+		{"equation 2", map[uint64]uint64{0: 5, 1: 4, 2: 3, 3: 3, 5: 9}, nil, "eq2=false"},
+		{"structure", map[uint64]uint64{}, func() error { return errors.New("bad chain") }, "bad chain"},
+	} {
+		rep, err := Observe(2, 3, store(tc.vals), tc.verify)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if err := rep.Err(); tc.want == "" && err != nil || tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)) {
+			t.Errorf("%s: %v, want %q", tc.name, err, tc.want)
+		}
+	}
+	boom := errors.New("connection reset")
+	if _, err := Observe(2, 3, func(uint64) (uint64, error) { return 0, boom }, nil); !errors.Is(err, boom) {
+		t.Fatalf("read error: got %v", err)
 	}
 }

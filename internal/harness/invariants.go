@@ -47,29 +47,55 @@ func (r InvariantReport) Err() error {
 	return fmt.Errorf("harness: invariants violated: %s", r)
 }
 
-// checkInvariants runs the recovery observer over a quiescent store.
-func checkInvariants(d *deployment) InvariantReport {
-	var rep InvariantReport
-	rep.PerThreadOK = true
-	for t := 0; t < d.cfg.Threads; t++ {
-		c1, _ := d.store.GetQuiescent(KeyC1(t))
-		c2, _ := d.store.GetQuiescent(KeyC2(t))
+// Observe is the recovery observer over any quiescent store: it reads
+// each of threads threads' two counters and the highKeys keys of the
+// high range through read (0 for an absent key), evaluates Equations 1
+// and 2 and the per-thread strengthening, and runs verify, the store's
+// structural check (with none, StructureOK holds). An error is read's.
+func Observe(threads, highKeys int, read func(k uint64) (uint64, error), verify func() error) (InvariantReport, error) {
+	rep := InvariantReport{PerThreadOK: true, StructureOK: true}
+	for t := 0; t < threads; t++ {
+		c1, err := read(KeyC1(t))
+		if err != nil {
+			return rep, err
+		}
+		c2, err := read(KeyC2(t))
+		if err != nil {
+			return rep, err
+		}
 		rep.SumC1 += c1
 		rep.SumC2 += c2
 		if !(c2 <= c1 && c1 <= c2+1) {
 			rep.PerThreadOK = false
 		}
 	}
-	lo := HighBase(d.cfg.Threads)
-	rep.SumHigh = d.store.SumRange(lo, lo+uint64(d.cfg.HighKeys))
-	diff := int64(rep.SumC1) - int64(rep.SumC2)
-	rep.Eq1OK = diff >= 0 && diff <= int64(d.cfg.Threads)
-	rep.Eq2OK = rep.SumC1 >= rep.SumHigh && rep.SumHigh >= rep.SumC2
-	if err := d.store.VerifyStructure(); err != nil {
-		rep.StructureOK = false
-		rep.StructErr = err
-	} else {
-		rep.StructureOK = true
+	lo := HighBase(threads)
+	for k := lo; k < lo+uint64(highKeys); k++ {
+		h, err := read(k)
+		if err != nil {
+			return rep, err
+		}
+		rep.SumHigh += h
 	}
+	diff := int64(rep.SumC1) - int64(rep.SumC2)
+	rep.Eq1OK = diff >= 0 && diff <= int64(threads)
+	rep.Eq2OK = rep.SumC1 >= rep.SumHigh && rep.SumHigh >= rep.SumC2
+	if verify != nil {
+		rep.StructErr = verify()
+		rep.StructureOK = rep.StructErr == nil
+	}
+	return rep, nil
+}
+
+// checkInvariants runs the recovery observer over a recovered
+// deployment, reading the store in one pass.
+func checkInvariants(d *deployment) InvariantReport {
+	vals := map[uint64]uint64{}
+	d.store.Range(func(k, v uint64) bool {
+		vals[k] = v
+		return true
+	})
+	rep, _ := Observe(d.cfg.Threads, d.cfg.HighKeys, func(k uint64) (uint64, error) { return vals[k], nil },
+		d.store.VerifyStructure)
 	return rep
 }

@@ -20,11 +20,9 @@ type kvStore interface {
 	Set(w *worker, k, v uint64) error
 	// Inc adds delta to the value under k, inserting if absent.
 	Inc(w *worker, k, delta uint64) error
-	// SumRange sums the values of all keys in [lo, hi) on a quiescent
-	// store (the recovery observer's aggregate read).
-	SumRange(lo, hi uint64) uint64
-	// GetQuiescent reads one key without isolation (quiescent store).
-	GetQuiescent(k uint64) (uint64, bool)
+	// Range visits every key and value of a quiescent store until fn
+	// returns false (the recovery observer's read).
+	Range(fn func(k, v uint64) bool)
 	// VerifyStructure checks implementation-specific invariants on a
 	// quiescent store.
 	VerifyStructure() error
@@ -69,29 +67,7 @@ func (s *mutexStore) Inc(w *worker, k, delta uint64) error {
 	return err
 }
 
-func (s *mutexStore) SumRange(lo, hi uint64) uint64 {
-	var sum uint64
-	s.m.Range(func(k, v uint64) bool {
-		if k >= lo && k < hi {
-			sum += v
-		}
-		return true
-	})
-	return sum
-}
-
-func (s *mutexStore) GetQuiescent(k uint64) (uint64, bool) {
-	var val uint64
-	found := false
-	s.m.Range(func(key, v uint64) bool {
-		if key == k {
-			val, found = v, true
-			return false
-		}
-		return true
-	})
-	return val, found
-}
+func (s *mutexStore) Range(fn func(k, v uint64) bool) { s.m.Range(fn) }
 
 func (s *mutexStore) VerifyStructure() error {
 	_, err := s.m.Verify()
@@ -120,20 +96,7 @@ func (s *nonBlockingStore) Inc(w *worker, k, delta uint64) error {
 	return err
 }
 
-func (s *nonBlockingStore) SumRange(lo, hi uint64) uint64 {
-	var sum uint64
-	s.l.Range(func(k, v uint64) bool {
-		if k >= lo && k < hi {
-			sum += v
-		}
-		return true
-	})
-	return sum
-}
-
-func (s *nonBlockingStore) GetQuiescent(k uint64) (uint64, bool) {
-	return s.l.Get(k)
-}
+func (s *nonBlockingStore) Range(fn func(k, v uint64) bool) { s.l.Range(fn) }
 
 func (s *nonBlockingStore) VerifyStructure() error {
 	_, err := s.l.Verify()

@@ -191,34 +191,18 @@ if awk "BEGIN{exit !($cover < 80)}"; then
 	exit 1
 fi
 
-# The durability-tier crash campaign, three seeds under the race
-# detector: durable and wait-covered writes must always survive a
-# crash, relaxed losses must stay above the receipt's epoch frontier.
-# Every cycle's crash is issued with a `wait` parked on a second
-# connection, so it races a demanded drain's commit or apply.
-echo "== durability-tier crash campaign (3x, -race)"
-for s in 1 2 3; do
-	go run -race ./cmd/faultinject -durability-only -durability-cycles 5 -seed "$s"
-done
-
-# The exactly-once retry campaign, three seeds under the race detector:
-# a replicated pair under a sessioned retry storm (every mutation
-# resent as a lost-ack duplicate), a power failure mid-storm and a
-# follower promotion per cycle; no duplicate may ever apply twice.
-echo "== exactly-once retry campaign (3x, -race)"
-for s in 1 2 3; do
-	go run -race ./cmd/faultinject -exactly-once -exactly-once-cycles 2 -seed "$s"
-done
-
-# The cluster campaign, three seeds under the race detector: three
-# nodes behind the proxy under the duplicate-send storm, one node
-# crashed mid-storm, then all of its slots migrated away while traffic
-# continues; zero acked-write loss, exactly-once replay on the new
-# owners, MOVED correctness on the old one, Eq 1 & 2 on every node.
-echo "== cluster crash + rebalance campaign (3x, -race)"
-for s in 1 2 3; do
-	go run -race ./cmd/faultinject -cluster -cluster-cycles 2 -seed "$s"
-done
+# The crash campaigns (cmd/faultinject), under the race detector at
+# several GOMAXPROCS: TestCampaigns runs the served campaigns at seeds
+# 1-3 (durability 5 cycles: durable and wait-covered writes survive a
+# crash racing a demanded drain, relaxed losses stay above the receipt's
+# frontier; exactly-once 2: a replicated pair under a duplicate-send
+# storm, a crash mid-storm and a promotion, no seq applied twice;
+# cluster 2: three nodes behind the proxy, one crashed and rebalanced
+# away mid-storm, no acked write lost, MOVED on the old owner, Eq 1 & 2
+# on every node), plus a few multi-engine and Section 5.2 crashes; the
+# keyHist tests feed the one checker every violation it must catch.
+echo "== crash campaigns (-race -cpu 1,2,4)"
+go test -race -cpu 1,2,4 ./cmd/faultinject
 
 # Both parsers read attacker-controlled bytes, and the seeded fuzz
 # targets otherwise only ever run their seed corpus: give each a short
