@@ -36,10 +36,11 @@ bench-micro:
 	$(GO) test -run 'ZZZ' -bench 'StoreTelemetry|LoadTelemetry|LoadTallied|LoadOneShot' -benchtime 2000000x ./internal/nvm
 	$(GO) test -run 'ZZZ' -bench 'PutTelemetry' -benchtime 300000x ./internal/hashmap
 
-# The doc-drift gate: the flag tables in README.md and docs/PROTOCOL.md
-# must list exactly the live `tspcached -help` flags, and no doc may
-# name a make target or tspbench flag that is gone. (That the command
-# tables in docs/PROTOCOL.md cover the command table is a go test:
+# The doc-drift gate: the flag tables in docs/PROTOCOL.md must list
+# exactly the live `-help` flags, no doc may name a make target or
+# tspbench flag that is gone, each doc stays under its byte ceiling, and
+# every package has a doc comment. (That the command tables in
+# docs/PROTOCOL.md cover the command table is a go test:
 # TestSpecSpellingsDocumented in internal/proto.)
 check-docs:
 	sh scripts/check_docs.sh

@@ -20,8 +20,8 @@ import (
 	"sync"
 	"time"
 
+	"tsp/internal/famsync"
 	"tsp/internal/nvm"
-	"tsp/internal/persist"
 	"tsp/internal/pheap"
 	"tsp/internal/skiplist"
 )
@@ -74,14 +74,20 @@ func main() {
 	// Persist the durable image to a real file and reload it into a
 	// brand-new device: recovery across an actual process boundary.
 	path := filepath.Join(os.TempDir(), "tsp-nonblocking-demo.snap")
-	if err := persist.Save(dev, path); err != nil {
+	saved, err := famsync.Create(dev, path)
+	if err == nil {
+		err = saved.Close()
+	}
+	if err != nil {
 		log.Fatalf("save: %v", err)
 	}
 	defer os.Remove(path)
 	dev2 := nvm.NewDevice(nvm.Config{Words: 1 << 20})
-	if err := persist.Load(dev2, path); err != nil {
+	loaded, err := famsync.OpenFile(dev2, path)
+	if err != nil {
 		log.Fatalf("load: %v", err)
 	}
+	loaded.Close()
 	fmt.Printf("durable image saved to and reloaded from %s\n", path)
 
 	// The recovery observer: open the heap, attach to the list via the

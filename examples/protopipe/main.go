@@ -54,7 +54,7 @@ func main() {
 	}
 	fmt.Println("native burst (4 requests, 1 write):")
 	// Replies: STORED 3, the incr result, OK RECOVERED EPOCH <p> (the
-	// recovered durability frontier, DESIGN.md §11), then the mget's
+	// recovered durability frontier, DESIGN.md §8), then the mget's
 	// VALUE lines up to END — 3 single-line replies plus a multi-line one.
 	for single := 0; single < 3; single++ {
 		line, err := r.ReadString('\n')

@@ -26,7 +26,7 @@ import (
 //
 // The section takes ONE Atlas mutex, the shard's commit lock: a shard's
 // sections all run on its one Atlas thread under the drain lock, so
-// per-stripe mutexes would only log program order (DESIGN.md §6). The
+// per-stripe mutexes would only log program order (DESIGN.md §7). The
 // stripes stay as the seqlock bracket of the stripes a section mutates.
 //
 // A submitter hands a shard an ordered LIST of groups (chained through

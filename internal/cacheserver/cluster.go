@@ -20,7 +20,7 @@ import (
 
 // Cluster-node state: slot ownership, the MOVED gate, and live slot
 // migration (see internal/cluster for the ring/slot scheme and
-// DESIGN.md §13 for the soundness argument).
+// DESIGN.md §11 for the soundness argument).
 //
 // A cluster node owns a subset of the hash slots. Every keyed request
 // is checked against the ownership table under a read lock (the slot

@@ -24,7 +24,7 @@ import (
 // holds by construction.
 //
 // Ordered keys are hash-routed across shards exactly like map keys
-// (see DESIGN.md §10): a zrange therefore fans out to every shard and
+// (see DESIGN.md §7): a zrange therefore fans out to every shard and
 // k-way merges the per-shard ascending runs; a zcount sums per-shard
 // counts. Both stay lock-free per shard.
 

@@ -48,12 +48,12 @@
 //	wait [epoch [timeout-ms]] -> persisted frontier once it covers <epoch> (default: now)
 //	wait repl [timeout-ms]    -> follower ack count for this connection's writes
 //
-// See epoch.go for the tier machinery and DESIGN.md §11 for the
+// See epoch.go for the tier machinery and DESIGN.md §8 for the
 // crash-loss contract.
 //
 // Exactly-once retries ride a session handshake plus per-request
 // sequence numbers (detectable operations; see session.go and
-// DESIGN.md §12):
+// DESIGN.md §9):
 //
 //	session <id>             -> OK SESSION <id> (binds the connection)
 //	set <k> <v> seq=<n>      -> as set, but duplicate retries of seq n
@@ -82,7 +82,7 @@
 // non-blocking structure needs zero crash-consistency measures made
 // visible on the wire. Ranges are half-open [lo, hi). Ordered keys are
 // hash-routed across shards like map keys; zrange merges the per-shard
-// runs (DESIGN.md §10).
+// runs (DESIGN.md §7).
 //
 // Requests decode in pipelined batches (see serve.go and
 // internal/proto): one socket read surfaces every buffered request as

@@ -53,7 +53,7 @@ import (
 // applied. On a replicating primary every persisted record also rides
 // the replication stream as a group mark, so a promoted follower
 // inherits the window and keeps suppressing the same retries
-// (DESIGN.md §12).
+// (DESIGN.md §9).
 
 // Error texts of the session contract.
 const (

@@ -242,13 +242,13 @@ func TestSessionRetryAckMatchesFirstAck(t *testing.T) {
 	}
 }
 
-// TestSessionRecordSurvivesLoneDurableFold closes DESIGN.md §12's old
-// caveat (2): a sessioned relaxed write followed by a PLAIN durable
-// command on the same key on an otherwise idle server. The write once
-// buffered value and record in the overlay and the durable command's
-// fold, on an unlocked path, made the value durable without its record,
-// so a crash let the retry apply a second time. A seq tag now makes the
-// write durable: its record commits with it and nothing is left to fold.
+// TestSessionRecordSurvivesLoneDurableFold pins DESIGN.md §9's rule that
+// a seq tag makes a write durable. A sessioned relaxed write is followed
+// by a PLAIN durable command on the same key on an otherwise idle server.
+// The write once buffered value and record in the overlay and the durable
+// command's fold, on an unlocked path, made the value durable without its
+// record, so a crash let the retry apply a second time. Now the record
+// commits with the write and nothing is left to fold.
 func TestSessionRecordSurvivesLoneDurableFold(t *testing.T) {
 	// A huge epoch interval and no `wait`: no epoch close can make the
 	// value durable.

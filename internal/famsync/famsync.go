@@ -11,8 +11,10 @@
 // Each Commit appends only the pages that changed since the previous
 // commit, sealed by a checksummed commit record; recovery replays exactly
 // the sealed groups, so the loaded image is always SOME committed state
-// — never a torn one. Compact rewrites the base (atomically, via rename)
-// when the journal grows past the base's size.
+// — never a torn one. The base carries an FNV-1a checksum, and Create
+// and Compact both write it by temp file, fsync and rename, so a file
+// at the path always holds a whole base. Compact rewrites the base when
+// the journal grows past the base's size.
 package famsync
 
 import (
@@ -27,20 +29,20 @@ import (
 
 // On-disk layout (all values little-endian uint64 words):
 //
-//	header:  magic, version, imageWords, pageWords
-//	base:    imageWords words (the image as of the last Compact)
+//	header:  magic, version, imageWords, pageWords, baseChecksum
+//	base:    imageWords words (the image as of the last Create or Compact)
 //	journal: zero or more groups, each
 //	           ( [tagPage, pageIdx, <pageWords words>] )*  — changed pages
 //	           [tagCommit, generation, pageCount, checksum]
 //	         an unsealed (torn) tail group is ignored by recovery.
 const (
 	Magic   = 0x4641_4d53_594e_4331 // "FAMSYNC1"
-	Version = 1
+	Version = 2
 
 	tagPage   = 1
 	tagCommit = 2
 
-	headerWords = 4
+	headerWords = 5
 	// DefaultPageWords is the sync granularity: 64 words = 512 bytes.
 	DefaultPageWords = 64
 )
@@ -83,25 +85,35 @@ func fnv1a(h uint64, words ...uint64) uint64 {
 
 // Create initializes path with the device's current persisted image as
 // the base and returns a Syncer positioned for incremental commits. An
-// existing file at path is truncated.
+// existing file at path is replaced atomically.
 func Create(dev *nvm.Device, path string) (*Syncer, error) {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_TRUNC|os.O_RDWR, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("famsync: %w", err)
-	}
-	img := dev.SnapshotPersisted()
 	s := &Syncer{
 		dev:       dev,
 		path:      path,
-		f:         f,
-		shadow:    img,
+		shadow:    dev.SnapshotPersisted(),
 		pageWords: DefaultPageWords,
 	}
-	if err := writeWords(f, []uint64{Magic, Version, uint64(len(img)), uint64(s.pageWords)}); err != nil {
-		f.Close()
+	f, err := s.writeBase()
+	if err != nil {
 		return nil, err
 	}
-	if err := writeWords(f, img); err != nil {
+	s.f = f
+	return s, nil
+}
+
+// writeBase writes header + shadow image with an empty journal to a
+// temp file, fsyncs it and renames it over path, so a crash leaves
+// either the old file or the new one. It returns the new file
+// positioned at its end.
+func (s *Syncer) writeBase() (*os.File, error) {
+	tmp := s.path + ".tmp"
+	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_RDWR, 0o644)
+	if err != nil {
+		return nil, fmt.Errorf("famsync: %w", err)
+	}
+	defer os.Remove(tmp) // no-op after the rename
+	hdr := []uint64{Magic, Version, uint64(len(s.shadow)), uint64(s.pageWords), fnv1a(0, s.shadow...)}
+	if err := writeWords(f, append(hdr, s.shadow...)); err != nil {
 		f.Close()
 		return nil, err
 	}
@@ -109,7 +121,11 @@ func Create(dev *nvm.Device, path string) (*Syncer, error) {
 		f.Close()
 		return nil, fmt.Errorf("famsync: sync: %w", err)
 	}
-	return s, nil
+	if err := os.Rename(tmp, s.path); err != nil {
+		f.Close()
+		return nil, fmt.Errorf("famsync: rename: %w", err)
+	}
+	return f, nil
 }
 
 // OpenFile loads the committed image from path into the device (which
@@ -144,6 +160,10 @@ func OpenFile(dev *nvm.Device, path string) (*Syncer, error) {
 	if err := readWords(f, img); err != nil {
 		f.Close()
 		return nil, fmt.Errorf("%w: truncated base image", ErrBadFile)
+	}
+	if fnv1a(0, img...) != hdr[4] {
+		f.Close()
+		return nil, fmt.Errorf("%w: base image checksum mismatch", ErrBadFile)
 	}
 	s := &Syncer{dev: dev, path: path, f: f, shadow: img, pageWords: pageWords}
 
@@ -316,34 +336,12 @@ func (s *Syncer) Compact() error {
 	if s.closed {
 		return ErrClosed
 	}
-	tmp := s.path + ".tmp"
-	nf, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_RDWR, 0o644)
+	nf, err := s.writeBase()
 	if err != nil {
-		return fmt.Errorf("famsync: %w", err)
-	}
-	defer os.Remove(tmp)
-	if err := writeWords(nf, []uint64{Magic, Version, uint64(len(s.shadow)), uint64(s.pageWords)}); err != nil {
-		nf.Close()
 		return err
 	}
-	if err := writeWords(nf, s.shadow); err != nil {
-		nf.Close()
-		return err
-	}
-	if err := nf.Sync(); err != nil {
-		nf.Close()
-		return fmt.Errorf("famsync: sync: %w", err)
-	}
-	if err := os.Rename(tmp, s.path); err != nil {
-		nf.Close()
-		return fmt.Errorf("famsync: rename: %w", err)
-	}
-	old := s.f
+	s.f.Close()
 	s.f = nf
-	old.Close()
-	if _, err := s.f.Seek(0, io.SeekEnd); err != nil {
-		return fmt.Errorf("famsync: %w", err)
-	}
 	s.journalWd = 0
 	return nil
 }

@@ -230,26 +230,147 @@ func TestAutoCompactBoundsJournal(t *testing.T) {
 }
 
 func TestOpenFileRejects(t *testing.T) {
-	dir := t.TempDir()
+	// create writes the file of a fresh words-word device.
+	create := func(t *testing.T, words int) string {
+		path := filepath.Join(t.TempDir(), "heap.fam")
+		s, err := Create(newDev(words), path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.Close()
+		return path
+	}
+	cases := []struct {
+		name string
+		file func(t *testing.T) string
+		want error
+	}{
+		{"missing_file", func(t *testing.T) string {
+			return filepath.Join(t.TempDir(), "missing")
+		}, os.ErrNotExist},
+		{"garbage", func(t *testing.T) string {
+			path := filepath.Join(t.TempDir(), "bad")
+			os.WriteFile(path, []byte("garbage bytes that are definitely not a famsync file"), 0o644)
+			return path
+		}, ErrBadFile},
+		{"wrong_size", func(t *testing.T) string { return create(t, 128) }, ErrSizeMatch},
+		{"truncated_base", func(t *testing.T) string {
+			path := create(t, 64)
+			data, _ := os.ReadFile(path)
+			os.WriteFile(path, data[:len(data)-16], 0o644)
+			return path
+		}, ErrBadFile},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			if _, err := OpenFile(newDev(64), c.file(t)); !errors.Is(err, c.want) {
+				t.Fatalf("OpenFile = %v, want %v", err, c.want)
+			}
+		})
+	}
+}
+
+// A flipped byte in the base image fails its checksum: the journal's
+// group checksums do not cover the base.
+func TestOpenFileRejectsCorruptBase(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "heap.fam")
 	dev := newDev(64)
-	if _, err := OpenFile(dev, filepath.Join(dir, "missing")); err == nil {
-		t.Fatal("OpenFile(missing) succeeded")
-	}
-	bad := filepath.Join(dir, "bad")
-	os.WriteFile(bad, []byte("garbage bytes that are definitely not a famsync file"), 0o644)
-	if _, err := OpenFile(dev, bad); !errors.Is(err, ErrBadFile) {
-		t.Fatalf("OpenFile(garbage) = %v", err)
-	}
-	// Size mismatch.
-	path := filepath.Join(dir, "sized")
-	big := newDev(128)
-	s, err := Create(big, path)
+	dev.Store(5, 42)
+	dev.FlushAll()
+	s, err := Create(dev, path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	s.Close()
-	if _, err := OpenFile(dev, path); !errors.Is(err, ErrSizeMatch) {
-		t.Fatalf("OpenFile(wrong size) = %v", err)
+	data, _ := os.ReadFile(path)
+	data[len(data)-9] ^= 0xff
+	os.WriteFile(path, data, 0o644)
+	if _, err := OpenFile(newDev(64), path); !errors.Is(err, ErrBadFile) {
+		t.Fatalf("OpenFile(corrupted base) = %v, want ErrBadFile", err)
+	}
+}
+
+func TestCreateOverwritesAtomically(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "heap.fam")
+	dev := newDev(64)
+	for v := uint64(1); v <= 2; v++ {
+		dev.Store(0, v)
+		dev.FlushAll()
+		s, err := Create(dev, path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.Close()
+	}
+	dev2 := newDev(64)
+	s2, err := OpenFile(dev2, path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	if dev2.Load(0) != 2 {
+		t.Fatalf("second Create not visible: got %d", dev2.Load(0))
+	}
+	if _, err := os.Stat(path + ".tmp"); !os.IsNotExist(err) {
+		t.Fatal("temp file left behind")
+	}
+}
+
+// Create captures the PERSISTED image: a volatile-only store must not
+// leak into the file.
+func TestUnflushedStoreNotSaved(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "heap.fam")
+	dev := newDev(64)
+	dev.Store(0, 7) // never flushed
+	s, err := Create(dev, path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Close()
+	dev2 := newDev(64)
+	s2, err := OpenFile(dev2, path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	if dev2.Load(0) != 0 {
+		t.Fatal("unflushed store leaked into the file")
+	}
+}
+
+// Loading an older file into a device that has since moved on and been
+// flushed clean must roll every word back: OpenFile's Restart re-reads
+// only dirty lines, so it relies on RestorePersisted marking what it
+// replaced.
+func TestLoadOlderSnapshotIntoFlushedDevice(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "old.fam")
+	dev := newDev(200)
+	for a := nvm.Addr(0); a < 200; a += 3 {
+		dev.Store(a, uint64(a)+1)
+	}
+	dev.FlushAll()
+	old := dev.SnapshotPersisted()
+	s, err := Create(dev, path)
+	if err != nil {
+		t.Fatalf("Create: %v", err)
+	}
+	s.Close()
+	for a := nvm.Addr(0); a < 200; a += 2 {
+		dev.Store(a, uint64(a)+1000)
+	}
+	dev.FlushAll()
+	s2, err := OpenFile(dev, path)
+	if err != nil {
+		t.Fatalf("OpenFile: %v", err)
+	}
+	defer s2.Close()
+	for a := nvm.Addr(0); a < 200; a++ {
+		if got := dev.Load(a); got != old[a] || dev.Persisted(a) != old[a] {
+			t.Fatalf("word %d = %d (persisted %d) after OpenFile, want the file's %d", a, got, dev.Persisted(a), old[a])
+		}
+	}
+	if n := dev.DirtyLines(); n != 0 {
+		t.Fatalf("%d dirty lines after OpenFile", n)
 	}
 }
 
@@ -269,6 +390,40 @@ func TestClosedSyncerRejectsOperations(t *testing.T) {
 	}
 	if err := s.Close(); err != nil {
 		t.Fatalf("double Close = %v", err)
+	}
+}
+
+// A heap that survived a crash round-trips through the base image alone,
+// with no journal group after it.
+func TestHeapRoundTripsThroughBase(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "heap.fam")
+	dev := newDev(1 << 12)
+	heap, err := pheap.Format(dev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, _ := heap.Alloc(4)
+	heap.Store(p, 0, 1234)
+	heap.SetRoot(p)
+	dev.CrashRescue()
+	s, err := Create(dev, path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Close()
+
+	dev2 := newDev(1 << 12)
+	s2, err := OpenFile(dev2, path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	heap2, err := pheap.Open(dev2)
+	if err != nil {
+		t.Fatalf("heap reopen: %v", err)
+	}
+	if got := heap2.Load(heap2.Root(), 0); got != 1234 {
+		t.Fatalf("restored value = %d, want 1234", got)
 	}
 }
 

@@ -62,7 +62,7 @@ const auxEpochSlot = 1
 
 // auxSessSlot is the heap auxiliary-root slot anchoring the session
 // dedup table: the persistent window behind exactly-once retries (see
-// DESIGN.md §12). Like the epoch frontier it lives in an allocated
+// DESIGN.md §9). Like the epoch frontier it lives in an allocated
 // block because Aux slots are GC roots. The block layout is a two-word
 // header {capacity, eviction floor} followed by capacity four-word
 // records {session id, highest applied seq, reply payload, witness

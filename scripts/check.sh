@@ -216,10 +216,12 @@ go test -run '^$' -fuzz '^FuzzRESPLoop$' -fuzztime=10s ./internal/cacheserver
 go test -run '^$' -fuzz '^FuzzReadMsg$' -fuzztime=10s ./internal/repl
 
 # The doc-drift gate: docs/PROTOCOL.md (the canonical wire reference)
-# must match the live flag sets, and no doc may name a dead make target
-# or tspbench flag. (Its command tables are checked against the command
-# table by TestSpecSpellingsDocumented in go test.)
-echo "== doc drift (docs/PROTOCOL.md vs -help, make targets, tspbench flags)"
+# must match the live flag sets, no doc may name a dead make target or
+# tspbench flag, each doc stays under its byte ceiling, each CHANGES.md
+# entry under 2 KB, and every package carries a doc comment. (The
+# command tables are checked against the command table by
+# TestSpecSpellingsDocumented in go test.)
+echo "== doc drift (docs/PROTOCOL.md vs -help, make targets, tspbench flags, doc ceilings, package docs)"
 sh scripts/check_docs.sh
 
 echo "OK"

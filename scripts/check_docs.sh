@@ -12,8 +12,14 @@
 #      operator docs must be a Makefile target, and every
 #      `tspbench -<flag>` must be a flag `tspbench -h` prints.
 #      bench/README.md is left out: it changes only with the benchmark.
-#   4. Every CHANGES.md entry from PR 31 on (a line starting
-#      "- PR <n>:") is at most 2,048 bytes.
+#   4. Every CHANGES.md entry (a line starting "- PR <n>:" or
+#      "- PR <n> (") is at most 2,048 bytes.
+#   5. Each operator doc is at or under its byte ceiling. A change that
+#      must grow a doc raises its ceiling in its own diff, where
+#      reviewers see it, as check.sh does for line counts.
+#   6. Every package with non-test Go files has a package doc comment:
+#      `go list -f '{{.ImportPath}}: {{.Doc}}' ./...` is the package
+#      guide, so no doc repeats it.
 #
 # The command sets are gated by a test instead: every spelling in the
 # command table (internal/proto/spec.go) must appear as a command entry
@@ -114,10 +120,9 @@ for f in $docs; do
 	done
 done
 
-# --- 4. CHANGES.md entries from PR 31 on fit in 2 KB ----------------
-long=$(LC_ALL=C awk '/^- PR [0-9]+:/ {
-	n = $3 + 0
-	if (n >= 31 && length($0) > 2048) print "PR " n ": " length($0) " bytes"
+# --- 4. every CHANGES.md entry fits in 2 KB ------------------------
+long=$(LC_ALL=C awk '/^- PR [0-9]+(:| \()/ {
+	if (length($0) > 2048) print "PR " ($3 + 0) ": " length($0) " bytes"
 }' CHANGES.md)
 if [ -n "$long" ]; then
 	echo "check_docs: CHANGES.md entries over 2,048 bytes:" >&2
@@ -125,7 +130,25 @@ if [ -n "$long" ]; then
 	fail=1
 fi
 
+# --- 5. each doc at or under its byte ceiling -------------------------
+for dc in README.md:6589 DESIGN.md:36535 EXPERIMENTS.md:52790 docs/PROTOCOL.md:36215; do
+	f=${dc%:*}
+	n=$(($(wc -c <"$f")))
+	if [ "$n" -gt "${dc##*:}" ]; then
+		echo "check_docs: $f is $n bytes, above its ceiling ${dc##*:}" >&2
+		fail=1
+	fi
+done
+
+# --- 6. every package has a doc comment -------------------------------
+undocumented=$(go list -f '{{if .GoFiles}}{{if not .Doc}}{{.ImportPath}}{{end}}{{end}}' ./...)
+if [ -n "$undocumented" ]; then
+	echo "check_docs: packages without a doc comment:" >&2
+	printf '%s\n' "$undocumented" >&2
+	fail=1
+fi
+
 if [ "$fail" -ne 0 ]; then
 	exit 1
 fi
-echo "docs in sync with the code (flag tables, make targets, tspbench flags, CHANGES.md entry sizes)"
+echo "docs in sync with the code (flag tables, make targets, tspbench flags, CHANGES.md entry sizes, doc ceilings, package docs)"
