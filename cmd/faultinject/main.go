@@ -4,9 +4,11 @@
 //
 //   - harness: the paper's map workload under the recovery observer
 //     (Equations 1 and 2, the map's structure), for the fortified
-//     variants under a full TSP rescue and for non-TSP mode with none.
-//     A last row, left out of the tally, gives TSP mode HALF a rescue:
-//     the hazard the TSP framework predicts.
+//     variants under a full TSP rescue and for non-TSP mode with none
+//     and with a seeded partial one. Each crash draws its threads, key
+//     range, buckets and crash point from its seed. A last row, left
+//     out of the tally, gives TSP mode HALF a rescue: the hazard the
+//     TSP framework predicts.
 //   - multi-engine: the hash map and the skip list on one heap.
 //   - durability: durable, relaxed and barrier writers on one server;
 //     every shard crashes inside the epoch close a parked `wait` asked for.
@@ -30,6 +32,7 @@ import (
 	"cmp"
 	"flag"
 	"fmt"
+	"math/rand"
 	"os"
 
 	"tsp/internal/harness"
@@ -57,9 +60,13 @@ var campaigns = []struct {
 func main() {
 	campaign := flag.String("campaign", "all", "campaign to run: all, harness, multi-engine, durability, exactly-once or cluster")
 	n := flag.Int("n", 0, "crashes or cycles per campaign (0: each campaign's default)")
-	threads := flag.Int("threads", 8, "worker threads")
+	threads := flag.Int("threads", 8, "worker threads (harness: each crash draws its count from 1 to this)")
 	seed := flag.Int64("seed", 1, "base seed")
 	flag.Parse()
+	if *threads < 1 {
+		fmt.Fprintln(os.Stderr, "faultinject: -threads must be at least 1")
+		os.Exit(2)
+	}
 
 	ok, ran := true, false
 	for _, c := range campaigns {
@@ -104,7 +111,12 @@ func report(name string, n int, cycle func(i int) error) bool {
 	return consistent == n
 }
 
-// runHarness runs the Section 5.2 rows, then the hazard row.
+// runHarness runs the Section 5.2 rows, then the hazard row. Each
+// crash draws its shape from its own seed, so a long run explores the
+// configuration space: Threads in [1, threads], HighKeys and Buckets in
+// 2^[8,13], and the window of device stores the crash lands in. A
+// negative rescue is drawn from the seed too: non-TSP mode flushes its
+// log ahead of its data, so it must recover under any rescue fraction.
 func runHarness(n, threads int, seed int64) bool {
 	ok := true
 	for _, row := range []struct {
@@ -116,12 +128,29 @@ func runHarness(n, threads int, seed int64) bool {
 		{"atlas log-only (TSP mode) + TSP rescue", harness.MutexAtlasTSP, 1},
 		{"atlas log+flush (non-TSP) + TSP rescue", harness.MutexAtlasNonTSP, 1},
 		{"atlas log+flush (non-TSP) + NO rescue", harness.MutexAtlasNonTSP, 0},
+		{"atlas log+flush (non-TSP) + seeded partial rescue", harness.MutexAtlasNonTSP, -1},
 	} {
 		ok = report(row.name, n, func(i int) error {
-			cfg := harness.Config{Variant: row.variant, Threads: threads, Seed: seed + int64(i)*1000003}
-			r, err := harness.RunCrash(cfg, harness.CrashOptions{RescueFraction: row.rescue})
+			rng := rand.New(rand.NewSource(seed + int64(i)*1000003))
+			cfg := harness.Config{
+				Variant:  row.variant,
+				Threads:  1 + rng.Intn(threads),
+				HighKeys: 1 << (8 + rng.Intn(6)),
+				Buckets:  1 << (8 + rng.Intn(6)),
+				Seed:     rng.Int63(),
+			}
+			opts := harness.CrashOptions{
+				RescueFraction: row.rescue,
+				MinRun:         2_000,
+				MaxRun:         uint64(1+rng.Intn(15)) * 5_000,
+			}
+			if opts.RescueFraction < 0 {
+				opts.RescueFraction = rng.Float64()
+			}
+			r, err := harness.RunCrash(cfg, opts)
 			if err == nil && !r.OK() {
-				err = fmt.Errorf("%s (recovery err: %v)", r, r.RecoveryErr)
+				err = fmt.Errorf("%s (recovery err: %v; threads=%d |H|=%d buckets=%d seed=%d)",
+					r, r.RecoveryErr, cfg.Threads, cfg.HighKeys, cfg.Buckets, cfg.Seed)
 			}
 			return err
 		}) && ok

@@ -4,9 +4,7 @@
 //
 // Eight goroutines hammer the list; the machine crashes at an arbitrary
 // instant with a TSP rescue; a fresh incarnation traverses from the heap
-// root and finds a structurally valid, consistent map. The demo also
-// persists the post-crash image to a real file and reloads it, so the
-// recovery truly spans a (simulated) process lifetime.
+// root and finds a structurally valid, consistent map.
 //
 //	go run ./examples/nonblocking
 package main
@@ -15,12 +13,9 @@ import (
 	"errors"
 	"fmt"
 	"log"
-	"os"
-	"path/filepath"
 	"sync"
 	"time"
 
-	"tsp/internal/famsync"
 	"tsp/internal/nvm"
 	"tsp/internal/pheap"
 	"tsp/internal/skiplist"
@@ -71,28 +66,11 @@ func main() {
 	wg.Wait()
 	fmt.Println("crashed mid-workload with a TSP rescue (no flushes were ever issued)")
 
-	// Persist the durable image to a real file and reload it into a
-	// brand-new device: recovery across an actual process boundary.
-	path := filepath.Join(os.TempDir(), "tsp-nonblocking-demo.snap")
-	saved, err := famsync.Create(dev, path)
-	if err == nil {
-		err = saved.Close()
-	}
-	if err != nil {
-		log.Fatalf("save: %v", err)
-	}
-	defer os.Remove(path)
-	dev2 := nvm.NewDevice(nvm.Config{Words: 1 << 20})
-	loaded, err := famsync.OpenFile(dev2, path)
-	if err != nil {
-		log.Fatalf("load: %v", err)
-	}
-	loaded.Close()
-	fmt.Printf("durable image saved to and reloaded from %s\n", path)
-
-	// The recovery observer: open the heap, attach to the list via the
-	// root, verify structure, count everything.
-	heap2, err := pheap.Open(dev2)
+	// The recovery observer, in a new incarnation that sees only the
+	// durable image: open the heap, attach to the list via the root,
+	// verify structure, count everything.
+	dev.Restart()
+	heap2, err := pheap.Open(dev)
 	if err != nil {
 		log.Fatalf("reopen: %v", err)
 	}

@@ -268,12 +268,12 @@ func (t *Thread) Unlock(m *Mutex) {
 // Section amortize it.
 //
 // Callers that run concurrent Sections over overlapping mutex sets must
-// order mus consistently (e.g. by stripe index, as txkv does); Section
+// order mus consistently (e.g. by stripe index); Section
 // itself imposes no order. The cache server has no such sets: a shard
 // runs every section on its one thread under one commit lock. fn's
 // error is returned after the locks release; the error does NOT abort
 // the section's stores — a caller needing all-or-nothing application
-// must buffer writes until it knows fn succeeds (txkv's pattern).
+// must buffer writes until it knows fn succeeds.
 //
 // What the section counted — device accesses, log records, map
 // operations — is published once, when it closes (see publish).

@@ -48,10 +48,6 @@ func (s *Server) ReplAddr() net.Addr {
 	return nil
 }
 
-// ReadOnly reports whether the server currently rejects client
-// mutations (follower mode before promotion).
-func (s *Server) ReadOnly() bool { return s.readOnly.Load() }
-
 // startReplication wires the configured replication role. Called by
 // New after the shards exist; the shard replLog fields are written
 // before any client traffic, and every later reader is ordered after

@@ -455,9 +455,9 @@ func (m *Map) deleteLocked(t *atlas.Thread, b int, key uint64, bump bool) (bool,
 }
 
 // Stripe-level access, for layers that implement multi-key operations
-// by locking for themselves: txkv takes the stripe locks; the cache
-// server's batch pipeline takes one commit lock of its own, since one
-// thread runs all of a shard's sections. The *Locked methods require the
+// by locking for themselves: the cache server's batch pipeline takes one
+// commit lock of its own, since one thread runs all of a shard's
+// sections. The *Locked methods require the
 // caller to hold a lock that excludes every other writer of the key's
 // stripe — they perform no locking of their own, and no seqlock bumping
 // either: the section owner brackets every stripe its group mutates with

@@ -73,22 +73,6 @@ func (m *Map) GetOptimistic(key uint64) (value uint64, ok, valid bool) {
 	return 0, false, false
 }
 
-// MGetOptimistic attempts lock-free reads of keys[i] into vals[i]/oks[i],
-// setting valid[i] per key and returning how many validated. Invalid
-// entries (retry budget exhausted) must be re-read under the stripe lock
-// by the caller; the slices let a server resolve a whole mget with one
-// pass and fall back only for the contended minority.
-func (m *Map) MGetOptimistic(keys, vals []uint64, oks, valid []bool) (nValid int) {
-	for i, key := range keys {
-		v, ok, okSnap := m.GetOptimistic(key)
-		vals[i], oks[i], valid[i] = v, ok, okSnap
-		if okSnap {
-			nValid++
-		}
-	}
-	return nValid
-}
-
 // getAttempt is one snapshot-walk-validate cycle.
 func (m *Map) getAttempt(tal *nvm.Tally, key uint64) (value uint64, ok, valid bool) {
 	b := m.bucketOf(key)

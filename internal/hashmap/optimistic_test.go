@@ -35,33 +35,6 @@ func TestGetOptimisticBasic(t *testing.T) {
 	}
 }
 
-func TestMGetOptimistic(t *testing.T) {
-	e := newEnv(t, atlas.ModeTSP, 64, 8)
-	th := e.thread(t)
-	for k := uint64(0); k < 20; k++ {
-		if err := e.m.Put(th, k, k+100); err != nil {
-			t.Fatalf("Put: %v", err)
-		}
-	}
-	keys := []uint64{3, 777, 11, 888, 0}
-	vals := make([]uint64, len(keys))
-	oks := make([]bool, len(keys))
-	valid := make([]bool, len(keys))
-	if n := e.m.MGetOptimistic(keys, vals, oks, valid); n != len(keys) {
-		t.Fatalf("MGetOptimistic validated %d of %d on a quiescent map", n, len(keys))
-	}
-	want := []struct {
-		ok  bool
-		val uint64
-	}{{true, 103}, {false, 0}, {true, 111}, {false, 0}, {true, 100}}
-	for i := range keys {
-		if !valid[i] || oks[i] != want[i].ok || vals[i] != want[i].val {
-			t.Fatalf("key %d: val=%d ok=%v valid=%v, want val=%d ok=%v",
-				keys[i], vals[i], oks[i], valid[i], want[i].val, want[i].ok)
-		}
-	}
-}
-
 // TestSectionBracketAtomicToOptimisticReaders pins the *Locked seqlock
 // contract: the section owner's BeginStripeWrites/EndStripeWrites hold
 // the stripe odd across EVERY mutation of the section, and the *Locked

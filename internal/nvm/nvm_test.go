@@ -449,8 +449,8 @@ func TestRestoreWrongSizeRejected(t *testing.T) {
 
 func TestSpinZeroIsFree(t *testing.T) {
 	// Just exercises the spin path; zero-cost flush must not crash.
-	Spin(0)
-	Spin(10)
+	spin(0)
+	spin(10)
 	d := NewDevice(Config{Words: 16, FlushCost: 5})
 	d.Store(0, 1)
 	d.FlushWord(0)

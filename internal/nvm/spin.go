@@ -23,8 +23,3 @@ func spin(n int) {
 		spinSink.Store(x)
 	}
 }
-
-// Spin exposes the calibrated busy-wait for other packages that need to
-// model fixed hardware costs (e.g. the WSP energy model's flush stages in
-// demos). n is in the same units as Config.FlushCost.
-func Spin(n int) { spin(n) }

@@ -37,10 +37,10 @@ type GCReport struct {
 	WordsReclaimed int // total words (headers included) reclaimed
 }
 
-// GC runs a conservative stop-the-world mark-sweep from the heap root,
-// the auxiliary roots, and any volatile pins. The caller must ensure no
-// mutator is running — the collector is designed for recovery time, where
-// that holds by construction.
+// GC runs a conservative stop-the-world mark-sweep from the heap root
+// and the auxiliary roots. The caller must ensure no mutator is running
+// — the collector is designed for recovery time, where that holds by
+// construction.
 //
 // The blocks named in noScan are kept but never scanned: they hold no
 // pointers the heap's structures need, only words that may look like
@@ -79,9 +79,6 @@ func (h *Heap) GC(noScan ...Ptr) (GCReport, error) {
 	mk.Offer(tal.Load(hdrRoot))
 	for i := 0; i < NumAux; i++ {
 		mk.Offer(tal.Load(nvm.Addr(hdrAuxBase + i)))
-	}
-	for p := range h.pins {
-		mk.Offer(uint64(p))
 	}
 	var buf [256]uint64
 	for len(mk.scan) > 0 {

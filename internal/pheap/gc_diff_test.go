@@ -53,9 +53,6 @@ func gcWithMaps(h *Heap, noScan ...Ptr) (GCReport, error) {
 	for i := 0; i < NumAux; i++ {
 		push(h.Aux(i))
 	}
-	for p := range h.pins {
-		push(p)
-	}
 	for len(queue) > 0 {
 		p := queue[len(queue)-1]
 		queue = queue[:len(queue)-1]
@@ -115,6 +112,7 @@ func buildRandomHeaps(t *testing.T, seed int64) [2]*Heap {
 		live = append(live, p)
 		sizes[p], _ = heaps[0].SizeOf(p)
 	}
+	holder := alloc(4) // an aux root's block, for the candidates below
 	rng.Shuffle(len(live), func(i, j int) { live[i], live[j] = live[j], live[i] })
 	for _, p := range live[:60] {
 		for _, h := range heaps {
@@ -164,11 +162,10 @@ func buildRandomHeaps(t *testing.T, seed int64) [2]*Heap {
 		h.SetAux(0, live[1])
 		h.SetAux(3, freed[0])       // an anchor whose block is gone
 		h.SetAux(NumAux-1, 1<<40+3) // and one that was never a block
-		h.Pin(live[2])
-		h.Pin(freed[1])     // pinned after it was freed
-		h.Pin(live[3] + 1)  // interior
-		h.Pin(Ptr(1 << 40)) // out of range
-		h.Pin(Ptr(^uint64(0)))
+		h.SetAux(1, holder)
+		for off, v := range []Ptr{freed[1], live[3] + 1, 1 << 40, Ptr(^uint64(0))} {
+			h.Store(holder, off, uint64(v)) // freed, interior, out of range
+		}
 	}
 	return heaps
 }
@@ -300,19 +297,18 @@ func checkGCAgainstReference(t *testing.T, seed int64, keepSome, traced bool) {
 }
 
 // A conservative candidate is any 64-bit word. Values far past the
-// bitmaps' end — plain, tagged, in a payload, in a root or pinned — are
+// bitmaps' end — plain, tagged, in a payload or in a root — are
 // not pointers and must be ignored, not indexed.
 func TestGCIgnoresOutOfRangeCandidates(t *testing.T) {
 	h := newHeapT(t, 1<<12)
-	holder, _ := h.Alloc(6)
+	holder, _ := h.Alloc(7)
 	kept, _ := h.Alloc(1)
 	leaked, _ := h.Alloc(1)
-	for off, v := range []uint64{1 << 40, 1<<40 | markTagMask, ^uint64(0), 1 << 12, h.Bump() + 1, uint64(kept)} {
+	for off, v := range []uint64{1 << 40, 1<<40 | markTagMask, ^uint64(0), 1 << 50, 1 << 12, h.Bump() + 1, uint64(kept)} {
 		h.Store(holder, off, v)
 	}
 	h.SetRoot(holder)
 	h.SetAux(2, Ptr(1<<40))
-	h.Pin(Ptr(1 << 50))
 	rep, err := h.GC()
 	if err != nil {
 		t.Fatalf("GC: %v", err)
@@ -322,29 +318,6 @@ func TestGCIgnoresOutOfRangeCandidates(t *testing.T) {
 	}
 	if allocated := allocatedSet(t, h); len(allocated) != 2 || allocated[0] != holder || allocated[1] != kept {
 		t.Fatalf("allocated after GC = %v, want [%d %d] (%d leaked)", allocated, holder, kept, leaked)
-	}
-}
-
-// A pin naming a block that has since been freed is not a root: the
-// block stays free and nothing it points at is retained.
-func TestGCPinOfFreedBlockIsIgnored(t *testing.T) {
-	h := newHeapT(t, 1<<12)
-	target, _ := h.Alloc(2)
-	p, _ := h.Alloc(2)
-	h.Store(p, 0, uint64(target))
-	if err := h.Free(p); err != nil {
-		t.Fatal(err)
-	}
-	h.Pin(p)
-	rep, err := h.GC()
-	if err != nil {
-		t.Fatalf("GC: %v", err)
-	}
-	if want := (GCReport{BlocksScanned: 1, BlocksFreed: 1, WordsReclaimed: 3}); rep != want {
-		t.Fatalf("GC = %+v, want %+v", rep, want)
-	}
-	if _, err := h.Check(); err != nil {
-		t.Fatalf("Check: %v", err)
 	}
 }
 

@@ -99,21 +99,6 @@ func TestGCFollowsAuxRoots(t *testing.T) {
 	}
 }
 
-func TestGCRespectsPins(t *testing.T) {
-	h := newHeapT(t, 1<<14)
-	p, _ := h.Alloc(2)
-	h.Pin(p)
-	rep, _ := h.GC()
-	if rep.BlocksFreed != 0 {
-		t.Fatal("GC collected a pinned block")
-	}
-	h.Unpin(p)
-	rep, _ = h.GC()
-	if rep.BlocksFreed != 1 {
-		t.Fatal("GC kept an unpinned, unreachable block")
-	}
-}
-
 func TestGCSeesThroughMarkedPointers(t *testing.T) {
 	// Non-blocking structures tag pointers with the MSB to flag logical
 	// deletion; the collector must treat a tagged reference as reachable.

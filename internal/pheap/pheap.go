@@ -97,8 +97,6 @@ type Heap struct {
 	free  [][]Ptr // free block payloads per size class
 	large []Ptr   // free blocks bigger than the last class
 
-	pins map[Ptr]struct{} // volatile GC roots registered this incarnation
-
 	tracer func(*Marker) error // see SetTracer
 
 	tel *telemetry.HeapStats // nil-safe; set via SetTelemetry
@@ -156,7 +154,6 @@ func newHeap(dev *nvm.Device) *Heap {
 	return &Heap{
 		dev:  dev,
 		free: make([][]Ptr, len(sizeClasses)),
-		pins: make(map[Ptr]struct{}),
 	}
 }
 
@@ -361,7 +358,6 @@ func (h *Heap) Free(p Ptr) error {
 	defer h.mu.Unlock()
 	tal.Store(hdrAddr, hdr&^uint64(allocBit))
 	h.pushFree(p, int(hdr>>1))
-	delete(h.pins, p)
 	h.tel.IncFree()
 	return nil
 }
@@ -403,21 +399,6 @@ func (h *Heap) SetAux(i int, p Ptr) {
 		panic(fmt.Sprintf("pheap: aux index %d out of range", i))
 	}
 	h.dev.Store(nvm.Addr(hdrAuxBase+i), uint64(p))
-}
-
-// Pin registers p as an additional GC root for this incarnation (volatile;
-// pins do not survive a crash — persistent anchors belong in Aux slots).
-func (h *Heap) Pin(p Ptr) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	h.pins[p] = struct{}{}
-}
-
-// Unpin removes a pin added with Pin.
-func (h *Heap) Unpin(p Ptr) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	delete(h.pins, p)
 }
 
 // Load reads payload word off of the block at p.

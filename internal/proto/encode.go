@@ -52,6 +52,3 @@ func (e *Encoder) Flush() error {
 	e.buf = e.buf[:0]
 	return err
 }
-
-// Buffered reports how many staged bytes await the next Flush.
-func (e *Encoder) Buffered() int { return len(e.buf) }

@@ -512,6 +512,3 @@ func (l *List) Len() int {
 	l.Range(func(_, _ uint64) bool { n++; return true })
 	return n
 }
-
-// MaxLevelConfigured returns the list's level bound.
-func (l *List) MaxLevelConfigured() int { return l.maxLevel }

@@ -164,7 +164,6 @@ type config struct {
 	logEveryStore bool
 	buckets       int
 	perMutex      int
-	listLevels    int
 	sessSlots     int
 	heapOnly      bool
 	tel           *telemetry.Registry
@@ -178,7 +177,6 @@ func defaults() config {
 		maxThreads: 16,
 		buckets:    4096,
 		perMutex:   256,
-		listLevels: 16,
 		sessSlots:  256,
 	}
 }
@@ -234,14 +232,6 @@ func WithBuckets(buckets, perMutex int) Option {
 		c.buckets = buckets
 		c.perMutex = perMutex
 	}
-}
-
-// WithListLevels sets the maximum level of the ordered-keyspace skip
-// list (default 16, capped at skiplist.MaxLevel). Only consulted when a
-// fresh list is created (New); a reopened list keeps the level it was
-// built with.
-func WithListLevels(n int) Option {
-	return func(c *config) { c.listLevels = n }
 }
 
 // WithSessionSlots sizes the session dedup table (records per stack,
@@ -353,7 +343,7 @@ func New(opts ...Option) (*Stack, error) {
 	if reg != nil {
 		m.SetTelemetry(reg.Map)
 	}
-	l, err := skiplist.New(heap, c.listLevels)
+	l, err := skiplist.New(heap, 16)
 	if err != nil {
 		return nil, fmt.Errorf("stack: skiplist: %w", err)
 	}

@@ -94,6 +94,14 @@ go test -race -cpu 1,2,4 -count=20 -run 'TestWaitDemandsEpochClose|TestWaitCoale
 echo "== go test ./... (everything else, no race)"
 go test ./...
 
+# Each example checks its own invariant and exits through log.Fatal
+# when it breaks; they are also the only importers of famsync and wsp
+# outside their own tests.
+echo "== examples"
+for d in examples/*/; do
+	go run "./$d" >/dev/null
+done
+
 # Line count is a tracked metric (ROADMAP aim 2): the served system's
 # non-test source, the routing tier in front of it, the replication
 # tier under it and the telemetry rows every stats surface renders.
@@ -106,7 +114,7 @@ ceiling() {
 		exit 1
 	fi
 }
-for pc in cacheserver:4152 cluster:1265 repl:1138 telemetry:1471; do
+for pc in cacheserver:4146 cluster:1265 repl:1138 telemetry:1471; do
 	pkg=${pc%:*}
 	echo "== internal/$pkg non-test lines"
 	ceiling "internal/$pkg non-test lines" \
@@ -216,12 +224,12 @@ go test -run '^$' -fuzz '^FuzzRESPLoop$' -fuzztime=10s ./internal/cacheserver
 go test -run '^$' -fuzz '^FuzzReadMsg$' -fuzztime=10s ./internal/repl
 
 # The doc-drift gate: docs/PROTOCOL.md (the canonical wire reference)
-# must match the live flag sets, no doc may name a dead make target or
-# tspbench flag, each doc stays under its byte ceiling, each CHANGES.md
-# entry under 2 KB, and every package carries a doc comment. (The
-# command tables are checked against the command table by
-# TestSpecSpellingsDocumented in go test.)
-echo "== doc drift (docs/PROTOCOL.md vs -help, make targets, tspbench flags, doc ceilings, package docs)"
+# must match the live flag sets, no doc may name a dead make target,
+# tspbench flag or source path, each doc stays under its byte ceiling,
+# each CHANGES.md entry under 2 KB, and every package carries a doc
+# comment. (The command tables are checked against the command table
+# by TestSpecSpellingsDocumented in go test.)
+echo "== doc drift (docs/PROTOCOL.md vs -help, make targets, tspbench flags, paths, doc ceilings, package docs)"
 sh scripts/check_docs.sh
 
 echo "OK"

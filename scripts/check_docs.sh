@@ -8,9 +8,10 @@
 #      `-help` prints (names compared both ways).
 #   2. README.md must point at docs/PROTOCOL.md, and any flag rows it
 #      still carries must name live flags (of either binary).
-#   3. No doc names a dead target or flag: every `make <target>` in the
-#      operator docs must be a Makefile target, and every
-#      `tspbench -<flag>` must be a flag `tspbench -h` prints.
+#   3. No doc names a dead target, flag or path: every `make <target>`
+#      in the operator docs must be a Makefile target, every
+#      `tspbench -<flag>` a flag `tspbench -h` prints, and every
+#      `cmd/…`, `examples/…` or `internal/…` path one that exists.
 #      bench/README.md is left out: it changes only with the benchmark.
 #   4. Every CHANGES.md entry (a line starting "- PR <n>:" or
 #      "- PR <n> (") is at most 2,048 bytes.
@@ -93,6 +94,19 @@ for f in $docs; do
 		fi
 	done
 done
+for f in $docs; do
+	# A path starts a word, or follows "./"; a trailing `.Name` is a Go
+	# identifier in that package, and a glob must match something.
+	named=$(grep -oE '(^|[^A-Za-z0-9_./-])(\./)?(cmd|examples|internal)/[A-Za-z0-9_.*/-]*' "$f" |
+		sed -E 's#^[^A-Za-z0-9_./-]##; s#^\./##; s#\.[A-Z].*##; s#[./]+$##' | sort -u || true)
+	for p in $named; do
+		set -- $p
+		if [ ! -e "$1" ]; then
+			echo "check_docs: $f names $p, which does not exist" >&2
+			fail=1
+		fi
+	done
+done
 bench_flags=$(go run ./cmd/tspbench -h 2>&1 | awk '/^  -/{print $1}' | sort -u || true)
 if [ -z "$bench_flags" ]; then
 	echo "check_docs: could not read flags from 'tspbench -h'" >&2
@@ -131,7 +145,7 @@ if [ -n "$long" ]; then
 fi
 
 # --- 5. each doc at or under its byte ceiling -------------------------
-for dc in README.md:6589 DESIGN.md:36535 EXPERIMENTS.md:52790 docs/PROTOCOL.md:36215; do
+for dc in README.md:6577 DESIGN.md:36458 EXPERIMENTS.md:52787 docs/PROTOCOL.md:36215; do
 	f=${dc%:*}
 	n=$(($(wc -c <"$f")))
 	if [ "$n" -gt "${dc##*:}" ]; then
@@ -151,4 +165,4 @@ fi
 if [ "$fail" -ne 0 ]; then
 	exit 1
 fi
-echo "docs in sync with the code (flag tables, make targets, tspbench flags, CHANGES.md entry sizes, doc ceilings, package docs)"
+echo "docs in sync with the code (flag tables, make targets, tspbench flags, paths, CHANGES.md entry sizes, doc ceilings, package docs)"
