@@ -8,7 +8,6 @@ import (
 
 	"tsp/internal/cacheserver"
 	"tsp/internal/cluster"
-	"tsp/internal/telemetry"
 )
 
 // storm runs writers at once, each taking steps 0 to ops-1. mid, unless
@@ -299,7 +298,7 @@ func runCluster(n, threads int, seed int64) bool {
 			defer srv.Close()
 			nodes[i], addrs[i] = srv, srv.Addr().String()
 		}
-		proxy, err := cluster.New(cluster.Config{Addr: "127.0.0.1:0", Nodes: addrs, Tel: &telemetry.RouteStats{}})
+		proxy, err := cluster.New(cluster.Config{Addr: "127.0.0.1:0", Nodes: addrs})
 		if err != nil {
 			return fmt.Errorf("proxy: %w", err)
 		}

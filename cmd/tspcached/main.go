@@ -27,8 +27,8 @@
 //	$ tspcached -metrics-addr 127.0.0.1:9090 &
 //	$ curl -s http://127.0.0.1:9090/metrics | grep tsp_nvm_flushes
 //
-// The server also speaks RESP2 (the redis wire protocol): by default
-// each connection's protocol is sniffed from its first byte, so
+// The server also speaks RESP2 (the redis wire protocol): each
+// connection's protocol is sniffed from its first byte, so
 // redis-cli and redis-benchmark work against the same listener with no
 // configuration — non-numeric keys and values hash into the integer
 // keyspace:
@@ -37,10 +37,9 @@
 //	OK
 //	$ redis-benchmark -p 11222 -t set,get -P 8
 //
-// -proto pins a listener to one protocol instead of sniffing;
-// -max-request-bytes bounds a single request's wire size (oversized
-// requests are answered with an error — the native protocol then
-// resynchronizes at the next newline, RESP tears the connection down).
+// A single request is bounded at 1 MiB of wire: an oversized one is
+// answered with an error — the native protocol then resynchronizes at
+// the next newline, RESP tears the connection down.
 //
 // Every mutating command accepts a trailing durability tier: `durable`
 // (the default — committed before the ack), `relaxed` (acked from a
@@ -63,8 +62,8 @@
 //
 // Exactly-once retries: `session <id>` binds the connection to a client
 // session, and a `seq=<n>` option on a mutating command makes it a
-// detectable operation — the per-shard dedup window (sized by
-// -session-window) recognizes a duplicate retry and replays the
+// detectable operation — the per-shard dedup window (256 sessions)
+// recognizes a duplicate retry and replays the
 // recorded ack instead of re-applying, across crash recovery and
 // follower promotion alike. docs/PROTOCOL.md is the canonical wire
 // reference for the session grammar and its error strings.
@@ -74,10 +73,8 @@
 //	tspcached [-addr 127.0.0.1:11222] [-mode tsp|nontsp|off] [-shards 4]
 //	          [-conns 16] [-words 1048576] [-metrics-addr host:port]
 //	          [-batch-max 64] [-queue-depth 256]
-//	          [-proto auto|native|resp] [-max-request-bytes 1048576]
 //	          [-repl-listen host:port | -replica-of host:port]
-//	          [-repl-window 4096] [-epoch-interval 5ms]
-//	          [-session-window 256] [-cluster-slots 0-31]
+//	          [-epoch-interval 5ms] [-cluster-slots 0-31]
 //
 // Every mutation is one commit group run inside one Atlas critical
 // section under its shard's drain lock. A request arriving at an idle
@@ -99,7 +96,9 @@
 // streams every committed batch group to connected followers;
 // -replica-of starts a read-only follower applying the stream from the
 // primary's replication listener, promotable over the wire with the
-// "promote" command after the primary's site is lost:
+// "promote" command after the primary's site is lost. A follower that
+// reconnects within the primary's last 4096 groups resumes streaming;
+// one further behind is re-seeded with a snapshot:
 //
 //	$ tspcached -addr 127.0.0.1:11222 -repl-listen 127.0.0.1:12222 &
 //	$ tspcached -addr 127.0.0.1:11223 -replica-of 127.0.0.1:12222 &
@@ -136,13 +135,9 @@ func main() {
 	metricsAddr := flag.String("metrics-addr", "", "HTTP metrics listen address (Prometheus text at /metrics); empty disables")
 	batchMax := flag.Int("batch-max", 64, "max ops per batched critical section (>= 1)")
 	queueDepth := flag.Int("queue-depth", 256, "per-shard bound on commit groups queued behind a busy drain lock")
-	protoFlag := flag.String("proto", "auto", "wire protocol: auto (sniff per connection), native (text), resp (RESP2)")
-	maxRequestBytes := flag.Int("max-request-bytes", 1<<20, "single-request wire-size ceiling; oversized requests are answered with an error")
 	replListen := flag.String("repl-listen", "", "replication listen address: stream committed batches to followers (primary role); empty disables")
 	replicaOf := flag.String("replica-of", "", "primary's replication address: apply its stream read-only until promoted (follower role); empty disables")
-	replWindow := flag.Int("repl-window", 4096, "committed groups the replication log retains; reconnects beyond it trigger a snapshot transfer")
 	epochInterval := flag.Duration("epoch-interval", 5*time.Millisecond, "durability epoch clock period — the relaxed tier's crash-loss bound (> 0)")
-	sessionWindow := flag.Int("session-window", 256, "per-shard session dedup records for exactly-once retries; the oldest is evicted when full")
 	clusterSlots := flag.String("cluster-slots", "", "hash slots this node owns (\"lo-hi,lo\", \"all\", or \"none\"): serve as a cluster node, answering MOVED for other slots; empty disables")
 	flag.Parse()
 
@@ -168,13 +163,9 @@ func main() {
 		cacheserver.WithMetricsAddr(*metricsAddr),
 		cacheserver.WithBatchMax(*batchMax),
 		cacheserver.WithQueueDepth(*queueDepth),
-		cacheserver.WithProto(*protoFlag),
-		cacheserver.WithMaxRequestBytes(*maxRequestBytes),
 		cacheserver.WithReplListen(*replListen),
 		cacheserver.WithReplicaOf(*replicaOf),
-		cacheserver.WithReplWindow(*replWindow),
 		cacheserver.WithEpochInterval(*epochInterval),
-		cacheserver.WithSessionWindow(*sessionWindow),
 		cacheserver.WithClusterSlots(*clusterSlots),
 	)
 	if err != nil {

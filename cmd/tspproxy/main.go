@@ -39,8 +39,9 @@
 // Usage:
 //
 //	tspproxy -nodes host:port[,host:port...] [-addr 127.0.0.1:11300]
-//	         [-vnodes 64] [-proto auto|native|resp]
-//	         [-max-request-bytes 1048576]
+//
+// The ring places 64 virtual points per node, and a frontend request is
+// bounded at 1 MiB of wire, as on a node.
 package main
 
 import (
@@ -53,15 +54,11 @@ import (
 	"syscall"
 
 	"tsp/internal/cluster"
-	"tsp/internal/telemetry"
 )
 
 func main() {
 	addr := flag.String("addr", "127.0.0.1:11300", "TCP listen address")
 	nodes := flag.String("nodes", "", "comma-separated cluster node addresses (required)")
-	vnodes := flag.Int("vnodes", cluster.DefaultVNodes, "virtual nodes per backend on the consistent-hash ring")
-	protoFlag := flag.String("proto", "auto", "frontend wire protocol: auto (sniff per connection), native (text), resp (RESP2)")
-	maxRequestBytes := flag.Int("max-request-bytes", 1<<20, "single-request wire-size ceiling; oversized requests are answered with an error")
 	flag.Parse()
 
 	var seeds []string
@@ -76,13 +73,9 @@ func main() {
 	}
 
 	p, err := cluster.New(cluster.Config{
-		Addr:            *addr,
-		Nodes:           seeds,
-		VNodes:          *vnodes,
-		Proto:           *protoFlag,
-		MaxRequestBytes: *maxRequestBytes,
-		Tel:             &telemetry.RouteStats{},
-		Logf:            log.New(os.Stderr, "tspproxy: ", log.LstdFlags).Printf,
+		Addr:  *addr,
+		Nodes: seeds,
+		Logf:  log.New(os.Stderr, "tspproxy: ", log.LstdFlags).Printf,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)

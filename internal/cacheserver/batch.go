@@ -278,23 +278,29 @@ func (sh *shard) drain(own *batchReq) {
 		case g == nil:
 			return
 		default:
-			// Wider than a section on its own: the head runs as plain
-			// chunks — for a sessioned mset they are absolute sets,
-			// idempotent under the retry a crash before the record would
-			// provoke — and g itself, narrowed to the tail, carries record,
-			// marks and floor into the last section.
+			// Wider than a section on its own.
 			*slot = g.next
-			all := g.ops
-			var chunk batchReq
-			for len(g.ops) > max {
-				chunk.ops, g.ops = g.ops[:max], g.ops[max:]
-				sh.runOne(&chunk)
-			}
-			sh.runOne(g)
-			g.ops = all
+			sh.runWide(g)
 			g.complete()
 		}
 	}
+}
+
+// runWide executes g alone, in as many sections as batchMax requires:
+// the head runs as plain chunks through the shard's chunk group — for a
+// sessioned mset they are absolute sets, idempotent under the retry a
+// crash before the record would provoke — and g itself, narrowed to the
+// tail, carries record, marks, floor and markApplied into the last
+// section. Caller holds combineMu.
+func (sh *shard) runWide(g *batchReq) {
+	all, max := g.ops, sh.cfg.batchMax
+	for len(g.ops) > max {
+		sh.chunk.ops, g.ops = g.ops[:max], g.ops[max:]
+		sh.runOne(&sh.chunk)
+	}
+	sh.chunk.ops = nil
+	sh.runOne(g)
+	g.ops = all
 }
 
 // runOne executes g alone as one batch. Caller holds combineMu.

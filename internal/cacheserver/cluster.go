@@ -100,7 +100,7 @@ func (s *Server) startCluster() error {
 	}
 	s.clusterSt = st
 	if s.replLog == nil {
-		s.replLog = repl.NewLog(s.cfg.replWindow)
+		s.replLog = repl.NewLog(replWindow)
 		for _, sh := range s.shards {
 			sh.replLog = s.replLog
 		}

@@ -376,18 +376,12 @@ func (sh *shard) commitDrain(epoch uint64) error {
 // write path in batchMax-sized sections, the last of which marks the
 // payload applied. Caller holds combineMu.
 func (sh *shard) applyDrain() {
-	ops, max := sh.drainOps, sh.cfg.batchMax
-	if len(ops) == 0 {
+	if len(sh.drainOps) == 0 {
 		return
 	}
 	start := time.Now()
-	for len(ops) > max {
-		sh.drainReq = batchReq{ops: ops[:max]}
-		sh.runOne(&sh.drainReq)
-		ops = ops[max:]
-	}
-	sh.drainReq = batchReq{ops: ops, markApplied: true}
-	sh.runOne(&sh.drainReq)
+	sh.drainReq = batchReq{ops: sh.drainOps, markApplied: true}
+	sh.runWide(&sh.drainReq)
 	sh.tel.EpochFlushLatency.Observe(time.Since(start))
 }
 

@@ -33,7 +33,7 @@ func newDispatchServer(tb testing.TB) (*Server, *connState) {
 // Encoder — over in-memory bytes: the socketless analogue of handle,
 // one simulated connection per call.
 func serveInput(s *Server, cs *connState, ad proto.Adapter, input []byte) string {
-	dec := proto.NewDecoder(bytes.NewReader(input), ad, s.cfg.maxRequestBytes)
+	dec := proto.NewDecoder(bytes.NewReader(input), ad, proto.DefaultMaxRequest)
 	var out bytes.Buffer
 	enc := proto.NewEncoder(&out, ad, writeBufBytes)
 	for {

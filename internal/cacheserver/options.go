@@ -6,7 +6,6 @@ import (
 
 	"tsp/internal/atlas"
 	"tsp/internal/cluster"
-	"tsp/internal/proto"
 )
 
 // config is the resolved server configuration. It is built from
@@ -27,24 +26,11 @@ type config struct {
 	queueDepth  int    // per-shard pending-request queue bound
 	replListen  string // replication listener (primary role); "" = disabled
 	replicaOf   string // primary's replication address (follower role); "" = disabled
-	replWindow  int    // committed groups the replication log retains
-
-	proto           string // wire protocol: "auto" (sniff), "native", "resp"
-	maxRequestBytes int    // single-request wire-size ceiling
 
 	clusterSlots string // owned hash-slot spec ("lo-hi,lo" or "all"); "" = not a cluster node
 
 	epochInterval time.Duration // epoch clock period
-
-	sessSlots int // per-shard persistent session dedup records
 }
-
-// Wire protocol selections for config.proto / WithProto.
-const (
-	protoAuto   = "auto"
-	protoNative = "native"
-	protoRESP   = "resp"
-)
 
 func defaultConfig() config {
 	return config{
@@ -55,14 +41,8 @@ func defaultConfig() config {
 		deviceWords: 1 << 20,
 		batchMax:    64,
 		queueDepth:  256,
-		replWindow:  4096,
-
-		proto:           protoAuto,
-		maxRequestBytes: proto.DefaultMaxRequest,
 
 		epochInterval: 5 * time.Millisecond,
-
-		sessSlots: 256,
 	}
 }
 
@@ -85,22 +65,8 @@ func (c config) validate() error {
 	if c.replListen != "" && c.replicaOf != "" {
 		return fmt.Errorf("cacheserver: a server cannot be both primary (repl listen) and follower (replica of)")
 	}
-	if (c.replListen != "" || c.replicaOf != "") && c.replWindow < 1 {
-		return fmt.Errorf("cacheserver: repl window must be >= 1, got %d", c.replWindow)
-	}
-	switch c.proto {
-	case protoAuto, protoNative, protoRESP:
-	default:
-		return fmt.Errorf("cacheserver: unknown protocol %q (want auto, native, or resp)", c.proto)
-	}
-	if c.maxRequestBytes < 64 {
-		return fmt.Errorf("cacheserver: max request bytes %d too small", c.maxRequestBytes)
-	}
 	if c.epochInterval <= 0 {
 		return fmt.Errorf("cacheserver: epoch interval must be > 0, got %v", c.epochInterval)
-	}
-	if c.sessSlots < 1 {
-		return fmt.Errorf("cacheserver: session window must be >= 1, got %d", c.sessSlots)
 	}
 	if c.clusterSlots != "" {
 		if _, err := cluster.ParseSlots(c.clusterSlots); err != nil {
@@ -193,46 +159,6 @@ func WithReplListen(addr string) Option {
 // WithReplListen.
 func WithReplicaOf(addr string) Option {
 	return func(c *config) { c.replicaOf = addr }
-}
-
-// WithProto pins the listener's wire protocol: "native" (the
-// line-oriented text protocol), "resp" (RESP2, what redis-cli and
-// redis-benchmark speak), or "auto" (the default — each connection is
-// sniffed from its first byte; RESP framing always leads with '*',
-// which no native command starts with).
-func WithProto(p string) Option {
-	return func(c *config) { c.proto = p }
-}
-
-// WithMaxRequestBytes bounds the wire size of a single request
-// (default proto.DefaultMaxRequest, 1 MiB). An oversized request is
-// answered with a "request too large" error instead of being buffered:
-// on the native protocol the connection then resynchronizes at the
-// next newline and keeps serving; RESP frames cannot be skipped
-// without trusting the oversized header, so the connection is closed
-// after the error is written. The old bufio.Scanner handler silently
-// dropped the connection at 64 KiB with no error at all.
-func WithMaxRequestBytes(n int) Option {
-	return func(c *config) { c.maxRequestBytes = n }
-}
-
-// WithReplWindow bounds how many committed groups the primary's
-// in-memory replication log retains (default 4096). A follower
-// reconnecting inside the window catches up by streaming; one behind it
-// receives a full snapshot transfer instead.
-func WithReplWindow(n int) Option {
-	return func(c *config) { c.replWindow = n }
-}
-
-// WithSessionWindow sizes each shard's persistent session dedup window
-// (default 256 records). One record tracks one client session's highest
-// applied seq on that shard; when every slot is taken a round-robin
-// victim is evicted and the shard's floor rises to the victim's seq, so
-// a retry of any evicted-or-earlier seq is refused with "seq too old"
-// rather than risked as a re-application. Size it to the number of
-// concurrently retrying sessions, not to total sessions ever seen.
-func WithSessionWindow(n int) Option {
-	return func(c *config) { c.sessSlots = n }
 }
 
 // WithClusterSlots makes the server a cluster node owning the given

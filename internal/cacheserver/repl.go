@@ -48,6 +48,12 @@ func (s *Server) ReplAddr() net.Addr {
 	return nil
 }
 
+// replWindow is how many committed groups the primary's in-memory
+// replication log retains. A follower reconnecting inside the window
+// catches up by streaming; one behind it receives a full snapshot
+// transfer instead.
+const replWindow = 4096
+
 // startReplication wires the configured replication role. Called by
 // New after the shards exist; the shard replLog fields are written
 // before any client traffic, and every later reader is ordered after
@@ -55,7 +61,7 @@ func (s *Server) ReplAddr() net.Addr {
 // doorbell channel), so no lock is needed.
 func (s *Server) startReplication() error {
 	if s.cfg.replListen != "" {
-		s.replLog = repl.NewLog(s.cfg.replWindow)
+		s.replLog = repl.NewLog(replWindow)
 		for _, sh := range s.shards {
 			sh.replLog = s.replLog
 		}

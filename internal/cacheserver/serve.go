@@ -36,12 +36,12 @@ func protoLabel(a proto.Adapter) telemetry.Protocol {
 }
 
 // handle runs one connection's request loop: decode a batch, serve it,
-// flush one write. The protocol is fixed per listener config or
-// sniffed from the first byte (proto.Decoder.Sniff).
+// flush one write. The protocol is sniffed from the first byte
+// (proto.Decoder.Sniff).
 func (s *Server) handle(conn net.Conn) {
 	defer conn.Close()
-	dec := proto.NewDecoder(conn, proto.Native{}, s.cfg.maxRequestBytes)
-	ad, err := dec.Sniff(s.cfg.proto)
+	dec := proto.NewDecoder(conn, proto.Native{}, proto.DefaultMaxRequest)
+	ad, err := dec.Sniff()
 	if err != nil {
 		return
 	}

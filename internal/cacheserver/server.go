@@ -62,16 +62,19 @@
 //	                            mset, zadd, zincr, zdel)
 //
 // A seq below the session's record — or below the shard's eviction
-// floor — is refused with "seq too old". docs/PROTOCOL.md is the
+// floor — is refused with "seq too old". Each shard's window holds 256
+// records, evicted round-robin. docs/PROTOCOL.md is the
 // canonical reference for the full grammar, both protocols' spellings,
 // and every error string.
 //
 // The same commands are also served over RESP2 (GET/SET/INCRBY/DEL/
 // MGET/MSET/PING/INFO and friends), so redis-cli and redis-benchmark
 // can drive the server directly; non-numeric keys and values hash to
-// the integer keyspace. By default each connection's protocol is
-// sniffed from its first byte (RESP framing always leads with '*');
-// WithProto pins a listener to one protocol.
+// the integer keyspace. Each connection's protocol is sniffed from its
+// first byte (RESP framing always leads with '*'). A request larger
+// than proto.DefaultMaxRequest (1 MiB) is answered with "request too
+// large": a native connection then resynchronizes at the next newline,
+// a RESP one is closed.
 //
 // The z* commands address the ordered keyspace: a persistent lock-free
 // skip list living beside the hash map under each shard's multi-engine

@@ -279,19 +279,30 @@ func TestSessionRecordSurvivesLoneDurableFold(t *testing.T) {
 }
 
 func TestSessionWindowEvictionFloor(t *testing.T) {
-	s := startServer(t, WithShards(1), WithDeviceWords(1<<16),
-		WithSessionWindow(1))
+	s := startServer(t, WithShards(1), WithDeviceWords(1<<16))
 	c := dial(t, s.Addr().String())
+	_, slots := s.shards[0].stk.SessTable()
 
 	c.cmd(t, "session 1")
 	if got := c.cmd(t, "incr 5 1 seq=10"); got != "1" {
 		t.Fatalf("incr: %q", got)
 	}
-	// A second session fills the single-slot window: session 1's record
-	// is evicted and the floor rises to its seq.
-	c.cmd(t, "session 2")
-	if got := c.cmd(t, "set 6 60 seq=3"); got != "STORED" {
-		t.Fatalf("set: %q", got)
+	// Sessions 2.. fill the window, and the last one past it evicts the
+	// round-robin victim, session 1: the floor rises to its seq.
+	for id := 2; id <= slots+1; id++ {
+		c.send(t, "session %d", id)
+		c.send(t, "set 6 60 seq=3")
+	}
+	for id := 2; id <= slots+1; id++ {
+		if got := c.line(t); got != fmt.Sprintf("OK SESSION %d", id) {
+			t.Fatalf("session %d: %q", id, got)
+		}
+		if got := c.line(t); got != "STORED" {
+			t.Fatalf("session %d set: %q", id, got)
+		}
+	}
+	if got := s.shards[0].tel.Server.SessionEvicted.Load(); got != 1 {
+		t.Fatalf("evictions = %d, want 1 after %d sessions in %d slots", got, slots+1, slots)
 	}
 	// Session 1's retry is now undecidable — refused, never re-applied.
 	c.cmd(t, "session 1")
@@ -300,7 +311,7 @@ func TestSessionWindowEvictionFloor(t *testing.T) {
 	}
 	// A brand-new session starting at/below the floor is equally
 	// undecidable; above it is fine.
-	c.cmd(t, "session 99")
+	c.cmd(t, "session %d", slots+2)
 	if got := c.cmd(t, "incr 5 1 seq=10"); !strings.Contains(got, "seq too old") {
 		t.Fatalf("below-floor fresh session: %q", got)
 	}

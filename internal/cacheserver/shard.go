@@ -49,6 +49,8 @@ type shard struct {
 	// goroutine mutating this shard's engines, and owns carry, the
 	// scratch, the section's op counts, the drain thread wth and its
 	// commit lock wmu (both of generation wgen) while it holds the lock.
+	// chunk is runWide's group for the head of a group wider than a
+	// section.
 	queue          chan *batchReq
 	doorbell       chan struct{}
 	combineMu      sync.Mutex
@@ -61,6 +63,7 @@ type shard struct {
 	stripes        hashmap.StripeSet
 	walk           []uint64 // the section's hash-op keys, for Map.WalkChains
 	counts         execCounts
+	chunk          batchReq
 
 	// replLog, when non-nil (primary role), receives every drained
 	// batch's committed effects as one replication group; runBatch
@@ -111,7 +114,6 @@ func newShard(idx int, c config) (*shard, error) {
 		stack.WithMaxThreads(1),
 		stack.WithLogEntries(logEntries),
 		stack.WithBuckets(4096, 256), // every shard's map shape
-		stack.WithSessionSlots(c.sessSlots),
 		stack.WithTelemetry(tel),
 	)
 	if err != nil {

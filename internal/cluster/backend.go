@@ -10,59 +10,38 @@ import (
 	"tsp/internal/telemetry"
 )
 
-// fwd is one forwarded request: what its reply needs to be framed (cmd,
-// key count), plus a private copy of the request so a redirect can
-// re-send it. A non-zero sess makes appendWire emit a session-rebind
-// command ahead of the request; the link reads and drops the rebind's
-// reply to keep its FIFO aligned.
+// fwd is one forwarded request: a private copy of the request (its KV
+// in the forward's own slice), so a redirect can re-send it and its
+// reply can be framed. A non-zero sess makes appendWire emit a
+// session-rebind command ahead of the request; the link reads and drops
+// the rebind's reply to keep its FIFO aligned.
 type fwd struct {
-	cmd      proto.Cmd
-	kv       []uint64
-	dur      proto.Durability
-	seq      uint64
-	hasSeq   bool
-	sess     uint64 // session to rebind before this request (0 = none)
-	addr     string // leg's target node (fanouts), or migrate target
-	waitRepl bool   // CmdWait's replication-barrier form
+	req  proto.Request
+	sess uint64 // session to rebind before this request (0 = none)
+	node string // a fan-out leg's target node
 
 	ln  *link       // the link that owes rep; nil once rep is settled
 	rep proto.Reply // the reply, read straight off the link
 	at  int         // merge cursor into rep.Items
 }
 
-// set loads a request copy into the slot for one flight.
-func (f *fwd) set(cmd proto.Cmd, kv []uint64, dur proto.Durability, seq uint64, hasSeq bool, sess uint64) {
-	f.cmd = cmd
-	f.kv = append(f.kv[:0], kv...)
-	f.dur = dur
-	f.seq = seq
-	f.hasSeq = hasSeq
-	f.sess = sess
-	f.addr = ""
-	f.waitRepl = false
-	f.at = 0
+// load copies req into the slot for one flight, with kv (a leg's share
+// of req.KV) as its keys.
+func (f *fwd) load(req *proto.Request, kv []uint64, sess uint64) {
+	keys := f.req.KV[:0]
+	f.req = *req
+	f.req.KV = append(keys, kv...)
+	f.sess, f.node, f.at = sess, "", 0
 }
 
 // appendWire appends the forward's native wire form (session rebind
 // prefix first when set) to dst.
 func (f *fwd) appendWire(dst []byte) []byte {
-	var req proto.Request
 	if f.sess != 0 {
-		req.Cmd = proto.CmdSession
-		req.KV = []uint64{f.sess}
-		dst = proto.Native{}.AppendRequest(dst, &req)
-		req = proto.Request{}
+		rebind := proto.Request{Cmd: proto.CmdSession, KV: []uint64{f.sess}}
+		dst = proto.Native{}.AppendRequest(dst, &rebind)
 	}
-	req.Cmd = f.cmd
-	req.KV = f.kv
-	req.Dur = f.dur
-	req.Seq = f.seq
-	req.HasSeq = f.hasSeq
-	req.WaitRepl = f.waitRepl
-	if f.cmd == proto.CmdMigrate {
-		req.Addr = f.addr
-	}
-	return proto.Native{}.AppendRequest(dst, &req)
+	return proto.Native{}.AppendRequest(dst, &f.req)
 }
 
 // linkFlushBytes bounds the request bytes one link stages before it
@@ -120,9 +99,7 @@ func (b *backend) borrow() (*bconn, error) {
 	if tc, ok := conn.(*net.TCPConn); ok {
 		tc.SetNoDelay(true)
 	}
-	if b.p.tel != nil {
-		b.p.tel.BackendDials.Inc()
-	}
+	b.p.tel.BackendDials.Inc()
 	return &bconn{conn: conn, r: bufio.NewReaderSize(conn, 64<<10)}, nil
 }
 
@@ -191,10 +168,8 @@ func (l *link) flush() bool {
 		l.fail(err)
 		return false
 	}
-	if n := l.b.node; n != nil {
-		n.Batches.Inc()
-		n.Sent.Add(uint64(len(l.q) - l.sent))
-	}
+	l.b.node.Batches.Inc()
+	l.b.node.Sent.Add(uint64(len(l.q) - l.sent))
 	l.sent = len(l.q)
 	return true
 }
@@ -210,7 +185,7 @@ func (l *link) readOne() bool {
 		err = proto.ReadNativeReply(l.c.r, proto.CmdSession, 1, &f.rep)
 	}
 	if err == nil {
-		err = proto.ReadNativeReply(l.c.r, f.cmd, len(f.kv), &f.rep)
+		err = proto.ReadNativeReply(l.c.r, f.req.Cmd, len(f.req.KV), &f.rep)
 	}
 	if err != nil {
 		l.fail(err)
@@ -240,10 +215,6 @@ func (l *link) fail(err error) {
 		l.c = nil
 		l.b.giveBack(nil)
 	}
-	if n := l.b.node; n != nil {
-		n.Errors.Inc()
-	}
-	if l.b.p.tel != nil {
-		l.b.p.tel.BackendErrors.Inc()
-	}
+	l.b.node.Errors.Inc()
+	l.b.p.tel.BackendErrors.Inc()
 }

@@ -19,16 +19,8 @@ type Config struct {
 	Addr string
 	// Nodes are the seed backend addresses the ring is built over.
 	Nodes []string
-	// VNodes is the virtual-node count per node (0 = DefaultVNodes).
-	VNodes int
-	// Proto fixes the frontend protocol: "native", "resp", or "" /
-	// "auto" to sniff per connection by first byte, exactly like the
-	// cache server's listener.
-	Proto string
-	// MaxRequestBytes caps one frontend request (0 = the codec
-	// default).
-	MaxRequestBytes int
-	// Tel receives routing counters (nil = telemetry off).
+	// Tel receives routing counters (nil = a fresh set the proxy's
+	// stats renders).
 	Tel *telemetry.RouteStats
 	// Logf receives serving errors (nil = silent).
 	Logf func(format string, args ...any)
@@ -59,14 +51,12 @@ type Proxy struct {
 
 // New builds the ring, starts listening, and begins serving.
 func New(cfg Config) (*Proxy, error) {
-	ring, err := NewRing(cfg.Nodes, cfg.VNodes)
+	ring, err := NewRing(cfg.Nodes, DefaultVNodes)
 	if err != nil {
 		return nil, err
 	}
-	switch cfg.Proto {
-	case "", "auto", "native", "resp":
-	default:
-		return nil, fmt.Errorf("cluster: unknown proto %q", cfg.Proto)
+	if cfg.Tel == nil {
+		cfg.Tel = &telemetry.RouteStats{}
 	}
 	if cfg.Addr == "" {
 		cfg.Addr = "127.0.0.1:0"
@@ -311,11 +301,9 @@ func (p *Proxy) handle(conn net.Conn) {
 	if tc, ok := conn.(*net.TCPConn); ok {
 		tc.SetNoDelay(true)
 	}
-	if p.tel != nil {
-		p.tel.Frontends.Inc()
-	}
-	dec := proto.NewDecoder(conn, proto.Native{}, p.cfg.MaxRequestBytes)
-	ad, err := dec.Sniff(p.cfg.Proto)
+	p.tel.Frontends.Inc()
+	dec := proto.NewDecoder(conn, proto.Native{}, proto.DefaultMaxRequest)
+	ad, err := dec.Sniff()
 	if err != nil {
 		return
 	}
@@ -340,10 +328,8 @@ func (p *Proxy) handle(conn net.Conn) {
 // first (one backend write per touched node), then settle replies in
 // request order.
 func (p *Proxy) serveBatch(cs *feConn, enc *proto.Encoder, batch []proto.Request) (quit bool) {
-	if p.tel != nil {
-		p.tel.Batches.Inc()
-		p.tel.Requests.Add(uint64(len(batch)))
-	}
+	p.tel.Batches.Inc()
+	p.tel.Requests.Add(uint64(len(batch)))
 	cs.nfwd, cs.legs, cs.keyLeg = 0, cs.legs[:0], cs.keyLeg[:0]
 	entries := cs.entries[:0]
 	for i := range batch {
@@ -366,9 +352,7 @@ func (p *Proxy) serveBatch(cs *feConn, enc *proto.Encoder, batch []proto.Request
 		e := &entries[i]
 		switch e.kind {
 		case eLocal:
-			if p.tel != nil {
-				p.tel.LocalReplies.Inc()
-			}
+			p.tel.LocalReplies.Inc()
 			enc.Stage(&e.rep)
 			quit = e.rep.Kind == proto.KQuit
 		case eForward:
@@ -377,24 +361,18 @@ func (p *Proxy) serveBatch(cs *feConn, enc *proto.Encoder, batch []proto.Request
 			if e.moved >= 0 && rep.Kind == proto.KRaw && strings.HasPrefix(rep.Msg, "OK MIGRATED") {
 				// A migrate acknowledged through the proxy flips our ring
 				// along with the cluster's.
-				p.ring.SetOwner(e.moved, e.f.addr)
-				if p.tel != nil {
-					p.tel.RingRefreshes.Inc()
-				}
+				p.ring.SetOwner(e.moved, e.f.req.Addr)
+				p.tel.RingRefreshes.Inc()
 			}
-			if p.tel != nil {
-				p.tel.ForwardLatency.Observe(time.Since(e.start))
-			}
+			p.tel.ForwardLatency.Observe(time.Since(e.start))
 			enc.Stage(&rep)
 		case eFanout:
 			rep := p.mergeFanout(cs, e)
-			if p.tel != nil {
-				p.tel.FanoutLatency.Observe(time.Since(e.start))
-			}
+			p.tel.FanoutLatency.Observe(time.Since(e.start))
 			enc.Stage(&rep)
 		}
 	}
-	if wrote && p.tel != nil && cs.lastRead.After(written) {
+	if wrote && cs.lastRead.After(written) {
 		p.tel.BackendWait.Observe(cs.lastRead.Sub(written))
 	}
 	return quit
@@ -439,11 +417,8 @@ func (p *Proxy) classify(cs *feConn, req *proto.Request) entry {
 			return localReply(proto.Reply{Kind: proto.KErrClient, Msg: "bad slot"})
 		}
 		f := cs.takeFwd()
-		f.set(req.Cmd, req.KV, req.Dur, 0, false, 0)
-		f.addr = req.Addr
-		if p.tel != nil {
-			p.tel.Forwards.Inc()
-		}
+		f.load(req, req.KV, 0)
+		p.tel.Forwards.Inc()
 		cs.link(p.ring.Owner(slot)).stage(f)
 		return entry{kind: eForward, f: f, moved: slot, start: time.Now()}
 
@@ -487,11 +462,9 @@ func (p *Proxy) forwardKeyed(cs *feConn, req *proto.Request) entry {
 		sess = cs.sess
 	}
 	f := cs.takeFwd()
-	f.set(req.Cmd, req.KV, req.Dur, req.Seq, req.HasSeq, sess)
+	f.load(req, req.KV, sess)
 	addr, _ := p.ring.OwnerOfKey(req.KV[0])
-	if p.tel != nil {
-		p.tel.Forwards.Inc()
-	}
+	p.tel.Forwards.Inc()
 	cs.link(addr).stage(f)
 	return entry{kind: eForward, f: f, moved: -1, start: time.Now()}
 }
@@ -506,35 +479,31 @@ func (p *Proxy) fanKeys(cs *feConn, req *proto.Request, sp *proto.Spec) entry {
 	for i := 0; i < len(kv); i += stride {
 		addr, _ := p.ring.OwnerOfKey(kv[i])
 		li := legs0
-		for li < len(cs.legs) && cs.legs[li].addr != addr {
+		for li < len(cs.legs) && cs.legs[li].node != addr {
 			li++ // legs are few; linear is right
 		}
 		if li == len(cs.legs) {
 			f := cs.takeFwd()
-			f.set(req.Cmd, nil, req.Dur, 0, false, 0)
-			f.addr = addr
+			f.load(req, nil, 0)
+			f.node = addr
 			cs.legs = append(cs.legs, f)
 		}
 		f := cs.legs[li]
-		f.kv = append(f.kv, kv[i:i+stride]...)
+		f.req.KV = append(f.req.KV, kv[i:i+stride]...)
 		cs.keyLeg = append(cs.keyLeg, li-legs0)
 	}
 	e.legs, e.keyLeg = cs.legs[legs0:len(cs.legs):len(cs.legs)], cs.keyLeg[keys0:len(cs.keyLeg):len(cs.keyLeg)]
 	if len(e.legs) == 1 {
 		// Single owner: no split needed; forward whole.
 		f := e.legs[0]
-		if p.tel != nil {
-			p.tel.Forwards.Inc()
-		}
-		cs.link(f.addr).stage(f)
+		p.tel.Forwards.Inc()
+		cs.link(f.node).stage(f)
 		return entry{kind: eForward, f: f, moved: -1, start: e.start}
 	}
-	if p.tel != nil {
-		p.tel.Fanouts.Inc()
-		p.tel.FanoutLegs.Add(uint64(len(e.legs)))
-	}
+	p.tel.Fanouts.Inc()
+	p.tel.FanoutLegs.Add(uint64(len(e.legs)))
 	for _, f := range e.legs {
-		cs.link(f.addr).stage(f)
+		cs.link(f.node).stage(f)
 	}
 	return e
 }
@@ -545,17 +514,13 @@ func (p *Proxy) broadcast(cs *feConn, req *proto.Request, sp *proto.Spec, limit 
 	legs0 := len(cs.legs)
 	for _, addr := range p.ring.Nodes() {
 		f := cs.takeFwd()
-		f.set(req.Cmd, req.KV, req.Dur, 0, false, 0)
-		f.waitRepl = req.WaitRepl
-		f.addr = addr
+		f.load(req, req.KV, 0)
 		cs.link(addr).stage(f)
 		cs.legs = append(cs.legs, f)
 	}
 	e.legs = cs.legs[legs0:len(cs.legs):len(cs.legs)]
-	if p.tel != nil {
-		p.tel.Fanouts.Inc()
-		p.tel.FanoutLegs.Add(uint64(len(e.legs)))
-	}
+	p.tel.Fanouts.Inc()
+	p.tel.FanoutLegs.Add(uint64(len(e.legs)))
 	return e
 }
 
@@ -572,24 +537,18 @@ func (p *Proxy) settle(cs *feConn, f *fwd) {
 	cs.await(f)
 	for tries := 0; f.rep.Kind == proto.KMoved && tries < movedRetryMax; tries++ {
 		cs.drain()
-		if p.tel != nil {
-			p.tel.Redirects.Inc()
-		}
+		p.tel.Redirects.Inc()
 		slot := f.rep.N
 		if f.rep.Msg != "?" {
 			if p.ring.Owner(slot) != f.rep.Msg {
 				p.ring.SetOwner(slot, f.rep.Msg)
-				if p.tel != nil {
-					p.tel.RingRefreshes.Inc()
-				}
+				p.tel.RingRefreshes.Inc()
 			}
 		} else {
 			time.Sleep(time.Millisecond)
 		}
 		owner := p.ring.Owner(slot)
-		if p.tel != nil {
-			p.tel.Retries.Inc()
-		}
+		p.tel.Retries.Inc()
 		l := cs.link(owner)
 		l.stage(f)
 		l.flush()
@@ -606,11 +565,9 @@ func (p *Proxy) settleLeg(cs *feConn, f *fwd) {
 	if f.rep.Kind != proto.KMoved {
 		return
 	}
-	if p.tel != nil {
-		p.tel.Redirects.Inc()
-	}
-	sp := f.cmd.Spec()
-	if len(f.kv) == sp.Stride {
+	p.tel.Redirects.Inc()
+	kv, sp := f.req.KV, f.req.Cmd.Spec()
+	if len(kv) == sp.Stride {
 		// Single-key leg: plain redirect following.
 		p.settle(cs, f)
 		return
@@ -621,11 +578,11 @@ func (p *Proxy) settleLeg(cs *feConn, f *fwd) {
 	}
 	// Re-split per key and reassemble: items in key order, counts summed.
 	cs.drain()
-	singles := make([]*fwd, 0, len(f.kv)/sp.Stride)
-	for i := 0; i < len(f.kv); i += sp.Stride {
+	singles := make([]*fwd, 0, len(kv)/sp.Stride)
+	for i := 0; i < len(kv); i += sp.Stride {
 		s := cs.takeFwd()
-		s.set(f.cmd, f.kv[i:i+sp.Stride], f.dur, 0, false, 0)
-		addr, _ := p.ring.OwnerOfKey(f.kv[i])
+		s.load(&f.req, kv[i:i+sp.Stride], 0)
+		addr, _ := p.ring.OwnerOfKey(kv[i])
 		l := cs.link(addr)
 		l.stage(s)
 		l.flush()
@@ -718,9 +675,7 @@ func mergeRange(e *entry, out []proto.Item) []proto.Item {
 // per-node counters). A proxy has no shard-scoped rows, so
 // `stats shards` answers END alone.
 func (p *Proxy) statsSources() telemetry.Source {
-	if p.tel != nil {
-		p.tel.RingEpoch.Store(p.ring.Epoch())
-	}
+	p.tel.RingEpoch.Store(p.ring.Epoch())
 	return telemetry.RouteRows.Bind(p.tel)
 }
 

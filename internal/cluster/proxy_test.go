@@ -18,6 +18,7 @@ import (
 
 	"tsp/internal/cacheserver"
 	"tsp/internal/cluster"
+	"tsp/internal/proto"
 	"tsp/internal/telemetry"
 )
 
@@ -40,11 +41,7 @@ func startNode(t *testing.T, slots string, opts ...cacheserver.Option) *cacheser
 // startProxy boots a proxy over the nodes and returns it.
 func startProxy(t *testing.T, nodes ...string) *cluster.Proxy {
 	t.Helper()
-	p, err := cluster.New(cluster.Config{
-		Nodes: nodes,
-		Tel:   &telemetry.RouteStats{},
-		Logf:  t.Logf,
-	})
+	p, err := cluster.New(cluster.Config{Nodes: nodes, Logf: t.Logf})
 	if err != nil {
 		t.Fatalf("proxy: %v", err)
 	}
@@ -410,6 +407,33 @@ func TestProxySniffsRESP(t *testing.T) {
 	c := dialText(t, p.Addr())
 	if got := c.cmd(t, "get 42"); got != "VALUE 42 4200" {
 		t.Fatalf("native get of RESP-set key: %q", got)
+	}
+}
+
+// TestProxyTooLargeRequest: the proxy's frontend holds a request to the
+// node's bound, proto.DefaultMaxRequest. An over-bound native request is
+// answered, not forwarded or dropped, and the connection resynchronizes
+// at the next newline and keeps serving.
+func TestProxyTooLargeRequest(t *testing.T) {
+	_, _, p := twoNodeCluster(t)
+	c := dialText(t, p.Addr())
+
+	var b strings.Builder
+	b.WriteString("mset")
+	for k := 0; b.Len() <= proto.DefaultMaxRequest; k++ {
+		fmt.Fprintf(&b, " %d %d", 1000+k, k)
+	}
+	if got := c.cmd(t, "%s", b.String()); got != "CLIENT_ERROR request too large" {
+		t.Fatalf("oversized mset through the proxy: %q", got)
+	}
+	if got := c.cmd(t, "set 7 77"); got != "STORED" {
+		t.Fatalf("set after oversized: %q", got)
+	}
+	if got := c.cmd(t, "get 7"); got != "VALUE 7 77" {
+		t.Fatalf("get after oversized: %q", got)
+	}
+	if got := c.cmd(t, "get 1000"); got != "NOT_FOUND" {
+		t.Fatalf("the oversized mset reached a node: get 1000 = %q", got)
 	}
 }
 

@@ -59,9 +59,9 @@ type Ring struct {
 	epoch  uint64
 }
 
-// DefaultVNodes is the virtual-node count per node used when a caller
-// passes 0: enough points that 4 nodes land within a few slots of a
-// perfect split.
+// DefaultVNodes is the proxy's virtual-node count per node, and
+// NewRing's when a caller passes 0: enough points that 4 nodes land
+// within a few slots of a perfect split.
 const DefaultVNodes = 64
 
 // NewRing builds a ring over nodes (backend addresses) with vnodes

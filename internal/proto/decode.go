@@ -63,24 +63,17 @@ func NewDecoder(r io.Reader, a Adapter, maxRequest int) *Decoder {
 // first byte, pick the protocol, Use it, then start calling Next.
 func (d *Decoder) Use(a Adapter) { d.a = a }
 
-// Sniff fixes the stream's protocol and returns its adapter: "native"
-// or "resp" as named, anything else ("auto") from the first byte —
-// RESP framing always leads with '*', which no native command starts
-// with. A server and the proxy call it once per connection.
-func (d *Decoder) Sniff(name string) (Adapter, error) {
+// Sniff fixes the stream's protocol from its first byte and returns its
+// adapter: RESP framing always leads with '*', which no native command
+// starts with. A server and the proxy call it once per connection.
+func (d *Decoder) Sniff() (Adapter, error) {
+	b, err := d.Peek()
+	if err != nil {
+		return nil, err
+	}
 	var a Adapter = Native{}
-	switch name {
-	case "native":
-	case "resp":
+	if b == '*' {
 		a = RESP{}
-	default:
-		b, err := d.Peek()
-		if err != nil {
-			return nil, err
-		}
-		if b == '*' {
-			a = RESP{}
-		}
 	}
 	d.Use(a)
 	return a, nil

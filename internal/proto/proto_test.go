@@ -417,24 +417,30 @@ func TestEncoderBoundSpills(t *testing.T) {
 	}
 }
 
-// TestDecoderSniff: a named protocol is taken as named, whatever the
-// stream starts with; "auto" picks RESP on a leading '*' only.
+// TestDecoderSniff: RESP on a leading '*' only, native otherwise. A
+// sniffed RESP stream still parses inline lines after its first framed
+// request.
 func TestDecoderSniff(t *testing.T) {
-	for _, c := range []struct{ name, stream, want string }{
-		{"native", "*1\r\n", "native"},
-		{"resp", "get 1\r\n", "resp"},
-		{"auto", "*1\r\n", "resp"},
-		{"auto", "get 1\r\n", "native"},
-		{"", "get 1\r\n", "native"},
+	for _, c := range []struct{ stream, want string }{
+		{"*1\r\n", "resp"},
+		{"get 1\r\n", "native"},
 	} {
 		d := NewDecoder(strings.NewReader(c.stream), Native{}, 0)
-		a, err := d.Sniff(c.name)
+		a, err := d.Sniff()
 		if err != nil || a.Name() != c.want || d.Adapter().Name() != c.want {
-			t.Errorf("Sniff(%q) on %q = %v, %v; want %s in use", c.name, c.stream, a, err, c.want)
+			t.Errorf("Sniff on %q = %v, %v; want %s in use", c.stream, a, err, c.want)
 		}
 	}
-	if _, err := NewDecoder(strings.NewReader(""), Native{}, 0).Sniff("auto"); err == nil {
-		t.Error("Sniff(auto) on an empty stream succeeded")
+	if _, err := NewDecoder(strings.NewReader(""), Native{}, 0).Sniff(); err == nil {
+		t.Error("Sniff on an empty stream succeeded")
+	}
+	d := NewDecoder(strings.NewReader("*1\r\n$4\r\nPING\r\nPING\r\n"), Native{}, 0)
+	if _, err := d.Sniff(); err != nil {
+		t.Fatal(err)
+	}
+	batch, err := d.Next()
+	if err != nil || len(batch) != 2 || batch[0].Cmd != CmdPing || batch[1].Cmd != CmdPing {
+		t.Fatalf("framed then inline PING on a sniffed RESP stream: %v, %v", batch, err)
 	}
 }
 

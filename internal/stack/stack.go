@@ -129,10 +129,10 @@ type Stack struct {
 	Recovery atlas.Report
 
 	// Tel is the stack's telemetry registry: one observability plane for
-	// every layer. Nil when the stack was built WithoutTelemetry. The
-	// registry outlives any single incarnation — CrashReattach hands the
-	// same registry to the recovered stack, so counters accumulate across
-	// crashes (Generation tells incarnations apart).
+	// every layer. The registry outlives any single incarnation —
+	// CrashReattach hands the same registry to the recovered stack, so
+	// counters accumulate across crashes (Generation tells incarnations
+	// apart).
 	Tel *telemetry.Registry
 
 	// epochPtr is the one-word heap block behind DurableEpoch, anchored
@@ -167,7 +167,6 @@ type config struct {
 	sessSlots     int
 	heapOnly      bool
 	tel           *telemetry.Registry
-	telemetryOff  bool
 }
 
 func defaults() config {
@@ -253,20 +252,7 @@ func HeapOnly() Option {
 // (one registry per cache-server shard) keeps each shard's registry
 // stable while the shard's stack is crashed and rebuilt underneath it.
 func WithTelemetry(reg *telemetry.Registry) Option {
-	return func(c *config) {
-		c.tel = reg
-		c.telemetryOff = reg == nil
-	}
-}
-
-// WithoutTelemetry builds the stack with no registry at all: every layer
-// holds nil counter sections and pays one predictable branch per event.
-// This is the configuration the overhead benchmarks compare against.
-func WithoutTelemetry() Option {
-	return func(c *config) {
-		c.tel = nil
-		c.telemetryOff = true
-	}
+	return func(c *config) { c.tel = reg }
 }
 
 func buildConfig(opts []Option) config {
@@ -278,26 +264,19 @@ func buildConfig(opts []Option) config {
 }
 
 func (c config) atlasOptions(reg *telemetry.Registry) atlas.Options {
-	o := atlas.Options{
+	return atlas.Options{
 		MaxThreads:    c.maxThreads,
 		LogEntries:    c.logEntries,
 		LogEveryStore: c.logEveryStore,
+		Telemetry:     reg.Atlas,
 	}
-	if reg != nil {
-		o.Telemetry = reg.Atlas
-	}
-	return o
 }
 
-// resolveRegistry picks the stack's registry: the injected one, a fresh
-// one by default, or nil when telemetry is explicitly off. The choice is
-// written back into the config so CrashReattach rebuilds onto the SAME
-// registry — that is what makes counters survive a crash.
+// resolveRegistry picks the stack's registry: the injected one, or a
+// fresh one by default. The choice is written back into the config so
+// CrashReattach rebuilds onto the SAME registry — that is what makes
+// counters survive a crash.
 func (c *config) resolveRegistry() *telemetry.Registry {
-	if c.telemetryOff {
-		c.tel = nil
-		return nil
-	}
 	if c.tel == nil {
 		c.tel = telemetry.NewRegistry()
 	}
@@ -311,25 +290,17 @@ func New(opts ...Option) (*Stack, error) {
 	c := buildConfig(opts)
 	reg := c.resolveRegistry()
 	devCfg := c.devCfg
-	if reg != nil {
-		devCfg.Telemetry = reg.Device
-	} else {
-		devCfg.DisableStats = true
-	}
+	devCfg.Telemetry = reg.Device
 	dev := nvm.NewDevice(devCfg)
 	heap, err := pheap.Format(dev)
 	if err != nil {
 		return nil, fmt.Errorf("stack: format heap: %w", err)
 	}
-	if reg != nil {
-		heap.SetTelemetry(reg.Heap)
-	}
+	heap.SetTelemetry(reg.Heap)
 	heap.SetSyncAllocs(c.mode == atlas.ModeNonTSP)
 	s := &Stack{Dev: dev, Heap: heap, Tel: reg, cfg: c}
 	if c.heapOnly {
-		if reg != nil {
-			reg.Generation.Inc()
-		}
+		reg.Generation.Inc()
 		return s, nil
 	}
 	rt, err := atlas.New(heap, c.mode, c.atlasOptions(reg))
@@ -340,9 +311,7 @@ func New(opts ...Option) (*Stack, error) {
 	if err != nil {
 		return nil, fmt.Errorf("stack: hashmap: %w", err)
 	}
-	if reg != nil {
-		m.SetTelemetry(reg.Map)
-	}
+	m.SetTelemetry(reg.Map)
 	l, err := skiplist.New(heap, 16)
 	if err != nil {
 		return nil, fmt.Errorf("stack: skiplist: %w", err)
@@ -350,60 +319,43 @@ func New(opts ...Option) (*Stack, error) {
 	if err := publishRoot(heap, m.Ptr(), l.Ptr()); err != nil {
 		return nil, err
 	}
-	ep, _, err := ensureEpochAnchor(heap)
-	if err != nil {
+	if s.epochPtr, err = newEpochAnchor(heap); err != nil {
 		return nil, err
 	}
-	s.epochPtr = ep
-	sp, _, err := ensureSessAnchor(heap, c.sessSlots)
-	if err != nil {
+	if s.sessPtr, err = newSessAnchor(heap, c.sessSlots); err != nil {
 		return nil, err
 	}
-	s.sessPtr = sp
-	s.sessCap = int(heap.Load(sp, SessCapWord))
+	s.sessCap = int(heap.Load(s.sessPtr, SessCapWord))
 	dev.FlushAll()
 	s.RT = rt
 	s.Map = m
 	s.List = l
-	if reg != nil {
-		reg.Generation.Inc()
-	}
+	reg.Generation.Inc()
 	return s, nil
 }
 
-// ensureEpochAnchor returns the epoch-frontier block, allocating and
-// anchoring one when the heap predates the epoch clock (every fresh heap
-// lands here). The second result reports whether an allocation
-// happened, so Reattach knows to flush the new anchor; New's setup
-// FlushAll covers it for free.
-func ensureEpochAnchor(heap *pheap.Heap) (pheap.Ptr, bool, error) {
-	if p := heap.Aux(auxEpochSlot); !p.IsNil() {
-		return p, false, nil
-	}
+// newEpochAnchor allocates the epoch-frontier block, zeroed, and
+// anchors it at its Aux slot. New's setup FlushAll makes it durable.
+func newEpochAnchor(heap *pheap.Heap) (pheap.Ptr, error) {
 	p, err := heap.Alloc(1)
 	if err != nil {
-		return pheap.Nil, false, fmt.Errorf("stack: epoch anchor: %w", err)
+		return pheap.Nil, fmt.Errorf("stack: epoch anchor: %w", err)
 	}
 	heap.Store(p, 0, 0)
 	heap.SetAux(auxEpochSlot, p)
-	return p, true, nil
+	return p, nil
 }
 
-// ensureSessAnchor returns the session dedup-table block, allocating
-// and anchoring one when the heap predates detectable operations. Like
-// ensureEpochAnchor, the second result tells Reattach to flush the
-// fresh block. Record words are zeroed (session id 0 = empty), so a
-// fresh table suppresses nothing and rejects nothing.
-func ensureSessAnchor(heap *pheap.Heap, slots int) (pheap.Ptr, bool, error) {
-	if p := heap.Aux(auxSessSlot); !p.IsNil() {
-		return p, false, nil
-	}
+// newSessAnchor allocates the session dedup table and anchors it at its
+// Aux slot. Record words are zeroed (session id 0 = empty), so a fresh
+// table suppresses nothing and rejects nothing.
+func newSessAnchor(heap *pheap.Heap, slots int) (pheap.Ptr, error) {
 	if slots < 1 {
 		slots = 1
 	}
 	p, err := heap.Alloc(SessHdrWords + SessRecWords*slots)
 	if err != nil {
-		return pheap.Nil, false, fmt.Errorf("stack: session table: %w", err)
+		return pheap.Nil, fmt.Errorf("stack: session table: %w", err)
 	}
 	heap.Store(p, SessCapWord, uint64(slots))
 	heap.Store(p, SessFloorWord, 0)
@@ -411,7 +363,7 @@ func ensureSessAnchor(heap *pheap.Heap, slots int) (pheap.Ptr, bool, error) {
 		heap.Store(p, SessHdrWords+w, 0)
 	}
 	heap.SetAux(auxSessSlot, p)
-	return p, true, nil
+	return p, nil
 }
 
 // SessTable exposes the persistent session dedup table: the block
@@ -466,7 +418,7 @@ func publishRoot(heap *pheap.Heap, mapPtr, listPtr pheap.Ptr) error {
 func Reattach(dev *nvm.Device, opts ...Option) (*Stack, error) {
 	c := buildConfig(opts)
 	reg := c.resolveRegistry()
-	if reg != nil && dev.Telemetry() != nil {
+	if dev.Telemetry() != nil {
 		// Adopt the restarted device's live counter section: the device
 		// (and its counters) survived the crash, so severing them here
 		// would erase exactly the flush/rescue history a crash experiment
@@ -477,16 +429,12 @@ func Reattach(dev *nvm.Device, opts ...Option) (*Stack, error) {
 	if err != nil {
 		return nil, fmt.Errorf("stack: reopen heap: %w", err)
 	}
-	if reg != nil {
-		heap.SetTelemetry(reg.Heap)
-	}
+	heap.SetTelemetry(reg.Heap)
 	heap.SetSyncAllocs(c.mode == atlas.ModeNonTSP)
 	s := &Stack{Dev: dev, Heap: heap, Tel: reg, cfg: c}
 	if c.heapOnly {
-		if reg != nil {
-			reg.Generation.Inc()
-			reg.Recovery.Recoveries.Inc()
-		}
+		reg.Generation.Inc()
+		reg.Recovery.Recoveries.Inc()
 		return s, nil
 	}
 	// The directory is written once, by New, so no rollback moves it.
@@ -517,30 +465,17 @@ func Reattach(dev *nvm.Device, opts ...Option) (*Stack, error) {
 	if err != nil {
 		return nil, fmt.Errorf("stack: skiplist reattach: %w", err)
 	}
-	ep, freshEpoch, err := ensureEpochAnchor(heap)
-	if err != nil {
-		return nil, err
+	// New anchored both blocks and flushed them before returning.
+	if s.epochPtr = heap.Aux(auxEpochSlot); s.epochPtr.IsNil() {
+		return nil, fmt.Errorf("stack: heap has no epoch anchor (aux slot %d)", auxEpochSlot)
 	}
-	sp, freshSess, err := ensureSessAnchor(heap, c.sessSlots)
-	if err != nil {
-		return nil, err
+	if s.sessPtr = heap.Aux(auxSessSlot); s.sessPtr.IsNil() {
+		return nil, fmt.Errorf("stack: heap has no session table (aux slot %d)", auxSessSlot)
 	}
-	if freshEpoch || freshSess {
-		// Lazy upgrade of a pre-epoch (or pre-session) heap: make the
-		// anchors durable now so a later frontier/record store never races
-		// a crash that would lose the Aux slot itself. FlushAll (not
-		// per-word flushes) because SetAux wrote a header word whose
-		// address the heap does not expose.
-		dev.FlushAll()
-	}
-	s.epochPtr = ep
-	s.sessPtr = sp
-	s.sessCap = int(heap.Load(sp, SessCapWord))
-	if reg != nil {
-		m.SetTelemetry(reg.Map)
-		reg.Generation.Inc()
-		recordRecovery(reg.Recovery, rep)
-	}
+	s.sessCap = int(heap.Load(s.sessPtr, SessCapWord))
+	m.SetTelemetry(reg.Map)
+	reg.Generation.Inc()
+	recordRecovery(reg.Recovery, rep)
 	s.RT = rt
 	s.Map = m
 	s.List = l
@@ -553,9 +488,6 @@ func Reattach(dev *nvm.Device, opts ...Option) (*Stack, error) {
 // recordRecovery accumulates one Atlas recovery report into the
 // registry's recovery section.
 func recordRecovery(rs *telemetry.RecoveryStats, rep atlas.Report) {
-	if rs == nil {
-		return
-	}
 	rs.Recoveries.Inc()
 	rs.EntriesScanned.Add(uint64(rep.EntriesScanned))
 	rs.OCSes.Add(uint64(rep.OCSes))

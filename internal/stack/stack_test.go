@@ -2,6 +2,7 @@ package stack
 
 import (
 	"errors"
+	"strings"
 	"testing"
 
 	"tsp/internal/atlas"
@@ -263,5 +264,26 @@ func TestDurableEpochHeapOnlyNoop(t *testing.T) {
 	s.SetDurableEpoch(5) // must not panic
 	if got := s.DurableEpoch(); got != 0 {
 		t.Fatalf("heap-only DurableEpoch = %d, want 0", got)
+	}
+}
+
+// TestReattachRequiresAnchors: New anchors the epoch frontier and the
+// session table before any crash can be armed, so a heap missing either
+// is not one New made: Reattach refuses it, naming the missing anchor.
+func TestReattachRequiresAnchors(t *testing.T) {
+	for _, c := range []struct {
+		slot int
+		want string
+	}{{auxEpochSlot, "epoch anchor"}, {auxSessSlot, "session table"}} {
+		s, err := New(WithDeviceWords(1 << 16))
+		if err != nil {
+			t.Fatalf("New: %v", err)
+		}
+		s.Heap.SetAux(c.slot, pheap.Nil)
+		s.Dev.FlushAll()
+		s.Dev.Restart()
+		if _, err := Reattach(s.Dev); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("Reattach without aux slot %d: %v, want an error naming the %s", c.slot, err, c.want)
+		}
 	}
 }

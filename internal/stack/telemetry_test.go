@@ -142,36 +142,3 @@ func TestWithTelemetryInjectsSharedRegistry(t *testing.T) {
 		t.Fatal("device not wired to the injected registry's section")
 	}
 }
-
-// TestWithoutTelemetryDisablesEverything: the explicit off switch wires
-// nil sections through every layer and Device.Stats reads zero.
-func TestWithoutTelemetryDisablesEverything(t *testing.T) {
-	s, err := New(WithDeviceWords(1<<16), WithoutTelemetry())
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	if s.Tel != nil {
-		t.Fatal("Tel should be nil WithoutTelemetry")
-	}
-	if s.Dev.Telemetry() != nil {
-		t.Fatal("device still counting WithoutTelemetry")
-	}
-	th, err := s.RT.NewThread()
-	if err != nil {
-		t.Fatalf("thread: %v", err)
-	}
-	if err := s.Map.Put(th, 1, 2); err != nil {
-		t.Fatalf("put: %v", err)
-	}
-	if got := s.Dev.Stats(); got != (nvm.StatsSnapshot{}) {
-		t.Fatalf("disabled device stats = %+v, want zeros", got)
-	}
-	// The disabled stack still recovers normally.
-	s2, err := s.CrashReattach(nvm.CrashOptions{RescueFraction: 1})
-	if err != nil {
-		t.Fatalf("CrashReattach: %v", err)
-	}
-	if s2.Tel != nil {
-		t.Fatal("reattached stack grew a registry despite WithoutTelemetry")
-	}
-}

@@ -94,6 +94,12 @@ go test -race -cpu 1,2,4 -count=20 -run 'TestWaitDemandsEpochClose|TestWaitCoale
 echo "== go test ./... (everything else, no race)"
 go test ./...
 
+# The benchmark is its own module (bench/go.mod), so the root's vet and
+# test skip it; it calls the server, proxy, codec and stack APIs, and a
+# change that breaks it must fail here, not when the benchmark is built.
+echo "== bench module (vet, test)"
+(cd bench && GOPROXY=off GOTOOLCHAIN=local go vet . && GOPROXY=off GOTOOLCHAIN=local go test .)
+
 # Each example checks its own invariant and exits through log.Fatal
 # when it breaks; they are also the only importers of famsync and wsp
 # outside their own tests.
@@ -114,7 +120,7 @@ ceiling() {
 		exit 1
 	fi
 }
-for pc in cacheserver:4146 cluster:1265 repl:1138 telemetry:1471; do
+for pc in cacheserver:4083 cluster:1191 repl:1138 telemetry:1471; do
 	pkg=${pc%:*}
 	echo "== internal/$pkg non-test lines"
 	ceiling "internal/$pkg non-test lines" \
