@@ -22,8 +22,8 @@ import (
 // slot sees many overwrites inside a run's crash window.
 const meSlots = 16
 
-// runMultiEngine runs the campaign n times.
-func runMultiEngine(n, threads int, seed int64) bool {
+// runSharedHeap runs the campaign n times.
+func runSharedHeap(n, threads int, seed int64) bool {
 	return report("multi-engine root (map+list) + TSP rescue", n, func(i int) error {
 		return multiEngineOnce(threads, seed+int64(i)*7919)
 	})

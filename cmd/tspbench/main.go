@@ -29,13 +29,13 @@ import (
 
 	"tsp/internal/harness"
 	"tsp/internal/platform"
-	"tsp/internal/stats"
 )
 
 // benchCell is one (profile, variant) measurement in the JSON report.
-// Throughput fields are in millions of worker iterations per second;
-// latency fields are nanoseconds. Fields that don't apply to the mode
-// are omitted.
+// Throughput fields are in millions of worker iterations per second
+// (Iterations is the best run's); latency fields are nanoseconds. Fields
+// that don't apply to the mode are omitted, and so is a one-run cell's
+// zero stddev.
 type benchCell struct {
 	Profile string `json:"profile"`
 	Variant string `json:"variant"`
@@ -76,7 +76,7 @@ func main() {
 	duration := flag.Duration("duration", 2*time.Second, "measurement window per cell")
 	seed := flag.Int64("seed", 1, "workload seed")
 	profiles := flag.String("profiles", "desktop,server", "comma-separated platform profiles")
-	runs := flag.Int("runs", 1, "repetitions per cell (best run reported, all summarized)")
+	runs := flag.Int("runs", 1, "runs per cell (run r uses seed+r; best, mean and stddev reported, ratios from the best)")
 	latency := flag.Bool("latency", false, "measure per-iteration latency distributions instead of throughput")
 	jsonOut := flag.Bool("json", false, "also write a machine-readable report (see -out)")
 	outPath := flag.String("out", "BENCH_tspbench.json", "report path used with -json")
@@ -102,13 +102,10 @@ func main() {
 		report.Mode = "latency"
 	}
 
-	switch {
-	case *latency:
+	if *latency {
 		runLatencyMode(profs, *duration, *seed, &report)
-	case *runs <= 1:
-		runSingle(profs, *duration, *seed, &report)
-	default:
-		runMulti(profs, *duration, *seed, *runs, &report)
+	} else {
+		runTable1(profs, *duration, *seed, *runs, &report)
 	}
 
 	if *jsonOut {
@@ -150,11 +147,11 @@ func runLatencyMode(profs []platform.Profile, duration time.Duration, seed int64
 	}
 }
 
-func runSingle(profs []platform.Profile, duration time.Duration, seed int64, report *benchReport) {
+func runTable1(profs []platform.Profile, duration time.Duration, seed int64, runs int, report *benchReport) {
 	fmt.Println("Reproducing Table 1 (throughput in millions of worker iterations per second;")
 	fmt.Println("each iteration = 3 atomic map operations, as in Section 5.1)")
 	fmt.Println()
-	rows, err := harness.Table1(profs, duration, seed)
+	rows, err := harness.Table1(profs, duration, seed, runs)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
@@ -162,15 +159,16 @@ func runSingle(profs []platform.Profile, duration time.Duration, seed int64, rep
 	fmt.Print(harness.FormatTable1(rows))
 	for _, row := range rows {
 		for _, v := range harness.AllVariants() {
-			res := row.Results[v]
+			best, rates := row.Best(v), row.Rates(v)
 			report.Cells = append(report.Cells, benchCell{
-				Profile:         row.Profile.Name,
-				Variant:         v.String(),
-				Threads:         res.Threads,
-				Runs:            1,
-				BestMIterPerSec: res.IterPerSec() / 1e6,
-				MeanMIterPerSec: res.IterPerSec() / 1e6,
-				Iterations:      res.Iterations,
+				Profile:           row.Profile.Name,
+				Variant:           v.String(),
+				Threads:           best.Threads,
+				Runs:              rates.N(),
+				BestMIterPerSec:   best.IterPerSec() / 1e6,
+				MeanMIterPerSec:   rates.Mean(),
+				StddevMIterPerSec: rates.Stddev(),
+				Iterations:        best.Iterations,
 			})
 		}
 		lo, lf, sp := row.Overheads()
@@ -180,62 +178,6 @@ func runSingle(profs []platform.Profile, duration time.Duration, seed int64, rep
 			LogFlushOverheadPct: lf * 100,
 			TSPSpeedupPct:       sp * 100,
 		})
-	}
-}
-
-func runMulti(profs []platform.Profile, duration time.Duration, seed int64, runs int, report *benchReport) {
-	fmt.Println("Reproducing Table 1 (throughput in millions of worker iterations per second;")
-	fmt.Println("each iteration = 3 atomic map operations, as in Section 5.1)")
-	fmt.Println()
-	// Multi-run mode: report best-of plus dispersion per cell.
-	for _, prof := range profs {
-		fmt.Printf("== %s ==\n", prof)
-		tbl := stats.Table{Header: []string{"variant", "best M/s", "mean M/s", "std M/s", "runs"}}
-		best := map[harness.Variant]float64{}
-		for _, v := range harness.AllVariants() {
-			var sample stats.Sample
-			threads := 0
-			for r := 0; r < runs; r++ {
-				cfg := harness.Config{Variant: v, Duration: duration, Seed: seed + int64(r)}.FromProfile(prof)
-				res, err := harness.RunThroughput(cfg)
-				if err != nil {
-					fmt.Fprintln(os.Stderr, err)
-					os.Exit(1)
-				}
-				threads = res.Threads
-				m := res.IterPerSec() / 1e6
-				sample.Add(m)
-				if m > best[v] {
-					best[v] = m
-				}
-			}
-			tbl.AddRow(v.String(),
-				fmt.Sprintf("%.3f", best[v]),
-				fmt.Sprintf("%.3f", sample.Mean()),
-				fmt.Sprintf("%.3f", sample.Stddev()),
-				fmt.Sprintf("%d", sample.N()))
-			report.Cells = append(report.Cells, benchCell{
-				Profile:           prof.Name,
-				Variant:           v.String(),
-				Threads:           threads,
-				Runs:              sample.N(),
-				BestMIterPerSec:   best[v],
-				MeanMIterPerSec:   sample.Mean(),
-				StddevMIterPerSec: sample.Stddev(),
-			})
-		}
-		fmt.Print(tbl.String())
-		base, logOnly, logFlush := best[harness.MutexNoAtlas], best[harness.MutexAtlasTSP], best[harness.MutexAtlasNonTSP]
-		if base > 0 && logFlush > 0 {
-			lo, lf, sp := (1-logOnly/base)*100, (1-logFlush/base)*100, (logOnly/logFlush-1)*100
-			fmt.Printf("log-only overhead %.0f%%, log+flush overhead %.0f%%, TSP speedup over non-TSP %.0f%%\n\n", lo, lf, sp)
-			report.Derived = append(report.Derived, benchDerived{
-				Profile:             prof.Name,
-				LogOnlyOverheadPct:  lo,
-				LogFlushOverheadPct: lf,
-				TSPSpeedupPct:       sp,
-			})
-		}
 	}
 }
 

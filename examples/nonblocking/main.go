@@ -27,7 +27,7 @@ func main() {
 	if err != nil {
 		log.Fatalf("format: %v", err)
 	}
-	list, err := skiplist.New(heap, 16)
+	list, err := skiplist.New(heap, skiplist.DefaultLevels)
 	if err != nil {
 		log.Fatalf("skiplist: %v", err)
 	}

@@ -463,42 +463,45 @@ func TestOversizedOCSPanics(t *testing.T) {
 	}
 }
 
-func TestCrashAfterCheckpointRollsBackOnlyNewOCSes(t *testing.T) {
+// TestCrashAfterRecoveryRollsBackOnlyNewOCSes holds recovery to the
+// epoch its predecessor bumped: the first incarnation's records stay in
+// the ring slots the second one never reaches, and recovery must skip
+// them, scanning and rolling back only the new epoch's sections.
+func TestCrashAfterRecoveryRollsBackOnlyNewOCSes(t *testing.T) {
 	e := newEnv(t, ModeTSP, Options{})
 	p := e.alloc(t, 1)
 	e.heap.SetRoot(p)
 	th := e.thread(t)
 	m := e.rt.NewMutex()
+	for i := uint64(1); i <= 8; i++ {
+		th.Lock(m)
+		th.Store(p.Addr(), 10*i)
+		th.Unlock(m)
+	}
 	th.Lock(m)
-	th.Store(p.Addr(), 50)
-	th.Unlock(m)
-	e.rt.Checkpoint()
-	th.Lock(m)
-	th.Store(p.Addr(), 60)
-	// incomplete
+	th.Store(p.Addr(), 99) // incomplete
 	heap, rep := e.reopen(t, 1)
-	if rep.OCSes != 1 {
-		t.Fatalf("OCSes scanned = %d, want 1 (pre-checkpoint entries are stale)", rep.OCSes)
+	if rep.OCSes != 9 || rep.Incomplete != 1 {
+		t.Fatalf("first recovery: %s, want 9 OCSes, 1 incomplete", rep)
+	}
+
+	rt, err := New(heap, ModeTSP, Options{})
+	if err != nil {
+		t.Fatalf("New after recovery: %v", err)
+	}
+	e.heap, e.rt = heap, rt
+	th, m = e.thread(t), rt.NewMutex()
+	th.Lock(m)
+	th.Store(heap.Root().Addr(), 50)
+	th.Unlock(m)
+	th.Lock(m)
+	th.Store(heap.Root().Addr(), 60) // incomplete
+	heap, rep = e.reopen(t, 1)
+	if rep.OCSes != 2 || rep.Incomplete != 1 {
+		t.Fatalf("second recovery: %s, want 2 OCSes, 1 incomplete (earlier-epoch records are stale)", rep)
 	}
 	if got := heap.Load(heap.Root(), 0); got != 50 {
-		t.Fatalf("value = %d, want checkpointed 50", got)
-	}
-}
-
-func TestExplicitCheckpointMakesDataDurable(t *testing.T) {
-	e := newEnv(t, ModeTSP, Options{})
-	p := e.alloc(t, 1)
-	e.heap.SetRoot(p)
-	th := e.thread(t)
-	m := e.rt.NewMutex()
-	th.Lock(m)
-	th.Store(p.Addr(), 7)
-	th.Unlock(m)
-	e.rt.Checkpoint()
-	// Even with NO rescue, checkpointed data must survive.
-	heap, _ := e.reopen(t, 0)
-	if got := heap.Load(heap.Root(), 0); got != 7 {
-		t.Fatalf("value = %d, want 7 (checkpoint flushed everything)", got)
+		t.Fatalf("value = %d, want committed 50", got)
 	}
 }
 

@@ -135,20 +135,3 @@ func BenchmarkRecoveryScan(b *testing.B) {
 		}
 	}
 }
-
-// BenchmarkCheckpoint measures an explicit quiesce+flush+truncate.
-func BenchmarkCheckpoint(b *testing.B) {
-	_, th, m, region := benchRuntime(b, ModeTSP)
-	rt := th.rt
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		for j := 0; j < 100; j++ {
-			th.Lock(m)
-			th.Store(region.Addr()+nvm.Addr(j), uint64(j))
-			th.Unlock(m)
-		}
-		b.StartTimer()
-		rt.Checkpoint()
-	}
-}

@@ -63,30 +63,6 @@ func TestFreeDeferredWaitsForRingLap(t *testing.T) {
 	}
 }
 
-func TestCheckpointReleasesDeferredFrees(t *testing.T) {
-	e := newEnv(t, ModeTSP, Options{})
-	th := e.thread(t)
-	m := e.rt.NewMutex()
-	anchor := e.alloc(t, 1)
-	e.heap.SetRoot(anchor)
-	victim := e.alloc(t, 4)
-	before := countAllocated(t, e.heap)
-
-	th.Lock(m)
-	th.Store(anchor.Addr(), 1)
-	if err := th.FreeDeferred(victim); err != nil {
-		t.Fatalf("FreeDeferred: %v", err)
-	}
-	th.Unlock(m)
-	if got := countAllocated(t, e.heap); got != before {
-		t.Fatalf("allocated = %d, want %d before checkpoint", got, before)
-	}
-	e.rt.Checkpoint() // epoch bump invalidates all records: frees run now
-	if got := countAllocated(t, e.heap); got != before-1 {
-		t.Fatalf("allocated = %d after checkpoint, want %d", got, before-1)
-	}
-}
-
 func TestRolledBackDeleteDoesNotFree(t *testing.T) {
 	// A crash rolls the unlinking OCS back; the block must still be
 	// allocated (and reachable) in the new incarnation.
@@ -118,28 +94,5 @@ func TestRolledBackDeleteDoesNotFree(t *testing.T) {
 	}
 	if chk.AllocatedBlocks < 2 {
 		t.Fatalf("victim block was freed despite rollback: %s", chk)
-	}
-}
-
-func TestCheckpointResetsFlushCursor(t *testing.T) {
-	// Regression guard: Checkpoint resets the log head; the non-TSP
-	// flush cursor must reset with it or post-checkpoint records would
-	// never be flushed.
-	e := newEnv(t, ModeNonTSP, Options{})
-	p := e.alloc(t, 1)
-	e.heap.SetRoot(p)
-	e.dev.FlushAll()
-	th := e.thread(t)
-	m := e.rt.NewMutex()
-	th.Lock(m)
-	th.Store(p.Addr(), 1)
-	th.Unlock(m)
-	e.rt.Checkpoint()
-	th.Lock(m)
-	th.Store(p.Addr(), 2)
-	th.Unlock(m) // committed: must survive even with NO rescue
-	heap, _ := e.reopen(t, 0)
-	if got := heap.Load(heap.Root(), 0); got != 2 {
-		t.Fatalf("value = %d, want 2 (post-checkpoint commit lost: flush cursor bug)", got)
 	}
 }

@@ -53,7 +53,7 @@ func TestFirstStoreFilterMatchesMapOracle(t *testing.T) {
 		var got []entry
 		for h := head; h < th.head; h++ {
 			base := th.buf + nvm.Addr(h%e.rt.opts.LogEntries*entryWords)
-			rec, ok := readEntry(&tal, base, th.id, e.rt.epoch.Load())
+			rec, ok := readEntry(&tal, base, th.id, e.rt.epoch)
 			if !ok {
 				t.Fatalf("section %d: record %d does not validate", sec, h-head)
 			}

@@ -131,7 +131,7 @@ func readEntry(tal *nvm.Tally, base nvm.Addr, thread, epoch uint64) (entry, bool
 // volatile state:
 //
 //	0:              magic
-//	1:              epoch (current log epoch; bumped by checkpoint/recovery)
+//	1:              epoch (current log epoch; bumped by recovery)
 //	2:              maxThreads
 //	3:              entriesPerThread
 //	4..4+maxThreads: per-thread log buffer pointers (pheap.Ptr, 0 = none)

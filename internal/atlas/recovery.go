@@ -16,7 +16,7 @@ import (
 //
 //  1. scan every slot of every thread's log ring for valid current-epoch
 //     records (checksums reject torn or never-written slots; the epoch
-//     rejects records truncated by a previous checkpoint or recovery);
+//     rejects records truncated by a previous recovery);
 //  2. group records by (thread, OCS ordinal). A group holding its
 //     opening acquire (the acquire that took the thread's held count
 //     from 0 to 1, flagged at append time) is fully captured: it is

@@ -118,19 +118,12 @@ type Runtime struct {
 	tel  *telemetry.AtlasStats // nil-safe; from Options.Telemetry
 
 	dirPtr pheap.Ptr     // the persistent log directory (see dir)
-	epoch  atomic.Uint64 // cached copy of the directory epoch
+	epoch  uint64        // the directory epoch, read once by New
 	mtxID  atomic.Uint64 // mutex id allocator
-
-	// ocsGate serializes checkpoints against running OCSes: every OCS
-	// holds a read lock for its duration; Checkpoint takes the write
-	// lock, so it runs only at global quiescence.
-	ocsGate sync.RWMutex
 
 	mu         sync.Mutex // guards thread registration
 	threads    []*Thread
 	slotReused map[int]bool // slots whose rings hold a released thread's records
-
-	checkpoints atomic.Uint64 // number of checkpoints taken
 }
 
 // New creates a Runtime on the heap, allocating (or re-attaching to) the
@@ -185,7 +178,7 @@ func New(heap *pheap.Heap, mode Mode, opts Options) (*Runtime, error) {
 	if n := countResidualEntries(dir); n > 0 {
 		return nil, fmt.Errorf("atlas: directory holds %d un-recovered log entries; run Recover first", n)
 	}
-	rt.epoch.Store(dir.epoch())
+	rt.epoch = dir.epoch()
 	rt.threads = make([]*Thread, opts.MaxThreads)
 	return rt, nil
 }
@@ -221,9 +214,6 @@ func (rt *Runtime) Mode() Mode { return rt.mode }
 
 // Heap returns the underlying persistent heap.
 func (rt *Runtime) Heap() *pheap.Heap { return rt.heap }
-
-// Checkpoints returns how many log-truncating checkpoints have run.
-func (rt *Runtime) Checkpoints() uint64 { return rt.checkpoints.Load() }
 
 // NewMutex creates a mutex managed by this runtime. Mutexes are volatile
 // Go objects; only their ids appear in the persistent log, which is all
@@ -296,40 +286,4 @@ func (rt *Runtime) ReleaseThread(t *Thread) error {
 	}
 	rt.slotReused[int(t.id)] = true
 	return nil
-}
-
-// Checkpoint quiesces the program (waits for every in-flight OCS to
-// finish and blocks new ones), makes the entire heap durable, and
-// truncates all logs by bumping the epoch. The ring-structured logs make
-// routine checkpoints unnecessary (old records simply get overwritten),
-// but applications may still want one explicitly — before planned
-// downtime, or to bound recovery work on hardware whose rescue is slow.
-func (rt *Runtime) Checkpoint() {
-	rt.ocsGate.Lock()
-	defer rt.ocsGate.Unlock()
-	rt.checkpointLocked()
-}
-
-func (rt *Runtime) checkpointLocked() {
-	// All data durable first, then the epoch bump invalidates the logs.
-	// If we crash mid-checkpoint the old epoch's logs are still intact
-	// and recovery replays them — harmless, since the data they'd roll
-	// back is already durable and consistent (no OCS is running).
-	rt.dev.FlushAll()
-	newEpoch := rt.epoch.Load() + 1
-	tal := rt.dev.Tally()
-	rt.dir(&tal).setEpoch(newEpoch)
-	tal.Publish()
-	rt.epoch.Store(newEpoch)
-	rt.mu.Lock()
-	for _, t := range rt.threads {
-		if t != nil {
-			t.head = 0
-			t.flushedTo = 0
-			t.releaseAllDeferredFrees()
-		}
-	}
-	rt.mu.Unlock()
-	rt.checkpoints.Add(1)
-	rt.tel.IncCheckpoint()
 }

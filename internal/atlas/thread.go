@@ -129,13 +129,6 @@ func (t *Thread) ID() uint64 { return t.id }
 // section.
 func (t *Thread) InOCS() bool { return t.held > 0 }
 
-// beginOCS enters the OCS gate (held until the OCS closes), which
-// serializes OCSes against explicit Checkpoints.
-func (t *Thread) beginOCS() {
-	t.rt.ocsGate.RLock()
-	t.ocsEntries = 0
-}
-
 // appendEntry writes one log record into the thread's RING of log slots
 // with a fresh global sequence number. The ring deliberately overwrites
 // the oldest records — those belong to long-committed OCSes, which
@@ -167,7 +160,7 @@ func (t *Thread) appendEntry(kind entryKind, a, v uint64, opening bool) {
 		a:       a,
 		v:       v,
 		opening: opening,
-	}, t.id, t.rt.epoch.Load())
+	}, t.id, t.rt.epoch)
 	t.head++
 	t.ocsEntries++
 	t.appends++
@@ -195,7 +188,7 @@ func (t *Thread) Lock(m *Mutex) {
 		panic("atlas: mutex belongs to a different runtime")
 	}
 	if t.held == 0 {
-		t.beginOCS()
+		t.ocsEntries = 0 // opening an OCS
 	}
 	m.mu.Lock()
 	t.held++
@@ -249,7 +242,6 @@ func (t *Thread) Unlock(m *Mutex) {
 	m.mu.Unlock()
 	if t.held == 0 {
 		t.publish()
-		t.rt.ocsGate.RUnlock()
 		if len(t.deferredFrees) > 0 {
 			t.runDeferredFrees()
 		}
@@ -414,10 +406,9 @@ func (t *Thread) Load(a nvm.Addr) uint64 {
 // its log no longer references the critical section; the ring-log
 // equivalent is precise — once the thread appends a full ring of further
 // records, the unlinking OCS's group is partially overwritten and
-// recovery ignores it — so that is the reclamation point. An explicit
-// Checkpoint (which truncates all logs) releases deferred blocks
-// immediately; blocks still deferred at a crash are mere leaks that the
-// recovery-time collector reclaims.
+// recovery ignores it — so that is the reclamation point. Blocks still
+// deferred at a crash are mere leaks that the recovery-time collector
+// reclaims.
 //
 // Outside any OCS the block is freed immediately: there is no log record
 // that could resurrect it.
@@ -449,18 +440,6 @@ func (t *Thread) runDeferredFrees() {
 	if i > 0 {
 		t.deferredFrees = append(t.deferredFrees[:0], t.deferredFrees[i:]...)
 	}
-}
-
-// releaseAllDeferredFrees frees everything regardless of log position;
-// called under the checkpoint's write lock, where the epoch bump has
-// just invalidated every log record.
-func (t *Thread) releaseAllDeferredFrees() {
-	for _, df := range t.deferredFrees {
-		if err := t.rt.heap.Free(df.p); err != nil {
-			panic(fmt.Sprintf("atlas: deferred free of %d: %v", df.p, err))
-		}
-	}
-	t.deferredFrees = t.deferredFrees[:0]
 }
 
 // Mutex is a runtime-managed mutual-exclusion lock. Its identity (id)

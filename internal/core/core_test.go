@@ -275,6 +275,10 @@ func TestAtlasTSPVersusNonTSPOverheadOrdering(t *testing.T) {
 	if !tspPlan.TSP || nonTSPPlan.TSP {
 		t.Fatalf("TSP flags: %v/%v, want true/false", tspPlan.TSP, nonTSPPlan.TSP)
 	}
+	// The Table-1 machines are NVRAMMachines: TSP there is Atlas's log-only mode.
+	if tspPlan.Overhead != OverheadLogging {
+		t.Fatalf("TSP overhead = %v, want logging (Atlas TSP mode)", tspPlan.Overhead)
+	}
 	if tspPlan.Overhead >= nonTSPPlan.Overhead {
 		t.Fatalf("TSP overhead %v must be strictly below non-TSP %v",
 			tspPlan.Overhead, nonTSPPlan.Overhead)

@@ -83,10 +83,6 @@ type Config struct {
 	Buckets         int
 	BucketsPerMutex int
 
-	// SkipLevels is the skip list's maximum level (NonBlocking only).
-	// Default 16.
-	SkipLevels int
-
 	// DeviceWords sizes the simulated NVM. Default 1<<22.
 	DeviceWords int
 
@@ -96,10 +92,6 @@ type Config struct {
 	MissCost  int
 	MissLines int
 	Evictor   nvm.EvictorConfig
-
-	// LogEveryStore disables Atlas's first-store filter (ablation knob;
-	// see atlas.Options.LogEveryStore).
-	LogEveryStore bool
 
 	// Duration bounds throughput runs; crash runs use CrashAfter.
 	Duration time.Duration
@@ -134,9 +126,6 @@ func (c *Config) fillDefaults() {
 	}
 	if c.BucketsPerMutex == 0 {
 		c.BucketsPerMutex = 1000
-	}
-	if c.SkipLevels == 0 {
-		c.SkipLevels = 16
 	}
 	if c.DeviceWords == 0 {
 		c.DeviceWords = 1 << 22

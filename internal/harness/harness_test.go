@@ -2,6 +2,7 @@ package harness
 
 import (
 	"errors"
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -165,43 +166,81 @@ func TestUnfortifiedWithPartialRescueEventuallyInconsistent(t *testing.T) {
 	}
 }
 
-func TestCampaignAggregates(t *testing.T) {
-	cfg := fastCfg(NonBlocking)
-	camp, err := Campaign(cfg, fastCrash(1), 5)
-	if err != nil {
-		t.Fatalf("Campaign: %v", err)
-	}
-	if !camp.OK() {
-		t.Fatalf("campaign found inconsistencies: %s (failures: %v)", camp, camp.Failures)
-	}
-	if camp.Runs != 5 || camp.Consistent != 5 {
-		t.Fatalf("unexpected counts: %s", camp)
-	}
-}
-
 func TestTable1SmokeRun(t *testing.T) {
 	if testing.Short() {
 		t.Skip("table run in -short mode")
 	}
 	prof := platform.Unit()
 	prof.Threads = 2
-	rows, err := Table1([]platform.Profile{prof}, 20*time.Millisecond, 7)
-	if err != nil {
-		t.Fatalf("Table1: %v", err)
-	}
-	if len(rows) != 1 {
-		t.Fatalf("rows = %d, want 1", len(rows))
-	}
-	for _, v := range AllVariants() {
-		if rows[0].Results[v].Iterations == 0 {
-			t.Fatalf("variant %s did no work", v)
+	for _, runs := range []int{1, 2} {
+		rows, err := Table1([]platform.Profile{prof}, 20*time.Millisecond, 7, runs)
+		if err != nil {
+			t.Fatalf("Table1: %v", err)
+		}
+		if len(rows) != 1 {
+			t.Fatalf("rows = %d, want 1", len(rows))
+		}
+		for _, v := range AllVariants() {
+			if got := len(rows[0].Runs[v]); got != runs {
+				t.Fatalf("variant %s: %d runs, want %d", v, got, runs)
+			}
+			if rows[0].Best(v).Iterations == 0 {
+				t.Fatalf("variant %s did no work", v)
+			}
+		}
+		out := FormatTable1(rows)
+		want := []string{"no Atlas", "log only", "log + flush", "Non-Blocking", "TSP speedup"}
+		if runs > 1 {
+			want = append(want, "mean±sd, 2 runs")
+		}
+		for _, w := range want {
+			if !strings.Contains(out, w) {
+				t.Fatalf("FormatTable1 output missing %q:\n%s", w, out)
+			}
 		}
 	}
-	out := FormatTable1(rows)
-	for _, want := range []string{"no Atlas", "log only", "log + flush", "Non-Blocking", "TSP speedup"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("FormatTable1 output missing %q:\n%s", want, out)
+}
+
+// TestOverheads holds the one ratio formula to hand-computed values.
+func TestOverheads(t *testing.T) {
+	for _, c := range []struct {
+		base, logOnly, logFlush float64
+		lo, lf, sp              float64
+	}{
+		{4, 3, 2, 0.25, 0.5, 0.5},
+		{3.66, 2.36, 1.58, 1.30 / 3.66, 2.08 / 3.66, 0.78 / 1.58}, // the paper's desktop row
+		{2, 2, 2, 0, 0, 0},
+		{2, 3, 1, -0.5, 0.5, 2},
+		{0, 3, 2, 0, 0, 0.5},  // no baseline: no overhead
+		{4, 3, 0, 0.25, 1, 0}, // no log+flush run: no speedup
+	} {
+		lo, lf, sp := overheads(c.base, c.logOnly, c.logFlush)
+		if math.Abs(lo-c.lo) > 1e-12 || math.Abs(lf-c.lf) > 1e-12 || math.Abs(sp-c.sp) > 1e-12 {
+			t.Errorf("overheads(%v, %v, %v) = %v, %v, %v; want %v, %v, %v",
+				c.base, c.logOnly, c.logFlush, lo, lf, sp, c.lo, c.lf, c.sp)
 		}
+	}
+}
+
+// TestOverheadsUseBestRuns checks that a row's ratios and Best come
+// from each cell's fastest run, not its first or its mean.
+func TestOverheadsUseBestRuns(t *testing.T) {
+	run := func(iters uint64) ThroughputResult {
+		return ThroughputResult{Iterations: iters, Elapsed: time.Second}
+	}
+	row := Table1Row{Runs: map[Variant][]ThroughputResult{
+		MutexNoAtlas:     {run(1), run(4), run(2)},
+		MutexAtlasTSP:    {run(3), run(1)},
+		MutexAtlasNonTSP: {run(1), run(2)},
+	}}
+	if got := row.Best(MutexNoAtlas).Iterations; got != 4 {
+		t.Fatalf("Best = %d iterations, want 4", got)
+	}
+	if lo, lf, sp := row.Overheads(); lo != 0.25 || lf != 0.5 || sp != 0.5 {
+		t.Fatalf("Overheads = %v, %v, %v; want 0.25, 0.5, 0.5", lo, lf, sp)
+	}
+	if s := row.Rates(MutexNoAtlas); s.N() != 3 || math.Abs(s.Mean()-7e-6/3) > 1e-15 {
+		t.Fatalf("Rates: n=%d mean=%v, want 3 runs averaging %v M/s", s.N(), s.Mean(), 7e-6/3)
 	}
 }
 

@@ -131,7 +131,6 @@ func (c Config) stackOptions() []stack.Option {
 		stack.WithMode(c.Variant.AtlasMode()),
 		stack.WithMaxThreads(c.Threads),
 		stack.WithLogEntries(1 << 10),
-		stack.WithLogEveryStore(c.LogEveryStore),
 		stack.WithBuckets(c.Buckets, c.BucketsPerMutex),
 	}
 }
@@ -151,7 +150,7 @@ func build(cfg Config) (*deployment, error) {
 		if err != nil {
 			return nil, err
 		}
-		l, err := skiplist.New(st.Heap, cfg.SkipLevels)
+		l, err := skiplist.New(st.Heap, skiplist.DefaultLevels)
 		if err != nil {
 			return nil, err
 		}

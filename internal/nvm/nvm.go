@@ -328,7 +328,7 @@ func (d *Device) FlushRange(a Addr, words uint64) {
 
 // FlushAll writes back every dirty line without charging latency. It is
 // the crash-time rescue primitive (TSP's "last-minute rescue") and is also
-// used by checkpoints; neither is on the failure-free critical path.
+// used by setup and recovery; none is on the per-operation path.
 func (d *Device) FlushAll() {
 	var n uint64
 	for line := d.nextDirty(0); line < d.lines; line = d.nextDirty(line + 1) {

@@ -14,7 +14,6 @@ import (
 	"fmt"
 	"time"
 
-	"tsp/internal/core"
 	"tsp/internal/nvm"
 )
 
@@ -46,10 +45,6 @@ type Profile struct {
 
 	// Evictor models background cache write-back pressure.
 	Evictor nvm.EvictorConfig
-
-	// Hardware is the core-package view of the machine, used to derive
-	// TSP plans in documentation and the tspplan command.
-	Hardware core.Hardware
 }
 
 // String implements fmt.Stringer.
@@ -71,7 +66,6 @@ func Desktop() Profile {
 			Interval:      200 * time.Microsecond,
 			LinesPerSweep: 64,
 		},
-		Hardware: core.NVRAMMachine(),
 	}
 }
 
@@ -90,7 +84,6 @@ func Server() Profile {
 			Interval:      200 * time.Microsecond,
 			LinesPerSweep: 64,
 		},
-		Hardware: core.NVRAMMachine(),
 	}
 }
 
@@ -102,7 +95,6 @@ func Unit() Profile {
 		Description: "deterministic unit-test machine",
 		Threads:     4,
 		FlushCost:   0,
-		Hardware:    core.NVRAMMachine(),
 	}
 }
 

@@ -59,14 +59,16 @@ func TestByName(t *testing.T) {
 
 func TestProfilesAdmitTSPPlans(t *testing.T) {
 	// The Table-1 experiments presume TSP is available on both
-	// machines; their hardware descriptions must derive TSP plans for
-	// the full failure set the paper discusses.
+	// machines. Each profile simulates an NVRAM machine (an nvm.Device
+	// with priced flushes), which must derive a TSP plan for the full
+	// failure set the paper discusses, and the profile must price the
+	// flushes that plan saves.
 	req := core.Requirements{
 		Tolerate:  []core.Failure{core.ProcessCrash, core.KernelPanic, core.PowerOutage},
 		Isolation: core.MutexBased,
 	}
 	for _, p := range All() {
-		plan, err := core.DerivePlan(req, p.Hardware)
+		plan, err := core.DerivePlan(req, core.NVRAMMachine())
 		if err != nil {
 			t.Fatalf("%s: DerivePlan: %v", p.Name, err)
 		}
@@ -75,6 +77,9 @@ func TestProfilesAdmitTSPPlans(t *testing.T) {
 		}
 		if plan.Overhead != core.OverheadLogging {
 			t.Errorf("%s: overhead = %v, want logging (Atlas TSP mode)", p.Name, plan.Overhead)
+		}
+		if p.FlushCost <= 0 {
+			t.Errorf("%s: flushCost %d, want a priced flush for TSP to save", p.Name, p.FlushCost)
 		}
 	}
 }

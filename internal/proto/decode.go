@@ -173,29 +173,21 @@ func (d *Decoder) Next() ([]Request, error) {
 				d.fatal = true
 				return d.reqs[:k], nil
 			}
-			if n == 0 {
-				if d.end-d.start > d.max {
-					// One request is larger than the ceiling. Answer the
-					// error now; skip its bytes on the next call.
-					req := d.slot(k)
-					req.reset()
-					req.bad(KErrClient, tooLargeMsg)
-					k++
-					d.resyncing = true
-					return d.reqs[:k], nil
-				}
-				break
-			}
-			d.start += n
-			if n > d.max {
-				// Complete but over the ceiling: answer the error and
-				// move on — the boundary is known, no resync needed.
+			if n > d.max || n == 0 && d.end-d.start > d.max {
+				// One request is larger than the ceiling, whether it
+				// arrived whole or not. Answer the error now; the next
+				// call skips its bytes from d.start (Adapter.Resync).
 				req := d.slot(k)
 				req.reset()
 				req.bad(KErrClient, tooLargeMsg)
 				k++
-				continue
+				d.resyncing = true
+				return d.reqs[:k], nil
 			}
+			if n == 0 {
+				break
+			}
+			d.start += n
 			if d.reqs[k].Cmd != CmdNone {
 				k++
 			}

@@ -3,8 +3,10 @@ package proto
 import (
 	"bytes"
 	"io"
+	"slices"
 	"strings"
 	"testing"
+	"testing/iotest"
 )
 
 // decodeAll runs a decoder to EOF, copying every request out of the
@@ -199,8 +201,8 @@ func TestDecoderSkipsBlankLines(t *testing.T) {
 }
 
 func TestDecoderTooLargeNativeRecovers(t *testing.T) {
-	// Complete-but-over-limit: the line fits the read buffer, so the
-	// decoder answers the error at a known boundary without resyncing.
+	// Complete-but-over-limit: the line fits the read buffer; the
+	// decoder answers the error and skips to the line's own LF.
 	huge := "mset " + strings.Repeat("1 2 ", 400) // ~1600 bytes
 	in := huge + "\r\nget 7\r\n"
 	d := NewDecoder(strings.NewReader(in), Native{}, 128)
@@ -242,6 +244,50 @@ func TestDecoderTooLargeRESPIsFatal(t *testing.T) {
 	}
 	if _, err = d.Next(); err != ErrDesync {
 		t.Fatalf("RESP cannot resync; Next = %v, want ErrDesync", err)
+	}
+}
+
+// TestDecoderTooLargeSameWholeOrInPieces delivers an over-bound request
+// plus a ping once in one read and once a byte per read: both must
+// decode to the same sequence — native answers the error, then PONG's
+// ping; RESP answers the error, then ends the stream with ErrDesync.
+func TestDecoderTooLargeSameWholeOrInPieces(t *testing.T) {
+	var rs RESP
+	ping := Request{Cmd: CmdPing}
+	mset := Request{Cmd: CmdMSet, KV: []uint64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12}}
+	for _, c := range []struct {
+		name string
+		a    Adapter
+		wire []byte
+	}{
+		{"native", Native{}, []byte("mset " + strings.Repeat("1 2 ", 20) + "\r\nping\r\n")},
+		{"resp", RESP{}, rs.AppendRequest(rs.AppendRequest(nil, &mset), &ping)},
+	} {
+		decode := func(r io.Reader) (seq []string) {
+			d := NewDecoder(r, c.a, 64)
+			for len(seq) < 10 {
+				batch, err := d.Next()
+				for _, req := range batch {
+					seq = append(seq, req.Cmd.String()+" "+req.BadMsg)
+				}
+				if err != nil {
+					return append(seq, err.Error())
+				}
+			}
+			return seq
+		}
+		whole := decode(bytes.NewReader(c.wire))
+		pieces := decode(iotest.OneByteReader(bytes.NewReader(c.wire)))
+		if !slices.Equal(whole, pieces) {
+			t.Errorf("%s: whole %q, in pieces %q", c.name, whole, pieces)
+		}
+		want := []string{CmdBad.String() + " " + tooLargeMsg, CmdPing.String() + " ", io.EOF.Error()}
+		if c.name == "resp" {
+			want = []string{CmdBad.String() + " " + tooLargeMsg, ErrDesync.Error()}
+		}
+		if !slices.Equal(whole, want) {
+			t.Errorf("%s: got %q, want %q", c.name, whole, want)
+		}
 	}
 }
 

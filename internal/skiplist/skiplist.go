@@ -31,6 +31,10 @@ import (
 // MaxLevel is the maximum number of levels a list may be built with.
 const MaxLevel = 24
 
+// DefaultLevels is the level count every stack's list and the harness's
+// non-blocking variant are built with.
+const DefaultLevels = 16
+
 // markBit tags a node's next pointer to flag the node as logically
 // deleted. Heap word addresses are far below 2^63, so the bit is free.
 const markBit uint64 = 1 << 63

@@ -157,16 +157,15 @@ type Stack struct {
 }
 
 type config struct {
-	devCfg        nvm.Config
-	mode          atlas.Mode
-	maxThreads    int
-	logEntries    int
-	logEveryStore bool
-	buckets       int
-	perMutex      int
-	sessSlots     int
-	heapOnly      bool
-	tel           *telemetry.Registry
+	devCfg     nvm.Config
+	mode       atlas.Mode
+	maxThreads int
+	logEntries int
+	buckets    int
+	perMutex   int
+	sessSlots  int
+	heapOnly   bool
+	tel        *telemetry.Registry
 }
 
 func defaults() config {
@@ -218,12 +217,6 @@ func WithLogEntries(n int) Option {
 	return func(c *config) { c.logEntries = n }
 }
 
-// WithLogEveryStore disables Atlas's first-store-per-OCS filter
-// (ablation knob; see atlas.Options.LogEveryStore).
-func WithLogEveryStore(on bool) Option {
-	return func(c *config) { c.logEveryStore = on }
-}
-
 // WithBuckets shapes the hash map: bucket count and buckets per stripe
 // mutex (defaults 4096 and 256).
 func WithBuckets(buckets, perMutex int) Option {
@@ -265,10 +258,9 @@ func buildConfig(opts []Option) config {
 
 func (c config) atlasOptions(reg *telemetry.Registry) atlas.Options {
 	return atlas.Options{
-		MaxThreads:    c.maxThreads,
-		LogEntries:    c.logEntries,
-		LogEveryStore: c.logEveryStore,
-		Telemetry:     reg.Atlas,
+		MaxThreads: c.maxThreads,
+		LogEntries: c.logEntries,
+		Telemetry:  reg.Atlas,
 	}
 }
 
@@ -312,7 +304,7 @@ func New(opts ...Option) (*Stack, error) {
 		return nil, fmt.Errorf("stack: hashmap: %w", err)
 	}
 	m.SetTelemetry(reg.Map)
-	l, err := skiplist.New(heap, 16)
+	l, err := skiplist.New(heap, skiplist.DefaultLevels)
 	if err != nil {
 		return nil, fmt.Errorf("stack: skiplist: %w", err)
 	}

@@ -1,14 +1,12 @@
 // Package stats provides the small statistical helpers the benchmark
 // harness and command-line tools use to summarize repeated measurements:
-// streaming mean/variance (Welford), order statistics, and fixed-width
-// table rendering.
+// streaming mean/variance (Welford) and order statistics.
 package stats
 
 import (
 	"fmt"
 	"math"
 	"sort"
-	"strings"
 )
 
 // Sample accumulates observations for summary statistics.
@@ -118,82 +116,4 @@ func (s *Sample) Percentile(p float64) float64 {
 func (s *Sample) Summary() string {
 	return fmt.Sprintf("n=%d mean=%.4g std=%.4g min=%.4g max=%.4g",
 		s.N(), s.Mean(), s.Stddev(), s.Min(), s.Max())
-}
-
-// Table renders rows of cells as a fixed-width text table with a header
-// row and a separator, right-aligning numeric-looking cells.
-type Table struct {
-	Header []string
-	Rows   [][]string
-}
-
-// AddRow appends a row.
-func (t *Table) AddRow(cells ...string) { t.Rows = append(t.Rows, cells) }
-
-// String renders the table.
-func (t *Table) String() string {
-	cols := len(t.Header)
-	for _, r := range t.Rows {
-		if len(r) > cols {
-			cols = len(r)
-		}
-	}
-	widths := make([]int, cols)
-	measure := func(r []string) {
-		for i, c := range r {
-			if len(c) > widths[i] {
-				widths[i] = len(c)
-			}
-		}
-	}
-	measure(t.Header)
-	for _, r := range t.Rows {
-		measure(r)
-	}
-	var b strings.Builder
-	writeRow := func(r []string) {
-		for i := 0; i < cols; i++ {
-			cell := ""
-			if i < len(r) {
-				cell = r[i]
-			}
-			if i > 0 {
-				b.WriteString("  ")
-			}
-			if looksNumeric(cell) {
-				fmt.Fprintf(&b, "%*s", widths[i], cell)
-			} else {
-				fmt.Fprintf(&b, "%-*s", widths[i], cell)
-			}
-		}
-		b.WriteByte('\n')
-	}
-	writeRow(t.Header)
-	total := 0
-	for _, w := range widths {
-		total += w
-	}
-	b.WriteString(strings.Repeat("-", total+2*(cols-1)))
-	b.WriteByte('\n')
-	for _, r := range t.Rows {
-		writeRow(r)
-	}
-	return b.String()
-}
-
-func looksNumeric(s string) bool {
-	if s == "" {
-		return false
-	}
-	digits := 0
-	for _, r := range s {
-		switch {
-		case r >= '0' && r <= '9':
-			digits++
-		case r == '.' || r == '-' || r == '+' || r == '%' || r == 'e' || r == 'E':
-		default:
-			return false
-		}
-	}
-	return digits > 0
 }

@@ -165,36 +165,3 @@ func TestQuickMinLEMeanLEMax(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestTableRendering(t *testing.T) {
-	tb := Table{Header: []string{"name", "value", "pct"}}
-	tb.AddRow("alpha", "12.5", "34%")
-	tb.AddRow("beta-long-name", "7", "100%")
-	out := tb.String()
-	lines := strings.Split(strings.TrimRight(out, "\n"), "\n")
-	if len(lines) != 4 {
-		t.Fatalf("table has %d lines, want 4:\n%s", len(lines), out)
-	}
-	if !strings.Contains(lines[0], "name") || !strings.Contains(lines[0], "value") {
-		t.Fatalf("header malformed: %q", lines[0])
-	}
-	if !strings.HasPrefix(lines[1], "---") {
-		t.Fatalf("separator malformed: %q", lines[1])
-	}
-	if !strings.Contains(out, "beta-long-name") {
-		t.Fatal("row content missing")
-	}
-}
-
-func TestLooksNumeric(t *testing.T) {
-	for _, s := range []string{"12", "-3.5", "1e9", "45%"} {
-		if !looksNumeric(s) {
-			t.Errorf("%q should look numeric", s)
-		}
-	}
-	for _, s := range []string{"", "abc", "12a", "-"} {
-		if looksNumeric(s) {
-			t.Errorf("%q should not look numeric", s)
-		}
-	}
-}

@@ -69,10 +69,9 @@ func (s *DeviceStats) IncDrop() {
 // AtlasStats is the Atlas runtime's section: undo-log traffic and OCS
 // commit counts — the "log writes" column of the paper's cost breakdown.
 type AtlasStats struct {
-	LogAppends  Counter // undo records appended
-	LogFlushes  Counter // synchronous log flush ranges (ModeNonTSP only)
-	OCSCommits  Counter // outermost critical sections committed
-	Checkpoints Counter // explicit log-truncating checkpoints
+	LogAppends Counter // undo records appended
+	LogFlushes Counter // synchronous log flush ranges (ModeNonTSP only)
+	OCSCommits Counter // outermost critical sections committed
 }
 
 // AddSection publishes what a thread's outermost critical section
@@ -82,12 +81,6 @@ func (s *AtlasStats) AddSection(appends, flushes, commits uint64) {
 		s.LogAppends.Add(appends)
 		s.LogFlushes.Add(flushes)
 		s.OCSCommits.Add(commits)
-	}
-}
-
-func (s *AtlasStats) IncCheckpoint() {
-	if s != nil {
-		s.Checkpoints.Inc()
 	}
 }
 
@@ -319,7 +312,6 @@ var RegistryRows = newTable(ScopeShard,
 		counter("atlas_log_appends", "undo records appended", func(s *AtlasStats) *Counter { return &s.LogAppends }),
 		counter("atlas_log_flushes", "synchronous log flush ranges (log+flush mode only)", func(s *AtlasStats) *Counter { return &s.LogFlushes }),
 		counter("atlas_ocs_commits", "outermost critical sections committed", func(s *AtlasStats) *Counter { return &s.OCSCommits }),
-		counter("atlas_checkpoints", "explicit log-truncating checkpoints", func(s *AtlasStats) *Counter { return &s.Checkpoints }),
 	}),
 	lift(func(r *Registry) *HeapStats { return r.Heap }, []Row[HeapStats]{
 		counter("heap_allocs", "persistent heap allocations", func(s *HeapStats) *Counter { return &s.Allocs }),

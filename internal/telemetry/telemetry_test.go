@@ -32,7 +32,6 @@ func TestCounterNilSafety(t *testing.T) {
 
 	var a *AtlasStats
 	a.AddSection(1, 1, 1)
-	a.IncCheckpoint()
 
 	var hp *HeapStats
 	hp.IncAlloc()

@@ -100,6 +100,21 @@ go test ./...
 echo "== bench module (vet, test)"
 (cd bench && GOPROXY=off GOTOOLCHAIN=local go vet . && GOPROXY=off GOTOOLCHAIN=local go test .)
 
+# Table 1's one runner, at one run per cell and at two: each report
+# must hold the four variants' cells and one derived-ratio entry.
+echo "== tspbench (-runs 1 and 2: 4 cells, 1 derived entry)"
+tmp=$(mktemp)
+for r in 1 2; do
+	go run ./cmd/tspbench -duration 20ms -profiles desktop -runs "$r" -json -out "$tmp" >/dev/null
+	cells=$(grep -c '"variant"' "$tmp")
+	derived=$(grep -c '"log_only_overhead_pct"' "$tmp")
+	if [ "$cells" -ne 4 ] || [ "$derived" -ne 1 ]; then
+		echo "tspbench -runs $r: $cells cells and $derived derived entries, want 4 and 1" >&2
+		exit 1
+	fi
+done
+rm -f "$tmp"
+
 # Each example checks its own invariant and exits through log.Fatal
 # when it breaks; they are also the only importers of famsync and wsp
 # outside their own tests.
@@ -120,7 +135,7 @@ ceiling() {
 		exit 1
 	fi
 }
-for pc in cacheserver:4083 cluster:1191 repl:1138 telemetry:1471; do
+for pc in cacheserver:4083 cluster:1191 repl:1138 telemetry:1463; do
 	pkg=${pc%:*}
 	echo "== internal/$pkg non-test lines"
 	ceiling "internal/$pkg non-test lines" \
