@@ -1,7 +1,7 @@
 GO ?= go
 
 .PHONY: build test check bench-json bench-micro bench-recover bench-pairs \
-	demo-repl check-docs
+	check-docs
 
 build:
 	$(GO) build ./...
@@ -44,12 +44,6 @@ bench-micro:
 # TestSpecSpellingsDocumented in internal/proto.)
 check-docs:
 	sh scripts/check_docs.sh
-
-# The replication acceptance campaign: two real tspcached processes,
-# load, SIGKILL the primary, promote the follower, verify Equations 1
-# and 2 on the promoted copy. See cmd/repldemo.
-demo-repl:
-	$(GO) run ./cmd/repldemo
 
 # The recovery-cost benchmarks, one step per line: Restart by how many
 # lines the crash left dirty, one served shard's whole CrashReattach,

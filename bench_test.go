@@ -1,6 +1,6 @@
-// Package tsp's root benchmark harness regenerates every quantitative
-// result in the paper's evaluation (Section 5), plus the ablations
-// DESIGN.md calls out. Each benchmark reports the paper's metric —
+// Package tsp's root benchmark harness regenerates the paper's Table 1
+// and recovery cost, plus the ablations DESIGN.md calls out (Section
+// 5.2's crash campaign is `go run ./cmd/faultinject -campaign harness`). Each benchmark reports the paper's metric —
 // worker iterations per second (Miter/s; each iteration performs three
 // atomic map operations) — via b.ReportMetric, alongside the usual
 // ns/op.
@@ -8,7 +8,6 @@
 // Mapping to the paper:
 //
 //	BenchmarkTable1            — Table 1, all four variants x both platforms
-//	BenchmarkFaultInjection    — Section 5.2's crash campaign (consistency rate)
 //	BenchmarkAblationFlushLatency — where log+flush diverges from log-only
 //	BenchmarkAblationThreads   — thread scaling of all four variants
 //	BenchmarkAblationLockGrain — bucket-per-mutex striping sweep
@@ -62,57 +61,6 @@ func BenchmarkTable1(b *testing.B) {
 				runThroughputBench(b, cfg)
 			})
 		}
-	}
-}
-
-// BenchmarkFaultInjection regenerates the Section 5.2 result: crashes at
-// random instants, each followed by recovery and invariant verification.
-// The reported metric is the fraction of runs that recovered to a
-// consistent state — the paper's result is 1.0 for every fortified
-// configuration under its intended failure/rescue pairing.
-func BenchmarkFaultInjection(b *testing.B) {
-	scenarios := []struct {
-		name    string
-		variant harness.Variant
-		rescue  float64
-	}{
-		{"non-blocking/rescue", harness.NonBlocking, 1},
-		{"log-only/rescue", harness.MutexAtlasTSP, 1},
-		{"log+flush/rescue", harness.MutexAtlasNonTSP, 1},
-		{"log+flush/no-rescue", harness.MutexAtlasNonTSP, 0},
-	}
-	for _, sc := range scenarios {
-		b.Run(sc.name, func(b *testing.B) {
-			cfg := harness.Config{
-				Variant:     sc.variant,
-				Threads:     4,
-				HighKeys:    1 << 10,
-				Buckets:     1 << 10,
-				DeviceWords: 1 << 21,
-			}
-			opts := harness.CrashOptions{
-				RescueFraction: sc.rescue,
-				MinRun:         2_000,
-				MaxRun:         25_000,
-			}
-			consistent := 0
-			total := 0
-			for i := 0; i < b.N; i++ {
-				cfg.Seed = int64(i)
-				res, err := harness.RunCrash(cfg, opts)
-				if err != nil {
-					b.Fatalf("RunCrash: %v", err)
-				}
-				total++
-				if res.OK() {
-					consistent++
-				}
-			}
-			if consistent != total {
-				b.Fatalf("only %d/%d crashes recovered consistently", consistent, total)
-			}
-			b.ReportMetric(float64(consistent)/float64(total), "consistent-frac")
-		})
 	}
 }
 

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bufio"
+	"cmp"
 	"fmt"
 	"net"
 	"strconv"
@@ -35,7 +36,7 @@ type ack struct{ val, epoch uint64 }
 func (h *keyHist) issue(v uint64) { h.issued = v }
 
 // ack records v's acknowledgement: durable when epoch is 0, else a
-// relaxed ack stamped `@<epoch>`.
+// relaxed ack stamped `@<epoch>`, or an unreplicated one.
 func (h *keyHist) ack(v, epoch uint64) {
 	h.issued = 0
 	if epoch == 0 {
@@ -194,6 +195,18 @@ func (c *client) crash() (uint64, error) {
 		return 0, err
 	}
 	return strconv.ParseUint(strings.TrimPrefix(rep, receipt), 10, 64)
+}
+
+// stat returns the value of the `stats` row name.
+func (c *client) stat(name string) (v uint64, err error) {
+	err = fmt.Errorf("stats: no %s row", name)
+	rep, rerr := c.cmd("stats")
+	for ; rerr == nil && rep != "END"; rep, rerr = c.line() {
+		if s, ok := strings.CutPrefix(rep, "STAT "+name+" "); ok {
+			v, err = strconv.ParseUint(s, 10, 64)
+		}
+	}
+	return v, cmp.Or(rerr, err)
 }
 
 // read returns key's value through get ("get" or "zget"), 0 when absent.

@@ -55,6 +55,8 @@ func TestKeyHistCatchesViolations(t *testing.T) {
 		{"never-acked value", []histStep{ackAt(1, 2), ackAt(3, 2), checkAt(2, 1)}, "never acked"},
 		{"value above the last issue", []histStep{ackAt(1, 0), issue(2), checkAt(3, 0)}, "never acked"},
 		{"value between acks", []histStep{ackAt(1, 4), checkAt(1, 9), ackAt(4, 12), ackAt(6, 12), checkAt(5, 9)}, "never acked"},
+		{"wait repl-covered ack lost with the primary", []histStep{ackAt(1, unreplicated), ackAt(2, unreplicated), cover(), ackAt(3, unreplicated), checkAt(1, 0)}, "must survive"},
+		{"value neither acked nor in flight at the kill", []histStep{ackAt(1, unreplicated), cover(), ackAt(2, unreplicated), issue(3), checkAt(4, 0)}, "never acked"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			err := replay(tc.steps)
@@ -79,6 +81,7 @@ func TestKeyHistAcceptsLegalHistories(t *testing.T) {
 		{"whole cycle shed: the last read resurfaces", []histStep{ackAt(1, 2), checkAt(1, 5), ackAt(2, 8), checkAt(1, 5)}},
 		{"covered acks survive", []histStep{ackAt(1, 3), ackAt(2, 4), cover(), checkAt(2, 0)}},
 		{"history carries over checks", []histStep{ackAt(1, 0), checkAt(1, 0), ackAt(4, 0), checkAt(4, 1)}},
+		{"uncovered acks died with the primary", []histStep{ackAt(1, unreplicated), cover(), ackAt(2, unreplicated), ackAt(3, unreplicated), issue(4), checkAt(1, 0)}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			if err := replay(tc.steps); err != nil {

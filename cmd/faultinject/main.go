@@ -16,6 +16,9 @@
 //     crashes mid-storm, then the follower is promoted.
 //   - cluster: sessioned writers through a proxy to three nodes; node A
 //     crashes mid-storm, then every slot it owns migrates away.
+//   - site-disaster: the Section 5.1 workload on a tspcached primary and
+//     follower, both child processes; the primary is SIGKILLed mid-storm,
+//     the follower promoted, checked, crashed and checked again.
 //
 // All but the first hold every read to its key's recorded history
 // (keyHist): durable linearizability for durable writes, buffered
@@ -55,10 +58,11 @@ var campaigns = []struct {
 	{"durability", 10, runDurability},
 	{"exactly-once", 4, runExactlyOnce},
 	{"cluster", 3, runCluster},
+	{"site-disaster", 10, runSiteDisaster},
 }
 
 func main() {
-	campaign := flag.String("campaign", "all", "campaign to run: all, harness, multi-engine, durability, exactly-once or cluster")
+	campaign := flag.String("campaign", "all", "campaign to run: all, harness, multi-engine, durability, exactly-once, cluster or site-disaster")
 	n := flag.Int("n", 0, "crashes or cycles per campaign (0: each campaign's default)")
 	threads := flag.Int("threads", 8, "worker threads (harness: each crash draws its count from 1 to this)")
 	seed := flag.Int64("seed", 1, "base seed")

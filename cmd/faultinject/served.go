@@ -1,6 +1,7 @@
 package main
 
 import (
+	"errors"
 	"fmt"
 	"strconv"
 	"sync"
@@ -10,9 +11,13 @@ import (
 	"tsp/internal/cluster"
 )
 
+// errKilled is a step's error once mid has killed its server: it ends
+// that writer, not the storm.
+var errKilled = errors.New("server killed")
+
 // storm runs writers at once, each taking steps 0 to ops-1. mid, unless
 // nil, runs once every writer is halfway (or has stopped), alongside
-// the second half. It returns the first error.
+// the second half. It returns the first error but errKilled.
 func storm(writers, ops int, step func(g, op int) error, mid func() error) error {
 	var half, all sync.WaitGroup
 	half.Add(writers)
@@ -27,7 +32,9 @@ func storm(writers, ops int, step func(g, op int) error, mid func() error) error
 					half.Done()
 				}
 				if err := step(g, op); err != nil {
-					errs <- err
+					if err != errKilled {
+						errs <- err
+					}
 					break
 				}
 			}

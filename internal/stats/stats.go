@@ -4,7 +4,6 @@
 package stats
 
 import (
-	"fmt"
 	"math"
 	"sort"
 )
@@ -27,13 +26,6 @@ func (s *Sample) Add(v float64) {
 
 // N returns the observation count.
 func (s *Sample) N() int { return len(s.values) }
-
-// Values returns a copy of the raw observations. The internal slice
-// used to escape here, which let any caller corrupt the Welford state
-// behind the accessor's back; a copy keeps the accumulator sealed.
-func (s *Sample) Values() []float64 {
-	return append([]float64(nil), s.values...)
-}
 
 // Merge folds every observation of other into s — the per-worker
 // aggregation step the harness previously hand-rolled over the exposed
@@ -62,20 +54,6 @@ func (s *Sample) Var() float64 {
 
 // Stddev returns the sample standard deviation.
 func (s *Sample) Stddev() float64 { return math.Sqrt(s.Var()) }
-
-// Min returns the smallest observation (0 with none).
-func (s *Sample) Min() float64 {
-	if len(s.values) == 0 {
-		return 0
-	}
-	m := s.values[0]
-	for _, v := range s.values[1:] {
-		if v < m {
-			m = v
-		}
-	}
-	return m
-}
 
 // Max returns the largest observation (0 with none).
 func (s *Sample) Max() float64 {
@@ -110,10 +88,4 @@ func (s *Sample) Percentile(p float64) float64 {
 		rank = 1
 	}
 	return sorted[rank-1]
-}
-
-// Summary renders n/mean/std/min/max in one line.
-func (s *Sample) Summary() string {
-	return fmt.Sprintf("n=%d mean=%.4g std=%.4g min=%.4g max=%.4g",
-		s.N(), s.Mean(), s.Stddev(), s.Min(), s.Max())
 }

@@ -228,8 +228,10 @@ fi
 # storm, a crash mid-storm and a promotion, no seq applied twice;
 # cluster 2: three nodes behind the proxy, one crashed and rebalanced
 # away mid-storm, no acked write lost, MOVED on the old owner, Eq 1 & 2
-# on every node), plus a few multi-engine and Section 5.2 crashes; the
-# keyHist tests feed the one checker every violation it must catch.
+# on every node), plus a few multi-engine and Section 5.2 crashes and
+# one site-disaster cycle (a real tspcached primary SIGKILLed mid-storm,
+# its follower promoted: wait-repl-covered acks survive, Eq 1 & 2 hold);
+# the keyHist tests feed the one checker every violation it must catch.
 echo "== crash campaigns (-race -cpu 1,2,4)"
 go test -race -cpu 1,2,4 ./cmd/faultinject
 
