@@ -24,11 +24,13 @@ import (
 // replication already put on its follower. T writers run the Section
 // 5.1 loop (set c1,t = i; incr a seeded key of H; set c2,t = i) while
 // readers poll c1 on the optimistic get path and must never see one
-// regress. Each writer's last loop before the halfway mark ends in a
-// `wait repl`, which must answer 1 and covers its acks, just before
-// the kill. The promoted follower must hold Equations 1 and 2 with
-// Σc1 > 0 and every counter read to its history, then read back the
-// same after a `crash`.
+// regress. From its last loop before the halfway mark on, each of a
+// writer's loops sends its set c2,t with a `wait repl`, which must
+// answer 1 and covers its acks. The kill comes once every writer has
+// had one answered, so each writer's latest cover is at most a loop old
+// when the primary dies. The promoted follower must hold Equations
+// 1 and 2 with Σc1 > 0 and every counter read to its history, then read
+// back the same after a `crash`.
 const (
 	sdReaders  = 4   // optimistic reader connections
 	sdHighKeys = 64  // |H|
@@ -97,7 +99,7 @@ func siteDisaster(bin string, threads int, seed int64) error {
 	step := func(g, op int) error {
 		c := cl[g]
 		if g >= threads { // a reader's last step polls until the kill
-			if op == sdOps/2 && g == threads {
+			if op == sdOps/2-1 && g == threads {
 				if gets, err := c.stat("map_opt_gets"); err != nil || gets == 0 {
 					return fmt.Errorf("the primary served %d optimistic gets: %v", gets, err)
 				}
@@ -119,15 +121,31 @@ func siteDisaster(bin string, threads int, seed int64) error {
 			hk := ((uint64(seed)<<32 | uint64(g)<<16 | uint64(op)) * 0x9e3779b97f4a7c15 >> 32) % sdHighKeys
 			_, err = c.cmd("incr %d 1", harness.HighBase(threads)+hk)
 		}
-		if err == nil {
+		if err == nil && op < sdOps/2-1 {
 			err = set(c, &h[1], i)
 		}
-		if err != nil || op != sdOps/2-1 {
+		if err != nil || op < sdOps/2-1 {
 			return err
 		}
-		if rep, err := c.cmd("wait repl 5000"); err != nil || rep != "1" {
-			return fmt.Errorf("wait repl answered %q before the kill: %v", rep, err)
+		// set c2,t and the wait go out in one write: the cover is
+		// answered with the set, a round trip sooner, which would be time
+		// for the follower to catch up before the kill.
+		h[1].issue(i)
+		var stored, rep string
+		_, err = fmt.Fprintf(c.conn, "set %d %d\r\nwait repl 5000\r\n", h[1].key, i)
+		if err == nil {
+			stored, err = c.line()
 		}
+		if err == nil {
+			rep, err = c.line()
+		}
+		if err == nil && (stored != "STORED" || rep != "1") {
+			err = fmt.Errorf("set c2,%d and wait repl answered %q, %q", g, stored, rep)
+		}
+		if err != nil {
+			return err
+		}
+		h[1].ack(i, unreplicated)
 		h[0].cover()
 		h[1].cover()
 		return nil

@@ -30,7 +30,7 @@ func TestSectionIsOneOCS(t *testing.T) {
 	if got := tel.OCSCommits.Load(); got != 1 {
 		t.Fatalf("OCS commits = %d, want 1 (one section, one OCS)", got)
 	}
-	if th.InOCS() {
+	if th.held > 0 {
 		t.Fatal("thread still inside an OCS after Section returned")
 	}
 	for w := 0; w < 8; w++ {
@@ -57,7 +57,7 @@ func TestSectionNested(t *testing.T) {
 	if got := tel.OCSCommits.Load(); got != 0 {
 		t.Fatalf("OCS commits = %d inside enclosing OCS, want 0", got)
 	}
-	if !th.InOCS() {
+	if th.held == 0 {
 		t.Fatal("enclosing OCS closed by nested Section")
 	}
 	th.Unlock(outer)
@@ -78,7 +78,7 @@ func TestSectionErrorStillReleases(t *testing.T) {
 	if err := th.Section(mus, func() error { return sentinel }); !errors.Is(err, sentinel) {
 		t.Fatalf("Section error = %v, want %v", err, sentinel)
 	}
-	if th.InOCS() {
+	if th.held > 0 {
 		t.Fatal("thread left inside OCS after erroring section")
 	}
 	// The mutexes are free again: a fresh section over them succeeds.

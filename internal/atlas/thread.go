@@ -122,13 +122,6 @@ func (d *dirtyTable) grow() {
 	}
 }
 
-// ID returns the thread's registration slot.
-func (t *Thread) ID() uint64 { return t.id }
-
-// InOCS reports whether the thread is inside an outermost critical
-// section.
-func (t *Thread) InOCS() bool { return t.held > 0 }
-
 // appendEntry writes one log record into the thread's RING of log slots
 // with a fresh global sequence number. The ring deliberately overwrites
 // the oldest records — those belong to long-committed OCSes, which

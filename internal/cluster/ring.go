@@ -210,14 +210,6 @@ func (r *Ring) Table() string {
 	return b.String()
 }
 
-// SlotSpec renders addr's owned slots as the compact "lo-hi,lo-hi"
-// spec the cache server's -cluster-slots flag takes, or "" when addr
-// owns nothing.
-func (r *Ring) SlotSpec(addr string) string {
-	slots := r.SlotsOf(addr)
-	return FormatSlots(slots)
-}
-
 // FormatSlots renders a sorted slot list as a "lo-hi,lo" spec.
 func FormatSlots(slots []int) string {
 	var b strings.Builder

@@ -98,7 +98,7 @@ func TestRingSetOwner(t *testing.T) {
 }
 
 // FormatSlots and ParseSlots must round-trip any slot set, including
-// the SlotSpec of a live ring.
+// each node's slots of a live ring.
 func TestSlotSpecRoundTrip(t *testing.T) {
 	cases := [][]int{
 		{0},
@@ -138,13 +138,13 @@ func TestSlotSpecRoundTrip(t *testing.T) {
 	}
 	total := 0
 	for _, n := range r.Nodes() {
-		set, err := ParseSlots(r.SlotSpec(n))
+		set, err := ParseSlots(FormatSlots(r.SlotsOf(n)))
 		if err != nil {
-			t.Fatalf("SlotSpec(%s) unparseable: %v", n, err)
+			t.Fatalf("slots of %s unparseable: %v", n, err)
 		}
 		for s := range set {
 			if r.Owner(s) != n {
-				t.Fatalf("SlotSpec(%s) claims slot %d owned by %s", n, s, r.Owner(s))
+				t.Fatalf("slots of %s claim slot %d owned by %s", n, s, r.Owner(s))
 			}
 		}
 		total += len(set)

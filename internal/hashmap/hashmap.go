@@ -559,9 +559,9 @@ func (m *Map) DeleteLocked(t *atlas.Thread, key uint64) (bool, error) {
 // without storing the integrity word and without closing the critical
 // section — the state a crash landing mid-OCS would capture. The thread
 // is left inside the OCS (holding the stripe mutex) and must not be used
-// again; the caller is expected to crash the device next. Examples and
-// fault-injection tests use it to land a crash at the most revealing
-// instant deterministically.
+// again; the caller is expected to crash the device next. Fault-injection
+// tests use it to land a crash at the most revealing instant
+// deterministically.
 func (m *Map) TornUpdate(t *atlas.Thread, key, value uint64) error {
 	if t == nil {
 		return ErrNoThread

@@ -340,12 +340,11 @@ func (d *Device) FlushAll() {
 
 // The clean-line invariant. Once no store or flush is in flight, a line
 // whose dirty bit is clear is word-for-word identical in the volatile and
-// persisted images. Restart and RestorePersisted depend on it: Restart
-// reverts only dirty lines, so a clean line that differed would survive a
-// crash it should not have. Each writer does its part: Store, StoreBlock,
-// CAS and Add mark the line after writing it; writeBack clears the bit
-// before copying and copies again when a word changed under the copy;
-// RestorePersisted marks every line it changes.
+// persisted images. Restart depends on it: it reverts only dirty lines,
+// so a clean line that differed would survive a crash it should not have.
+// Each writer does its part: Store, StoreBlock, CAS and Add mark the line
+// after writing it; writeBack clears the bit before copying and copies
+// again when a word changed under the copy.
 
 // lineSpan returns the word range [lo, hi) the line covers; the device's
 // last line may be short.
@@ -430,11 +429,6 @@ func (d *Device) persistedLoad(w uint64) uint64    { return atomic.LoadUint64(&d
 // Stats returns a snapshot of the device's operation counters (all
 // zeros when counting is disabled).
 func (d *Device) Stats() StatsSnapshot { return snapshotOf(d.tel) }
-
-// ResetStats zeroes the operation counters.
-func (d *Device) ResetStats() {
-	telemetry.Reset(telemetry.RegistryRows.Bind(&telemetry.Registry{Device: d.tel}))
-}
 
 // Telemetry returns the device's live counter section (nil when counting
 // is disabled). stack.Reattach adopts it into the new incarnation's

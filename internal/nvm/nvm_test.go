@@ -352,10 +352,6 @@ func TestStatsCounters(t *testing.T) {
 	if s.Stores != 1 || s.Loads != 1 || s.CAS != 1 || s.Flushes != 1 {
 		t.Fatalf("unexpected stats: %s", s)
 	}
-	d.ResetStats()
-	if s := d.Stats(); s.Stores != 0 || s.Loads != 0 {
-		t.Fatalf("ResetStats left counters: %s", s)
-	}
 }
 
 func TestStatsSub(t *testing.T) {
@@ -420,30 +416,6 @@ func TestDeviceSizeNotLineMultiple(t *testing.T) {
 	d.FlushWord(9)
 	if d.Persisted(9) != 77 {
 		t.Fatal("short final line not flushed correctly")
-	}
-}
-
-func TestSnapshotRestoreRoundTrip(t *testing.T) {
-	d := testDevice(t, 64)
-	d.Store(1, 11)
-	d.Store(2, 22)
-	d.FlushAll()
-	snap := d.SnapshotPersisted()
-
-	d2 := testDevice(t, 64)
-	if err := d2.RestorePersisted(snap); err != nil {
-		t.Fatalf("RestorePersisted: %v", err)
-	}
-	d2.Restart()
-	if d2.Load(1) != 11 || d2.Load(2) != 22 {
-		t.Fatal("restored device does not reflect the snapshot")
-	}
-}
-
-func TestRestoreWrongSizeRejected(t *testing.T) {
-	d := testDevice(t, 64)
-	if err := d.RestorePersisted(make([]uint64, 63)); err == nil {
-		t.Fatal("RestorePersisted accepted a wrong-size snapshot")
 	}
 }
 

@@ -133,28 +133,3 @@ func TestQuickRestartEqualsPersisted(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-// Property: snapshot/restore is an exact round trip of the persisted image.
-func TestQuickSnapshotRoundTrip(t *testing.T) {
-	f := func(stores []uint64) bool {
-		d := NewDevice(Config{Words: 32})
-		for i, v := range stores {
-			d.Store(Addr(i%32), v)
-		}
-		d.FlushAll()
-		snap := d.SnapshotPersisted()
-		d2 := NewDevice(Config{Words: 32})
-		if err := d2.RestorePersisted(snap); err != nil {
-			return false
-		}
-		for a := Addr(0); a < 32; a++ {
-			if d2.Persisted(a) != d.Persisted(a) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}

@@ -163,33 +163,6 @@ func TestRestartWithoutCrashDiscardsUnflushedState(t *testing.T) {
 	}
 }
 
-// RestorePersisted is the one writer of the persisted image that is not
-// a flush. A device that was flushed clean (no dirty line anywhere) and
-// then had an older image restored must read that image after Restart.
-func TestRestorePersistedThenRestartReadsRestoredImage(t *testing.T) {
-	d := NewDevice(Config{Words: 100})
-	for a := Addr(0); a < 100; a += 3 {
-		d.Store(a, uint64(a)+1)
-	}
-	d.FlushAll()
-	old := d.SnapshotPersisted()
-	for a := Addr(0); a < 100; a += 2 {
-		d.Store(a, uint64(a)+1000)
-	}
-	d.FlushAll()
-	if err := d.RestorePersisted(old); err != nil {
-		t.Fatal(err)
-	}
-	checkCleanLines(t, d)
-	d.Restart()
-	checkRestarted(t, d)
-	for a := Addr(0); a < 100; a++ {
-		if got := d.Load(a); got != old[a] {
-			t.Fatalf("word %d = %d after RestorePersisted+Restart, want the restored %d", a, got, old[a])
-		}
-	}
-}
-
 // The clean-line invariant is a race property: stores, explicit flushes
 // and the evictor's sweeps all hit the same lines at once, and whatever
 // interleaving the scheduler picks, a line left clean must be identical

@@ -452,8 +452,8 @@ func (Native) Resync(buf []byte) (int, ResyncState) {
 }
 
 // AppendRequest appends req's native wire form (one CRLF-terminated
-// line) to dst — the client side of the protocol, used by benchmarks,
-// examples and round-trip tests. Requests the native grammar cannot
+// line) to dst — the client side of the protocol, used by the proxy,
+// benchmarks and round-trip tests. Requests the native grammar cannot
 // express (CmdNone, CmdBad, RESP-only commands) append nothing.
 func (Native) AppendRequest(dst []byte, req *Request) []byte {
 	sp := req.Cmd.Spec()

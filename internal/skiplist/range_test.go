@@ -82,25 +82,6 @@ func TestRangeBetweenEarlyStop(t *testing.T) {
 	}
 }
 
-func TestMin(t *testing.T) {
-	_, _, l := newList(t, 1<<16)
-	if _, ok := l.Min(); ok {
-		t.Fatal("Min on empty list found a key")
-	}
-	mustPut(t, l, 42, 1)
-	mustPut(t, l, 7, 1)
-	mustPut(t, l, 99, 1)
-	if k, ok := l.Min(); !ok || k != 7 {
-		t.Fatalf("Min = %d,%v want 7", k, ok)
-	}
-	if ok, _ := l.Delete(7); !ok {
-		t.Fatal("Delete failed")
-	}
-	if k, ok := l.Min(); !ok || k != 42 {
-		t.Fatalf("Min after delete = %d,%v want 42", k, ok)
-	}
-}
-
 // Property: RangeBetween agrees with filtering a model map, for random
 // contents and windows.
 func TestQuickRangeBetweenMatchesModel(t *testing.T) {

@@ -498,18 +498,6 @@ func (l *List) CountBetween(lo, hi uint64) int {
 	return n
 }
 
-// Min returns the smallest live key, if any.
-func (l *List) Min() (uint64, bool) {
-	tal := l.dev.Tally()
-	defer tal.Publish()
-	for curr := ref(l.next(&tal, l.head, 0)); !curr.IsNil(); curr = ref(l.next(&tal, curr, 0)) {
-		if !isMarked(l.next(&tal, curr, 0)) {
-			return l.key(&tal, curr), true
-		}
-	}
-	return 0, false
-}
-
 // Len counts live keys by traversal.
 func (l *List) Len() int {
 	n := 0

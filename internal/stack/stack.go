@@ -235,7 +235,7 @@ func WithSessionSlots(n int) Option {
 
 // HeapOnly stops the stack at the persistent heap: no Atlas runtime, no
 // map. For programs that build their own persistent structures directly
-// on heap words (like examples/quickstart's linked list).
+// on heap words (like the harness's non-blocking skip list).
 func HeapOnly() Option {
 	return func(c *config) { c.heapOnly = true }
 }

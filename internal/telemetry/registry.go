@@ -1,9 +1,6 @@
 package telemetry
 
-import (
-	"sort"
-	"sync/atomic"
-)
+import "sync/atomic"
 
 // DeviceStats is the simulated NVM device's section: memory-access
 // counters and the persistence-cost counters the paper's whole argument
@@ -395,17 +392,6 @@ func (s Snapshot) Add(other Snapshot) Snapshot {
 		s[name] += v
 	}
 	return s
-}
-
-// Names returns the snapshot's metric names, sorted, for deterministic
-// rendering.
-func (s Snapshot) Names() []string {
-	names := make([]string, 0, len(s))
-	for name := range s {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
 }
 
 // ServerWide is a cache server's server-wide section: what no one shard

@@ -249,11 +249,3 @@ func TestRegistryWalkDeterministicAndComplete(t *testing.T) {
 		t.Fatalf("nil-section Walk emitted %d names, want %d", n, len(names1))
 	}
 }
-
-func TestSnapshotNames(t *testing.T) {
-	s := Snapshot{"b": 1, "a": 2, "c": 3}
-	names := s.Names()
-	if len(names) != 3 || names[0] != "a" || names[1] != "b" || names[2] != "c" {
-		t.Fatalf("Names() = %v, want sorted [a b c]", names)
-	}
-}

@@ -174,7 +174,7 @@ func MaxDRAMBytes(e Energy, r Rates) (int64, error) {
 	return int64(e.SupercapJoules * r.SaveBytesPerSec / r.SaveWatts), nil
 }
 
-// Presets for the demo and tests.
+// Presets for the example and tests.
 
 // DesktopMachine is a 4-core desktop with 8 MB of cache and 32 GB DRAM.
 func DesktopMachine() Machine {
