@@ -14,6 +14,7 @@ import (
 	"strconv"
 	"strings"
 	"sync/atomic"
+	"syscall"
 	"time"
 
 	"tsp/internal/harness"
@@ -30,7 +31,8 @@ import (
 // had one answered, so each writer's latest cover is at most a loop old
 // when the primary dies. The promoted follower must hold Equations
 // 1 and 2 with Σc1 > 0 and every counter read to its history, then read
-// back the same after a `crash`.
+// back the same after a `crash`. Before the storm, checkReplAck holds a
+// `wait repl` to its answer with the follower stopped.
 const (
 	sdReaders  = 4   // optimistic reader connections
 	sdHighKeys = 64  // |H|
@@ -82,6 +84,9 @@ func siteDisaster(bin string, threads int, seed int64) error {
 		if cl[i], err = cs.dial(pa[0]); err != nil {
 			return err
 		}
+	}
+	if err := checkReplAck(cl[0], follower, harness.HighBase(threads)+sdHighKeys, uint64(seed)); err != nil {
+		return err
 	}
 	hists := make([][2]keyHist, threads) // c1,t and c2,t
 	for t := range hists {
@@ -200,6 +205,35 @@ func siteDisaster(bin string, threads int, seed int64) error {
 		err = fmt.Errorf("promoted copy read %s, then %s after its crash", v, after)
 	}
 	return err
+}
+
+// checkReplAck holds the replication ack to its contract directly,
+// where the storm only samples it: with the follower stopped (SIGSTOP,
+// reaped as stopped before the set goes out), nothing can acknowledge a
+// fresh set, so its `wait repl` must time out; once the follower runs
+// again, a second wait must answer 1. key lies outside the keys the
+// invariants read.
+func checkReplAck(c *client, follower *exec.Cmd, key, v uint64) error {
+	pid := follower.Process.Pid
+	defer syscall.Kill(pid, syscall.SIGCONT)
+	var ws syscall.WaitStatus
+	if err := syscall.Kill(pid, syscall.SIGSTOP); err != nil {
+		return err
+	}
+	if _, err := syscall.Wait4(pid, &ws, syscall.WUNTRACED, nil); err != nil || !ws.Stopped() {
+		return fmt.Errorf("stopping the follower: %v (wait status %v)", err, ws)
+	}
+	if _, err := c.expect("STORED", "set %d %d", key, v); err != nil {
+		return err
+	}
+	if rep, err := c.cmd("wait repl 50"); err != nil || rep != "SERVER_ERROR wait timeout" {
+		return cmp.Or(err, fmt.Errorf("wait repl answered %q with the follower stopped", rep))
+	}
+	syscall.Kill(pid, syscall.SIGCONT)
+	if rep, err := c.cmd("wait repl 5000"); err != nil || rep != "1" {
+		return cmp.Or(err, fmt.Errorf("wait repl answered %q once the follower ran again", rep))
+	}
+	return nil
 }
 
 // spawn starts bin with args and returns, once the child has printed

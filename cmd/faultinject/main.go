@@ -5,8 +5,9 @@
 //   - harness: the paper's map workload under the recovery observer
 //     (Equations 1 and 2, the map's structure), for the fortified
 //     variants under a full TSP rescue and for non-TSP mode with none
-//     and with a seeded partial one. Each crash draws its threads, key
-//     range, buckets and crash point from its seed. A last row, left
+//     and with a seeded crash image that cuts each dirty line at a drawn
+//     store boundary. Each crash draws its threads, key range, buckets
+//     and crash point from its seed. A last row, left
 //     out of the tally, gives TSP mode HALF a rescue: the hazard the
 //     TSP framework predicts.
 //   - multi-engine: the hash map and the skip list on one heap.
@@ -17,8 +18,9 @@
 //   - cluster: sessioned writers through a proxy to three nodes; node A
 //     crashes mid-storm, then every slot it owns migrates away.
 //   - site-disaster: the Section 5.1 workload on a tspcached primary and
-//     follower, both child processes; the primary is SIGKILLed mid-storm,
-//     the follower promoted, checked, crashed and checked again.
+//     follower, both child processes; a `wait repl` must not answer while
+//     the follower is stopped; the primary is SIGKILLed mid-storm, the
+//     follower promoted, checked, crashed and checked again.
 //
 // All but the first hold every read to its key's recorded history
 // (keyHist): durable linearizability for durable writes, buffered
@@ -39,6 +41,7 @@ import (
 	"os"
 
 	"tsp/internal/harness"
+	"tsp/internal/nvm"
 	"tsp/internal/telemetry"
 )
 
@@ -119,8 +122,9 @@ func report(name string, n int, cycle func(i int) error) bool {
 // crash draws its shape from its own seed, so a long run explores the
 // configuration space: Threads in [1, threads], HighKeys and Buckets in
 // 2^[8,13], and the window of device stores the crash lands in. A
-// negative rescue is drawn from the seed too: non-TSP mode flushes its
-// log ahead of its data, so it must recover under any rescue fraction.
+// negative rescue is a crash image drawn from the seed too: non-TSP mode
+// flushes its log ahead of its data, so it must recover whatever prefix
+// of its stores each dirty line persists.
 func runHarness(n, threads int, seed int64) bool {
 	ok := true
 	for _, row := range []struct {
@@ -132,7 +136,7 @@ func runHarness(n, threads int, seed int64) bool {
 		{"atlas log-only (TSP mode) + TSP rescue", harness.MutexAtlasTSP, 1},
 		{"atlas log+flush (non-TSP) + TSP rescue", harness.MutexAtlasNonTSP, 1},
 		{"atlas log+flush (non-TSP) + NO rescue", harness.MutexAtlasNonTSP, 0},
-		{"atlas log+flush (non-TSP) + seeded partial rescue", harness.MutexAtlasNonTSP, -1},
+		{"atlas log+flush (non-TSP) + seeded prefix image", harness.MutexAtlasNonTSP, -1},
 	} {
 		ok = report(row.name, n, func(i int) error {
 			rng := rand.New(rand.NewSource(seed + int64(i)*1000003))
@@ -144,12 +148,13 @@ func runHarness(n, threads int, seed int64) bool {
 				Seed:     rng.Int63(),
 			}
 			opts := harness.CrashOptions{
-				RescueFraction: row.rescue,
-				MinRun:         2_000,
-				MaxRun:         uint64(1+rng.Intn(15)) * 5_000,
+				Crash:  nvm.CrashOptions{RescueFraction: row.rescue},
+				MinRun: 2_000,
+				MaxRun: uint64(1+rng.Intn(15)) * 5_000,
 			}
-			if opts.RescueFraction < 0 {
-				opts.RescueFraction = rng.Float64()
+			if row.rescue < 0 { // each dirty line cut at a drawn boundary
+				draw := rand.New(rand.NewSource(rng.Int63()))
+				opts.Crash = nvm.CrashOptions{Keep: func(_ uint64, stores int) int { return draw.Intn(stores + 1) }}
 			}
 			r, err := harness.RunCrash(cfg, opts)
 			if err == nil && !r.OK() {
@@ -160,15 +165,15 @@ func runHarness(n, threads int, seed int64) bool {
 		}) && ok
 	}
 
-	// A half-completed rescue (or cache eviction having persisted an
-	// arbitrary subset of stores) leaves TSP mode's unflushed undo log
+	// A half-completed rescue (or a cache having written back an
+	// arbitrary subset of lines) leaves TSP mode's unflushed undo log
 	// partly gone while some uncommitted data stores are durable: the
 	// mixed outcome that corrupts. A total loss would merely revert to
 	// the last durable state.
 	consistent := 0
 	for i := 0; i < n; i++ {
 		cfg := harness.Config{Variant: harness.MutexAtlasTSP, Threads: threads, Seed: seed + int64(i)*1000003}
-		r, err := harness.RunCrash(cfg, harness.CrashOptions{RescueFraction: 0.5})
+		r, err := harness.RunCrash(cfg, harness.CrashOptions{Crash: nvm.CrashOptions{RescueFraction: 0.5}})
 		if err != nil {
 			fmt.Printf("    hazard: campaign run %d: %v\n", i, err)
 			break

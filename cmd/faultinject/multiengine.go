@@ -41,7 +41,6 @@ func multiEngineOnce(threads int, seed int64) error {
 		return err
 	}
 	dev := stk.Dev
-	dev.StartEvictor()
 
 	// Writer g puts to the map when even and to the list when odd, each
 	// on its own slots, the engines' keys in distinct halves of the
@@ -80,7 +79,6 @@ func multiEngineOnce(threads int, seed int64) error {
 	for w := 0; w < threads; w++ {
 		th, err := stk.RT.NewThread()
 		if err != nil {
-			dev.StopEvictor()
 			return err
 		}
 		wg.Add(2)
@@ -93,7 +91,6 @@ func multiEngineOnce(threads int, seed int64) error {
 
 	rng := rand.New(rand.NewSource(seed))
 	time.Sleep(2*time.Millisecond + time.Duration(rng.Int63n(int64(18*time.Millisecond))))
-	dev.StopEvictor()
 	dev.Crash(nvm.CrashOptions{RescueFraction: 1, Seed: seed})
 	close(stop)
 	wg.Wait()

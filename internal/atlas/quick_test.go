@@ -79,7 +79,6 @@ func runCrashScript(t *testing.T, mode Mode, ops []uint16, crashStep int, rescue
 			if step >= crashStep {
 				// Crash mid-OCS (or exactly at its last store, which is
 				// still before the commit record).
-				dev.StopEvictor()
 				dev.Crash(nvm.CrashOptions{RescueFraction: rescue, Seed: 11})
 				res.crashed = true
 				committed = false

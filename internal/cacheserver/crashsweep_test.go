@@ -342,6 +342,12 @@ func (r *sweepRun) point(t *testing.T, k uint64, crash nvm.CrashOptions) (p swee
 	s, serve := r.start(t)
 	defer s.Close()
 	sh := s.shards[0]
+	if crash.Keep != nil {
+		// An image starts from a clean device: the lines the warm-up
+		// left dirty (its zeroed log ring) persist what they hold, and
+		// would only dilute the images among the stream's own lines.
+		sh.stk.Dev.FlushAll()
+	}
 	sh.stk.Dev.ArmCrashAfter(k, crash)
 	var lines []string
 	for _, b := range r.bursts {
@@ -455,6 +461,78 @@ func (r *sweepRun) resend(sh *shard, s *Server, last int, got sweepState, hq, zq
 		r.cmds[j], qs, r.end[first], rep, after)
 }
 
+// sweepImage is one crash image a row tries at a crash point: keep
+// chooses each dirty line's prefix (nvm.CrashOptions.Keep).
+type sweepImage struct {
+	name string
+	keep func(line uint64, stores int) int
+}
+
+func keepAll(_ uint64, stores int) int { return stores }
+func keepNone(uint64, int) int         { return 0 }
+
+// sweepLine is a dirty line at the crash and its store boundaries.
+type sweepLine struct {
+	line   uint64
+	stores int
+}
+
+// sweepImages returns the images tried at crash point k once the base
+// image has found the dirty lines: all and none, three seeded fractions,
+// the subsets of the lines kept whole (each one when there are at most
+// 8 lines, else 64 seeded), and each line cut at each of its inner
+// boundaries with every other line at the base. Lines a run finds that
+// the base did not are kept whole by a subset, at the base by a cut.
+func sweepImages(k uint64, base func(uint64, int) int, lines []sweepLine) []sweepImage {
+	ims := []sweepImage{{"all", keepAll}, {"none", keepNone}}
+	for _, f := range []float64{0.25, 0.5, 0.75} {
+		rng := rand.New(rand.NewSource(int64(k)))
+		ims = append(ims, sweepImage{fmt.Sprintf("fraction %v", f), func(_ uint64, n int) int {
+			if rng.Float64() < f {
+				return n
+			}
+			return 0
+		}})
+	}
+	subset := func(mask func(i int) bool) {
+		whole := map[uint64]bool{}
+		var name []string
+		for i, l := range lines {
+			if mask(i) {
+				whole[l.line] = true
+				name = append(name, strconv.FormatUint(l.line, 10))
+			}
+		}
+		ims = append(ims, sweepImage{"lines {" + strings.Join(name, " ") + "} whole", func(l uint64, n int) int {
+			if whole[l] {
+				return n
+			}
+			return 0
+		}})
+	}
+	if len(lines) <= 8 {
+		for m := 1; m < 1<<len(lines)-1; m++ {
+			subset(func(i int) bool { return m>>i&1 != 0 })
+		}
+	} else {
+		rng := rand.New(rand.NewSource(int64(k)))
+		for range 64 {
+			subset(func(int) bool { return rng.Intn(2) == 0 })
+		}
+	}
+	for _, l := range lines {
+		for j := 1; j < l.stores; j++ {
+			ims = append(ims, sweepImage{fmt.Sprintf("line %d cut at %d of %d", l.line, j, l.stores), func(line uint64, n int) int {
+				if line == l.line {
+					return min(j, n)
+				}
+				return base(line, n)
+			}})
+		}
+	}
+	return ims
+}
+
 // TestCrashPointSweep sweeps every crash point of each row's stream. A
 // row either passes every check at every point, or names the one check
 // a known defect fails at some point while every other check passes
@@ -472,6 +550,11 @@ func (r *sweepRun) resend(sh *shard, s *Server, last int, got sweepState, hq, zq
 //     effect fixes it.
 //
 // A fix flips its row's known check to sweepNone.
+//
+// The image rows try every image of sweepImages at each point they
+// visit, around a base image (none for nontsp, the full rescue for the
+// tsp row), and log the smallest image that fails a check: the one that
+// departs from the base on the fewest lines.
 func TestCrashPointSweep(t *testing.T) {
 	const sweepNone, sweepAny = -1, sweepChecks
 	names := [sweepChecks]string{"replies", "hash", "ordered", "resend"}
@@ -482,48 +565,89 @@ func TestCrashPointSweep(t *testing.T) {
 		name               string
 		mode               atlas.Mode
 		crash              nvm.CrashOptions
+		images             bool
 		stride, raceStride uint64
 		bursts             [][]string
 		known              int
 	}{
-		{"tsp_mix", atlas.ModeTSP, nvm.CrashOptions{RescueFraction: 1}, 1, 8, mix, sweepNone},
-		{"tsp_relaxed_wait", atlas.ModeTSP, nvm.CrashOptions{RescueFraction: 1}, 1, 8, sweepWaitStream(), sweepNone},
-		{"tsp_seq_zwrite", atlas.ModeTSP, nvm.CrashOptions{RescueFraction: 1}, 1, 2, zseq, sweepResend},
-		{"nontsp_no_rescue", atlas.ModeNonTSP, nvm.CrashOptions{}, 1, 8, mix, sweepOrdered},
-		{"tsp_partial_rescue", atlas.ModeTSP, nvm.CrashOptions{RescueFraction: 0.5, Seed: 1}, 7, 56, mix, sweepAny},
+		{"tsp_mix", atlas.ModeTSP, nvm.CrashOptions{RescueFraction: 1}, false, 1, 8, mix, sweepNone},
+		{"tsp_relaxed_wait", atlas.ModeTSP, nvm.CrashOptions{RescueFraction: 1}, false, 1, 8, sweepWaitStream(), sweepNone},
+		{"tsp_seq_zwrite", atlas.ModeTSP, nvm.CrashOptions{RescueFraction: 1}, false, 1, 2, zseq, sweepResend},
+		{"nontsp_no_rescue", atlas.ModeNonTSP, nvm.CrashOptions{}, true, 60, 600, mix, sweepOrdered},
+		{"nontsp_relaxed_wait", atlas.ModeNonTSP, nvm.CrashOptions{}, true, 100, 200, sweepWaitStream(), sweepOrdered},
+		{"tsp_partial_rescue", atlas.ModeTSP, nvm.CrashOptions{RescueFraction: 1}, true, 250, 1000, mix, sweepAny},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			r := newSweepRun(t, tc.mode, tc.bursts)
 			start := time.Now()
-			var points, caught int
+			var points, images, caught int
 			var failed [sweepChecks]int
+			smallest, smallestSize := "", -1
 			stride := tc.stride
 			if raceBuild {
 				stride = tc.raceStride
 			}
-			for k := uint64(0); ; k += stride {
-				p := r.point(t, k, tc.crash)
+			base := keepNone
+			if tc.crash.RescueFraction == 1 {
+				base = keepAll
+			}
+			// try crashes after k stores under one image, counting the
+			// lines on which it departs from the base.
+			try := func(k uint64, im sweepImage, seen *[]sweepLine) sweepPoint {
+				size := 0
+				crash := tc.crash
+				if tc.images {
+					crash = nvm.CrashOptions{Keep: func(l uint64, n int) int {
+						j := im.keep(l, n)
+						if j != base(l, n) {
+							size++
+						}
+						if seen != nil {
+							*seen = append(*seen, sweepLine{l, n})
+						}
+						return j
+					}}
+				}
+				p := r.point(t, k, crash)
+				images++
 				bad := false
 				for c, f := range p.fail {
 					if f == "" {
 						continue
 					}
 					if tc.known != sweepAny && c != tc.known {
-						t.Fatalf("crash after %d stores: %s check: %s", k, names[c], f)
+						t.Fatalf("crash after %d stores, image %s: %s check: %s", k, im.name, names[c], f)
 					}
 					failed[c]++
 					bad = true
+					if smallestSize < 0 || size < smallestSize {
+						smallest, smallestSize = fmt.Sprintf("crash after %d stores, image %s (%d lines off the base): %s check: %s",
+							k, im.name, size, names[c], f), size
+					}
 				}
 				if bad {
 					caught++
 				}
+				return p
+			}
+			for k := uint64(0); ; k += stride {
+				var lines []sweepLine
+				p := try(k, sweepImage{"base", base}, &lines)
 				if !p.fired {
 					break
 				}
 				points++
+				if tc.images {
+					for _, im := range sweepImages(k, base, lines) {
+						try(k, im, nil)
+					}
+				}
 			}
-			t.Logf("%d crash points in %v, failures per check %v: %v",
-				points, time.Since(start).Round(time.Millisecond), names, failed)
+			t.Logf("%d crash points, %d images in %v, failures per check %v: %v",
+				points, images, time.Since(start).Round(time.Millisecond), names, failed)
+			if smallest != "" {
+				t.Logf("smallest failing image: %s", smallest)
+			}
 			switch {
 			case tc.known == sweepAny && caught == 0:
 				t.Fatal("no crash point was caught: the checker has no teeth")

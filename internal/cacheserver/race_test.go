@@ -8,5 +8,6 @@ package cacheserver
 // every eighth point. They still cross the one concurrent edge, an
 // answered wait's apply on the epoch goroutine, many times. The short
 // known-defect row, whose failures sit in few-store windows, visits
-// every second point.
+// every second point, and the image rows, each point of which serves
+// hundreds of images, visit two or three.
 func init() { raceBuild = true }

@@ -141,7 +141,6 @@ func newShard(idx int, c config) (*shard, error) {
 func (sh *shard) crashAndRecover() error {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	sh.stk.Dev.StopEvictor()
 	start := time.Now()
 	ns, err := sh.stk.CrashReattach(nvm.CrashOptions{RescueFraction: 1})
 	if err != nil {

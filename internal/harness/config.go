@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"tsp/internal/atlas"
-	"tsp/internal/nvm"
 	"tsp/internal/platform"
 )
 
@@ -86,12 +85,11 @@ type Config struct {
 	// DeviceWords sizes the simulated NVM. Default 1<<22.
 	DeviceWords int
 
-	// FlushCost, MissCost, MissLines and Evictor come from a platform
-	// profile (see internal/platform).
+	// FlushCost, MissCost and MissLines come from a platform profile
+	// (see internal/platform).
 	FlushCost int
 	MissCost  int
 	MissLines int
-	Evictor   nvm.EvictorConfig
 
 	// Duration bounds throughput runs; crash runs use CrashAfter.
 	Duration time.Duration
@@ -106,7 +104,6 @@ func (c Config) FromProfile(p platform.Profile) Config {
 	c.FlushCost = p.FlushCost
 	c.MissCost = p.MissCost
 	c.MissLines = p.MissLines
-	c.Evictor = p.Evictor
 	return c
 }
 

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"tsp/internal/nvm"
 	"tsp/internal/platform"
 )
 
@@ -25,9 +26,9 @@ func fastCfg(v Variant) Config {
 
 func fastCrash(frac float64) CrashOptions {
 	return CrashOptions{
-		RescueFraction: frac,
-		MinRun:         2_000,
-		MaxRun:         40_000,
+		Crash:  nvm.CrashOptions{RescueFraction: frac},
+		MinRun: 2_000,
+		MaxRun: 40_000,
 	}
 }
 

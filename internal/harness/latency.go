@@ -39,9 +39,7 @@ func RunLatency(cfg Config) (LatencyResult, error) {
 	if err != nil {
 		return LatencyResult{}, err
 	}
-	// As in RunThroughput, the evictor stays off: it would steal CPU
-	// from workers and contaminate the distribution.
-
+	// As in RunThroughput, no crash is armed: stores record nothing.
 	workers := make([]*worker, cfg.Threads)
 	samples := make([]*stats.Sample, cfg.Threads)
 	for i := range workers {

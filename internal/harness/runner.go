@@ -47,13 +47,8 @@ func RunThroughput(cfg Config) (ThroughputResult, error) {
 	if err != nil {
 		return ThroughputResult{}, err
 	}
-	// The evictor stays off during throughput measurement: on real
-	// hardware cache write-back is free background work by the memory
-	// system, but the simulated evictor is a goroutine that would steal
-	// CPU from the workers and distort exactly the ratios Table 1
-	// measures. Crash runs keep it (RunCrash), where its effect — an
-	// arbitrary subset of stores already durable at the crash — is the
-	// point.
+	// No crash is armed, so the device records no store history: Table
+	// 1's ratios pay nothing for RunCrash's crash images.
 
 	workers := make([]*worker, cfg.Threads)
 	for i := range workers {
@@ -111,12 +106,11 @@ func RunThroughput(cfg Config) (ThroughputResult, error) {
 
 // CrashResult reports one fault-injection run.
 type CrashResult struct {
-	Variant        Variant
-	RescueFraction float64
-	IterationsRun  uint64 // iterations completed before the crash signal
-	Recovered      bool   // recovery machinery completed without error
-	Invariants     InvariantReport
-	RecoveryErr    error
+	Variant       Variant
+	IterationsRun uint64 // iterations completed before the crash signal
+	Recovered     bool   // recovery machinery completed without error
+	Invariants    InvariantReport
+	RecoveryErr   error
 }
 
 // OK reports whether the run recovered to a consistent state.
@@ -128,15 +122,16 @@ func (r CrashResult) String() string {
 	if !r.OK() {
 		verdict = "INCONSISTENT"
 	}
-	return fmt.Sprintf("%-16s rescue=%.2f iters=%d -> %s (%s)",
-		r.Variant, r.RescueFraction, r.IterationsRun, verdict, r.Invariants)
+	return fmt.Sprintf("%-16s iters=%d -> %s (%s)",
+		r.Variant, r.IterationsRun, verdict, r.Invariants)
 }
 
 // CrashOptions parameterizes fault injection.
 type CrashOptions struct {
-	// RescueFraction is passed to the device crash: 1 = full TSP rescue,
-	// 0 = no rescue.
-	RescueFraction float64
+	// Crash is the device crash's image: RescueFraction 1 is a full TSP
+	// rescue, 0 none, and Keep cuts lines mid-history. Its Seed is the
+	// configuration's.
+	Crash nvm.CrashOptions
 
 	// MinRun/MaxRun bound the seeded, uniformly drawn number of device
 	// stores the workload issues before the crash. Defaults 10k/100k —
@@ -166,8 +161,6 @@ func RunCrash(cfg Config, opts CrashOptions) (CrashResult, error) {
 	if err != nil {
 		return CrashResult{}, err
 	}
-	d.dev.StartEvictor()
-
 	workers := make([]*worker, cfg.Threads)
 	for i := range workers {
 		w, err := d.newWorker(i)
@@ -184,7 +177,8 @@ func RunCrash(cfg Config, opts CrashOptions) (CrashResult, error) {
 	// that store; every worker stops at its next iteration boundary.
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	after := opts.MinRun + uint64(rng.Int63n(int64(opts.MaxRun-opts.MinRun)+1))
-	crash := nvm.CrashOptions{RescueFraction: opts.RescueFraction, Seed: cfg.Seed}
+	crash := opts.Crash
+	crash.Seed = cfg.Seed
 	d.dev.ArmCrashAfter(after, crash)
 	var wg sync.WaitGroup
 	for _, w := range workers {
@@ -199,13 +193,11 @@ func RunCrash(cfg Config, opts CrashOptions) (CrashResult, error) {
 		}(w)
 	}
 	wg.Wait()
-	// The cache controller dies with the machine. Workers that all failed
-	// before the countdown ran out leave the crash to this call; after an
-	// armed crash it is a no-op.
-	d.dev.StopEvictor()
+	// Workers that all failed before the countdown ran out leave the
+	// crash to this call; after an armed crash it is a no-op.
 	d.dev.Crash(crash)
 
-	res := CrashResult{Variant: cfg.Variant, RescueFraction: opts.RescueFraction}
+	res := CrashResult{Variant: cfg.Variant}
 	for _, w := range workers {
 		res.IterationsRun += w.iters
 	}

@@ -119,7 +119,6 @@ func (c Config) deviceConfig() nvm.Config {
 		FlushCost: c.FlushCost,
 		MissCost:  c.MissCost,
 		MissLines: c.MissLines,
-		Evictor:   c.Evictor,
 	}
 }
 

@@ -3,7 +3,6 @@ package nvm
 import (
 	"errors"
 	"fmt"
-	"time"
 
 	"tsp/internal/telemetry"
 )
@@ -21,7 +20,7 @@ type Config struct {
 	// FlushCost is the simulated latency of one synchronous line flush,
 	// in spin units (see spin.go). It is charged by FlushWord/FlushRange
 	// — the operations a non-TSP design issues on the critical path — but
-	// not by crash-time rescue or background eviction. Zero means flushes
+	// not by a crash-time rescue or a crash image. Zero means flushes
 	// are free, which is useful in unit tests.
 	FlushCost int
 
@@ -40,10 +39,6 @@ type Config struct {
 	// (rounded up to a power of two; default 8192 lines = 512 KB).
 	MissLines int
 
-	// Evictor configures background write-back of dirty lines, modelling
-	// cache replacement. A zero value disables it.
-	Evictor EvictorConfig
-
 	// Telemetry, when non-nil, is the counter section the device reports
 	// into — typically a stack registry's Device section, so the device's
 	// counters aggregate with the layers above it. When nil the device
@@ -56,18 +51,6 @@ type Config struct {
 	// one branch. Stats() then reads as all zeros.
 	DisableStats bool
 }
-
-// EvictorConfig controls the background evictor goroutine.
-type EvictorConfig struct {
-	// Interval between eviction sweeps. Zero disables the evictor.
-	Interval time.Duration
-
-	// LinesPerSweep bounds how many dirty lines one sweep writes back.
-	LinesPerSweep int
-}
-
-// Enabled reports whether this configuration turns the evictor on.
-func (e EvictorConfig) Enabled() bool { return e.Interval > 0 && e.LinesPerSweep > 0 }
 
 // DefaultLineWords is the cache-line size used when Config.LineWords is 0.
 const DefaultLineWords = 8
@@ -108,21 +91,10 @@ func (c Config) Validate() error {
 	if c.MissLines < 0 {
 		return errors.New("MissLines must be non-negative")
 	}
-	if c.Evictor.Interval < 0 {
-		return errors.New("Evictor.Interval must be non-negative")
-	}
-	if c.Evictor.LinesPerSweep < 0 {
-		return errors.New("Evictor.LinesPerSweep must be non-negative")
-	}
 	return nil
 }
 
 // String renders the configuration compactly for logs and bench output.
 func (c Config) String() string {
-	ev := "off"
-	if c.Evictor.Enabled() {
-		ev = fmt.Sprintf("%v/%d lines", c.Evictor.Interval, c.Evictor.LinesPerSweep)
-	}
-	return fmt.Sprintf("nvm{%d words, %d-word lines, flushCost=%d, evictor=%s}",
-		c.Words, c.LineWords, c.FlushCost, ev)
+	return fmt.Sprintf("nvm{%d words, %d-word lines, flushCost=%d}", c.Words, c.LineWords, c.FlushCost)
 }

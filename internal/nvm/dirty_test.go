@@ -40,7 +40,12 @@ func (f *flagDevice) cas(a Addr, old, new uint64) {
 	}
 }
 
+// flushLine writes the line back; on a crashed device a flush writes
+// nothing (the crash's own rescue is crashPartial).
 func (f *flagDevice) flushLine(line int) {
+	if f.crashed {
+		return
+	}
 	lo := line * f.lineWords
 	hi := min(lo+f.lineWords, len(f.volatile))
 	copy(f.persisted[lo:hi], f.volatile[lo:hi])
@@ -58,7 +63,6 @@ func (f *flagDevice) flushAll() {
 // crashPartial returns the lines the rescue chose: one draw per dirty
 // line, in line order.
 func (f *flagDevice) crashPartial(frac float64, seed int64) (rescued []uint64) {
-	f.crashed = true
 	rng := rand.New(rand.NewSource(seed))
 	for line, d := range f.dirty {
 		if d && rng.Float64() < frac {
@@ -66,6 +70,7 @@ func (f *flagDevice) crashPartial(frac float64, seed int64) (rescued []uint64) {
 			rescued = append(rescued, uint64(line))
 		}
 	}
+	f.crashed = true
 	return rescued
 }
 

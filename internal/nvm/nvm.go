@@ -11,10 +11,10 @@
 //     runs (what has already been written back to the durable medium).
 //
 // Stores land in the volatile image and mark the containing cache line
-// dirty.  A line becomes durable when it is flushed — either explicitly
-// (FlushWord/FlushRange, the simulated clflush/clwb with a calibrated
-// latency), by the background evictor (cache replacement), or by a
-// crash-time rescue (the Timely Sufficient Persistence guarantee).
+// dirty.  A line becomes durable when it is flushed (FlushWord/FlushRange,
+// the simulated clflush/clwb with a calibrated latency) or when a crash
+// writes it back whole (the Timely Sufficient Persistence rescue) or as
+// a cache replacement could have, mid-history (see CrashOptions).
 //
 // All word accesses are atomic, mirroring the atomicity of aligned 8-byte
 // loads and stores on x86-64; compare-and-swap is provided for the
@@ -50,16 +50,15 @@ type Device struct {
 	volatile []uint64
 
 	// persisted is the durable state: what a crash without rescue leaves
-	// behind. Written by flush/eviction, read by recovery and snapshots.
-	// Accessed with atomics only so the background evictor can run
-	// concurrently with crash-time readers in tests.
+	// behind. Written by flushes and crashes, read by recovery. Accessed
+	// with atomics only, as flushers race each other (see writeBack).
 	persisted []uint64
 
 	// dirty is the dirty set, one bit per cache line (line l is bit l&63
 	// of word l>>6): set when the line's volatile content may differ from
 	// its persisted content, clear when the two are identical (the
 	// clean-line invariant, see writeBack). Bits change by compare-and-swap
-	// on their word; every walk of the set (rescue, restart, eviction, the
+	// on their word; every walk of the set (rescue, restart, the
 	// DirtyLines gauge) visits set bits only, in ascending line order.
 	dirty []uint64
 
@@ -84,8 +83,6 @@ type Device struct {
 	cacheTags []uint64
 	tagMask   uint64
 
-	evictor *evictor
-
 	// crashed is set once a crash has been injected; stores after a crash
 	// (from stragglers that have not yet observed the stop signal) are
 	// ignored, mirroring the abrupt halt of all threads by SIGKILL.
@@ -95,6 +92,12 @@ type Device struct {
 	// injected crash (see ArmCrashAfter); 0 = disarmed.
 	armed     atomic.Int64
 	armedOpts atomic.Pointer[CrashOptions]
+
+	// hist is, while armed, the device's history (see record): line<<1
+	// and the line's words before a store-class operation on it, or
+	// line<<1|1 alone for a write-back of it. nil when disarmed.
+	histMu sync.Mutex
+	hist   []uint64
 
 	mu sync.Mutex // serializes crash, restart and snapshot operations
 }
@@ -125,9 +128,6 @@ func NewDevice(cfg Config) *Device {
 		d.tagMask = uint64(cfg.MissLines - 1)
 	} else {
 		d.quick = uint64(cfg.Words)
-	}
-	if cfg.Evictor.Enabled() {
-		d.evictor = newEvictor(d, cfg.Evictor)
 	}
 	return d
 }
@@ -326,10 +326,17 @@ func (d *Device) FlushRange(a Addr, words uint64) {
 	}
 }
 
-// FlushAll writes back every dirty line without charging latency. It is
-// the crash-time rescue primitive (TSP's "last-minute rescue") and is also
-// used by setup and recovery; none is on the per-operation path.
+// FlushAll writes back every dirty line without charging latency, for
+// setup and recovery; none is on the per-operation path. Like every
+// flush, it writes nothing back on a crashed device.
 func (d *Device) FlushAll() {
+	if !d.crashed.Load() {
+		d.flushAll()
+	}
+}
+
+// flushAll is also the crash-time rescue (TSP's "last-minute rescue").
+func (d *Device) flushAll() {
 	var n uint64
 	for line := d.nextDirty(0); line < d.lines; line = d.nextDirty(line + 1) {
 		d.writeBack(line)
@@ -357,25 +364,29 @@ func (d *Device) lineSpan(line uint64) (lo, hi uint64) {
 	return lo, hi
 }
 
-// flushLine is one synchronous, latency-charged flush of the line.
+// flushLine is one synchronous, latency-charged flush of the line. On a
+// crashed device it writes nothing back: a straggler's flush, like its
+// stores, must not change the image the crash chose.
 func (d *Device) flushLine(line uint64) {
 	d.tel.IncFlush()
 	spin(d.cfg.FlushCost)
-	d.writeBack(line)
+	if !d.crashed.Load() {
+		d.writeBack(line)
+	}
 }
 
 // writeBack writes the line's volatile words to the persisted image; the
-// free write-backs (rescue, eviction, FlushAll) call it directly and
-// count what they wrote. The dirty bit is cleared before the copy: a
-// racing store that lands mid-copy re-sets the bit, so its value is
-// either captured now or flushed later — never silently lost. Two
-// flushers can also race on one line (the evictor against an explicit
-// flush), and the slower one may then overwrite a newer persisted word
-// with the older value it loaded. So every word is re-read after it is
-// written back, and the line is copied again if one moved: the flush
-// returns with the line either persisted as it stood at some instant
-// after the clear or marked dirty by the store that changed it, which is
-// the clean-line invariant.
+// free write-backs (rescue, FlushAll) call it directly and count what
+// they wrote. The dirty bit is cleared before the copy: a racing store
+// that lands mid-copy re-sets the bit, so its value is either captured
+// now or flushed later — never silently lost. Two flushers can also race
+// on one line (two threads flushing neighbouring words), and the slower
+// one may then overwrite a newer persisted word with the older value it
+// loaded. So every word is re-read after it is written back, and the
+// line is copied again if one moved: the flush returns with the line
+// either persisted as it stood at some instant after the clear or marked
+// dirty by the store that changed it, which is the clean-line invariant.
+// While a crash is armed, the copy also ends the line's recorded history.
 func (d *Device) writeBack(line uint64) {
 	lo, hi := d.lineSpan(line)
 	for moved := true; moved; {
@@ -388,6 +399,9 @@ func (d *Device) writeBack(line uint64) {
 				moved = true
 			}
 		}
+	}
+	if d.armedOpts.Load() != nil {
+		d.record(line, true)
 	}
 }
 

@@ -3,9 +3,9 @@ package nvm
 import (
 	"fmt"
 	"math/rand"
+	"strconv"
 	"sync"
 	"testing"
-	"time"
 )
 
 // restartFullCopy is Restart as it was before it learned to trust the
@@ -20,11 +20,9 @@ func restartFullCopy(d *Device) {
 	for line := uint64(0); line < d.Lines(); line++ {
 		d.setDirty(line, false)
 	}
-	if d.cfg.Evictor.Enabled() {
-		d.evictor = newEvictor(d, d.cfg.Evictor)
-	}
 	d.armed.Store(0)
 	d.armedOpts.Store(nil)
+	d.swapHist(nil)
 	d.crashed.Store(false)
 }
 
@@ -62,15 +60,15 @@ func checkRestarted(t *testing.T, d *Device) {
 	}
 }
 
-// randomOps drives the same seeded mix of stores, block stores, CASes,
-// flushes and evictor sweeps into every device given.
+// randomOps drives the same seeded mix of stores, block stores, CASes
+// and flushes into every device given.
 func randomOps(rng *rand.Rand, n int, devs ...*Device) {
 	words := devs[0].Words()
 	lineWords := uint64(devs[0].cfg.LineWords)
 	for i := 0; i < n; i++ {
 		a := Addr(rng.Uint64() % words)
 		v := rng.Uint64()
-		switch op := rng.Intn(10); {
+		switch op := rng.Intn(9); {
 		case op < 4:
 			for _, d := range devs {
 				d.Store(a, v)
@@ -92,40 +90,54 @@ func randomOps(rng *rand.Rand, n int, devs ...*Device) {
 			for _, d := range devs {
 				d.CAS(a, d.Load(a), v)
 			}
-		case op < 9:
-			for _, d := range devs {
-				d.FlushWord(a)
-			}
 		default:
 			for _, d := range devs {
-				d.evictor.sweep()
+				d.FlushWord(a)
 			}
 		}
 	}
 }
 
+// prefixImage returns a crash image that cuts each dirty line at a
+// seeded draw among its store boundaries.
+func prefixImage(seed int64) CrashOptions {
+	rng := rand.New(rand.NewSource(seed))
+	return CrashOptions{Keep: func(_ uint64, stores int) int { return rng.Intn(stores + 1) }}
+}
+
 // TestRestartMatchesFullCopy is the property the dirty-line Restart
-// rests on: after any history of stores, flushes and evictions and a
-// crash of any rescue fraction, reverting only the dirty lines leaves
-// exactly the device a full copy of the persisted image would.
+// rests on: after any history of stores and flushes and a crash of any
+// rescue fraction or any crash image (which leaves the lines it cuts
+// short dirty), reverting only the dirty lines leaves exactly the
+// device a full copy of the persisted image would.
 func TestRestartMatchesFullCopy(t *testing.T) {
 	// 1003 words: the last line is short.
-	cfg := Config{Words: 1003, Evictor: EvictorConfig{Interval: time.Hour, LinesPerSweep: 5}}
-	for _, frac := range []float64{0, 0.3, 1} {
+	cfg := Config{Words: 1003}
+	for _, rescue := range []string{"0", "0.3", "1", "image"} {
+		crash := func(seed int64) CrashOptions {
+			if rescue == "image" {
+				return prefixImage(seed)
+			}
+			frac, _ := strconv.ParseFloat(rescue, 64)
+			return CrashOptions{RescueFraction: frac, Seed: seed}
+		}
 		for seed := int64(1); seed <= 20; seed++ {
-			t.Run(fmt.Sprintf("rescue=%v/seed=%d", frac, seed), func(t *testing.T) {
+			t.Run(fmt.Sprintf("rescue=%s/seed=%d", rescue, seed), func(t *testing.T) {
 				rng := rand.New(rand.NewSource(seed))
 				got, ref := NewDevice(cfg), NewDevice(cfg)
 				// Three incarnations, so a Restart's own leftovers (its
 				// cleared bits, its re-read lines) are the next one's input.
 				for round := 0; round < 3; round++ {
+					// Armed, so the image has store boundaries to cut at.
+					for _, d := range []*Device{got, ref} {
+						d.ArmCrashAfter(1<<40, CrashOptions{})
+					}
 					randomOps(rng, 400, got, ref)
 					checkCleanLines(t, got)
-					opts := CrashOptions{RescueFraction: frac, Seed: seed + int64(round)}
-					got.Crash(opts)
-					ref.Crash(opts)
+					got.Crash(crash(seed + int64(round)))
+					ref.Crash(crash(seed + int64(round)))
 					checkCleanLines(t, got)
-					if frac == 1 && got.DirtyLines() != 0 {
+					if rescue == "1" && got.DirtyLines() != 0 {
 						t.Fatalf("a full rescue left %d dirty lines for Restart to copy", got.DirtyLines())
 					}
 					got.Restart()
@@ -163,12 +175,12 @@ func TestRestartWithoutCrashDiscardsUnflushedState(t *testing.T) {
 	}
 }
 
-// The clean-line invariant is a race property: stores, explicit flushes
-// and the evictor's sweeps all hit the same lines at once, and whatever
+// The clean-line invariant is a race property: stores and two kinds of
+// explicit flushes all hit the same lines at once, and whatever
 // interleaving the scheduler picks, a line left clean must be identical
 // in both images once they have all stopped.
 func TestCleanLineInvariantUnderRacingFlushers(t *testing.T) {
-	d := NewDevice(Config{Words: 64, Evictor: EvictorConfig{Interval: time.Hour, LinesPerSweep: 8}})
+	d := NewDevice(Config{Words: 64})
 	const rounds = 20000
 	var wg sync.WaitGroup
 	run := func(fn func(i int)) {
@@ -184,7 +196,6 @@ func TestCleanLineInvariantUnderRacingFlushers(t *testing.T) {
 	run(func(i int) { d.CAS(Addr(i*7%64), d.Load(Addr(i*7%64)), uint64(i)<<32) })
 	run(func(i int) { d.FlushWord(Addr(i * 5 % 64)) })
 	run(func(i int) { d.FlushRange(0, 64) })
-	run(func(i int) { d.evictor.sweep() })
 	wg.Wait()
 	checkCleanLines(t, d)
 	d.CrashPartial(0.5, 1)

@@ -99,7 +99,7 @@ func (t *Tally) LoadBlock(a Addr, dst []uint64) {
 func (t *Tally) Store(a Addr, v uint64) {
 	d := t.d
 	d.check(a)
-	if d.crashed.Load() || d.countdown() {
+	if d.crashed.Load() || d.countdown(a) {
 		return
 	}
 	t.stores++
@@ -127,7 +127,7 @@ func (t *Tally) StoreBlock(a Addr, vals []uint64) {
 	if d.LineOf(a) != d.LineOf(last) {
 		panic(fmt.Sprintf("nvm: StoreBlock [%d,%d] crosses a cache line", a, last))
 	}
-	if d.crashed.Load() || d.countdown() {
+	if d.crashed.Load() || d.countdown(a) {
 		return
 	}
 	t.stores++
@@ -145,7 +145,7 @@ func (t *Tally) StoreBlock(a Addr, vals []uint64) {
 func (t *Tally) CAS(a Addr, old, new uint64) bool {
 	d := t.d
 	d.check(a)
-	if d.crashed.Load() || d.countdown() {
+	if d.crashed.Load() || d.countdown(a) {
 		return false
 	}
 	t.cas++
@@ -165,7 +165,7 @@ func (t *Tally) CAS(a Addr, old, new uint64) bool {
 func (t *Tally) Add(a Addr, delta uint64) uint64 {
 	d := t.d
 	d.check(a)
-	if d.crashed.Load() || d.countdown() {
+	if d.crashed.Load() || d.countdown(a) {
 		return atomic.LoadUint64(&d.volatile[a])
 	}
 	t.stores++

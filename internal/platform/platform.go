@@ -5,17 +5,11 @@
 // absolute speed of the host running this simulation is irrelevant; what
 // a profile preserves is the *relative* cost structure that shapes the
 // results: how expensive a synchronous cache-line flush is compared to
-// ordinary memory operations, how aggressively the cache writes dirty
-// lines back on its own, and how many worker threads the experiment
-// pins.
+// ordinary memory operations, what a cache miss costs, and how many
+// worker threads the experiment pins.
 package platform
 
-import (
-	"fmt"
-	"time"
-
-	"tsp/internal/nvm"
-)
+import "fmt"
 
 // Profile is a named simulated machine.
 type Profile struct {
@@ -42,9 +36,6 @@ type Profile struct {
 	// sequential log appends.
 	MissCost  int
 	MissLines int
-
-	// Evictor models background cache write-back pressure.
-	Evictor nvm.EvictorConfig
 }
 
 // String implements fmt.Stringer.
@@ -62,10 +53,6 @@ func Desktop() Profile {
 		FlushCost:   16,
 		MissCost:    700,
 		MissLines:   8192,
-		Evictor: nvm.EvictorConfig{
-			Interval:      200 * time.Microsecond,
-			LinesPerSweep: 64,
-		},
 	}
 }
 
@@ -80,14 +67,10 @@ func Server() Profile {
 		FlushCost:   80,
 		MissCost:    2000,
 		MissLines:   8192,
-		Evictor: nvm.EvictorConfig{
-			Interval:      200 * time.Microsecond,
-			LinesPerSweep: 64,
-		},
 	}
 }
 
-// Unit is a profile for unit tests: free flushes, no evictor, fully
+// Unit is a profile for unit tests: free flushes, no miss model, fully
 // deterministic.
 func Unit() Profile {
 	return Profile{

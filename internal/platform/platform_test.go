@@ -86,7 +86,7 @@ func TestProfilesAdmitTSPPlans(t *testing.T) {
 
 func TestUnitProfileDeterministic(t *testing.T) {
 	u := Unit()
-	if u.FlushCost != 0 || u.MissCost != 0 || u.Evictor.Enabled() {
+	if u.FlushCost != 0 || u.MissCost != 0 {
 		t.Errorf("unit profile must be deterministic and cost-free: %+v", u)
 	}
 }

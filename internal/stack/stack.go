@@ -188,7 +188,7 @@ func WithDeviceWords(n int) Option {
 }
 
 // WithDeviceConfig replaces the whole device configuration (line size,
-// flush cost, evictor, ...). Zero Words falls back to the default size.
+// flush cost, miss model, ...). Zero Words falls back to the default size.
 func WithDeviceConfig(cfg nvm.Config) Option {
 	return func(c *config) {
 		if cfg.Words == 0 {
@@ -497,9 +497,7 @@ func (s *Stack) Mode() atlas.Mode { return s.cfg.mode }
 // the given crash options), restarts it, and brings a new stack up
 // through the standard recovery path — exactly what a restarted process
 // would do. The receiver stack is dead afterwards; use the returned
-// one. The caller is responsible for stopping the evictor first if one
-// is running (a crashed machine's cache controller is not running
-// either).
+// one. What the crash keeps of each dirty line is opts' crash image.
 func (s *Stack) CrashReattach(opts nvm.CrashOptions) (*Stack, error) {
 	s.Dev.Crash(opts)
 	s.Dev.Restart()
