@@ -46,11 +46,14 @@ check-docs:
 	sh scripts/check_docs.sh
 
 # The recovery-cost benchmarks, one step per line: Restart by how many
-# lines the crash left dirty, one served shard's whole CrashReattach,
+# lines the crash left dirty, the heap's Open and collection, the map's
+# and the skip list's Verify, one served shard's whole CrashReattach,
 # and atlas.Recover by in-flight log volume. Fixed iteration counts, so
 # two runs measure the same work.
 bench-recover:
 	$(GO) test -run 'ZZZ' -bench 'Restart|FlushAllSparse' -benchtime 100x ./internal/nvm
+	$(GO) test -run 'ZZZ' -bench 'GC|OpenRebuild' -benchtime 100x ./internal/pheap
+	$(GO) test -run 'ZZZ' -bench 'Verify' -benchtime 100x ./internal/hashmap ./internal/skiplist
 	$(GO) test -run 'ZZZ' -bench 'CrashReattach' -benchtime 100x ./internal/stack
 	$(GO) test -run 'ZZZ' -bench 'BenchmarkRecovery$$' -benchtime 20x .
 

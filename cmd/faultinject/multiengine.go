@@ -4,8 +4,8 @@ import (
 	"fmt"
 	"math/rand"
 	"sync"
-	"time"
 
+	"tsp/internal/atlas"
 	"tsp/internal/nvm"
 	"tsp/internal/stack"
 )
@@ -30,8 +30,8 @@ func runSharedHeap(n, threads int, seed int64) bool {
 }
 
 // multiEngineOnce builds a stack, hammers both engines from threads
-// writer pairs, crashes at a random instant with a full TSP rescue, and
-// checks recovery.
+// writer pairs, crashes after a seeded number of device stores with a
+// full TSP rescue, and checks recovery.
 func multiEngineOnce(threads int, seed int64) error {
 	stk, err := stack.New(
 		stack.WithDeviceWords(1<<20),
@@ -53,20 +53,15 @@ func multiEngineOnce(threads int, seed int64) error {
 		}
 	}
 
-	// put runs one writer. A put is acked only if the machine was alive
-	// when it returned: the device drops a store racing the crash, and
-	// acking it would be the Go runtime outliving the simulation.
-	stop := make(chan struct{})
+	// put runs one writer until the crash. A put is acked only if the
+	// machine was alive when it returned: the device drops a store racing
+	// the crash, and acking it would be the Go runtime outliving the
+	// simulation.
 	var wg sync.WaitGroup
 	put := func(slots []keyHist, seed int64, put func(k, v uint64) error) {
 		defer wg.Done()
 		rng := rand.New(rand.NewSource(seed))
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
+		for !dev.Crashed() {
 			h := &slots[rng.Intn(meSlots)]
 			v := h.floor + 1
 			h.issue(v)
@@ -76,11 +71,17 @@ func multiEngineOnce(threads int, seed int64) error {
 			h.ack(v, 0)
 		}
 	}
-	for w := 0; w < threads; w++ {
-		th, err := stk.RT.NewThread()
-		if err != nil {
+	ths := make([]*atlas.Thread, threads)
+	for w := range ths {
+		if ths[w], err = stk.RT.NewThread(); err != nil {
 			return err
 		}
+	}
+	// The crash fires inside whichever writer issues the seeded store, so
+	// it lands among the writers' stores however the host schedules them.
+	crash := nvm.CrashOptions{RescueFraction: 1, Seed: seed}
+	dev.ArmCrashAfter(uint64(2_000+rand.New(rand.NewSource(seed)).Intn(48_000)), crash)
+	for w, th := range ths {
 		wg.Add(2)
 		go put(hists[2*w], seed+int64(w)*2, func(k, v uint64) error { return stk.Map.Put(th, k, v) })
 		go put(hists[2*w+1], seed+int64(w)*2+1, func(k, v uint64) error {
@@ -89,11 +90,10 @@ func multiEngineOnce(threads int, seed int64) error {
 		})
 	}
 
-	rng := rand.New(rand.NewSource(seed))
-	time.Sleep(2*time.Millisecond + time.Duration(rng.Int63n(int64(18*time.Millisecond))))
-	dev.Crash(nvm.CrashOptions{RescueFraction: 1, Seed: seed})
-	close(stop)
 	wg.Wait()
+	// Writers that all failed before the countdown ran out leave the
+	// crash to this call; after the armed crash it does nothing.
+	dev.Crash(crash)
 
 	dev.Restart()
 	ns, err := stack.Reattach(dev, stack.WithMaxThreads(threads+1))

@@ -113,7 +113,7 @@ func newShard(idx int, c config) (*shard, error) {
 		// section runs under the drain lock (see workerThread).
 		stack.WithMaxThreads(1),
 		stack.WithLogEntries(logEntries),
-		stack.WithBuckets(4096, 256), // every shard's map shape
+		stack.WithBuckets(16384, 1024), // every shard's map shape
 		stack.WithTelemetry(tel),
 	)
 	if err != nil {

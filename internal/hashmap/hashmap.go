@@ -622,33 +622,55 @@ func Trace(heap *pheap.Heap, desc pheap.Ptr, mk *pheap.Marker) error {
 	return err
 }
 
-// walk is the body of Verify (mk nil) and of Trace.
+// walkBlock is how many bucket heads walk reads with one LoadBlock.
+const walkBlock = 256
+
+// walk is the body of Verify (mk nil) and of Trace. It walks each
+// walkBlock buckets' chains in lockstep rounds, one node of each live
+// chain a round, so their misses overlap. It compacts the live chains by
+// writing every slot and counting only a live one, so neither an empty
+// bucket nor a chain's end is a branch to mispredict. A chain still live
+// after nBuckets*1024 rounds is taken for a cycle.
 func (m *Map) walk(tal *nvm.Tally, mk *pheap.Marker) (VerifyReport, error) {
 	var rep VerifyReport
 	var node [nodeWords]uint64
-	for b := 0; b < m.nBuckets; b++ {
-		n := pheap.Ptr(tal.Load(m.bucketAddr(b)))
-		if !n.IsNil() {
-			rep.Chains++
+	var cur [walkBlock]uint64 // each live chain's next node
+	var at [walkBlock]uint16  // its bucket, less base
+	for base := 0; base < m.nBuckets; base += walkBlock {
+		heads := cur[:min(walkBlock, m.nBuckets-base)]
+		tal.LoadBlock(m.bucketAddr(base), heads)
+		live := 0
+		for i, n := range heads {
+			cur[live], at[live] = n, uint16(i)
+			if n != 0 {
+				live++
+			}
 		}
-		steps := 0
-		for !n.IsNil() {
-			steps++
-			if steps > m.nBuckets*1024 {
-				return rep, fmt.Errorf("%w: cycle suspected in bucket %d", ErrCorrupt, b)
+		rep.Chains += live
+		for round := 1; live > 0; round++ {
+			if round > m.nBuckets*1024 {
+				return rep, fmt.Errorf("%w: cycle suspected in bucket %d", ErrCorrupt, base+int(at[0]))
 			}
-			tal.LoadBlock(n.Addr(), node[:])
-			mk.Reach(n)
-			mk.Offer(node[:nodeNext]...) // key, value, check: all but the link
-			key, val := node[nodeKey], node[nodeValue]
-			if node[nodeCheck] != checkWord(key, val) {
-				return rep, fmt.Errorf("%w: entry key=%d val=%d in bucket %d", ErrCorrupt, key, val, b)
+			next := 0
+			for i, n := range cur[:live] {
+				b := base + int(at[i])
+				tal.LoadBlock(pheap.Ptr(n).Addr(), node[:])
+				mk.Reach(pheap.Ptr(n))
+				mk.Offer(node[:nodeNext]...) // key, value, check: all but the link
+				key, val := node[nodeKey], node[nodeValue]
+				if node[nodeCheck] != checkWord(key, val) {
+					return rep, fmt.Errorf("%w: entry key=%d val=%d in bucket %d", ErrCorrupt, key, val, b)
+				}
+				if m.bucketOf(key) != b {
+					return rep, fmt.Errorf("%w: key %d misfiled in bucket %d", ErrCorrupt, key, b)
+				}
+				rep.Entries++
+				cur[next], at[next] = node[nodeNext], at[i]
+				if node[nodeNext] != 0 {
+					next++
+				}
 			}
-			if m.bucketOf(key) != b {
-				return rep, fmt.Errorf("%w: key %d misfiled in bucket %d", ErrCorrupt, key, b)
-			}
-			rep.Entries++
-			n = pheap.Ptr(node[nodeNext])
+			live = next
 		}
 	}
 	return rep, nil

@@ -435,6 +435,77 @@ func TestVerifyDetectsMisfiledKey(t *testing.T) {
 	}
 }
 
+// verifyByBucket is Verify as a walk in bucket order, one chain at a
+// time: the reference the lockstep walk is checked against.
+func verifyByBucket(m *Map) (VerifyReport, error) {
+	var rep VerifyReport
+	for b := 0; b < m.nBuckets; b++ {
+		n := pheap.Ptr(m.heap.Load(m.array, b))
+		if !n.IsNil() {
+			rep.Chains++
+		}
+		for steps := 0; !n.IsNil(); steps++ {
+			if steps == m.nBuckets*1024 {
+				return rep, ErrCorrupt
+			}
+			key, val := m.heap.Load(n, nodeKey), m.heap.Load(n, nodeValue)
+			if m.heap.Load(n, nodeCheck) != checkWord(key, val) || m.bucketOf(key) != b {
+				return rep, ErrCorrupt
+			}
+			rep.Entries++
+			n = pheap.Ptr(m.heap.Load(n, nodeNext))
+		}
+	}
+	return rep, nil
+}
+
+// TestLockstepWalkMatchesBucketOrder: on random maps, shapes whose
+// bucket count is not a multiple of the walk's 256-head block among them,
+// Verify reports what a bucket-order walk reports, and both fail once one
+// node's check word is corrupted.
+func TestLockstepWalkMatchesBucketOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(52))
+	for _, shape := range [][2]int{{1000, 7}, {97, 97}, {1, 1}, {16384, 1024}} {
+		for trial := 0; trial < 3; trial++ {
+			e := newEnv(t, atlas.ModeOff, shape[0], shape[1])
+			th := e.thread(t)
+			keys := rng.Intn(2*shape[0] + 64)
+			for i := 0; i < keys; i++ {
+				k := rng.Uint64() % uint64(2*keys+1)
+				if rng.Intn(5) == 0 {
+					e.m.Delete(th, k)
+				} else if err := e.m.Put(th, k, rng.Uint64()); err != nil {
+					t.Fatal(err)
+				}
+			}
+			got, err := e.m.Verify()
+			want, werr := verifyByBucket(e.m)
+			if err != nil || werr != nil || got != want {
+				t.Fatalf("%v, %d puts: Verify = %v, %v; bucket order = %v, %v", shape, keys, got, err, want, werr)
+			}
+			if want.Entries != e.m.Len() {
+				t.Fatalf("%v: %d entries, Len %d", shape, want.Entries, e.m.Len())
+			}
+			var nodes []pheap.Ptr
+			for b := 0; b < shape[0]; b++ {
+				for n := pheap.Ptr(e.dev.Load(e.m.bucketAddr(b))); !n.IsNil(); n = pheap.Ptr(e.dev.Load(n.Addr() + nodeNext)) {
+					nodes = append(nodes, n)
+				}
+			}
+			if len(nodes) == 0 {
+				continue
+			}
+			n := nodes[rng.Intn(len(nodes))]
+			e.heap.Store(n, nodeCheck, e.heap.Load(n, nodeCheck)^1)
+			_, err = e.m.Verify()
+			_, werr = verifyByBucket(e.m)
+			if !errors.Is(err, ErrCorrupt) || !errors.Is(werr, ErrCorrupt) {
+				t.Fatalf("%v: a corrupt check word: Verify = %v, bucket order = %v", shape, err, werr)
+			}
+		}
+	}
+}
+
 func TestNewValidation(t *testing.T) {
 	e := newEnv(t, atlas.ModeOff, 16, 4)
 	if _, err := New(e.rt, 0, 4); err == nil {

@@ -12,8 +12,9 @@ import (
 // power-of-two shapes and both divide on the rest, and on every shape
 // they equal the modulo and division forms the map has always used — a
 // persisted key's bucket never moves. The literals pin a few keys on the
-// cache server's default shape (4096 buckets, 256 a stripe) and on
-// WithBuckets(1000, 7).
+// cache server's default shape (16384 buckets, 1024 a stripe), on the
+// 4096-bucket shape it served before (a key's bucket there is its
+// 16384-bucket one mod 4096) and on WithBuckets(1000, 7).
 func TestBucketAndStripeLayout(t *testing.T) {
 	e := newEnv(t, atlas.ModeTSP, 1, 1)
 	keys := []uint64{0, 1, 42, 1 << 40, ^uint64(0)}
@@ -21,7 +22,7 @@ func TestBucketAndStripeLayout(t *testing.T) {
 	for i := 0; i < 500; i++ {
 		keys = append(keys, rng.Uint64())
 	}
-	for _, shape := range [][2]int{{4096, 256}, {1024, 1}, {64, 8}, {1, 1}, {1000, 7}, {4096, 1000}, {1000, 256}, {97, 97}} {
+	for _, shape := range [][2]int{{16384, 1024}, {4096, 256}, {1024, 1}, {64, 8}, {1, 1}, {1000, 7}, {4096, 1000}, {1000, 256}, {97, 97}} {
 		n, stride := shape[0], shape[1]
 		m, err := New(e.rt, n, stride)
 		if err != nil {
@@ -42,6 +43,7 @@ func TestBucketAndStripeLayout(t *testing.T) {
 		n, stride int
 		bucket    [5]int
 	}{
+		{16384, 1024, [5]int{0, 1509, 13858, 13304, 15739}},
 		{4096, 256, [5]int{0, 1509, 1570, 1016, 3451}},
 		{1000, 7, [5]int{0, 789, 962, 568, 67}},
 	} {
@@ -60,12 +62,12 @@ func TestBucketAndStripeLayout(t *testing.T) {
 // TestStripeSetSortsAndDedups: for any group of keys the stripe bitset
 // walks exactly the sorted, deduplicated list of their stripes — the
 // seqlock bracket's order — and is empty again after, on the cache
-// server's default shape (16 stripes, one word) and on WithBuckets(1000,
-// 7) (143 stripes over three words).
+// server's default shape (16384 buckets, 1024 a stripe: 16 stripes, one
+// word) and on WithBuckets(1000, 7) (143 stripes over three words).
 func TestStripeSetSortsAndDedups(t *testing.T) {
 	e := newEnv(t, atlas.ModeTSP, 1, 1)
 	rng := rand.New(rand.NewSource(30))
-	for _, shape := range [][2]int{{4096, 256}, {1000, 7}} {
+	for _, shape := range [][2]int{{16384, 1024}, {1000, 7}} {
 		m, err := New(e.rt, shape[0], shape[1])
 		if err != nil {
 			t.Fatalf("New: %v", err)

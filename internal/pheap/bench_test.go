@@ -62,8 +62,9 @@ func BenchmarkStoreLoad(b *testing.B) {
 // BenchmarkGC times one collection. "list" is 1000 reachable list nodes
 // interleaved with 1000 garbage blocks. "shard" is shaped like one
 // served cache-server shard at recovery: 16 384 four-word entries
-// chained off a 4096-bucket array at the root, a 16 384-word log ring at
-// an auxiliary root, and the handful of blocks a crash leaks.
+// chained off a 16 384-bucket array at the root, a 16 384-word log ring
+// at an auxiliary root, and the handful of blocks a crash leaks, the
+// heap reopened untimed, so the collection takes Open's chain walk.
 func BenchmarkGC(b *testing.B) {
 	b.Run("list=1000", func(b *testing.B) {
 		b.ReportAllocs()
@@ -95,7 +96,7 @@ func BenchmarkGC(b *testing.B) {
 	})
 	b.Run("shard=16384", func(b *testing.B) {
 		const (
-			buckets = 4096
+			buckets = 16384
 			entries = 16384
 			leaked  = 16
 		)
@@ -123,6 +124,13 @@ func BenchmarkGC(b *testing.B) {
 			b.StopTimer()
 			for j := 0; j < leaked; j++ {
 				alloc(4)
+			}
+			dev := h.Device()
+			dev.CrashRescue()
+			dev.Restart()
+			var err error
+			if h, err = Open(dev); err != nil {
+				b.Fatal(err)
 			}
 			b.StartTimer()
 			rep, err := h.GC()

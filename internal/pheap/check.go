@@ -1,63 +1,32 @@
 package pheap
 
-import (
-	"fmt"
+import "fmt"
 
-	"tsp/internal/nvm"
-)
-
-// CheckReport summarizes the structural state of a heap.
+// CheckReport counts a heap's blocks.
 type CheckReport struct {
 	AllocatedBlocks int
 	FreeBlocks      int
-	AllocatedWords  int // total words in allocated blocks (headers included)
-	FreeWords       int // total words in free blocks
-	BumpWords       uint64
-	UnusedWords     uint64 // words past the bump pointer
 }
 
 // String renders the report for logs.
 func (r CheckReport) String() string {
-	return fmt.Sprintf("heap{alloc=%d blocks/%d words, free=%d blocks/%d words, bump=%d, unused=%d}",
-		r.AllocatedBlocks, r.AllocatedWords, r.FreeBlocks, r.FreeWords, r.BumpWords, r.UnusedWords)
+	return fmt.Sprintf("heap{alloc=%d blocks, free=%d blocks}", r.AllocatedBlocks, r.FreeBlocks)
 }
 
 // Check walks the entire block chain and validates structural invariants:
 // blocks tile [heapStart, bump) exactly, every size is plausible, and the
 // bump pointer is in range. It returns a report on success.
 func (h *Heap) Check() (CheckReport, error) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
 	var rep CheckReport
-	bump := h.dev.Load(hdrBump)
-	if bump < heapStart || bump > h.dev.Words() {
-		return rep, fmt.Errorf("%w: bump pointer %d out of range", ErrCorrupt, bump)
-	}
-	rep.BumpWords = bump
-	rep.UnusedWords = h.dev.Words() - bump
-	addr := uint64(heapStart)
-	for addr < bump {
-		hdr := h.dev.Load(nvm.Addr(addr))
-		size := hdr >> 1
-		if size < minBlock || size > 1<<maxSizeBits {
-			return rep, fmt.Errorf("%w: block at %d has size %d", ErrCorrupt, addr, size)
-		}
-		if addr+size > bump {
-			return rep, fmt.Errorf("%w: block at %d (size %d) overruns bump %d", ErrCorrupt, addr, size, bump)
-		}
-		if hdr&allocBit != 0 {
+	err := h.Blocks(func(_ Ptr, _ int, allocated bool) bool {
+		if allocated {
 			rep.AllocatedBlocks++
-			rep.AllocatedWords += int(size)
 		} else {
 			rep.FreeBlocks++
-			rep.FreeWords += int(size)
 		}
-		addr += size
-	}
-	if addr != bump {
-		return rep, fmt.Errorf("%w: block chain ends at %d, bump is %d", ErrCorrupt, addr, bump)
-	}
-	return rep, nil
+		return true
+	})
+	return rep, err
 }
 
 // Blocks iterates over every block in the chain in address order, calling
@@ -67,18 +36,16 @@ func (h *Heap) Check() (CheckReport, error) {
 func (h *Heap) Blocks(fn func(p Ptr, payloadWords int, allocated bool) bool) error {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	bump := h.dev.Load(hdrBump)
-	addr := uint64(heapStart)
-	for addr < bump {
-		hdr := h.dev.Load(nvm.Addr(addr))
-		size := hdr >> 1
-		if size < minBlock || addr+size > bump {
-			return ErrCorrupt
+	tal := h.dev.Tally()
+	defer tal.Publish()
+	m, err := h.walkChain(&tal, false)
+	if err != nil {
+		return err
+	}
+	for p := uint64(heapStart + 1); p < m.end; p = m.starts.next(p + 1) {
+		if !fn(Ptr(p), int(m.total(p))-1, m.alloc.has(p)) {
+			break
 		}
-		if !fn(Ptr(addr)+1, int(size)-1, hdr&allocBit != 0) {
-			return nil
-		}
-		addr += size
 	}
 	return nil
 }

@@ -52,15 +52,21 @@ type GCReport struct {
 // The collector's whole working state is three bitmaps over the words
 // below the bump pointer (see blockMap), so a collection costs the chain
 // walk plus the live payload, hashes nothing, and frees in chain order.
+// The first collection after Open, with no Alloc or Free between them
+// (recovery's), takes Open's walk and reads no header.
 func (h *Heap) GC(noScan ...Ptr) (GCReport, error) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	tal := h.dev.Tally()
 	defer tal.Publish()
 
-	blocks, err := h.walkChain(&tal, false)
-	if err != nil {
-		return GCReport{}, err
+	// The sweep changes headers, so a kept map serves one collection.
+	blocks := h.blocks
+	if h.blocks = nil; blocks == nil {
+		var err error
+		if blocks, err = h.walkChain(&tal, false); err != nil {
+			return GCReport{}, err
+		}
 	}
 
 	// Mark phase: the unscanned blocks, the tracer's, then depth-first
@@ -183,8 +189,9 @@ func (b bitmap) next(a uint64) uint64 {
 // chain, so iterating a bitmap visits blocks in chain order, and a
 // block's size is the distance to the next start.
 type blockMap struct {
-	starts bitmap // payload address of every block, and bump+1 closing the last
+	starts bitmap // payload address of every block, and end closing the last
 	alloc  bitmap // the allocated blocks among starts
+	end    uint64 // bump+1
 }
 
 // total returns the size in words, header included, of the block whose

@@ -197,15 +197,20 @@ func freeLists(h *Heap) [][]Ptr {
 	return lists
 }
 
-// TestGCMatchesMapReference collects each seed's heap three times, from
+// TestGCMatchesMapReference collects each seed's heap six times, from
 // the same start: once scanning every block, once keeping a few
-// unscanned, and once with a tracer walking what the root reaches.
+// unscanned, once with a tracer walking what the root reaches, and three
+// times reopened: straight after Open (the collection takes Open's
+// walk), and after an Alloc or a Free since (it must walk again).
 func TestGCMatchesMapReference(t *testing.T) {
 	for seed := int64(1); seed <= 16; seed++ {
 		t.Run(fmt.Sprint("seed=", seed), func(t *testing.T) {
-			t.Run("scan=all", func(t *testing.T) { checkGCAgainstReference(t, seed, false, false) })
-			t.Run("scan=some", func(t *testing.T) { checkGCAgainstReference(t, seed, true, false) })
-			t.Run("traced", func(t *testing.T) { checkGCAgainstReference(t, seed, false, true) })
+			t.Run("scan=all", func(t *testing.T) { checkGCAgainstReference(t, seed, false, false, "") })
+			t.Run("scan=some", func(t *testing.T) { checkGCAgainstReference(t, seed, true, false, "") })
+			t.Run("traced", func(t *testing.T) { checkGCAgainstReference(t, seed, false, true, "") })
+			for _, churn := range []string{"none", "alloc", "free"} {
+				t.Run("reopened+"+churn, func(t *testing.T) { checkGCAgainstReference(t, seed, false, false, churn) })
+			}
 		})
 	}
 }
@@ -241,11 +246,42 @@ func traceFrom(root Ptr, sizes map[Ptr]int) func(*Marker) error {
 	}
 }
 
+// reopenHeap crashes h's device with a full rescue and opens the heap
+// again, so the next collection may take Open's chain walk; then it
+// makes the Alloc (churn "alloc") or the Free (churn "free") that must
+// stop it from doing so, or neither (churn "none").
+func reopenHeap(t *testing.T, h *Heap, churn string) *Heap {
+	t.Helper()
+	h.dev.CrashRescue()
+	h.dev.Restart()
+	h, err := Open(h.dev)
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	switch churn {
+	case "alloc":
+		_, err = h.Alloc(3)
+	case "free":
+		live := allocatedSet(t, h)
+		err = h.Free(live[len(live)/3])
+	}
+	if err != nil {
+		t.Fatalf("%s after Open: %v", churn, err)
+	}
+	return h
+}
+
 // checkGCAgainstReference runs GC and gcWithMaps on two copies of one
 // random heap and requires the same report, the same survivors and the
-// same free lists. The reference never traces.
-func checkGCAgainstReference(t *testing.T, seed int64, keepSome, traced bool) {
+// same free lists. The reference never traces. Unless churn is "",
+// both copies are reopened first (see reopenHeap).
+func checkGCAgainstReference(t *testing.T, seed int64, keepSome, traced bool, churn string) {
 	heaps := buildRandomHeaps(t, seed)
+	if churn != "" {
+		for i := range heaps {
+			heaps[i] = reopenHeap(t, heaps[i], churn)
+		}
+	}
 	before := allocatedSet(t, heaps[0])
 	if traced {
 		sizes := map[Ptr]int{}

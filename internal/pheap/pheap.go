@@ -93,9 +93,10 @@ var (
 type Heap struct {
 	dev *nvm.Device
 
-	mu    sync.Mutex
-	free  [][]Ptr // free block payloads per size class
-	large []Ptr   // free blocks bigger than the last class
+	mu     sync.Mutex
+	free   [][]Ptr   // free block payloads per size class
+	large  []Ptr     // free blocks bigger than the last class
+	blocks *blockMap // Open's chain walk, for the next GC; Alloc and Free drop it
 
 	tracer func(*Marker) error // see SetTracer
 
@@ -144,7 +145,8 @@ func Open(dev *nvm.Device) (*Heap, error) {
 		return nil, fmt.Errorf("%w: header says %d words, device has %d", ErrCorrupt, w, dev.Words())
 	}
 	h := newHeap(dev)
-	if _, err := h.walkChain(&tal, true); err != nil {
+	var err error
+	if h.blocks, err = h.walkChain(&tal, true); err != nil {
 		return nil, err
 	}
 	return h, nil
@@ -160,21 +162,18 @@ func newHeap(dev *nvm.Device) *Heap {
 // Device returns the underlying device.
 func (h *Heap) Device() *nvm.Device { return h.dev }
 
-// walkChain walks the block chain from heapStart to the bump pointer:
-// the collector's walk returns its map (see blockMap); Open's (open)
-// rebuilds the free lists, and repairs a torn bump pointer if the chain
-// ends early (a crash-without-rescue can persist a block header without
-// the bump update, or vice versa; both resolve to "trust the chain").
+// walkChain walks the block chain from heapStart to the bump pointer and
+// returns its map (see blockMap). Open's walk (open) also rebuilds the
+// free lists, and repairs a torn bump pointer if the chain ends early (a
+// crash-without-rescue can persist a block header without the bump
+// update, or vice versa; both resolve to "trust the chain").
 func (h *Heap) walkChain(tal *nvm.Tally, open bool) (*blockMap, error) {
 	bump := tal.Load(hdrBump)
 	if bump < heapStart || bump > h.dev.Words() {
 		return nil, fmt.Errorf("%w: bump pointer %d out of range", ErrCorrupt, bump)
 	}
-	var m *blockMap
-	if !open {
-		n := (bump+1)>>6 + 1
-		m = &blockMap{starts: make(bitmap, n), alloc: make(bitmap, n)}
-	}
+	n := (bump+1)>>6 + 1
+	m := &blockMap{starts: make(bitmap, n), alloc: make(bitmap, n)}
 	for addr := uint64(heapStart); addr < bump; {
 		hdr := tal.Load(nvm.Addr(addr))
 		size := hdr >> 1
@@ -191,21 +190,16 @@ func (h *Heap) walkChain(tal *nvm.Tally, open bool) (*blockMap, error) {
 		if size < minBlock || size > 1<<maxSizeBits || addr+size > bump {
 			return nil, fmt.Errorf("%w: block at %d has size %d", ErrCorrupt, addr, size)
 		}
-		if open {
-			if hdr&allocBit == 0 {
-				h.pushFree(Ptr(addr)+1, int(size))
-			}
-		} else {
-			m.starts.set(addr + 1)
-			if hdr&allocBit != 0 {
-				m.alloc.set(addr + 1)
-			}
+		m.starts.set(addr + 1)
+		if hdr&allocBit != 0 {
+			m.alloc.set(addr + 1)
+		} else if open {
+			h.pushFree(Ptr(addr)+1, int(size))
 		}
 		addr += size
 	}
-	if m != nil {
-		m.starts.set(bump + 1)
-	}
+	m.end = bump + 1
+	m.starts.set(m.end)
 	return m, nil
 }
 
@@ -276,6 +270,7 @@ func (h *Heap) SetSyncAllocs(on bool) { h.syncAllocs = on }
 func (h *Heap) SetTelemetry(tel *telemetry.HeapStats) { h.tel = tel }
 
 func (h *Heap) allocLocked(tal *nvm.Tally, need int) (Ptr, int, error) {
+	h.blocks = nil
 	// Try the segregated lists first.
 	if c := classFor(need); c >= 0 {
 		for ; c < len(sizeClasses); c++ {
@@ -356,6 +351,7 @@ func (h *Heap) Free(p Ptr) error {
 	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
+	h.blocks = nil
 	tal.Store(hdrAddr, hdr&^uint64(allocBit))
 	h.pushFree(p, int(hdr>>1))
 	h.tel.IncFree()

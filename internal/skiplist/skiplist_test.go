@@ -3,6 +3,8 @@ package skiplist
 import (
 	"errors"
 	"math/rand"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 
@@ -426,18 +428,56 @@ func TestRebuildIndex(t *testing.T) {
 	}
 }
 
-func TestVerifyDetectsOutOfOrder(t *testing.T) {
-	_, _, l := newList(t, 1<<16)
-	mustPut(t, l, 1, 1)
-	mustPut(t, l, 2, 2)
-	// Corrupt: swap the keys of the two nodes.
-	tal := l.dev.Tally()
-	n1 := ref(l.next(&tal, l.head, 0))
-	n2 := ref(l.next(&tal, n1, 0))
-	l.heap.Store(n1, nodeKey, 9)
-	l.heap.Store(n2, nodeKey, 1)
-	if _, err := l.Verify(); err == nil {
-		t.Fatal("Verify accepted an out-of-order list")
+// TestVerifyDetectsEachViolation plants one corruption per invariant
+// Verify checks and requires it to fail for that reason.
+func TestVerifyDetectsEachViolation(t *testing.T) {
+	cases := []struct {
+		name, want string
+		// corrupt gets the list's level-0 nodes and its first two level-1
+		// nodes, in order.
+		corrupt func(l *List, level0 []pheap.Ptr, a, b pheap.Ptr)
+	}{
+		{"level 0 out of order", "level 0 out of order", func(l *List, level0 []pheap.Ptr, _, _ pheap.Ptr) {
+			l.heap.Store(level0[0], nodeKey, 9)
+		}},
+		{"index node not on level 0", "not on level 0", func(l *List, level0 []pheap.Ptr, _, b pheap.Ptr) {
+			// Splice b, whose address lies between level 0's first and
+			// last, out of level 0 only.
+			i := slices.Index(level0, b)
+			l.heap.Store(level0[i-1], nodeNext, l.heap.Load(b, nodeNext))
+		}},
+		{"upper level out of order", "level 1 out of order", func(l *List, _ []pheap.Ptr, a, b pheap.Ptr) {
+			l.heap.Store(l.head, nodeNext+1, uint64(b))
+			l.heap.Store(b, nodeNext+1, uint64(a))
+			l.heap.Store(a, nodeNext+1, 0)
+		}},
+		{"link at its topLevel", "beyond its topLevel", func(l *List, _ []pheap.Ptr, a, _ pheap.Ptr) {
+			l.heap.Store(a, nodeTop, 1)
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			_, _, l := newList(t, 1<<16)
+			for k := uint64(1); k <= 64; k++ {
+				mustPut(t, l, k, k)
+			}
+			if _, err := l.Verify(); err != nil {
+				t.Fatalf("Verify before the corruption: %v", err)
+			}
+			var level0 []pheap.Ptr
+			for n := ref(l.heap.Load(l.head, nodeNext)); !n.IsNil(); n = ref(l.heap.Load(n, nodeNext)) {
+				level0 = append(level0, n)
+			}
+			a := ref(l.heap.Load(l.head, nodeNext+1))
+			b := ref(l.heap.Load(a, nodeNext+1))
+			if b.IsNil() {
+				t.Fatal("fewer than two nodes on level 1")
+			}
+			tc.corrupt(l, level0, a, b)
+			if _, err := l.Verify(); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("Verify = %v, want an error naming %q", err, tc.want)
+			}
+		})
 	}
 }
 

@@ -34,12 +34,14 @@ func (l *List) Verify() (VerifyReport, error) {
 	var rep VerifyReport
 	tal := l.dev.Tally()
 	defer tal.Publish()
-	// Walk level 0, collecting node identity and checking sort order.
-	level0 := map[pheap.Ptr]bool{}
+	// Walk level 0, collecting its nodes and checking sort order.
+	var level0 []pheap.Ptr
+	lo, hi := ^pheap.Ptr(0), pheap.Nil
 	var lastKey uint64
 	first := true
 	for curr := ref(l.next(&tal, l.head, 0)); !curr.IsNil(); {
-		level0[curr] = true
+		level0 = append(level0, curr)
+		lo, hi = min(lo, curr), max(hi, curr)
 		marked := isMarked(l.next(&tal, curr, 0))
 		k := l.key(&tal, curr)
 		if marked {
@@ -57,13 +59,19 @@ func (l *List) Verify() (VerifyReport, error) {
 		}
 		curr = ref(l.next(&tal, curr, 0))
 	}
+	// on0 is level 0's membership: a bitmap over its nodes' addresses (one
+	// word when it has none: hi-lo wraps to 1).
+	on0 := make([]uint64, (hi-lo)>>6+1)
+	for _, n := range level0 {
+		on0[(n-lo)>>6] |= 1 << ((n - lo) & 63)
+	}
 	// Walk the index levels.
 	for lvl := 1; lvl < l.maxLevel; lvl++ {
 		var prevKey uint64
 		firstAt := true
 		for curr := ref(l.next(&tal, l.head, lvl)); !curr.IsNil(); curr = ref(l.next(&tal, curr, lvl)) {
 			rep.IndexedLinks++
-			if !level0[curr] {
+			if curr < lo || curr > hi || on0[(curr-lo)>>6]>>((curr-lo)&63)&1 == 0 {
 				return rep, fmt.Errorf("skiplist: node %d at level %d not on level 0", curr, lvl)
 			}
 			if l.top(&tal, curr) <= lvl {

@@ -7,8 +7,7 @@ import (
 )
 
 // BenchmarkCrashReattach is one served shard's crash: a stack shaped
-// like a cache-server shard with the server's defaults (the shape the
-// repository benchmark's stack.reattach_ms replays), loaded with 16 384
+// like a cache-server shard with the server's defaults, loaded with 16 384
 // map entries, takes 1 024 more puts and is then crashed with a full
 // rescue and brought back through Restart, pheap.Open, atlas.Recover
 // (recovery GC included) and atlas.New.
@@ -21,7 +20,7 @@ func BenchmarkCrashReattach(b *testing.B) {
 		WithDeviceWords(1<<20),
 		WithMaxThreads(10),
 		WithLogEntries(4096),
-		WithBuckets(4096, 256),
+		WithBuckets(16384, 1024),
 		WithSessionSlots(256),
 	)
 	if err != nil {

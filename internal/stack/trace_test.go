@@ -2,6 +2,7 @@ package stack
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -24,10 +25,11 @@ const (
 )
 
 // traceStack is a small crashed-and-restarted stack holding keys 0..n-1
-// in a 64-bucket map, so several chains hold two nodes or more.
-func traceStack(t *testing.T, n uint64, extra func(s *Stack)) *nvm.Device {
+// in a map of nb buckets, 16 a stripe; with n at four times nb, most
+// chains hold two nodes or more.
+func traceStack(t *testing.T, n uint64, nb int, extra func(s *Stack)) *nvm.Device {
 	t.Helper()
-	s, err := New(WithDeviceWords(1<<16), WithBuckets(64, 16))
+	s, err := New(WithDeviceWords(1<<16), WithBuckets(nb, 16))
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -69,62 +71,70 @@ func chain(dev *nvm.Device, array nvm.Addr, b int) []nvm.Addr {
 	return nodes
 }
 
-// longChain returns the first bucket holding at least two nodes.
-func longChain(t *testing.T, dev *nvm.Device) []nvm.Addr {
+// longChain returns the first bucket from bucket from on holding at
+// least two nodes, and its nodes.
+func longChain(t *testing.T, dev *nvm.Device, from int) (int, []nvm.Addr) {
 	t.Helper()
 	array, nb := buckets(t, dev)
-	for b := 0; b < nb; b++ {
+	for b := from; b < nb; b++ {
 		if c := chain(dev, array, b); len(c) >= 2 {
-			return c
+			return b, c
 		}
 	}
 	t.Fatal("no chain of two nodes")
-	return nil
+	return 0, nil
 }
 
 // TestReattachRefusesCorruptMap corrupts the map of a restarted device
 // in each way Verify names and requires Reattach to fail with
-// hashmap.ErrCorrupt, for that reason. Recovery no longer calls Verify
-// itself: the collector's trace is the check, so a trace that skips one
-// of its tests fails here.
+// hashmap.ErrCorrupt, for that reason, in that bucket. Recovery no longer
+// calls Verify itself: the collector's trace is the check, so a trace
+// that skips one of its tests fails here. The walk reads bucket heads 256
+// at a time, so each corruption is planted in the first block of a
+// 64-bucket map and past the first block of a 1024-bucket one.
 func TestReattachRefusesCorruptMap(t *testing.T) {
 	cases := []struct {
-		name, want string
-		corrupt    func(t *testing.T, dev *nvm.Device)
+		name    string
+		corrupt func(t *testing.T, dev *nvm.Device, from int) string
 	}{
-		{"check word", "entry key=", func(t *testing.T, dev *nvm.Device) {
-			n := longChain(t, dev)[0]
-			dev.Store(n+tNodeCheck, dev.Load(n+tNodeCheck)^1)
+		{"check word", func(t *testing.T, dev *nvm.Device, from int) string {
+			b, c := longChain(t, dev, from)
+			dev.Store(c[0]+tNodeCheck, dev.Load(c[0]+tNodeCheck)^1)
+			return fmt.Sprintf("in bucket %d", b)
 		}},
-		{"misfiled key", "misfiled", func(t *testing.T, dev *nvm.Device) {
+		{"misfiled key", func(t *testing.T, dev *nvm.Device, from int) string {
 			// The next bucket's chain now starts with a node hashed to
 			// this one.
-			array, nb := buckets(t, dev)
-			for b := 0; b < nb; b++ {
-				if c := chain(dev, array, b); len(c) > 0 {
-					dev.Store(array+nvm.Addr((b+1)%nb), uint64(c[0]))
-					return
-				}
-			}
+			b, c := longChain(t, dev, from)
+			array, _ := buckets(t, dev)
+			dev.Store(array+nvm.Addr(b+1), uint64(c[0]))
+			return fmt.Sprintf("misfiled in bucket %d", b+1)
 		}},
-		{"two-node cycle", "cycle", func(t *testing.T, dev *nvm.Device) {
-			c := longChain(t, dev)
+		{"two-node cycle", func(t *testing.T, dev *nvm.Device, from int) string {
+			b, c := longChain(t, dev, from)
 			dev.Store(c[1]+tNodeNext, uint64(c[0]))
+			return fmt.Sprintf("cycle suspected in bucket %d", b)
 		}},
 	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			dev := traceStack(t, 256, nil)
-			tc.corrupt(t, dev)
-			_, err := Reattach(dev, WithBuckets(64, 16))
-			if !errors.Is(err, hashmap.ErrCorrupt) || !strings.Contains(err.Error(), tc.want) {
-				t.Fatalf("Reattach = %v, want hashmap.ErrCorrupt (%q)", err, tc.want)
+	for _, nb := range []int{64, 1024} {
+		for _, tc := range cases {
+			name := tc.name
+			if nb > 256 {
+				name += " past the first block"
 			}
-		})
-	}
-	// The same device, uncorrupted, recovers.
-	if _, err := Reattach(traceStack(t, 256, nil), WithBuckets(64, 16)); err != nil {
-		t.Fatalf("Reattach of an intact map: %v", err)
+			t.Run(name, func(t *testing.T) {
+				dev := traceStack(t, uint64(4*nb), nb, nil)
+				want := tc.corrupt(t, dev, nb/4)
+				_, err := Reattach(dev, WithBuckets(nb, 16))
+				if !errors.Is(err, hashmap.ErrCorrupt) || !strings.Contains(err.Error(), want) {
+					t.Fatalf("Reattach = %v, want hashmap.ErrCorrupt (%q)", err, want)
+				}
+			})
+		}
+		// The same device, uncorrupted, recovers.
+		if _, err := Reattach(traceStack(t, uint64(4*nb), nb, nil), WithBuckets(nb, 16)); err != nil {
+			t.Fatalf("Reattach of an intact %d-bucket map: %v", nb, err)
+		}
 	}
 }
 
@@ -134,7 +144,7 @@ func TestReattachRefusesCorruptMap(t *testing.T) {
 // a block nothing names is reclaimed beside them.
 func TestTraceKeepsBlocksNamedByKeysAndValues(t *testing.T) {
 	var byKey, byValue, leaked pheap.Ptr
-	dev := traceStack(t, 32, func(s *Stack) {
+	dev := traceStack(t, 32, 64, func(s *Stack) {
 		var err error
 		for _, p := range []*pheap.Ptr{&byKey, &byValue, &leaked} {
 			if *p, err = s.Heap.Alloc(2); err != nil {
