@@ -1,7 +1,7 @@
 GO ?= go
 
-.PHONY: build test check bench-json bench-micro bench-recover bench-pairs \
-	check-docs
+.PHONY: build test check bench-json bench-micro bench-recover bench-setup \
+	bench-pairs check-docs
 
 build:
 	$(GO) build ./...
@@ -56,6 +56,17 @@ bench-recover:
 	$(GO) test -run 'ZZZ' -bench 'Verify' -benchtime 100x ./internal/hashmap ./internal/skiplist
 	$(GO) test -run 'ZZZ' -bench 'CrashReattach' -benchtime 100x ./internal/stack
 	$(GO) test -run 'ZZZ' -bench 'BenchmarkRecovery$$' -benchtime 20x .
+
+# The set-up cost, one layer per line: one served shard's stack.New
+# with its thread (device, heap, runtime, map, list, anchors, log ring:
+# stores and write-backs per set-up beside its time), the heap's
+# allocations on a fresh device, and the map's insert path under each
+# mode (undo records per insert). Fixed iteration counts, so two runs
+# measure the same work.
+bench-setup:
+	$(GO) test -run 'ZZZ' -bench 'StackNew' -benchtime 200x -count 5 ./internal/stack
+	$(GO) test -run 'ZZZ' -bench 'AllocVaried' -benchtime 200000x ./internal/pheap
+	$(GO) test -run 'ZZZ' -bench 'Insert' -benchtime 200000x ./internal/hashmap
 
 # Alternating parent/change pairs of one bench/ workload, with quartiles
 # and wins — the form a perf claim against BENCHMARK.json takes:

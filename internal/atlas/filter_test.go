@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"tsp/internal/nvm"
+	"tsp/internal/pheap"
 )
 
 // TestFirstStoreFilterMatchesMapOracle: the thread-owned table that
@@ -14,7 +15,11 @@ import (
 // included — over random address streams per OCS that stay under the
 // switchover or cross it and grow the table. Half way the stamp is moved
 // a few sections short of its wrap, so the stamps after the wrap are
-// ones the slots still carry from the first half.
+// ones the slots still carry from the first half. Every fifth section
+// also allocates a block with Thread.Alloc and sends half its stores
+// there: the oracle counts the block's words as stored already, so they
+// append no record — on either side of the switchover, as the block may
+// itself push the filter past it.
 func TestFirstStoreFilterMatchesMapOracle(t *testing.T) {
 	e := newEnv(t, ModeTSP, Options{LogEntries: 4096})
 	th := e.thread(t)
@@ -38,8 +43,23 @@ func TestFirstStoreFilterMatchesMapOracle(t *testing.T) {
 		var want []entry
 		first := map[nvm.Addr]bool{}
 		th.Lock(mu)
+		var fresh pheap.Ptr
+		fw := 0
+		if sec%5 == 2 {
+			fw = 1 + rng.Intn(2*dirtySliceMax)
+			var err error
+			if fresh, err = th.Alloc(fw); err != nil {
+				t.Fatalf("section %d: Alloc(%d): %v", sec, fw, err)
+			}
+			for w := 0; w < fw; w++ {
+				first[fresh.Addr()+nvm.Addr(w)] = true
+			}
+		}
 		for i := 0; i < n; i++ {
 			a := p.Addr() + nvm.Addr(rng.Intn(span))
+			if fw > 0 && rng.Intn(2) == 0 {
+				a = fresh.Addr() + nvm.Addr(rng.Intn(fw))
+			}
 			if !first[a] {
 				first[a] = true
 				want = append(want, entry{kind: entryStore, a: uint64(a), v: th.Load(a)})

@@ -381,6 +381,27 @@ func (t *Thread) Store(a nvm.Addr, v uint64) {
 	}
 }
 
+// Alloc allocates a block of words payload words from the runtime's heap
+// for the open section to fill before a logged store publishes it. Until
+// that store the block is unreachable, so no store into it needs an undo
+// record: a rollback undoes the publishing store, and the recovery
+// collector reclaims the block (NVTraverse's rule: persist the
+// destination, not the journey). Alloc seeds the section's first-store
+// filter with the block's words, so Store appends no record for them,
+// and ModeNonTSP's commit still flushes their lines through the same
+// filter. LogEveryStore, the filter's ablation, logs them as any other
+// store. Outside a section Alloc is the heap's Alloc.
+func (t *Thread) Alloc(words int) (pheap.Ptr, error) {
+	p, err := t.rt.heap.Alloc(words)
+	if err != nil || t.rt.mode == ModeOff || t.held == 0 {
+		return p, err
+	}
+	for i := range words {
+		t.seenDirty(p.Addr() + nvm.Addr(i))
+	}
+	return p, nil
+}
+
 // Load reads heap word address a.
 func (t *Thread) Load(a nvm.Addr) uint64 {
 	v := t.tal.Load(a)

@@ -245,8 +245,8 @@ type sweepRun struct {
 }
 
 // sweepWarmup binds the session and makes one durable write before any
-// crash is armed: the shard's first section registers its Atlas thread,
-// which zeroes the log ring (about 16,000 stores nobody needs to sweep).
+// crash is armed: the shard's first section registers its Atlas thread
+// and allocates its log ring, set-up no crash point needs to visit.
 var sweepWarmup = []byte("session 7\r\nset 999 1\r\n")
 
 // newSweepRun models a row's stream and serves it crash-free for the
@@ -344,8 +344,9 @@ func (r *sweepRun) point(t *testing.T, k uint64, crash nvm.CrashOptions) (p swee
 	sh := s.shards[0]
 	if crash.Keep != nil {
 		// An image starts from a clean device: the lines the warm-up
-		// left dirty (its zeroed log ring) persist what they hold, and
-		// would only dilute the images among the stream's own lines.
+		// left dirty (its records, its key, its session) persist what
+		// they hold, and would only dilute the images among the
+		// stream's own lines.
 		sh.stk.Dev.FlushAll()
 	}
 	sh.stk.Dev.ArmCrashAfter(k, crash)
@@ -575,7 +576,7 @@ func TestCrashPointSweep(t *testing.T) {
 		{"tsp_seq_zwrite", atlas.ModeTSP, nvm.CrashOptions{RescueFraction: 1}, false, 1, 2, zseq, sweepResend},
 		{"nontsp_no_rescue", atlas.ModeNonTSP, nvm.CrashOptions{}, true, 60, 600, mix, sweepOrdered},
 		{"nontsp_relaxed_wait", atlas.ModeNonTSP, nvm.CrashOptions{}, true, 100, 200, sweepWaitStream(), sweepOrdered},
-		{"tsp_partial_rescue", atlas.ModeTSP, nvm.CrashOptions{RescueFraction: 1}, true, 250, 1000, mix, sweepAny},
+		{"tsp_partial_rescue", atlas.ModeTSP, nvm.CrashOptions{RescueFraction: 1}, true, 250, 500, mix, sweepAny},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			r := newSweepRun(t, tc.mode, tc.bursts)

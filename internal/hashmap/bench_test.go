@@ -11,12 +11,18 @@ import (
 
 func benchMap(b *testing.B, mode atlas.Mode, prefill int) (*Map, *atlas.Thread) {
 	b.Helper()
+	return benchMapTel(b, mode, prefill, nil)
+}
+
+// benchMapTel is benchMap with the runtime counting into tel.
+func benchMapTel(b *testing.B, mode atlas.Mode, prefill int, tel *telemetry.AtlasStats) (*Map, *atlas.Thread) {
+	b.Helper()
 	dev := nvm.NewDevice(nvm.Config{Words: 1 << 22})
 	heap, err := pheap.Format(dev)
 	if err != nil {
 		b.Fatal(err)
 	}
-	rt, err := atlas.New(heap, mode, atlas.Options{MaxThreads: 1})
+	rt, err := atlas.New(heap, mode, atlas.Options{MaxThreads: 1, Telemetry: tel})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -48,6 +54,47 @@ func BenchmarkPut(b *testing.B) {
 				if err := m.Put(th, uint64(i)%(1<<12), uint64(i)); err != nil {
 					b.Fatal(err)
 				}
+			}
+		})
+	}
+}
+
+// BenchmarkInsert is the insert path alone: every Put adds a key the
+// map does not hold, so each one allocates a node and links it, under
+// each fortification mode. The map is rebuilt, untimed, every 1<<16
+// inserts. The undo records and device stores an insert makes are
+// reported per op.
+//
+//	go test -run ZZZ -bench Insert -benchtime 200000x ./internal/hashmap
+func BenchmarkInsert(b *testing.B) {
+	const round = 1 << 16
+	for _, mode := range []atlas.Mode{atlas.ModeOff, atlas.ModeTSP, atlas.ModeNonTSP} {
+		b.Run(mode.String(), func(b *testing.B) {
+			var tel telemetry.AtlasStats
+			var m *Map
+			var th *atlas.Thread
+			var stores, from uint64
+			for i := 0; i < b.N; i++ {
+				if i%round == 0 {
+					b.StopTimer()
+					if m != nil {
+						stores += m.heap.Device().Stats().Stores - from
+					}
+					m, th = benchMapTel(b, mode, 0, &tel)
+					from = m.heap.Device().Stats().Stores
+					b.StartTimer()
+				}
+				if err := m.Put(th, uint64(i%round), uint64(i)); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			stores += m.heap.Device().Stats().Stores - from
+			b.ReportMetric(float64(stores)/float64(b.N), "stores/op")
+			// Each Put is one section: its lock-acquire and release
+			// records are the two appends that are not undo records.
+			if mode != atlas.ModeOff {
+				b.ReportMetric(float64(tel.LogAppends.Load())/float64(b.N)-2, "undo/op")
 			}
 		})
 	}

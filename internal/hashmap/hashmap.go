@@ -336,7 +336,9 @@ func (m *Map) putLocked(t *atlas.Thread, b int, key, value uint64, bump bool) er
 		}
 		return nil
 	}
-	n, err := m.heap.Alloc(nodeWords)
+	// The node is the section's own until the head store publishes it:
+	// its four stores append no undo record (see atlas.Thread.Alloc).
+	n, err := t.Alloc(nodeWords)
 	if err != nil {
 		return err
 	}

@@ -79,8 +79,8 @@ func (c Config) Validate() error {
 	if c.Words <= 0 {
 		return errors.New("Words must be positive")
 	}
-	if c.LineWords <= 0 || c.LineWords&(c.LineWords-1) != 0 {
-		return errors.New("LineWords must be a positive power of two")
+	if c.LineWords <= 0 || c.LineWords&(c.LineWords-1) != 0 || c.LineWords > pageWords {
+		return fmt.Errorf("LineWords must be a power of two in [1, %d]", pageWords)
 	}
 	if c.FlushCost < 0 {
 		return errors.New("FlushCost must be non-negative")

@@ -92,8 +92,9 @@ func (d *Device) Crash(opts CrashOptions) {
 			n++
 		case j > 0: // a cut line stays dirty: Restart reverts it to this
 			lo, _ := d.lineSpan(line)
+			pg := d.persistedPage(lo)
 			for i, v := range states[j] {
-				atomic.StoreUint64(&d.persisted[lo+uint64(i)], v)
+				atomic.StoreUint64(&pg[lo%pageWords+uint64(i)], v)
 			}
 			n++
 		}
@@ -127,20 +128,20 @@ func (d *Device) snapshots(h []uint64) map[uint64][][]uint64 {
 // stores it took while no crash was armed count as one.
 func (d *Device) lineStates(line uint64, snaps [][]uint64) [][]uint64 {
 	lo, hi := d.lineSpan(line)
-	load := func(img []uint64) []uint64 {
+	load := func(word func(uint64) uint64) []uint64 {
 		s := make([]uint64, hi-lo)
 		for i := range s {
-			s[i] = atomic.LoadUint64(&img[lo+uint64(i)])
+			s[i] = word(lo + uint64(i))
 		}
 		return s
 	}
-	states := [][]uint64{load(d.persisted)}
+	states := [][]uint64{load(d.persistedLoad)}
 	for _, s := range snaps {
 		if !slices.Equal(s, states[len(states)-1]) {
 			states = append(states, s)
 		}
 	}
-	if v := load(d.volatile); len(states) == 1 || !slices.Equal(v, states[len(states)-1]) {
+	if v := load(d.volatileLoad); len(states) == 1 || !slices.Equal(v, states[len(states)-1]) {
 		states = append(states, v)
 	}
 	return states

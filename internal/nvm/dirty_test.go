@@ -188,9 +188,9 @@ func TestDirtyBitmapMatchesFlagPerLine(t *testing.T) {
 						t.Fatalf("step %d: dirty set %v, reference %v", step, got, want)
 					}
 					for w := range ref.volatile {
-						if d.volatile[w] != ref.volatile[w] || d.persisted[w] != ref.persisted[w] {
+						if d.volatile[w] != ref.volatile[w] || d.persistedLoad(uint64(w)) != ref.persisted[w] {
 							t.Fatalf("step %d word %d: device has %d/%d (volatile/persisted), reference %d/%d",
-								step, w, d.volatile[w], d.persisted[w], ref.volatile[w], ref.persisted[w])
+								step, w, d.volatile[w], d.persistedLoad(uint64(w)), ref.volatile[w], ref.persisted[w])
 						}
 					}
 				}

@@ -50,9 +50,12 @@ type Device struct {
 	volatile []uint64
 
 	// persisted is the durable state: what a crash without rescue leaves
-	// behind. Written by flushes and crashes, read by recovery. Accessed
-	// with atomics only, as flushers race each other (see writeBack).
-	persisted []uint64
+	// behind. Written by flushes and crashes, read by recovery. It is
+	// allocated a page at a time, on the first write-back into the page
+	// (persistedPage); a nil page reads as zero. Pages and words are
+	// accessed with atomics only, as flushers race each other (see
+	// writeBack).
+	persisted []atomic.Pointer[page]
 
 	// dirty is the dirty set, one bit per cache line (line l is bit l&63
 	// of word l>>6): set when the line's volatile content may differ from
@@ -102,9 +105,18 @@ type Device struct {
 	mu sync.Mutex // serializes crash, restart and snapshot operations
 }
 
+// pageWords is the persisted image's allocation unit: 512 words, 4 KiB.
+// A line never spans two pages (Config.Validate bounds LineWords by it).
+const pageWords = 512
+
+// page is one allocated page of the persisted image.
+type page [pageWords]uint64
+
 // NewDevice creates a device of cfg.Words words with all words zero in
-// both images. It panics if the configuration is invalid, as a device is
-// always constructed from static test or benchmark parameters.
+// both images. Only the volatile image is allocated up front: a page of
+// the persisted image is allocated on the first write-back into it. It
+// panics if the configuration is invalid, as a device is always
+// constructed from static test or benchmark parameters.
 func NewDevice(cfg Config) *Device {
 	cfg.fillDefaults()
 	if err := cfg.Validate(); err != nil {
@@ -114,7 +126,7 @@ func NewDevice(cfg Config) *Device {
 	d := &Device{
 		cfg:       cfg,
 		volatile:  make([]uint64, cfg.Words),
-		persisted: make([]uint64, cfg.Words),
+		persisted: make([]atomic.Pointer[page], (cfg.Words+pageWords-1)/pageWords),
 		dirty:     make([]uint64, (lines+63)/64),
 		lines:     uint64(lines),
 		lineShift: uint(bits.TrailingZeros(uint(cfg.LineWords))),
@@ -389,12 +401,13 @@ func (d *Device) flushLine(line uint64) {
 // While a crash is armed, the copy also ends the line's recorded history.
 func (d *Device) writeBack(line uint64) {
 	lo, hi := d.lineSpan(line)
+	pg, base := d.persistedPage(lo), lo&^(pageWords-1)
 	for moved := true; moved; {
 		moved = false
 		d.setDirty(line, false)
 		for w := lo; w < hi; w++ {
 			v := atomic.LoadUint64(&d.volatile[w])
-			atomic.StoreUint64(&d.persisted[w], v)
+			atomic.StoreUint64(&pg[w-base], v)
 			if atomic.LoadUint64(&d.volatile[w]) != v {
 				moved = true
 			}
@@ -405,11 +418,47 @@ func (d *Device) writeBack(line uint64) {
 	}
 }
 
+// persistedPage returns the persisted page holding word w, allocating
+// it if no write-back has reached it yet. Racing first write-backs into
+// one page agree on one page: the loser of the compare-and-swap drops
+// its own and writes into the winner's.
+func (d *Device) persistedPage(w uint64) *page {
+	slot := &d.persisted[w/pageWords]
+	if pg := slot.Load(); pg != nil {
+		return pg
+	}
+	if pg := new(page); slot.CompareAndSwap(nil, pg) {
+		return pg
+	}
+	return slot.Load()
+}
+
 // Persisted reads the word at a from the persisted image. Recovery code
 // and tests use it to observe what a crash would leave behind.
 func (d *Device) Persisted(a Addr) uint64 {
 	d.check(a)
-	return atomic.LoadUint64(&d.persisted[a])
+	return d.persistedLoad(uint64(a))
+}
+
+// Untouched reports whether every word at or above from reads zero in
+// both images: no line there is dirty, so each equals its persisted
+// content (the clean-line invariant), and the persisted pages there are
+// absent or zero. It reads no volatile word. Call it on a quiescent
+// device.
+func (d *Device) Untouched(from Addr) bool {
+	d.check(from)
+	if d.nextDirty(d.LineOf(from)) < d.lines {
+		return false
+	}
+	for w := uint64(from); w < d.Words(); w = (w/pageWords + 1) * pageWords {
+		pg := d.persisted[w/pageWords].Load()
+		for i := w % pageWords; pg != nil && i < pageWords; i++ {
+			if atomic.LoadUint64(&pg[i]) != 0 {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // DirtyLines counts lines currently marked dirty: a population count
@@ -438,7 +487,16 @@ func (d *Device) lineDirty(line uint64) bool {
 // it.
 
 func (d *Device) volatileStore(w uint64, v uint64) { atomic.StoreUint64(&d.volatile[w], v) }
-func (d *Device) persistedLoad(w uint64) uint64    { return atomic.LoadUint64(&d.persisted[w]) }
+func (d *Device) volatileLoad(w uint64) uint64     { return atomic.LoadUint64(&d.volatile[w]) }
+
+// persistedLoad reads persisted word w; a page never written back reads
+// zero.
+func (d *Device) persistedLoad(w uint64) uint64 {
+	if pg := d.persisted[w/pageWords].Load(); pg != nil {
+		return atomic.LoadUint64(&pg[w%pageWords])
+	}
+	return 0
+}
 
 // Stats returns a snapshot of the device's operation counters (all
 // zeros when counting is disabled).

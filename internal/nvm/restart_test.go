@@ -36,7 +36,7 @@ func checkCleanLines(t *testing.T, d *Device) {
 		}
 		lo, hi := d.lineSpan(line)
 		for w := lo; w < hi; w++ {
-			if v, p := d.volatile[w], d.persisted[w]; v != p {
+			if v, p := d.volatile[w], d.persistedLoad(uint64(w)); v != p {
 				t.Fatalf("clean line %d: word %d is %d volatile, %d persisted", line, w, v, p)
 			}
 		}
@@ -48,7 +48,7 @@ func checkCleanLines(t *testing.T, d *Device) {
 func checkRestarted(t *testing.T, d *Device) {
 	t.Helper()
 	for w := range d.volatile {
-		if v, p := d.volatile[w], d.persisted[w]; v != p {
+		if v, p := d.volatile[w], d.persistedLoad(uint64(w)); v != p {
 			t.Fatalf("after Restart word %d is %d volatile, %d persisted", w, v, p)
 		}
 	}
@@ -144,9 +144,9 @@ func TestRestartMatchesFullCopy(t *testing.T) {
 					restartFullCopy(ref)
 					checkRestarted(t, got)
 					for w := range got.volatile {
-						if got.volatile[w] != ref.volatile[w] || got.persisted[w] != ref.persisted[w] {
+						if got.volatile[w] != ref.volatile[w] || got.persistedLoad(uint64(w)) != ref.persistedLoad(uint64(w)) {
 							t.Fatalf("round %d word %d: dirty-line Restart has %d/%d (volatile/persisted), full copy has %d/%d",
-								round, w, got.volatile[w], got.persisted[w], ref.volatile[w], ref.persisted[w])
+								round, w, got.volatile[w], got.persistedLoad(uint64(w)), ref.volatile[w], ref.persistedLoad(uint64(w)))
 						}
 					}
 				}

@@ -103,15 +103,24 @@ type Heap struct {
 	tel *telemetry.HeapStats // nil-safe; set via SetTelemetry
 
 	syncAllocs bool // flush each allocation's header and the bump pointer; see SetSyncAllocs
+
+	// virgin is set by Format on a device no store had reached above the
+	// header: the bump region then reads zero in both images, and a block
+	// carved from it is handed out without zeroing stores. Open never
+	// sets it.
+	virgin bool
 }
 
 // Format initializes a fresh heap on the device, destroying any previous
 // contents, and flushes the header so even an immediate crash-without-
-// rescue leaves a well-formed (empty) heap.
+// rescue leaves a well-formed (empty) heap. On a device untouched above
+// the header (nvm.Device.Untouched), blocks carved from the bump region
+// are already zero and Alloc does not store their zeroes again.
 func Format(dev *nvm.Device) (*Heap, error) {
 	if dev.Words() < heapStart+minBlock {
 		return nil, fmt.Errorf("pheap: device too small (%d words)", dev.Words())
 	}
+	virgin := dev.Untouched(heapStart)
 	dev.Store(hdrMagic, Magic)
 	dev.Store(hdrVersion, Version)
 	dev.Store(hdrWords, dev.Words())
@@ -121,7 +130,9 @@ func Format(dev *nvm.Device) (*Heap, error) {
 		dev.Store(nvm.Addr(hdrAuxBase+i), 0)
 	}
 	dev.FlushRange(0, heapStart)
-	return newHeap(dev), nil
+	h := newHeap(dev)
+	h.virgin = virgin
+	return h, nil
 }
 
 // Open attaches to an existing heap, validating the header and rebuilding
@@ -229,7 +240,9 @@ func (h *Heap) pushFree(payload Ptr, total int) {
 
 // Alloc allocates a block with room for at least words payload words,
 // zeroes the payload, and returns its persistent pointer. The payload is
-// guaranteed zeroed even if the block is recycled.
+// guaranteed zeroed even if the block is recycled; a block carved from
+// the bump region of a heap Formatted on an untouched device is zero
+// already, in both images, and takes no zeroing store.
 func (h *Heap) Alloc(words int) (Ptr, error) {
 	if words <= 0 {
 		return Nil, fmt.Errorf("pheap: Alloc(%d): size must be positive", words)
@@ -238,7 +251,7 @@ func (h *Heap) Alloc(words int) (Ptr, error) {
 	tal := h.dev.Tally()
 	defer tal.Publish()
 	h.mu.Lock()
-	p, total, err := h.allocLocked(&tal, need)
+	p, total, zero, err := h.allocLocked(&tal, need)
 	h.mu.Unlock()
 	if err != nil {
 		return Nil, err
@@ -249,8 +262,10 @@ func (h *Heap) Alloc(words int) (Ptr, error) {
 	}
 	// Zero the payload outside the allocator lock; the block is not yet
 	// published to any other thread.
-	for i := 0; i < total-1; i++ {
-		tal.Store(p.Addr()+nvm.Addr(i), 0)
+	if !zero {
+		for i := 0; i < total-1; i++ {
+			tal.Store(p.Addr()+nvm.Addr(i), 0)
+		}
 	}
 	h.tel.IncAlloc()
 	return p, nil
@@ -269,7 +284,9 @@ func (h *Heap) SetSyncAllocs(on bool) { h.syncAllocs = on }
 // turns counting off). Call before the heap is shared.
 func (h *Heap) SetTelemetry(tel *telemetry.HeapStats) { h.tel = tel }
 
-func (h *Heap) allocLocked(tal *nvm.Tally, need int) (Ptr, int, error) {
+// allocLocked pops a free block or carves one from the bump region; zero
+// reports that its payload reads zero already (a virgin heap's carve).
+func (h *Heap) allocLocked(tal *nvm.Tally, need int) (p Ptr, total int, zero bool, err error) {
 	h.blocks = nil
 	// Try the segregated lists first.
 	if c := classFor(need); c >= 0 {
@@ -278,7 +295,7 @@ func (h *Heap) allocLocked(tal *nvm.Tally, need int) (Ptr, int, error) {
 				p := h.free[c][n-1]
 				h.free[c] = h.free[c][:n-1]
 				markAllocated(tal, p)
-				return p, blockSize(tal, p), nil
+				return p, blockSize(tal, p), false, nil
 			}
 		}
 	} else {
@@ -287,19 +304,19 @@ func (h *Heap) allocLocked(tal *nvm.Tally, need int) (Ptr, int, error) {
 			if blockSize(tal, p) >= need {
 				h.large = append(h.large[:i], h.large[i+1:]...)
 				markAllocated(tal, p)
-				return p, blockSize(tal, p), nil
+				return p, blockSize(tal, p), false, nil
 			}
 		}
 	}
 	// Carve a fresh block from the bump region at the class size (or the
 	// exact size for large requests).
-	total := need
+	total = need
 	if c := classFor(need); c >= 0 {
 		total = sizeClasses[c]
 	}
 	bump := tal.Load(hdrBump)
 	if bump+uint64(total) > h.dev.Words() {
-		return Nil, 0, ErrOutOfMemory
+		return Nil, 0, false, ErrOutOfMemory
 	}
 	blockAddr := nvm.Addr(bump)
 	// Order matters for crash robustness: write the header first, then
@@ -307,7 +324,7 @@ func (h *Heap) allocLocked(tal *nvm.Tally, need int) (Ptr, int, error) {
 	// being lost.
 	tal.Store(blockAddr, uint64(total)<<1|allocBit)
 	tal.Store(hdrBump, bump+uint64(total))
-	return Ptr(blockAddr) + 1, total, nil
+	return Ptr(blockAddr) + 1, total, h.virgin, nil
 }
 
 // markAllocated sets the allocated bit on a block being popped from a

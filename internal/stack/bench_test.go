@@ -52,3 +52,28 @@ func BenchmarkCrashReattach(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkStackNew is one served shard's set-up: stack.New in the cache
+// server's shape (a 1<<20-word device, one Atlas thread with a
+// 4,096-entry ring, 16,384 buckets at 1,024 a stripe) and the shard's
+// thread registration — device allocation, heap format, runtime, map,
+// skip list, anchors, the closing FlushAll and the log ring. The stores
+// and write-backs one set-up makes are reported beside its time.
+//
+//	go test -run ZZZ -bench StackNew -benchtime 200x ./internal/stack
+func BenchmarkStackNew(b *testing.B) {
+	b.ReportAllocs()
+	var st nvm.StatsSnapshot
+	for i := 0; i < b.N; i++ {
+		s, err := New(WithDeviceWords(1<<20), WithMaxThreads(1), WithLogEntries(4096), WithBuckets(16384, 1024))
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := s.NewThread(); err != nil {
+			b.Fatal(err)
+		}
+		st = s.Dev.Stats()
+	}
+	b.ReportMetric(float64(st.Stores), "stores/op")
+	b.ReportMetric(float64(st.Writebacks), "writebacks/op")
+}

@@ -326,21 +326,22 @@ func New(opts ...Option) (*Stack, error) {
 	return s, nil
 }
 
-// newEpochAnchor allocates the epoch-frontier block, zeroed, and
-// anchors it at its Aux slot. New's setup FlushAll makes it durable.
+// newEpochAnchor allocates the epoch-frontier block (Alloc hands it out
+// zeroed: epoch 0) and anchors it at its Aux slot. New's setup FlushAll
+// makes it durable.
 func newEpochAnchor(heap *pheap.Heap) (pheap.Ptr, error) {
 	p, err := heap.Alloc(1)
 	if err != nil {
 		return pheap.Nil, fmt.Errorf("stack: epoch anchor: %w", err)
 	}
-	heap.Store(p, 0, 0)
 	heap.SetAux(auxEpochSlot, p)
 	return p, nil
 }
 
 // newSessAnchor allocates the session dedup table and anchors it at its
-// Aux slot. Record words are zeroed (session id 0 = empty), so a fresh
-// table suppresses nothing and rejects nothing.
+// Aux slot. Alloc hands the block out zeroed — the floor 0, every
+// record's session id 0 (empty) — so a fresh table suppresses nothing
+// and rejects nothing.
 func newSessAnchor(heap *pheap.Heap, slots int) (pheap.Ptr, error) {
 	if slots < 1 {
 		slots = 1
@@ -350,10 +351,6 @@ func newSessAnchor(heap *pheap.Heap, slots int) (pheap.Ptr, error) {
 		return pheap.Nil, fmt.Errorf("stack: session table: %w", err)
 	}
 	heap.Store(p, SessCapWord, uint64(slots))
-	heap.Store(p, SessFloorWord, 0)
-	for w := 0; w < SessRecWords*slots; w++ {
-		heap.Store(p, SessHdrWords+w, 0)
-	}
 	heap.SetAux(auxSessSlot, p)
 	return p, nil
 }

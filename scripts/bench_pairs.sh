@@ -13,7 +13,8 @@
 # side runs first, and every pair gets a fresh seed (BENCH_PAIRS_SEED
 # sets the first; the default is the clock, so a rerun is a rerun on
 # seeds never used before). Prints every pair, then each side's
-# quartiles, the change's wins, and the failed-request totals.
+# quartiles, the change's wins, and the failed-request totals, for the
+# three end-to-end metrics: kreq_s, p50_us and setup_s.
 set -euo pipefail
 
 if [ $# -lt 2 ]; then
@@ -35,7 +36,7 @@ git -C "$root" archive "$sha" | tar -x -C "$parent"
 # field <json> <metric>: the metric's value in a --workload run's last line.
 field() { printf '%s\n' "$1" | grep -o "\"$2\":{\"value\":[0-9.eE+-]*" | sed 's/.*://'; }
 
-# run <tree> <seed>: one run, printed as "kreq_s p50_us failed".
+# run <tree> <seed>: one run, printed as "kreq_s p50_us failed setup_s".
 run() {
 	local out
 	out=$(bash "$1/bench/run.sh" --workload "$workload" --seed "$2" --seconds "$seconds" --trace 0 | tail -n 1)
@@ -43,11 +44,11 @@ run() {
 	*'"correct":true'*) ;;
 	*) echo "run of $1 (seed $2) was not correct: $out" >&2; exit 1 ;;
 	esac
-	echo "$(field "$out" kreq_s) $(field "$out" p50_us) $(printf '%s\n' "$out" | grep -o '"failed":[0-9]*' | sed 's/.*://')"
+	echo "$(field "$out" kreq_s) $(field "$out" p50_us) $(printf '%s\n' "$out" | grep -o '"failed":[0-9]*' | sed 's/.*://') $(field "$out" setup_s)"
 }
 
 echo "# $workload, $pairs pairs x ${seconds}s, parent $sha, seeds $seed0..$((seed0 + pairs - 1))"
-echo "# pair seed first | parent kreq_s p50_us | change kreq_s p50_us | ratio"
+echo "# pair seed first | parent kreq_s p50_us setup_s | change kreq_s p50_us setup_s | kreq_s ratio"
 for i in $(seq 1 "$pairs"); do
 	seed=$((seed0 + i - 1))
 	if [ $((i % 2)) -eq 1 ]; then
@@ -60,7 +61,7 @@ for i in $(seq 1 "$pairs"); do
 		p=$(run "$parent" "$seed")
 	fi
 	echo "$p $c" >>"$rows"
-	echo "$i $seed $first $p $c" | awk '{ printf "%4d %d %-6s | %9.2f %7.3f | %9.2f %7.3f | %.3f\n", $1, $2, $3, $4, $5, $7, $8, $7/$4 }'
+	echo "$i $seed $first $p $c" | awk '{ printf "%4d %d %-6s | %9.2f %7.3f %.4f | %9.2f %7.3f %.4f | %.3f\n", $1, $2, $3, $4, $5, $7, $8, $9, $11, $8/$4 }'
 done
 
 # quart <column>: min, quartiles and max of one column of $rows.
@@ -68,12 +69,14 @@ quart() {
 	awk -v c="$1" '{ print $c }' "$rows" | sort -g | awk '
 		{ v[NR] = $1 }
 		function q(f,   h, lo) { h = (NR - 1) * f + 1; lo = int(h); return lo >= NR ? v[NR] : v[lo] + (h - lo) * (v[lo + 1] - v[lo]) }
-		END { printf "min %.3f  q1 %.3f  median %.3f  q3 %.3f  max %.3f", v[1], q(.25), q(.5), q(.75), v[NR] }'
+		END { printf "min %.4f  q1 %.4f  median %.4f  q3 %.4f  max %.4f", v[1], q(.25), q(.5), q(.75), v[NR] }'
 }
 echo "# parent kreq_s: $(quart 1)"
-echo "# change kreq_s: $(quart 4)"
+echo "# change kreq_s: $(quart 5)"
 echo "# parent p50_us: $(quart 2)"
-echo "# change p50_us: $(quart 5)"
+echo "# change p50_us: $(quart 6)"
+echo "# parent setup_s: $(quart 4)"
+echo "# change setup_s: $(quart 8)"
 awk -v n="$pairs" '
-	$4 > $1 { k++ } $5 < $2 { l++ } { pf += $3; cf += $6 }
-	END { printf "# change wins: kreq_s %d of %d, p50_us %d of %d; failed requests: parent %d, change %d\n", k, n, l, n, pf, cf }' "$rows"
+	$5 > $1 { k++ } $6 < $2 { l++ } $8 < $4 { s++ } { pf += $3; cf += $7 }
+	END { printf "# change wins: kreq_s %d of %d, p50_us %d of %d, setup_s %d of %d; failed requests: parent %d, change %d\n", k, n, l, n, s, n, pf, cf }' "$rows"

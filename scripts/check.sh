@@ -129,7 +129,7 @@ ceiling() {
 		exit 1
 	fi
 }
-for pc in cacheserver:4082 cluster:1183 repl:1138 telemetry:1449 nvm:1093; do
+for pc in cacheserver:4082 cluster:1183 repl:1138 telemetry:1449 nvm:1152; do
 	pkg=${pc%:*}
 	echo "== internal/$pkg non-test lines"
 	ceiling "internal/$pkg non-test lines" \
@@ -140,7 +140,7 @@ done
 # module, so code a deletion removed cannot grow back unseen.
 echo "== non-test Go lines outside bench/"
 ceiling "non-test Go lines outside bench/" $(($(git ls-files '*.go' | grep -v '^bench/' | grep -v '_test\.go$' |
-	xargs cat | wc -l))) 19471
+	xargs cat | wc -l))) 19567
 
 # So is per-command knowledge outside the command table
 # (internal/proto/spec.go): every `case …Cmd…` arm in the four packages

@@ -145,7 +145,7 @@ if [ -n "$long" ]; then
 fi
 
 # --- 5. each doc at or under its byte ceiling -------------------------
-for dc in README.md:6577 DESIGN.md:36576 EXPERIMENTS.md:55176 docs/PROTOCOL.md:35192; do
+for dc in README.md:6577 DESIGN.md:37853 EXPERIMENTS.md:57781 docs/PROTOCOL.md:35192; do
 	f=${dc%:*}
 	n=$(($(wc -c <"$f")))
 	if [ "$n" -gt "${dc##*:}" ]; then
