@@ -72,7 +72,7 @@
 //
 //	tspcached [-addr 127.0.0.1:11222] [-mode tsp|nontsp|off] [-shards 4]
 //	          [-conns 16] [-words 1048576] [-metrics-addr host:port]
-//	          [-batch-max 64] [-queue-depth 256]
+//	          [-batch-max 64]
 //	          [-repl-listen host:port | -replica-of host:port]
 //	          [-epoch-interval 5ms] [-cluster-slots 0-31]
 //
@@ -81,9 +81,9 @@
 // shard runs in its own connection's goroutine; requests arriving
 // behind a busy shard — from any connection — queue and coalesce into
 // one section (up to -batch-max ops, minimum 1), amortizing the
-// per-section persistence cost across the batch. -queue-depth bounds
-// each shard's queue; when it is full, a request waits for the drain
-// lock itself instead (the stats report these as batch fallbacks).
+// per-section persistence cost across the batch. A shard's queue holds
+// one list per served connection and one for the replication applier,
+// so it never fills.
 //
 // Pure reads (get, and mget when every key validates) are served by a
 // lock-free seqlock path that takes no Atlas mutex and never enters the
@@ -134,7 +134,6 @@ func main() {
 	words := flag.Int("words", 1<<20, "simulated NVM words per shard")
 	metricsAddr := flag.String("metrics-addr", "", "HTTP metrics listen address (Prometheus text at /metrics); empty disables")
 	batchMax := flag.Int("batch-max", 64, "max ops per batched critical section (>= 1)")
-	queueDepth := flag.Int("queue-depth", 256, "per-shard bound on commit groups queued behind a busy drain lock")
 	replListen := flag.String("repl-listen", "", "replication listen address: stream committed batches to followers (primary role); empty disables")
 	replicaOf := flag.String("replica-of", "", "primary's replication address: apply its stream read-only until promoted (follower role); empty disables")
 	epochInterval := flag.Duration("epoch-interval", 5*time.Millisecond, "durability epoch clock period — the relaxed tier's crash-loss bound (> 0)")
@@ -162,7 +161,6 @@ func main() {
 		cacheserver.WithDeviceWords(*words),
 		cacheserver.WithMetricsAddr(*metricsAddr),
 		cacheserver.WithBatchMax(*batchMax),
-		cacheserver.WithQueueDepth(*queueDepth),
 		cacheserver.WithReplListen(*replListen),
 		cacheserver.WithReplicaOf(*replicaOf),
 		cacheserver.WithEpochInterval(*epochInterval),

@@ -35,7 +35,7 @@ import (
 // drain is the one mutation that does not come through submit: it takes
 // the drain lock itself, commits its payload and applies it in sections
 // of its own (see epoch.go). How a list reaches the executor is a
-// scheduling choice made in one place, shard.submit, with three arms:
+// scheduling choice made in one place, shard.submit, with two arms:
 //
 //   - Own goroutine: the submitter tries the drain lock without waiting
 //     and, if it wins, runs its list there and then in as few sections
@@ -50,9 +50,13 @@ import (
 //     the request path — the acquire/release log records, the undo
 //     logging and the OCS commit are paid once per DRAINED BATCH, so
 //     the per-op cost shrinks as load (and batch size) grows.
-//   - Blocked: when the queue is full the submitter waits for the drain
-//     lock itself and runs its list when it gets it. Backpressure
-//     surfaces as the server_batch_fallbacks counter.
+//
+// The queue holds maxConns+1 lists, and nothing served can fill it: a
+// connection has at most one list outstanding per shard (runPlan waits
+// before it submits again), Serve admits at most maxConns connections,
+// and the follower's applier is the one other submitter. A submitter
+// that ever found it full would still be live: every queued list's
+// submitter rang the doorbell, so the worker drains the queue.
 //
 // A section never splits a group, and the plan compiler cuts groups at
 // command boundaries. The one exception is a single group wider than
@@ -82,6 +86,14 @@ const (
 	opZSet
 	opZIncr
 	opZDelete
+	// The opRelaxed* kinds are the relaxed tier's read-modify-writes (an
+	// incr, a delete that reports presence): they read the key's logical
+	// value under the drain lock and buffer the derived write in the
+	// overlay, so they mutate no stripe, replicate nothing (the write
+	// replicates at its epoch drain's commit) and are applied, and
+	// counted, by that drain.
+	opRelaxedIncr
+	opRelaxedDelete
 )
 
 // batchOp is one key operation plus its result slots. Ops travel by
@@ -153,16 +165,9 @@ func (sh *shard) submit(g *batchReq) {
 				last = last.next
 			}
 			last.done = make(chan struct{})
-			select {
-			case sh.queue <- g:
-				sh.ringDoorbell()
-				return
-			default:
-				// Counted before blocking, so backpressure is visible
-				// while it is happening.
-				last.done = nil
-				sh.tel.Server.BatchFallbacks.Inc()
-			}
+			sh.queue <- g
+			sh.ringDoorbell()
+			return
 		}
 		sh.combineMu.Lock()
 	}
@@ -313,8 +318,8 @@ func (sh *shard) runOne(g *batchReq) {
 // outermost critical section under the shard's commit lock; completing
 // queued lists is the caller's job. The caller holds combineMu, so at
 // most one batch is in flight per shard and the scratch buffers and
-// drain thread are single-owner. A batch of skip-list ops alone takes
-// no lock and so opens no section.
+// drain thread are single-owner. A batch of skip-list ops and relaxed
+// read-modify-writes alone takes no lock and so opens no section.
 func (sh *shard) runBatch(reqs []*batchReq, nops int) {
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
@@ -327,13 +332,16 @@ func (sh *shard) runBatch(reqs []*batchReq, nops int) {
 	var mus []*atlas.Mutex
 	for _, r := range reqs {
 		for i := range r.ops {
-			// Skip-list ops need no lock: the structure is lock-free.
-			// They still execute inside the section so the batch stays
-			// one commit-ordered unit.
+			// Skip-list ops need no lock: the structure is lock-free. Nor
+			// does a relaxed read-modify-write, which writes only the
+			// overlay. Both still execute inside the section so the batch
+			// stays one commit-ordered unit.
 			if op := &r.ops[i]; !isZ(op.kind) {
-				mus = sh.wmu
 				sh.walk = append(sh.walk, op.key)
-				if op.kind != opGet {
+				if op.kind <= opDelete {
+					mus = sh.wmu
+				}
+				if opSet <= op.kind && op.kind <= opDelete {
 					sh.stripes.Add(m.StripeOf(op.key))
 				}
 			}
@@ -416,7 +424,11 @@ func (sh *shard) fail(reqs []*batchReq, err error) {
 // the shard's relaxed overlay first (read-your-writes across tiers),
 // and a durable write to a key with a pending relaxed entry pops that
 // entry — folding it into this critical section, so the durable op's
-// result accounts for the buffered state it supersedes. All overlay
+// result accounts for the buffered state it supersedes. A relaxed
+// read-modify-write reads the same logical value a get would and
+// buffers the write it derives: under the drain lock, neither a durable
+// fold nor another read-modify-write can replace that value between its
+// read and its write. All overlay
 // touches are gated on the atomic size, so an all-durable workload pays
 // one atomic load. The opZ* arms never touch the overlay: a skip-list
 // write is durable at its CAS on every tier, so nothing is buffered.
@@ -465,6 +477,19 @@ func (sh *shard) execOp(th *atlas.Thread, op *batchOp) {
 		op.ok = op.err == nil
 	case opZDelete:
 		op.ok, op.err = sh.stk.List.Delete(op.key)
+	case opRelaxedIncr, opRelaxedDelete:
+		if e, hit := sh.ovl.get(op.key); hit {
+			op.val, op.ok = e.val, !e.del
+		} else if op.val, op.ok, op.err = m.GetLocked(th, op.key); op.err != nil {
+			return
+		}
+		w := [1]batchOp{{kind: opSet, key: op.key, arg: op.val + op.arg}}
+		if op.kind == opRelaxedDelete {
+			w[0].kind, w[0].arg = opDelete, 0
+		}
+		sh.ovl.put(w[:])
+		op.val = w[0].arg
+		return
 	}
 	if op.err != nil {
 		return

@@ -59,10 +59,11 @@ import (
 // a relaxed set followed by a durable incr increments the relaxed
 // value, then commits durably). The reverse direction is serialized the
 // same way: a relaxed read-modify-write (incr, a delete that reports
-// presence) reads and buffers under the shard's drain lock (see
-// shard.relaxedRMW), so it cannot interleave with a durable group
-// folding the same entry or with another relaxed writer. Blind relaxed
-// writes never touch that lock; they take only the overlay's.
+// presence) is a plan op that the shard's executor reads and buffers
+// under the drain lock (see shard.execOp), so it cannot interleave with
+// a durable group folding the same entry or with another relaxed
+// read-modify-write. Blind relaxed writes never touch that lock; they
+// take only the overlay's.
 //
 // The overlay buffers values only. A seq-tagged write is durable on
 // every tier (see session.go), so no dedup record ever waits here.
@@ -266,11 +267,11 @@ func (s *Server) epochReached(target uint64) bool {
 //
 // Ordering is what makes the ack sound: curEpoch moves to e+1 BEFORE
 // the overlays are snapshotted, and a relaxed writer inserts its
-// overlay entries (a run, all of them) BEFORE reading curEpoch for its
-// ack stamp (both sides ordered by the overlay mutex). So any entry the
-// snapshot misses was inserted after the snapshot, and its writer must
-// have read e+1 — every write acked with stamp <= e is in this (or an
-// earlier) drain.
+// overlay entries (a run's or a plan's, all of them) BEFORE reading
+// curEpoch for its ack stamp (both sides ordered by the overlay mutex).
+// So any entry the snapshot misses was inserted after the snapshot, and
+// its writer must have read e+1 — every write acked with stamp <= e is
+// in this (or an earlier) drain.
 //
 // Each shard's drain lock is held from its snapshot to the end of its
 // apply, so no durable write, relaxed read-modify-write or replication
@@ -506,102 +507,17 @@ func (s *Server) serveWait(cs *connState, req *proto.Request) proto.Reply {
 }
 
 // bufferRun buffers a connection's run of blind relaxed/fire writes
-// (see serveBatch) in its shards' overlays, one mutex hold per shard,
-// and returns the stamp of every ack in it: the epoch read once, after
-// the last insert, so no stamp is earlier than a one-at-a-time insert
-// would have read (see closeEpoch).
-func (s *Server) bufferRun(p *plan) uint64 {
+// (see serveBatch) in its shards' overlays, one mutex hold per shard.
+// flushPlan reads every ack's stamp once, after the last insert, so no
+// stamp is earlier than a one-at-a-time insert would have read (see
+// closeEpoch).
+func (s *Server) bufferRun(p *plan) {
 	for _, li := range p.used {
 		s.shards[li].ovl.put(p.legs[li].ops)
 	}
-	return s.curEpoch.Load()
 }
 
 // tierOps is the counter of mutations acked at tier d.
 func tierOps(st *telemetry.ServerStats, d proto.Durability) *telemetry.Counter {
 	return [...]*telemetry.Counter{&st.DurableOps, &st.RelaxedOps, &st.FireOps}[d]
-}
-
-// serveRelaxed executes one relaxed- or fire-tier hash-map
-// read-modify-write — an incr, or a relaxed delete that reports
-// presence: buffer the effects in the target shards' overlays and ack
-// immediately with the current epoch stamp. Called from serveBatch as a
-// sequence point (the pending plan or run flushed first), so tiers
-// interleave in program order on a connection. Blind writes buffer as a
-// run instead (see bufferRun); a seq-tagged request commits as a
-// durable sessioned group (see planSessioned), and so does an
-// ordered-keyspace write, durable at its CAS on every tier.
-func (s *Server) serveRelaxed(cs *connState, req *proto.Request) proto.Reply {
-	start := time.Now()
-	key := req.KV[0]
-	sh0 := s.shardOf(key)
-	tierOps(sh0.tel.Server, req.Dur).Inc()
-	sp := req.Cmd.Spec()
-	rep := proto.Reply{Kind: sp.Reply}
-	if sp.Verb == proto.VerbIncr {
-		nv, _, err := sh0.relaxedRMW(key, false, req.KV[1])
-		if err != nil {
-			return proto.Reply{Kind: proto.KErrServer, Msg: err.Error()}
-		}
-		rep.Val = nv
-	} else { // VerbDelete: presence as of the ack
-		items := cs.items[:0]
-		for _, k := range req.KV {
-			_, found, err := s.shardOf(k).relaxedRMW(k, true, 0)
-			if err != nil {
-				return proto.Reply{Kind: proto.KErrServer, Msg: err.Error()}
-			}
-			items = append(items, proto.Item{Key: k, Found: found})
-		}
-		cs.items = items
-		rep.Items = items
-	}
-	// The stamp is read after the overlay insert (see closeEpoch).
-	rep.Epoch = s.curEpoch.Load()
-	sh0.tel.CmdLatency.ObserveProto(cs.ptel, sp.Tel, time.Since(start), 1)
-	return rep
-}
-
-// relaxedRMW is the relaxed tier's read-modify-write: read the key's
-// logical value and buffer the write derived from it — base+delta, or
-// a tombstone when del — as one step under the shard's drain lock.
-// Durable groups fold overlay entries inside sections that hold the
-// same lock, and every other relaxed read-modify-write brackets itself
-// the same way, so no acked increment can be computed from a value
-// another writer is concurrently replacing. Returns the buffered value
-// (incr) and whether the key was present (delete).
-func (sh *shard) relaxedRMW(key uint64, del bool, delta uint64) (uint64, bool, error) {
-	sh.combineMu.Lock()
-	defer sh.combineMu.Unlock()
-	base, found, err := sh.peekLocked(key)
-	if err != nil {
-		return 0, false, err
-	}
-	op := batchOp{kind: opSet, key: key, arg: base + delta}
-	if del {
-		op.kind, op.arg = opDelete, 0
-	}
-	sh.ovl.put([]batchOp{op})
-	return op.arg, found, nil
-}
-
-// peekLocked reads a key's current logical value for relaxedRMW: the
-// pending overlay entry if one exists, else the map's optimistic path
-// — which with the drain lock held has no writer to collide with and
-// fails only on an over-long chain — falling back to an opGet group run
-// through the executor. A missing key reads as (0, false, nil) — the
-// base an incr on an absent key starts from. Caller holds combineMu.
-func (sh *shard) peekLocked(key uint64) (uint64, bool, error) {
-	if e, ok := sh.ovl.get(key); ok {
-		return e.val, !e.del, nil
-	}
-	sh.mu.RLock()
-	v, ok, valid := sh.stk.Map.GetOptimistic(key)
-	sh.mu.RUnlock()
-	if valid {
-		return v, ok, nil
-	}
-	g := batchReq{ops: []batchOp{{kind: opGet, key: key}}}
-	sh.runOne(&g)
-	return g.ops[0].val, g.ops[0].ok, g.ops[0].err
 }

@@ -744,17 +744,28 @@ func TestEpochClockStillBoundsLoss(t *testing.T) {
 }
 
 // TestRelaxedRunStampCoversEveryEntry: a run of blind relaxed writes is
-// stamped once, with the epoch read after its last overlay insert, so
-// every ack's stamp covers its entry even when epochs close while the
-// run is being buffered. One connection (served in process, so the
-// schedule is not paced by the network poller) sends bursts of 32
-// relaxed sets, each burst one run, while a goroutine closes epochs back
-// to back; after each burst a wait on the largest stamp and a crash
-// must leave every acked write at or below the crash frontier readable.
-// Each burst writes fresh values, so a lost entry reads back the
-// previous burst's.
+// stamped once, with the epoch read after its last overlay insert, and
+// so is a plan of relaxed read-modify-writes, with the epoch read after
+// the plan ran; every ack's stamp covers its entry even when epochs
+// close while the writes are being buffered. One connection (served in
+// process, so the schedule is not paced by the network poller) sends
+// bursts of 32 relaxed sets (one run), then a relaxed delete of the
+// previous burst's counter key and a relaxed incr of a fresh one (one
+// plan, the incr's stamp covering both), while a goroutine closes
+// epochs back to back; after each burst a wait on the largest stamp and
+// a crash must leave every acked write at or below the crash frontier
+// readable. Each burst writes fresh values, so a lost set reads back
+// the previous burst's, a lost incr NOT_FOUND, and a lost delete the
+// counter it should have deleted.
 func TestRelaxedRunStampCoversEveryEntry(t *testing.T) {
-	const bursts, width = 1000, 32
+	// At 2,000 bursts a stamp read before the plan's inserts fails every
+	// run seen; at 1,000, one run in seven passed. Under the race detector
+	// a burst costs about twenty times as much, so it runs half as many.
+	const width = 32
+	bursts := 2000
+	if raceBuild {
+		bursts = 1000
+	}
 	s := startServer(t, WithShards(2), WithEpochInterval(time.Hour), WithDeviceWords(1<<16))
 	stop := make(chan struct{})
 	closed := make(chan struct{})
@@ -789,10 +800,17 @@ func TestRelaxedRunStampCoversEveryEntry(t *testing.T) {
 		for k := 0; k < width; k++ {
 			fmt.Fprintf(&req, "set %d %d relaxed\r\n", k, b)
 		}
-		var stamps [width]uint64
-		for k, line := range send(req.String()) {
+		// The counter keys follow the set keys: width+b is this burst's.
+		fmt.Fprintf(&req, "delete %d relaxed\r\nincr %d %d relaxed\r\n", width+b-1, width+b, b)
+		var stamps [width + 1]uint64
+		lines := send(req.String())
+		for k, line := range lines[:width] {
 			stamps[k] = epochStamp(t, line, "STORED")
 		}
+		if want := map[bool]string{true: "NOT_FOUND", false: "DELETED"}[b == 1]; lines[width] != want {
+			t.Fatalf("burst %d: relaxed delete %d: %q, want %q", b, width+b-1, lines[width], want)
+		}
+		stamps[width] = epochStamp(t, lines[width+1], strconv.Itoa(b))
 		// The crash rides the wait's burst: the sooner it follows the
 		// barrier, the fewer later closes can cover for a short stamp.
 		maxStamp := slices.Max(stamps[:])
@@ -802,12 +820,21 @@ func TestRelaxedRunStampCoversEveryEntry(t *testing.T) {
 		}
 		p := crashFrontier(t, rep[1])
 		req.Reset()
-		for k := range stamps {
-			fmt.Fprintf(&req, "get %d\r\n", k)
+		for k := 0; k <= width+b; k++ {
+			if k < width || k >= width+b-1 {
+				fmt.Fprintf(&req, "get %d\r\n", k)
+			}
 		}
-		for k, got := range send(req.String()) {
-			if want := fmt.Sprintf("VALUE %d %d", k, b); stamps[k] <= p && got != want {
-				t.Fatalf("burst %d: key %d acked @%d, crash frontier %d: %q, want %q", b, k, stamps[k], p, got, want)
+		for i, got := range send(req.String()) {
+			k, want := i, fmt.Sprintf("VALUE %d %d", i, b)
+			switch i {
+			case width: // the deleted counter, covered by the incr's stamp
+				k, want = width+b-1, "NOT_FOUND"
+			case width + 1:
+				k, want = width+b, fmt.Sprintf("VALUE %d %d", width+b, b)
+			}
+			if st := stamps[min(i, width)]; st <= p && got != want {
+				t.Fatalf("burst %d: key %d acked @%d, crash frontier %d: %q, want %q", b, k, st, p, got, want)
 			}
 		}
 	}

@@ -20,7 +20,7 @@ import (
 // the liveness invariant holds.
 func newDispatchServer(tb testing.TB) (*Server, *connState) {
 	tb.Helper()
-	s, err := New(WithShards(2), WithBatchMax(4), WithQueueDepth(2), WithDeviceWords(1<<16),
+	s, err := New(WithShards(2), WithBatchMax(4), WithDeviceWords(1<<16),
 		WithEpochInterval(time.Millisecond))
 	if err != nil {
 		tb.Fatalf("New: %v", err)
@@ -204,7 +204,7 @@ func TestRandomLinesBothAdapters(t *testing.T) {
 // per-connection FIFO the batch pipeline must preserve while
 // coalescing across connections.
 func TestInterleavedPipelinedConnections(t *testing.T) {
-	s := startServer(t, WithShards(2), WithBatchMax(4), WithQueueDepth(2))
+	s := startServer(t, WithShards(2), WithBatchMax(4))
 	const clients, bursts = 4, 20
 	errs := make(chan error, clients)
 	conns := make([]*client, clients)

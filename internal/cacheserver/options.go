@@ -23,7 +23,6 @@ type config struct {
 	deviceWords int    // per shard
 	metricsAddr string // optional HTTP metrics endpoint; "" = disabled
 	batchMax    int    // max ops per batch, i.e. per Atlas critical section
-	queueDepth  int    // per-shard pending-request queue bound
 	replListen  string // replication listener (primary role); "" = disabled
 	replicaOf   string // primary's replication address (follower role); "" = disabled
 
@@ -40,7 +39,6 @@ func defaultConfig() config {
 		maxConns:    16,
 		deviceWords: 1 << 20,
 		batchMax:    64,
-		queueDepth:  256,
 
 		epochInterval: 5 * time.Millisecond,
 	}
@@ -58,9 +56,6 @@ func (c config) validate() error {
 	}
 	if c.batchMax < 1 {
 		return fmt.Errorf("cacheserver: batch max must be >= 1, got %d", c.batchMax)
-	}
-	if c.queueDepth < 1 {
-		return fmt.Errorf("cacheserver: queue depth must be >= 1, got %d", c.queueDepth)
 	}
 	if c.replListen != "" && c.replicaOf != "" {
 		return fmt.Errorf("cacheserver: a server cannot be both primary (repl listen) and follower (replica of)")
@@ -130,15 +125,6 @@ func WithMetricsAddr(addr string) Option {
 // drain lock.
 func WithBatchMax(n int) Option {
 	return func(c *config) { c.batchMax = n }
-}
-
-// WithQueueDepth bounds each shard's queue of commit groups waiting
-// behind a busy drain lock (default 256 groups). A submitter that
-// finds the queue full waits for the drain lock itself and runs its
-// group when it gets it; each such direct run is counted in
-// server_batch_fallbacks, so backpressure shows up in stats.
-func WithQueueDepth(n int) Option {
-	return func(c *config) { c.queueDepth = n }
 }
 
 // WithReplListen makes the server a replication primary: it accepts

@@ -182,9 +182,9 @@ func planStream(s *Server, seed int64, w, writers, n int, crashes bool) []string
 	}
 	// The relaxed-heavy phase: runs of 2-40 blind relaxed/fire writes
 	// (set, mset, fire delete), each broken by a read of a run key, a
-	// durable incr of one (the fold), a relaxed incr (a sequence point)
-	// or — when this writer is alone, so the epoch count is its own — a
-	// wait.
+	// durable incr of one (the fold), a relaxed incr or a relaxed delete
+	// of one (read-modify-writes, which join the plan) or — when this
+	// writer is alone, so the epoch count is its own — a wait.
 	blind := func() string {
 		if rng.Intn(2) == 0 {
 			return " relaxed"
@@ -207,7 +207,9 @@ func planStream(s *Server, seed int64, w, writers, n int, crashes bool) []string
 			}
 		}
 		rk := keys[rng.Intn(len(keys))]
-		switch r := rng.Intn(5); {
+		switch r := rng.Intn(6); {
+		case r == 5:
+			cmds = append(cmds, fmt.Sprintf("delete %d relaxed", rk))
 		case r == 0:
 			cmds = append(cmds, fmt.Sprintf("get %d", rk))
 		case r == 1:
@@ -440,9 +442,6 @@ func TestPlanCutsAtCommandBoundaries(t *testing.T) {
 	}
 	if got := sh.tel.Server.BatchedOps.Load(); got != 30 {
 		t.Fatalf("batched ops = %d, want 30", got)
-	}
-	if got := sh.tel.Server.BatchFallbacks.Load(); got != 0 {
-		t.Fatalf("fallbacks = %d, want 0", got)
 	}
 
 	telemetry.Reset(telemetry.RegistryRows.Bind(sh.tel))

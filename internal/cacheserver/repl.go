@@ -165,8 +165,9 @@ func (sh *shard) state(keep func(uint64) bool) (ops []repl.Op, marks []repl.Sess
 
 // appendRepl turns one batch's committed effects into a replication
 // log group: sets and resolved increments become absolute sets, applied
-// deletes become deletes, failed and read-only ops vanish, and so do an
-// epoch drain's, which replicated whole at its commit (see commitDrain).
+// deletes become deletes, failed and read-only ops vanish, and so do a
+// relaxed read-modify-write's and an epoch drain's: the drain's commit
+// replicates both whole (see commitDrain).
 // Caller is runBatch, still under the shard read lock.
 func (sh *shard) appendRepl(reqs []*batchReq) {
 	var rops []repl.Op

@@ -83,12 +83,13 @@ func (s *Server) handle(conn net.Conn) {
 // has a session verdict: grp > 0 names (one-based) its sessioned group
 // in sh's leg, whose executor decides; grp == 0 means a cross-shard or
 // wide mset's up-front check settled it as verdict/pay and the tag holds
-// no ops.
+// no ops. stamp marks a relaxed or fire ack, which carries the epoch.
 type cmdTag struct {
 	req   *proto.Request
 	sh    *shard
 	start int
 	n     int
+	stamp bool
 
 	grp     int
 	verdict sessVerdict
@@ -96,17 +97,21 @@ type cmdTag struct {
 }
 
 // opKinds maps a data command's keyspace and verb to the batch op that
-// executes it, once per key.
-var opKinds = [2][proto.NumVerbs]opKind{
-	proto.SpaceHash:    {proto.VerbRead: opGet, proto.VerbSet: opSet, proto.VerbIncr: opIncr, proto.VerbDelete: opDelete},
-	proto.SpaceOrdered: {proto.VerbSet: opZSet, proto.VerbIncr: opZIncr, proto.VerbDelete: opZDelete},
-}
+// executes it, once per key; rmwKinds does for a relaxed hash-map
+// read-modify-write.
+var (
+	opKinds = [2][proto.NumVerbs]opKind{
+		proto.SpaceHash:    {proto.VerbRead: opGet, proto.VerbSet: opSet, proto.VerbIncr: opIncr, proto.VerbDelete: opDelete},
+		proto.SpaceOrdered: {proto.VerbSet: opZSet, proto.VerbIncr: opZIncr, proto.VerbDelete: opZDelete},
+	}
+	rmwKinds = [proto.NumVerbs]opKind{proto.VerbIncr: opRelaxedIncr, proto.VerbDelete: opRelaxedDelete}
+)
 
-// appendOps translates one decoded request into batch pipeline ops: one
-// per key for reads and deletes, one per key/value pair for writes.
-func appendOps(ops []batchOp, req *proto.Request) []batchOp {
-	sp := req.Cmd.Spec()
-	kind, stride := opKinds[sp.Space][sp.Verb], sp.Stride
+// appendOps translates one decoded request into batch pipeline ops of
+// kind: one per key for reads and deletes, one per key/value pair for
+// writes.
+func appendOps(ops []batchOp, req *proto.Request, kind opKind) []batchOp {
+	stride := req.Cmd.Spec().Stride
 	for i := 0; i+stride <= len(req.KV); i += stride {
 		op := batchOp{kind: kind, key: req.KV[i]}
 		if stride == 2 {
@@ -160,10 +165,11 @@ func (s *Server) serveBatch(cs *connState, enc *proto.Encoder, batch []proto.Req
 			}
 			// A relaxed/fire hash-map write is buffered in the overlay and
 			// acked with its epoch receipt: a blind one (set, mset, a fire
-			// delete) joins the connection's run, a read-modify-write is a
-			// sequence point. Whatever is pending of the other kind lands
-			// first, so tiers interleave in program order. A seq-tagged or
-			// ordered write is durable on every tier (the durable ack).
+			// delete) joins the connection's run, a read-modify-write
+			// joins the plan, read and buffered by its shard's executor.
+			// Whatever is pending of the other kind lands first, so tiers
+			// interleave in program order. A seq-tagged or ordered write
+			// is durable on every tier (the durable ack).
 			dur := req.Dur
 			if req.HasSeq || sp.Space == proto.SpaceOrdered || !sp.Mutates() {
 				dur = proto.DurDurable
@@ -177,17 +183,16 @@ func (s *Server) serveBatch(cs *connState, enc *proto.Encoder, batch []proto.Req
 				s.planSessioned(cs, enc, req)
 				continue
 			}
+			kind := opKinds[sp.Space][sp.Verb]
 			if dur != proto.DurDurable && !blind {
-				flushData()
-				cs.stage(enc, s.serveRelaxed(cs, req))
-				continue
+				kind = rmwKinds[sp.Verb]
 			}
 			sh := s.shardOf(req.KV[0])
 			if sp.Mutates() {
 				cs.plan.legs[sh.idx].tiers[dur]++
 			}
-			tag := cmdTag{req: req, sh: sh, start: len(cs.refs)}
-			cs.ops = appendOps(cs.ops[:0], req)
+			tag := cmdTag{req: req, sh: sh, start: len(cs.refs), stamp: dur != proto.DurDurable}
+			cs.ops = appendOps(cs.ops[:0], req, kind)
 			for i := range cs.ops {
 				if i > 0 {
 					sh = s.shardOf(cs.ops[i].key)
@@ -250,31 +255,32 @@ func (cs *connState) stage(enc *proto.Encoder, rep proto.Reply) {
 	enc.Stage(&cs.rep)
 }
 
-// flushPlan runs the connection's pending plan (or buffers its run,
-// every reply stamped with the run's epoch), stages one reply per
-// tagged command in request order, and empties the plan — what every
-// sequence point (and the end of the batch) does first. A plan of pure
-// reads tries the lock-free seqlock path; if a key fails to validate,
-// or the plan holds a mutation, the whole plan commits through the
-// shards in arrival order (read-your-writes inside a burst). Every tag
-// observes the plan's end-to-end time: replies flush together, so the
-// plan's completion IS each command's service time — observed once per
-// (shard, command) with a count, and the mutations counted once per
-// shard and tier, before any reply is staged.
+// flushPlan runs the connection's pending plan (or buffers its run),
+// stages one reply per tagged command in request order — a relaxed ack
+// stamped with the epoch read after the plan's last overlay insert, so
+// no stamp is earlier than its entry's (see closeEpoch) — and empties
+// the plan: what every sequence point (and the end of the batch) does
+// first. A plan of pure reads tries the lock-free seqlock path; if a
+// key fails to validate, or the plan holds a mutation, the whole plan
+// commits through the shards in arrival order (read-your-writes inside
+// a burst). Every tag observes the plan's end-to-end time: replies
+// flush together, so the plan's completion IS each command's service
+// time — observed once per (shard, command) with a count, and the
+// mutations counted once per shard and tier, before any reply is staged.
 func (s *Server) flushPlan(cs *connState, enc *proto.Encoder) {
 	if len(cs.tags) == 0 {
 		return
 	}
 	start := time.Now()
 	p := &cs.plan
-	var epoch uint64
 	optimistic := p.muts == 0 && len(cs.refs) > 0 && s.readOptimistic(cs)
 	switch {
 	case p.run:
-		epoch = s.bufferRun(p)
+		s.bufferRun(p)
 	case !optimistic:
 		s.runPlan(p)
 	}
+	epoch := s.curEpoch.Load()
 	el := time.Since(start)
 	for _, tg := range cs.tags {
 		p.leg(tg.sh).cmds[tg.req.Cmd.Spec().Tel]++
@@ -293,7 +299,9 @@ func (s *Server) flushPlan(cs *connState, enc *proto.Encoder) {
 	}
 	for ti := range cs.tags {
 		rep := s.buildDataReply(cs, &cs.tags[ti])
-		rep.Epoch = epoch
+		if cs.tags[ti].stamp {
+			rep.Epoch = epoch
+		}
 		cs.stage(enc, rep)
 	}
 	cs.tags, cs.refs = cs.tags[:0], cs.refs[:0]

@@ -11,70 +11,25 @@
 // of them) while the rest keep serving, and recovery re-verifies the
 // shard's integrity invariants before it rejoins.
 //
-// The wire protocol lives behind internal/proto's Adapter seam. The
-// native protocol is a line-oriented subset of memcached's text
-// protocol over integer keys and values:
+// The wire protocol lives behind internal/proto's Adapter seam: a
+// native, memcached-style text protocol over integer keys and values,
+// and RESP2, so redis-cli and redis-benchmark can drive the server
+// directly (non-numeric keys and values hash to the integer keyspace).
+// A connection's protocol is sniffed from its first byte (RESP framing
+// always leads with '*'). docs/PROTOCOL.md is the canonical reference
+// for both grammars, every reply and every error string; proto.Specs is
+// the command table every layer reads, one row per command.
 //
-//	set <key> <value>        -> STORED
-//	get <key>                -> VALUE <key> <value> | NOT_FOUND
-//	incr <key> <delta>       -> <new value> | error
-//	delete <key>             -> DELETED | NOT_FOUND
-//	mget <key> ...           -> per key VALUE <key> <value> | NOT_FOUND <key>, then END
-//	mset <key> <value> ...   -> STORED <count>
-//	zadd <key> <value>       -> STORED (ordered keyspace)
-//	zget <key>               -> VALUE <key> <value> | NOT_FOUND
-//	zincr <key> <delta>      -> <new value> | error
-//	zdel <key>               -> DELETED | NOT_FOUND
-//	zrange <lo> <hi> [limit] -> ascending VALUE lines over [lo,hi), then END
-//	zcount <lo> <hi>         -> count of ordered keys in [lo,hi)
-//	stats                    -> one STAT line per telemetry row series + END
-//	stats shards             -> one STAT line per shard + END
-//	stats reset              -> zeroes counters and histograms; RESET
-//	crash                    -> power-fails and recovers every shard; OK RECOVERED EPOCH <p>
-//	crash <shard>            -> power-fails and recovers one shard; OK RECOVERED SHARD <n> EPOCH <p>
-//	promote                  -> severs replication on a follower; OK PROMOTED
-//	ping                     -> PONG
-//	quit                     -> closes the connection
-//
-// Every mutating command additionally accepts a trailing durability
-// tier — `durable` (the default: effects are committed to fortified
-// state before the ack), `relaxed` (acked from a volatile overlay,
-// persisted when the current epoch closes; the ack carries `@<epoch>`,
-// a receipt redeemable against the crash reply's recovered frontier),
-// or `fire` (acked before any state is consulted). A tier settles
-// hash-keyspace writes: a z-write is durable at its skip-list CAS, so it
-// answers the durable ack on every tier. The companion barrier:
-//
-//	wait [epoch [timeout-ms]] -> persisted frontier once it covers <epoch> (default: now)
-//	wait repl [timeout-ms]    -> follower ack count for this connection's writes
-//
-// See epoch.go for the tier machinery and DESIGN.md §8 for the
-// crash-loss contract.
-//
-// Exactly-once retries ride a session handshake plus per-request
-// sequence numbers (detectable operations; see session.go and
-// DESIGN.md §9):
-//
-//	session <id>             -> OK SESSION <id> (binds the connection)
-//	set <k> <v> seq=<n>      -> as set, but duplicate retries of seq n
-//	                            replay the recorded ack instead of
-//	                            re-applying (likewise incr, delete,
-//	                            mset, zadd, zincr, zdel)
-//
-// A seq below the session's record — or below the shard's eviction
-// floor — is refused with "seq too old". Each shard's window holds 256
-// records, evicted round-robin. docs/PROTOCOL.md is the
-// canonical reference for the full grammar, both protocols' spellings,
-// and every error string.
-//
-// The same commands are also served over RESP2 (GET/SET/INCRBY/DEL/
-// MGET/MSET/PING/INFO and friends), so redis-cli and redis-benchmark
-// can drive the server directly; non-numeric keys and values hash to
-// the integer keyspace. Each connection's protocol is sniffed from its
-// first byte (RESP framing always leads with '*'). A request larger
-// than proto.DefaultMaxRequest (1 MiB) is answered with "request too
-// large": a native connection then resynchronizes at the next newline,
-// a RESP one is closed.
+// Every mutating command takes a trailing durability tier: durable (the
+// default: committed to fortified state before the ack), relaxed (acked
+// from a volatile overlay with an `@<epoch>` receipt, persisted when
+// that epoch closes) or fire (acked before any state is consulted);
+// `wait` is the barrier that redeems a receipt. A tier settles
+// hash-keyspace writes only: a z-write is durable at its skip-list CAS.
+// See epoch.go and DESIGN.md §8. Exactly-once retries ride a session
+// handshake plus per-request sequence numbers, whose duplicates replay
+// the recorded ack (detectable operations; see session.go and DESIGN.md
+// §9).
 //
 // The z* commands address the ordered keyspace: a persistent lock-free
 // skip list living beside the hash map under each shard's multi-engine

@@ -340,7 +340,8 @@ func (s *Server) planSessioned(cs *connState, enc *proto.Encoder, req *proto.Req
 	wsh := s.shardOf(wkey)
 	wsh.tel.Server.SessionOps.Inc()
 	p := &cs.plan
-	cs.ops = appendOps(cs.ops[:0], req)
+	sp := req.Cmd.Spec()
+	cs.ops = appendOps(cs.ops[:0], req, opKinds[sp.Space][sp.Verb])
 	spans := len(cs.ops) > s.cfg.batchMax
 	for i := 1; i < len(cs.ops) && !spans; i++ {
 		spans = s.shardOf(cs.ops[i].key) != wsh

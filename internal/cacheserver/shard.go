@@ -44,13 +44,12 @@ type shard struct {
 	gen atomic.Uint64
 
 	// Write-path state (see batch.go). combineMu is the drain lock: its
-	// holder — the submitter that won it without waiting, the worker
-	// woken by the doorbell, or a relaxed read-modify-write — is the one
-	// goroutine mutating this shard's engines, and owns carry, the
-	// scratch, the section's op counts, the drain thread wth and its
-	// commit lock wmu (both of generation wgen) while it holds the lock.
-	// chunk is runWide's group for the head of a group wider than a
-	// section.
+	// holder — a submitter, the worker woken by the doorbell, or the
+	// epoch drain — is the one goroutine mutating this shard's engines,
+	// and owns carry, the scratch, the section's op counts, the drain
+	// thread wth and its commit lock wmu (both of generation wgen) while
+	// it holds the lock. chunk is runWide's group for the head of a group
+	// wider than a section.
 	queue          chan *batchReq
 	doorbell       chan struct{}
 	combineMu      sync.Mutex
@@ -121,7 +120,7 @@ func newShard(idx int, c config) (*shard, error) {
 	}
 	sh := &shard{
 		idx: idx, cfg: c, tel: tel, stk: stk,
-		queue:      make(chan *batchReq, c.queueDepth),
+		queue:      make(chan *batchReq, c.maxConns+1), // never full: see batch.go
 		doorbell:   make(chan struct{}, 1),
 		workerDone: make(chan struct{}),
 	}

@@ -98,7 +98,6 @@ func TestRegistryReset(t *testing.T) {
 	r.Server.Sets.Inc()
 	r.Server.Batches.Inc()
 	r.Server.BatchedOps.Add(8)
-	r.Server.BatchFallbacks.Inc()
 	r.Recovery.Recoveries.Inc()
 	r.OpLatency.Observe(time.Millisecond)
 	r.RecoveryLatency.Observe(time.Millisecond)
@@ -142,9 +141,8 @@ func TestWalkIncludesBatchCounters(t *testing.T) {
 	r := NewRegistry()
 	r.Server.Batches.Inc()
 	r.Server.BatchedOps.Add(4)
-	r.Server.BatchFallbacks.Inc()
 	c := r.Counters()
-	if c["server_batches"] != 1 || c["server_batched_ops"] != 4 || c["server_batch_fallbacks"] != 1 {
+	if c["server_batches"] != 1 || c["server_batched_ops"] != 4 {
 		t.Fatalf("batch counters not in Walk vocabulary: %v", c)
 	}
 }

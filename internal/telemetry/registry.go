@@ -177,9 +177,8 @@ type ServerStats struct {
 	ZSets    Counter // zadd/zincr writes applied
 	ZDeletes Counter // zdel writes applied
 
-	Batches        Counter // batches (Atlas sections) the write path executed
-	BatchedOps     Counter // operations executed inside those batches
-	BatchFallbacks Counter // commit groups that found the queue full and ran directly on the drain lock
+	Batches    Counter // batches (Atlas sections) the write path executed
+	BatchedOps Counter // operations executed inside those batches
 
 	DurableOps    Counter // mutations committed before their ack
 	RelaxedOps    Counter // hash-keyspace mutations acked at the relaxed tier
@@ -336,7 +335,6 @@ var RegistryRows = newTable(ScopeShard,
 		counter("server_zdeletes", "zdel writes applied", func(s *ServerStats) *Counter { return &s.ZDeletes }),
 		counter("server_batches", "batches (Atlas sections) the write path ran", func(s *ServerStats) *Counter { return &s.Batches }),
 		counter("server_batched_ops", "operations inside those batches", func(s *ServerStats) *Counter { return &s.BatchedOps }),
-		counter("server_batch_fallbacks", "commit groups that found the queue full and ran on the drain lock", func(s *ServerStats) *Counter { return &s.BatchFallbacks }),
 		counter("server_durable_ops", "mutations committed before their ack: the durable tier, seq-tagged and ordered-keyspace writes", func(s *ServerStats) *Counter { return &s.DurableOps }),
 		counter("server_relaxed_ops", "hash-keyspace mutations acked at the relaxed tier", func(s *ServerStats) *Counter { return &s.RelaxedOps }),
 		counter("server_fire_ops", "hash-keyspace mutations acked fire-and-forget", func(s *ServerStats) *Counter { return &s.FireOps }),
